@@ -3,13 +3,11 @@
 
 GO ?= go
 
-# Packages fast enough for the 1-iteration benchmark smoke run (the root
-# package's benchmarks regenerate full paper figures and take minutes —
-# they are run on demand via `make bench-full`).
+# Packages fast enough for the 1-iteration benchmark smoke run.
 BENCH_PKGS = ./internal/codec/ ./internal/vision/ ./internal/tuner/ \
-             ./internal/nn/ ./internal/infer/ ./internal/dataflow/ ./internal/runner/
+             ./internal/nn/ ./internal/infer/ ./internal/runner/
 
-.PHONY: all build test test-short bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-split bench-split-smoke bench-json bench-full docs-lint wire-smoke chaos-smoke obs-smoke split-smoke fmt vet lint sievelint fuzz-smoke vuln ci
+.PHONY: all build test test-short bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e docs-lint wire-smoke chaos-smoke obs-smoke split-smoke fmt vet lint sievelint reach fuzz-smoke vuln ci
 
 all: build
 
@@ -41,6 +39,20 @@ lint: sievelint
 # hygiene (sentinel). Exits non-zero on any finding.
 sievelint:
 	$(GO) run ./cmd/sievelint ./...
+
+# No package that only an example (or nothing) reaches: every internal/
+# package must be imported, directly or transitively, from cmd/, bench/ or
+# the root package. internal/analysis/analysistest is the one allowed test
+# helper (only the analyzers' own tests import it).
+reach:
+	@reached="$$($(GO) list -deps ./cmd/... ./bench .)"; \
+	for p in $$($(GO) list ./internal/...); do \
+		[ "$$p" = sieve/internal/analysis/analysistest ] && continue; \
+		echo "$$reached" | grep -qx "$$p" || orphans="$$orphans $$p"; \
+	done; \
+	if [ -n "$$orphans" ]; then \
+		echo "reach: imported by nothing under cmd/, bench/ or the root package:$$orphans"; exit 1; \
+	fi
 
 # Seed-corpus pass for every native fuzz target plus a short live fuzz of
 # each — catches targets that no longer compile and regressions on the
@@ -100,7 +112,6 @@ bench-codec-smoke:
 # variant so the cluster path cannot silently stop compiling as a benchmark.
 bench-cluster:
 	$(GO) test -run='^$$' -bench='^BenchmarkClusterSites' -benchmem .
-	$(GO) run ./cmd/sievebench -suite cluster -json BENCH_cluster.json
 
 bench-cluster-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkClusterSites' -benchtime=1x -benchmem .
@@ -118,22 +129,6 @@ bench-infer:
 bench-infer-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkInferBatch' -benchtime=1x -benchmem ./internal/nn/
 	$(GO) test -run='^$$' -bench='^BenchmarkPlaneRoundTrip' -benchtime=1x -benchmem ./internal/infer/
-
-# Split-inference benchmark: the measured all-edge forward at batch 1/4/16
-# next to the edge/cloud split projected at 10/30/100 Mbps from the measured
-# edge rate (cloud = the paper's 3x tier, pipelined throughput at the
-# latency-minimising cut — the same chooser `sieve cluster -split auto`
-# runs). Writes the schema-checked BENCH_infer.json. The smoke variant is
-# the same suite — its all-edge rows are already CI-sized — plus the
-# zero-alloc pin on the split detect path.
-bench-split:
-	$(GO) run ./cmd/sievebench -suite infer -json BENCH_infer.json
-	$(GO) run ./cmd/sievebench -check BENCH_infer.json
-
-bench-split-smoke:
-	$(GO) test -run '^TestDetectBatchSplitSteadyStateZeroAlloc$$' -count=1 ./internal/nn/
-	$(GO) run ./cmd/sievebench -suite infer -json BENCH_infer.json
-	$(GO) run ./cmd/sievebench -check BENCH_infer.json
 
 # Wire ingest micro-benchmark: the SVWP path (framing + raw-pixel copy
 # over an in-memory transport + server-side decode) vs adding the same
@@ -162,42 +157,28 @@ chaos-smoke:
 	$(GO) test -race -run '^(TestFailHeal|TestDegrade)' -count=1 ./internal/simnet/
 	$(GO) test -race -run '^TestCoordinator' -count=1 ./internal/cluster/
 
-# Machine-readable perf trajectory: each measured sievebench suite as a
-# BENCH_<suite>.json (schema: internal/telemetry/bench.go, validated on
-# write and re-validated by -check). obs-smoke writes the CI-sized
-# BENCH_smoke.json; this target writes the longer points.
-bench-json:
-	$(GO) run ./cmd/sievebench -suite session -json BENCH_session.json
-	$(GO) run ./cmd/sievebench -suite cluster -json BENCH_cluster.json
-	$(GO) run ./cmd/sievebench -check BENCH_session.json
-	$(GO) run ./cmd/sievebench -check BENCH_cluster.json
-
 # Observability smoke: the telemetry plane's equivalence and determinism
 # suite under the race detector (merged results byte-identical with
 # telemetry on vs off, traces byte-identical run to run including under
 # failover, /metrics scrapable mid-run), then the CLI round trip — a
 # short traced cluster run whose trace must parse back through
-# `sieve trace`, and a BENCH_smoke.json that must pass the schema check.
+# `sieve trace`.
 obs-smoke:
 	$(GO) test -race -run '^(TestClusterTelemetryEquivalence|TestClusterTraceDeterminism|TestClusterFailoverTraceDeterminism|TestClusterSnapshotConcurrentMidRun|TestDebugEndpointScrapesMidRun|TestSessionTelemetryStandalone)' -count=1 .
 	$(GO) run ./cmd/sieve cluster -feeds 4 -sites 2 -seconds 4 -detect=false -trace obs_trace.json -debug-addr 127.0.0.1:0 >/dev/null
 	$(GO) run ./cmd/sieve trace obs_trace.json
 	rm -f obs_trace.json
-	$(GO) run ./cmd/sievebench -suite smoke -json BENCH_smoke.json
-	$(GO) run ./cmd/sievebench -check BENCH_smoke.json
 
 # Split-inference smoke: the k-sweep equivalence suite under the race
 # detector — merged results byte-identical to the all-edge flat run at
 # every cut, with per-site auto tuning, and under a scripted
 # linkdown/degrade fault plan — plus the activation codec, partition-model
-# and plane-level split tests, then the CI-sized BENCH_infer.json round
-# trip (uploaded as an artifact by the split-smoke CI job).
+# and plane-level split tests (including the zero-alloc pin on the split
+# detect path).
 split-smoke:
 	$(GO) test -race -run '^(TestClusterSplit|TestClusterBatchedInferenceEquivalence)' -short -count=1 .
 	$(GO) test -race -run '^(TestActivationRecord|TestSplitForward|TestDetectBatchSplit|TestEvalCut|TestPartition)' -short -count=1 ./internal/nn/
 	$(GO) test -race -run '^TestSplitPlane' -count=1 ./internal/infer/
-	$(GO) run ./cmd/sievebench -suite infer -json BENCH_infer.json
-	$(GO) run ./cmd/sievebench -check BENCH_infer.json
 
 # Docs lint: PROTOCOL.md is normative — these tests parse its
 # message-type, error-code, drain and close tables and fail when they
@@ -207,10 +188,11 @@ split-smoke:
 docs-lint:
 	$(GO) test -run '^TestSpec' -count=1 ./internal/wire/ ./internal/nn/
 
-# The full benchmark suite doubles as the experiment record (see
-# bench_test.go); this regenerates every paper figure and table.
-bench-full:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -timeout 60m .
+# The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): four
+# workloads through the public API with the detector on; compare two runs
+# with `go run ./bench compare base new`.
+bench-e2e:
+	bash bench/run.sh
 
 # Everything CI checks, in CI's order.
-ci: build vet fmt lint test-short bench wire-smoke chaos-smoke obs-smoke split-smoke docs-lint fuzz-smoke
+ci: build vet fmt lint reach test-short bench wire-smoke chaos-smoke obs-smoke split-smoke docs-lint fuzz-smoke

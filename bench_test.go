@@ -1,7 +1,6 @@
-// Benchmarks regenerating every table and figure of the SiEVE paper
-// (one Benchmark per artefact) plus ablations of the design choices
-// DESIGN.md calls out. Each bench reports its headline numbers as custom
-// metrics so `go test -bench` output doubles as the experiment record.
+// Ablation benchmarks of the design choices DESIGN.md calls out. The
+// paper's tables and figures are `sievebench -exp` (asserted by the
+// internal/experiments tests); end-to-end performance is `bench/`.
 package sieve
 
 import (
@@ -10,143 +9,11 @@ import (
 
 	"sieve/internal/codec"
 	"sieve/internal/container"
-	"sieve/internal/experiments"
 	"sieve/internal/frame"
 	"sieve/internal/pipeline"
 	"sieve/internal/synth"
 	"sieve/internal/tuner"
 )
-
-// benchOpts keeps the full suite under a few minutes; raise Seconds for
-// tighter confidence (see EXPERIMENTS.md).
-var benchOpts = experiments.Opts{Seconds: 150, TrainSeconds: 150, FPS: 5}
-
-// BenchmarkFigure3 regenerates the accuracy-vs-sampling comparison
-// (SiEVE vs SIFT vs MSE) for the Jackson Square feed and reports the mean
-// accuracy gaps (the paper's "+11% vs SIFT, +48% vs MSE" on this feed).
-func BenchmarkFigure3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure3(context.Background(), synth.JacksonSquare, benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.MeanGapOver("SiEVE", "SIFT"), "gap_vs_sift_%")
-		b.ReportMetric(100*res.MeanGapOver("SiEVE", "MSE"), "gap_vs_mse_%")
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkFigure3Coral covers the small-object feed where the paper finds
-// MSE > SIFT (SIFT starves for keypoints on small persons).
-func BenchmarkFigure3Coral(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure3(context.Background(), synth.CoralReef, benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*res.MeanGapOver("SiEVE", "SIFT"), "gap_vs_sift_%")
-		b.ReportMetric(100*res.MeanGapOver("SiEVE", "MSE"), "gap_vs_mse_%")
-		b.ReportMetric(100*res.MeanGapOver("MSE", "SIFT"), "mse_vs_sift_%")
-		if i == 0 {
-			b.Log("\n" + res.Render())
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates the semantic-vs-default parameter comparison
-// on all three labelled feeds.
-func BenchmarkTable2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table2(context.Background(), benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var semF1, defF1 float64
-		for _, r := range rows {
-			semF1 += r.Semantic.F1
-			defF1 += r.Default.F1
-		}
-		b.ReportMetric(100*semF1/float64(len(rows)), "semantic_f1_%")
-		b.ReportMetric(100*defF1/float64(len(rows)), "default_f1_%")
-		if i == 0 {
-			b.Log("\n" + experiments.RenderTable2(rows))
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates the event-detection speed table (seek vs
-// decode+MSE vs decode+SIFT at three resolutions) and reports the
-// SiEVE-over-MSE speedup on the 1080p feed (paper: ~104x).
-func BenchmarkTable3(b *testing.B) {
-	opts := experiments.Opts{Seconds: 8, FPS: 5}
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3(context.Background(), opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1] // venice, 1920x1080
-		b.ReportMetric(last.SiEVEFPS, "sieve_fps_1080p")
-		b.ReportMetric(last.MSEFPS, "mse_fps_1080p")
-		b.ReportMetric(last.SiEVEFPS/last.MSEFPS, "speedup_x")
-		if i == 0 {
-			b.Log("\n" + experiments.RenderTable3(rows))
-		}
-	}
-}
-
-// BenchmarkFigure4And5 regenerates the end-to-end throughput (Figure 4) and
-// data-transfer (Figure 5) experiments over 1/3/5 feeds.
-func BenchmarkFigure4And5(b *testing.B) {
-	opts := experiments.Opts{Seconds: 20, TrainSeconds: 60, FPS: 5}
-	for i := 0; i < b.N; i++ {
-		results, err := experiments.E2E(context.Background(), []int{1, 3, 5}, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		full := results[len(results)-1]
-		var best, mse pipeline.Report
-		for _, rep := range full.Reports {
-			switch rep.Method {
-			case pipeline.IFrameEdgeCloudNN:
-				best = rep
-			case pipeline.MSEEdgeCloudNN:
-				mse = rep
-			}
-		}
-		b.ReportMetric(best.Throughput, "iframe_edge_cloud_fps")
-		b.ReportMetric(mse.Throughput, "mse_fps")
-		b.ReportMetric(float64(best.EdgeCloudBytes)/1e6, "edge_cloud_MB")
-		if i == 0 {
-			b.Log("\n" + experiments.RenderFigure4(results))
-			b.Log("\n" + experiments.RenderFigure5(results))
-		}
-	}
-}
-
-// BenchmarkE2EParallelism compares the end-to-end experiment at Parallel=1
-// (the sequential reference) against the default pool — the speedup the
-// concurrent evaluation engine buys on this machine's core count.
-func BenchmarkE2EParallelism(b *testing.B) {
-	opts := experiments.Opts{Seconds: 10, TrainSeconds: 20, FPS: 5}
-	for _, cfg := range []struct {
-		name     string
-		parallel int
-	}{{"sequential", 1}, {"pooled", 0}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			o := opts
-			o.Parallel = cfg.parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.E2E(context.Background(), []int{1, 3}, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// ---------------------------------------------------------------- ablations
 
 // benchClip renders a deterministic clip for the ablations.
 func benchClip(b *testing.B, n int) *synth.Video {

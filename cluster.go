@@ -81,7 +81,6 @@ type ClusterOption func(*clusterConfig)
 type clusterConfig struct {
 	sharder      Sharder
 	siteWorkers  int
-	bufSize      int
 	uplinkBps    float64
 	latency      time.Duration
 	quota        int64
@@ -89,8 +88,6 @@ type clusterConfig struct {
 	inferBatch   int
 	split        bool
 	splitCut     int
-	splitEdge    float64
-	splitCloud   float64
 	ingest       *IngestListener
 	faults       *FaultPlan
 	syncEvery    int
@@ -171,6 +168,14 @@ const SplitAuto = -1
 // the return trip.
 const splitReturnWireBytes = 64
 
+// splitEdgeFLOPS and splitCloudFLOPS are the modelled sustained compute
+// rates (FLOP/s) behind SplitAuto's cut choice and the split telemetry:
+// the paper's 1 GFLOP/s edge desktop and 3 GFLOP/s cloud Xeon.
+const (
+	splitEdgeFLOPS  = 1e9
+	splitCloudFLOPS = 3e9
+)
+
 // WithSplitInference is WithClusterInference with the forward pass itself
 // partitioned across the uplink: each site's plane runs layers [0,cut) on
 // the edge, ships the intermediate activation over the site's metered
@@ -187,13 +192,6 @@ func WithSplitInference(det *Detector, batchSize, cut int) ClusterOption {
 		c.inferDet, c.inferBatch = det, batchSize
 		c.split, c.splitCut = true, cut
 	}
-}
-
-// WithSplitTiers overrides the modelled sustained compute rates (FLOP/s)
-// behind SplitAuto's cut choice and the split telemetry. Defaults: the
-// paper's 1 GFLOP/s edge desktop and 3 GFLOP/s cloud Xeon.
-func WithSplitTiers(edgeFLOPS, cloudFLOPS float64) ClusterOption {
-	return func(c *clusterConfig) { c.splitEdge, c.splitCloud = edgeFLOPS, cloudFLOPS }
 }
 
 // WithClusterListener attaches a network ingest plane to the cluster: Run
@@ -233,15 +231,6 @@ func WithDeltaSync(every, attempts int) ClusterOption {
 		}
 		if attempts > 0 {
 			c.syncAttempts = attempts
-		}
-	}
-}
-
-// WithClusterBuffer sets the merged event channel capacity (default 256).
-func WithClusterBuffer(n int) ClusterOption {
-	return func(c *clusterConfig) {
-		if n > 0 {
-			c.bufSize = n
 		}
 	}
 }
@@ -382,7 +371,7 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	if numSites < 1 {
 		return nil, fmt.Errorf("sieve: cluster: need at least one site, got %d", numSites)
 	}
-	cfg := clusterConfig{sharder: ShardByHash(), bufSize: 256, latency: -1, syncEvery: 8, syncAttempts: 4}
+	cfg := clusterConfig{sharder: ShardByHash(), latency: -1, syncEvery: 8, syncAttempts: 4}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -405,18 +394,10 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 		ingest:    cfg.ingest,
 		frunner:   faultplan.NewRunner(cfg.faults),
 		syncClock: NewVirtualClock(time.Unix(0, 0).UTC()),
-		events:    make(chan Event, cfg.bufSize),
+		events:    make(chan Event, eventBuffer),
 		skew:      make(map[string]float64),
 	}
 	c.splitPlanes = make(map[string]*InferencePlane)
-	if cfg.split {
-		if cfg.splitEdge <= 0 {
-			c.cfg.splitEdge = 1e9
-		}
-		if cfg.splitCloud <= 0 {
-			c.cfg.splitCloud = 3e9
-		}
-	}
 	c.fstats = newFailoverCounters(cfg.reg)
 	if c.ingest != nil {
 		c.ingest.instrument(cfg.reg)
@@ -429,14 +410,14 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	cfg.reg.Describe("sieve_cluster_degraded_sites", "sites whose slice of the merged view is incomplete or stale")
 	for _, name := range names {
 		hubOpts := []HubOption{
-			WithWorkers(cfg.siteWorkers), WithHubBuffer(cfg.bufSize),
+			WithWorkers(cfg.siteWorkers),
 			WithHubTelemetry(cfg.reg), withHubSite(name), WithHubTrace(cfg.tracer),
 		}
 		if cfg.inferDet != nil {
 			if cfg.split {
 				ip := c.newSplitPlane(name)
 				c.splitPlanes[name] = ip
-				hubOpts = append(hubOpts, WithHubPlane(ip))
+				hubOpts = append(hubOpts, withHubPlane(ip))
 			} else {
 				hubOpts = append(hubOpts, WithHubInference(cfg.inferDet, cfg.inferBatch))
 			}
@@ -481,8 +462,8 @@ func (c *Cluster) newSplitPlane(site string) *InferencePlane {
 		chooser = func() int { return fixed }
 	} else {
 		env := nn.Env{
-			EdgeFLOPS:   c.cfg.splitEdge,
-			CloudFLOPS:  c.cfg.splitCloud,
+			EdgeFLOPS:   splitEdgeFLOPS,
+			CloudFLOPS:  splitCloudFLOPS,
 			InputBytes:  net.Input.Bytes(),
 			ReturnBytes: splitReturnWireBytes,
 		}
@@ -511,8 +492,8 @@ func (c *Cluster) newSplitPlane(site string) *InferencePlane {
 	p := infer.NewSplit(det, c.cfg.inferBatch, infer.Split{
 		Cut:        chooser,
 		Ship:       func(rec []byte) error { return c.coord.ShipActivation(site, int64(len(rec))) },
-		EdgeFLOPS:  c.cfg.splitEdge,
-		CloudFLOPS: c.cfg.splitCloud,
+		EdgeFLOPS:  splitEdgeFLOPS,
+		CloudFLOPS: splitCloudFLOPS,
 	})
 	return &InferencePlane{p: p}
 }

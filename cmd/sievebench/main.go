@@ -16,8 +16,8 @@
 //	sievebench -exp table2 -seconds 120
 //	sievebench -exp fig3 -dataset jackson_square
 //	sievebench -exp fig4,fig5 -timeout 10m  # e2e experiments share asset prep
-//	sievebench -suite smoke -json BENCH_smoke.json  # machine-readable perf point
-//	sievebench -check BENCH_smoke.json              # schema-validate a report
+//
+// The performance benchmark is a separate program: bash bench/run.sh.
 package main
 
 import (
@@ -45,9 +45,6 @@ func main() {
 		fps      = flag.Int("fps", 0, "synthetic feed fps (default 10)")
 		parallel = flag.Int("parallel", 0, "worker pool size (default GOMAXPROCS; 1 = sequential)")
 		timeout  = flag.Duration("timeout", 0, "abort the run after this long (0 = no limit)")
-		suite    = flag.String("suite", "", "run a measured suite (smoke|session|cluster|infer) instead of -exp")
-		jsonOut  = flag.String("json", "", "with -suite: write the machine-readable BENCH_<suite>.json here")
-		check    = flag.String("check", "", "validate an existing BENCH_<suite>.json against the schema and exit")
 	)
 	flag.Parse()
 	if *list {
@@ -60,7 +57,8 @@ func main() {
   fig5    per-hop data movement of the five deployments
   all     everything above
 
-micro-benchmark suites (run via make, not -exp):
+the end-to-end performance benchmark is bash bench/run.sh (see
+bench/README.md); micro-benchmarks run via make, not -exp:
   bench-codec    BenchmarkEncodeP / BenchmarkDecodeInto / BenchmarkAnalyze /
                  BenchmarkSADBounded — zero-alloc codec hot path
   bench-cluster  BenchmarkClusterSites — feeds/sec at K=1,2,4 edge sites
@@ -69,15 +67,6 @@ micro-benchmark suites (run via make, not -exp):
                  inference plane scheduling overhead)
   bench-ingest   BenchmarkWireIngest — SVWP wire ingest over an in-memory
                  transport vs the same feed added in-process
-
-measured suites (-suite, optionally -json BENCH_<suite>.json, see make obs-smoke):
-  smoke     CI-sized end-to-end points: session encode + 2-site cluster run
-  session   30s single-feed streaming encode
-  cluster   6 feeds over 3 edge sites with cloud merge
-  infer     all-edge batched forward measured at batch 1/4/16, plus the
-            edge/cloud split projected at 10/30/100 Mbps from the measured
-            edge rate (cloud = 3x tier, pipelined throughput at the
-            latency-minimising cut — see make bench-split)
 `)
 		return
 	}
@@ -90,18 +79,6 @@ measured suites (-suite, optionally -json BENCH_<suite>.json, see make obs-smoke
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
-	}
-
-	if *check != "" {
-		checkReport(*check)
-		return
-	}
-	if *suite != "" {
-		runSuite(ctx, *suite, *jsonOut)
-		return
-	}
-	if *jsonOut != "" {
-		log.Fatal("-json needs -suite (the paper experiments render text, not BENCH JSON)")
 	}
 
 	known := map[string]bool{

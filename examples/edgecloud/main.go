@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"sieve/internal/clock"
 	"sieve/internal/pipeline"
 	"sieve/internal/synth"
 )
@@ -27,7 +28,7 @@ func main() {
 		asset.NumFrames, len(asset.IFrames),
 		asset.Semantic.PayloadBytes(nil), asset.Default.PayloadBytes(nil))
 
-	costs, err := pipeline.MeasureCosts(asset, nil)
+	costs, err := pipeline.MeasureCosts(asset, nil, clock.Wall())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,135 +1,121 @@
-// Sites: multi-site SiEVE in two acts.
-//
-// Act one is the live (non-modelled) 3-tier dataflow of Figure 1 — a
-// camera engine encodes frames semantically, an edge engine seeks I-frames
-// and decodes them, a cloud engine runs detection; the sites are bridged
-// over metered links by the Echo-like orchestrator. Every byte crossing
-// each hop is accounted.
-//
-// Act two scales the edge out with the public Cluster API: four cameras
-// sharded across two edge sites (each with its own pool, results-DB shard
-// and edge store), detections shipped over per-site metered uplinks, and a
-// cloud coordinator merging the shards into one global view that answers
-// cross-camera queries and locates replay GOPs wherever they are stored.
+// Sites: the Figure 1 split scaled out with the public Cluster API — four
+// cameras sharded across two edge sites (each with its own pool, results-DB
+// shard and edge store), detections shipped over per-site metered uplinks,
+// and a cloud coordinator merging the shards into one global view that
+// answers cross-camera queries and locates replay GOPs wherever they are
+// stored.
 package main
 
 import (
 	"context"
 	"fmt"
 	"log"
-	"strconv"
-	"sync/atomic"
+	"time"
 
-	"sieve/internal/codec"
-	"sieve/internal/dataflow"
-	"sieve/internal/deploy"
-	"sieve/internal/simnet"
+	"sieve"
+	"sieve/internal/frame"
+	"sieve/internal/nn"
 	"sieve/internal/synth"
-	"sieve/internal/tuner"
 )
+
+// scene renders one small deterministic camera: a car crossing a noisy
+// background, with per-camera seed and timing (event I-frames land in
+// different places on every camera).
+func scene(seed uint64, enter int) *sieve.Dataset {
+	v, err := synth.New(synth.Spec{
+		Name: "cam", Width: 128, Height: 80, FPS: 5, NumFrames: 40,
+		NoiseAmp: 1,
+		Objects: []synth.Object{{
+			Class: synth.Car, Enter: enter, Exit: enter + 14, Lane: 0.7, Speed: 16,
+			Scale: 0.3, Color: frame.RGB{R: 200, G: 40, B: 40}, Seed: seed,
+		}},
+		Seed: seed,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return v
+}
 
 func main() {
 	log.SetFlags(0)
-	video, err := synth.Preset(synth.JacksonSquare, synth.PresetOpts{Seconds: 20, FPS: 10})
-	if err != nil {
-		log.Fatal(err)
+	// One small detector serves the fleet: its head is trained (fast,
+	// deterministic) on an independent clip of the same scene family.
+	train := scene(99, 4)
+	var lab []nn.LabeledFrame
+	for i := 0; i < train.NumFrames(); i++ {
+		lf := nn.LabeledFrame{Frame: train.Frame(i)}
+		for _, b := range train.Boxes(i) {
+			lf.Boxes = append(lf.Boxes, nn.ObjectBox{Class: string(b.Class), X: b.X, Y: b.Y, W: b.W, H: b.H})
+		}
+		lab = append(lab, lf)
 	}
-	spec := video.Spec()
-	enc, err := codec.NewEncoder(codec.Params{
-		Width: spec.Width, Height: spec.Height, Quality: 85,
-		GOPSize: 50, Scenecut: 200, MinGOP: tuner.DefaultMinGOP,
-	})
-	if err != nil {
+	det := sieve.NewDetector([]string{"car"}, 64)
+	if _, err := det.Train(lab, nn.TrainConfig{Seed: 5, Epochs: 8}); err != nil {
 		log.Fatal(err)
 	}
 
-	// --- camera site: render + semantic encode ---
-	camera := dataflow.NewEngine("camera")
-	i := 0
-	src := dataflow.SourceFunc(func() (*dataflow.FlowFile, error) {
-		if i >= video.NumFrames() {
-			return nil, dataflow.ErrEndOfStream
-		}
-		ef, err := enc.Encode(video.Frame(i))
+	c, err := sieve.NewCluster(2, sieve.WithSharder(sieve.ShardLeastBusy()))
+	if err != nil {
+		log.Fatal(err)
+	}
+	cams := []struct {
+		name  string
+		seed  uint64
+		enter int
+	}{
+		{"garage-north", 1, 6}, {"garage-south", 2, 12},
+		{"lot-east", 3, 18}, {"lot-west", 4, 9},
+	}
+	for _, cam := range cams {
+		_, site, err := c.AddFeed(cam.name, sieve.NewSynthSource(scene(cam.seed, cam.enter)),
+			sieve.WithClock(sieve.NewVirtualClock(time.Unix(0, 0).UTC())),
+			sieve.WithDetector(det),
+			sieve.WithTunedParams(sieve.EncoderParams{Width: 128, Height: 80, GOPSize: 20, Scenecut: 200, MinGOP: 2}))
 		if err != nil {
-			return nil, err
+			log.Fatal(err)
 		}
-		i++
-		return dataflow.NewFlowFile(ef.Data, map[string]string{
-			"frame": strconv.Itoa(ef.Number),
-			"type":  ef.Type.String(),
-		}), nil
-	})
-	must(camera.AddSource("encoder", src))
-	relay := dataflow.ProcessorFunc(func(f *dataflow.FlowFile, emit dataflow.Emitter) error {
-		emit("", f)
-		return nil
-	})
-	must(camera.AddProcessor("uplink", relay))
-	must(camera.Connect("encoder", "", "uplink"))
+		fmt.Printf("placed %-13s on %s\n", cam.name, site)
+	}
 
-	// --- edge site: I-frame seeker (drops P payloads without decoding) ---
-	edge := dataflow.NewEngine("edge")
-	var dropped atomic.Int64
-	seeker := dataflow.ProcessorFunc(func(f *dataflow.FlowFile, emit dataflow.Emitter) error {
-		if f.Attrs["type"] != "I" {
-			dropped.Add(1)
-			return nil
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range c.Events() {
 		}
-		emit("", f)
-		return nil
-	})
-	must(edge.AddProcessor("seeker", seeker))
+	}()
+	if err := c.Run(context.Background()); err != nil {
+		log.Fatal(err)
+	}
+	<-done
 
-	// --- cloud site: decode the I-frame and "detect" ---
-	cloud := dataflow.NewEngine("cloud")
-	var analysed atomic.Int64
-	params := codec.Params{Width: spec.Width, Height: spec.Height, Quality: 85, GOPSize: 50}
-	nn := dataflow.ProcessorFunc(func(f *dataflow.FlowFile, _ dataflow.Emitter) error {
-		img, err := codec.DecodeIFrame(params, f.Content)
+	st := c.Snapshot()
+	for _, ss := range st.Sites {
+		fmt.Printf("%s: %d feeds, %d frames, %d I-frames, %d payload bytes kept on site, %d bytes up the WAN\n",
+			ss.Site, len(ss.Hub.Feeds), ss.Hub.Frames, ss.Hub.IFrames, ss.Hub.PayloadBytes, ss.UplinkBytes)
+	}
+	merged, err := c.Merged()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("cloud merge: %d cameras, %d entries, cluster filter rate %.4f\n",
+		len(merged.Cameras()), merged.Len(), st.FilterRate())
+
+	// The merged view serves cross-camera queries; the edge stores still
+	// hold the full streams for post-event analysis, wherever they live.
+	for _, cam := range cams {
+		hits, err := c.Query(cam.name, "car", 0, 40)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
-		_ = img
-		analysed.Add(1)
-		return nil
-	})
-	must(cloud.AddProcessor("detector", nn))
-
-	// --- orchestrate over metered links ---
-	topo := simnet.NewPaperTopology()
-	o := deploy.NewOrchestrator()
-	mustV(o.AddSite("camera", camera))
-	mustV(o.AddSite("edge", edge))
-	mustV(o.AddSite("cloud", cloud))
-	must(o.Bridge("camera", "uplink", "", "edge", "seeker", topo.CameraToEdge))
-	must(o.Bridge("edge", "seeker", "", "cloud", "detector", topo.EdgeToCloud))
-
-	if err := o.Run(context.Background()); err != nil {
-		log.Fatal(err)
-	}
-
-	c2e, _, _ := topo.CameraToEdge.Stats()
-	e2c, _, e2cBusy := topo.EdgeToCloud.Stats()
-	fmt.Printf("frames:       %d total, %d analysed in cloud, %d P-frames dropped at edge\n",
-		video.NumFrames(), analysed.Load(), dropped.Load())
-	fmt.Printf("camera→edge:  %.2f MB\n", float64(c2e)/1e6)
-	fmt.Printf("edge→cloud:   %.2f MB (%.1fx reduction), %.1fs of 30 Mbps WAN time saved\n",
-		float64(e2c)/1e6, float64(c2e)/float64(e2c),
-		(topo.EdgeToCloud.TransferTime(c2e) - e2cBusy).Seconds())
-
-	fmt.Println("\n--- act two: sharded edge sites + cloud results merge ---")
-	runCluster()
-}
-
-func must(err error) {
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-func mustV[T any](_ T, err error) {
-	if err != nil {
-		log.Fatal(err)
+		if len(hits) == 0 {
+			continue
+		}
+		m, site, err := c.SeekEvent(cam.name, hits[0])
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("query car@%-13s -> %d propagated frames; replay starts at I-frame %d on %s\n",
+			cam.name, len(hits), m.Index, site)
 	}
 }

@@ -33,14 +33,10 @@ func WithWorkers(n int) HubOption {
 	return func(h *Hub) { h.pool = runner.New(n) }
 }
 
-// WithHubBuffer sets the merged event channel capacity (default 256).
-func WithHubBuffer(n int) HubOption {
-	return func(h *Hub) {
-		if n > 0 {
-			h.bufSize = n
-		}
-	}
-}
+// eventBuffer is the capacity of a hub's or cluster's merged event
+// channel: enough that a consumer draining between frames never stalls the
+// feeds, small enough that an abandoned channel holds little.
+const eventBuffer = 256
 
 // WithHubInference gives the hub one shared batched-inference plane: every
 // feed added afterwards routes its I-frame detections through it, so up to
@@ -60,9 +56,10 @@ func WithHubInference(det *Detector, batchSize int) HubOption {
 	return func(h *Hub) { h.plane = NewInferencePlane(det, batchSize) }
 }
 
-// WithHubPlane shares an existing plane (e.g. one plane spanning several
-// hubs). See WithHubInference.
-func WithHubPlane(p *InferencePlane) HubOption {
+// withHubPlane shares an existing plane; Cluster hands each site hub the
+// plane it built (and, for split inference, hooked to the site uplink).
+// See WithHubInference.
+func withHubPlane(p *InferencePlane) HubOption {
 	return func(h *Hub) { h.plane = p }
 }
 
@@ -118,7 +115,7 @@ type HubStats struct {
 	Detections   int
 	PayloadBytes int64
 	// Inference holds the shared plane's batching counters (zero unless the
-	// hub was built with WithHubInference/WithHubPlane).
+	// hub was built with WithHubInference).
 	Inference InferenceStats
 	// Ingest holds the network ingest plane's counters (zero unless the
 	// hub was built with WithListener).
@@ -140,13 +137,12 @@ func (st HubStats) FilterRate() float64 {
 //
 // Usage: Add feeds, consume Events concurrently, call Run, then Snapshot.
 type Hub struct {
-	pool    *runner.Pool
-	bufSize int
-	plane   *InferencePlane     // shared inference plane, nil = per-feed config
-	ingest  *IngestListener     // network ingest plane, nil = in-process only
-	reg     *telemetry.Registry // shared metrics registry (private by default)
-	tracer  *telemetry.Tracer   // span recorder, nil = tracing off
-	site    string              // owning site label, "" for a plain hub
+	pool   *runner.Pool
+	plane  *InferencePlane     // shared inference plane, nil = per-feed config
+	ingest *IngestListener     // network ingest plane, nil = in-process only
+	reg    *telemetry.Registry // shared metrics registry (private by default)
+	tracer *telemetry.Tracer   // span recorder, nil = tracing off
+	site   string              // owning site label, "" for a plain hub
 
 	mu      sync.Mutex
 	feeds   []*hubFeed
@@ -163,7 +159,7 @@ type hubFeed struct {
 
 // NewHub returns an empty hub.
 func NewHub(opts ...HubOption) *Hub {
-	h := &Hub{pool: runner.New(0), bufSize: 256}
+	h := &Hub{pool: runner.New(0)}
 	for _, opt := range opts {
 		opt(h)
 	}
@@ -180,7 +176,7 @@ func NewHub(opts ...HubOption) *Hub {
 	if h.ingest != nil {
 		h.ingest.instrument(h.reg)
 	}
-	h.events = make(chan Event, h.bufSize)
+	h.events = make(chan Event, eventBuffer)
 	return h
 }
 

@@ -104,7 +104,6 @@ type ingestConfig struct {
 	maxFrames   int64
 	maxBytes    int64
 	sessionOpts func(feed string, info SourceInfo) []SessionOption
-	store       *EdgeStoreDB
 }
 
 // WithExpectedFeeds sets how many wire feeds the admission window waits
@@ -159,13 +158,6 @@ func WithIngestSession(fn func(feed string, info SourceInfo) []SessionOption) In
 	return func(c *ingestConfig) { c.sessionOpts = fn }
 }
 
-// WithIngestStore sets the EdgeStore that archives finished wire-feed
-// streams on a Hub target (default: a fresh unlimited store). Cluster
-// targets archive into their per-site stores instead, as always.
-func WithIngestStore(s *EdgeStoreDB) IngestOption {
-	return func(c *ingestConfig) { c.store = s }
-}
-
 // ingestTarget is what a listener admits feeds onto: a Hub or a
 // Cluster.
 type ingestTarget interface {
@@ -192,8 +184,9 @@ type ingestTarget interface {
 // for the wire contract and DESIGN.md ("Network ingest plane") for
 // where this sits in the data flow.
 type IngestListener struct {
-	ln  net.Listener
-	cfg ingestConfig
+	ln    net.Listener
+	cfg   ingestConfig
+	store *EdgeStoreDB // unlimited archive of finished wire-feed streams (Hub targets)
 
 	mu           sync.Mutex
 	target       ingestTarget
@@ -291,12 +284,10 @@ func NewIngestListener(ln net.Listener, opts ...IngestOption) *IngestListener {
 	if cfg.maxFeeds <= 0 {
 		cfg.maxFeeds = cfg.expectFeeds
 	}
-	if cfg.store == nil {
-		cfg.store = store.NewEdgeStore(0)
-	}
 	return &IngestListener{
 		ln:        ln,
 		cfg:       cfg,
+		store:     store.NewEdgeStore(0),
 		feeds:     make(map[string]*wireFeed),
 		admitWake: make(chan struct{}, 1),
 		ctr:       newIngestCounters(),
@@ -309,7 +300,7 @@ func (l *IngestListener) Addr() net.Addr { return l.ln.Addr() }
 
 // Store returns the EdgeStore archiving finished wire-feed streams
 // (Hub targets; cluster targets archive per site).
-func (l *IngestListener) Store() *EdgeStoreDB { return l.cfg.store }
+func (l *IngestListener) Store() *EdgeStoreDB { return l.store }
 
 // Stats returns a counters snapshot; safe to call at any time.
 // IngestStats is a view over the plane's telemetry instruments: each
@@ -460,16 +451,7 @@ func (l *IngestListener) handleConn(nc net.Conn) {
 			l.reject(c, code, "%s", msg)
 			return
 		}
-		f.attach(c)
-		if err := c.SendWelcome(wire.Welcome{
-			Version: wire.ProtocolVersion, ResumeFrom: 0,
-			FrameBytes: wire.FrameBytes(h.Width, h.Height),
-		}); err != nil {
-			f.detach(c)
-			c.Close()
-			return
-		}
-		l.serveFrames(f, c)
+		l.serveFeed(f, c, false)
 	case wire.MsgResume:
 		rs, err := wire.ParseResume(payload)
 		if err != nil {
@@ -481,24 +463,37 @@ func (l *IngestListener) handleConn(nc net.Conn) {
 			l.reject(c, code, "%s", msg)
 			return
 		}
-		f.attach(c)
-		f.mu.Lock()
-		resumeFrom := f.next
-		f.mu.Unlock()
-		if err := c.SendWelcome(wire.Welcome{
-			Version: wire.ProtocolVersion, ResumeFrom: resumeFrom,
-			FrameBytes: wire.FrameBytes(f.hello.Width, f.hello.Height),
-		}); err != nil {
-			f.detach(c)
-			c.Close()
-			return
-		}
-		l.count(func(c *ingestCounters) { c.reconnects.Inc() })
-		l.serveFrames(f, c)
+		l.serveFeed(f, c, true)
 	default:
 		l.reject(c, wire.ErrCodeProtocol, "connection must open with HELLO or RESUME, got %s", t)
 		return
 	}
+}
+
+// serveFeed takes over f's read side for c, answers the handshake with the
+// feed's cursor (0 for a fresh feed) and serves FRAMEs until the connection
+// or the stream ends.
+func (l *IngestListener) serveFeed(f *wireFeed, c *wire.Conn, resume bool) {
+	// attach returns only once a superseded reader has returned, so the
+	// cursor read here is final: no FRAME of the old connection can still
+	// move it.
+	rd := f.attach(c)
+	defer rd.release()
+	f.mu.Lock()
+	resumeFrom := f.next
+	f.mu.Unlock()
+	if err := c.SendWelcome(wire.Welcome{
+		Version: wire.ProtocolVersion, ResumeFrom: resumeFrom,
+		FrameBytes: wire.FrameBytes(f.hello.Width, f.hello.Height),
+	}); err != nil {
+		c.Close()
+		return
+	}
+	f.connect(rd)
+	if resume {
+		l.count(func(c *ingestCounters) { c.reconnects.Inc() })
+	}
+	l.serveFrames(f, rd)
 }
 
 // admitFeed runs admission control for a HELLO and, when it passes,
@@ -619,7 +614,8 @@ var errStopReading = errors.New("sieve: ingest: stop reading")
 
 // serveFrames is the per-connection read loop after a successful
 // handshake.
-func (l *IngestListener) serveFrames(f *wireFeed, c *wire.Conn) {
+func (l *IngestListener) serveFrames(f *wireFeed, rd *feedReader) {
+	c := rd.conn
 	for {
 		t, payload, err := c.ReadMessage()
 		if err != nil {
@@ -630,7 +626,7 @@ func (l *IngestListener) serveFrames(f *wireFeed, c *wire.Conn) {
 		}
 		switch t {
 		case wire.MsgFrame:
-			if err := l.acceptFrame(f, c, payload); err != nil {
+			if err := l.acceptFrame(f, rd, payload); err != nil {
 				if errors.Is(err, errStopReading) {
 					return
 				}
@@ -656,7 +652,7 @@ func (l *IngestListener) serveFrames(f *wireFeed, c *wire.Conn) {
 
 // acceptFrame applies idempotency, gap detection, quotas and the
 // overload policy to one FRAME message.
-func (l *IngestListener) acceptFrame(f *wireFeed, c *wire.Conn, payload []byte) error {
+func (l *IngestListener) acceptFrame(f *wireFeed, rd *feedReader, payload []byte) error {
 	idx, err := wire.FrameIndex(payload)
 	if err != nil {
 		return err
@@ -693,52 +689,69 @@ func (l *IngestListener) acceptFrame(f *wireFeed, c *wire.Conn, payload []byte) 
 		f.queue.Close(nil)
 		return errStopReading
 	}
+	// Reserve idx in the same critical section as the duplicate check: the
+	// lock is dropped for decode and the queue push, and until the cursor
+	// has moved a second FRAME carrying idx would pass the check too. Its
+	// ack slot is reserved here as well — the session can encode the frame
+	// (and onEvent look for its slot) the moment the push returns.
+	f.next = idx + 1
+	f.pending = append(f.pending, idx)
+	discont := f.pendingGap
 	f.mu.Unlock()
 
 	buf := f.getBuf()
-	if _, err := wire.DecodeFrameInto(payload, buf); err != nil {
+	// unreserve drops the ack slot of a frame that never reached the queue
+	// and leaves the cursor where the caller says: idx, so a resume asks
+	// for the frame again, or idx+1 for a frame shed on purpose. The slot
+	// is still the FIFO's tail: the feed has one reader at a time (attach
+	// joins the superseded one) and the session only takes slots of frames
+	// it was handed.
+	unreserve := func(cursor int64) {
 		f.putBuf(buf)
+		f.mu.Lock()
+		f.next = cursor
+		f.pending = f.pending[:len(f.pending)-1]
+		f.mu.Unlock()
+	}
+	if _, err := wire.DecodeFrameInto(payload, buf); err != nil {
+		unreserve(idx)
 		return err
 	}
+	it := wire.Item{F: buf, Index: idx, Discont: discont}
 
-	f.mu.Lock()
-	it := wire.Item{F: buf, Index: idx, Discont: f.pendingGap}
-	f.mu.Unlock()
-
-	accepted := false
 	switch l.cfg.policy {
 	case RejectNew:
 		ok, err := f.queue.TryPush(it)
 		if err != nil {
-			f.putBuf(buf)
+			unreserve(idx)
 			return errStopReading
 		}
 		if !ok {
-			// Shed the newest frame; the client learns via DRAIN and the
-			// next accepted frame starts a fresh GOP.
-			f.putBuf(buf)
+			// Shed the newest frame (the cursor stays past it); the client
+			// learns via DRAIN and the next accepted frame starts a fresh
+			// GOP.
+			unreserve(idx + 1)
 			f.mu.Lock()
 			f.pendingGap = true
-			f.next = idx + 1
 			f.mu.Unlock()
 			l.count(func(c *ingestCounters) { c.shed.Inc() })
-			c.SendDrain(wire.Drain{Code: wire.DrainShed, Frame: idx, Count: 1})
+			rd.conn.SendDrain(wire.Drain{Code: wire.DrainShed, Frame: idx, Count: 1})
 			return nil
 		}
-		accepted = true
 	case DropOldestGOP:
 		ok, err := f.queue.TryPush(it)
 		if err != nil {
-			f.putBuf(buf)
+			unreserve(idx)
 			return errStopReading
 		}
 		if !ok {
 			evicted := f.queue.EvictAll()
 			f.mu.Lock()
 			// The evicted frames were accepted but never encoded: remove
-			// them from the ack FIFO tail and mark the hole.
-			if n := len(f.pending) - len(evicted); n >= 0 {
-				f.pending = f.pending[:n]
+			// them from the ack FIFO, where they sit just before this
+			// frame's own slot, and mark the hole.
+			if n := len(f.pending) - 1 - len(evicted); n >= 0 {
+				f.pending = append(f.pending[:n], idx)
 			}
 			f.mu.Unlock()
 			for _, ev := range evicted {
@@ -746,37 +759,34 @@ func (l *IngestListener) acceptFrame(f *wireFeed, c *wire.Conn, payload []byte) 
 			}
 			l.count(func(c *ingestCounters) { c.evicted.Add(int64(len(evicted))) })
 			if len(evicted) > 0 {
-				c.SendDrain(wire.Drain{Code: wire.DrainEvicted,
+				rd.conn.SendDrain(wire.Drain{Code: wire.DrainEvicted,
 					Frame: evicted[0].Index, Count: len(evicted)})
 			}
 			it.Discont = true
 			if ok, err := f.queue.TryPush(it); err != nil || !ok {
-				f.putBuf(buf)
+				unreserve(idx)
 				return errStopReading
 			}
 		}
-		accepted = true
 	default: // Backpressure
-		if err := f.queue.Push(f.runCtx, it); err != nil {
-			f.putBuf(buf)
+		// rd.ctx ends with the run or when a RESUME supersedes this
+		// connection: a reader blocked on a full queue then gives its frame
+		// back instead of holding up the hand-off.
+		if err := f.queue.Push(rd.ctx, it); err != nil {
+			unreserve(idx)
 			if errors.Is(err, wire.ErrQueueClosed) || errors.Is(err, context.Canceled) ||
 				errors.Is(err, context.DeadlineExceeded) {
 				return errStopReading
 			}
 			return err
 		}
-		accepted = true
 	}
-	if accepted {
-		f.mu.Lock()
-		f.pendingGap = false
-		f.next = idx + 1
-		f.recvFrames++
-		f.recvBytes += rawBytes
-		f.pending = append(f.pending, idx)
-		f.mu.Unlock()
-		l.count(func(c *ingestCounters) { c.framesReceived.Inc(); c.bytesReceived.Add(rawBytes) })
-	}
+	f.mu.Lock()
+	f.pendingGap = false
+	f.recvFrames++
+	f.recvBytes += rawBytes
+	f.mu.Unlock()
+	l.count(func(c *ingestCounters) { c.framesReceived.Inc(); c.bytesReceived.Add(rawBytes) })
 	return nil
 }
 
@@ -805,11 +815,12 @@ type wireFeed struct {
 	sink *container.Buffer // non-nil when the listener archives (hub target)
 
 	mu          sync.Mutex
-	conn        *wire.Conn // attached connection, nil while disconnected
-	next        int64      // next expected source frame index
-	lastI       int64      // last source index encoded as an I-frame (-1 none)
-	pending     []int64    // accepted source indices not yet encoded (FIFO)
-	pendingGap  bool       // next accepted frame follows lost frames
+	conn        *wire.Conn  // attached connection, nil while disconnected
+	reader      *feedReader // newest handler to take the read side (owner of next's writes)
+	next        int64       // next expected source frame index
+	lastI       int64       // last source index encoded as an I-frame (-1 none)
+	pending     []int64     // accepted source indices not yet encoded (FIFO)
+	pendingGap  bool        // next accepted frame follows lost frames
 	recvFrames  int64
 	recvBytes   int64
 	finished    bool
@@ -864,17 +875,52 @@ func (f *wireFeed) putBuf(b *Frame) {
 	}
 }
 
-// attach makes c the feed's connection, superseding (and closing) any
-// previous one — deterministic reconnects do not depend on the server
-// noticing the old connection die first.
-func (f *wireFeed) attach(c *wire.Conn) {
+// feedReader is one connection's claim on a feed's read side. Only the
+// newest reader may move the feed's cursor: attach closes the previous
+// one's connection, cancels its blocked push and waits for its handler to
+// return before the new handler reads f.next.
+type feedReader struct {
+	conn *wire.Conn
+	ctx  context.Context // the run's context, cancelled early on supersede
+	stop context.CancelFunc
+	done chan struct{} // closed once the owning handler has returned
+}
+
+// release marks the owning handler as returned; handleConn defers it.
+func (r *feedReader) release() {
+	r.stop()
+	close(r.done)
+}
+
+// attach hands the feed's read side to the handler serving c, superseding
+// any previous one — deterministic reconnects do not depend on the server
+// noticing the old connection die first. It returns once the superseded
+// handler has returned. The feed has no connection until connect: acks of
+// frames still in flight from the old one are dropped, not sent ahead of
+// the WELCOME.
+func (f *wireFeed) attach(c *wire.Conn) *feedReader {
+	rd := &feedReader{conn: c, done: make(chan struct{})}
+	rd.ctx, rd.stop = context.WithCancel(f.runCtx)
 	f.mu.Lock()
-	old := f.conn
-	f.conn = c
+	old := f.reader
+	f.conn, f.reader = nil, rd
 	f.mu.Unlock()
-	if old != nil && old != c {
-		old.Close()
+	if old != nil {
+		old.conn.Close()
+		old.stop()
+		<-old.done
 	}
+	return rd
+}
+
+// connect routes the feed's acks and terminal CLOSE to rd's connection,
+// once its WELCOME is out — unless a newer reader has taken over.
+func (f *wireFeed) connect(rd *feedReader) {
+	f.mu.Lock()
+	if f.reader == rd {
+		f.conn = rd.conn
+	}
+	f.mu.Unlock()
 }
 
 // detach clears the feed's connection if it is still c.
@@ -929,11 +975,11 @@ func (f *wireFeed) finish(runErr error) {
 	reason := f.closeReason
 	frames := f.recvFrames
 	conn := f.conn
-	f.conn = nil
+	f.conn, f.reader = nil, nil // no resume can follow; let the connection's buffers go
 	f.mu.Unlock()
 
 	if f.sink != nil && runErr == nil {
-		if err := f.lst.cfg.store.Put(f.hello.Feed, f.sink); err != nil && runErr == nil {
+		if err := f.lst.store.Put(f.hello.Feed, f.sink); err != nil && runErr == nil {
 			runErr = err
 		}
 	}

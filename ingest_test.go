@@ -480,6 +480,90 @@ func TestWireReconnectResume(t *testing.T) {
 	assertStreamEquals(t, got, encodeBaseline(t, v, quietParams(v)))
 }
 
+// gateClock stalls the session it is injected into: the session reads Now
+// once per emitted event, and the read blocks until the gate opens.
+type gateClock struct {
+	Clock
+	open chan struct{}
+}
+
+func (g gateClock) Now() time.Time {
+	<-g.open
+	return g.Clock.Now()
+}
+
+// TestWireResumeHandOff pins the supersede hand-off: a RESUME must read
+// the feed's cursor only after the old connection's reader has returned,
+// and an index must never pass the duplicate check twice. The old reader
+// is parked deterministically between its check of frame 2 and the queue
+// push (queue of one, full, behind a session stalled on its first event),
+// so the cursor still reads 2 when the RESUME arrives. A server that
+// merely closes the old connection answers ResumeFrom 2 with that reader
+// still holding frame 2, and the re-sent frame 2 then either counts as a
+// duplicate or enters the stream twice.
+func TestWireResumeHandOff(t *testing.T) {
+	const n = 8
+	v := quietScene(t, n)
+	gate := gateClock{Clock: testClock(), open: make(chan struct{})}
+	ln := NewMemListener()
+	lst := NewIngestListener(ln, WithIngestBuffer(1),
+		WithIngestSession(func(string, SourceInfo) []SessionOption {
+			return []SessionOption{WithClock(gate)}
+		}))
+	hub := NewHub(WithListener(lst))
+	errc := startHub(hub)
+
+	// Frame 0 is held by the stalled session, frame 1 fills the queue, and
+	// frame 2 — read off the synchronous pipe in full, or sendFrame would
+	// not have returned — parks its reader in the push.
+	rc := dialRaw(t, ln)
+	rc.hello(quietHello(v, "cam"))
+	sent := 0
+	for i := 0; i < 3; i++ {
+		rc.sendFrame(v, i, int64(i))
+		sent++
+	}
+
+	// The hand-off cancels the parked push and gives frame 2 back, so the
+	// cursor is exact while the session is still stalled.
+	rc2 := dialRaw(t, ln)
+	w := rc2.resume("cam", -1)
+	if w.ResumeFrom != 2 {
+		t.Fatalf("ResumeFrom = %d, want 2 (frames 0 and 1 accepted, frame 2 given back)", w.ResumeFrom)
+	}
+	rc2.sendFrame(v, 2, 2)
+	sent++
+	close(gate.open)
+	for i := 0; i < 3; i++ {
+		rc2.expectAck(int64(i))
+	}
+	for i := 3; i < n; i++ {
+		rc2.sendFrame(v, i, int64(i))
+		sent++
+		rc2.expectAck(int64(i))
+	}
+	if sent != n+1 {
+		t.Fatalf("FRAME messages sent = %d, want %d (frame 2 re-sent once)", sent, n+1)
+	}
+	cl := rc2.closeStream(n)
+	if cl.Reason != wire.CloseEndOfStream || cl.Frames != n {
+		t.Fatalf("server close = %+v, want END_OF_STREAM/%d", cl, n)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("hub run: %v", err)
+	}
+
+	st := lst.Stats()
+	if st.Reconnects != 1 || st.FramesReceived != n || st.Duplicates != 0 || st.Skipped != 0 {
+		t.Fatalf("counters = %+v, want 1 reconnect, %d received, 0 duplicates, 0 skipped", st, n)
+	}
+	got, err := lst.Store().Open("cam")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertStreamEquals(t, got, encodeBaseline(t, v, quietParams(v)))
+}
+
 // TestWireResumeGapForcesIFrame covers the live-source reconnect: the
 // client cannot rewind to the server's cursor, so it declares frames
 // 6..7 lost by jumping the index to 8 — the server records them Skipped

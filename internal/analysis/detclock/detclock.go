@@ -5,8 +5,8 @@
 // seeds produces byte-identical event logs, streams and merged ResultsDB
 // shards — dies the moment a deterministic package consults the wall
 // clock or the shared math/rand state. Time must flow through the
-// injectable Clock (sieve.Clock, pipeline.Clock) and randomness through an
-// explicitly seeded *rand.Rand.
+// injectable Clock (internal/clock, aliased as sieve.Clock) and randomness
+// through an explicitly seeded *rand.Rand.
 //
 // Flagged in packages the driver marks deterministic:
 //
@@ -20,7 +20,7 @@
 //
 // A justified escape carries a //sieve:wallclock directive on the call's
 // line, the line above it, or the enclosing function's doc comment — the
-// RealClock implementation itself is the canonical example.
+// wall clock in internal/clock is the one escape site.
 package detclock
 
 import (

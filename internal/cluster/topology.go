@@ -14,8 +14,8 @@ const (
 	DefaultUplinkLatency = 20 * time.Millisecond
 )
 
-// Topology is the cluster's star fabric, extending internal/deploy's
-// two-site vocabulary to K edge sites: one metered simnet uplink per site
+// Topology is the cluster's star fabric, extending the paper's two-site
+// testbed to K edge sites: one metered simnet uplink per site
 // to the cloud coordinator. Every detection and shard sync a site ships
 // pays its uplink's (virtual) transfer time and is counted in its byte
 // meter — the cluster-scale counterpart of the data behind Figure 5.

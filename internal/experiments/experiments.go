@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"sieve/internal/clock"
 	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/frame"
@@ -46,10 +47,10 @@ type Opts struct {
 	// experiment collects its results index-stably, so reports and
 	// renderings are identical at any setting.
 	Parallel int
-	// Clock is the time source behind Table3's speed measurements
-	// (nil = the wall clock). Tests inject a fixed-step clock so the
-	// measurement loops are deterministic and instant.
-	Clock pipeline.Clock
+	// Clock is the time source behind Table3's speed measurements and
+	// E2E's micro-costs (nil = the wall clock). Tests inject a fixed-step
+	// clock so the measurement loops are deterministic and instant.
+	Clock clock.Clock
 }
 
 func (o *Opts) fill() {
@@ -63,7 +64,7 @@ func (o *Opts) fill() {
 		o.FPS = 10
 	}
 	if o.Clock == nil {
-		o.Clock = pipeline.WallClock()
+		o.Clock = clock.Wall()
 	}
 }
 
@@ -621,7 +622,7 @@ func E2E(ctx context.Context, numVideos []int, opts Opts) ([]E2EResult, error) {
 	// asset, so it costs the fan-out nothing.
 	costs := make(map[string]pipeline.MicroCosts, maxN)
 	for _, a := range assets {
-		mc, err := pipeline.MeasureCosts(a, nil)
+		mc, err := pipeline.MeasureCosts(a, nil, opts.Clock)
 		if err != nil {
 			return nil, err
 		}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"time"
 
+	"sieve/internal/clock"
 	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/des"
@@ -100,8 +101,6 @@ type VideoAsset struct {
 
 	// Semantic and Default are the two encoded streams.
 	Semantic, Default *container.Reader
-	semanticBuf       *container.Buffer
-	defaultBuf        *container.Buffer
 
 	// IFrames are the semantic stream's I-frame indices.
 	IFrames []int
@@ -114,9 +113,6 @@ type VideoAsset struct {
 	UniformSamples map[int]int
 	MSESamples     map[int]int
 }
-
-// SemanticBuffer exposes the raw semantic stream (for storage tests).
-func (a *VideoAsset) SemanticBuffer() *container.Buffer { return a.semanticBuf }
 
 // PrepareAsset renders a preset, tunes the encoder on an independent
 // training split (labelled feeds) or fixes one I-frame per 5 s (unlabelled
@@ -188,13 +184,13 @@ func PrepareAsset(ctx context.Context, name synth.PresetName, opts AssetOpts) (*
 
 func (a *VideoAsset) encodeStreams(ctx context.Context, v *synth.Video, opts AssetOpts) error {
 	spec := v.Spec()
-	encodeOne := func(cfg tuner.Config, minGOP int) (*container.Buffer, *container.Reader, error) {
+	encodeOne := func(cfg tuner.Config, minGOP int) (*container.Reader, error) {
 		enc, err := codec.NewEncoder(codec.Params{
 			Width: spec.Width, Height: spec.Height, Quality: opts.Quality,
 			GOPSize: cfg.GOP, Scenecut: cfg.Scenecut, MinGOP: minGOP,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		buf := &container.Buffer{}
 		w, err := container.NewWriter(buf, container.StreamInfo{
@@ -202,35 +198,31 @@ func (a *VideoAsset) encodeStreams(ctx context.Context, v *synth.Video, opts Ass
 			Quality: opts.Quality, GOPSize: cfg.GOP, Scenecut: cfg.Scenecut,
 		})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for i := 0; i < v.NumFrames(); i++ {
 			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			ef, err := enc.Encode(v.Frame(i))
 			if err != nil {
-				return nil, nil, fmt.Errorf("pipeline: encoding %s frame %d: %w", a.Name, i, err)
+				return nil, fmt.Errorf("pipeline: encoding %s frame %d: %w", a.Name, i, err)
 			}
 			if err := w.WriteEncoded(ef); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if err := w.Close(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		r, err := container.NewReader(buf, buf.Size())
-		if err != nil {
-			return nil, nil, err
-		}
-		return buf, r, nil
+		return container.NewReader(buf, buf.Size())
 	}
 	var err error
-	a.semanticBuf, a.Semantic, err = encodeOne(a.SemanticCfg, tuner.DefaultMinGOP)
+	a.Semantic, err = encodeOne(a.SemanticCfg, tuner.DefaultMinGOP)
 	if err != nil {
 		return err
 	}
-	a.defaultBuf, a.Default, err = encodeOne(a.DefaultCfg, 1)
+	a.Default, err = encodeOne(a.DefaultCfg, 1)
 	return err
 }
 
@@ -350,23 +342,6 @@ func resizedIntraBytes(img *frame.YUV, quality int) (int, error) {
 	return len(ef.Data), nil
 }
 
-// Clock is the time source behind this package's micro-benchmarks.
-// Production measurement reads the wall clock — the timings are the signal —
-// but through this seam tests inject a fixed-step clock, making the
-// measurement machinery itself deterministic and instant.
-type Clock interface {
-	// Now returns the clock's current time.
-	Now() time.Time
-}
-
-type wallClock struct{}
-
-//sieve:wallclock this is the wall-clock implementation behind the Clock seam
-func (wallClock) Now() time.Time { return time.Now() }
-
-// WallClock returns the real time source used by MeasureCosts.
-func WallClock() Clock { return wallClock{} }
-
 // MicroCosts are measured per-operation times on this host, the service
 // times of the DES stages.
 type MicroCosts struct {
@@ -400,13 +375,10 @@ func DefaultCluster() Cluster {
 
 // MeasureCosts times each micro-operation on the asset's own streams and
 // the given detector (nil detector uses a fresh YOLite over the five paper
-// classes), against the wall clock.
-func MeasureCosts(a *VideoAsset, det *nn.YOLite) (MicroCosts, error) {
-	return MeasureCostsWithClock(a, det, WallClock())
-}
-
-// MeasureCostsWithClock is MeasureCosts against an injected time source.
-func MeasureCostsWithClock(a *VideoAsset, det *nn.YOLite, clk Clock) (MicroCosts, error) {
+// classes) against clk. Production measurement passes clock.Wall() — the
+// timings are the signal — while tests inject a fixed-step clock, making
+// the measurement machinery itself deterministic and instant.
+func MeasureCosts(a *VideoAsset, det *nn.YOLite, clk clock.Clock) (MicroCosts, error) {
 	var mc MicroCosts
 	// Seek: scan the full semantic index, amortised per frame.
 	start := clk.Now()

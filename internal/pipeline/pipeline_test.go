@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"sieve/internal/clock"
 	"sieve/internal/codec"
 	"sieve/internal/nn"
 	"sieve/internal/runner"
-	"sieve/internal/store"
 	"sieve/internal/synth"
 )
 
@@ -92,7 +92,7 @@ func TestSemanticStreamLargerThanDefault(t *testing.T) {
 func TestMeasureCosts(t *testing.T) {
 	a := testAsset(t)
 	det := nn.NewYOLite([]string{"car"}, 64) // small input keeps the test fast
-	mc, err := MeasureCosts(a, det)
+	mc, err := MeasureCosts(a, det, clock.Wall())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,24 +108,24 @@ func TestMeasureCosts(t *testing.T) {
 }
 
 // stepClock advances a fixed amount on every Now read, making every timing
-// loop in MeasureCostsWithClock terminate after a deterministic number of
+// loop in MeasureCosts terminate after a deterministic number of
 // iterations.
 type stepClock struct {
-	now  time.Time
+	*clock.Virtual
 	step time.Duration
 }
 
-func (c *stepClock) Now() time.Time {
-	c.now = c.now.Add(c.step)
-	return c.now
+func (c stepClock) Now() time.Time {
+	_ = c.Sleep(context.Background(), c.step) // Virtual.Sleep fails only on a cancelled context
+	return c.Virtual.Now()
 }
 
 func TestMeasureCostsDeterministicUnderStepClock(t *testing.T) {
 	a := testAsset(t)
 	det := nn.NewYOLite([]string{"car"}, 64)
 	measure := func() MicroCosts {
-		clk := &stepClock{now: time.Unix(0, 0), step: 100 * time.Microsecond}
-		mc, err := MeasureCostsWithClock(a, det, clk)
+		clk := stepClock{Virtual: clock.NewVirtual(time.Unix(0, 0)), step: 100 * time.Microsecond}
+		mc, err := MeasureCosts(a, det, clk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestMeasureCostsDeterministicUnderStepClock(t *testing.T) {
 	}
 	first, second := measure(), measure()
 	if first != second {
-		t.Fatalf("MeasureCostsWithClock not deterministic under a step clock:\n%+v\n%+v", first, second)
+		t.Fatalf("MeasureCosts not deterministic under a step clock:\n%+v\n%+v", first, second)
 	}
 	if first.Seek <= 0 || first.DecodeI <= 0 || first.NN <= 0 {
 		t.Fatalf("non-positive cost under step clock: %+v", first)
@@ -143,7 +143,7 @@ func TestMeasureCostsDeterministicUnderStepClock(t *testing.T) {
 func TestEvaluateAllMethods(t *testing.T) {
 	a := testAsset(t)
 	det := nn.NewYOLite([]string{"car"}, 64)
-	mc, err := MeasureCosts(a, det)
+	mc, err := MeasureCosts(a, det, clock.Wall())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,65 +243,6 @@ func TestEvaluateUnknownMethod(t *testing.T) {
 	_, err = Evaluate(context.Background(), IFrameEdgeCloudNN, []*VideoAsset{a}, nil, DefaultCluster(), nil)
 	if err == nil {
 		t.Fatal("missing costs accepted")
-	}
-}
-
-func TestRunSemanticProducesLabels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("detector training is slow")
-	}
-	a := testAsset(t)
-
-	// Train a detector on an independent schedule of the same camera.
-	train, err := synth.Preset(synth.JacksonSquare, synth.PresetOpts{Seconds: 60, FPS: 5, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lab []nn.LabeledFrame
-	for i := 0; i < train.NumFrames(); i += 5 {
-		lf := nn.LabeledFrame{Frame: train.Frame(i)}
-		for _, b := range train.Boxes(i) {
-			lf.Boxes = append(lf.Boxes, nn.ObjectBox{Class: string(b.Class), X: b.X, Y: b.Y, W: b.W, H: b.H})
-		}
-		lab = append(lab, lf)
-	}
-	det := nn.NewYOLite([]string{"car", "bus", "truck"}, 160)
-	if _, err := det.Train(lab, nn.TrainConfig{Seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-
-	db := store.NewResultsDB()
-	analysed, err := RunSemantic(a, det, db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if analysed != len(a.IFrames) {
-		t.Fatalf("analysed %d, want %d", analysed, len(a.IFrames))
-	}
-	track := PropagatedTrack(a, db)
-	if len(track) != a.NumFrames {
-		t.Fatalf("track length %d", len(track))
-	}
-	// The propagated track must carry object labels for a meaningful part
-	// of the stream (the test clip has cars crossing).
-	nonEmpty := 0
-	for _, ls := range track {
-		if !ls.Empty() {
-			nonEmpty++
-		}
-	}
-	if nonEmpty == 0 {
-		t.Fatal("no labels propagated at all")
-	}
-}
-
-func TestRunSemanticValidation(t *testing.T) {
-	a := testAsset(t)
-	if _, err := RunSemantic(a, nil, store.NewResultsDB()); err == nil {
-		t.Fatal("nil detector accepted")
-	}
-	if _, err := RunSemantic(a, nn.NewYOLite([]string{"car"}, 64), nil); err == nil {
-		t.Fatal("nil db accepted")
 	}
 }
 

@@ -5,7 +5,7 @@
 //
 // Links operate in one of two modes: Virtual (default) accounts transfer
 // time on a virtual clock without sleeping — the mode the benchmarks use —
-// while Paced actually throttles, for live demos of the dataflow engine.
+// while Paced actually throttles, for live demos.
 package simnet
 
 import (

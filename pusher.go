@@ -23,7 +23,6 @@ type pusherConfig struct {
 	haveParams bool
 	backoff    retry.Backoff
 	clock      Clock
-	reg        *telemetry.Registry
 }
 
 // WithPusherName overrides the feed name advertised in HELLO (default:
@@ -56,13 +55,6 @@ func WithPusherBackoff(base, max time.Duration, maxAttempts int) PusherOption {
 // deterministic reconnect tests.
 func WithPusherClock(clk Clock) PusherOption {
 	return func(c *pusherConfig) { c.clock = clk }
-}
-
-// WithPusherTelemetry records the pusher's client-side counters into reg
-// as sieve_push_* series labelled {feed}. Without it the counters are
-// free-standing; PusherStats is the snapshot view over them either way.
-func WithPusherTelemetry(reg *Registry) PusherOption {
-	return func(c *pusherConfig) { c.reg = reg }
 }
 
 // PusherStats are a Pusher's client-side counters, cumulative across
@@ -117,17 +109,16 @@ type Pusher struct {
 	src FrameSource
 	cfg pusherConfig
 
-	// Counters are telemetry instruments (free-standing unless
-	// WithPusherTelemetry bound them to a registry); PusherStats is the
-	// snapshot view over them.
-	framesSent *telemetry.Counter
-	bytesSent  *telemetry.Counter
-	acks       *telemetry.Counter
-	shed       *telemetry.Counter
-	evicted    *telemetry.Counter
-	reconnects *telemetry.Counter
-	attempts   *telemetry.Counter
-	lastAckedI *telemetry.Gauge // high-water mark, -1 until the first I-ack
+	// Counters are free-standing telemetry instruments (atomic, so Stats
+	// is safe beside Run); PusherStats is the snapshot view over them.
+	framesSent telemetry.Counter
+	bytesSent  telemetry.Counter
+	acks       telemetry.Counter
+	shed       telemetry.Counter
+	evicted    telemetry.Counter
+	reconnects telemetry.Counter
+	attempts   telemetry.Counter
+	lastAckedI telemetry.Gauge // high-water mark, -1 until the first I-ack
 
 	mu          sync.Mutex
 	closeReason string
@@ -147,22 +138,6 @@ func NewPusher(src FrameSource, opts ...PusherOption) *Pusher {
 	p := &Pusher{src: src}
 	for _, opt := range opts {
 		opt(&p.cfg)
-	}
-	if reg := p.cfg.reg; reg != nil {
-		l := telemetry.L("feed", p.feedName())
-		p.framesSent = reg.Counter("sieve_push_frames_sent_total", l)
-		p.bytesSent = reg.Counter("sieve_push_bytes_sent_total", l)
-		p.acks = reg.Counter("sieve_push_acks_total", l)
-		p.shed = reg.Counter("sieve_push_shed_total", l)
-		p.evicted = reg.Counter("sieve_push_evicted_total", l)
-		p.reconnects = reg.Counter("sieve_push_reconnects_total", l)
-		p.attempts = reg.Counter("sieve_push_attempts_total", l)
-		p.lastAckedI = reg.Gauge("sieve_push_last_acked_iframe", l)
-	} else {
-		p.framesSent, p.bytesSent, p.acks = &telemetry.Counter{}, &telemetry.Counter{}, &telemetry.Counter{}
-		p.shed, p.evicted = &telemetry.Counter{}, &telemetry.Counter{}
-		p.reconnects, p.attempts = &telemetry.Counter{}, &telemetry.Counter{}
-		p.lastAckedI = &telemetry.Gauge{}
 	}
 	p.lastAckedI.Set(-1)
 	return p

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"sieve/internal/clock"
 	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/frame"
@@ -17,71 +18,19 @@ import (
 // Clock abstracts time for stream pacing and event timestamps. Production
 // code uses RealClock; tests and reproducible replays inject a VirtualClock
 // so a paced session is both instant and deterministic.
-type Clock interface {
-	// Now returns the clock's current time.
-	Now() time.Time
-	// Sleep blocks for d on this clock, or until ctx is cancelled (in which
-	// case it returns the context error).
-	Sleep(ctx context.Context, d time.Duration) error
-}
-
-type realClock struct{}
-
-//sieve:wallclock this IS the wall clock behind the Clock interface
-func (realClock) Now() time.Time { return time.Now() }
-
-//sieve:wallclock this IS the wall clock behind the Clock interface
-func (realClock) Sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// RealClock returns the wall clock.
-func RealClock() Clock { return realClock{} }
+type Clock = clock.Clock
 
 // VirtualClock is a deterministic clock: Sleep advances it by the requested
 // duration without blocking, and Now returns the accumulated virtual time.
 // Give each session its own VirtualClock — sharing one across concurrent
 // feeds makes their timestamps depend on goroutine interleaving.
-type VirtualClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
+type VirtualClock = clock.Virtual
+
+// RealClock returns the wall clock.
+func RealClock() Clock { return clock.Wall() }
 
 // NewVirtualClock returns a virtual clock starting at start.
-func NewVirtualClock(start time.Time) *VirtualClock {
-	return &VirtualClock{now: start}
-}
-
-// Now returns the current virtual time.
-func (c *VirtualClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-// Sleep advances the virtual time by d immediately (cancellation is still
-// honoured so cancelled sessions stop at the same points as real ones).
-func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d > 0 {
-		c.mu.Lock()
-		c.now = c.now.Add(d)
-		c.mu.Unlock()
-	}
-	return nil
-}
+func NewVirtualClock(start time.Time) *VirtualClock { return clock.NewVirtual(start) }
 
 // SourceInfo describes a frame source's geometry and nominal rate.
 type SourceInfo struct {

@@ -35,11 +35,6 @@ type (
 	// TraceSummary is the parsed, validated aggregate of a Chrome trace
 	// file — what `sieve trace` prints.
 	TraceSummary = telemetry.TraceSummary
-	// BenchReport is the machine-readable benchmark trajectory written as
-	// BENCH_<suite>.json by sievebench and the bench-* make targets.
-	BenchReport = telemetry.BenchReport
-	// BenchResult is one benchmark's row in a BenchReport.
-	BenchResult = telemetry.BenchResult
 )
 
 // NewRegistry returns an empty metrics registry.
@@ -60,11 +55,6 @@ func NewTracer(clk Clock) *Tracer {
 // produced by Tracer.WriteChrome and aggregates it per stage.
 func SummarizeChromeTrace(r io.Reader) (TraceSummary, error) {
 	return telemetry.SummarizeChrome(r)
-}
-
-// LoadBenchReport reads and validates a BENCH_<suite>.json file.
-func LoadBenchReport(path string) (*BenchReport, error) {
-	return telemetry.LoadBenchReport(path)
 }
 
 // WithTelemetry records the session's counters into reg instead of a
