@@ -7,7 +7,7 @@ GO ?= go
 BENCH_PKGS = ./internal/codec/ ./internal/vision/ ./internal/tuner/ \
              ./internal/nn/ ./internal/infer/ ./internal/runner/
 
-.PHONY: all build test test-short bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e docs-lint wire-smoke chaos-smoke obs-smoke split-smoke fmt vet lint sievelint reach fuzz-smoke vuln ci
+.PHONY: all build test test-short test-fma bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e docs-lint wire-smoke chaos-smoke obs-smoke split-smoke fmt vet lint sievelint reach fuzz-smoke vuln ci
 
 all: build
 
@@ -58,9 +58,10 @@ reach:
 # each — catches targets that no longer compile and regressions on the
 # corpus, while staying CI-sized. Longer runs: go test -fuzz=FuzzX ./pkg.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzTransformMatchesReference -fuzztime=10s ./internal/transform/
 
 # Known-vulnerability scan. govulncheck needs network access for the vuln
 # DB, so it runs as its own CI job; locally it degrades to a notice unless
@@ -90,25 +91,50 @@ test:
 test-short:
 	$(GO) test -short -race ./...
 
+# The bitstream must not depend on FMA: a fused a*b+c rounds once where the
+# golden streams were recorded rounding twice. Two checks, because go1.24
+# does not fuse on amd64 even at GOAMD64=v3 (so the first one only guards a
+# toolchain that starts to): the golden fixture and the kernel-vs-reference
+# tests under GOAMD64=v3 (needs AVX2+FMA), and the arm64 build of
+# internal/transform — a target that does fuse — must contain no fused
+# multiply-add, which holds only while every product in the kernels keeps
+# its explicit float64() conversion.
+test-fma:
+	GOAMD64=v3 $(GO) test -count=1 ./internal/transform/ ./internal/codec/
+	@fused="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/transform/ 2>&1 | grep -E 'FN?M(ADD|SUB)D' || true)"; \
+	if [ -n "$$fused" ]; then \
+		echo "test-fma: the arm64 build of internal/transform fuses a multiply-add (a product lost its float64()):"; \
+		echo "$$fused"; exit 1; \
+	fi
+
 # One-iteration smoke run: benchmarks must still compile and complete.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(BENCH_PKGS)
 
-# Codec hot-path micro-benchmarks (steady-state encode/decode/analyze and
-# the bounded SAD). -benchmem: allocs/op must read 0 for the *Into paths —
-# on this 1-core box that, not ns/op, is the regression signal. CI runs the
-# same selection with -benchtime=1x so the hot path cannot silently stop
-# compiling as a benchmark.
+# Codec hot-path micro-benchmarks: steady-state encode (BenchmarkEncodeQuiet
+# is the content bench/'s edge_quiet encodes), decode, analyze, the bounded
+# SAD, and the kernels under them (DCT pair, 16×16 SAD). -benchmem:
+# allocs/op must read 0 on every row. ns/op here tells which kernel moved;
+# wall-clock claims are made with bench/ (make bench-e2e), on alternated
+# parent/change pairs — the reference box has 2 vCPUs and a run-to-run
+# spread of about a tenth. CI runs the same selection with -benchtime=1x so
+# the hot path cannot silently stop compiling as a benchmark.
+BENCH_CODEC = '^(BenchmarkEncodeP|BenchmarkEncodeQuiet|BenchmarkDecodeInto|BenchmarkAnalyze|BenchmarkSADBounded)'
+
 bench-codec:
-	$(GO) test -run='^$$' -bench='^(BenchmarkEncodeP|BenchmarkDecodeInto|BenchmarkAnalyze|BenchmarkSADBounded)' -benchmem ./internal/codec/
+	$(GO) test -run='^$$' -bench=$(BENCH_CODEC) -benchmem ./internal/codec/
+	$(GO) test -run='^$$' -bench='^(BenchmarkForwardDCT|BenchmarkInverseDCT)' -benchmem ./internal/transform/
+	$(GO) test -run='^$$' -bench='^BenchmarkSAD16x16' -benchmem ./internal/frame/
 
 bench-codec-smoke:
-	$(GO) test -run='^$$' -bench='^(BenchmarkEncodeP|BenchmarkDecodeInto|BenchmarkAnalyze|BenchmarkSADBounded)' -benchtime=1x -benchmem ./internal/codec/
+	$(GO) test -run='^$$' -bench=$(BENCH_CODEC) -benchtime=1x -benchmem ./internal/codec/
+	$(GO) test -run='^$$' -bench='^(BenchmarkForwardDCT|BenchmarkInverseDCT)' -benchtime=1x -benchmem ./internal/transform/
+	$(GO) test -run='^$$' -bench='^BenchmarkSAD16x16' -benchtime=1x -benchmem ./internal/frame/
 
 # Multi-site cluster micro-benchmark: feeds/sec for a fixed 4-camera fleet
 # at K=1,2,4 edge sites (encode + shard bookkeeping + uplink metering +
-# edge archival + cloud merge). On this 1-core box the read is the sharding
-# plane's overhead as K grows, not a speedup. CI runs the 1-iteration smoke
+# edge archival + cloud merge). The read is the sharding plane's overhead as
+# K grows, not a speedup. CI runs the 1-iteration smoke
 # variant so the cluster path cannot silently stop compiling as a benchmark.
 bench-cluster:
 	$(GO) test -run='^$$' -bench='^BenchmarkClusterSites' -benchmem .
@@ -119,8 +145,8 @@ bench-cluster-smoke:
 # Shared-inference micro-benchmarks: ns/frame of the batched detect path at
 # batch 1/4/16 vs the legacy per-frame forward, plus the plane's batch-of-1
 # scheduling round trip. allocs/op must read 0 for the batchN variants and
-# the round trip — as with bench-codec, allocations (not ns/op) are the
-# regression gate on this 1-core box. CI runs the 1-iteration smoke variant
+# the round trip — allocations are the regression gate here; wall-clock
+# claims are made with bench/. CI runs the 1-iteration smoke variant
 # so the batched path cannot silently stop compiling as a benchmark.
 bench-infer:
 	$(GO) test -run='^$$' -bench='^BenchmarkInferBatch' -benchmem ./internal/nn/
@@ -195,4 +221,4 @@ bench-e2e:
 	bash bench/run.sh
 
 # Everything CI checks, in CI's order.
-ci: build vet fmt lint reach test-short bench wire-smoke chaos-smoke obs-smoke split-smoke docs-lint fuzz-smoke
+ci: build vet fmt lint reach test-short test-fma bench wire-smoke chaos-smoke obs-smoke split-smoke docs-lint fuzz-smoke

@@ -68,10 +68,17 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 	}
 }
 
-// WriteUE appends v as an unsigned Exp-Golomb code.
+// WriteUE appends v as an unsigned Exp-Golomb code: lz zero bits, then the
+// lz+1 significant bits of v+1. Written as one field of 2·lz+1 bits, the
+// zeros are simply x's own leading zeros; only codes too long for one field
+// (v >= 2³²−1) write the prefix separately.
 func (w *Writer) WriteUE(v uint64) {
 	x := v + 1
 	lz := uint(bits.Len64(x)) - 1
+	if lz < 32 {
+		w.WriteBits(x, 2*lz+1)
+		return
+	}
 	w.WriteBits(0, lz)
 	w.WriteBits(x, lz+1)
 }

@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -77,6 +78,37 @@ func TestExpGolombKnownValues(t *testing.T) {
 		got, err := r.ReadUE()
 		if err != nil || got != c.v {
 			t.Errorf("ReadUE after WriteUE(%d) = %v, %v", c.v, got, err)
+		}
+	}
+}
+
+// TestWriteUEOneFieldMatchesTwo holds the single-field WriteUE to the
+// prefix-then-suffix form it replaced, bit for bit, at every code length —
+// including the lengths past 63 bits, which still take two fields — from a
+// byte-aligned and from an odd starting position.
+func TestWriteUEOneFieldMatchesTwo(t *testing.T) {
+	for lz := uint(0); lz < 63; lz++ {
+		for _, x := range []uint64{1 << lz, 1<<(lz+1) - 1, 1<<lz | 0x5555555555555555&(1<<lz-1)} {
+			v := x - 1
+			for _, lead := range []uint{0, 3} {
+				got, want := NewWriter(32), NewWriter(32)
+				got.WriteBits(5, lead)
+				want.WriteBits(5, lead)
+				got.WriteUE(v)
+				want.WriteBits(0, lz)
+				want.WriteBits(x, lz+1)
+				if got.BitLen() != want.BitLen() || !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("WriteUE(%d) after %d bits = % x (%d bits), want % x (%d bits)",
+						v, lead, got.Bytes(), got.BitLen(), want.Bytes(), want.BitLen())
+				}
+				r := NewReader(got.Bytes())
+				if _, err := r.ReadBits(lead); err != nil {
+					t.Fatal(err)
+				}
+				if back, err := r.ReadUE(); err != nil || back != v {
+					t.Fatalf("ReadUE after WriteUE(%d) = %d, %v", v, back, err)
+				}
+			}
 		}
 	}
 }

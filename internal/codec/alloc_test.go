@@ -6,10 +6,10 @@ import (
 	"sieve/internal/frame"
 )
 
-// The codec's steady-state hot path must not allocate: on a 1-core edge box
-// wall-clock benchmarks are too noisy to gate on, but allocs/op is exact and
-// deterministic, so these tests are the enforceable form of "the hot path
-// got faster and stays that way". Warm-up calls let one-time buffers
+// The codec's steady-state hot path must not allocate: wall-clock is too
+// noisy to gate a unit test on (bench/ measures it, on alternated pairs),
+// but allocs/op is exact and deterministic, so these tests are the
+// enforceable form of "the hot path stays allocation-free". Warm-up calls let one-time buffers
 // (bitstream writer capacity, analyzer half-res planes, ef.Data) reach their
 // steady-state capacity first.
 

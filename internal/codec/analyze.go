@@ -18,12 +18,13 @@ import (
 type CostAnalyzer struct {
 	prev *frame.Plane // last frame's half-res luma (one of half), nil = no history
 	half [2]*frame.Plane
-	cur  int // index in half to downsample the next frame into
+	cur  int      // index in half to downsample the next frame into
+	seen *visited // motion-search scratch over ±analysisRange
 }
 
 // NewCostAnalyzer returns an analyzer with no history; the first Analyze
 // call reports Inter == Intra (frame 0 has no reference).
-func NewCostAnalyzer() *CostAnalyzer { return &CostAnalyzer{} }
+func NewCostAnalyzer() *CostAnalyzer { return &CostAnalyzer{seen: newVisited(analysisRange)} }
 
 // Reset drops the reference history (the buffers are kept for reuse).
 func (a *CostAnalyzer) Reset() { a.prev = nil }
@@ -52,7 +53,7 @@ func (a *CostAnalyzer) Analyze(f *frame.YUV) Cost {
 	intra := intraCost(half)
 	inter := intra
 	if a.prev != nil {
-		inter = interCost(half, a.prev)
+		inter = interCost(half, a.prev, a.seen)
 	}
 	a.prev = half
 	a.cur = 1 - a.cur
@@ -168,14 +169,14 @@ const interDeadzonePerPixel = 1
 
 // interCost is the summed motion-compensated, deadzoned SAD of cur's 8×8
 // blocks against ref, using a diamond search per block.
-func interCost(cur, ref *frame.Plane) int64 {
+func interCost(cur, ref *frame.Plane, seen *visited) int64 {
 	deadzone := interDeadzonePerPixel * analysisBlock * analysisBlock
 	var total int64
 	pred := MV{}
 	for by := 0; by < cur.H; by += analysisBlock {
 		pred = MV{}
 		for bx := 0; bx < cur.W; bx += analysisBlock {
-			mv, sad := diamondSearch(cur, ref, bx, by, analysisBlock, analysisRange, pred)
+			mv, sad := diamondSearch(cur, ref, bx, by, analysisBlock, pred, seen)
 			pred = mv
 			if sad > deadzone {
 				total += int64(sad - deadzone)

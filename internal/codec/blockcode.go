@@ -19,13 +19,60 @@ func fillPredConst(dst *transform.Block) {
 	}
 }
 
+// blockSpan maps an 8-pixel run starting at coordinate b onto an axis of
+// length n: positions [lo, hi) of the run lie inside [0, n), and lo == hi
+// when none does.
+func blockSpan(b, n int) (lo, hi int) {
+	lo, hi = 0, transform.BlockSize
+	if b < 0 {
+		lo = -b
+	}
+	if b+hi > n {
+		hi = n - b
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
+}
+
+// clampCols returns, for the 8 columns starting at bx, the column of a
+// w-wide plane each one reads under the border-extension rule (Plane.At's
+// clamp): blocks that overhang an edge repeat the edge column.
+func clampCols(bx, w int) (cols [transform.BlockSize]int) {
+	for i := range cols {
+		x := bx + i
+		if x < 0 {
+			x = 0
+		} else if x >= w {
+			x = w - 1
+		}
+		cols[i] = x
+	}
+	return cols
+}
+
+// clampedRow returns row y of p, clamped to the plane like Plane.At.
+func clampedRow(p *frame.Plane, y int) []byte {
+	if y < 0 {
+		y = 0
+	} else if y >= p.H {
+		y = p.H - 1
+	}
+	return p.Row(y)
+}
+
+func inside(p *frame.Plane, bx, by int) bool {
+	return bx >= 0 && by >= 0 && bx+transform.BlockSize <= p.W && by+transform.BlockSize <= p.H
+}
+
 // fillPredMC fills a prediction block with the motion-compensated reference
 // pixels at (bx+mv.X, by+mv.Y). Interior blocks take the row-copy fast path;
-// blocks whose reference window crosses a plane edge fall back to clamped
-// addressing (the codec's border-extension rule), producing identical values.
+// blocks whose reference window crosses a plane edge read clamped rows and
+// columns (the codec's border-extension rule), producing identical values.
 func fillPredMC(dst *transform.Block, ref *frame.Plane, bx, by int, mv MV) {
 	sx, sy := bx+mv.X, by+mv.Y
-	if sx >= 0 && sy >= 0 && sx+transform.BlockSize <= ref.W && sy+transform.BlockSize <= ref.H {
+	if inside(ref, sx, sy) {
 		for y := 0; y < transform.BlockSize; y++ {
 			row := ref.Pix[(sy+y)*ref.Stride+sx : (sy+y)*ref.Stride+sx+transform.BlockSize]
 			d := dst[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
@@ -35,9 +82,12 @@ func fillPredMC(dst *transform.Block, ref *frame.Plane, bx, by int, mv MV) {
 		}
 		return
 	}
+	cols := clampCols(sx, ref.W)
 	for y := 0; y < transform.BlockSize; y++ {
-		for x := 0; x < transform.BlockSize; x++ {
-			dst[y*transform.BlockSize+x] = int32(ref.At(sx+x, sy+y))
+		row := clampedRow(ref, sy+y)
+		d := dst[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
+		for x, c := range cols {
+			d[x] = int32(row[c])
 		}
 	}
 }
@@ -51,7 +101,7 @@ type blockCoder struct {
 	qz                 *transform.Quantizer
 	pred               transform.Block
 	src, coef, lev, zz transform.Block
-	dq, rec            transform.Block
+	rec                transform.Block
 	dcPred             int32
 }
 
@@ -66,7 +116,7 @@ func (bc *blockCoder) resetDC() { bc.dcPred = 0 }
 // (bx, by) against the prediction in bc.pred, then writes the locally
 // reconstructed pixels (prediction + dequantised residual) into recon.
 func (bc *blockCoder) encodeBlock(w *bitstream.Writer, p, recon *frame.Plane, bx, by int) {
-	if bx >= 0 && by >= 0 && bx+transform.BlockSize <= p.W && by+transform.BlockSize <= p.H {
+	if inside(p, bx, by) {
 		for y := 0; y < transform.BlockSize; y++ {
 			row := p.Pix[(by+y)*p.Stride+bx : (by+y)*p.Stride+bx+transform.BlockSize]
 			s := bc.src[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
@@ -76,26 +126,23 @@ func (bc *blockCoder) encodeBlock(w *bitstream.Writer, p, recon *frame.Plane, bx
 			}
 		}
 	} else {
+		cols := clampCols(bx, p.W)
 		for y := 0; y < transform.BlockSize; y++ {
-			for x := 0; x < transform.BlockSize; x++ {
-				bc.src[y*transform.BlockSize+x] = int32(p.At(bx+x, by+y)) - bc.pred[y*transform.BlockSize+x]
+			row := clampedRow(p, by+y)
+			s := bc.src[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
+			pr := bc.pred[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
+			for x, c := range cols {
+				s[x] = int32(row[c]) - pr[x]
 			}
 		}
 	}
 	transform.Forward(&bc.src, &bc.coef)
-	bc.qz.Quantize(&bc.coef, &bc.lev)
 
-	// Coded-block flag: all-zero blocks cost one bit.
-	allZero := true
-	for _, v := range bc.lev {
-		if v != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
+	// Coded-block flag: all-zero blocks cost one bit and reconstruct to the
+	// prediction alone.
+	if !bc.qz.Quantize(&bc.coef, &bc.lev) {
 		w.WriteBit(0)
-		bc.reconstruct(recon, bx, by, true)
+		writePredBlock(recon, bx, by, &bc.pred)
 		return
 	}
 	w.WriteBit(1)
@@ -113,38 +160,26 @@ func (bc *blockCoder) encodeBlock(w *bitstream.Writer, p, recon *frame.Plane, bx
 		run = 0
 	}
 	w.WriteUE(eobMarker)
-	bc.reconstruct(recon, bx, by, false)
-}
-
-// reconstruct applies prediction + dequantised residual into recon, exactly
-// mirroring what the decoder will compute, so encoder and decoder reference
-// frames stay bit-identical (no drift).
-func (bc *blockCoder) reconstruct(recon *frame.Plane, bx, by int, zero bool) {
-	if zero {
-		writePredBlock(recon, bx, by, &bc.pred)
-		return
-	}
-	bc.qz.Dequantize(&bc.lev, &bc.dq)
-	transform.Inverse(&bc.dq, &bc.rec)
+	// Prediction + dequantised residual, exactly what the decoder will
+	// compute, so encoder and decoder reference frames stay bit-identical
+	// (no drift).
+	bc.qz.Inverse(&bc.lev, &bc.rec)
 	writeResidualBlock(recon, bx, by, &bc.pred, &bc.rec)
 }
 
 // writePredBlock stores clamp(pred) into the 8×8 block at (bx, by); pixels
 // outside the plane are dropped, matching Plane.Set.
 func writePredBlock(dst *frame.Plane, bx, by int, pred *transform.Block) {
-	if bx >= 0 && by >= 0 && bx+transform.BlockSize <= dst.W && by+transform.BlockSize <= dst.H {
-		for y := 0; y < transform.BlockSize; y++ {
-			row := dst.Pix[(by+y)*dst.Stride+bx : (by+y)*dst.Stride+bx+transform.BlockSize]
-			pr := pred[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
-			for x := 0; x < transform.BlockSize; x++ {
-				row[x] = frame.Clamp(int(pr[x]))
-			}
-		}
+	x0, x1 := blockSpan(bx, dst.W)
+	y0, y1 := blockSpan(by, dst.H)
+	if x0 == x1 {
 		return
 	}
-	for y := 0; y < transform.BlockSize; y++ {
-		for x := 0; x < transform.BlockSize; x++ {
-			dst.Set(bx+x, by+y, frame.Clamp(int(pred[y*transform.BlockSize+x])))
+	for y := y0; y < y1; y++ {
+		row := dst.Pix[(by+y)*dst.Stride+bx+x0 : (by+y)*dst.Stride+bx+x1]
+		pr := pred[y*transform.BlockSize+x0:][:len(row)]
+		for x := range row {
+			row[x] = frame.Clamp(int(pr[x]))
 		}
 	}
 }
@@ -152,20 +187,17 @@ func writePredBlock(dst *frame.Plane, bx, by int, pred *transform.Block) {
 // writeResidualBlock stores clamp(pred + residual) into the 8×8 block at
 // (bx, by), with the same edge handling as writePredBlock.
 func writeResidualBlock(dst *frame.Plane, bx, by int, pred, res *transform.Block) {
-	if bx >= 0 && by >= 0 && bx+transform.BlockSize <= dst.W && by+transform.BlockSize <= dst.H {
-		for y := 0; y < transform.BlockSize; y++ {
-			row := dst.Pix[(by+y)*dst.Stride+bx : (by+y)*dst.Stride+bx+transform.BlockSize]
-			pr := pred[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
-			rs := res[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
-			for x := 0; x < transform.BlockSize; x++ {
-				row[x] = frame.Clamp(int(pr[x] + rs[x]))
-			}
-		}
+	x0, x1 := blockSpan(bx, dst.W)
+	y0, y1 := blockSpan(by, dst.H)
+	if x0 == x1 {
 		return
 	}
-	for y := 0; y < transform.BlockSize; y++ {
-		for x := 0; x < transform.BlockSize; x++ {
-			dst.Set(bx+x, by+y, frame.Clamp(int(pred[y*transform.BlockSize+x]+res[y*transform.BlockSize+x])))
+	for y := y0; y < y1; y++ {
+		row := dst.Pix[(by+y)*dst.Stride+bx+x0 : (by+y)*dst.Stride+bx+x1]
+		pr := pred[y*transform.BlockSize+x0:][:len(row)]
+		rs := res[y*transform.BlockSize+x0:][:len(row)]
+		for x := range row {
+			row[x] = frame.Clamp(int(pr[x] + rs[x]))
 		}
 	}
 }
@@ -176,7 +208,7 @@ type blockDecoder struct {
 	qz      *transform.Quantizer
 	pred    transform.Block
 	zz, lev transform.Block
-	dq, rec transform.Block
+	rec     transform.Block
 	dcPred  int32
 }
 
@@ -233,8 +265,7 @@ func (bd *blockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx, b
 		}
 	}
 	transform.UnZigZag(&bd.zz, &bd.lev)
-	bd.qz.Dequantize(&bd.lev, &bd.dq)
-	transform.Inverse(&bd.dq, &bd.rec)
+	bd.qz.Inverse(&bd.lev, &bd.rec)
 	writeResidualBlock(dst, bx, by, &bd.pred, &bd.rec)
 	return nil
 }

@@ -416,7 +416,7 @@ func TestFullSearchAtLeastAsGoodAsDiamond(t *testing.T) {
 	frames := testVideo(64, 48, 2, 0, 16)
 	cur, ref := frames[1].Y, frames[0].Y
 	for _, pos := range [][2]int{{0, 0}, {16, 16}, {32, 16}} {
-		_, dSAD := diamondSearch(cur, ref, pos[0], pos[1], 16, 16, MV{})
+		_, dSAD := diamondSearch(cur, ref, pos[0], pos[1], 16, MV{}, newVisited(16))
 		_, fSAD := fullSearch(cur, ref, pos[0], pos[1], 16, 16)
 		if fSAD > dSAD {
 			t.Errorf("full search SAD %d worse than diamond %d at %v", fSAD, dSAD, pos)

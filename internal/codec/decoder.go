@@ -219,9 +219,9 @@ func (d *Decoder) decodeInterInto(r *bitstream.Reader, prev, dst *frame.YUV) err
 				return fmt.Errorf("mb (%d,%d) skip flag: %w", mbx, mby, err)
 			}
 			if skip == 1 {
-				copyBlock(dst.Y, prev.Y, mbx, mby, mbSize, MV{})
-				copyBlock(dst.Cb, prev.Cb, mbx/2, mby/2, mbSize/2, MV{})
-				copyBlock(dst.Cr, prev.Cr, mbx/2, mby/2, mbSize/2, MV{})
+				copyBlock(dst.Y, prev.Y, mbx, mby, mbSize)
+				copyBlock(dst.Cb, prev.Cb, mbx/2, mby/2, mbSize/2)
+				copyBlock(dst.Cr, prev.Cr, mbx/2, mby/2, mbSize/2)
 				pred = MV{}
 				continue
 			}

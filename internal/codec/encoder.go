@@ -30,6 +30,7 @@ type Encoder struct {
 	forceI   bool       // next EncodeInto must place an I-frame (see ForceNextI)
 	bc       *blockCoder
 	w        *bitstream.Writer
+	seen     *visited // motion-search scratch, sized for p.SearchRange
 }
 
 // NewEncoder validates p and returns a ready encoder.
@@ -44,6 +45,7 @@ func NewEncoder(p Params) (*Encoder, error) {
 		scratch:  frame.NewYUV(p.Width, p.Height),
 		bc:       newBlockCoder(p.Quality),
 		w:        bitstream.NewWriter(p.Width * p.Height / 4),
+		seen:     newVisited(p.SearchRange),
 	}, nil
 }
 
@@ -169,13 +171,13 @@ func (e *Encoder) encodeInter(f *frame.YUV) {
 	for mby := 0; mby < f.H; mby += mbSize {
 		pred = MV{}
 		for mbx := 0; mbx < f.W; mbx += mbSize {
-			mv, sad := searchMotion(f.Y, ref.Y, mbx, mby, mbSize, e.p.SearchRange, pred, e.p.Search)
+			mv, sad := searchMotion(f.Y, ref.Y, mbx, mby, mbSize, pred, e.p.Search, e.seen)
 			if mv == (MV{}) && sad < e.p.SkipSAD {
 				// Skip: decoder copies the co-located block.
 				e.w.WriteBit(1)
-				copyBlock(dst.Y, ref.Y, mbx, mby, mbSize, MV{})
-				copyBlock(dst.Cb, ref.Cb, mbx/2, mby/2, mbSize/2, MV{})
-				copyBlock(dst.Cr, ref.Cr, mbx/2, mby/2, mbSize/2, MV{})
+				copyBlock(dst.Y, ref.Y, mbx, mby, mbSize)
+				copyBlock(dst.Cb, ref.Cb, mbx/2, mby/2, mbSize/2)
+				copyBlock(dst.Cr, ref.Cr, mbx/2, mby/2, mbSize/2)
 				pred = MV{}
 				continue
 			}
@@ -209,20 +211,17 @@ func (e *Encoder) encodeInter(f *frame.YUV) {
 	e.recon, e.scratch = dst, ref
 }
 
-//sieve:noalloc motion-compensation inner loop
-func copyBlock(dst, src *frame.Plane, bx, by, size int, mv MV) {
-	sx, sy := bx+mv.X, by+mv.Y
-	if bx >= 0 && by >= 0 && bx+size <= dst.W && by+size <= dst.H &&
-		sx >= 0 && sy >= 0 && sx+size <= src.W && sy+size <= src.H {
-		for y := 0; y < size; y++ {
-			copy(dst.Pix[(by+y)*dst.Stride+bx:(by+y)*dst.Stride+bx+size],
-				src.Pix[(sy+y)*src.Stride+sx:(sy+y)*src.Stride+sx+size])
-		}
+// copyBlock copies the size×size block at (bx, by) of src to the same place
+// in dst (a skipped macroblock); the part of a block that overhangs the
+// right or bottom edge has no pixels to copy.
+//
+//sieve:noalloc skip-macroblock inner loop
+func copyBlock(dst, src *frame.Plane, bx, by, size int) {
+	x1, y1 := min(bx+size, dst.W), min(by+size, dst.H)
+	if bx >= x1 {
 		return
 	}
-	for y := 0; y < size; y++ {
-		for x := 0; x < size; x++ {
-			dst.Set(bx+x, by+y, src.At(sx+x, sy+y))
-		}
+	for y := by; y < y1; y++ {
+		copy(dst.Pix[y*dst.Stride+bx:y*dst.Stride+x1], src.Pix[y*src.Stride+bx:y*src.Stride+x1])
 	}
 }

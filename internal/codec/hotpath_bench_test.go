@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"sieve/internal/frame"
+	"sieve/internal/synth"
 )
 
 // Hot-path micro-benchmarks, run by `make bench-codec` (and as a 1-iteration
 // CI smoke step, so they can never silently stop compiling). All report
-// allocs: on a 1-core box allocs/op is the stable signal, ns/op the noisy
-// one.
+// allocs, which must read 0; ns/op says which kernel moved, and a wall-clock
+// claim is made with bench/ on alternated parent/change pairs.
 
 func BenchmarkEncodeP(b *testing.B) {
 	p := Params{Width: 160, Height: 120, GOPSize: 1 << 20, Scenecut: 0}
@@ -29,6 +30,48 @@ func BenchmarkEncodeP(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := enc.EncodeInto(f, &ef); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncodeQuiet encodes what bench/'s edge_quiet workload encodes:
+// the 600×400 Jackson Square scene (sensor noise 2 on every pixel, foliage
+// clutter, a vehicle every few seconds) at Quality 85, GOP 25, scenecut off,
+// walking the clip forwards then backwards so no frame follows a cut. One op
+// is one frame, I-frames included at their 1-in-25 share.
+func BenchmarkEncodeQuiet(b *testing.B) {
+	v, err := synth.Preset(synth.JacksonSquare, synth.PresetOpts{Seconds: 10, FPS: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	clip := make([]*frame.YUV, v.NumFrames())
+	for i := range clip {
+		clip[i] = v.Frame(i)
+	}
+	enc, err := NewEncoder(Params{Width: 600, Height: 400, GOPSize: 25, Scenecut: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ef EncodedFrame
+	frameAt := func(pos int) *frame.YUV {
+		n := len(clip)
+		pos %= 2*n - 2
+		if pos >= n {
+			pos = 2*n - 2 - pos
+		}
+		return clip[pos]
+	}
+	const warm = 26 // one full GOP: writer, analyzer and ef.Data reach capacity
+	for i := 0; i < warm; i++ {
+		if err := enc.EncodeInto(frameAt(i), &ef); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := enc.EncodeInto(frameAt(warm+i), &ef); err != nil {
 			b.Fatal(err)
 		}
 	}

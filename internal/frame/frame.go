@@ -5,6 +5,7 @@
 package frame
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -178,33 +179,7 @@ func Clamp(v int) byte {
 //
 //sieve:noalloc motion-search inner loop
 func SAD(a *Plane, ax, ay int, b *Plane, bx, by, w, h int) int {
-	sum := 0
-	// Fast path: both blocks fully inside their planes.
-	if ax >= 0 && ay >= 0 && ax+w <= a.W && ay+h <= a.H &&
-		bx >= 0 && by >= 0 && bx+w <= b.W && by+h <= b.H {
-		for y := 0; y < h; y++ {
-			ar := a.Pix[(ay+y)*a.Stride+ax : (ay+y)*a.Stride+ax+w]
-			br := b.Pix[(by+y)*b.Stride+bx : (by+y)*b.Stride+bx+w]
-			for x := 0; x < w; x++ {
-				d := int(ar[x]) - int(br[x])
-				if d < 0 {
-					d = -d
-				}
-				sum += d
-			}
-		}
-		return sum
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			d := int(a.At(ax+x, ay+y)) - int(b.At(bx+x, by+y))
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
-	return sum
+	return SADBounded(a, ax, ay, b, bx, by, w, h, math.MaxInt)
 }
 
 // SADBounded is SAD with an early exit: once the running sum reaches bound
@@ -216,16 +191,18 @@ func SAD(a *Plane, ax, ay int, b *Plane, bx, by, w, h int) int {
 // is identical to computing the full sum. Callers that need the exact value
 // on ties must pass bound = best+1.
 //
+// The 8- and 16-wide blocks the codec issues take eight pixels per step
+// (absLanes); a block that hangs over a plane edge is read through
+// clampedRow, which replicates only the overhang. Other widths sum pixel by
+// pixel.
+//
 //sieve:noalloc motion-search inner loop with early exit
 func SADBounded(a *Plane, ax, ay int, b *Plane, bx, by, w, h, bound int) int {
 	sum := 0
-	if ax >= 0 && ay >= 0 && ax+w <= a.W && ay+h <= a.H &&
-		bx >= 0 && by >= 0 && bx+w <= b.W && by+h <= b.H {
+	if w != 8 && w != 16 {
 		for y := 0; y < h; y++ {
-			ar := a.Pix[(ay+y)*a.Stride+ax : (ay+y)*a.Stride+ax+w]
-			br := b.Pix[(by+y)*b.Stride+bx : (by+y)*b.Stride+bx+w]
 			for x := 0; x < w; x++ {
-				d := int(ar[x]) - int(br[x])
+				d := int(a.At(ax+x, ay+y)) - int(b.At(bx+x, by+y))
 				if d < 0 {
 					d = -d
 				}
@@ -237,20 +214,84 @@ func SADBounded(a *Plane, ax, ay int, b *Plane, bx, by, w, h, bound int) int {
 		}
 		return sum
 	}
+	inside := ax >= 0 && ay >= 0 && ax+w <= a.W && ay+h <= a.H &&
+		bx >= 0 && by >= 0 && bx+w <= b.W && by+h <= b.H
+	ao, bo := ay*a.Stride+ax, by*b.Stride+bx
+	var abuf, bbuf [16]byte
 	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			d := int(a.At(ax+x, ay+y)) - int(b.At(bx+x, by+y))
-			if d < 0 {
-				d = -d
-			}
-			sum += d
+		var ar, br []byte
+		if inside {
+			ar, br = a.Pix[ao:ao+w], b.Pix[bo:bo+w]
+			ao += a.Stride
+			bo += b.Stride
+		} else {
+			ar = clampedRow(a, &abuf, ax, ay+y, w)
+			br = clampedRow(b, &bbuf, bx, by+y, w)
 		}
+		p, q := load8(ar), load8(br)
+		lanes := absLanes(p&evenBytes, q&evenBytes) + absLanes(p>>8&evenBytes, q>>8&evenBytes)
+		if w == 16 {
+			p, q = load8(ar[8:]), load8(br[8:])
+			lanes += absLanes(p&evenBytes, q&evenBytes) + absLanes(p>>8&evenBytes, q>>8&evenBytes)
+		}
+		// Eight differences of at most 255 per lane: the lane total fits.
+		sum += int(lanes * 0x0001000100010001 >> 48)
 		if sum >= bound {
 			return sum
 		}
 	}
 	return sum
 }
+
+// clampedRow returns the w <= 16 pixels of row y of p that start at column
+// x, with the At rule for whatever lies outside the plane: y is clamped to
+// the nearest row and columns left or right of it repeat the edge pixel. A
+// span inside the plane is returned in place; otherwise it is assembled in
+// buf.
+func clampedRow(p *Plane, buf *[16]byte, x, y, w int) []byte {
+	if y < 0 {
+		y = 0
+	} else if y >= p.H {
+		y = p.H - 1
+	}
+	row := p.Pix[y*p.Stride : y*p.Stride+p.W]
+	if x >= 0 && x+w <= p.W {
+		return row[x : x+w]
+	}
+	out := buf[:w]
+	for i := range out {
+		xi := x + i
+		if xi < 0 {
+			xi = 0
+		} else if xi >= p.W {
+			xi = p.W - 1
+		}
+		out[i] = row[xi]
+	}
+	return out
+}
+
+// evenBytes selects every other byte of a word, leaving each in a 16-bit
+// lane of its own; w>>8&evenBytes does the same for the odd ones.
+const evenBytes = 0x00FF00FF00FF00FF
+
+// absLanes returns |x−y| in each 16-bit lane, for lanes that hold one byte.
+// With bit 8 of the lane set before subtracting, the lane holds 256+x−y and
+// never borrows from its neighbour; bit 8 survives exactly when x >= y and
+// the low byte is then x−y, otherwise the low byte is 256−(y−x), which
+// complement-and-increment turns into y−x.
+func absLanes(x, y uint64) uint64 {
+	const (
+		bit8 = 0x0100010001000100
+		one  = 0x0001000100010001
+	)
+	d := (x | bit8) - y
+	neg := ^d >> 8 & one
+	return (d&evenBytes ^ (neg<<8 - neg)) + neg
+}
+
+// load8 reads eight pixels as one word; SAD does not care in which order.
+func load8(p []byte) uint64 { return binary.LittleEndian.Uint64(p) }
 
 // SSE returns the sum of squared differences between same-sized planes.
 //

@@ -1,0 +1,295 @@
+package transform
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// The kernels this package shipped before the bit-exact fast paths, kept
+// here as the oracle the fast paths are tested against: same tables, same
+// loops, same summation order. The only edit is the explicit float64()
+// around each product, which pins the unfused evaluation on every platform:
+// without it the compiler fuses s += a*b into an FMA on arm64 (the old
+// kernels compiled to four there), and the golden bitstreams were recorded
+// on amd64, where go1.24 fuses nothing. On amd64 the edit changes no
+// instruction.
+
+func refForward(src, dst *Block) {
+	var tmp [BlockSize * BlockSize]float64
+	// Rows.
+	for y := 0; y < BlockSize; y++ {
+		for u := 0; u < BlockSize; u++ {
+			var s float64
+			for x := 0; x < BlockSize; x++ {
+				s += float64(float64(src[y*BlockSize+x]) * cosTable[u][x])
+			}
+			tmp[y*BlockSize+u] = s
+		}
+	}
+	// Columns.
+	for u := 0; u < BlockSize; u++ {
+		for v := 0; v < BlockSize; v++ {
+			var s float64
+			for y := 0; y < BlockSize; y++ {
+				s += float64(tmp[y*BlockSize+u] * cosTable[v][y])
+			}
+			dst[v*BlockSize+u] = int32(math.RoundToEven(s))
+		}
+	}
+}
+
+func refInverse(src, dst *Block) {
+	var tmp [BlockSize * BlockSize]float64
+	// Columns.
+	for u := 0; u < BlockSize; u++ {
+		for y := 0; y < BlockSize; y++ {
+			var s float64
+			for v := 0; v < BlockSize; v++ {
+				s += float64(float64(src[v*BlockSize+u]) * cosTable[v][y])
+			}
+			tmp[y*BlockSize+u] = s
+		}
+	}
+	// Rows.
+	for y := 0; y < BlockSize; y++ {
+		for x := 0; x < BlockSize; x++ {
+			var s float64
+			for u := 0; u < BlockSize; u++ {
+				s += float64(tmp[y*BlockSize+u] * cosTable[u][x])
+			}
+			dst[y*BlockSize+x] = int32(math.RoundToEven(s))
+		}
+	}
+}
+
+func refQuantize(qz *Quantizer, src, dst *Block) {
+	for i := range src {
+		c := src[i]
+		q := qz.q[i]
+		if c >= 0 {
+			dst[i] = (c + q/2) / q
+		} else {
+			dst[i] = -((-c + q/2) / q)
+		}
+	}
+}
+
+func refDequantize(qz *Quantizer, src, dst *Block) {
+	for i := range src {
+		dst[i] = src[i] * qz.q[i]
+	}
+}
+
+// checkTransforms asserts that Forward and Inverse agree with the oracle on
+// blk taken as samples and as coefficients, and that the dequantising
+// inverse agrees with dequantise-then-inverse on blk taken as levels.
+func checkTransforms(t testing.TB, blk *Block, qz *Quantizer) {
+	t.Helper()
+	var got, want, dq Block
+	Forward(blk, &got)
+	refForward(blk, &want)
+	if got != want {
+		t.Fatalf("Forward differs from the reference\nin   %v\ngot  %v\nwant %v", *blk, got, want)
+	}
+	Inverse(blk, &got)
+	refInverse(blk, &want)
+	if got != want {
+		t.Fatalf("Inverse differs from the reference\nin   %v\ngot  %v\nwant %v", *blk, got, want)
+	}
+	qz.Inverse(blk, &got)
+	refDequantize(qz, blk, &dq)
+	refInverse(&dq, &want)
+	if got != want {
+		t.Fatalf("Quantizer.Inverse (q%d) differs from the reference\nin   %v\ngot  %v\nwant %v",
+			qz.Quality(), *blk, got, want)
+	}
+}
+
+func TestTransformMatchesReferenceRandom(t *testing.T) {
+	n := 100000
+	if testing.Short() {
+		n = 10000
+	}
+	rng := rand.New(rand.NewSource(18))
+	quants := []*Quantizer{NewQuantizer(85), NewQuantizer(50), NewQuantizer(10), NewQuantizer(100)}
+	var blk, coef, lev Block
+	for trial := 0; trial < n; trial++ {
+		for i := range blk {
+			blk[i] = int32(rng.Intn(511) - 255)
+		}
+		qz := quants[trial%len(quants)]
+		checkTransforms(t, &blk, qz)
+		// The encoder's own path: the levels a real residual quantises to,
+		// sparse in the way the inverse exploits.
+		amp := 1 + rng.Intn(40)
+		for i := range blk {
+			blk[i] = int32(rng.Intn(2*amp+1) - amp)
+		}
+		Forward(&blk, &coef)
+		qz.Quantize(&coef, &lev)
+		checkTransforms(t, &lev, qz)
+	}
+}
+
+func TestTransformMatchesReferenceSparse(t *testing.T) {
+	vals := []int32{1, -1, 2040, -2040, 32767, -32767}
+	qz := NewQuantizer(85)
+	var blk Block
+	for i := range blk {
+		for _, a := range vals {
+			blk = Block{}
+			blk[i] = a
+			checkTransforms(t, &blk, qz)
+			if testing.Short() && i%9 != 0 {
+				continue
+			}
+			for j := i + 1; j < len(blk); j++ {
+				for _, b := range vals {
+					blk[j] = b
+					checkTransforms(t, &blk, qz)
+				}
+				blk[j] = 0
+			}
+		}
+	}
+}
+
+// TestTransformMatchesReferenceTies aims at the inputs where only the float
+// rounding noise decides the result: a block whose sum is 4 mod 8 has a DC
+// coefficient of exactly k+½ in real arithmetic, and a DC level of 4 mod 8
+// reconstructs to k+½ on every sample, so a single reordered addition or
+// fused product flips the rounded integer. The third case does the same to
+// the inverse's dense path: coefficients at (0,0), (0,4), (4,0), (4,4)
+// contribute exact eighths to every sample, and an antisymmetric remainder
+// (a[u][v] = −a[v][u]) fills every row and column yet cancels exactly on the
+// diagonal samples, which therefore sit at k+½ plus float noise.
+func TestTransformMatchesReferenceTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	qz := NewQuantizer(85)
+	var blk Block
+	for trial := 0; trial < 20000; trial++ {
+		sum := int32(0)
+		for i := range blk {
+			blk[i] = int32(rng.Intn(511) - 255)
+			sum += blk[i]
+		}
+		blk[rng.Intn(len(blk))] += 4 - (sum%8+8)%8
+		checkTransforms(t, &blk, qz)
+
+		// DC at a tie, alone and under a few small AC coefficients.
+		blk = Block{}
+		blk[0] = int32(rng.Intn(4081)-2040)*8 + 4
+		checkTransforms(t, &blk, unitQuantizer)
+		for k := rng.Intn(4); k > 0; k-- {
+			blk[1+rng.Intn(20)] = int32(rng.Intn(7) - 3)
+		}
+		checkTransforms(t, &blk, unitQuantizer)
+
+		blk = Block{}
+		for u := 0; u < BlockSize; u++ {
+			for v := u + 1; v < BlockSize; v++ {
+				a := int32(1 + rng.Intn(60))
+				blk[v*BlockSize+u], blk[u*BlockSize+v] = a, -a
+			}
+		}
+		blk[0] = int32(rng.Intn(255)-127)*8 + 4
+		blk[4*BlockSize+4] = int32(rng.Intn(31)-15) * 8
+		blk[4] += int32(rng.Intn(31)-15) * 8
+		blk[4*BlockSize] += int32(rng.Intn(31)-15) * 8
+		checkTransforms(t, &blk, unitQuantizer)
+	}
+}
+
+// unitQuantizer has every step 1, so Quantizer.Inverse sees the levels as
+// the coefficients themselves.
+var unitQuantizer = func() *Quantizer {
+	qz := &Quantizer{qual: 100}
+	for i := range qz.q {
+		qz.setStep(i, 1)
+	}
+	return qz
+}()
+
+// checkQuantize compares one block with the reference, including the
+// reported any-non-zero flag.
+func checkQuantize(t *testing.T, qz *Quantizer, src *Block) {
+	t.Helper()
+	var got, want Block
+	any := qz.Quantize(src, &got)
+	refQuantize(qz, src, &want)
+	if got != want {
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("Quantize(%d) with step %d = %d, reference %d", src[i], qz.q[i], got[i], want[i])
+			}
+		}
+	}
+	if any != (want != Block{}) {
+		t.Fatalf("Quantize reported non-zero=%v for levels %v", any, want)
+	}
+}
+
+// TestQuantizeMatchesReferenceExhaustive proves the reciprocal division on
+// the whole range it is used on — every step 1..255 against every
+// coefficient of 16 bits — and the plain-division fallback beyond it.
+func TestQuantizeMatchesReferenceExhaustive(t *testing.T) {
+	beyond := []int32{
+		quantExact, -quantExact, quantExact + 1, -quantExact - 1, 65535, -65535, 1 << 20, -(1 << 20),
+		1<<24 - 1, 1 << 24, -(1 << 24), math.MaxInt32, math.MaxInt32 - 127, math.MinInt32, math.MinInt32 + 1,
+	}
+	qz := &Quantizer{}
+	var src Block
+	for q := int32(1); q <= 255; q++ {
+		for i := range qz.q {
+			qz.setStep(i, q)
+		}
+		for c := int32(-32768); c <= 32767; c += int32(len(src)) {
+			for i := range src {
+				src[i] = c + int32(i)
+			}
+			checkQuantize(t, qz, &src)
+		}
+		src = Block{}
+		copy(src[:], beyond)
+		checkQuantize(t, qz, &src)
+	}
+	// All-zero and single-level blocks through a real matrix.
+	qz = NewQuantizer(85)
+	src = Block{}
+	checkQuantize(t, qz, &src)
+	for i := range src {
+		src = Block{}
+		src[i] = qz.q[i]/2 + 1 // smallest magnitude that survives
+		checkQuantize(t, qz, &src)
+		src[i] = -src[i]
+		checkQuantize(t, qz, &src)
+		src[i] = qz.q[i] / 2 // rounds to 1 on an even step, to 0 on an odd one
+		checkQuantize(t, qz, &src)
+	}
+}
+
+// FuzzTransformMatchesReference reads 64 little-endian int16 values and
+// requires Forward, Inverse and the dequantising inverse to equal the
+// oracle on them.
+func FuzzTransformMatchesReference(f *testing.F) {
+	f.Add(make([]byte, 128))
+	seed := make([]byte, 128)
+	for i := range seed {
+		seed[i] = byte(i * 37)
+	}
+	f.Add(seed)
+	dcTie := make([]byte, 128)
+	dcTie[0] = 4
+	f.Add(dcTie)
+	qz := NewQuantizer(85)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var blk Block
+		for i := range blk {
+			if 2*i+1 < len(data) {
+				blk[i] = int32(int16(uint16(data[2*i]) | uint16(data[2*i+1])<<8))
+			}
+		}
+		checkTransforms(t, &blk, qz)
+	})
+}

@@ -4,7 +4,10 @@
 // the zig-zag scan that orders coefficients for run-length entropy coding.
 package transform
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // BlockSize is the transform block edge length in pixels.
 const BlockSize = 8
@@ -16,10 +19,13 @@ type Block [BlockSize * BlockSize]int32
 var (
 	// cosTable[u][x] = cos((2x+1)uπ/16) * c(u)/2 with c(0)=1/√2, c(u≠0)=1.
 	cosTable [BlockSize][BlockSize]float64
+	// cosByX[x][u] = cosTable[u][x], so the inverse can walk u contiguously.
+	cosByX [BlockSize][BlockSize]float64
 	// zigzag[i] is the raster index of the i-th coefficient in scan order.
 	zigzag [BlockSize * BlockSize]int
-	// unzigzag is the inverse permutation.
-	unzigzag [BlockSize * BlockSize]int
+	// unitQuant dequantises by 1: Inverse is Quantizer.Inverse without a
+	// matrix.
+	unitQuant [BlockSize * BlockSize]int32
 )
 
 func init() {
@@ -30,7 +36,11 @@ func init() {
 		}
 		for x := 0; x < BlockSize; x++ {
 			cosTable[u][x] = c / 2 * math.Cos(float64(2*x+1)*float64(u)*math.Pi/16)
+			cosByX[x][u] = cosTable[u][x]
 		}
+	}
+	for i := range unitQuant {
+		unitQuant[i] = 1
 	}
 	// Standard JPEG zig-zag order.
 	i := 0
@@ -61,59 +71,160 @@ func init() {
 			}
 		}
 	}
-	for idx, r := range zigzag {
-		unzigzag[r] = idx
-	}
+}
+
+// The transforms below are bit-exact restatements of the textbook separable
+// loops (s = 0; s += in[k]*cos[k], k ascending; round half to even): every
+// output is the same products added in the same order, so the bitstream does
+// not depend on which form runs. Three rules keep that true:
+//
+//   - every product is wrapped in float64(), which forbids the compiler from
+//     fusing it with the following add into an FMA (one rounding instead of
+//     two) on platforms that have one;
+//   - a sum may start from its first product instead of 0, and a term whose
+//     input is exactly zero may be dropped: x + ±0 == x, and a sum that is
+//     itself ±0 ends up as int32 0 either way;
+//   - nothing else is reordered, factored or shared — the DCT's butterfly
+//     symmetries all change the order of additions.
+//
+// reference_test.go holds the textbook loops and the tests that compare them
+// with these on random, sparse, extreme and rounding-tie inputs.
+
+// dot8 is one output of a pass: the left-associated sum of eight products.
+func dot8(x0, x1, x2, x3, x4, x5, x6, x7 float64, c *[BlockSize]float64) float64 {
+	return float64(x0*c[0]) + float64(x1*c[1]) + float64(x2*c[2]) + float64(x3*c[3]) +
+		float64(x4*c[4]) + float64(x5*c[5]) + float64(x6*c[6]) + float64(x7*c[7])
 }
 
 // Forward applies the 2-D DCT-II to src (spatial samples, typically centred
 // around zero by subtracting 128 or a prediction) writing coefficients to dst.
 func Forward(src, dst *Block) {
 	var tmp [BlockSize * BlockSize]float64
-	// Rows.
+	// Rows: each sample is converted once, not once per output.
 	for y := 0; y < BlockSize; y++ {
-		for u := 0; u < BlockSize; u++ {
-			var s float64
-			for x := 0; x < BlockSize; x++ {
-				s += float64(src[y*BlockSize+x]) * cosTable[u][x]
-			}
-			tmp[y*BlockSize+u] = s
+		r := src[y*BlockSize : y*BlockSize+BlockSize : y*BlockSize+BlockSize]
+		x0, x1, x2, x3 := float64(r[0]), float64(r[1]), float64(r[2]), float64(r[3])
+		x4, x5, x6, x7 := float64(r[4]), float64(r[5]), float64(r[6]), float64(r[7])
+		t := tmp[y*BlockSize : y*BlockSize+BlockSize : y*BlockSize+BlockSize]
+		for u := range t {
+			t[u] = dot8(x0, x1, x2, x3, x4, x5, x6, x7, &cosTable[u])
 		}
 	}
 	// Columns.
 	for u := 0; u < BlockSize; u++ {
+		x0, x1, x2, x3 := tmp[u], tmp[BlockSize+u], tmp[2*BlockSize+u], tmp[3*BlockSize+u]
+		x4, x5, x6, x7 := tmp[4*BlockSize+u], tmp[5*BlockSize+u], tmp[6*BlockSize+u], tmp[7*BlockSize+u]
 		for v := 0; v < BlockSize; v++ {
-			var s float64
-			for y := 0; y < BlockSize; y++ {
-				s += tmp[y*BlockSize+u] * cosTable[v][y]
-			}
-			dst[v*BlockSize+u] = int32(math.RoundToEven(s))
+			dst[v*BlockSize+u] = int32(math.RoundToEven(dot8(x0, x1, x2, x3, x4, x5, x6, x7, &cosTable[v])))
 		}
 	}
 }
 
 // Inverse applies the 2-D DCT-III (inverse DCT), reconstructing spatial
 // samples from coefficients.
-func Inverse(src, dst *Block) {
-	var tmp [BlockSize * BlockSize]float64
-	// Columns.
-	for u := 0; u < BlockSize; u++ {
-		for y := 0; y < BlockSize; y++ {
-			var s float64
-			for v := 0; v < BlockSize; v++ {
-				s += float64(src[v*BlockSize+u]) * cosTable[v][y]
-			}
-			tmp[y*BlockSize+u] = s
+func Inverse(src, dst *Block) { inverse(src, &unitQuant, dst) }
+
+// inverse reconstructs the samples of the coefficients src[i]*q[i]. It is
+// sparsity-aware: a dequantised block carries a handful of non-zero
+// coefficients (at edge_quiet 7.7 of 64, over 4.2 rows and 4.2 columns), so
+// the column pass visits only rows and columns of src that hold one and the
+// row pass only those columns. Everything skipped is a product with an exact
+// zero. A block with no empty row or column (one in nine of an I-frame's,
+// and every block of raw coefficients) has nothing to skip and takes
+// inverseDense.
+func inverse(src *Block, q *[BlockSize * BlockSize]int32, dst *Block) {
+	// One scan finds the non-empty rows (bit v of rows) and columns (c0..c7
+	// non-zero) of src.
+	var rows uint
+	var c0, c1, c2, c3, c4, c5, c6, c7 int32
+	for v := 0; v < BlockSize; v++ {
+		r := src[v*BlockSize : v*BlockSize+BlockSize : v*BlockSize+BlockSize]
+		c0, c1, c2, c3 = c0|r[0], c1|r[1], c2|r[2], c3|r[3]
+		c4, c5, c6, c7 = c4|r[4], c5|r[5], c6|r[6], c7|r[7]
+		if r[0]|r[1]|r[2]|r[3]|r[4]|r[5]|r[6]|r[7] != 0 {
+			rows |= 1 << uint(v)
 		}
 	}
-	// Rows.
+	var cols uint
+	for u, c := range [BlockSize]int32{c0, c1, c2, c3, c4, c5, c6, c7} {
+		if c != 0 {
+			cols |= 1 << uint(u)
+		}
+	}
+
+	const all = 1<<BlockSize - 1
+	if rows == all && cols == all {
+		inverseDense(src, q, dst)
+		return
+	}
+
+	var tmp [BlockSize * BlockSize]float64
+	// Columns: tmp[y][u] = Σv coef[v][u]·cos[v][y], v ascending.
+	for cm := cols; cm != 0; cm &= cm - 1 {
+		u := bits.TrailingZeros(cm) & (BlockSize - 1)
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for rm := rows; rm != 0; rm &= rm - 1 {
+			v := bits.TrailingZeros(rm) & (BlockSize - 1)
+			f := float64(src[v*BlockSize+u] * q[v*BlockSize+u])
+			c := &cosTable[v]
+			s0 += float64(f * c[0])
+			s1 += float64(f * c[1])
+			s2 += float64(f * c[2])
+			s3 += float64(f * c[3])
+			s4 += float64(f * c[4])
+			s5 += float64(f * c[5])
+			s6 += float64(f * c[6])
+			s7 += float64(f * c[7])
+		}
+		tmp[u], tmp[BlockSize+u], tmp[2*BlockSize+u], tmp[3*BlockSize+u] = s0, s1, s2, s3
+		tmp[4*BlockSize+u], tmp[5*BlockSize+u], tmp[6*BlockSize+u], tmp[7*BlockSize+u] = s4, s5, s6, s7
+	}
+	// Rows: dst[y][x] = Σu tmp[y][u]·cos[u][x], u ascending.
 	for y := 0; y < BlockSize; y++ {
-		for x := 0; x < BlockSize; x++ {
-			var s float64
-			for u := 0; u < BlockSize; u++ {
-				s += tmp[y*BlockSize+u] * cosTable[u][x]
-			}
-			dst[y*BlockSize+x] = int32(math.RoundToEven(s))
+		t := tmp[y*BlockSize : y*BlockSize+BlockSize : y*BlockSize+BlockSize]
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for cm := cols; cm != 0; cm &= cm - 1 {
+			u := bits.TrailingZeros(cm) & (BlockSize - 1)
+			f := t[u]
+			c := &cosTable[u]
+			s0 += float64(f * c[0])
+			s1 += float64(f * c[1])
+			s2 += float64(f * c[2])
+			s3 += float64(f * c[3])
+			s4 += float64(f * c[4])
+			s5 += float64(f * c[5])
+			s6 += float64(f * c[6])
+			s7 += float64(f * c[7])
+		}
+		d := dst[y*BlockSize : y*BlockSize+BlockSize : y*BlockSize+BlockSize]
+		d[0], d[1] = int32(math.RoundToEven(s0)), int32(math.RoundToEven(s1))
+		d[2], d[3] = int32(math.RoundToEven(s2)), int32(math.RoundToEven(s3))
+		d[4], d[5] = int32(math.RoundToEven(s4)), int32(math.RoundToEven(s5))
+		d[6], d[7] = int32(math.RoundToEven(s6)), int32(math.RoundToEven(s7))
+	}
+}
+
+// inverseDense is inverse without the bookkeeping, in Forward's form: eight
+// independent dot products per pass keep more additions in flight than eight
+// accumulators fed term by term, which is what pays once no term can be
+// skipped.
+func inverseDense(src *Block, q *[BlockSize * BlockSize]int32, dst *Block) {
+	var tmp [BlockSize * BlockSize]float64
+	for u := 0; u < BlockSize; u++ {
+		x0, x1 := float64(src[u]*q[u]), float64(src[BlockSize+u]*q[BlockSize+u])
+		x2, x3 := float64(src[2*BlockSize+u]*q[2*BlockSize+u]), float64(src[3*BlockSize+u]*q[3*BlockSize+u])
+		x4, x5 := float64(src[4*BlockSize+u]*q[4*BlockSize+u]), float64(src[5*BlockSize+u]*q[5*BlockSize+u])
+		x6, x7 := float64(src[6*BlockSize+u]*q[6*BlockSize+u]), float64(src[7*BlockSize+u]*q[7*BlockSize+u])
+		for y := 0; y < BlockSize; y++ {
+			tmp[y*BlockSize+u] = dot8(x0, x1, x2, x3, x4, x5, x6, x7, &cosByX[y])
+		}
+	}
+	for y := 0; y < BlockSize; y++ {
+		t := tmp[y*BlockSize : y*BlockSize+BlockSize : y*BlockSize+BlockSize]
+		x0, x1, x2, x3, x4, x5, x6, x7 := t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]
+		d := dst[y*BlockSize : y*BlockSize+BlockSize : y*BlockSize+BlockSize]
+		for x := range d {
+			d[x] = int32(math.RoundToEven(dot8(x0, x1, x2, x3, x4, x5, x6, x7, &cosByX[x])))
 		}
 	}
 }
@@ -136,7 +247,18 @@ var baseLumaQuant = [BlockSize * BlockSize]int32{
 type Quantizer struct {
 	q    [BlockSize * BlockSize]int32
 	qual int
+	// recip[i] = ⌈2³²/q[i]⌉: for 0 <= n < 2²⁴ and 1 <= q <= 255,
+	// n/q == n*recip>>32 exactly (the error n·(recip·q−2³²)/(q·2³²) stays
+	// below the 1/q gap to the next integer because recip·q−2³² < q).
+	// TestQuantizeMatchesReferenceExhaustive walks the whole range Quantize
+	// uses it on.
+	recip [BlockSize * BlockSize]uint64
 }
+
+// quantExact bounds the coefficients Quantize divides by reciprocal; the
+// DCT of 8-bit residuals stays below 2¹², anything at or above 2¹⁵ takes
+// the plain division.
+const quantExact = 1 << 15
 
 // NewQuantizer builds a quantizer for quality in [1,100] using the JPEG
 // quality-to-scale mapping (50 = base matrix, higher = finer).
@@ -162,33 +284,47 @@ func NewQuantizer(quality int) *Quantizer {
 		if v > 255 {
 			v = 255
 		}
-		qz.q[i] = v
+		qz.setStep(i, v)
 	}
 	return qz
+}
+
+// setStep sets entry i of the matrix to q in [1,255], with its reciprocal.
+func (qz *Quantizer) setStep(i int, q int32) {
+	qz.q[i] = q
+	qz.recip[i] = (1<<32 + uint64(q) - 1) / uint64(q)
 }
 
 // Quality returns the quality factor the quantizer was built with.
 func (qz *Quantizer) Quality() int { return qz.qual }
 
-// Quantize divides coefficients by the scaled matrix with rounding.
-func (qz *Quantizer) Quantize(src, dst *Block) {
+// Quantize divides coefficients by the scaled matrix, rounding half away
+// from zero, and reports whether any level is non-zero (an all-zero block
+// is coded as one bit).
+func (qz *Quantizer) Quantize(src, dst *Block) bool {
+	var any int32
 	for i := range src {
 		c := src[i]
 		q := qz.q[i]
-		if c >= 0 {
-			dst[i] = (c + q/2) / q
+		sign := c >> 31 // 0 or -1
+		mag := (c ^ sign) - sign
+		var l int32
+		if uint32(mag) < quantExact {
+			l = int32(uint64(mag+q>>1) * qz.recip[i] >> 32)
+		} else if c >= 0 {
+			l = (c + q/2) / q
 		} else {
-			dst[i] = -((-c + q/2) / q)
+			l = (-c + q/2) / q
 		}
+		dst[i] = (l ^ sign) - sign
+		any |= l
 	}
+	return any != 0
 }
 
-// Dequantize multiplies quantised levels back to coefficient scale.
-func (qz *Quantizer) Dequantize(src, dst *Block) {
-	for i := range src {
-		dst[i] = src[i] * qz.q[i]
-	}
-}
+// Inverse reconstructs spatial samples from quantised levels: it multiplies
+// them back to coefficient scale and applies the inverse DCT.
+func (qz *Quantizer) Inverse(lev, dst *Block) { inverse(lev, &qz.q, dst) }
 
 // ZigZag reorders a raster block into scan order.
 func ZigZag(src, dst *Block) {
