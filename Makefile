@@ -58,10 +58,12 @@ reach:
 # each — catches targets that no longer compile and regressions on the
 # corpus, while staying CI-sized. Longer runs: go test -fuzz=FuzzX ./pkg.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzTransformMatchesReference -fuzztime=10s ./internal/transform/
+	$(GO) test -run='^$$' -fuzz=FuzzConvMatchesReference -fuzztime=10s ./internal/nn/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeActivationRecord -fuzztime=10s ./internal/nn/
 
 # Known-vulnerability scan. govulncheck needs network access for the vuln
 # DB, so it runs as its own CI job; locally it degrades to a notice unless
@@ -91,19 +93,23 @@ test:
 test-short:
 	$(GO) test -short -race ./...
 
-# The bitstream must not depend on FMA: a fused a*b+c rounds once where the
-# golden streams were recorded rounding twice. Two checks, because go1.24
-# does not fuse on amd64 even at GOAMD64=v3 (so the first one only guards a
-# toolchain that starts to): the golden fixture and the kernel-vs-reference
-# tests under GOAMD64=v3 (needs AVX2+FMA), and the arm64 build of
-# internal/transform — a target that does fuse — must contain no fused
-# multiply-add, which holds only while every product in the kernels keeps
-# its explicit float64() conversion.
+# Neither the bitstream nor the detections may depend on FMA: a fused a*b+c
+# rounds once where the golden streams, the trained weights and
+# bench/expected.json's counts were recorded rounding twice. Two checks,
+# because go1.24 does not fuse on amd64 even at GOAMD64=v3 (so the first one
+# only guards a toolchain that starts to): the golden fixtures and the
+# kernel-vs-reference tests under GOAMD64=v3 (needs AVX2+FMA), and the arm64
+# build — a target that does fuse — of the encoder's transform, the detector
+# (internal/nn) and its input path (internal/frame) must contain no fused
+# multiply-add in either precision, which holds only while every product
+# there keeps its explicit float32()/float64() conversion.
+FMA_FREE_PKGS = ./internal/transform/ ./internal/nn/ ./internal/frame/
+
 test-fma:
-	GOAMD64=v3 $(GO) test -count=1 ./internal/transform/ ./internal/codec/
-	@fused="$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/transform/ 2>&1 | grep -E 'FN?M(ADD|SUB)D' || true)"; \
+	GOAMD64=v3 $(GO) test -count=1 $(FMA_FREE_PKGS) ./internal/codec/
+	@fused="$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_FREE_PKGS) 2>&1 | grep -E 'FN?M(ADD|SUB)[SD]' || true)"; \
 	if [ -n "$$fused" ]; then \
-		echo "test-fma: the arm64 build of internal/transform fuses a multiply-add (a product lost its float64()):"; \
+		echo "test-fma: the arm64 build fuses a multiply-add (a product lost its float32()/float64()):"; \
 		echo "$$fused"; exit 1; \
 	fi
 
@@ -143,17 +149,22 @@ bench-cluster-smoke:
 	$(GO) test -run='^$$' -bench='^BenchmarkClusterSites' -benchtime=1x -benchmem .
 
 # Shared-inference micro-benchmarks: ns/frame of the batched detect path at
-# batch 1/4/16 vs the legacy per-frame forward, plus the plane's batch-of-1
-# scheduling round trip. allocs/op must read 0 for the batchN variants and
-# the round trip — allocations are the regression gate here; wall-clock
-# claims are made with bench/. CI runs the 1-iteration smoke variant
-# so the batched path cannot silently stop compiling as a benchmark.
+# batch 1/4/16 vs the legacy per-frame forward (ns/frame must not rise with
+# the batch size), each convolution of the detector on its own at the
+# bench's 96×96 geometry in ns per multiply-accumulate (which layer moved),
+# plus the plane's batch-of-1 scheduling round trip. allocs/op must read 0
+# for the batchN variants and the round trip — allocations are the
+# regression gate here; wall-clock claims are made with bench/. CI runs the
+# 1-iteration smoke variant so the batched path cannot silently stop
+# compiling as a benchmark.
+BENCH_INFER = '^(BenchmarkInferBatch|BenchmarkConvLayers)'
+
 bench-infer:
-	$(GO) test -run='^$$' -bench='^BenchmarkInferBatch' -benchmem ./internal/nn/
+	$(GO) test -run='^$$' -bench=$(BENCH_INFER) -benchmem ./internal/nn/
 	$(GO) test -run='^$$' -bench='^BenchmarkPlaneRoundTrip' -benchmem ./internal/infer/
 
 bench-infer-smoke:
-	$(GO) test -run='^$$' -bench='^BenchmarkInferBatch' -benchtime=1x -benchmem ./internal/nn/
+	$(GO) test -run='^$$' -bench=$(BENCH_INFER) -benchtime=1x -benchmem ./internal/nn/
 	$(GO) test -run='^$$' -bench='^BenchmarkPlaneRoundTrip' -benchtime=1x -benchmem ./internal/infer/
 
 # Wire ingest micro-benchmark: the SVWP path (framing + raw-pixel copy

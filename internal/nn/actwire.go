@@ -66,20 +66,32 @@ func DecodeActivationRecord(data []byte, into *Batch) error {
 	if v := data[4]; v != ActivationVersion {
 		return fmt.Errorf("nn: activation record: version %d, want %d", v, ActivationVersion)
 	}
-	n := int(binary.BigEndian.Uint32(data[8:]))
-	c := int(binary.BigEndian.Uint32(data[12:]))
-	h := int(binary.BigEndian.Uint32(data[16:]))
-	w := int(binary.BigEndian.Uint32(data[20:]))
-	if n < 0 || c < 1 || h < 1 || w < 1 {
-		return fmt.Errorf("nn: activation record: bad shape %dx%dx%dx%d", n, c, h, w)
+	var dims [4]uint32 // n, c, h, w
+	for i := range dims {
+		dims[i] = binary.BigEndian.Uint32(data[8+4*i:])
 	}
-	want := ActivationWireBytes(n, c, h, w)
-	if int64(len(data)) != want {
-		return fmt.Errorf("nn: activation record: %d bytes for shape %dx%dx%dx%d, want %d",
-			len(data), n, c, h, w, want)
+	if dims[1] < 1 || dims[2] < 1 || dims[3] < 1 {
+		return fmt.Errorf("nn: activation record: bad shape %dx%dx%dx%d", dims[0], dims[1], dims[2], dims[3])
 	}
-	into.Reshape(n, c, h, w)
+	// The payload must hold exactly n*c*h*w elements. The running product is
+	// bounded by what the payload holds before each multiply, so dimensions
+	// chosen to wrap it (2^31 × 2^31 × 4 × 1 is 0 mod 2^64) are rejected
+	// instead of accepted with a shape the data cannot back.
 	payload := data[ActivationHeaderBytes:]
+	held, elems, fits := uint64(len(payload)/4), uint64(1), len(payload)%4 == 0
+	for _, dim := range dims {
+		if dim != 0 && elems > held/uint64(dim) {
+			fits = false
+			break
+		}
+		elems *= uint64(dim)
+	}
+	if !fits || elems != held {
+		return fmt.Errorf("nn: activation record: %d payload bytes do not hold shape %dx%dx%dx%d at 4 bytes an element",
+			len(payload), dims[0], dims[1], dims[2], dims[3])
+	}
+	n, c, h, w := int(dims[0]), int(dims[1]), int(dims[2]), int(dims[3])
+	into.Reshape(n, c, h, w)
 	for i := range into.Data {
 		into.Data[i] = math.Float32frombits(binary.BigEndian.Uint32(payload[4*i:]))
 	}

@@ -48,20 +48,25 @@ func (b *Batch) ItemTensor(i int) Tensor {
 	return Tensor{Data: b.Item(i), C: b.C, H: b.H, W: b.W}
 }
 
-// BatchScratch holds the two ping-pong activation buffers ForwardBatch
-// alternates between. One scratch serves any number of sequential
-// ForwardBatch calls with zero steady-state allocations; it is not safe for
-// concurrent use (the inference plane serialises batches, so one scratch
-// per plane suffices).
+// BatchScratch holds the buffers ForwardBatchRange works in: two one-item
+// activation buffers it ping-pongs between from layer to layer, and the
+// batch the final activations of every item collect in. One scratch serves
+// any number of sequential ForwardBatch calls with zero steady-state
+// allocations; it is not safe for concurrent use (the inference plane
+// serialises batches, so one scratch per plane suffices).
 type BatchScratch struct {
 	a, b Batch
+	out  Batch
+	// first and last are one-item views of the caller's input and of out,
+	// kept here so handing them to a Layer does not allocate.
+	first, last Batch
 }
 
-// ForwardBatch runs the full network over every item of in, ping-ponging
-// activations through s and returning the final batch (which aliases one of
-// s's buffers — valid until the next ForwardBatch with the same scratch).
-// in must not alias s. Per item, the output is bit-identical to Forward on
-// that item: layers process items independently with the same kernels.
+// ForwardBatch runs the full network over every item of in and returns the
+// final batch (which aliases s — valid until the next ForwardBatch with the
+// same scratch). in must not alias s. Per item, the output is bit-identical
+// to Forward on that item: layers process items independently with the same
+// kernels.
 func (n *Network) ForwardBatch(in *Batch, s *BatchScratch) *Batch {
 	if in.C != n.Input.C {
 		panic(fmt.Sprintf("nn: ForwardBatch input has %d channels, want %d", in.C, n.Input.C))
@@ -74,31 +79,46 @@ func (n *Network) ForwardBatch(in *Batch, s *BatchScratch) *Batch {
 // input to layer `from` (the raw network input when from == 0, an
 // intermediate activation batch otherwise, e.g. one decoded from an
 // activation wire record) and must not alias s. The returned batch aliases
-// one of s's buffers — or in itself when the range is empty — and chaining
+// s — or is in itself when the range is empty — and chaining
 // ForwardBatchRange(·, 0, k) through a bit-exact transport into
 // ForwardBatchRange(·, k, N) is element-identical to one full ForwardBatch:
 // the same layer kernels run in the same order on the same values.
+//
+// The traversal is item by item, each item through the whole range before
+// the next starts, so one item's activations (73 KB after conv1 at 96×96)
+// stay in cache from the layer that writes them to the layer that reads
+// them, and the working set does not grow with the batch. Layer by layer
+// over the whole batch streams N times that through the cache per layer,
+// and where it no longer fits a frame costs more at batch 16 than at 1.
 func (n *Network) ForwardBatchRange(in *Batch, s *BatchScratch, from, to int) *Batch {
-	if from < 0 {
-		from = 0
+	from, to = max(from, 0), min(to, len(n.Layers))
+	if from >= to {
+		return in
 	}
-	if to > len(n.Layers) {
-		to = len(n.Layers)
+	inShape := Shape{C: in.C, H: in.H, W: in.W}
+	outShape := inShape
+	for _, l := range n.Layers[from:to] {
+		outShape = l.OutShape(outShape)
 	}
-	cur := in
-	shape := Shape{C: in.C, H: in.H, W: in.W}
-	next := &s.a
-	for i := from; i < to; i++ {
-		l := n.Layers[i]
-		os := l.OutShape(shape)
-		next.Reshape(cur.N, os.C, os.H, os.W)
-		l.ForwardBatch(cur, next)
-		if next == &s.a {
-			cur, next = &s.a, &s.b
-		} else {
-			cur, next = &s.b, &s.a
+	s.out.Reshape(in.N, outShape.C, outShape.H, outShape.W)
+	for item := 0; item < in.N; item++ {
+		s.first = Batch{Data: in.Item(item), N: 1, C: in.C, H: in.H, W: in.W}
+		s.last = Batch{Data: s.out.Item(item), N: 1, C: outShape.C, H: outShape.H, W: outShape.W}
+		cur, shape := &s.first, inShape
+		for i, l := range n.Layers[from:to] {
+			next := &s.a
+			if cur == next {
+				next = &s.b
+			}
+			shape = l.OutShape(shape)
+			if i == to-from-1 {
+				next = &s.last
+			} else {
+				next.Reshape(1, shape.C, shape.H, shape.W)
+			}
+			l.ForwardBatch(cur, next)
+			cur = next
 		}
-		shape = os
 	}
-	return cur
+	return &s.out
 }

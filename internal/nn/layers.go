@@ -68,40 +68,163 @@ func (c *Conv2D) FLOPs(in Shape) int64 {
 }
 
 // forwardItem is the single-item convolution kernel shared by Forward and
-// ForwardBatch: accumulation order (ic, ky, kx) is fixed so both paths
-// produce bit-identical floats.
+// ForwardBatch. The contract both loops below keep, and the oracle in
+// reference_test.go states: an output starts at its filter's bias and then
+// takes `+= float32(w*x)` once per tap that lands inside the input, in
+// (ic, ky, kx) order. Taps in the zero padding are skipped, never added
+// (0*x is not nothing when x is Inf or NaN, or when the sum so far is -0).
+// Which loop computes an output, and how many other outputs are in flight
+// beside it, is free: the interior of a 3×3 convolution — the outputs whose
+// nine taps all land inside the input — is swept plane by plane with no
+// test per tap, and every other output (the border of a 3×3, all of any
+// other kernel size) clamps its tap ranges once and runs four filters'
+// chains side by side.
 //
 //sieve:noalloc convolution inner loop
 func (c *Conv2D) forwardItem(in []float32, inH, inW int, out []float32, outH, outW int) {
+	var oyLo, oyHi, oxLo, oxHi int
+	if c.K == 3 {
+		oyLo, oyHi = interiorRange(inH, outH, 3, c.Stride, c.Pad)
+		oxLo, oxHi = interiorRange(inW, outW, 3, c.Stride, c.Pad)
+		c.interior3x3(in, inH, inW, out, outH, outW, oyLo, oyHi, oxLo, oxHi)
+	}
+	for oy := 0; oy < outH; oy++ {
+		// Columns [left, right) of this row were the interior sweep's.
+		left, right := outW, outW
+		if oy >= oyLo && oy < oyHi {
+			left, right = oxLo, oxHi
+		}
+		for ox := 0; ox < left; ox++ {
+			c.forwardAt(in, inH, inW, out, outH, outW, oy, ox)
+		}
+		for ox := right; ox < outW; ox++ {
+			c.forwardAt(in, inH, inW, out, outH, outW, oy, ox)
+		}
+	}
+}
+
+// interiorRange returns the half-open range of output coordinates along one
+// axis whose k taps all land inside an input of length inLen; lo == hi when
+// there are none (an input smaller than the kernel).
+func interiorRange(inLen, outLen, k, stride, pad int) (lo, hi int) {
+	lo = min((pad+stride-1)/stride, outLen)
+	hi = lo
+	if last := inLen - k + pad; last >= 0 {
+		hi = max(min(last/stride+1, outLen), lo)
+	}
+	return lo, hi
+}
+
+// interior3x3 computes the outputs in rows [oyLo, oyHi) × columns
+// [oxLo, oxHi) of every output plane of a 3×3 convolution. A plane's
+// interior is swept once per input channel with the plane itself as the
+// accumulator, so an output still sees its taps in (ic, ky, kx) order while
+// the nine weights of the (oc, ic) pair sit in locals for the whole sweep
+// and neighbouring outputs — independent nine-add chains — overlap in the
+// pipeline.
+//
+//sieve:noalloc convolution inner loop
+func (c *Conv2D) interior3x3(in []float32, inH, inW int, out []float32, outH, outW, oyLo, oyHi, oxLo, oxHi int) {
+	if oxLo == oxHi {
+		return
+	}
+	stride := c.Stride
+	span := (oxHi-oxLo-1)*stride + 3
 	for oc := 0; oc < c.OutC; oc++ {
+		dst := out[oc*outH*outW : (oc+1)*outH*outW]
 		bias := c.B[oc]
-		for oy := 0; oy < outH; oy++ {
-			iy0 := oy*c.Stride - c.Pad
-			for ox := 0; ox < outW; ox++ {
-				ix0 := ox*c.Stride - c.Pad
-				acc := bias
-				for ic := 0; ic < c.InC; ic++ {
-					w := c.W[oc][ic]
-					for ky := 0; ky < c.K; ky++ {
-						y := iy0 + ky
-						if y < 0 || y >= inH {
-							continue
-						}
-						rowBase := (ic*inH + y) * inW
-						kBase := ky * c.K
-						for kx := 0; kx < c.K; kx++ {
-							x := ix0 + kx
-							if x < 0 || x >= inW {
-								continue
-							}
-							acc += w[kBase+kx] * in[rowBase+x]
-						}
-					}
+		for oy := oyLo; oy < oyHi; oy++ {
+			o := dst[oy*outW+oxLo : oy*outW+oxHi]
+			for i := range o {
+				o[i] = bias
+			}
+		}
+		for ic := 0; ic < c.InC; ic++ {
+			w := c.W[oc][ic][:9]
+			w0, w1, w2, w3, w4, w5, w6, w7, w8 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
+			for oy := oyLo; oy < oyHi; oy++ {
+				base := (ic*inH+oy*stride-c.Pad)*inW + oxLo*stride - c.Pad
+				r0 := in[base : base+span]
+				r1 := in[base+inW : base+inW+span]
+				r2 := in[base+2*inW : base+2*inW+span]
+				o := dst[oy*outW+oxLo : oy*outW+oxHi]
+				ix := 0
+				for ox := range o {
+					acc := o[ox]
+					acc += float32(w0 * r0[ix])
+					acc += float32(w1 * r0[ix+1])
+					acc += float32(w2 * r0[ix+2])
+					acc += float32(w3 * r1[ix])
+					acc += float32(w4 * r1[ix+1])
+					acc += float32(w5 * r1[ix+2])
+					acc += float32(w6 * r2[ix])
+					acc += float32(w7 * r2[ix+1])
+					acc += float32(w8 * r2[ix+2])
+					o[ox] = acc
+					ix += stride
 				}
-				out[(oc*outH+oy)*outW+ox] = acc
 			}
 		}
 	}
+}
+
+// forwardAt computes every filter's output at one position for any kernel
+// size, stride and padding. The ky and kx ranges are clamped to the input
+// once, so no tap is tested; four filters run at a time, their accumulators
+// in locals, because one output's chain of dependent adds leaves the
+// pipeline three-quarters idle. When OutC is not a multiple of four the
+// last group repeats its final filter — the same value stored twice.
+//
+//sieve:noalloc convolution inner loop
+func (c *Conv2D) forwardAt(in []float32, inH, inW int, out []float32, outH, outW, oy, ox int) {
+	k := c.K
+	iy0, ix0 := oy*c.Stride-c.Pad, ox*c.Stride-c.Pad
+	kyLo, kyHi := clampTaps(iy0, k, inH)
+	kxLo, kxHi := clampTaps(ix0, k, inW)
+	if kxLo == kxHi {
+		kyHi = kyLo // no tap lands inside the input: every output is its bias
+	}
+	outPlane := outH * outW
+	at := oy*outW + ox
+	last := c.OutC - 1
+	for oc := 0; oc <= last; oc += 4 {
+		oc1, oc2, oc3 := min(oc+1, last), min(oc+2, last), min(oc+3, last)
+		wa, wb, wc, wd := c.W[oc], c.W[oc1], c.W[oc2], c.W[oc3]
+		a0, a1, a2, a3 := c.B[oc], c.B[oc1], c.B[oc2], c.B[oc3]
+		for ic := 0; ic < c.InC; ic++ {
+			w0, w1, w2, w3 := wa[ic], wb[ic], wc[ic], wd[ic]
+			for ky := kyLo; ky < kyHi; ky++ {
+				base := (ic*inH+iy0+ky)*inW + ix0
+				t := ky*k + kxLo
+				for i, x := range in[base+kxLo : base+kxHi] {
+					a0 += float32(w0[t+i] * x)
+					a1 += float32(w1[t+i] * x)
+					a2 += float32(w2[t+i] * x)
+					a3 += float32(w3[t+i] * x)
+				}
+			}
+		}
+		out[oc*outPlane+at] = a0
+		out[oc1*outPlane+at] = a1
+		out[oc2*outPlane+at] = a2
+		out[oc3*outPlane+at] = a3
+	}
+}
+
+// clampTaps returns the half-open range of kernel taps t for which i0+t
+// lies in [0, n); lo == hi when no tap does.
+func clampTaps(i0, k, n int) (lo, hi int) {
+	lo, hi = 0, k
+	if i0 < 0 {
+		lo = -i0
+	}
+	if i0+k > n {
+		hi = n - i0
+	}
+	if hi < lo {
+		hi = lo
+	}
+	return lo, hi
 }
 
 // Forward implements Layer.
@@ -121,6 +244,9 @@ func (c *Conv2D) Forward(in *Tensor) *Tensor {
 func (c *Conv2D) ForwardBatch(in, out *Batch) {
 	if in.C != c.InC {
 		panic(fmt.Sprintf("nn: conv %s expects %d channels, got %d", c.Tag, c.InC, in.C))
+	}
+	if want := c.OutShape(Shape{C: in.C, H: in.H, W: in.W}); out.N != in.N || out.C != want.C || out.H != want.H || out.W != want.W {
+		panic(fmt.Sprintf("nn: conv %s output batch is %dx%dx%dx%d, want %dx%s", c.Tag, out.N, out.C, out.H, out.W, in.N, want))
 	}
 	for i := 0; i < in.N; i++ {
 		c.forwardItem(in.Item(i), in.H, in.W, out.Item(i), out.H, out.W)
@@ -263,10 +389,10 @@ func softmaxItem(in []float32, c, h, w int, out []float32) {
 			}
 			var sum float64
 			for ch := 0; ch < c; ch++ {
-				sum += expApprox(float64(in[(ch*h+y)*w+x] - maxV))
+				sum += math.Exp(float64(in[(ch*h+y)*w+x] - maxV))
 			}
 			for ch := 0; ch < c; ch++ {
-				out[(ch*h+y)*w+x] = float32(expApprox(float64(in[(ch*h+y)*w+x]-maxV)) / sum)
+				out[(ch*h+y)*w+x] = float32(math.Exp(float64(in[(ch*h+y)*w+x]-maxV)) / sum)
 			}
 		}
 	}
@@ -286,9 +412,4 @@ func (s *Softmax) ForwardBatch(in, out *Batch) {
 	for i := 0; i < in.N; i++ {
 		softmaxItem(in.Item(i), in.C, in.H, in.W, out.Item(i))
 	}
-}
-
-// expApprox is math.Exp; kept as a hook for faster approximations.
-func expApprox(x float64) float64 {
-	return math.Exp(x)
 }

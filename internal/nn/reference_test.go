@@ -1,0 +1,417 @@
+package nn
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+
+	"sieve/internal/frame"
+)
+
+// referenceConvItem is the convolution kernel as it stood before the
+// interior/border kernels replaced it (a seven-deep loop testing every tap
+// against the input bounds), kept verbatim as the oracle: the shipped kernel
+// must return the same bits for every input. The explicit float32() on the
+// product is the one edit — it is what the old expression computed on amd64
+// and keeps the oracle itself from fusing on targets that can.
+func referenceConvItem(c *Conv2D, in []float32, inH, inW int, out []float32, outH, outW int) {
+	for oc := 0; oc < c.OutC; oc++ {
+		bias := c.B[oc]
+		for oy := 0; oy < outH; oy++ {
+			iy0 := oy*c.Stride - c.Pad
+			for ox := 0; ox < outW; ox++ {
+				ix0 := ox*c.Stride - c.Pad
+				acc := bias
+				for ic := 0; ic < c.InC; ic++ {
+					w := c.W[oc][ic]
+					for ky := 0; ky < c.K; ky++ {
+						y := iy0 + ky
+						if y < 0 || y >= inH {
+							continue
+						}
+						rowBase := (ic*inH + y) * inW
+						kBase := ky * c.K
+						for kx := 0; kx < c.K; kx++ {
+							x := ix0 + kx
+							if x < 0 || x >= inW {
+								continue
+							}
+							acc += float32(w[kBase+kx] * in[rowBase+x])
+						}
+					}
+				}
+				out[(oc*outH+oy)*outW+ox] = acc
+			}
+		}
+	}
+}
+
+// firstBitDiff returns the first index at which got and want differ in
+// their bits, or -1. A NaN matches any NaN: which payload arithmetic gives
+// a NaN is not something either kernel controls.
+func firstBitDiff(got, want []float32) int {
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			return i
+		}
+	}
+	return -1
+}
+
+// randomConv builds a conv with deterministic pseudo-random weights and
+// biases of mixed sign and magnitude.
+func randomConv(inC, outC, k, stride, pad int, seed uint64) *Conv2D {
+	c := NewConv2D(fmt.Sprintf("k%ds%dp%d", k, stride, pad), inC, outC, k, stride, pad)
+	rng := trainRNG(seed)
+	for o := range c.W {
+		for i := range c.W[o] {
+			for t := range c.W[o][i] {
+				c.W[o][i][t] = float32(int64(rng.next()%2001)-1000) / 257
+			}
+		}
+		c.B[o] = float32(int64(rng.next()%201)-100) / 16
+	}
+	return c
+}
+
+// randomActivations fills data with values of mixed sign; with special set,
+// a sprinkling of -0, NaN and ±Inf.
+func randomActivations(data []float32, seed uint64, special bool) {
+	rng := trainRNG(seed)
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1)), 0}
+	for i := range data {
+		r := rng.next()
+		if special && r%11 == 0 {
+			data[i] = specials[(r/11)%uint64(len(specials))]
+			continue
+		}
+		data[i] = float32(int64(r%4001)-2000) / 129
+	}
+}
+
+// checkConvAgainstReference runs c over in through the shipped kernel and
+// the oracle and fails on the first differing bit.
+func checkConvAgainstReference(t testing.TB, c *Conv2D, in *Tensor) {
+	t.Helper()
+	got := c.Forward(in)
+	want := NewTensor(got.C, got.H, got.W)
+	// Poison the oracle's output too: both kernels must write every element.
+	for i := range want.Data {
+		want.Data[i] = float32(math.NaN())
+	}
+	referenceConvItem(c, in.Data, in.H, in.W, want.Data, want.H, want.W)
+	if i := firstBitDiff(got.Data, want.Data); i >= 0 {
+		plane := got.H * got.W
+		t.Fatalf("conv %s in %dx%dx%d: output (oc %d, oy %d, ox %d) = %v (%#08x), reference %v (%#08x)",
+			c.Tag, in.C, in.H, in.W, i/plane, i%plane/got.W, i%got.W,
+			got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+	}
+}
+
+// TestConvMatchesReference sweeps kernel size × stride × padding × plane
+// size — including planes smaller than the kernel, one-pixel planes, and
+// padding at least as wide as the kernel — with ordinary inputs and with
+// inputs carrying -0, NaN and ±Inf (a skipped padding tap must stay
+// skipped: 0*Inf would turn an output into NaN).
+func TestConvMatchesReference(t *testing.T) {
+	sizes := [][2]int{{1, 1}, {2, 3}, {3, 3}, {4, 7}, {6, 6}, {7, 5}, {12, 12}, {13, 9}, {24, 24}}
+	seed := uint64(1)
+	for _, k := range []int{1, 3, 5} {
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, 2} {
+				for _, hw := range sizes {
+					if hw[0]+2*pad < k || hw[1]+2*pad < k {
+						continue // no output at all
+					}
+					for _, special := range []bool{false, true} {
+						seed++
+						c := randomConv(3, 5, k, stride, pad, seed)
+						in := NewTensor(3, hw[0], hw[1])
+						randomActivations(in.Data, seed*7919, special)
+						checkConvAgainstReference(t, c, in)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestConvSkipsPaddingTaps pins the two cases where adding a padding tap as
+// w*0 — instead of skipping it — would show: a sum that is still -0 (adding
+// +0 makes it +0), and a non-finite weight over the padding (Inf*0 is NaN).
+func TestConvSkipsPaddingTaps(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	for _, k := range []int{3, 5} {
+		for _, stride := range []int{1, 2} {
+			// Bias -0, weights +0, inputs negative: every product is -0 and
+			// every output must come out -0.
+			zeros := NewConv2D("zeros", 2, 5, k, stride, k/2)
+			for o := range zeros.B {
+				zeros.B[o] = negZero
+			}
+			in := NewTensor(2, 6, 6)
+			for i := range in.Data {
+				in.Data[i] = -1 - float32(i)
+			}
+			checkConvAgainstReference(t, zeros, in)
+			for i, v := range zeros.Forward(in).Data {
+				if math.Float32bits(v) != math.Float32bits(negZero) {
+					t.Fatalf("k%d s%d: output %d = %v (%#08x), want -0", k, stride, i, v, math.Float32bits(v))
+				}
+			}
+			// Inf on the kernel's rim, finite inputs: only border outputs
+			// have rim taps in the padding, and they must stay finite or
+			// ±Inf exactly as the reference has them — never NaN.
+			rim := randomConv(2, 5, k, stride, k/2, 99)
+			for o := range rim.W {
+				for i := range rim.W[o] {
+					rim.W[o][i][0] = float32(math.Inf(1))
+					rim.W[o][i][k*k-1] = float32(math.Inf(1))
+				}
+			}
+			for i := range in.Data {
+				in.Data[i] = 1 + float32(i%5)
+			}
+			checkConvAgainstReference(t, rim, in)
+			if v := rim.Forward(in).Data[0]; v != v {
+				t.Fatalf("k%d s%d: corner output is NaN: a padding tap was multiplied, not skipped", k, stride)
+			}
+		}
+	}
+}
+
+// TestYOLiteLayersMatchReference checks every convolution of the shipped
+// detector, on the activations the layers before it produce, at the bench's
+// 96×96 input and the paper's 300×300.
+func TestYOLiteLayersMatchReference(t *testing.T) {
+	for _, size := range []int{96, 300} {
+		d := randomHeadDetector([]string{"car", "bus", "truck"}, size, 77)
+		cur := FromYUV(noiseFrame(320, 240, uint64(size)), size)
+		convs := 0
+		for _, l := range d.net.Layers {
+			if c, ok := l.(*Conv2D); ok {
+				checkConvAgainstReference(t, c, cur)
+				convs++
+			}
+			cur = l.Forward(cur)
+		}
+		if convs != 6 {
+			t.Fatalf("size %d: checked %d convolutions, want 6", size, convs)
+		}
+	}
+}
+
+// FuzzConvMatchesReference lets the fuzzer pick the geometry (channels,
+// kernel size, stride, padding, plane size) from the first bytes of the
+// corpus entry and the weights, biases and input from the rest, as raw
+// float32 bit patterns — so -0, subnormals, NaN and ±Inf all turn up.
+func FuzzConvMatchesReference(f *testing.F) {
+	f.Add([]byte{1, 1, 1, 0, 0, 3, 3, 0, 0, 128, 63})
+	f.Add([]byte{2, 3, 3, 1, 1, 6, 6, 0, 0, 128, 63, 0, 0, 128, 127, 0, 0, 0, 128, 0, 0, 192, 127})
+	f.Add([]byte{3, 4, 3, 2, 1, 12, 9, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{1, 2, 5, 3, 2, 2, 7, 0, 0, 128, 255, 0, 0, 0, 0})
+	f.Add([]byte{2, 5, 1, 1, 2, 4, 4, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 7 {
+			return
+		}
+		inC, outC := 1+int(data[0])%3, 1+int(data[1])%6
+		k := []int{1, 3, 5}[int(data[2])%3]
+		stride, pad := 1+int(data[3])%3, int(data[4])%3
+		h, w := 1+int(data[5])%14, 1+int(data[6])%14
+		if h+2*pad < k || w+2*pad < k {
+			return
+		}
+		// The remaining bytes are consumed four at a time, cyclically.
+		vals := data[7:]
+		if len(vals) < 4 {
+			vals = []byte{0, 0, 128, 63}
+		}
+		pos := 0
+		next := func() float32 {
+			if pos+4 > len(vals) {
+				pos = 0
+			}
+			v := math.Float32frombits(binary.LittleEndian.Uint32(vals[pos:]))
+			pos += 4
+			return v
+		}
+		c := NewConv2D("fuzz", inC, outC, k, stride, pad)
+		for o := range c.W {
+			for i := range c.W[o] {
+				for j := range c.W[o][i] {
+					c.W[o][i][j] = next()
+				}
+			}
+			c.B[o] = next()
+		}
+		in := NewTensor(inC, h, w)
+		for i := range in.Data {
+			in.Data[i] = next()
+		}
+		checkConvAgainstReference(t, c, in)
+	})
+}
+
+// TestConvForwardBatchRejectsMisshapedOutput: a destination batch that is
+// not OutShape(in) at in.N items is a caller bug the layer must name, not
+// write garbage (or past an item) into.
+func TestConvForwardBatchRejectsMisshapedOutput(t *testing.T) {
+	c := randomConv(2, 3, 3, 2, 1, 5)
+	in := NewBatch(2, 2, 8, 8)
+	for _, out := range []*Batch{
+		NewBatch(1, 3, 4, 4), // too few items
+		NewBatch(2, 3, 8, 8), // the input's plane size
+		NewBatch(2, 2, 4, 4), // the input's channel count
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ForwardBatch accepted a %dx%dx%dx%d output for a 2x3x4x4 result", out.N, out.C, out.H, out.W)
+				}
+			}()
+			c.ForwardBatch(in, out)
+		}()
+	}
+	c.ForwardBatch(in, NewBatch(2, 3, 4, 4)) // the right shape is accepted
+}
+
+// TestForwardBatchRangeMatchesForwardRange pins the batch traversal: at
+// every [from, to) — cuts between a convolution and its ReLU included — and
+// at batch sizes 0, 1 and several, ForwardBatchRange returns per item exactly
+// what the single-tensor ForwardRange does, and an empty range returns its
+// input untouched.
+func TestForwardBatchRangeMatchesForwardRange(t *testing.T) {
+	d := randomHeadDetector([]string{"car", "bus"}, 48, 13)
+	net := d.Network()
+	nLayers := len(net.Layers)
+	var scratch BatchScratch
+	for from := 0; from <= nLayers; from++ {
+		// The input to layer `from` is the activation shape there.
+		shape := net.Input
+		for _, l := range net.Layers[:from] {
+			shape = l.OutShape(shape)
+		}
+		for _, n := range []int{0, 1, 5} {
+			in := NewBatch(n, shape.C, shape.H, shape.W)
+			randomActivations(in.Data, uint64(from*31+n), false)
+			pristine := append([]float32(nil), in.Data...)
+			for to := from; to <= nLayers; to++ {
+				got := net.ForwardBatchRange(in, &scratch, from, to)
+				if to == from {
+					if got != in {
+						t.Fatalf("[%d,%d): empty range did not return its input", from, to)
+					}
+					continue
+				}
+				if got.N != n {
+					t.Fatalf("[%d,%d) n=%d: result has %d items", from, to, n, got.N)
+				}
+				for i := 0; i < n; i++ {
+					item := in.ItemTensor(i)
+					want := net.ForwardRange(&item, from, to)
+					if got.C != want.C || got.H != want.H || got.W != want.W {
+						t.Fatalf("[%d,%d) n=%d: shape %dx%dx%d, want %dx%dx%d",
+							from, to, n, got.C, got.H, got.W, want.C, want.H, want.W)
+					}
+					if j := firstBitDiff(got.Item(i), want.Data); j >= 0 {
+						t.Fatalf("[%d,%d) n=%d item %d element %d: batched %v != single %v",
+							from, to, n, i, j, got.Item(i)[j], want.Data[j])
+					}
+				}
+				if j := firstBitDiff(in.Data, pristine); j >= 0 {
+					t.Fatalf("[%d,%d) n=%d: the input batch was written at element %d", from, to, n, j)
+				}
+			}
+		}
+	}
+}
+
+// referenceFromYUVInto is the input conversion as it stood before the column
+// terms were hoisted: one frame.BilinearSample call per tensor value.
+func referenceFromYUVInto(data []float32, f *frame.YUV, size int) {
+	rw := (size + 1) &^ 1
+	plane := size * size
+	for y := 0; y < size; y++ {
+		for x := 0; x < size; x++ {
+			data[y*size+x] = float32(frame.BilinearSample(f.Y, rw, rw, x, y)) / 255
+		}
+	}
+	half := rw / 2
+	cb, cr := data[plane:2*plane], data[2*plane:3*plane]
+	for cy := 0; 2*cy < size; cy++ {
+		for cx := 0; 2*cx < size; cx++ {
+			vb := float32(frame.BilinearSample(f.Cb, half, half, cx, cy)) / 255
+			vr := float32(frame.BilinearSample(f.Cr, half, half, cx, cy)) / 255
+			for dy := 0; dy < 2 && 2*cy+dy < size; dy++ {
+				for dx := 0; dx < 2 && 2*cx+dx < size; dx++ {
+					cb[(2*cy+dy)*size+2*cx+dx] = vb
+					cr[(2*cy+dy)*size+2*cx+dx] = vr
+				}
+			}
+		}
+	}
+}
+
+// TestFromYUVIntoMatchesReference checks the hoisted conversion against both
+// of its ancestors — the per-sample one above and the original
+// resize-the-frame-then-index path — on odd and even sizes, sizes past the
+// column block (64 samples) and its multiples, up- and down-scaling, and
+// into a buffer holding stale values.
+func TestFromYUVIntoMatchesReference(t *testing.T) {
+	frames := []*frame.YUV{noiseFrame(128, 80, 1), noiseFrame(38, 22, 2), noiseFrame(640, 400, 3)}
+	for _, size := range []int{1, 2, 15, 16, 33, 64, 65, 96, 127, 128, 129, 131, 300} {
+		got := make([]float32, 3*size*size)
+		want := make([]float32, len(got))
+		for fi, f := range frames {
+			for i := range got {
+				got[i] = -7 // every element must be written
+			}
+			fromYUVInto(got, f, size)
+			referenceFromYUVInto(want, f, size)
+			if i := firstBitDiff(got, want); i >= 0 {
+				t.Fatalf("frame %d size %d: element %d (channel %d, y %d, x %d) = %v, per-sample reference %v",
+					fi, size, i, i/(size*size), i%(size*size)/size, i%size, got[i], want[i])
+			}
+			r := frame.ResizeYUV(f, size, size)
+			for y := 0; y < size; y++ {
+				for x := 0; x < size; x++ {
+					for ch, v := range []byte{r.Y.At(x, y), r.Cb.At(x/2, y/2), r.Cr.At(x/2, y/2)} {
+						if g := got[(ch*size+y)*size+x]; g != float32(v)/255 {
+							t.Fatalf("frame %d size %d: channel %d (%d,%d) = %v, resized frame holds %v",
+								fi, size, ch, x, y, g, float32(v)/255)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkConvLayers times each convolution of the detector on its own at
+// the benchmark's 96×96 geometry and reports ns per multiply-accumulate, so
+// a forward-pass number can be traced to the layer that moved. The big
+// planes (conv1, conv2) are nearly all interior; conv4 and head1 produce
+// 6×6 planes where 11 and 20 of 36 outputs touch padding.
+func BenchmarkConvLayers(b *testing.B) {
+	d := randomHeadDetector([]string{"car", "bus", "truck"}, 96, 11)
+	cur := FromYUV(noiseFrame(320, 240, 60), 96)
+	for _, l := range d.net.Layers {
+		if c, ok := l.(*Conv2D); ok {
+			in := cur
+			shape := c.OutShape(Shape{C: in.C, H: in.H, W: in.W})
+			out := make([]float32, shape.Elems())
+			macs := c.FLOPs(Shape{C: in.C, H: in.H, W: in.W}) / 2
+			b.Run(c.Tag, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.forwardItem(in.Data, in.H, in.W, out, shape.H, shape.W)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*macs), "ns/MAC")
+			})
+		}
+		cur = l.Forward(cur)
+	}
+}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -72,6 +73,48 @@ func TestActivationRecordRejectsMalformed(t *testing.T) {
 	if err := DecodeActivationRecord(good, &out); err != nil {
 		t.Fatalf("control decode failed: %v", err)
 	}
+}
+
+// FuzzDecodeActivationRecord feeds DecodeActivationRecord arbitrary bytes —
+// the SVAR record is what the cloud half of a split forward reads off the
+// uplink. It must never panic; it must never size the batch beyond the
+// elements the payload actually carries (a header is 16 bytes of
+// attacker-chosen dimensions); a rejected record must leave the destination
+// batch alone; and an accepted one must re-encode to the same shape and
+// payload bytes.
+func FuzzDecodeActivationRecord(f *testing.F) {
+	good := AppendActivationRecord(nil, NewBatch(2, 3, 2, 2))
+	f.Add(good)
+	f.Add(good[:ActivationHeaderBytes])
+	f.Add(AppendActivationRecord(nil, NewBatch(0, 1, 1, 1)))
+	// Dimensions whose product wraps to 0 in 64 bits, with no payload.
+	f.Add(append([]byte("SVAR\x01\x00\x00\x00"), 0x80, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 1))
+	f.Add(append([]byte("SVAR\x01\x00\x00\x00"), 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var out Batch
+		out.Reshape(1, 1, 1, 2)
+		out.Data[0], out.Data[1] = 42, 43
+		if err := DecodeActivationRecord(data, &out); err != nil {
+			if out.N != 1 || out.W != 2 || len(out.Data) != 2 || out.Data[0] != 42 || out.Data[1] != 43 {
+				t.Fatalf("rejected record (%v) changed the destination batch: %+v", err, out)
+			}
+			return
+		}
+		// No dimension of a non-empty batch can exceed its element count;
+		// checked first so the product below cannot wrap.
+		held := (len(data) - ActivationHeaderBytes) / 4
+		if out.N > 0 && max(out.N, out.C, out.H, out.W) > held ||
+			out.N*out.C*out.H*out.W != held || len(out.Data) != held {
+			t.Fatalf("accepted %d bytes as %dx%dx%dx%d with %d elements", len(data), out.N, out.C, out.H, out.W, len(out.Data))
+		}
+		if cap(out.Data) > max(2, len(data)/4) {
+			t.Fatalf("decoding %d bytes grew the batch to %d elements", len(data), cap(out.Data))
+		}
+		again := AppendActivationRecord(nil, &out)
+		if !bytes.Equal(again[8:], data[8:]) {
+			t.Fatal("accepted record does not re-encode to the same shape and payload")
+		}
+	})
 }
 
 // TestSplitForwardEquivalenceFuzz is the satellite k-sweep: over seeds ×

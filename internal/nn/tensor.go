@@ -8,6 +8,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"sieve/internal/frame"
 )
@@ -76,8 +77,8 @@ func FromYUV(f *frame.YUV, size int) *Tensor {
 // its capacity — the allocation-free steady-state input conversion. Instead
 // of materialising a resized intermediate frame (what FromYUV historically
 // did), each tensor value is sampled straight off the source planes with
-// frame.BilinearSample, whose arithmetic matches Resize bit for bit, so the
-// tensor is element-identical to the allocating path. Returns dst.
+// the arithmetic of frame.Resize, expression for expression, so the tensor
+// is element-identical to the allocating path. Returns dst.
 func FromYUVInto(dst *Tensor, f *frame.YUV, size int) *Tensor {
 	dst.Reshape(3, size, size)
 	fromYUVInto(dst.Data, f, size)
@@ -86,35 +87,84 @@ func FromYUVInto(dst *Tensor, f *frame.YUV, size int) *Tensor {
 
 // fromYUVInto fills data (laid out as one 3×size×size item) from f. Split
 // out so batched inference can convert directly into batch item storage.
+//
+//sieve:noalloc input conversion on the batched detect path
 func fromYUVInto(data []float32, f *frame.YUV, size int) {
 	// ResizeYUV rounds the resize target up to even; sample with the same
 	// target geometry so every ratio — and therefore every value — matches
 	// the historical resize-then-index path exactly.
 	rw := (size + 1) &^ 1
 	plane := size * size
-	// Luma at full input resolution.
-	for y := 0; y < size; y++ {
-		row := data[y*size : (y+1)*size]
-		for x := 0; x < size; x++ {
-			row[x] = float32(frame.BilinearSample(f.Y, rw, rw, x, y)) / 255
+	// Luma at full input resolution; the chroma planes are half resolution,
+	// and nearest-neighbour upsampling writes each sample into its 2×2 cell.
+	resampleInto(data[:plane], size, f.Y, rw, 1)
+	resampleInto(data[plane:2*plane], size, f.Cb, rw/2, 2)
+	resampleInto(data[2*plane:3*plane], size, f.Cr, rw/2, 2)
+}
+
+// resampleInto writes src, bilinearly resized to target×target and scaled to
+// [0,1], into the size×size plane dst, each sample filling a cell×cell block
+// (clipped at the plane edge). The value at (x, y) is the byte
+// frame.Resize(src, target, target) holds there — the same expressions in
+// the same order, so the same IEEE results — but the terms that depend only
+// on the column (sx, x0, fx: a multiply, a floor, two conversions, and the
+// edge clamps of the two taps) are computed once per call instead of once
+// per sample, a block of columns at a time so the table lives on the stack.
+//
+//sieve:noalloc input conversion on the batched detect path
+func resampleInto(dst []float32, size int, src *frame.Plane, target, cell int) {
+	const block = 64
+	var (
+		xa, xb [block]int // the two taps' columns, clamped to the plane
+		fx     [block]float64
+	)
+	xRatio := float64(src.W) / float64(target)
+	yRatio := float64(src.H) / float64(target)
+	n := (size + cell - 1) / cell // samples per axis that land inside dst
+	for c0 := 0; c0 < n; c0 += block {
+		cols := min(block, n-c0)
+		for i := 0; i < cols; i++ {
+			sx := float64((float64(c0+i)+0.5)*xRatio) - 0.5
+			x0 := int(math.Floor(sx))
+			fx[i] = sx - float64(x0)
+			xa[i], xb[i] = clampIndex(x0, src.W), clampIndex(x0+1, src.W)
 		}
-	}
-	// Chroma planes are half resolution; nearest-neighbour upsample writes
-	// each sample into its 2×2 cell (clipped at odd sizes).
-	half := rw / 2
-	cb := data[plane : 2*plane]
-	cr := data[2*plane : 3*plane]
-	for cy := 0; 2*cy < size; cy++ {
-		for cx := 0; 2*cx < size; cx++ {
-			vb := float32(frame.BilinearSample(f.Cb, half, half, cx, cy)) / 255
-			vr := float32(frame.BilinearSample(f.Cr, half, half, cx, cy)) / 255
-			for dy := 0; dy < 2 && 2*cy+dy < size; dy++ {
-				base := (2*cy + dy) * size
-				for dx := 0; dx < 2 && 2*cx+dx < size; dx++ {
-					cb[base+2*cx+dx] = vb
-					cr[base+2*cx+dx] = vr
+		for y := 0; y < n; y++ {
+			sy := float64((float64(y)+0.5)*yRatio) - 0.5
+			y0 := int(math.Floor(sy))
+			fy := sy - float64(y0)
+			rowA, rowB := src.Row(clampIndex(y0, src.H)), src.Row(clampIndex(y0+1, src.H))
+			cellRows := dst[cell*y*size : min(cell*(y+1), size)*size]
+			for i := 0; i < cols; i++ {
+				p00, p10 := float64(rowA[xa[i]]), float64(rowA[xb[i]])
+				p01, p11 := float64(rowB[xa[i]]), float64(rowB[xb[i]])
+				top := p00 + float64((p10-p00)*fx[i])
+				bot := p01 + float64((p11-p01)*fx[i])
+				v := float32(roundToByte(top+float64((bot-top)*fy))) / 255
+				x, xEnd := cell*(c0+i), min(cell*(c0+i+1), size)
+				for row := 0; row < len(cellRows); row += size {
+					for dx := x; dx < xEnd; dx++ {
+						cellRows[row+dx] = v
+					}
 				}
 			}
 		}
 	}
+}
+
+// clampIndex clamps i to [0, n), frame.Plane.At's border-extension rule.
+func clampIndex(i, n int) int {
+	return max(0, min(i, n-1))
+}
+
+// roundToByte saturates v to [0,255] and rounds half up, as frame.Resize
+// does when it stores a sample.
+func roundToByte(v float64) byte {
+	if v < 0 {
+		return 0
+	}
+	if v > 255 {
+		return 255
+	}
+	return byte(v + 0.5)
 }

@@ -122,7 +122,7 @@ func (d *YOLite) Train(frames []LabeledFrame, cfg TrainConfig) (TrainReport, err
 	// folded (inference-time) weights on raw features.
 	for _, s := range samples {
 		for dIdx := range s.feat {
-			s.feat[dIdx] = s.feat[dIdx]*std[dIdx] + mean[dIdx]
+			s.feat[dIdx] = float32(s.feat[dIdx]*std[dIdx]) + mean[dIdx]
 		}
 	}
 	report := TrainReport{Cells: len(samples), Positives: positives}
@@ -149,7 +149,7 @@ func featureStats(samples []cellSample) (mean, std []float32) {
 	for _, s := range samples {
 		for dIdx, v := range s.feat {
 			dv := float64(v - mean[dIdx])
-			sq[dIdx] += dv * dv
+			sq[dIdx] += float64(dv * dv)
 		}
 	}
 	for dIdx := range sq {
@@ -173,7 +173,7 @@ func foldNormalization(h1 *Conv2D, mean, std []float32) {
 			wk := h1.W[o][ic]
 			for k := 0; k < kk; k++ {
 				wk[k] /= std[base+k]
-				shift += wk[k] * mean[base+k]
+				shift += float32(wk[k] * mean[base+k])
 			}
 		}
 		h1.B[o] -= shift
@@ -281,7 +281,7 @@ func (d *YOLite) sgd(samples []cellSample, cfg TrainConfig) {
 			j := int(rng.next() % uint64(i+1))
 			order[i], order[j] = order[j], order[i]
 		}
-		lr := cfg.LR / (1 + 0.05*float32(epoch))
+		lr := cfg.LR / (1 + float32(0.05*float32(epoch)))
 		for _, idx := range order {
 			s := samples[idx]
 			headForward(h1, h2, s.feat, hidden, probs)
@@ -294,11 +294,11 @@ func (d *YOLite) sgd(samples []cellSample, cfg TrainConfig) {
 				if c == s.class {
 					dz--
 				}
-				g := dz * lr
+				g := float32(dz * lr)
 				w := h2.W[c]
 				for hIdx := 0; hIdx < nh; hIdx++ {
-					dHidden[hIdx] += dz * w[hIdx][0]
-					w[hIdx][0] -= g * hidden[hIdx]
+					dHidden[hIdx] += float32(dz * w[hIdx][0])
+					w[hIdx][0] -= float32(g * hidden[hIdx])
 				}
 				h2.B[c] -= g
 			}
@@ -307,7 +307,7 @@ func (d *YOLite) sgd(samples []cellSample, cfg TrainConfig) {
 				if hidden[hIdx] <= 0 {
 					continue
 				}
-				g := dHidden[hIdx] * lr
+				g := float32(dHidden[hIdx] * lr)
 				if g == 0 {
 					continue
 				}
@@ -316,7 +316,7 @@ func (d *YOLite) sgd(samples []cellSample, cfg TrainConfig) {
 					base := ic * kk
 					wk := w[ic]
 					for k := 0; k < kk; k++ {
-						wk[k] -= g * s.feat[base+k]
+						wk[k] -= float32(g * s.feat[base+k])
 					}
 				}
 				h1.B[hIdx] -= g
@@ -336,7 +336,7 @@ func headForward(h1, h2 *Conv2D, feat []float32, hidden []float32, probs []float
 			base := ic * kk
 			wk := w[ic]
 			for k := 0; k < kk; k++ {
-				acc += wk[k] * feat[base+k]
+				acc += float32(wk[k] * feat[base+k])
 			}
 		}
 		if acc < 0 {
@@ -349,7 +349,7 @@ func headForward(h1, h2 *Conv2D, feat []float32, hidden []float32, probs []float
 		l := float64(h2.B[c])
 		w := h2.W[c]
 		for hIdx := 0; hIdx < h2.InC; hIdx++ {
-			l += float64(w[hIdx][0]) * float64(hidden[hIdx])
+			l += float64(float64(w[hIdx][0]) * float64(hidden[hIdx]))
 		}
 		probs[c] = l
 		if l > maxL {
