@@ -58,9 +58,12 @@ reach:
 # each — catches targets that no longer compile and regressions on the
 # corpus, while staying CI-sized. Longer runs: go test -fuzz=FuzzX ./pkg.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/nn/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/nn/ ./internal/bitstream/ ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/wire/
-	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=10s ./internal/bitstream/
+	$(GO) test -run='^$$' -fuzz=FuzzContainerReader -fuzztime=10s ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzTransformMatchesReference -fuzztime=10s ./internal/transform/
 	$(GO) test -run='^$$' -fuzz=FuzzConvMatchesReference -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeActivationRecord -fuzztime=10s ./internal/nn/
@@ -118,14 +121,15 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(BENCH_PKGS)
 
 # Codec hot-path micro-benchmarks: steady-state encode (BenchmarkEncodeQuiet
-# is the content bench/'s edge_quiet encodes), decode, analyze, the bounded
+# is the content bench/'s edge_quiet encodes), decode (BenchmarkIFrameDecode
+# is the I-frames bench/'s archive_scan decodes), analyze, the bounded
 # SAD, and the kernels under them (DCT pair, 16×16 SAD). -benchmem:
 # allocs/op must read 0 on every row. ns/op here tells which kernel moved;
 # wall-clock claims are made with bench/ (make bench-e2e), on alternated
 # parent/change pairs — the reference box has 2 vCPUs and a run-to-run
 # spread of about a tenth. CI runs the same selection with -benchtime=1x so
 # the hot path cannot silently stop compiling as a benchmark.
-BENCH_CODEC = '^(BenchmarkEncodeP|BenchmarkEncodeQuiet|BenchmarkDecodeInto|BenchmarkAnalyze|BenchmarkSADBounded)'
+BENCH_CODEC = '^(BenchmarkEncodeP|BenchmarkEncodeQuiet|BenchmarkDecodeInto|BenchmarkIFrameDecode|BenchmarkAnalyze|BenchmarkSADBounded)'
 
 bench-codec:
 	$(GO) test -run='^$$' -bench=$(BENCH_CODEC) -benchmem ./internal/codec/

@@ -7,6 +7,7 @@
 package bitstream
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -124,12 +125,23 @@ func (w *Writer) Reset() {
 	w.bits = 0
 }
 
-// Reader consumes bits MSB-first from a byte slice. The zero value reads
-// from a nil (empty) buffer; use NewReader for a populated one.
+// errCodeTooLong reports an Exp-Golomb prefix of 64 zeros.
+var errCodeTooLong = errors.New("bitstream: Exp-Golomb code too long")
+
+// Reader consumes bits MSB-first from a byte slice through a 64-bit window.
+// The zero value reads from a nil (empty) buffer; use NewReader for a
+// populated one.
+//
+// For every input and every sequence of calls it returns the value, the
+// error and the BitsRead() of the bit-serial reader it replaced (the oracle
+// in reference_test.go), errors included: a ReadBits or ReadUE that runs
+// past the end has consumed the rest of the buffer, and a ReadUE whose
+// prefix is 64 zeros fails having consumed them.
 type Reader struct {
-	buf []byte
-	pos int  // byte position
-	n   uint // bits already consumed from buf[pos] (0..7)
+	buf  []byte
+	next int    // index of the first byte of buf not yet loaded into win
+	win  uint64 // unread bits, left-aligned; see refill for the bits below them
+	nwin uint   // how many of win's top bits are unread stream bits (0..64)
 }
 
 // NewReader returns a Reader over buf. The reader does not copy buf.
@@ -141,9 +153,36 @@ func NewReader(buf []byte) *Reader {
 // (the codec's decode hot path resets one reader per frame instead of
 // allocating one).
 func (r *Reader) Reset(buf []byte) {
-	r.buf = buf
-	r.pos = 0
-	r.n = 0
+	*r = Reader{buf: buf}
+}
+
+// refill loads whole bytes into the window until it holds at least 57 unread
+// bits or the buffer is exhausted: eight bytes in one load while that many
+// remain, then byte by byte. The eight-byte load also ORs the leading bits of
+// the first byte it does not count into win below the counted ones; they are
+// the stream's next bits, so a later load ORs the same bits over them, and
+// every shift that consumes bits brings zeros in underneath.
+func (r *Reader) refill() {
+	if r.next+8 <= len(r.buf) {
+		k := (64 - r.nwin) >> 3
+		r.win |= binary.BigEndian.Uint64(r.buf[r.next:]) >> r.nwin
+		r.next += int(k)
+		r.nwin += k << 3
+		return
+	}
+	for r.nwin <= 56 && r.next < len(r.buf) {
+		r.win |= uint64(r.buf[r.next]) << (56 - r.nwin)
+		r.next++
+		r.nwin += 8
+	}
+}
+
+// take consumes the next n <= nwin bits of the window.
+func (r *Reader) take(n uint) uint64 {
+	v := r.win >> (64 - n) // 0 for n == 0
+	r.win <<= n
+	r.nwin -= n
+	return v
 }
 
 // ReadBit reads a single bit.
@@ -152,36 +191,72 @@ func (r *Reader) ReadBit() (uint64, error) {
 }
 
 // ReadBits reads n bits (n in [0,64]) MSB-first.
+//
+//sieve:noalloc entropy parse of the decode hot path; error branches are cold
 func (r *Reader) ReadBits(n uint) (uint64, error) {
+	if n > r.nwin {
+		return r.readBitsSlow(n)
+	}
+	return r.take(n), nil
+}
+
+// readBitsSlow is ReadBits when the window holds fewer than n bits.
+//
+//sieve:noalloc entropy parse of the decode hot path; error branches are cold
+func (r *Reader) readBitsSlow(n uint) (uint64, error) {
 	if n > 64 {
 		return 0, fmt.Errorf("bitstream: ReadBits n=%d out of range", n)
 	}
-	var v uint64
-	for n > 0 {
-		if r.pos >= len(r.buf) {
-			return 0, ErrShortBuffer
-		}
-		avail := 8 - r.n
-		take := n
-		if take > avail {
-			take = avail
-		}
-		b := uint64(r.buf[r.pos])
-		b >>= avail - take
-		b &= (1 << take) - 1
-		v = (v << take) | b
-		r.n += take
-		n -= take
-		if r.n == 8 {
-			r.n = 0
-			r.pos++
-		}
+	r.refill()
+	if n <= r.nwin {
+		return r.take(n), nil
 	}
-	return v, nil
+	if n > uint(r.Remaining()) {
+		r.next, r.win, r.nwin = len(r.buf), 0, 0
+		return 0, ErrShortBuffer
+	}
+	// 58 to 64 bits with 57 to 63 in the window: the top n−32, then 32 more
+	// (a refill after the first part leaves at least 32).
+	hi := r.take(n - 32)
+	r.refill()
+	return hi<<32 | r.take(32), nil
 }
 
 // ReadUE reads an unsigned Exp-Golomb code.
+//
+//sieve:noalloc entropy parse of the decode hot path; error branches are cold
 func (r *Reader) ReadUE() (uint64, error) {
+	if v, ok := r.ueWindow(); ok {
+		return v, nil
+	}
+	return r.readUESlow()
+}
+
+// ueWindow is the Exp-Golomb fast path: a code of lz zeros and lz+1
+// significant bits that lies inside the window is its top 2·lz+1 bits, read
+// in one shift, minus one. It reports false, consuming nothing, for any
+// other code.
+func (r *Reader) ueWindow() (uint64, bool) {
+	w := r.win
+	n := 2*uint(bits.LeadingZeros64(w)) + 1
+	if n > r.nwin {
+		return 0, false
+	}
+	r.win = w << n
+	r.nwin -= n
+	return w>>(64-n) - 1, true
+}
+
+// readUESlow refills the window and retries the fast path, and otherwise —
+// a code longer than 57 bits, or one the end of the buffer cuts — reads the
+// code bit by bit.
+//
+//sieve:noalloc entropy parse of the decode hot path; error branches are cold
+func (r *Reader) readUESlow() (uint64, error) {
+	r.refill()
+	if v, ok := r.ueWindow(); ok {
+		return v, nil
+	}
 	var lz uint
 	for {
 		b, err := r.ReadBit()
@@ -193,7 +268,7 @@ func (r *Reader) ReadUE() (uint64, error) {
 		}
 		lz++
 		if lz > 63 {
-			return 0, errors.New("bitstream: Exp-Golomb code too long")
+			return 0, errCodeTooLong
 		}
 	}
 	if lz == 0 {
@@ -207,27 +282,32 @@ func (r *Reader) ReadUE() (uint64, error) {
 }
 
 // ReadSE reads a signed Exp-Golomb code.
+//
+//sieve:noalloc entropy parse of the decode hot path; error branches are cold
 func (r *Reader) ReadSE() (int64, error) {
-	u, err := r.ReadUE()
-	if err != nil {
-		return 0, err
+	u, ok := r.ueWindow()
+	if !ok {
+		var err error
+		if u, err = r.readUESlow(); err != nil {
+			return 0, err
+		}
 	}
-	if u%2 == 0 {
-		return -int64(u / 2), nil
-	}
-	return int64(u+1) / 2, nil
+	// Even u maps to −(u/2) and odd u to int64(u+1)/2, each computed as
+	// written (for u >= 2⁶³ that is not a plain halving), and the two are
+	// selected without a branch: a level's sign is a coin toss the branch
+	// predictor loses half the time.
+	even, odd := -int64(u>>1), int64(u+1)>>1
+	return even ^ (even^odd)&-int64(u&1), nil
 }
 
-// Align skips to the next byte boundary.
+// Align skips to the next byte boundary. The window only ever loads whole
+// bytes, so the bits left of the current byte are the window's count mod 8.
 func (r *Reader) Align() {
-	if r.n != 0 {
-		r.n = 0
-		r.pos++
-	}
+	r.take(r.nwin & 7)
 }
 
 // BitsRead reports how many bits have been consumed.
-func (r *Reader) BitsRead() int { return r.pos*8 + int(r.n) }
+func (r *Reader) BitsRead() int { return r.next*8 - int(r.nwin) }
 
 // Remaining reports how many bits are left.
 func (r *Reader) Remaining() int {

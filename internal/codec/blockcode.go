@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sieve/internal/bitstream"
 	"sieve/internal/frame"
@@ -205,11 +206,15 @@ func writeResidualBlock(dst *frame.Plane, bx, by int, pred, res *transform.Block
 // blockDecoder mirrors blockCoder on the read side, with the same caller-
 // filled prediction block.
 type blockDecoder struct {
-	qz      *transform.Quantizer
-	pred    transform.Block
-	zz, lev transform.Block
-	rec     transform.Block
-	dcPred  int32
+	qz   *transform.Quantizer
+	pred transform.Block
+	// lev holds the block's levels in raster order. It is zero except in
+	// the rows named by dirty, which the previous coded block wrote and the
+	// next one clears before it parses.
+	lev    transform.Block
+	dirty  uint
+	rec    transform.Block
+	dcPred int32
 }
 
 func newBlockDecoder(quality int) *blockDecoder {
@@ -219,7 +224,11 @@ func newBlockDecoder(quality int) *blockDecoder {
 func (bd *blockDecoder) resetDC() { bd.dcPred = 0 }
 
 // decodeBlock reads one coded block and writes prediction + residual pixels
-// into dst at (bx, by), predicting from bd.pred.
+// into dst at (bx, by), predicting from bd.pred. Each level goes straight to
+// its raster position, and the rows and columns it lands in are recorded as
+// it goes, so the inverse transform needs no scan of its own.
+//
+//sieve:noalloc leaf of the decode hot path
 func (bd *blockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx, by int) error {
 	coded, err := r.ReadBit()
 	if err != nil {
@@ -229,16 +238,22 @@ func (bd *blockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx, b
 		writePredBlock(dst, bx, by, &bd.pred)
 		return nil
 	}
-	for i := range bd.zz {
-		bd.zz[i] = 0
+	for m := bd.dirty; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros(m) * transform.BlockSize
+		clear(bd.lev[v : v+transform.BlockSize])
 	}
+	bd.dirty = 1<<transform.BlockSize - 1 // until this block's rows are known
 	dcDelta, err := r.ReadSE()
 	if err != nil {
 		return fmt.Errorf("dc delta: %w", err)
 	}
 	bd.dcPred += int32(dcDelta)
-	bd.zz[0] = bd.dcPred
-	pos := 1
+	bd.lev[0] = bd.dcPred
+	var rows, cols uint
+	if bd.dcPred != 0 {
+		rows, cols = 1, 1
+	}
+	pos := uint64(1)
 	for {
 		run, err := r.ReadUE()
 		if err != nil {
@@ -247,8 +262,11 @@ func (bd *blockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx, b
 		if run == eobMarker {
 			break
 		}
-		pos += int(run)
-		if pos >= len(bd.zz) {
+		if run > eobMarker-1 {
+			return fmt.Errorf("%w: AC run %d", ErrCorrupt, run)
+		}
+		pos += run
+		if pos >= uint64(len(bd.lev)) {
 			return fmt.Errorf("%w: run-level overflow at position %d", ErrCorrupt, pos)
 		}
 		level, err := r.ReadSE()
@@ -258,14 +276,17 @@ func (bd *blockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx, b
 		if level == 0 {
 			return fmt.Errorf("%w: zero AC level", ErrCorrupt)
 		}
-		bd.zz[pos] = int32(level)
-		pos++
-		if pos > len(bd.zz) {
-			return fmt.Errorf("%w: scan position overflow", ErrCorrupt)
+		if level != int64(int32(level)) {
+			return fmt.Errorf("%w: AC level %d out of range", ErrCorrupt, level)
 		}
+		i := transform.ScanIndex(int(pos & 63))
+		bd.lev[i] = int32(level)
+		rows |= 1 << (i >> 3)
+		cols |= 1 << (i & 7)
+		pos++
 	}
-	transform.UnZigZag(&bd.zz, &bd.lev)
-	bd.qz.Inverse(&bd.lev, &bd.rec)
+	bd.dirty = rows
+	bd.qz.InverseMasked(&bd.lev, rows, cols, &bd.rec)
 	writeResidualBlock(dst, bx, by, &bd.pred, &bd.rec)
 	return nil
 }

@@ -35,6 +35,8 @@ func FuzzDecode(f *testing.F) {
 	flipped[0] ^= 0xFF
 	f.Add(flipped)
 	f.Add([]byte{})
+	// An AC run of 2⁶⁴−2 once indexed the block at −1 and panicked.
+	f.Add(panicPayload())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		control, err := NewDecoder(p)

@@ -145,3 +145,64 @@ func BenchmarkSADBounded(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkIFrameDecode decodes what bench/'s archive_scan decodes: the
+// I-frames of its rush-hour scene (320×240, sensor noise 2, one swaying
+// clutter patch, cars, buses and trucks in three lanes; seed 1), encoded at
+// Quality 85, GOP 4, scenecut off, through one reused IFrameDecoder. One op
+// is one I-frame, taken in turn from the clip's 25.
+func BenchmarkIFrameDecode(b *testing.B) {
+	const w, h, n, seed = 320, 240, 100, 1
+	spec := synth.Spec{
+		Name: "rush_hour", Width: w, Height: h, FPS: 10, NumFrames: n,
+		NoiseAmp: 2,
+		Clutter:  []synth.ClutterPatch{{X: 0.05, Y: 0.05, W: 0.25, H: 0.30, Amp: 2, Period: 20, Phase: 1.3}},
+		Seed:     404 + seed*7919,
+	}
+	spec.Objects = synth.GenerateObjects(w, h, n, synth.ScheduleParams{
+		Classes: []synth.Class{synth.Car, synth.Car, synth.Bus, synth.Truck},
+		Scale:   0.28, ScaleJitter: 0.06,
+		Speed: 14, SpeedJitter: 4,
+		MeanGap: 12, MinGap: 3,
+		Lanes: []float64{0.55, 0.70, 0.84},
+		Seed:  4004,
+	})
+	for i := range spec.Objects {
+		spec.Objects[i].Seed += seed * 104729
+	}
+	v, err := synth.New(spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := Params{Width: w, Height: h, Quality: 85, GOPSize: 4, Scenecut: 0}
+	enc, err := NewEncoder(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var iframes [][]byte
+	for i := 0; i < n; i++ {
+		ef, err := enc.Encode(v.Frame(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ef.Type == FrameI {
+			iframes = append(iframes, ef.Data)
+		}
+	}
+	dec, err := NewIFrameDecoder(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, data := range iframes {
+		if _, err := dec.Decode(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dec.Decode(iframes[i%len(iframes)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

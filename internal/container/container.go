@@ -224,8 +224,9 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 	if frameCount < 0 || frameCount > maxFrameCount {
 		return nil, fmt.Errorf("container: implausible frame count %d", frameCount)
 	}
-	need := indexOffset + int64(frameCount)*indexRecSize
-	if indexOffset < headerSize || need > size {
+	// Bounds are compared by subtraction: an index offset or record near
+	// 2⁶³ would wrap a sum past the check.
+	if indexOffset < headerSize || indexOffset > size || int64(frameCount)*indexRecSize > size-indexOffset {
 		return nil, ErrTruncated
 	}
 	info.FrameCount = frameCount
@@ -243,7 +244,7 @@ func NewReader(ra io.ReaderAt, size int64) (*Reader, error) {
 			Size:   int(binary.BigEndian.Uint32(rec[1:])),
 			Offset: int64(binary.BigEndian.Uint64(rec[5:])),
 		}
-		if index[i].Offset < headerSize || index[i].Offset+int64(index[i].Size) > indexOffset {
+		if off := index[i].Offset; off < headerSize || off > indexOffset || int64(index[i].Size) > indexOffset-off {
 			return nil, fmt.Errorf("container: frame %d index record out of bounds", i)
 		}
 	}

@@ -1,6 +1,7 @@
 package container
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
@@ -414,4 +415,91 @@ func BenchmarkIndexScan(b *testing.B) {
 			b.Fatal("bad scan")
 		}
 	}
+}
+
+// overflowStream is a valid one-frame stream whose index record is then
+// rewritten to Offset = 2⁶³−16, Size = 2³²−1: the sum wraps negative and
+// once passed a bounds check by addition, so Payload(0) would have made a
+// 4 GiB buffer.
+func overflowStream(t testing.TB) []byte {
+	var buf Buffer
+	w, err := NewWriter(&buf, testInfo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteFrame(codec.FrameI, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := append([]byte(nil), buf.Bytes()...)
+	rec := data[len(data)-indexRecSize:]
+	binary.BigEndian.PutUint32(rec[1:], 0xFFFFFFFF)
+	binary.BigEndian.PutUint64(rec[5:], 0x7FFFFFFFFFFFFFF0)
+	return data
+}
+
+func TestRejectOverflowingIndex(t *testing.T) {
+	data := overflowStream(t)
+	if _, err := NewReader(&Buffer{data: data}, int64(len(data))); err == nil {
+		t.Fatal("index record at 2^63-16 with size 2^32-1 accepted")
+	}
+	// An index offset near 2⁶³ wraps the index-size sum the same way.
+	data = overflowStream(t)
+	binary.BigEndian.PutUint64(data[40:], 0x7FFFFFFFFFFFFFFF)
+	if _, err := NewReader(&Buffer{data: data}, int64(len(data))); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("index offset 2^63-1: err = %v, want ErrTruncated", err)
+	}
+}
+
+// FuzzContainerReader opens arbitrary bytes as an SVF stream. It must never
+// panic, and a stream it accepts must keep every index record inside
+// [header, index), so no Payload call can ask for more bytes than the stream
+// has.
+func FuzzContainerReader(f *testing.F) {
+	var buf Buffer
+	w, err := NewWriter(&buf, testInfo())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, p := range []string{"iframe", "p1", "p2", "iframe2", "p3"} {
+		ft := codec.FrameP
+		if i%3 == 0 {
+			ft = codec.FrameI
+		}
+		if err := w.WriteFrame(ft, []byte(p)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(overflowStream(f))
+	f.Add(buf.Bytes()[:headerSize])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		size := int64(len(data))
+		r, err := NewReader(&Buffer{data: data}, size)
+		if err != nil {
+			return
+		}
+		indexOffset := int64(binary.BigEndian.Uint64(data[40:]))
+		if indexOffset < headerSize || indexOffset > size {
+			t.Fatalf("accepted index offset %d in a %d-byte stream", indexOffset, size)
+		}
+		for i := 0; i < r.NumFrames(); i++ {
+			m := r.Meta(i)
+			if m.Offset < headerSize || m.Offset > indexOffset || int64(m.Size) > indexOffset-m.Offset {
+				t.Fatalf("record %d [%d, +%d) outside [%d, %d)", i, m.Offset, m.Size, headerSize, indexOffset)
+			}
+			if i >= 8 {
+				continue // records may overlap: reading every one is quadratic
+			}
+			p, err := r.Payload(i)
+			if err == nil && len(p) != m.Size {
+				t.Fatalf("Payload(%d) returned %d bytes, record says %d", i, len(p), m.Size)
+			}
+		}
+	})
 }

@@ -149,10 +149,12 @@ func (c RGB) ToYUV() (y, cb, cr byte) {
 	yf := float64(0.299*r) + float64(0.587*g) + float64(0.114*b)
 	cbf := 128 - float64(0.168736*r) - float64(0.331264*g) + float64(0.5*b)
 	crf := 128 + float64(0.5*r) - float64(0.418688*g) - float64(0.081312*b)
-	return clamp255(yf), clamp255(cbf), clamp255(crf)
+	return Clamp255(yf), Clamp255(cbf), Clamp255(crf)
 }
 
-func clamp255(v float64) byte {
+// Clamp255 saturates v to [0,255] and rounds half up: how Resize and the
+// colour conversion store a computed sample.
+func Clamp255(v float64) byte {
 	if v < 0 {
 		return 0
 	}
@@ -333,12 +335,12 @@ func PSNRYUV(a, b *YUV) float64 { return PSNR(a.Y, b.Y) }
 // Resize scales src to w×h with bilinear interpolation. It is used to
 // shrink decoded I-frames to the NN input resolution (the paper resizes to
 // the 300×300 YOLO input before shipping frames to the cloud). Its arithmetic
-// is restated, expression for expression, by BilinearSample (one sample,
-// pinned by TestBilinearSampleMatchesResize) and by the detector's
-// allocation-free input conversion (nn.FromYUVInto, which hoists the column
-// terms too and is pinned against both): change all three or none. Every
-// product carries an explicit float64() so no platform fuses it into the
-// add that follows and a resized pixel is the same byte everywhere.
+// is restated, expression for expression, by the detector's allocation-free
+// input conversion (nn.FromYUVInto, which hoists the column terms and is
+// pinned against Resize and against a per-sample oracle in its tests): change
+// both or neither. Every product carries an explicit float64() so no platform
+// fuses it into the add that follows and a resized pixel is the same byte
+// everywhere.
 func Resize(src *Plane, w, h int) *Plane {
 	dst := NewPlane(w, h)
 	if src.W == 0 || src.H == 0 || w == 0 || h == 0 {
@@ -360,36 +362,10 @@ func Resize(src *Plane, w, h int) *Plane {
 			p11 := float64(src.At(x0+1, y0+1))
 			top := p00 + float64((p10-p00)*fx)
 			bot := p01 + float64((p11-p01)*fx)
-			dst.Set(x, y, clamp255(top+float64((bot-top)*fy)))
+			dst.Set(x, y, Clamp255(top+float64((bot-top)*fy)))
 		}
 	}
 	return dst
-}
-
-// BilinearSample returns the bilinear-interpolated, byte-rounded sample of
-// src scaled to a w×h target at target position (x, y) — exactly the value
-// Resize(src, w, h) writes there (same expressions, so the same IEEE
-// results; Resize merely hoists the row-invariant terms): one sample of a
-// virtual resized plane without materialising it, and the per-sample
-// reference nn.FromYUVInto's hoisted conversion is tested against.
-//
-//sieve:noalloc resize inner loop
-func BilinearSample(src *Plane, w, h, x, y int) byte {
-	yRatio := float64(src.H) / float64(h)
-	sy := float64((float64(y)+0.5)*yRatio) - 0.5
-	y0 := int(math.Floor(sy))
-	fy := sy - float64(y0)
-	xRatio := float64(src.W) / float64(w)
-	sx := float64((float64(x)+0.5)*xRatio) - 0.5
-	x0 := int(math.Floor(sx))
-	fx := sx - float64(x0)
-	p00 := float64(src.At(x0, y0))
-	p10 := float64(src.At(x0+1, y0))
-	p01 := float64(src.At(x0, y0+1))
-	p11 := float64(src.At(x0+1, y0+1))
-	top := p00 + float64((p10-p00)*fx)
-	bot := p01 + float64((p11-p01)*fx)
-	return clamp255(top + float64((bot-top)*fy))
 }
 
 // ResizeYUV scales a full frame to w×h (rounded up to even).

@@ -273,10 +273,10 @@ func BenchmarkResize1080pTo300(b *testing.B) {
 	}
 }
 
-// TestBilinearSampleMatchesResize pins the contract the nn input
-// conversion depends on: BilinearSample(src, w, h, x, y) equals the pixel
-// Resize(src, w, h) writes at (x, y), bit for bit, including non-integral
-// ratios and border-clamped taps.
+// TestBilinearSampleMatchesResize pins the per-sample oracle the nn input
+// conversion is tested against: bilinearSample(src, w, h, x, y) equals the
+// pixel Resize(src, w, h) writes at (x, y), bit for bit, including
+// non-integral ratios and border-clamped taps.
 func TestBilinearSampleMatchesResize(t *testing.T) {
 	src := NewPlane(37, 23)
 	v := byte(3)
@@ -289,8 +289,8 @@ func TestBilinearSampleMatchesResize(t *testing.T) {
 		dst := Resize(src, w, h)
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				if got, want := BilinearSample(src, w, h, x, y), dst.At(x, y); got != want {
-					t.Fatalf("%dx%d at (%d,%d): BilinearSample %d != Resize %d", w, h, x, y, got, want)
+				if got, want := bilinearSample(src, w, h, x, y), dst.At(x, y); got != want {
+					t.Fatalf("%dx%d at (%d,%d): bilinearSample %d != Resize %d", w, h, x, y, got, want)
 				}
 			}
 		}

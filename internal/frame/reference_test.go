@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -149,4 +150,27 @@ func TestSADMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bilinearSample is one sample of Resize(src, w, h) at (x, y), computed on
+// its own with Resize's expressions (Resize merely hoists the row-invariant
+// terms). internal/nn's reference tests hold a copy as the per-sample oracle
+// of the detector's input conversion; this one pins that copy's arithmetic
+// to Resize.
+func bilinearSample(src *Plane, w, h, x, y int) byte {
+	yRatio := float64(src.H) / float64(h)
+	sy := float64((float64(y)+0.5)*yRatio) - 0.5
+	y0 := int(math.Floor(sy))
+	fy := sy - float64(y0)
+	xRatio := float64(src.W) / float64(w)
+	sx := float64((float64(x)+0.5)*xRatio) - 0.5
+	x0 := int(math.Floor(sx))
+	fx := sx - float64(x0)
+	p00 := float64(src.At(x0, y0))
+	p10 := float64(src.At(x0+1, y0))
+	p01 := float64(src.At(x0, y0+1))
+	p11 := float64(src.At(x0+1, y0+1))
+	top := p00 + float64((p10-p00)*fx)
+	bot := p01 + float64((p11-p01)*fx)
+	return Clamp255(top + float64((bot-top)*fy))
 }

@@ -330,22 +330,43 @@ func TestForwardBatchRangeMatchesForwardRange(t *testing.T) {
 	}
 }
 
+// bilinearSample is one sample of frame.Resize(src, w, h) at (x, y),
+// computed on its own with Resize's expressions (Resize merely hoists the
+// row-invariant terms); internal/frame's tests pin it to Resize.
+func bilinearSample(src *frame.Plane, w, h, x, y int) byte {
+	yRatio := float64(src.H) / float64(h)
+	sy := float64((float64(y)+0.5)*yRatio) - 0.5
+	y0 := int(math.Floor(sy))
+	fy := sy - float64(y0)
+	xRatio := float64(src.W) / float64(w)
+	sx := float64((float64(x)+0.5)*xRatio) - 0.5
+	x0 := int(math.Floor(sx))
+	fx := sx - float64(x0)
+	p00 := float64(src.At(x0, y0))
+	p10 := float64(src.At(x0+1, y0))
+	p01 := float64(src.At(x0, y0+1))
+	p11 := float64(src.At(x0+1, y0+1))
+	top := p00 + float64((p10-p00)*fx)
+	bot := p01 + float64((p11-p01)*fx)
+	return frame.Clamp255(top + float64((bot-top)*fy))
+}
+
 // referenceFromYUVInto is the input conversion as it stood before the column
-// terms were hoisted: one frame.BilinearSample call per tensor value.
+// terms were hoisted: one bilinearSample call per tensor value.
 func referenceFromYUVInto(data []float32, f *frame.YUV, size int) {
 	rw := (size + 1) &^ 1
 	plane := size * size
 	for y := 0; y < size; y++ {
 		for x := 0; x < size; x++ {
-			data[y*size+x] = float32(frame.BilinearSample(f.Y, rw, rw, x, y)) / 255
+			data[y*size+x] = float32(bilinearSample(f.Y, rw, rw, x, y)) / 255
 		}
 	}
 	half := rw / 2
 	cb, cr := data[plane:2*plane], data[2*plane:3*plane]
 	for cy := 0; 2*cy < size; cy++ {
 		for cx := 0; 2*cx < size; cx++ {
-			vb := float32(frame.BilinearSample(f.Cb, half, half, cx, cy)) / 255
-			vr := float32(frame.BilinearSample(f.Cr, half, half, cx, cy)) / 255
+			vb := float32(bilinearSample(f.Cb, half, half, cx, cy)) / 255
+			vr := float32(bilinearSample(f.Cr, half, half, cx, cy)) / 255
 			for dy := 0; dy < 2 && 2*cy+dy < size; dy++ {
 				for dx := 0; dx < 2 && 2*cx+dx < size; dx++ {
 					cb[(2*cy+dy)*size+2*cx+dx] = vb

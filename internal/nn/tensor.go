@@ -140,7 +140,7 @@ func resampleInto(dst []float32, size int, src *frame.Plane, target, cell int) {
 				p01, p11 := float64(rowB[xa[i]]), float64(rowB[xb[i]])
 				top := p00 + float64((p10-p00)*fx[i])
 				bot := p01 + float64((p11-p01)*fx[i])
-				v := float32(roundToByte(top+float64((bot-top)*fy))) / 255
+				v := float32(frame.Clamp255(top+float64((bot-top)*fy))) / 255
 				x, xEnd := cell*(c0+i), min(cell*(c0+i+1), size)
 				for row := 0; row < len(cellRows); row += size {
 					for dx := x; dx < xEnd; dx++ {
@@ -155,16 +155,4 @@ func resampleInto(dst []float32, size int, src *frame.Plane, target, cell int) {
 // clampIndex clamps i to [0, n), frame.Plane.At's border-extension rule.
 func clampIndex(i, n int) int {
 	return max(0, min(i, n-1))
-}
-
-// roundToByte saturates v to [0,255] and rounds half up, as frame.Resize
-// does when it stores a sample.
-func roundToByte(v float64) byte {
-	if v < 0 {
-		return 0
-	}
-	if v > 255 {
-		return 255
-	}
-	return byte(v + 0.5)
 }

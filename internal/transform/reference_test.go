@@ -104,6 +104,12 @@ func checkTransforms(t testing.TB, blk *Block, qz *Quantizer) {
 		t.Fatalf("Quantizer.Inverse (q%d) differs from the reference\nin   %v\ngot  %v\nwant %v",
 			qz.Quality(), *blk, got, want)
 	}
+	rows, cols := masksOf(blk)
+	qz.InverseMasked(blk, rows, cols, &got)
+	if got != want {
+		t.Fatalf("Quantizer.InverseMasked (q%d) differs from the reference\nin   %v\ngot  %v\nwant %v",
+			qz.Quality(), *blk, got, want)
+	}
 }
 
 func TestTransformMatchesReferenceRandom(t *testing.T) {
@@ -292,4 +298,146 @@ func FuzzTransformMatchesReference(f *testing.F) {
 		}
 		checkTransforms(t, &blk, qz)
 	})
+}
+
+// checkMasked compares InverseMasked under the masks rows and cols with the
+// oracle: dequantise, then the textbook inverse.
+func checkMasked(t *testing.T, qz *Quantizer, lev *Block, rows, cols uint) {
+	t.Helper()
+	var got, dq, want Block
+	qz.InverseMasked(lev, rows, cols, &got)
+	refDequantize(qz, lev, &dq)
+	refInverse(&dq, &want)
+	if got != want {
+		t.Fatalf("InverseMasked (q%d, rows %08b, cols %08b) differs from the reference\nin   %v\ngot  %v\nwant %v",
+			qz.Quality(), rows, cols, *lev, got, want)
+	}
+}
+
+// masksOf returns the rows and columns of lev that hold a non-zero level.
+func masksOf(lev *Block) (rows, cols uint) {
+	for i, l := range lev {
+		if l != 0 {
+			rows |= 1 << (i / BlockSize)
+			cols |= 1 << (i % BlockSize)
+		}
+	}
+	return rows, cols
+}
+
+// TestInverseMaskedMatchesReference checks the masked inverse on the levels
+// real residuals quantise to, with the exact masks and with masks that also
+// name empty rows and columns (which add exact zeros), and on single levels
+// at every position.
+func TestInverseMaskedMatchesReference(t *testing.T) {
+	n := 20000
+	if testing.Short() {
+		n = 2000
+	}
+	rng := rand.New(rand.NewSource(27))
+	quants := []*Quantizer{NewQuantizer(85), NewQuantizer(50), NewQuantizer(10), NewQuantizer(100)}
+	var blk, coef, lev Block
+	for trial := 0; trial < n; trial++ {
+		amp := 1 + rng.Intn(40)
+		for i := range blk {
+			blk[i] = int32(rng.Intn(2*amp+1) - amp)
+		}
+		qz := quants[trial%len(quants)]
+		Forward(&blk, &coef)
+		qz.Quantize(&coef, &lev)
+		rows, cols := masksOf(&lev)
+		checkMasked(t, qz, &lev, rows, cols)
+		checkMasked(t, qz, &lev, rows|uint(rng.Intn(256)), cols|uint(rng.Intn(256)))
+	}
+	for i := range lev {
+		for _, a := range []int32{1, -1, 37, -2040, 32767, -32768} {
+			lev = Block{}
+			lev[i] = a
+			rows, cols := masksOf(&lev)
+			checkMasked(t, quants[0], &lev, rows, cols)
+			checkMasked(t, unitQuantizer, &lev, rows, cols)
+		}
+	}
+}
+
+// TestInverseDCOnlyExhaustive proves the DC-only constant fill: every entry
+// of cosTable[0] is the same number, and for every quality and every DC
+// level of 16 bits the fill equals the textbook inverse of the block. A
+// DC-only block meets only the matrix's DC step, so a quality whose step an
+// earlier one had is the same computation and is not run twice.
+func TestInverseDCOnlyExhaustive(t *testing.T) {
+	for x, c := range cosTable[0] {
+		if c != cosTable[0][0] {
+			t.Fatalf("cosTable[0][%d] = %v, cosTable[0][0] = %v", x, c, cosTable[0][0])
+		}
+	}
+	step := int32(1)
+	if testing.Short() {
+		step = 61
+	}
+	seen := map[int32]bool{}
+	var lev Block
+	for q := 1; q <= 100; q++ {
+		qz := NewQuantizer(q)
+		if seen[qz.q[0]] {
+			continue
+		}
+		seen[qz.q[0]] = true
+		for l := int32(-1 << 15); l <= 1<<15; l += step {
+			lev[0] = l
+			checkMasked(t, qz, &lev, 1, 1)
+		}
+	}
+}
+
+// TestMirrorSymmetryIsNotExact records why the inverse does not use the
+// DCT's mirror symmetry cos[u][7−x] = ±cos[u][x] to share products between
+// x and 7−x: in cosTable the two sides are mostly not each other's exact
+// negation (they differ in the last bits), so a shared product would change
+// the result.
+func TestMirrorSymmetryIsNotExact(t *testing.T) {
+	differ := 0
+	for u := range cosTable {
+		for x := 0; x < BlockSize/2; x++ {
+			m := cosTable[u][BlockSize-1-x]
+			if u%2 == 1 {
+				m = -m
+			}
+			if m != cosTable[u][x] {
+				differ++
+			}
+		}
+	}
+	if differ != 27 {
+		t.Fatalf("%d of 32 mirrored cosTable entries differ from ±their mirror, want 27", differ)
+	}
+}
+
+// TestRoundHalfEven checks the rounding helper against math.RoundToEven on
+// exact ties, their float neighbours, signed zeros and random values across
+// the int32 range the inverse produces.
+func TestRoundHalfEven(t *testing.T) {
+	check := func(x float64) {
+		if got, want := roundHalfEven(x), int32(math.RoundToEven(x)); got != want {
+			t.Fatalf("roundHalfEven(%v) = %d, math.RoundToEven gives %d", x, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(36))
+	for _, x := range []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1<<31 - 1, -1 << 31} {
+		check(x)
+	}
+	n := 200000
+	if testing.Short() {
+		n = 20000
+	}
+	for trial := 0; trial < n; trial++ {
+		k := float64(rng.Int63n(1<<32) - 1<<31)
+		for _, x := range []float64{k + 0.5, k - 0.5} {
+			check(x)
+			check(math.Nextafter(x, math.Inf(1)))
+			check(math.Nextafter(x, math.Inf(-1)))
+		}
+		check(k + rng.Float64() - 0.5)
+		check(math.Ldexp(rng.Float64()-0.5, rng.Intn(32)))
+	}
 }

@@ -76,7 +76,7 @@ func init() {
 // The transforms below are bit-exact restatements of the textbook separable
 // loops (s = 0; s += in[k]*cos[k], k ascending; round half to even): every
 // output is the same products added in the same order, so the bitstream does
-// not depend on which form runs. Three rules keep that true:
+// not depend on which form runs. Four rules keep that true:
 //
 //   - every product is wrapped in float64(), which forbids the compiler from
 //     fusing it with the following add into an FMA (one rounding instead of
@@ -85,7 +85,11 @@ func init() {
 //     input is exactly zero may be dropped: x + ±0 == x, and a sum that is
 //     itself ±0 ends up as int32 0 either way;
 //   - nothing else is reordered, factored or shared — the DCT's butterfly
-//     symmetries all change the order of additions.
+//     symmetries all change the order of additions, and even the mirror
+//     symmetry cos[u][7−x] = ±cos[u][x] cannot share a product: in cosTable
+//     27 of the 32 pairs differ in their last bits;
+//   - the final rounding must give math.RoundToEven's value, by any exact
+//     means (roundHalfEven).
 //
 // reference_test.go holds the textbook loops and the tests that compare them
 // with these on random, sparse, extreme and rounding-tie inputs.
@@ -151,22 +155,54 @@ func inverse(src *Block, q *[BlockSize * BlockSize]int32, dst *Block) {
 			cols |= 1 << uint(u)
 		}
 	}
+	inverseMasked(src, q, rows, cols, dst)
+}
 
+// InverseMasked is Inverse for levels whose non-zero entries all lie in the
+// rows set in rows and the columns set in cols (bit i for row or column i):
+// a decoder that records them while it parses saves Inverse its scan. The
+// masks may name rows and columns that hold only zeros — a zero level adds
+// an exact zero — but must not miss a non-zero one.
+//
+//sieve:noalloc inverse transform of the decode hot path
+func (qz *Quantizer) InverseMasked(lev *Block, rows, cols uint, dst *Block) {
+	inverseMasked(lev, &qz.q, rows&(1<<BlockSize-1), cols&(1<<BlockSize-1), dst)
+}
+
+// inverseMasked is inverse once the non-empty rows and columns are known.
+// A DC-only block is a constant: cosTable[0] holds c(0)/2 in every entry
+// (cos 0 is exactly 1), so every sample is the sparse path's two products
+// f·c₀₀·c₀₀, each added to a zero.
+//
+//sieve:noalloc inverse transform of the decode hot path
+func inverseMasked(src *Block, q *[BlockSize * BlockSize]int32, rows, cols uint, dst *Block) {
 	const all = 1<<BlockSize - 1
-	if rows == all && cols == all {
+	switch {
+	case rows == all && cols == all:
 		inverseDense(src, q, dst)
+		return
+	case rows|cols <= 1:
+		f := float64(src[0] * q[0])
+		c := cosTable[0][0]
+		d := roundHalfEven(float64(float64(f*c) * c))
+		for i := range dst {
+			dst[i] = d
+		}
 		return
 	}
 
+	// The passes walk lists of the set rows and columns: a mask would be
+	// rescanned for every output row.
+	var rowList, colList [BlockSize]int
+	rl, cl := setBits(rows, &rowList), setBits(cols, &colList)
 	var tmp [BlockSize * BlockSize]float64
 	// Columns: tmp[y][u] = Σv coef[v][u]·cos[v][y], v ascending.
-	for cm := cols; cm != 0; cm &= cm - 1 {
-		u := bits.TrailingZeros(cm) & (BlockSize - 1)
+	for _, u := range cl {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for rm := rows; rm != 0; rm &= rm - 1 {
-			v := bits.TrailingZeros(rm) & (BlockSize - 1)
-			f := float64(src[v*BlockSize+u] * q[v*BlockSize+u])
-			c := &cosTable[v]
+		for _, v := range rl {
+			i := (v*BlockSize + u) & (BlockSize*BlockSize - 1)
+			f := float64(src[i] * q[i])
+			c := &cosTable[v&(BlockSize-1)]
 			s0 += float64(f * c[0])
 			s1 += float64(f * c[1])
 			s2 += float64(f * c[2])
@@ -176,17 +212,17 @@ func inverse(src *Block, q *[BlockSize * BlockSize]int32, dst *Block) {
 			s6 += float64(f * c[6])
 			s7 += float64(f * c[7])
 		}
-		tmp[u], tmp[BlockSize+u], tmp[2*BlockSize+u], tmp[3*BlockSize+u] = s0, s1, s2, s3
-		tmp[4*BlockSize+u], tmp[5*BlockSize+u], tmp[6*BlockSize+u], tmp[7*BlockSize+u] = s4, s5, s6, s7
+		t := tmp[u&(BlockSize-1):]
+		t[0], t[BlockSize], t[2*BlockSize], t[3*BlockSize] = s0, s1, s2, s3
+		t[4*BlockSize], t[5*BlockSize], t[6*BlockSize], t[7*BlockSize] = s4, s5, s6, s7
 	}
 	// Rows: dst[y][x] = Σu tmp[y][u]·cos[u][x], u ascending.
 	for y := 0; y < BlockSize; y++ {
 		t := tmp[y*BlockSize : y*BlockSize+BlockSize : y*BlockSize+BlockSize]
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for cm := cols; cm != 0; cm &= cm - 1 {
-			u := bits.TrailingZeros(cm) & (BlockSize - 1)
-			f := t[u]
-			c := &cosTable[u]
+		for _, u := range cl {
+			f := t[u&(BlockSize-1)]
+			c := &cosTable[u&(BlockSize-1)]
 			s0 += float64(f * c[0])
 			s1 += float64(f * c[1])
 			s2 += float64(f * c[2])
@@ -197,11 +233,37 @@ func inverse(src *Block, q *[BlockSize * BlockSize]int32, dst *Block) {
 			s7 += float64(f * c[7])
 		}
 		d := dst[y*BlockSize : y*BlockSize+BlockSize : y*BlockSize+BlockSize]
-		d[0], d[1] = int32(math.RoundToEven(s0)), int32(math.RoundToEven(s1))
-		d[2], d[3] = int32(math.RoundToEven(s2)), int32(math.RoundToEven(s3))
-		d[4], d[5] = int32(math.RoundToEven(s4)), int32(math.RoundToEven(s5))
-		d[6], d[7] = int32(math.RoundToEven(s6)), int32(math.RoundToEven(s7))
+		d[0], d[1] = roundHalfEven(s0), roundHalfEven(s1)
+		d[2], d[3] = roundHalfEven(s2), roundHalfEven(s3)
+		d[4], d[5] = roundHalfEven(s4), roundHalfEven(s5)
+		d[6], d[7] = roundHalfEven(s6), roundHalfEven(s7)
 	}
+}
+
+// setBits writes the positions of the set bits of m < 2⁸ to l, ascending,
+// and returns them as a slice of l.
+func setBits(m uint, l *[BlockSize]int) []int {
+	n := 0
+	for ; m != 0; m &= m - 1 {
+		l[n&(BlockSize-1)] = bits.TrailingZeros(m)
+		n++
+	}
+	return l[:n&(2*BlockSize-1)]
+}
+
+// roundHalfEven is int32(math.RoundToEven(x)) for |x| < 2⁵¹. Adding 1.5·2⁵²
+// puts x in [2⁵², 2⁵³), where the doubles are exactly the integers, so the
+// addition itself rounds x to the nearest integer, ties to even (1.5·2⁵² is
+// even, so an even sum means an even integer); subtracting it back is exact.
+// Every sum
+// the inverse rounds is below 2³⁶ in magnitude (at most 64 products of an
+// int32 with factors of magnitude ≤ ½). What this saves is not the rounding
+// but its surroundings: on amd64 each math.RoundToEven is a branch on SSE4.1
+// whose fallback call makes the compiler keep every live accumulator on the
+// stack.
+func roundHalfEven(x float64) int32 {
+	const shift = 3 << 51
+	return int32(float64(x+shift) - shift)
 }
 
 // inverseDense is inverse without the bookkeeping, in Forward's form: eight
@@ -224,7 +286,7 @@ func inverseDense(src *Block, q *[BlockSize * BlockSize]int32, dst *Block) {
 		x0, x1, x2, x3, x4, x5, x6, x7 := t[0], t[1], t[2], t[3], t[4], t[5], t[6], t[7]
 		d := dst[y*BlockSize : y*BlockSize+BlockSize : y*BlockSize+BlockSize]
 		for x := range d {
-			d[x] = int32(math.RoundToEven(dot8(x0, x1, x2, x3, x4, x5, x6, x7, &cosByX[x])))
+			d[x] = roundHalfEven(dot8(x0, x1, x2, x3, x4, x5, x6, x7, &cosByX[x]))
 		}
 	}
 }
@@ -340,5 +402,5 @@ func UnZigZag(src, dst *Block) {
 	}
 }
 
-// ScanIndex returns the raster index of scan position i (for tests).
+// ScanIndex returns the raster index of scan position i.
 func ScanIndex(i int) int { return zigzag[i] }
