@@ -7,7 +7,7 @@ GO ?= go
 BENCH_PKGS = ./internal/codec/ ./internal/vision/ ./internal/tuner/ \
              ./internal/nn/ ./internal/infer/ ./internal/runner/
 
-.PHONY: all build test test-short test-fma bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e docs-lint wire-smoke chaos-smoke obs-smoke split-smoke fmt vet lint sievelint reach fuzz-smoke vuln ci
+.PHONY: all build test test-short test-fma bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e docs-lint wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress fmt vet lint sievelint reach fuzz-smoke vuln ci
 
 all: build
 
@@ -58,8 +58,9 @@ reach:
 # each — catches targets that no longer compile and regressions on the
 # corpus, while staying CI-sized. Longer runs: go test -fuzz=FuzzX ./pkg.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/nn/ ./internal/bitstream/ ./internal/container/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/nn/ ./internal/bitstream/ ./internal/container/ ./internal/faultplan/
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/wire/
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/faultplan/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=10s ./internal/bitstream/
@@ -221,6 +222,14 @@ split-smoke:
 	$(GO) test -race -run '^(TestActivationRecord|TestSplitForward|TestDetectBatchSplit|TestEvalCut|TestPartition)' -short -count=1 ./internal/nn/
 	$(GO) test -race -run '^TestSplitPlane' -count=1 ./internal/infer/
 
+# Equivalence anchors under stress: the detector's batched, split and
+# sharded equivalence tests, repeated at several GOMAXPROCS settings under
+# the race detector, so an anchor that holds only on one schedule fails here.
+ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence)$$'
+
+anchors-stress:
+	$(GO) test -race -short -count=3 -cpu 1,2,4 -run $(ANCHORS) .
+
 # Docs lint: PROTOCOL.md is normative — these tests parse its
 # message-type, error-code, drain and close tables and fail when they
 # disagree with the internal/wire constants (in either direction), and the
@@ -236,4 +245,4 @@ bench-e2e:
 	bash bench/run.sh
 
 # Everything CI checks, in CI's order.
-ci: build vet fmt lint reach test-short test-fma bench wire-smoke chaos-smoke obs-smoke split-smoke docs-lint fuzz-smoke
+ci: build vet fmt lint reach test-short test-fma bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke

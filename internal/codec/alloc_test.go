@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
 	"sieve/internal/frame"
 )
@@ -178,6 +180,63 @@ func TestDecodeIntoCorruptKeepsReference(t *testing.T) {
 			t.Fatalf("frame %d differs after mid-stream corrupt payload", i)
 		}
 	}
+}
+
+// TestDecodersHoldNoPayload: a long-lived decoder must not keep the last
+// payload it read reachable — an archive scanner's decoders would otherwise
+// pin one payload each for as long as they live. Checked after a successful
+// decode, a corrupt payload and, for IFrameDecoder, a P-frame payload.
+func TestDecodersHoldNoPayload(t *testing.T) {
+	p := Params{Width: 64, Height: 48, Quality: 85, GOPSize: 2, Scenecut: 0}
+	encoded := encodeAll(t, p, testVideo(64, 48, 2, 1, 28))
+	iframe, pframe := encoded[0].Data, encoded[1].Data
+	if encoded[1].Type != FrameP {
+		t.Fatalf("frame 1 is %v, want P", encoded[1].Type)
+	}
+	corrupt := iframe[:len(iframe)/2]
+	idec, err := NewIFrameDecoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := frame.NewYUV(64, 48)
+	iframeDecode := func(b []byte) error { _, err := idec.Decode(b); return err }
+	decodeInto := func(b []byte) error { return dec.DecodeInto(b, out) }
+	for _, c := range []struct {
+		name    string
+		decode  func([]byte) error
+		payload []byte
+		wantErr bool
+	}{
+		{"IFrameDecoder, I-frame", iframeDecode, iframe, false},
+		{"IFrameDecoder, corrupt", iframeDecode, corrupt, true},
+		{"IFrameDecoder, P-frame", iframeDecode, pframe, true},
+		{"Decoder, I-frame", decodeInto, iframe, false},
+		{"Decoder, P-frame", decodeInto, pframe, false},
+		{"Decoder, corrupt", decodeInto, corrupt, true},
+	} {
+		wp, err := decodeCopy(c.payload, c.decode)
+		if (err != nil) != c.wantErr {
+			t.Fatalf("%s: err = %v, want error %v", c.name, err, c.wantErr)
+		}
+		runtime.GC()
+		if wp.Value() != nil {
+			t.Errorf("%s: the decoder still reaches the payload after Decode returned", c.name)
+		}
+	}
+}
+
+// decodeCopy decodes a private copy of payload — at least 64 bytes of
+// allocation, so it never shares a tiny-allocator block — and returns a weak
+// pointer to it; nothing but the decoder can reach the copy afterwards.
+//
+//go:noinline
+func decodeCopy(payload []byte, decode func([]byte) error) (weak.Pointer[byte], error) {
+	buf := append(make([]byte, 0, len(payload)+64), payload...)
+	return weak.Make(&buf[0]), decode(buf)
 }
 
 // TestIFrameDecoderMatchesDecodeIFrame pins the reused-buffer I-frame

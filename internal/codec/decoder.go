@@ -53,7 +53,8 @@ func (d *Decoder) Decode(data []byte) (*frame.YUV, error) {
 // allocations: the frame is reconstructed in the decoder's own reference
 // buffers and copied once into out. out never aliases decoder state, so the
 // caller may freely reuse or mutate it between calls; mutating out does not
-// perturb subsequent P-frame decoding.
+// perturb subsequent P-frame decoding. The decoder keeps no reference to
+// data once DecodeInto returns.
 //
 //sieve:noalloc steady-state P-frame path pinned to 0 allocs/op by alloc_test.go
 func (d *Decoder) DecodeInto(data []byte, out *frame.YUV) error {
@@ -64,6 +65,22 @@ func (d *Decoder) DecodeInto(data []byte, out *frame.YUV) error {
 		return fmt.Errorf("codec: output frame %dx%d does not match stream %dx%d",
 			out.W, out.H, d.p.Width, d.p.Height)
 	}
+	err := d.decodeFrame(data)
+	d.r.Reset(nil) // a long-lived decoder must not keep the caller's payload alive
+	if err != nil {
+		return err
+	}
+	out.Y.CopyFrom(d.recon.Y)
+	out.Cb.CopyFrom(d.recon.Cb)
+	out.Cr.CopyFrom(d.recon.Cr)
+	return nil
+}
+
+// decodeFrame decodes one payload into scratch and, on success, makes it
+// the reference.
+//
+//sieve:noalloc leaf of the decode hot path
+func (d *Decoder) decodeFrame(data []byte) error {
 	ft, quality, err := readFrameHeader(&d.r, data)
 	if err != nil {
 		return err
@@ -88,9 +105,6 @@ func (d *Decoder) DecodeInto(data []byte, out *frame.YUV) error {
 	}
 	d.recon, d.scratch = d.scratch, d.recon
 	d.hasRef = true
-	out.Y.CopyFrom(d.recon.Y)
-	out.Cb.CopyFrom(d.recon.Cb)
-	out.Cr.CopyFrom(d.recon.Cr)
 	return nil
 }
 
@@ -141,21 +155,28 @@ func NewIFrameDecoder(p Params) (*IFrameDecoder, error) {
 // Decode decodes one I-frame payload into the decoder's internal frame and
 // returns it. The frame is valid until the next Decode call; callers that
 // need to keep it must Clone. Returns ErrNotIFrame for P-frame payloads.
+// The decoder keeps no reference to data once Decode returns.
 func (d *IFrameDecoder) Decode(data []byte) (*frame.YUV, error) {
-	ft, quality, err := readFrameHeader(&d.r, data)
+	err := d.decode(data)
+	d.r.Reset(nil)
 	if err != nil {
 		return nil, err
 	}
+	return d.out, nil
+}
+
+func (d *IFrameDecoder) decode(data []byte) error {
+	ft, quality, err := readFrameHeader(&d.r, data)
+	if err != nil {
+		return err
+	}
 	if ft != FrameI {
-		return nil, ErrNotIFrame
+		return ErrNotIFrame
 	}
 	if d.bd == nil || d.bd.qz.Quality() != quality {
 		d.bd = newBlockDecoder(quality)
 	}
-	if err := decodeIntraInto(&d.r, d.bd, d.out); err != nil {
-		return nil, err
-	}
-	return d.out, nil
+	return decodeIntraInto(&d.r, d.bd, d.out)
 }
 
 // PayloadFrameType peeks at a payload's frame-type bit without decoding.

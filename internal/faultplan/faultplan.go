@@ -20,6 +20,7 @@ package faultplan
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -127,8 +128,8 @@ func New(events ...Event) (*Plan, error) {
 		if e.Trigger.AtFrame < 0 {
 			return nil, fmt.Errorf("faultplan: event %d (%s): negative trigger frame %d", i, e, e.Trigger.AtFrame)
 		}
-		if e.Kind.needsFactor() && e.Factor < 1 {
-			return nil, fmt.Errorf("faultplan: event %d (%s): factor %g must be >= 1", i, e, e.Factor)
+		if e.Kind.needsFactor() && (e.Factor < 1 || math.IsNaN(e.Factor) || math.IsInf(e.Factor, 1)) {
+			return nil, fmt.Errorf("faultplan: event %d (%s): factor %g must be finite and >= 1", i, e, e.Factor)
 		}
 		if !e.Kind.needsFactor() && e.Factor != 0 {
 			return nil, fmt.Errorf("faultplan: event %d (%s): factor set on factorless kind", i, e)

@@ -1,6 +1,7 @@
 package faultplan
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -35,12 +36,58 @@ func TestParseRejects(t *testing.T) {
 		"skew:site1:cam0@5:abc",       // bad factor
 		"crash:site1:cam0@-1",         // negative frame
 		"crash:site1:cam0@5:extra:oh", // too many fields
+		"degrade:site1:cam0@5:NaN",    // not a number
+		"degrade:site1:cam0@5:+Inf",   // infinite
+		"skew:site1:cam0@5:Inf",       // infinite
+		"skew:site1:cam0@5:1e400",     // overflows to +Inf
 	}
 	for _, s := range bad {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) accepted", s)
 		}
 	}
+}
+
+// TestNewRejectsNonFiniteFactor: New is the validator Parse relies on, and
+// NaN passes a plain `< 1` test.
+func TestNewRejectsNonFiniteFactor(t *testing.T) {
+	for _, k := range []Kind{LinkDegrade, LoadSkew} {
+		for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			e := Event{Kind: k, Site: "site0", Trigger: Trigger{Feed: "cam0", AtFrame: 1}, Factor: f}
+			if _, err := New(e); err == nil {
+				t.Errorf("New accepted %s with factor %v", k, f)
+			}
+		}
+	}
+}
+
+// FuzzParse: any script Parse accepts renders, through String, to a script
+// that parses back to the same plan, event for event.
+func FuzzParse(f *testing.F) {
+	f.Add("crash:site1:cam-north@5;recover:site1:cam-north@9")
+	f.Add("linkdown:site2:cam-east@3;linkup:site2:cam-east@7")
+	f.Add("degrade:site0:cam-west@2:4; skew:site1:cam-north@1:3.5")
+	f.Add("degrade:a:b@1:NaN")
+	f.Add("skew:s:f@+0:0x1p3;crash: s :f g@007")
+	f.Fuzz(func(t *testing.T, script string) {
+		p, err := Parse(script)
+		if err != nil {
+			return
+		}
+		p2, err := Parse(p.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its String %q is rejected: %v", script, p.String(), err)
+		}
+		a, b := p.Events(), p2.Events()
+		if len(a) != len(b) {
+			t.Fatalf("Parse(%q): %d events, re-parsed String %q: %d", script, len(a), p.String(), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("Parse(%q) event %d = %+v, re-parsed String %q gives %+v", script, i, a[i], p.String(), b[i])
+			}
+		}
+	})
 }
 
 func TestPlanOrderingDeterministic(t *testing.T) {

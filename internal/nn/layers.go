@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Layer is one stage of a feed-forward network. Layers expose cost metadata
@@ -61,11 +62,20 @@ func (c *Conv2D) OutShape(in Shape) Shape {
 	return Shape{C: c.OutC, H: oh, W: ow}
 }
 
-// FLOPs implements Layer (2 ops per multiply-accumulate).
+// FLOPs implements Layer (2 ops per multiply-accumulate). It is the dense
+// count on purpose: forwardItem skips the backbone's all-zero (oc, ic)
+// pairs, but nn.Partition prices layers by this number, so counting only
+// the non-zero pairs would move every auto cut and the split transcript in
+// the README.
 func (c *Conv2D) FLOPs(in Shape) int64 {
 	out := c.OutShape(in)
 	return int64(out.C) * int64(out.H) * int64(out.W) * int64(c.InC) * int64(c.K*c.K) * 2
 }
+
+// maxZeroGroups bounds the stack array of per-group zero masks forwardItem
+// hands the border path; a layer with more filters than 4*maxZeroGroups, or
+// more than 64 input channels, runs its border dense.
+const maxZeroGroups = 64
 
 // forwardItem is the single-item convolution kernel shared by Forward and
 // ForwardBatch. The contract both loops below keep, and the oracle in
@@ -80,13 +90,27 @@ func (c *Conv2D) FLOPs(in Shape) int64 {
 // other kernel size) clamps its tap ranges once and runs four filters'
 // chains side by side.
 //
+// Both loops also skip an (oc, ic) pair whose K×K weights are all ±0, where
+// that is exact: when every input value is finite each skipped product is
+// ±0, and adding ±0 leaves a sum unchanged unless the sum is -0. Under
+// round-to-nearest a sum is -0 only when both terms are, so an output whose
+// bias is not -0 is never -0, and the skip is taken only for such filters.
+// Otherwise the pair is multiplied like any other.
+//
 //sieve:noalloc convolution inner loop
 func (c *Conv2D) forwardItem(in []float32, inH, inW int, out []float32, outH, outW int) {
+	finite := allFinite(in)
 	var oyLo, oyHi, oxLo, oxHi int
 	if c.K == 3 {
 		oyLo, oyHi = interiorRange(inH, outH, 3, c.Stride, c.Pad)
 		oxLo, oxHi = interiorRange(inW, outW, 3, c.Stride, c.Pad)
-		c.interior3x3(in, inH, inW, out, outH, outW, oyLo, oyHi, oxLo, oxHi)
+		c.interior3x3(in, inH, inW, out, outH, outW, oyLo, oyHi, oxLo, oxHi, finite)
+	}
+	var masks [maxZeroGroups]uint64
+	var zero []uint64
+	if finite && c.InC <= 64 && c.OutC <= 4*maxZeroGroups {
+		zero = masks[:(c.OutC+3)/4]
+		c.zeroGroups(zero)
 	}
 	for oy := 0; oy < outH; oy++ {
 		// Columns [left, right) of this row were the interior sweep's.
@@ -95,11 +119,71 @@ func (c *Conv2D) forwardItem(in []float32, inH, inW int, out []float32, outH, ou
 			left, right = oxLo, oxHi
 		}
 		for ox := 0; ox < left; ox++ {
-			c.forwardAt(in, inH, inW, out, outH, outW, oy, ox)
+			c.forwardAt(in, inH, inW, out, outH, outW, oy, ox, zero)
 		}
 		for ox := right; ox < outW; ox++ {
-			c.forwardAt(in, inH, inW, out, outH, outW, oy, ox)
+			c.forwardAt(in, inH, inW, out, outH, outW, oy, ox, zero)
 		}
+	}
+}
+
+// allFinite reports whether no value of v is NaN or ±Inf. Those are the
+// magnitudes from 0x7f800000 up, which carry into bit 31 when one more
+// exponent step is added; four independent ORs collect the carries.
+//
+//sieve:noalloc per-item scan of the convolution
+func allFinite(v []float32) bool {
+	const mag, step = 0x7fffffff, 0x00800000
+	var a0, a1, a2, a3 uint32
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		a0 |= math.Float32bits(v[i])&mag + step
+		a1 |= math.Float32bits(v[i+1])&mag + step
+		a2 |= math.Float32bits(v[i+2])&mag + step
+		a3 |= math.Float32bits(v[i+3])&mag + step
+	}
+	for ; i < len(v); i++ {
+		a0 |= math.Float32bits(v[i])&mag + step
+	}
+	return (a0|a1|a2|a3)>>31 == 0
+}
+
+// zeroTaps reports whether every weight of one (oc, ic) pair is +0 or -0.
+func zeroTaps(w []float32) bool {
+	for _, v := range w {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// skippable reports whether filter oc's zero pairs may be skipped over a
+// finite input: its bias is not -0.
+func (c *Conv2D) skippable(oc int) bool {
+	return math.Float32bits(c.B[oc]) != 1<<31
+}
+
+// zeroGroups writes, for each group of four filters as forwardAt forms them,
+// the mask of input channels on which all four filters are zero; a group
+// holding a filter that is not skippable gets an empty mask.
+//
+//sieve:noalloc per-item setup of the convolution
+func (c *Conv2D) zeroGroups(zero []uint64) {
+	last := c.OutC - 1
+	for g := range zero {
+		oc := 4 * g
+		group := [4]int{oc, min(oc+1, last), min(oc+2, last), min(oc+3, last)}
+		var m uint64
+		if c.skippable(group[0]) && c.skippable(group[1]) && c.skippable(group[2]) && c.skippable(group[3]) {
+			for ic := 0; ic < c.InC; ic++ {
+				if zeroTaps(c.W[group[0]][ic]) && zeroTaps(c.W[group[1]][ic]) &&
+					zeroTaps(c.W[group[2]][ic]) && zeroTaps(c.W[group[3]][ic]) {
+					m |= 1 << uint(ic)
+				}
+			}
+		}
+		zero[g] = m
 	}
 }
 
@@ -121,10 +205,11 @@ func interiorRange(inLen, outLen, k, stride, pad int) (lo, hi int) {
 // accumulator, so an output still sees its taps in (ic, ky, kx) order while
 // the nine weights of the (oc, ic) pair sit in locals for the whole sweep
 // and neighbouring outputs — independent nine-add chains — overlap in the
-// pipeline.
+// pipeline. With finite set (every input value finite) a pair whose nine
+// weights are all ±0 is skipped for a filter that is skippable.
 //
 //sieve:noalloc convolution inner loop
-func (c *Conv2D) interior3x3(in []float32, inH, inW int, out []float32, outH, outW, oyLo, oyHi, oxLo, oxHi int) {
+func (c *Conv2D) interior3x3(in []float32, inH, inW int, out []float32, outH, outW, oyLo, oyHi, oxLo, oxHi int, finite bool) {
 	if oxLo == oxHi {
 		return
 	}
@@ -139,8 +224,12 @@ func (c *Conv2D) interior3x3(in []float32, inH, inW int, out []float32, outH, ou
 				o[i] = bias
 			}
 		}
+		skip := finite && c.skippable(oc)
 		for ic := 0; ic < c.InC; ic++ {
 			w := c.W[oc][ic][:9]
+			if skip && zeroTaps(w) {
+				continue
+			}
 			w0, w1, w2, w3, w4, w5, w6, w7, w8 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
 			for oy := oyLo; oy < oyHi; oy++ {
 				base := (ic*inH+oy*stride-c.Pad)*inW + oxLo*stride - c.Pad
@@ -173,10 +262,11 @@ func (c *Conv2D) interior3x3(in []float32, inH, inW int, out []float32, outH, ou
 // once, so no tap is tested; four filters run at a time, their accumulators
 // in locals, because one output's chain of dependent adds leaves the
 // pipeline three-quarters idle. When OutC is not a multiple of four the
-// last group repeats its final filter — the same value stored twice.
+// last group repeats its final filter — the same value stored twice. zero
+// is empty, or holds per group the input channels to skip (zeroGroups).
 //
 //sieve:noalloc convolution inner loop
-func (c *Conv2D) forwardAt(in []float32, inH, inW int, out []float32, outH, outW, oy, ox int) {
+func (c *Conv2D) forwardAt(in []float32, inH, inW int, out []float32, outH, outW, oy, ox int, zero []uint64) {
 	k := c.K
 	iy0, ix0 := oy*c.Stride-c.Pad, ox*c.Stride-c.Pad
 	kyLo, kyHi := clampTaps(iy0, k, inH)
@@ -191,16 +281,25 @@ func (c *Conv2D) forwardAt(in []float32, inH, inW int, out []float32, outH, outW
 		oc1, oc2, oc3 := min(oc+1, last), min(oc+2, last), min(oc+3, last)
 		wa, wb, wc, wd := c.W[oc], c.W[oc1], c.W[oc2], c.W[oc3]
 		a0, a1, a2, a3 := c.B[oc], c.B[oc1], c.B[oc2], c.B[oc3]
-		for ic := 0; ic < c.InC; ic++ {
-			w0, w1, w2, w3 := wa[ic], wb[ic], wc[ic], wd[ic]
-			for ky := kyLo; ky < kyHi; ky++ {
-				base := (ic*inH+iy0+ky)*inW + ix0
-				t := ky*k + kxLo
-				for i, x := range in[base+kxLo : base+kxHi] {
-					a0 += float32(w0[t+i] * x)
-					a1 += float32(w1[t+i] * x)
-					a2 += float32(w2[t+i] * x)
-					a3 += float32(w3[t+i] * x)
+		var skip uint64
+		if len(zero) > 0 {
+			skip = zero[oc/4] // then InC <= 64: one pass of the loop below
+		}
+		// Input channels in 64-wide chunks; within one, the set bits of run
+		// in ascending order — every channel but the skipped ones.
+		for ic0 := 0; ic0 < c.InC; ic0 += 64 {
+			for run := ^uint64(0) >> uint(64-min(c.InC-ic0, 64)) &^ skip; run != 0; run &= run - 1 {
+				ic := ic0 + bits.TrailingZeros64(run)
+				w0, w1, w2, w3 := wa[ic], wb[ic], wc[ic], wd[ic]
+				for ky := kyLo; ky < kyHi; ky++ {
+					base := (ic*inH+iy0+ky)*inW + ix0
+					t := ky*k + kxLo
+					for i, x := range in[base+kxLo : base+kxHi] {
+						a0 += float32(w0[t+i] * x)
+						a1 += float32(w1[t+i] * x)
+						a2 += float32(w2[t+i] * x)
+						a3 += float32(w3[t+i] * x)
+					}
 				}
 			}
 		}

@@ -111,13 +111,47 @@ func checkConvAgainstReference(t testing.TB, c *Conv2D, in *Tensor) {
 	}
 }
 
+// zeroPairs sets every weight of each (oc, ic) pair that keep rejects to a
+// zero taken in turn from zeros (+0, -0, or both alternating).
+func zeroPairs(c *Conv2D, keep func(oc, ic int) bool, zeros ...float32) {
+	n := 0
+	for o := range c.W {
+		for i := range c.W[o] {
+			if keep(o, i) {
+				continue
+			}
+			for t := range c.W[o][i] {
+				c.W[o][i][t] = zeros[n%len(zeros)]
+				n++
+			}
+		}
+	}
+}
+
+// sparsePatterns are the zero-pair layouts the oracle sweeps: the shipped
+// backbone's (each filter reads one input channel), a pseudo-random one
+// picked by the bits of a byte, and a layer of zero filters.
+func sparsePatterns(seed uint64) []func(oc, ic int) bool {
+	bits := byte(seed*37 + 11)
+	return []func(oc, ic int) bool{
+		func(oc, ic int) bool { return ic == oc%3 },
+		func(oc, ic int) bool { return bits>>uint((oc*3+ic)%8)&1 != 0 },
+		func(oc, ic int) bool { return false },
+	}
+}
+
 // TestConvMatchesReference sweeps kernel size × stride × padding × plane
 // size — including planes smaller than the kernel, one-pixel planes, and
 // padding at least as wide as the kernel — with ordinary inputs and with
 // inputs carrying -0, NaN and ±Inf (a skipped padding tap must stay
-// skipped: 0*Inf would turn an output into NaN).
+// skipped: 0*Inf would turn an output into NaN). Each case runs once with
+// dense weights and once with (oc, ic) pairs zeroed — in +0, -0 or both,
+// sometimes under a -0 bias — so the kernel's zero-pair skip is held to the
+// dense oracle on the inputs where it may run and on those where it may not.
 func TestConvMatchesReference(t *testing.T) {
 	sizes := [][2]int{{1, 1}, {2, 3}, {3, 3}, {4, 7}, {6, 6}, {7, 5}, {12, 12}, {13, 9}, {24, 24}}
+	negZero := float32(math.Copysign(0, -1))
+	zeroSets := [][]float32{{0}, {negZero}, {0, negZero}}
 	seed := uint64(1)
 	for _, k := range []int{1, 3, 5} {
 		for _, stride := range []int{1, 2, 3} {
@@ -131,6 +165,12 @@ func TestConvMatchesReference(t *testing.T) {
 						c := randomConv(3, 5, k, stride, pad, seed)
 						in := NewTensor(3, hw[0], hw[1])
 						randomActivations(in.Data, seed*7919, special)
+						checkConvAgainstReference(t, c, in)
+
+						zeroPairs(c, sparsePatterns(seed)[seed%3], zeroSets[seed/3%3]...)
+						if seed%4 == 0 {
+							c.B[seed/4%5] = negZero
+						}
 						checkConvAgainstReference(t, c, in)
 					}
 				}
@@ -183,6 +223,99 @@ func TestConvSkipsPaddingTaps(t *testing.T) {
 	}
 }
 
+// TestConvZeroPairSkipIsExact pins each boundary of the zero-pair skip, in
+// the interior sweep and on the border, for 3×3 (both paths), 5×5 and 1×1
+// (border path only) kernels over two four-filter groups:
+//   - a -0 bias: the dense sum -0 + 0*x is +0, so a skip would leave -0;
+//   - a NaN or ±Inf under a zero pair: 0*NaN and 0*Inf are NaN;
+//   - one non-zero tap, at each position, makes the pair non-zero.
+func TestConvZeroPairSkipIsExact(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	positive := func(in *Tensor) {
+		for i := range in.Data {
+			in.Data[i] = 1 + float32(i%7)/8
+		}
+	}
+	for _, g := range []struct{ k, stride, pad int }{{3, 1, 1}, {3, 2, 1}, {5, 1, 2}, {1, 1, 0}} {
+		name := fmt.Sprintf("k%ds%dp%d", g.k, g.stride, g.pad)
+		in := NewTensor(3, 8, 8)
+		positive(in)
+
+		// Zero filters under a -0 bias, over positive inputs: the dense sum
+		// is -0 + z*x, so +0 for +0 weights (where a skip would leave -0)
+		// and -0 for -0 weights. Filter 3 shares the first group with -0
+		// filters; the second group (filters 4, 5) may be skipped whole.
+		for _, z := range []float32{0, negZero} {
+			c := NewConv2D(name, 3, 6, g.k, g.stride, g.pad)
+			zeroPairs(c, func(oc, ic int) bool { return false }, z)
+			for o := range c.B {
+				c.B[o] = negZero
+			}
+			c.B[3], c.B[4], c.B[5] = 0.5, 0.5, 0.5
+			checkConvAgainstReference(t, c, in)
+			out := c.Forward(in)
+			plane := out.H * out.W
+			for i, v := range out.Data[:3*plane] {
+				if math.Float32bits(v) != math.Float32bits(z) {
+					t.Fatalf("%s, zero weights %v, bias -0: output %d = %v (%#08x), want %v", name, z, i, v, math.Float32bits(v), z)
+				}
+			}
+		}
+
+		// The backbone's layout (filter oc reads channel oc%3 only) with one
+		// non-finite value on channel 1, at an interior position and at the
+		// corner: every output of filter 0 whose window holds it is NaN.
+		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+			for _, at := range [][2]int{{4, 4}, {0, 0}} {
+				c := randomConv(3, 6, g.k, g.stride, g.pad, 5)
+				zeroPairs(c, func(oc, ic int) bool { return ic == oc%3 }, 0)
+				positive(in)
+				in.Data[(1*in.H+at[0])*in.W+at[1]] = bad
+				checkConvAgainstReference(t, c, in)
+				out := c.Forward(in)
+				for oy := 0; oy < out.H; oy++ {
+					for ox := 0; ox < out.W; ox++ {
+						dy, dx := at[0]-(oy*g.stride-g.pad), at[1]-(ox*g.stride-g.pad)
+						if dy < 0 || dy >= g.k || dx < 0 || dx >= g.k {
+							continue
+						}
+						if v := out.Data[oy*out.W+ox]; v == v {
+							t.Fatalf("%s: %v at input (%d,%d) under a zero pair gave filter 0 output (%d,%d) = %v, want NaN",
+								name, bad, at[0], at[1], oy, ox, v)
+						}
+					}
+				}
+			}
+		}
+		positive(in)
+
+		// One non-zero tap in an otherwise zero layer, at each position:
+		// the pair is no longer zero and its filter's outputs move off the
+		// bias.
+		for tap := 0; tap < g.k*g.k; tap++ {
+			for _, pair := range [][2]int{{0, 0}, {5, 2}} {
+				c := NewConv2D(name, 3, 6, g.k, g.stride, g.pad)
+				for o := range c.B {
+					c.B[o] = 0.5
+				}
+				c.W[pair[0]][pair[1]][tap] = 1.5
+				checkConvAgainstReference(t, c, in)
+				out := c.Forward(in)
+				plane := out.H * out.W
+				moved := 0
+				for _, v := range out.Data[pair[0]*plane : (pair[0]+1)*plane] {
+					if v != 0.5 {
+						moved++
+					}
+				}
+				if moved == 0 {
+					t.Fatalf("%s: weight at tap %d of pair %v never reached an output", name, tap, pair)
+				}
+			}
+		}
+	}
+}
+
 // TestYOLiteLayersMatchReference checks every convolution of the shipped
 // detector, on the activations the layers before it produce, at the bench's
 // 96×96 input and the paper's 300×300.
@@ -206,16 +339,23 @@ func TestYOLiteLayersMatchReference(t *testing.T) {
 
 // FuzzConvMatchesReference lets the fuzzer pick the geometry (channels,
 // kernel size, stride, padding, plane size) from the first bytes of the
-// corpus entry and the weights, biases and input from the rest, as raw
-// float32 bit patterns — so -0, subnormals, NaN and ±Inf all turn up.
+// corpus entry, which (oc, ic) pairs to zero from the next — pair p is
+// zeroed when bit p%8 is set, since random bit patterns almost never make
+// K×K zeros — and the weights, biases and input from the rest, as raw
+// float32 bit patterns, so -0, subnormals, NaN and ±Inf all turn up. A
+// zeroed weight keeps the sign of the value it replaces.
 func FuzzConvMatchesReference(f *testing.F) {
-	f.Add([]byte{1, 1, 1, 0, 0, 3, 3, 0, 0, 128, 63})
-	f.Add([]byte{2, 3, 3, 1, 1, 6, 6, 0, 0, 128, 63, 0, 0, 128, 127, 0, 0, 0, 128, 0, 0, 192, 127})
-	f.Add([]byte{3, 4, 3, 2, 1, 12, 9, 1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add([]byte{1, 2, 5, 3, 2, 2, 7, 0, 0, 128, 255, 0, 0, 0, 0})
-	f.Add([]byte{2, 5, 1, 1, 2, 4, 4, 9, 9, 9, 9})
+	f.Add([]byte{1, 1, 1, 0, 0, 3, 3, 0, 0, 0, 128, 63})
+	f.Add([]byte{2, 3, 3, 1, 1, 6, 6, 0, 0, 0, 128, 63, 0, 0, 128, 127, 0, 0, 0, 128, 0, 0, 192, 127})
+	f.Add([]byte{3, 4, 3, 2, 1, 12, 9, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{1, 2, 5, 3, 2, 2, 7, 0, 0, 0, 128, 255, 0, 0, 0, 0})
+	f.Add([]byte{2, 5, 1, 1, 2, 4, 4, 0, 9, 9, 9, 9})
+	f.Add([]byte{2, 5, 1, 0, 1, 8, 8, 0xee, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 160, 63})
+	f.Add([]byte{2, 4, 1, 1, 1, 12, 7, 0x7d, 0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 192, 127})
+	f.Add([]byte{1, 3, 2, 0, 2, 6, 6, 0xff, 0, 0, 0, 128, 0, 0, 0, 64})
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 1, 0x03, 0, 0, 128, 63, 0, 0, 128, 63, 0, 0, 128, 63, 0, 0, 192, 127})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 7 {
+		if len(data) < 8 {
 			return
 		}
 		inC, outC := 1+int(data[0])%3, 1+int(data[1])%6
@@ -225,8 +365,9 @@ func FuzzConvMatchesReference(f *testing.F) {
 		if h+2*pad < k || w+2*pad < k {
 			return
 		}
+		zeroed := data[7]
 		// The remaining bytes are consumed four at a time, cyclically.
-		vals := data[7:]
+		vals := data[8:]
 		if len(vals) < 4 {
 			vals = []byte{0, 0, 128, 63}
 		}
@@ -242,8 +383,13 @@ func FuzzConvMatchesReference(f *testing.F) {
 		c := NewConv2D("fuzz", inC, outC, k, stride, pad)
 		for o := range c.W {
 			for i := range c.W[o] {
+				zero := zeroed>>uint((o*inC+i)%8)&1 != 0
 				for j := range c.W[o][i] {
-					c.W[o][i][j] = next()
+					v := next()
+					if zero {
+						v = math.Float32frombits(math.Float32bits(v) & (1 << 31))
+					}
+					c.W[o][i][j] = v
 				}
 			}
 			c.B[o] = next()
@@ -416,7 +562,11 @@ func TestFromYUVIntoMatchesReference(t *testing.T) {
 // the benchmark's 96×96 geometry and reports ns per multiply-accumulate, so
 // a forward-pass number can be traced to the layer that moved. The big
 // planes (conv1, conv2) are nearly all interior; conv4 and head1 produce
-// 6×6 planes where 11 and 20 of 36 outputs touch padding.
+// 6×6 planes where 11 and 20 of 36 outputs touch padding. ns/MAC divides by
+// the dense count FLOPs()/2, zero pairs included, so on the backbone it
+// falls with the zero-pair skip — each backbone filter reads one input
+// channel, so 2 of conv1's 3 pairs per filter are zero and 31 of conv4's
+// 32 — while the head layers are dense.
 func BenchmarkConvLayers(b *testing.B) {
 	d := randomHeadDetector([]string{"car", "bus", "truck"}, 96, 11)
 	cur := FromYUV(noiseFrame(320, 240, 60), 96)

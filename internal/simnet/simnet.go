@@ -164,12 +164,12 @@ func (l *Link) Down() bool {
 }
 
 // Degrade divides the link's effective bandwidth by factor (>= 1) until the
-// next Degrade call; Degrade(1) restores full rate. Factors below 1 are
-// clamped to 1 — a fault can only slow a link, never overclock it.
+// next Degrade call; Degrade(1) restores full rate. Factors below 1, and
+// NaN, are taken as 1 — a fault can only slow a link, never overclock it.
 func (l *Link) Degrade(factor float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if factor < 1 {
+	if !(factor >= 1) {
 		factor = 1
 	}
 	l.degrade = factor

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -180,6 +181,26 @@ func TestDegradeScalesTransferTime(t *testing.T) {
 	l.Heal()
 	if g := l.Degraded(); g != 2 {
 		t.Fatalf("Degraded after Fail/Heal = %v, want 2", g)
+	}
+}
+
+// TestDegradeNaNIsFullRate: Degrade(NaN) is Degrade(1) — it lifts an
+// earlier degradation and stores 1, not NaN, as the divisor.
+func TestDegradeNaNIsFullRate(t *testing.T) {
+	l, err := NewLink("nan", 8e6, 0) // 1 MB/s
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Degrade(4)
+	l.Degrade(math.NaN())
+	if l.degrade != 1 {
+		t.Fatalf("Degrade(NaN) stored divisor %v, want 1", l.degrade)
+	}
+	if g := l.Degraded(); g != 1 {
+		t.Fatalf("Degraded after Degrade(NaN) = %v, want 1", g)
+	}
+	if d := l.TransferTime(1_000_000); d != time.Second {
+		t.Fatalf("transfer after Degrade(NaN) = %v, want 1s", d)
 	}
 }
 
