@@ -5,7 +5,7 @@ GO ?= go
 
 # Packages fast enough for the 1-iteration benchmark smoke run.
 BENCH_PKGS = ./internal/codec/ ./internal/vision/ ./internal/tuner/ \
-             ./internal/nn/ ./internal/infer/ ./internal/runner/
+             ./internal/nn/ ./internal/infer/ ./internal/runner/ ./internal/container/
 
 .PHONY: all build test test-short test-fma bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e docs-lint wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress fmt vet lint sievelint reach fuzz-smoke vuln ci
 
@@ -65,6 +65,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=10s ./internal/bitstream/
 	$(GO) test -run='^$$' -fuzz=FuzzContainerReader -fuzztime=10s ./internal/container/
+	$(GO) test -run='^$$' -fuzz=FuzzBufferMatchesReference -fuzztime=10s ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzTransformMatchesReference -fuzztime=10s ./internal/transform/
 	$(GO) test -run='^$$' -fuzz=FuzzConvMatchesReference -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeActivationRecord -fuzztime=10s ./internal/nn/

@@ -84,7 +84,8 @@ var (
 type Writer struct {
 	ws     io.WriteSeeker
 	info   StreamInfo
-	index  []FrameMeta
+	index  []byte // the encoded index records, indexRecSize per frame, as Close writes them
+	frames int
 	offset int64
 	closed bool
 }
@@ -126,24 +127,39 @@ func (w *Writer) encodeHeader(frameCount uint32, indexOffset uint64) []byte {
 	return buf
 }
 
-// WriteFrame appends one encoded frame payload.
+// WriteFrame appends one encoded frame payload. It refuses, before writing
+// anything, a frame the Reader could not index: one past maxFrameCount, or
+// a payload whose size does not fit the record's 32-bit size field.
 func (w *Writer) WriteFrame(t codec.FrameType, payload []byte) error {
-	if w.closed {
-		return errors.New("container: write after Close")
-	}
-	if len(payload) == 0 {
-		return errors.New("container: empty frame payload")
+	if err := w.admit(len(payload)); err != nil {
+		return err
 	}
 	if _, err := w.ws.Write(payload); err != nil {
-		return fmt.Errorf("container: writing frame %d: %w", len(w.index), err)
+		return fmt.Errorf("container: writing frame %d: %w", w.frames, err)
 	}
-	w.index = append(w.index, FrameMeta{
-		Index:  len(w.index),
-		Type:   t,
-		Offset: w.offset,
-		Size:   len(payload),
-	})
+	var rec [indexRecSize]byte
+	rec[0] = byte(t)
+	binary.BigEndian.PutUint32(rec[1:], uint32(len(payload)))
+	binary.BigEndian.PutUint64(rec[5:], uint64(w.offset))
+	w.index = append(w.index, rec[:]...)
+	w.frames++
 	w.offset += int64(len(payload))
+	return nil
+}
+
+// admit returns why the next frame, a payload of size bytes, cannot be
+// written, or nil.
+func (w *Writer) admit(size int) error {
+	switch {
+	case w.closed:
+		return errors.New("container: write after Close")
+	case size == 0:
+		return errors.New("container: empty frame payload")
+	case uint64(size) > math.MaxUint32:
+		return fmt.Errorf("container: frame %d payload of %d bytes exceeds the 32-bit record size", w.frames, size)
+	case w.frames >= maxFrameCount:
+		return fmt.Errorf("container: stream already holds %d frames, the most a reader accepts", w.frames)
+	}
 	return nil
 }
 
@@ -152,31 +168,27 @@ func (w *Writer) WriteEncoded(ef *codec.EncodedFrame) error {
 	return w.WriteFrame(ef.Type, ef.Data)
 }
 
-// Close writes the frame index and patches the header. The Writer cannot be
-// used afterwards.
+// Close writes the frame index in one Write and patches the header. The
+// Writer cannot be used afterwards.
 func (w *Writer) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
-	indexOffset := w.offset
-	rec := make([]byte, indexRecSize)
-	for _, m := range w.index {
-		rec[0] = byte(m.Type)
-		binary.BigEndian.PutUint32(rec[1:], uint32(m.Size))
-		binary.BigEndian.PutUint64(rec[5:], uint64(m.Offset))
-		if _, err := w.ws.Write(rec); err != nil {
-			return fmt.Errorf("container: writing index: %w", err)
-		}
+	// Sessions keep their Writer after Close; the stream holds the index now.
+	index := w.index
+	w.index = nil
+	if _, err := w.ws.Write(index); err != nil {
+		return fmt.Errorf("container: writing index: %w", err)
 	}
 	if _, err := w.ws.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("container: seeking to header: %w", err)
 	}
-	hdr := w.encodeHeader(uint32(len(w.index)), uint64(indexOffset))
+	hdr := w.encodeHeader(uint32(w.frames), uint64(w.offset))
 	if _, err := w.ws.Write(hdr); err != nil {
 		return fmt.Errorf("container: patching header: %w", err)
 	}
-	w.info.FrameCount = len(w.index)
+	w.info.FrameCount = w.frames
 	return nil
 }
 
@@ -185,7 +197,7 @@ func (w *Writer) Close() error {
 func (w *Writer) BytesWritten() int64 { return w.offset }
 
 // FrameCount reports the number of frames written so far.
-func (w *Writer) FrameCount() int { return len(w.index) }
+func (w *Writer) FrameCount() int { return w.frames }
 
 // Reader provides random access to an SVF stream. It loads the header and
 // index eagerly (both are metadata; payloads are read on demand).
@@ -326,11 +338,22 @@ func (r *Reader) PayloadBytes(keep func(FrameMeta) bool) int64 {
 	return total
 }
 
+// chunkSize is the Buffer's unit of allocation, chosen by measurement:
+// 4 KiB chunks wrote ≈ 1.5× slower (BenchmarkStreamWrite), and 64 KiB ones
+// are large-object allocations that leave more slack after a short stream.
+const chunkSize = 16 << 10
+
 // Buffer is an in-memory io.WriteSeeker + io.ReaderAt, letting pipelines
 // build and consume SVF streams without touching disk.
+//
+// The bytes live in fixed-size chunks. A write allocates only the chunks
+// past the current end and never moves a byte already written, so a stream
+// costs O(payload) per frame at any length and retains its size plus less
+// than one chunk.
 type Buffer struct {
-	data []byte
-	pos  int64
+	chunks [][]byte // each chunkSize long; bytes at and past size are zero
+	size   int64
+	pos    int64
 }
 
 var (
@@ -338,16 +361,20 @@ var (
 	_ io.ReaderAt    = (*Buffer)(nil)
 )
 
-// Write appends or overwrites at the current position.
+// Write appends or overwrites at the current position. A write after a
+// seek past the end leaves zeros in the gap.
 func (b *Buffer) Write(p []byte) (int, error) {
 	end := b.pos + int64(len(p))
-	if end > int64(len(b.data)) {
-		grown := make([]byte, end)
-		copy(grown, b.data)
-		b.data = grown
+	for int64(len(b.chunks))*chunkSize < end {
+		b.chunks = append(b.chunks, make([]byte, chunkSize))
 	}
-	copy(b.data[b.pos:end], p)
-	b.pos = end
+	b.size = max(b.size, end)
+	for n := 0; n < len(p); {
+		c := b.chunks[b.pos/chunkSize][b.pos%chunkSize:]
+		m := copy(c, p[n:])
+		n += m
+		b.pos += int64(m)
+	}
 	return len(p), nil
 }
 
@@ -360,7 +387,7 @@ func (b *Buffer) Seek(offset int64, whence int) (int64, error) {
 	case io.SeekCurrent:
 		abs = b.pos + offset
 	case io.SeekEnd:
-		abs = int64(len(b.data)) + offset
+		abs = b.size + offset
 	default:
 		return 0, fmt.Errorf("container: invalid whence %d", whence)
 	}
@@ -373,18 +400,34 @@ func (b *Buffer) Seek(offset int64, whence int) (int64, error) {
 
 // ReadAt implements io.ReaderAt.
 func (b *Buffer) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(b.data)) {
+	if off < 0 {
+		return 0, errors.New("container: negative read offset")
+	}
+	if off >= b.size {
 		return 0, io.EOF
 	}
-	n := copy(p, b.data[off:])
+	n := 0
+	for n < len(p) && off < b.size {
+		c := b.chunks[off/chunkSize][off%chunkSize:]
+		if rest := b.size - off; int64(len(c)) > rest {
+			c = c[:rest]
+		}
+		m := copy(p[n:], c)
+		n += m
+		off += int64(m)
+	}
 	if n < len(p) {
 		return n, io.EOF
 	}
 	return n, nil
 }
 
-// Bytes returns the underlying buffer (aliased, not copied).
-func (b *Buffer) Bytes() []byte { return b.data }
+// Bytes returns a contiguous copy of the buffer's contents.
+func (b *Buffer) Bytes() []byte {
+	out := make([]byte, b.size)
+	_, _ = b.ReadAt(out, 0) // exact fit: io.EOF only when the buffer is empty
+	return out
+}
 
 // Size returns the buffer length in bytes.
-func (b *Buffer) Size() int64 { return int64(len(b.data)) }
+func (b *Buffer) Size() int64 { return b.size }

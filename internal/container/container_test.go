@@ -3,14 +3,25 @@ package container
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"sieve/internal/codec"
 	"sieve/internal/frame"
 )
+
+// bufferOf returns a Buffer holding a copy of data.
+func bufferOf(data []byte) *Buffer {
+	var b Buffer
+	b.Write(data)
+	return &b
+}
 
 func testInfo() StreamInfo {
 	return StreamInfo{
@@ -231,12 +242,12 @@ func TestRejectTruncated(t *testing.T) {
 	writeTestStream(t, &buf, 10, 5)
 	// Cut the index off.
 	data := buf.Bytes()
-	short := &Buffer{data: data[:len(data)-20]}
+	short := bufferOf(data[:len(data)-20])
 	if _, err := NewReader(short, short.Size()); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 	// Too short for even a header.
-	tiny := &Buffer{data: data[:10]}
+	tiny := bufferOf(data[:10])
 	if _, err := NewReader(tiny, tiny.Size()); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
@@ -319,6 +330,131 @@ func TestBufferSeekSemantics(t *testing.T) {
 	}
 	if _, err := b.ReadAt(p[:], 100); err == nil {
 		t.Fatal("ReadAt past end should return EOF")
+	}
+}
+
+// io.ReaderAt requires an error for a negative offset; the flat Buffer
+// sliced data[off:] and panicked.
+func TestBufferReadAtNegativeOffset(t *testing.T) {
+	b := bufferOf([]byte("hello"))
+	p := make([]byte, 3)
+	n, err := b.ReadAt(p, -1)
+	if n != 0 || err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("ReadAt(p, -1) = %d, %v; want 0 and a non-EOF error", n, err)
+	}
+}
+
+// A stream the Writer closes must be one its Reader opens, so WriteFrame
+// refuses the frame past maxFrameCount and a payload the 32-bit size field
+// cannot hold, before writing a byte of it.
+func TestWriterRefusesUnreadableStreams(t *testing.T) {
+	var buf Buffer
+	w, err := NewWriter(&buf, testInfo())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.frames = maxFrameCount - 1
+	if err := w.WriteFrame(codec.FrameI, []byte("last")); err != nil {
+		t.Fatalf("frame %d (the limit) refused: %v", maxFrameCount, err)
+	}
+	size := buf.Size()
+	if err := w.WriteFrame(codec.FrameP, []byte("one too many")); err == nil {
+		t.Fatalf("frame %d accepted; NewReader rejects more than %d", maxFrameCount+1, maxFrameCount)
+	}
+	if buf.Size() != size || w.FrameCount() != maxFrameCount || len(w.index) != indexRecSize {
+		t.Fatalf("refused frame was written: size %d → %d, %d frames, %d index bytes", size, buf.Size(), w.FrameCount(), len(w.index))
+	}
+	// A 4 GiB payload is not allocated here: admit sees only its length.
+	w.frames = 0
+	if err := w.admit(math.MaxUint32); err != nil {
+		t.Fatalf("payload of 2^32-1 bytes refused: %v", err)
+	}
+	if err := w.admit(math.MaxUint32 + 1); err == nil {
+		t.Fatal("payload of 2^32 bytes accepted; its index record would truncate the size")
+	}
+}
+
+// countingSink counts the Write calls reaching a Buffer.
+type countingSink struct {
+	Buffer
+	writes int
+}
+
+func (c *countingSink) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// TestWriterAllocIsLinear pins the container's cost at O(payload) per frame
+// at any stream length: every byte allocated writing a stream of 1 KiB
+// frames — chunks, the index, the header — stays within a tenth of the
+// stream plus one chunk. The flat buffer copied the whole stream on every
+// frame and the index record by record, and fails here at 1 000 frames.
+// Close writes the index with one Write, then patches the header.
+func TestWriterAllocIsLinear(t *testing.T) {
+	payload := make([]byte, 1024)
+	for _, frames := range []int{1000, 10000} {
+		sink := &countingSink{}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		w, err := NewWriter(sink, testInfo())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < frames; i++ {
+			if err := w.WriteFrame(codec.FrameP, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writes := sink.writes
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		stream := sink.Size()
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%d frames: allocated %d bytes for a %d-byte stream (%.3fx)", frames, alloc, stream, float64(alloc)/float64(stream))
+		if float64(alloc) > 1.1*float64(stream)+chunkSize {
+			t.Fatalf("%d frames: allocated %.2fx the stream; want <= 1.1x + one chunk", frames, float64(alloc)/float64(stream))
+		}
+		if n := sink.writes - writes; n != 2 {
+			t.Fatalf("%d frames: Close made %d writes; want one for the index and one header patch", frames, n)
+		}
+	}
+}
+
+// BenchmarkStreamWrite writes streams of edge_quiet's mean payload (26 KB)
+// through a Writer into a Buffer. ns/frame and B/frame must read the same
+// at every length: a stream costs its payload, not its length.
+func BenchmarkStreamWrite(b *testing.B) {
+	payload := make([]byte, 26<<10)
+	for _, frames := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var buf Buffer
+				w, err := NewWriter(&buf, testInfo())
+				if err != nil {
+					b.Fatal(err)
+				}
+				for f := 0; f < frames; f++ {
+					if err := w.WriteFrame(codec.FrameP, payload); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			n := float64(b.N) * float64(frames)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/frame")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/frame")
+		})
 	}
 }
 
@@ -433,7 +569,7 @@ func overflowStream(t testing.TB) []byte {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data := append([]byte(nil), buf.Bytes()...)
+	data := buf.Bytes()
 	rec := data[len(data)-indexRecSize:]
 	binary.BigEndian.PutUint32(rec[1:], 0xFFFFFFFF)
 	binary.BigEndian.PutUint64(rec[5:], 0x7FFFFFFFFFFFFFF0)
@@ -442,13 +578,13 @@ func overflowStream(t testing.TB) []byte {
 
 func TestRejectOverflowingIndex(t *testing.T) {
 	data := overflowStream(t)
-	if _, err := NewReader(&Buffer{data: data}, int64(len(data))); err == nil {
+	if _, err := NewReader(bufferOf(data), int64(len(data))); err == nil {
 		t.Fatal("index record at 2^63-16 with size 2^32-1 accepted")
 	}
 	// An index offset near 2⁶³ wraps the index-size sum the same way.
 	data = overflowStream(t)
 	binary.BigEndian.PutUint64(data[40:], 0x7FFFFFFFFFFFFFFF)
-	if _, err := NewReader(&Buffer{data: data}, int64(len(data))); !errors.Is(err, ErrTruncated) {
+	if _, err := NewReader(bufferOf(data), int64(len(data))); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("index offset 2^63-1: err = %v, want ErrTruncated", err)
 	}
 }
@@ -480,7 +616,7 @@ func FuzzContainerReader(f *testing.F) {
 	f.Add(buf.Bytes()[:headerSize])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		size := int64(len(data))
-		r, err := NewReader(&Buffer{data: data}, size)
+		r, err := NewReader(bufferOf(data), size)
 		if err != nil {
 			return
 		}
