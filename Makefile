@@ -58,7 +58,7 @@ reach:
 # each — catches targets that no longer compile and regressions on the
 # corpus, while staying CI-sized. Longer runs: go test -fuzz=FuzzX ./pkg.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/nn/ ./internal/bitstream/ ./internal/container/ ./internal/faultplan/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/frame/ ./internal/nn/ ./internal/bitstream/ ./internal/container/ ./internal/faultplan/
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/faultplan/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzContainerReader -fuzztime=10s ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzBufferMatchesReference -fuzztime=10s ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzTransformMatchesReference -fuzztime=10s ./internal/transform/
+	$(GO) test -run='^$$' -fuzz=FuzzSADMatchesReference -fuzztime=10s ./internal/frame/
 	$(GO) test -run='^$$' -fuzz=FuzzConvMatchesReference -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeActivationRecord -fuzztime=10s ./internal/nn/
 
@@ -100,14 +101,17 @@ test-short:
 
 # Neither the bitstream nor the detections may depend on FMA: a fused a*b+c
 # rounds once where the golden streams, the trained weights and
-# bench/expected.json's counts were recorded rounding twice. Two checks,
+# bench/expected.json's counts were recorded rounding twice. Three checks,
 # because go1.24 does not fuse on amd64 even at GOAMD64=v3 (so the first one
 # only guards a toolchain that starts to): the golden fixtures and the
-# kernel-vs-reference tests under GOAMD64=v3 (needs AVX2+FMA), and the arm64
+# kernel-vs-reference tests under GOAMD64=v3 (needs AVX2+FMA); the arm64
 # build — a target that does fuse — of the encoder's transform, the detector
 # (internal/nn) and its input path (internal/frame) must contain no fused
 # multiply-add in either precision, which holds only while every product
-# there keeps its explicit float32()/float64() conversion.
+# there keeps its explicit float32()/float64() conversion (that build is
+# also what compiles the Go kernels the amd64 assembly replaces); and no
+# amd64 assembly kernel (internal/**/*_amd64.s) may name a fused
+# multiply-add instruction.
 FMA_FREE_PKGS = ./internal/transform/ ./internal/nn/ ./internal/frame/
 
 test-fma:
@@ -115,6 +119,11 @@ test-fma:
 	@fused="$$(GOARCH=arm64 $(GO) build -gcflags=-S $(FMA_FREE_PKGS) 2>&1 | grep -E 'FN?M(ADD|SUB)[SD]' || true)"; \
 	if [ -n "$$fused" ]; then \
 		echo "test-fma: the arm64 build fuses a multiply-add (a product lost its float32()/float64()):"; \
+		echo "$$fused"; exit 1; \
+	fi
+	@fused="$$(find internal -name '*_amd64.s' -exec grep -HnE 'VFN?M(ADD|SUB)' {} + || true)"; \
+	if [ -n "$$fused" ]; then \
+		echo "test-fma: an amd64 assembly kernel uses a fused multiply-add:"; \
 		echo "$$fused"; exit 1; \
 	fi
 
@@ -125,7 +134,9 @@ bench:
 # Codec hot-path micro-benchmarks: steady-state encode (BenchmarkEncodeQuiet
 # is the content bench/'s edge_quiet encodes), decode (BenchmarkIFrameDecode
 # is the I-frames bench/'s archive_scan decodes), analyze, the bounded
-# SAD, and the kernels under them (DCT pair, 16×16 SAD). -benchmem:
+# SAD, and the kernels under them (DCT pair, 16×16 SAD; the forward DCT and
+# the SAD each as /kernel, what Forward and SAD run — the SSE2 assembly on
+# amd64 — and /go, the Go kernel). -benchmem:
 # allocs/op must read 0 on every row. ns/op here tells which kernel moved;
 # wall-clock claims are made with bench/ (make bench-e2e), on alternated
 # parent/change pairs — the reference box has 2 vCPUs and a run-to-run

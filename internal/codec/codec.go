@@ -114,7 +114,9 @@ func (p *Params) normalize() error {
 	if p.GOPSize < 1 {
 		return fmt.Errorf("codec: GOP size %d must be >= 1", p.GOPSize)
 	}
-	if p.Scenecut < 0 || p.Scenecut > MaxScenecut {
+	// One range test, not two out-of-range tests: NaN fails every
+	// comparison, so only this form refuses it.
+	if !(p.Scenecut >= 0 && p.Scenecut <= MaxScenecut) {
 		return fmt.Errorf("codec: scenecut %.1f out of [0,%d]", p.Scenecut, MaxScenecut)
 	}
 	if p.SearchRange == 0 {

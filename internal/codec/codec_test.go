@@ -317,6 +317,10 @@ func TestParamsValidation(t *testing.T) {
 		{Width: 32, Height: 32, GOPSize: 0},
 		{Width: 32, Height: 32, GOPSize: 10, Quality: 101},
 		{Width: 32, Height: 32, GOPSize: 10, Scenecut: 500},
+		{Width: 32, Height: 32, GOPSize: 10, Scenecut: -1},
+		{Width: 32, Height: 32, GOPSize: 10, Scenecut: math.NaN()},
+		{Width: 32, Height: 32, GOPSize: 10, Scenecut: math.Inf(1)},
+		{Width: 32, Height: 32, GOPSize: 10, Scenecut: math.Inf(-1)},
 		{Width: 32, Height: 32, GOPSize: 10, SearchRange: -2},
 	}
 	for i, p := range bad {

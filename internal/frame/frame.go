@@ -193,13 +193,29 @@ func SAD(a *Plane, ax, ay int, b *Plane, bx, by, w, h int) int {
 // is identical to computing the full sum. Callers that need the exact value
 // on ties must pass bound = best+1.
 //
-// The 8- and 16-wide blocks the codec issues take eight pixels per step
-// (absLanes); a block that hangs over a plane edge is read through
-// clampedRow, which replicates only the overhang. Other widths sum pixel by
-// pixel.
+// On amd64 an 8- or 16-wide block inside both planes is summed by sadRows
+// (sad_amd64.s), one PSADBW per row with the same per-row exit, so it
+// returns the same partial sums; every other block, and every block on other
+// architectures, takes sadBoundedGo.
 //
 //sieve:noalloc motion-search inner loop with early exit
 func SADBounded(a *Plane, ax, ay int, b *Plane, bx, by, w, h, bound int) int {
+	if haveSADAsm && (w == 8 || w == 16) && h > 0 &&
+		ax >= 0 && ay >= 0 && ax+w <= a.W && ay+h <= a.H &&
+		bx >= 0 && by >= 0 && bx+w <= b.W && by+h <= b.H {
+		return sadRows(a.Pix[ay*a.Stride+ax:], a.Stride, b.Pix[by*b.Stride+bx:], b.Stride, w, h, bound)
+	}
+	return sadBoundedGo(a, ax, ay, b, bx, by, w, h, bound)
+}
+
+// sadBoundedGo is the Go kernel of SADBounded, and on amd64 the oracle its
+// assembly is tested against. The 8- and 16-wide blocks the codec issues
+// take eight pixels per step (absLanes); a block that hangs over a plane
+// edge is read through clampedRow, which replicates only the overhang. Other
+// widths sum pixel by pixel.
+//
+//sieve:noalloc motion-search inner loop with early exit
+func sadBoundedGo(a *Plane, ax, ay int, b *Plane, bx, by, w, h, bound int) int {
 	sum := 0
 	if w != 8 && w != 16 {
 		for y := 0; y < h; y++ {

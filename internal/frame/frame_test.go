@@ -252,15 +252,24 @@ func TestYUVEqualAndClone(t *testing.T) {
 	}
 }
 
+// BenchmarkSAD16x16 times one in-plane 16×16 SAD: /kernel is what SAD runs
+// (the assembly on amd64), /go the Go kernel.
 func BenchmarkSAD16x16(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
 	p := randomPlane(rng, 1920, 1080)
 	q := randomPlane(rng, 1920, 1080)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		SAD(p, 100, 100, q, 103, 98, 16, 16)
-	}
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			SAD(p, 100, 100, q, 103, 98, 16, 16)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			sadBoundedGo(p, 100, 100, q, 103, 98, 16, 16, math.MaxInt)
+		}
+	})
 }
 
 func BenchmarkResize1080pTo300(b *testing.B) {

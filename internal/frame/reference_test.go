@@ -117,10 +117,39 @@ func offsetNear(rng *rand.Rand, n, size int) int {
 	}
 }
 
-// TestSADMatchesReference checks SAD for equality with the oracle, and
-// SADBounded for its contract — exact below the bound, some value >= bound
-// otherwise — on random windows, strides, block positions around every
-// edge, the 8- and 16-wide kernels and the general path.
+// checkSAD checks SAD for equality with the oracle, and SADBounded for its
+// contract — exact below the bound, some value >= bound otherwise — at
+// bounds on both sides of the exact sum. SAD and SADBounded, which run the
+// assembly on amd64, must also return exactly what the Go kernel
+// sadBoundedGo does, partial sums included.
+func checkSAD(t *testing.T, a *Plane, ax, ay int, b *Plane, bx, by, w, h int) {
+	t.Helper()
+	exact := refSAD(a, ax, ay, b, bx, by, w, h)
+	got, goK := SAD(a, ax, ay, b, bx, by, w, h), sadBoundedGo(a, ax, ay, b, bx, by, w, h, math.MaxInt)
+	if got != exact || goK != exact {
+		t.Fatalf("SAD %dx%d a%dx%d/%d@(%d,%d) b%dx%d/%d@(%d,%d) = %d (Go kernel %d), reference %d",
+			w, h, a.W, a.H, a.Stride, ax, ay, b.W, b.H, b.Stride, bx, by, got, goK, exact)
+	}
+	for _, bound := range []int{0, 1, exact / 2, exact, exact + 1, 1 << 40} {
+		got := SADBounded(a, ax, ay, b, bx, by, w, h, bound)
+		goK := sadBoundedGo(a, ax, ay, b, bx, by, w, h, bound)
+		ref := refSADBounded(a, ax, ay, b, bx, by, w, h, bound)
+		if got != goK {
+			t.Fatalf("SADBounded %dx%d a%dx%d/%d@(%d,%d) b%dx%d/%d@(%d,%d) bound %d = %d, Go kernel %d (exact %d)",
+				w, h, a.W, a.H, a.Stride, ax, ay, b.W, b.H, b.Stride, bx, by, bound, got, goK, exact)
+		}
+		if exact < bound && (got != exact || ref != exact) {
+			t.Fatalf("SADBounded %dx%d bound %d = %d (reference %d), want exact %d", w, h, bound, got, ref, exact)
+		}
+		if exact >= bound && (got < bound || ref < bound) {
+			t.Fatalf("SADBounded %dx%d bound %d = %d (reference %d), want >= bound (exact %d)", w, h, bound, got, ref, exact)
+		}
+	}
+}
+
+// TestSADMatchesReference runs checkSAD on random windows, strides, block
+// positions around every edge, the 8- and 16-wide kernels and the general
+// path.
 func TestSADMatchesReference(t *testing.T) {
 	n := 60000
 	if testing.Short() {
@@ -134,22 +163,63 @@ func TestSADMatchesReference(t *testing.T) {
 		w, h := sizes[rng.Intn(len(sizes))], sizes[rng.Intn(len(sizes))]
 		ax, ay := offsetNear(rng, a.W, w), offsetNear(rng, a.H, h)
 		bx, by := offsetNear(rng, b.W, w), offsetNear(rng, b.H, h)
-		exact := refSAD(a, ax, ay, b, bx, by, w, h)
-		if got := SAD(a, ax, ay, b, bx, by, w, h); got != exact {
-			t.Fatalf("SAD %dx%d a%dx%d@(%d,%d) b%dx%d@(%d,%d) = %d, reference %d",
-				w, h, a.W, a.H, ax, ay, b.W, b.H, bx, by, got, exact)
-		}
-		for _, bound := range []int{0, 1, exact / 2, exact, exact + 1, 1 << 40} {
-			got := SADBounded(a, ax, ay, b, bx, by, w, h, bound)
-			ref := refSADBounded(a, ax, ay, b, bx, by, w, h, bound)
-			if exact < bound && (got != exact || ref != exact) {
-				t.Fatalf("SADBounded %dx%d bound %d = %d (reference %d), want exact %d", w, h, bound, got, ref, exact)
-			}
-			if exact >= bound && (got < bound || ref < bound) {
-				t.Fatalf("SADBounded %dx%d bound %d = %d (reference %d), want >= bound (exact %d)", w, h, bound, got, ref, exact)
-			}
-		}
+		checkSAD(t, a, ax, ay, b, bx, by, w, h)
 	}
+}
+
+// FuzzSADMatchesReference runs checkSAD on a geometry and pixels chosen by
+// the fuzzer. geom packs, low bits first: the planes' width and height
+// (5 bits each, plus 8), each plane's stride padding (3 bits each), the
+// block width and height (3 bits each, widths 8 and 16 twice as often as
+// the others) and the four block coordinates (6 bits each: three values in
+// four put the block inside its plane, where it fits, the rest across or
+// past the low or the high edge). Plane a repeats pix; plane b repeats it
+// from its middle, so equal pixels are as easy to reach as different ones.
+func FuzzSADMatchesReference(f *testing.F) {
+	f.Add(uint64(0), []byte{})
+	f.Add(uint64(0x2a5c_3b1e_9f07_4d63), []byte{0, 255, 7, 128, 255, 0, 1, 2, 3})
+	rng := rand.New(rand.NewSource(30))
+	for range 16 {
+		pix := make([]byte, 1+rng.Intn(64))
+		rng.Read(pix)
+		f.Add(rng.Uint64(), pix)
+	}
+	sizes := [8]int{8, 16, 8, 16, 1, 4, 12, 17}
+	f.Fuzz(func(t *testing.T, geom uint64, pix []byte) {
+		if len(pix) == 0 {
+			pix = []byte{0}
+		}
+		take := func(bits uint) int {
+			v := int(geom & (1<<bits - 1))
+			geom >>= bits
+			return v
+		}
+		pw, ph := 8+take(5), 8+take(5)
+		plane := func(pad, from int) *Plane {
+			stride := pw + pad
+			p := &Plane{Pix: make([]byte, stride*(ph-1)+pw), Stride: stride, W: pw, H: ph}
+			for i := range p.Pix {
+				p.Pix[i] = pix[(from+i)%len(pix)]
+			}
+			return p
+		}
+		a, b := plane(take(3), 0), plane(take(3), len(pix)/2)
+		w, h := sizes[take(3)], sizes[take(3)]
+		origin := func(n, size int) int {
+			c := take(6)
+			switch {
+			case c < 48 && size <= n:
+				return c % (n - size + 1)
+			case c&15 < 8:
+				return -1 - c&7 // across or past the low edge
+			default:
+				return n - size + 1 + c&7 // across or past the high edge
+			}
+		}
+		ax, ay := origin(pw, w), origin(ph, h)
+		bx, by := origin(pw, w), origin(ph, h)
+		checkSAD(t, a, ax, ay, b, bx, by, w, h)
+	})
 }
 
 // bilinearSample is one sample of Resize(src, w, h) at (x, y), computed on

@@ -81,17 +81,62 @@ func refDequantize(qz *Quantizer, src, dst *Block) {
 	}
 }
 
+// checkForward asserts that Forward, which is the assembly on amd64, and the
+// Go kernel forwardGo both equal the textbook oracle on blk.
+func checkForward(t testing.TB, blk *Block) {
+	t.Helper()
+	var got, goK, want Block
+	Forward(blk, &got)
+	forwardGo(blk, &goK)
+	refForward(blk, &want)
+	if got != goK {
+		t.Fatalf("Forward differs from forwardGo\nin   %v\ngot  %v\ngo   %v", *blk, got, goK)
+	}
+	if got != want {
+		t.Fatalf("Forward differs from the reference\nin   %v\ngot  %v\nwant %v", *blk, got, want)
+	}
+}
+
+// TestForwardMatchesReferenceFullRange feeds Forward samples of every int32
+// magnitude, which FuzzTransformMatchesReference (int16 samples) cannot
+// reach: products and sums far from the residual range, and coefficients
+// beyond int32, where the result is whatever the conversion to int32 makes
+// of them and the assembly's CVTPD2PL must agree with Go's.
+func TestForwardMatchesReferenceFullRange(t *testing.T) {
+	n := 100000
+	if testing.Short() {
+		n = 10000
+	}
+	rng := rand.New(rand.NewSource(30))
+	var blk Block
+	for _, v := range []int32{math.MaxInt32, math.MinInt32, math.MinInt32 + 1, 1 << 30, -1 << 30} {
+		for i := range blk {
+			blk[i] = v
+		}
+		checkForward(t, &blk)
+		for i := range blk {
+			if (i/BlockSize+i%BlockSize)%2 == 1 { // a checkerboard
+				blk[i] = -v
+			}
+		}
+		checkForward(t, &blk)
+	}
+	for trial := 0; trial < n; trial++ {
+		shift := rng.Intn(32)
+		for i := range blk {
+			blk[i] = int32(rng.Uint32()) >> shift
+		}
+		checkForward(t, &blk)
+	}
+}
+
 // checkTransforms asserts that Forward and Inverse agree with the oracle on
 // blk taken as samples and as coefficients, and that the dequantising
 // inverse agrees with dequantise-then-inverse on blk taken as levels.
 func checkTransforms(t testing.TB, blk *Block, qz *Quantizer) {
 	t.Helper()
 	var got, want, dq Block
-	Forward(blk, &got)
-	refForward(blk, &want)
-	if got != want {
-		t.Fatalf("Forward differs from the reference\nin   %v\ngot  %v\nwant %v", *blk, got, want)
-	}
+	checkForward(t, blk)
 	Inverse(blk, &got)
 	refInverse(blk, &want)
 	if got != want {
@@ -277,7 +322,7 @@ func TestQuantizeMatchesReferenceExhaustive(t *testing.T) {
 
 // FuzzTransformMatchesReference reads 64 little-endian int16 values and
 // requires Forward, Inverse and the dequantising inverse to equal the
-// oracle on them.
+// oracle on them, and Forward to equal the Go kernel forwardGo.
 func FuzzTransformMatchesReference(f *testing.F) {
 	f.Add(make([]byte, 128))
 	seed := make([]byte, 128)

@@ -28,14 +28,19 @@ var (
 	unitQuant [BlockSize * BlockSize]int32
 )
 
+// cosine is cosTable[u][x]: cos((2x+1)uπ/16) * c(u)/2.
+func cosine(u, x int) float64 {
+	c := 1.0
+	if u == 0 {
+		c = 1 / math.Sqrt2
+	}
+	return c / 2 * math.Cos(float64(2*x+1)*float64(u)*math.Pi/16)
+}
+
 func init() {
 	for u := 0; u < BlockSize; u++ {
-		c := 1.0
-		if u == 0 {
-			c = 1 / math.Sqrt2
-		}
 		for x := 0; x < BlockSize; x++ {
-			cosTable[u][x] = c / 2 * math.Cos(float64(2*x+1)*float64(u)*math.Pi/16)
+			cosTable[u][x] = cosine(u, x)
 			cosByX[x][u] = cosTable[u][x]
 		}
 	}
@@ -102,7 +107,19 @@ func dot8(x0, x1, x2, x3, x4, x5, x6, x7 float64, c *[BlockSize]float64) float64
 
 // Forward applies the 2-D DCT-II to src (spatial samples, typically centred
 // around zero by subtracting 128 or a prediction) writing coefficients to dst.
+// On amd64 it runs forwardSSE2 (forward_amd64.s), which computes the same
+// products in the same order two outputs at a time; elsewhere forwardGo.
 func Forward(src, dst *Block) {
+	if haveForwardAsm {
+		forwardSSE2(src, dst)
+		return
+	}
+	forwardGo(src, dst)
+}
+
+// forwardGo is the Go kernel of Forward, and on amd64 the oracle its
+// assembly is tested against.
+func forwardGo(src, dst *Block) {
 	var tmp [BlockSize * BlockSize]float64
 	// Rows: each sample is converted once, not once per output.
 	for y := 0; y < BlockSize; y++ {
