@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=10s ./internal/bitstream/
+	$(GO) test -run='^$$' -fuzz=FuzzWriterMatchesReference -fuzztime=10s ./internal/bitstream/
 	$(GO) test -run='^$$' -fuzz=FuzzContainerReader -fuzztime=10s ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzBufferMatchesReference -fuzztime=10s ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzTransformMatchesReference -fuzztime=10s ./internal/transform/
@@ -134,9 +135,9 @@ bench:
 # Codec hot-path micro-benchmarks: steady-state encode (BenchmarkEncodeQuiet
 # is the content bench/'s edge_quiet encodes), decode (BenchmarkIFrameDecode
 # is the I-frames bench/'s archive_scan decodes), analyze, the bounded
-# SAD, and the kernels under them (DCT pair, 16×16 SAD; the forward DCT and
-# the SAD each as /kernel, what Forward and SAD run — the SSE2 assembly on
-# amd64 — and /go, the Go kernel). -benchmem:
+# SAD, and the kernels under them (DCT pair, quantiser, 16×16 SAD; each as
+# /kernel, what Forward, Inverse, Quantize and SAD run — the SSE2 assembly
+# on amd64 — and /go, the Go kernel). -benchmem:
 # allocs/op must read 0 on every row. ns/op here tells which kernel moved;
 # wall-clock claims are made with bench/ (make bench-e2e), on alternated
 # parent/change pairs — the reference box has 2 vCPUs and a run-to-run
@@ -146,12 +147,12 @@ BENCH_CODEC = '^(BenchmarkEncodeP|BenchmarkEncodeQuiet|BenchmarkDecodeInto|Bench
 
 bench-codec:
 	$(GO) test -run='^$$' -bench=$(BENCH_CODEC) -benchmem ./internal/codec/
-	$(GO) test -run='^$$' -bench='^(BenchmarkForwardDCT|BenchmarkInverseDCT)' -benchmem ./internal/transform/
+	$(GO) test -run='^$$' -bench='^(BenchmarkForwardDCT|BenchmarkInverseDCT|BenchmarkQuantize)' -benchmem ./internal/transform/
 	$(GO) test -run='^$$' -bench='^BenchmarkSAD16x16' -benchmem ./internal/frame/
 
 bench-codec-smoke:
 	$(GO) test -run='^$$' -bench=$(BENCH_CODEC) -benchtime=1x -benchmem ./internal/codec/
-	$(GO) test -run='^$$' -bench='^(BenchmarkForwardDCT|BenchmarkInverseDCT)' -benchtime=1x -benchmem ./internal/transform/
+	$(GO) test -run='^$$' -bench='^(BenchmarkForwardDCT|BenchmarkInverseDCT|BenchmarkQuantize)' -benchtime=1x -benchmem ./internal/transform/
 	$(GO) test -run='^$$' -bench='^BenchmarkSAD16x16' -benchtime=1x -benchmem ./internal/frame/
 
 # Multi-site cluster micro-benchmark: feeds/sec for a fixed 4-camera fleet

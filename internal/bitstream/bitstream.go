@@ -10,18 +10,24 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 )
 
 // ErrShortBuffer is returned when a read runs past the end of the input.
 var ErrShortBuffer = errors.New("bitstream: read past end of buffer")
 
-// Writer accumulates bits MSB-first. The zero value is ready to use.
+// Writer accumulates bits MSB-first through a 64-bit window. The zero value
+// is ready to use.
+//
+// For every sequence of calls it produces the bytes, Len and BitLen of the
+// byte-at-a-time writer it replaced (the oracle in reference_test.go); its
+// buffer never holds more bytes than that writer's did, so it grows no
+// buffer that one did not.
 type Writer struct {
-	buf  []byte
-	cur  uint64 // bits not yet flushed, left-aligned in the low `n` bits
-	n    uint   // number of valid bits in cur (0..63)
-	bits int    // total bits written
+	buf []byte
+	win uint64 // the n bits not yet in buf, in its low n bits; those above are stale
+	n   uint   // bits in win (0..63)
 }
 
 // NewWriter returns a Writer with capacity preallocated for sizeHint bytes.
@@ -35,44 +41,40 @@ func (w *Writer) WriteBit(v uint64) {
 }
 
 // WriteBits appends the low n bits of v, MSB first. n must be in [0,64].
+// Bits that fit in the window are one shift and or; the write that fills
+// it stores all 64 bits with one AppendUint64.
 func (w *Writer) WriteBits(v uint64, n uint) {
-	if n == 0 {
+	if n < 64-w.n { // w.n < 64, so no wrap; n > 64 goes to writeFull
+		w.win = w.win<<n | v&(1<<n-1)
+		w.n += n
 		return
 	}
+	w.writeFull(v, n)
+}
+
+// writeFull is WriteBits when the n bits of v complete the window: its bits
+// and the top 64−w.n of v go to buf as one word, and v's rest stays in win.
+func (w *Writer) writeFull(v uint64, n uint) {
 	if n > 64 {
 		panic(fmt.Sprintf("bitstream: WriteBits n=%d out of range", n))
 	}
-	if n < 64 {
-		v &= (1 << n) - 1
-	}
-	w.bits += int(n)
-	// Fill cur up to 64 bits, flushing whole bytes as they complete.
-	for n > 0 {
-		space := 64 - w.n
-		take := n
-		if take > space {
-			take = space
-		}
-		w.cur = (w.cur << take) | (v >> (n - take))
-		if n-take < 64 {
-			v &= (1 << (n - take)) - 1
-		}
-		w.n += take
-		n -= take
-		for w.n >= 8 {
-			w.buf = append(w.buf, byte(w.cur>>(w.n-8)))
-			w.n -= 8
-			if w.n < 64 {
-				w.cur &= (1 << w.n) - 1
-			}
-		}
-	}
+	v &= 1<<n - 1 // 1<<64 is 0 in Go: n == 64 keeps every bit
+	k := 64 - w.n // 1..64; a shift by 64 gives 0
+	w.buf = binary.BigEndian.AppendUint64(w.buf, w.win<<k|v>>(n-k))
+	w.win = v
+	w.n = n - k
 }
+
+// errNoCode is what WriteUE and WriteSE panic with for the two values a
+// Reader cannot decode: their code would start with 64 zeros.
+var errNoCode = errors.New("bitstream: value has no Exp-Golomb code a Reader can read")
 
 // WriteUE appends v as an unsigned Exp-Golomb code: lz zero bits, then the
 // lz+1 significant bits of v+1. Written as one field of 2·lz+1 bits, the
 // zeros are simply x's own leading zeros; only codes too long for one field
-// (v >= 2³²−1) write the prefix separately.
+// (v >= 2³²−1) write the prefix separately. v must be below MaxUint64: its
+// code would start with 64 zeros, which no Reader reads, and WriteUE panics
+// with errNoCode.
 func (w *Writer) WriteUE(v uint64) {
 	x := v + 1
 	lz := uint(bits.Len64(x)) - 1
@@ -80,19 +82,30 @@ func (w *Writer) WriteUE(v uint64) {
 		w.WriteBits(x, 2*lz+1)
 		return
 	}
+	w.writeLongUE(v)
+}
+
+// writeLongUE is WriteUE for v >= 2³²−1.
+func (w *Writer) writeLongUE(v uint64) {
+	if v == math.MaxUint64 {
+		panic(fmt.Errorf("%w: WriteUE(%d)", errNoCode, v))
+	}
+	x := v + 1
+	lz := uint(bits.Len64(x)) - 1
 	w.WriteBits(0, lz)
 	w.WriteBits(x, lz+1)
 }
 
-// WriteSE appends v as a signed Exp-Golomb code (0, 1, -1, 2, -2, ...).
+// WriteSE appends v as a signed Exp-Golomb code (0, 1, -1, 2, -2, ...):
+// code number 2v−1 for v > 0 and −2v otherwise, which is the zig-zag map
+// of −v, computed without a branch on the sign. v must not be MinInt64,
+// whose code number would be 2⁶⁴; WriteSE panics with errNoCode.
 func (w *Writer) WriteSE(v int64) {
-	var u uint64
-	if v <= 0 {
-		u = uint64(-2 * v)
-	} else {
-		u = uint64(2*v - 1)
+	if v == math.MinInt64 {
+		panic(fmt.Errorf("%w: WriteSE(%d)", errNoCode, v))
 	}
-	w.WriteUE(u)
+	m := -v
+	w.WriteUE(uint64(m<<1) ^ uint64(m>>63))
 }
 
 // Align pads with zero bits to the next byte boundary.
@@ -108,21 +121,24 @@ func (w *Writer) Len() int {
 }
 
 // BitLen reports the exact number of bits written so far.
-func (w *Writer) BitLen() int { return w.bits }
+func (w *Writer) BitLen() int { return len(w.buf)*8 + int(w.n) }
 
-// Bytes aligns the stream and returns the accumulated bytes. The returned
-// slice aliases the writer's buffer; further writes may invalidate it.
+// Bytes aligns the stream and returns the accumulated bytes, moving the
+// window's whole bytes into the buffer. The returned slice aliases the
+// writer's buffer; further writes may invalidate it.
 func (w *Writer) Bytes() []byte {
 	w.Align()
+	for ; w.n > 0; w.n -= 8 {
+		w.buf = append(w.buf, byte(w.win>>(w.n-8)))
+	}
 	return w.buf
 }
 
 // Reset truncates the writer for reuse, keeping its capacity.
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
-	w.cur = 0
+	w.win = 0
 	w.n = 0
-	w.bits = 0
 }
 
 // errCodeTooLong reports an Exp-Golomb prefix of 64 zeros.
@@ -292,11 +308,12 @@ func (r *Reader) ReadSE() (int64, error) {
 			return 0, err
 		}
 	}
-	// Even u maps to −(u/2) and odd u to int64(u+1)/2, each computed as
-	// written (for u >= 2⁶³ that is not a plain halving), and the two are
-	// selected without a branch: a level's sign is a coin toss the branch
-	// predictor loses half the time.
-	even, odd := -int64(u>>1), int64(u+1)>>1
+	// Even u maps to −(u/2) and odd u to (u+1)/2, both halved as unsigned
+	// (u < 2⁶⁴−1 here, so u+1 does not wrap, and a u of 2⁶³ or more still
+	// gives a value of |v| < 2⁶³), and the two are selected without a
+	// branch: a level's sign is a coin toss the branch predictor loses half
+	// the time.
+	even, odd := -int64(u>>1), int64((u+1)>>1)
 	return even ^ (even^odd)&-int64(u&1), nil
 }
 

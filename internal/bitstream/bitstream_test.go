@@ -2,6 +2,8 @@ package bitstream
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -109,6 +111,52 @@ func TestWriteUEOneFieldMatchesTwo(t *testing.T) {
 					t.Fatalf("ReadUE after WriteUE(%d) = %d, %v", v, back, err)
 				}
 			}
+		}
+	}
+}
+
+// TestExpGolombRange pins the range of the Exp-Golomb writers: WriteUE and
+// WriteSE refuse, with errNoCode, the one value each that no Reader can read
+// back (its code would start with 64 zeros) — before the fix WriteSE wrote
+// MinInt64 as the code for 0 and WriteUE(MaxUint64) panicked inside
+// WriteBits — and the extremes next to them round-trip.
+func TestExpGolombRange(t *testing.T) {
+	refuses := func(name string, write func(w *Writer)) {
+		t.Helper()
+		w := NewWriter(16)
+		defer func() {
+			t.Helper()
+			err, _ := recover().(error)
+			if !errors.Is(err, errNoCode) {
+				t.Fatalf("%s: recovered %v, want errNoCode", name, err)
+			}
+			if w.BitLen() != 0 {
+				t.Fatalf("%s wrote %d bits before refusing", name, w.BitLen())
+			}
+		}()
+		write(w)
+	}
+	refuses("WriteUE(MaxUint64)", func(w *Writer) { w.WriteUE(math.MaxUint64) })
+	refuses("WriteSE(MinInt64)", func(w *Writer) { w.WriteSE(math.MinInt64) })
+
+	w := NewWriter(64)
+	ues := []uint64{math.MaxUint64 - 1, 1<<63 - 1, 1 << 63, 0}
+	ses := []int64{math.MinInt64 + 1, math.MaxInt64, 1 << 62, -1 << 62, 1<<62 - 1, 0}
+	for _, v := range ues {
+		w.WriteUE(v)
+	}
+	for _, v := range ses {
+		w.WriteSE(v)
+	}
+	r := NewReader(w.Bytes())
+	for _, v := range ues {
+		if got, err := r.ReadUE(); err != nil || got != v {
+			t.Fatalf("ReadUE after WriteUE(%d) = %d, %v", v, got, err)
+		}
+	}
+	for _, v := range ses {
+		if got, err := r.ReadSE(); err != nil || got != v {
+			t.Fatalf("ReadSE after WriteSE(%d) = %d, %v", v, got, err)
 		}
 	}
 }

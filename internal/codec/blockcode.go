@@ -99,11 +99,11 @@ func fillPredMC(dst *transform.Block, ref *frame.Plane, bx, by int, mv MV) {
 // a flat scratch array instead of a per-pixel callback, so the hot loop is
 // 64 array reads rather than 64 indirect calls.
 type blockCoder struct {
-	qz                 *transform.Quantizer
-	pred               transform.Block
-	src, coef, lev, zz transform.Block
-	rec                transform.Block
-	dcPred             int32
+	qz             *transform.Quantizer
+	pred           transform.Block
+	src, coef, lev transform.Block
+	rec            transform.Block
+	dcPred         int32
 }
 
 func newBlockCoder(quality int) *blockCoder {
@@ -147,24 +147,37 @@ func (bc *blockCoder) encodeBlock(w *bitstream.Writer, p, recon *frame.Plane, bx
 		return
 	}
 	w.WriteBit(1)
-	transform.ZigZag(&bc.lev, &bc.zz)
-	w.WriteSE(int64(bc.zz[0] - bc.dcPred))
-	bc.dcPred = bc.zz[0]
-	run := 0
-	for i := 1; i < len(bc.zz); i++ {
-		if bc.zz[i] == 0 {
-			run++
-			continue
-		}
-		w.WriteUE(uint64(run))
-		w.WriteSE(int64(bc.zz[i]))
-		run = 0
+	// One pass over the scan builds a mask of the non-zero levels (bit i for
+	// scan position i), without a branch.
+	var nz uint64
+	for i := 0; i < len(bc.lev); i++ {
+		l := bc.lev[transform.ScanIndex(i)&63]
+		nz |= uint64(uint32(l|-l)>>31) << uint(i)
+	}
+	w.WriteSE(int64(bc.lev[0] - bc.dcPred))
+	bc.dcPred = bc.lev[0]
+	// The run/level list walks the set bits of the AC positions; the rows
+	// and columns the levels lie in are recorded as it goes, as the decoder
+	// records them while it parses, so the inverse needs no scan of its own.
+	var rows, cols uint
+	if nz&1 != 0 {
+		rows, cols = 1, 1
+	}
+	prev := 0
+	for m := nz &^ 1; m != 0; m &= m - 1 {
+		pos := bits.TrailingZeros64(m)
+		i := transform.ScanIndex(pos) & 63
+		w.WriteUE(uint64(pos - prev - 1))
+		w.WriteSE(int64(bc.lev[i]))
+		rows |= 1 << (i >> 3)
+		cols |= 1 << (i & 7)
+		prev = pos
 	}
 	w.WriteUE(eobMarker)
 	// Prediction + dequantised residual, exactly what the decoder will
 	// compute, so encoder and decoder reference frames stay bit-identical
 	// (no drift).
-	bc.qz.Inverse(&bc.lev, &bc.rec)
+	bc.qz.InverseMasked(&bc.lev, rows, cols, &bc.rec)
 	writeResidualBlock(recon, bx, by, &bc.pred, &bc.rec)
 }
 

@@ -13,9 +13,10 @@ import (
 
 // refBlockDecoder is the block decoder this package shipped before the parse
 // fed the inverse transform directly, kept as the oracle: it zeroes a
-// zig-zag-order block per coded block, un-zig-zags it and lets
-// Quantizer.Inverse find the non-zero rows and columns itself. The one edit
-// is the fix that came with its replacement: a run above 62 and an AC level
+// zig-zag-order block per coded block, un-zig-zags it and runs the inverse
+// over every row and column (it let Quantizer.Inverse find the non-empty
+// ones; that entry point has no codec caller left). The one other edit is
+// the fix that came with its replacement: a run above 62 and an AC level
 // outside int32 are corrupt (the first used to index the block at a
 // negative position, the second to decode as a different level).
 type refBlockDecoder struct {
@@ -73,8 +74,12 @@ func (bd *refBlockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx
 		bd.zz[pos] = int32(level)
 		pos++
 	}
-	transform.UnZigZag(&bd.zz, &bd.lev)
-	bd.qz.Inverse(&bd.lev, &bd.rec)
+	for i, l := range bd.zz {
+		bd.lev[transform.ScanIndex(i)] = l
+	}
+	// Every row and column named: the masked inverse without masks.
+	const all = 1<<transform.BlockSize - 1
+	bd.qz.InverseMasked(&bd.lev, all, all, &bd.rec)
 	writeResidualBlock(dst, bx, by, &bd.pred, &bd.rec)
 	return nil
 }

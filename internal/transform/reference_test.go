@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -142,6 +143,8 @@ func checkTransforms(t testing.TB, blk *Block, qz *Quantizer) {
 	if got != want {
 		t.Fatalf("Inverse differs from the reference\nin   %v\ngot  %v\nwant %v", *blk, got, want)
 	}
+	rows, cols := masksOf(blk)
+	checkInverseKernels(t, "unit", blk, &unitQuant, rows, cols, &want)
 	qz.Inverse(blk, &got)
 	refDequantize(qz, blk, &dq)
 	refInverse(&dq, &want)
@@ -149,11 +152,33 @@ func checkTransforms(t testing.TB, blk *Block, qz *Quantizer) {
 		t.Fatalf("Quantizer.Inverse (q%d) differs from the reference\nin   %v\ngot  %v\nwant %v",
 			qz.Quality(), *blk, got, want)
 	}
-	rows, cols := masksOf(blk)
 	qz.InverseMasked(blk, rows, cols, &got)
 	if got != want {
 		t.Fatalf("Quantizer.InverseMasked (q%d) differs from the reference\nin   %v\ngot  %v\nwant %v",
 			qz.Quality(), *blk, got, want)
+	}
+	checkInverseKernels(t, fmt.Sprintf("q%d", qz.Quality()), blk, &qz.q, rows, cols, &want)
+}
+
+// checkInverseKernels asserts that the Go kernel inverseMaskedGo and, on
+// amd64, the assembly inverseMaskedSSE2 — called directly, so also on the
+// DC-only blocks inverseMasked keeps in Go — both give want, the textbook
+// inverse of lev dequantised by q, under the masks rows and cols.
+func checkInverseKernels(t testing.TB, name string, lev *Block, q *[BlockSize * BlockSize]int32, rows, cols uint, want *Block) {
+	t.Helper()
+	var got Block
+	inverseMaskedGo(lev, q, rows, cols, &got)
+	if got != *want {
+		t.Fatalf("inverseMaskedGo (%s, rows %08b, cols %08b) differs from the reference\nin   %v\ngot  %v\nwant %v",
+			name, rows, cols, *lev, got, *want)
+	}
+	if !haveSSE2 {
+		return
+	}
+	inverseMaskedSSE2(lev, q, rows, cols, &got)
+	if got != *want {
+		t.Fatalf("inverseMaskedSSE2 (%s, rows %08b, cols %08b) differs from the reference\nin   %v\ngot  %v\nwant %v",
+			name, rows, cols, *lev, got, *want)
 	}
 }
 
@@ -263,27 +288,57 @@ var unitQuantizer = func() *Quantizer {
 }()
 
 // checkQuantize compares one block with the reference, including the
-// reported any-non-zero flag.
+// reported any-non-zero flag, through Quantize, the Go kernel quantizeGo
+// and, on amd64, the assembly quantizeSSE2, which must refuse exactly the
+// blocks that hold a coefficient of 2¹⁵ or more in magnitude.
 func checkQuantize(t *testing.T, qz *Quantizer, src *Block) {
 	t.Helper()
-	var got, want Block
-	any := qz.Quantize(src, &got)
+	var want Block
 	refQuantize(qz, src, &want)
-	if got != want {
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("Quantize(%d) with step %d = %d, reference %d", src[i], qz.q[i], got[i], want[i])
+	wantNZ := want != Block{}
+	check := func(name string, got *Block, nz bool) {
+		t.Helper()
+		if *got != want {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s(%d) with step %d = %d, reference %d", name, src[i], qz.q[i], got[i], want[i])
+				}
 			}
 		}
+		if nz != wantNZ {
+			t.Fatalf("%s reported non-zero=%v for levels %v", name, nz, want)
+		}
 	}
-	if any != (want != Block{}) {
-		t.Fatalf("Quantize reported non-zero=%v for levels %v", any, want)
+	var got Block
+	nz := qz.Quantize(src, &got)
+	check("Quantize", &got, nz)
+	got = Block{}
+	nz = qz.quantizeGo(src, &got)
+	check("quantizeGo", &got, nz)
+	if !haveSSE2 {
+		return
+	}
+	exact := true
+	for _, c := range src {
+		if c >= quantExact || c <= -quantExact {
+			exact = false
+		}
+	}
+	got = Block{}
+	nz, ok := quantizeSSE2(src, &got, &qz.q, &qz.recip)
+	if ok != exact {
+		t.Fatalf("quantizeSSE2 reported ok=%v for %v, want %v", ok, *src, exact)
+	}
+	if ok {
+		check("quantizeSSE2", &got, nz)
 	}
 }
 
-// TestQuantizeMatchesReferenceExhaustive proves the reciprocal division on
-// the whole range it is used on — every step 1..255 against every
-// coefficient of 16 bits — and the plain-division fallback beyond it.
+// TestQuantizeMatchesReferenceExhaustive proves the reciprocal divisions on
+// the whole range they are used on — every step 1..255 against every
+// coefficient of 16 bits, through the Go kernel and the assembly — and the
+// fallbacks beyond it: the Go kernel's plain division, and the assembly's
+// refusal of any block that holds one such coefficient, wherever it sits.
 func TestQuantizeMatchesReferenceExhaustive(t *testing.T) {
 	beyond := []int32{
 		quantExact, -quantExact, quantExact + 1, -quantExact - 1, 65535, -65535, 1 << 20, -(1 << 20),
@@ -295,15 +350,24 @@ func TestQuantizeMatchesReferenceExhaustive(t *testing.T) {
 		for i := range qz.q {
 			qz.setStep(i, q)
 		}
-		for c := int32(-32768); c <= 32767; c += int32(len(src)) {
+		// -2¹⁵+1 .. 2¹⁵-1, the assembly's whole range; the last block
+		// repeats 2¹⁵-1.
+		for c := -int32(quantExact) + 1; c < quantExact; c += int32(len(src)) {
 			for i := range src {
-				src[i] = c + int32(i)
+				src[i] = min(c+int32(i), quantExact-1)
 			}
 			checkQuantize(t, qz, &src)
 		}
 		src = Block{}
 		copy(src[:], beyond)
 		checkQuantize(t, qz, &src)
+		// Each out-of-range coefficient alone, at a position that moves
+		// through all four lanes and all sixteen registers.
+		for k, c := range beyond {
+			src = Block{}
+			src[(int(q)*7+k*5)%len(src)] = c
+			checkQuantize(t, qz, &src)
+		}
 	}
 	// All-zero and single-level blocks through a real matrix.
 	qz = NewQuantizer(85)
@@ -321,8 +385,8 @@ func TestQuantizeMatchesReferenceExhaustive(t *testing.T) {
 }
 
 // FuzzTransformMatchesReference reads 64 little-endian int16 values and
-// requires Forward, Inverse and the dequantising inverse to equal the
-// oracle on them, and Forward to equal the Go kernel forwardGo.
+// requires Forward, Inverse, the dequantising inverse and Quantize to equal
+// the oracle on them, through the assembly and the Go kernels alike.
 func FuzzTransformMatchesReference(f *testing.F) {
 	f.Add(make([]byte, 128))
 	seed := make([]byte, 128)
@@ -342,11 +406,13 @@ func FuzzTransformMatchesReference(f *testing.F) {
 			}
 		}
 		checkTransforms(t, &blk, qz)
+		checkQuantize(t, qz, &blk)
 	})
 }
 
-// checkMasked compares InverseMasked under the masks rows and cols with the
-// oracle: dequantise, then the textbook inverse.
+// checkMasked compares InverseMasked under the masks rows and cols, and the
+// Go and assembly kernels under them, with the oracle: dequantise, then the
+// textbook inverse.
 func checkMasked(t *testing.T, qz *Quantizer, lev *Block, rows, cols uint) {
 	t.Helper()
 	var got, dq, want Block
@@ -357,6 +423,7 @@ func checkMasked(t *testing.T, qz *Quantizer, lev *Block, rows, cols uint) {
 		t.Fatalf("InverseMasked (q%d, rows %08b, cols %08b) differs from the reference\nin   %v\ngot  %v\nwant %v",
 			qz.Quality(), rows, cols, *lev, got, want)
 	}
+	checkInverseKernels(t, fmt.Sprintf("q%d", qz.Quality()), lev, &qz.q, rows, cols, &want)
 }
 
 // masksOf returns the rows and columns of lev that hold a non-zero level.
@@ -401,6 +468,54 @@ func TestInverseMaskedMatchesReference(t *testing.T) {
 			rows, cols := masksOf(&lev)
 			checkMasked(t, quants[0], &lev, rows, cols)
 			checkMasked(t, unitQuantizer, &lev, rows, cols)
+		}
+	}
+}
+
+// TestInverseMaskedMatchesReferenceFullRange feeds the masked inverse levels
+// of every int32 magnitude, which no quantised residual reaches: level ×
+// step products that wrap in int32 (as Go's multiply and the assembly's
+// IMULL both do), and sums beyond int32, where both roundings give
+// MinInt32. Blocks are dense, sparse and single-row or single-column, with
+// exact masks and with masks that also name empty rows and columns.
+func TestInverseMaskedMatchesReferenceFullRange(t *testing.T) {
+	n := 100000
+	if testing.Short() {
+		n = 10000
+	}
+	rng := rand.New(rand.NewSource(31))
+	quants := []*Quantizer{unitQuantizer, NewQuantizer(85), NewQuantizer(10), NewQuantizer(1)}
+	var lev Block
+	for _, v := range []int32{math.MaxInt32, math.MinInt32, math.MinInt32 + 1, 1 << 30, -1 << 30} {
+		for i := range lev {
+			lev[i] = v
+		}
+		rows, cols := masksOf(&lev)
+		checkMasked(t, unitQuantizer, &lev, rows, cols)
+		for i := range lev {
+			if (i/BlockSize+i%BlockSize)%2 == 1 { // a checkerboard
+				lev[i] = -v
+			}
+		}
+		checkMasked(t, unitQuantizer, &lev, rows, cols)
+	}
+	for trial := 0; trial < n; trial++ {
+		shift := rng.Intn(32)
+		density := rng.Intn(4) // 0: dense, else about one level in 2^density
+		rowOnly, colOnly := rng.Intn(8) == 0, rng.Intn(8) == 0
+		r0, c0 := rng.Intn(BlockSize), rng.Intn(BlockSize)
+		for i := range lev {
+			lev[i] = 0
+			if rng.Intn(1<<density) != 0 || rowOnly && i/BlockSize != r0 || colOnly && i%BlockSize != c0 {
+				continue
+			}
+			lev[i] = int32(rng.Uint32()) >> shift
+		}
+		qz := quants[trial%len(quants)]
+		rows, cols := masksOf(&lev)
+		checkMasked(t, qz, &lev, rows, cols)
+		if trial%4 == 0 {
+			checkMasked(t, qz, &lev, rows|uint(rng.Intn(256)), cols|uint(rng.Intn(256)))
 		}
 	}
 }

@@ -110,7 +110,7 @@ func dot8(x0, x1, x2, x3, x4, x5, x6, x7 float64, c *[BlockSize]float64) float64
 // On amd64 it runs forwardSSE2 (forward_amd64.s), which computes the same
 // products in the same order two outputs at a time; elsewhere forwardGo.
 func Forward(src, dst *Block) {
-	if haveForwardAsm {
+	if haveSSE2 {
 		forwardSSE2(src, dst)
 		return
 	}
@@ -150,13 +150,15 @@ func Inverse(src, dst *Block) { inverse(src, &unitQuant, dst) }
 // coefficients (at edge_quiet 7.7 of 64, over 4.2 rows and 4.2 columns), so
 // the column pass visits only rows and columns of src that hold one and the
 // row pass only those columns. Everything skipped is a product with an exact
-// zero. A block with no empty row or column (one in nine of an I-frame's,
-// and every block of raw coefficients) has nothing to skip and takes
-// inverseDense.
+// zero.
 func inverse(src *Block, q *[BlockSize * BlockSize]int32, dst *Block) {
-	// One scan finds the non-empty rows (bit v of rows) and columns (c0..c7
-	// non-zero) of src.
-	var rows uint
+	rows, cols := scanMasks(src)
+	inverseMasked(src, q, rows, cols, dst)
+}
+
+// scanMasks finds the non-empty rows (bit v of rows) and columns (bit u of
+// cols) of src in one pass.
+func scanMasks(src *Block) (rows, cols uint) {
 	var c0, c1, c2, c3, c4, c5, c6, c7 int32
 	for v := 0; v < BlockSize; v++ {
 		r := src[v*BlockSize : v*BlockSize+BlockSize : v*BlockSize+BlockSize]
@@ -166,33 +168,49 @@ func inverse(src *Block, q *[BlockSize * BlockSize]int32, dst *Block) {
 			rows |= 1 << uint(v)
 		}
 	}
-	var cols uint
 	for u, c := range [BlockSize]int32{c0, c1, c2, c3, c4, c5, c6, c7} {
 		if c != 0 {
 			cols |= 1 << uint(u)
 		}
 	}
-	inverseMasked(src, q, rows, cols, dst)
+	return rows, cols
 }
 
 // InverseMasked is Inverse for levels whose non-zero entries all lie in the
 // rows set in rows and the columns set in cols (bit i for row or column i):
-// a decoder that records them while it parses saves Inverse its scan. The
-// masks may name rows and columns that hold only zeros — a zero level adds
-// an exact zero — but must not miss a non-zero one.
+// a coder that records them while it writes or parses the levels saves
+// Inverse its scan. The masks may name rows and columns that hold only
+// zeros — a zero level adds an exact zero — but must not miss a non-zero
+// one.
 //
-//sieve:noalloc inverse transform of the decode hot path
+//sieve:noalloc inverse transform of the encode and decode hot paths
 func (qz *Quantizer) InverseMasked(lev *Block, rows, cols uint, dst *Block) {
 	inverseMasked(lev, &qz.q, rows&(1<<BlockSize-1), cols&(1<<BlockSize-1), dst)
 }
 
-// inverseMasked is inverse once the non-empty rows and columns are known.
-// A DC-only block is a constant: cosTable[0] holds c(0)/2 in every entry
-// (cos 0 is exactly 1), so every sample is the sparse path's two products
-// f·c₀₀·c₀₀, each added to a zero.
+// inverseMasked is inverse once the non-empty rows and columns are known. A
+// DC-only block takes inverseMaskedGo's constant fill; on amd64 every other
+// block, dense ones included, takes inverseMaskedSSE2 (inverse_amd64.s),
+// the sparse path two accumulators per register.
+//
+//sieve:noalloc inverse transform of the encode and decode hot paths
+func inverseMasked(src *Block, q *[BlockSize * BlockSize]int32, rows, cols uint, dst *Block) {
+	if haveSSE2 && rows|cols > 1 {
+		inverseMaskedSSE2(src, q, rows, cols, dst)
+		return
+	}
+	inverseMaskedGo(src, q, rows, cols, dst)
+}
+
+// inverseMaskedGo is the Go kernel of inverseMasked, and on amd64 the oracle
+// its assembly is tested against. A DC-only block is a constant: cosTable[0]
+// holds c(0)/2 in every entry (cos 0 is exactly 1), so every sample is the
+// sparse path's two products f·c₀₀·c₀₀, each added to a zero. A block with
+// no empty row or column (one in nine of an I-frame's, and every block of
+// raw coefficients) has nothing to skip and takes inverseDense.
 //
 //sieve:noalloc inverse transform of the decode hot path
-func inverseMasked(src *Block, q *[BlockSize * BlockSize]int32, rows, cols uint, dst *Block) {
+func inverseMaskedGo(src *Block, q *[BlockSize * BlockSize]int32, rows, cols uint, dst *Block) {
 	const all = 1<<BlockSize - 1
 	switch {
 	case rows == all && cols == all:
@@ -326,17 +344,19 @@ var baseLumaQuant = [BlockSize * BlockSize]int32{
 type Quantizer struct {
 	q    [BlockSize * BlockSize]int32
 	qual int
-	// recip[i] = ⌈2³²/q[i]⌉: for 0 <= n < 2²⁴ and 1 <= q <= 255,
-	// n/q == n*recip>>32 exactly (the error n·(recip·q−2³²)/(q·2³²) stays
-	// below the 1/q gap to the next integer because recip·q−2³² < q).
-	// TestQuantizeMatchesReferenceExhaustive walks the whole range Quantize
-	// uses it on.
-	recip [BlockSize * BlockSize]uint64
+	// recip[i] = ⌈2³¹/q[i]⌉, which fits in 32 bits for every q, 1
+	// included, as quantizeSSE2's PMULULQ needs. For 0 <= n < 2¹⁶ and
+	// 1 <= q <= 255, n/q == n*recip>>31 exactly: the error
+	// n·(recip·q−2³¹)/(q·2³¹) stays below the 1/q gap to the next integer
+	// because recip·q−2³¹ < q <= 2⁸, so n·(recip·q−2³¹) < 2²⁴ < 2³¹.
+	// TestQuantizeMatchesReferenceExhaustive walks the whole range both
+	// kernels use it on.
+	recip [BlockSize * BlockSize]uint32
 }
 
 // quantExact bounds the coefficients Quantize divides by reciprocal; the
 // DCT of 8-bit residuals stays below 2¹², anything at or above 2¹⁵ takes
-// the plain division.
+// the plain division (on amd64: the whole block takes quantizeGo).
 const quantExact = 1 << 15
 
 // NewQuantizer builds a quantizer for quality in [1,100] using the JPEG
@@ -371,7 +391,7 @@ func NewQuantizer(quality int) *Quantizer {
 // setStep sets entry i of the matrix to q in [1,255], with its reciprocal.
 func (qz *Quantizer) setStep(i int, q int32) {
 	qz.q[i] = q
-	qz.recip[i] = (1<<32 + uint64(q) - 1) / uint64(q)
+	qz.recip[i] = uint32((1<<31 + uint64(q) - 1) / uint64(q))
 }
 
 // Quality returns the quality factor the quantizer was built with.
@@ -379,8 +399,21 @@ func (qz *Quantizer) Quality() int { return qz.qual }
 
 // Quantize divides coefficients by the scaled matrix, rounding half away
 // from zero, and reports whether any level is non-zero (an all-zero block
-// is coded as one bit).
+// is coded as one bit). On amd64 it runs quantizeSSE2 (quantize_amd64.s),
+// and quantizeGo for a block that holds a coefficient of 2¹⁵ or more in
+// magnitude.
 func (qz *Quantizer) Quantize(src, dst *Block) bool {
+	if haveSSE2 {
+		if nz, ok := quantizeSSE2(src, dst, &qz.q, &qz.recip); ok {
+			return nz
+		}
+	}
+	return qz.quantizeGo(src, dst)
+}
+
+// quantizeGo is the Go kernel of Quantize, and on amd64 the oracle its
+// assembly is tested against.
+func (qz *Quantizer) quantizeGo(src, dst *Block) bool {
 	var any int32
 	for i := range src {
 		c := src[i]
@@ -389,7 +422,7 @@ func (qz *Quantizer) Quantize(src, dst *Block) bool {
 		mag := (c ^ sign) - sign
 		var l int32
 		if uint32(mag) < quantExact {
-			l = int32(uint64(mag+q>>1) * qz.recip[i] >> 32)
+			l = int32(uint64(mag+q>>1) * uint64(qz.recip[i]) >> 31)
 		} else if c >= 0 {
 			l = (c + q/2) / q
 		} else {
@@ -399,24 +432,6 @@ func (qz *Quantizer) Quantize(src, dst *Block) bool {
 		any |= l
 	}
 	return any != 0
-}
-
-// Inverse reconstructs spatial samples from quantised levels: it multiplies
-// them back to coefficient scale and applies the inverse DCT.
-func (qz *Quantizer) Inverse(lev, dst *Block) { inverse(lev, &qz.q, dst) }
-
-// ZigZag reorders a raster block into scan order.
-func ZigZag(src, dst *Block) {
-	for i, r := range zigzag {
-		dst[i] = src[r]
-	}
-}
-
-// UnZigZag restores raster order from scan order.
-func UnZigZag(src, dst *Block) {
-	for i, r := range zigzag {
-		dst[r] = src[i]
-	}
 }
 
 // ScanIndex returns the raster index of scan position i.

@@ -48,6 +48,27 @@ func TestDCTRoundTripBoundedError(t *testing.T) {
 	}
 }
 
+// Inverse reconstructs spatial samples from quantised levels: it multiplies
+// them back to coefficient scale and applies the inverse DCT after scanning
+// for the masks. The codec calls InverseMasked with the masks it records;
+// this entry point remains for the tests.
+func (qz *Quantizer) Inverse(lev, dst *Block) { inverse(lev, &qz.q, dst) }
+
+// ZigZag reorders a raster block into scan order. The codec writes and
+// parses levels through ScanIndex; this pair remains for the scan's tests.
+func ZigZag(src, dst *Block) {
+	for i, r := range zigzag {
+		dst[i] = src[r]
+	}
+}
+
+// UnZigZag restores raster order from scan order.
+func UnZigZag(src, dst *Block) {
+	for i, r := range zigzag {
+		dst[r] = src[i]
+	}
+}
+
 func TestZigZagPermutationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -194,6 +215,9 @@ func BenchmarkForwardDCT(b *testing.B) {
 	})
 }
 
+// BenchmarkInverseDCT times one 8×8 inverse DCT of raw coefficients, a
+// block with no empty row or column: /kernel is what Inverse runs (the
+// assembly on amd64), /go the Go kernel behind the same scan.
 func BenchmarkInverseDCT(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	var src, coef, dst Block
@@ -201,20 +225,26 @@ func BenchmarkInverseDCT(b *testing.B) {
 		src[i] = int32(rng.Intn(256) - 128)
 	}
 	Forward(&src, &coef)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Inverse(&coef, &dst)
-	}
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			Inverse(&coef, &dst)
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			rows, cols := scanMasks(&coef)
+			inverseMaskedGo(&coef, &unitQuant, rows, cols, &dst)
+		}
+	})
 }
 
-// BenchmarkInverseDCTQuantized is the inverse as the encoder and decoder
-// call it: on the quantised levels of a noisy residual at quality 85 — about
-// eight non-zero coefficients per block, what edge_quiet's P-frames carry —
-// through the dequantising entry point.
-func BenchmarkInverseDCTQuantized(b *testing.B) {
+// quietLevels returns the quantised levels of 256 noisy residual blocks at
+// quality 85 — about eight non-zero coefficients per block, what
+// edge_quiet's P-frames carry — and their mean number of non-zero levels.
+func quietLevels(qz *Quantizer) ([]Block, float64) {
 	rng := rand.New(rand.NewSource(6))
-	qz := NewQuantizer(85)
 	levs := make([]Block, 256)
 	nz := 0
 	for k := range levs {
@@ -230,11 +260,68 @@ func BenchmarkInverseDCTQuantized(b *testing.B) {
 			}
 		}
 	}
+	return levs, float64(nz) / float64(len(levs))
+}
+
+// BenchmarkInverseDCTQuantized is the inverse as the encoder and decoder
+// call it: on quietLevels, through the dequantising entry point. /kernel is
+// what Quantizer.Inverse runs (the assembly on amd64), /go the Go kernel
+// behind the same scan.
+func BenchmarkInverseDCTQuantized(b *testing.B) {
+	qz := NewQuantizer(85)
+	levs, nz := quietLevels(qz)
 	var dst Block
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		qz.Inverse(&levs[i%len(levs)], &dst)
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			qz.Inverse(&levs[i%len(levs)], &dst)
+			i++
+		}
+		b.ReportMetric(nz, "nonzero/block")
+	})
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			lev := &levs[i%len(levs)]
+			rows, cols := scanMasks(lev)
+			inverseMaskedGo(lev, &qz.q, rows, cols, &dst)
+			i++
+		}
+		b.ReportMetric(nz, "nonzero/block")
+	})
+}
+
+// BenchmarkQuantize times one block of Quantize on the forward DCTs of
+// noisy residuals at quality 85: /kernel is what Quantize runs (the
+// assembly on amd64), /go the Go kernel.
+func BenchmarkQuantize(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	qz := NewQuantizer(85)
+	coefs := make([]Block, 256)
+	for k := range coefs {
+		var src Block
+		for i := range src {
+			src[i] = int32(rng.Intn(41) - 20)
+		}
+		Forward(&src, &coefs[k])
 	}
-	b.ReportMetric(float64(nz)/float64(len(levs)), "nonzero/block")
+	var dst Block
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			qz.Quantize(&coefs[i%len(coefs)], &dst)
+			i++
+		}
+	})
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		i := 0
+		for b.Loop() {
+			qz.quantizeGo(&coefs[i%len(coefs)], &dst)
+			i++
+		}
+	})
 }
