@@ -7,7 +7,7 @@ GO ?= go
 BENCH_PKGS = ./internal/codec/ ./internal/vision/ ./internal/tuner/ \
              ./internal/nn/ ./internal/infer/ ./internal/runner/ ./internal/container/
 
-.PHONY: all build test test-short test-fma bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e docs-lint wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress fmt vet lint sievelint reach fuzz-smoke vuln ci
+.PHONY: all build test test-short test-fma bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e bench-gate docs-lint wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress fmt vet lint sievelint reach fuzz-smoke vuln ci
 
 all: build
 
@@ -257,5 +257,19 @@ docs-lint:
 bench-e2e:
 	bash bench/run.sh
 
+# The benchmark's correctness gate: seeds 1 and 2 at 1 s per workload, their
+# exact counts compared with bench/expected.json. bench exits non-zero when
+# an operation fails; a count that moved prints a DRIFT line but leaves the
+# exit status alone, so the target fails on either. wire_paced's counts
+# scale with the run length and are compared only at the default 15 s, so
+# this gate covers the other three workloads.
+bench-gate:
+	@for seed in 1 2; do \
+		out="$$(bash bench/run.sh -seed $$seed -seconds 1 -trace 0)"; status=$$?; \
+		echo "$$out" | grep -E 'DRIFT|"correct"'; \
+		if [ $$status -ne 0 ]; then echo "bench-gate: seed $$seed exited $$status"; exit 1; fi; \
+		if echo "$$out" | grep -q DRIFT; then echo "bench-gate: seed $$seed drifted from bench/expected.json"; exit 1; fi; \
+	done
+
 # Everything CI checks, in CI's order.
-ci: build vet fmt lint reach test-short test-fma bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke
+ci: build vet fmt lint reach test-short test-fma bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke bench-gate

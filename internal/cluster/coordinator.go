@@ -36,19 +36,6 @@ func DetectionWireBytes(camera string, ls labels.Set) int64 {
 	return int64(len(camera) + len(ls.Key()) + detectionOverheadBytes)
 }
 
-// ShardWireBytes models the payload of a full shard sync: every stored
-// (camera, frame) entry at detection wire size plus the report header.
-func ShardWireBytes(db *store.ResultsDB) int64 {
-	n := int64(reportOverheadBytes)
-	for _, cam := range db.Cameras() {
-		for _, id := range db.AnalysedFrames(cam) {
-			ls, _ := db.Get(cam, id)
-			n += DetectionWireBytes(cam, ls)
-		}
-	}
-	return n
-}
-
 // DeltaWireBytes models the payload of one incremental shard delta: its
 // entries at detection wire size plus the framing header carrying the
 // cursor pair.

@@ -192,10 +192,6 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// BytesWritten reports the payload+header bytes written so far (the index
-// adds indexRecSize per frame at Close).
-func (w *Writer) BytesWritten() int64 { return w.offset }
-
 // FrameCount reports the number of frames written so far.
 func (w *Writer) FrameCount() int { return w.frames }
 

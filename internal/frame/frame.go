@@ -352,7 +352,7 @@ func PSNRYUV(a, b *YUV) float64 { return PSNR(a.Y, b.Y) }
 // shrink decoded I-frames to the NN input resolution (the paper resizes to
 // the 300×300 YOLO input before shipping frames to the cloud). Its arithmetic
 // is restated, expression for expression, by the detector's allocation-free
-// input conversion (nn.FromYUVInto, which hoists the column terms and is
+// input conversion (nn's fromYUVInto, which hoists the column terms and is
 // pinned against Resize and against a per-sample oracle in its tests): change
 // both or neither. Every product carries an explicit float64() so no platform
 // fuses it into the add that follows and a resized pixel is the same byte

@@ -6,9 +6,9 @@ import "fmt"
 // contiguously: item i occupies Data[i*C*H*W : (i+1)*C*H*W], itself in
 // channel-major layout. Batching exists to amortise per-invocation costs of
 // the forward pass (buffer reuse, weight locality, scheduler overhead)
-// across frames from many feeds; the per-item arithmetic is identical to
-// the single-tensor path, so batched results match Forward element for
-// element.
+// across frames from many feeds; every layer computes each item on its own,
+// so an item's result does not depend on the batch it rides in. A single
+// frame is a batch of one.
 type Batch struct {
 	Data       []float32
 	N, C, H, W int
@@ -43,11 +43,6 @@ func (b *Batch) Item(i int) []float32 {
 	return b.Data[i*n : (i+1)*n]
 }
 
-// ItemTensor returns a Tensor header over item i (shared storage).
-func (b *Batch) ItemTensor(i int) Tensor {
-	return Tensor{Data: b.Item(i), C: b.C, H: b.H, W: b.W}
-}
-
 // BatchScratch holds the buffers ForwardBatchRange works in: two one-item
 // activation buffers it ping-pongs between from layer to layer, and the
 // batch the final activations of every item collect in. One scratch serves
@@ -64,9 +59,8 @@ type BatchScratch struct {
 
 // ForwardBatch runs the full network over every item of in and returns the
 // final batch (which aliases s — valid until the next ForwardBatch with the
-// same scratch). in must not alias s. Per item, the output is bit-identical
-// to Forward on that item: layers process items independently with the same
-// kernels.
+// same scratch). in must not alias s. It is ForwardBatchRange over every
+// layer, after checking the input's channel count against the network's.
 func (n *Network) ForwardBatch(in *Batch, s *BatchScratch) *Batch {
 	if in.C != n.Input.C {
 		panic(fmt.Sprintf("nn: ForwardBatch input has %d channels, want %d", in.C, n.Input.C))

@@ -41,30 +41,16 @@ func NewInference(d *YOLite) *Inference {
 func (ic *Inference) Detector() *YOLite { return ic.d }
 
 // DetectBatch converts every frame into one input batch, runs a single
-// batched forward pass, and scans each item's probability grid. dst's
-// per-item slices are reused (pass the previous return value back in);
-// result i is element-identical to d.Detect(frames[i]). Frames are only
-// read during the call — the caller may reuse their buffers afterwards.
+// batched forward pass, and scans each item's probability grid: it is
+// DetectBatchSplit with the whole pass on the edge. dst's per-item slices
+// are reused (pass the previous return value back in); result i does not
+// depend on the batch frames[i] rides in, so it is element-identical to
+// d.Detect(frames[i]). Frames are only read during the call — the caller
+// may reuse their buffers afterwards.
 //
 //sieve:noalloc steady state pinned to 0 allocs/op by batch_test.go
 func (ic *Inference) DetectBatch(frames []*frame.YUV, dst [][]Detection) [][]Detection {
-	for len(dst) < len(frames) {
-		dst = append(dst, nil)
-	}
-	dst = dst[:len(frames)]
-	if len(frames) == 0 {
-		return dst
-	}
-	size := ic.d.InputSize
-	ic.in.Reshape(len(frames), 3, size, size)
-	for i, f := range frames {
-		fromYUVInto(ic.in.Item(i), f, size)
-	}
-	probs := ic.d.net.ForwardBatch(&ic.in, &ic.scratch)
-	for i := range frames {
-		dst[i] = appendDetections(probs.Item(i), probs.C, probs.H, probs.W,
-			ic.d.classes, ic.d.CellThresh, dst[i][:0])
-	}
+	dst, _ = ic.DetectBatchSplit(frames, dst, len(ic.d.net.Layers), nil)
 	return dst
 }
 
@@ -82,57 +68,49 @@ type SplitInfo struct {
 	Fallback bool
 }
 
-// DetectBatchSplit is DetectBatch with the forward pass split at cut: the
-// edge runs layers [0, cut), the resulting activation batch is serialized
-// into an activation wire record and handed to ship, and on success the
-// record is decoded back and layers [cut, N) run as the cloud half. The
-// detections are element-identical to DetectBatch — the same kernels run
-// in the same order and the record transport is bit-exact. cut >= N (or a
-// nil ship) degrades to the plain all-edge DetectBatch; cut <= 0 ships the
-// raw input batch. If ship returns an error (a partitioned uplink), the
+// DetectBatchSplit is the detect path with the forward pass split at cut:
+// the edge runs layers [0, cut), the resulting activation batch is
+// serialized into an activation wire record and handed to ship, and on
+// success the record is decoded back and layers [cut, N) run as the cloud
+// half. The detections are element-identical at every cut — the same
+// kernels run in the same order and the record transport is bit-exact.
+// cut >= N (or a nil ship) runs the whole pass on the edge; cut <= 0 ships
+// the raw input batch. If ship returns an error (a partitioned uplink), the
 // batch is recomputed from the untouched input entirely on the edge, so a
 // link fault costs time, never results.
 //
 //sieve:noalloc steady state pinned to 0 allocs/op by split_test.go
 func (ic *Inference) DetectBatchSplit(frames []*frame.YUV, dst [][]Detection, cut int, ship func([]byte) error) ([][]Detection, SplitInfo) {
 	nLayers := len(ic.d.net.Layers)
-	if cut < 0 {
-		cut = 0
-	}
-	if cut >= nLayers || ship == nil {
-		return ic.DetectBatch(frames, dst), SplitInfo{Cut: nLayers}
-	}
+	info := SplitInfo{Cut: nLayers}
 	for len(dst) < len(frames) {
 		dst = append(dst, nil)
 	}
 	dst = dst[:len(frames)]
 	if len(frames) == 0 {
-		return dst, SplitInfo{Cut: nLayers}
+		return dst, info
 	}
 	size := ic.d.InputSize
 	ic.in.Reshape(len(frames), 3, size, size)
 	for i, f := range frames {
 		fromYUVInto(ic.in.Item(i), f, size)
 	}
-	act := ic.d.net.ForwardBatchRange(&ic.in, &ic.scratch, 0, cut)
-	ic.actBuf = AppendActivationRecord(ic.actBuf[:0], act)
-	info := SplitInfo{Cut: cut}
 	var probs *Batch
-	if err := ship(ic.actBuf); err != nil {
-		// The uplink refused the activation. ic.in is untouched by the
-		// range forward, so the whole batch reruns on the edge.
-		info.Cut, info.Fallback = nLayers, true
-		probs = ic.d.net.ForwardBatch(&ic.in, &ic.scratch)
-	} else {
-		info.ActivationBytes = int64(len(ic.actBuf))
-		if derr := DecodeActivationRecord(ic.actBuf, &ic.cloudIn); derr != nil {
-			// Unreachable for a record encoded above; recompute defensively
-			// rather than return wrong results.
-			info.Cut, info.Fallback, info.ActivationBytes = nLayers, true, 0
-			probs = ic.d.net.ForwardBatch(&ic.in, &ic.scratch)
+	if cut = max(cut, 0); cut < nLayers && ship != nil {
+		act := ic.d.net.ForwardBatchRange(&ic.in, &ic.scratch, 0, cut)
+		ic.actBuf = AppendActivationRecord(ic.actBuf[:0], act)
+		// A refused ship, or a record that does not decode (unreachable for
+		// one encoded above), leaves probs nil: ic.in is untouched by the
+		// range forward, so the whole batch reruns on the edge below.
+		if ship(ic.actBuf) != nil || DecodeActivationRecord(ic.actBuf, &ic.cloudIn) != nil {
+			info.Fallback = true
 		} else {
+			info.Cut, info.ActivationBytes = cut, int64(len(ic.actBuf))
 			probs = ic.d.net.ForwardBatchRange(&ic.cloudIn, &ic.scratch, cut, nLayers)
 		}
+	}
+	if probs == nil {
+		probs = ic.d.net.ForwardBatch(&ic.in, &ic.scratch)
 	}
 	for i := range frames {
 		dst[i] = appendDetections(probs.Item(i), probs.C, probs.H, probs.W,
@@ -141,9 +119,8 @@ func (ic *Inference) DetectBatchSplit(frames []*frame.YUV, dst [][]Detection, cu
 	return dst, info
 }
 
-// FrameLabelsBatchSplit is FrameLabelsBatch over the split forward path:
-// per frame the labels are identical to FrameLabelsBatch (and so to
-// d.FrameLabels) at every cut.
+// FrameLabelsBatchSplit is DetectBatchSplit reduced to per-frame label
+// sets: per frame the labels are identical to d.FrameLabels at every cut.
 //
 //sieve:noalloc wraps DetectBatchSplit on the shared-plane split path
 func (ic *Inference) FrameLabelsBatchSplit(frames []*frame.YUV, dst []labels.Set, cut int, ship func([]byte) error) ([]labels.Set, SplitInfo) {
@@ -160,18 +137,12 @@ func (ic *Inference) FrameLabelsBatchSplit(frames []*frame.YUV, dst []labels.Set
 }
 
 // FrameLabelsBatch is DetectBatch reduced to per-frame label sets, each
-// identical to d.FrameLabels on that frame. The returned Sets are freshly
-// built (they outlive the context's scratch); dst is the reused container.
+// identical to d.FrameLabels on that frame: FrameLabelsBatchSplit with the
+// whole pass on the edge. The returned Sets are freshly built (they outlive
+// the context's scratch); dst is the reused container.
 //
-//sieve:noalloc wraps DetectBatch on the shared-plane path
+//sieve:noalloc wraps DetectBatchSplit on the shared-plane path
 func (ic *Inference) FrameLabelsBatch(frames []*frame.YUV, dst []labels.Set) []labels.Set {
-	ic.dets = ic.DetectBatch(frames, ic.dets)
-	for len(dst) < len(frames) {
-		dst = append(dst, nil)
-	}
-	dst = dst[:len(frames)]
-	for i := range frames {
-		dst[i], ic.names = frameLabelSet(ic.dets[i], ic.count, ic.best, ic.names)
-	}
+	dst, _ = ic.FrameLabelsBatchSplit(frames, dst, len(ic.d.net.Layers), nil)
 	return dst
 }

@@ -15,12 +15,11 @@ type Layer interface {
 	OutShape(in Shape) Shape
 	// FLOPs estimates the multiply-accumulate work for an input shape.
 	FLOPs(in Shape) int64
-	// Forward computes the layer output.
-	Forward(in *Tensor) *Tensor
 	// ForwardBatch computes the layer output for every item of in into out,
 	// which the caller has already shaped to OutShape at in.N items.
 	// Implementations write every element of out, may not retain either
-	// batch, and must produce, per item, exactly the values Forward would.
+	// batch, and compute each item on its own: an item's output depends on
+	// that item alone, never on the batch it rides in.
 	ForwardBatch(in, out *Batch)
 }
 
@@ -77,8 +76,8 @@ func (c *Conv2D) FLOPs(in Shape) int64 {
 // more than 64 input channels, runs its border dense.
 const maxZeroGroups = 64
 
-// forwardItem is the single-item convolution kernel shared by Forward and
-// ForwardBatch. The contract both loops below keep, and the oracle in
+// forwardItem is the single-item convolution kernel ForwardBatch runs per
+// item. The contract both loops below keep, and the oracle in
 // reference_test.go states: an output starts at its filter's bias and then
 // takes `+= float32(w*x)` once per tap that lands inside the input, in
 // (ic, ky, kx) order. Taps in the zero padding are skipped, never added
@@ -326,17 +325,6 @@ func clampTaps(i0, k, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// Forward implements Layer.
-func (c *Conv2D) Forward(in *Tensor) *Tensor {
-	if in.C != c.InC {
-		panic(fmt.Sprintf("nn: conv %s expects %d channels, got %d", c.Tag, c.InC, in.C))
-	}
-	shape := c.OutShape(Shape{C: in.C, H: in.H, W: in.W})
-	out := NewTensor(shape.C, shape.H, shape.W)
-	c.forwardItem(in.Data, in.H, in.W, out.Data, shape.H, shape.W)
-	return out
-}
-
 // ForwardBatch implements Layer.
 //
 //sieve:noalloc batched forward reuses caller buffers
@@ -369,7 +357,7 @@ func (r *ReLU) OutShape(in Shape) Shape { return in }
 func (r *ReLU) FLOPs(in Shape) int64 { return int64(in.Elems()) }
 
 // reluInto writes max(v, 0) for every element (out may hold stale data, so
-// zeros are written explicitly, unlike the allocating Forward).
+// zeros are written explicitly).
 //
 //sieve:noalloc activation inner loop
 func reluInto(in, out []float32) {
@@ -380,13 +368,6 @@ func reluInto(in, out []float32) {
 			out[i] = 0
 		}
 	}
-}
-
-// Forward implements Layer.
-func (r *ReLU) Forward(in *Tensor) *Tensor {
-	out := NewTensor(in.C, in.H, in.W)
-	reluInto(in.Data, out.Data)
-	return out
 }
 
 // ForwardBatch implements Layer.
@@ -439,14 +420,6 @@ func poolItem(in []float32, c, inH, inW int, out []float32, oh, ow int) {
 	}
 }
 
-// Forward implements Layer.
-func (m *MaxPool2) Forward(in *Tensor) *Tensor {
-	oh, ow := in.H/2, in.W/2
-	out := NewTensor(in.C, oh, ow)
-	poolItem(in.Data, in.C, in.H, in.W, out.Data, oh, ow)
-	return out
-}
-
 // ForwardBatch implements Layer.
 //
 //sieve:noalloc batched forward reuses caller buffers
@@ -474,7 +447,7 @@ func (s *Softmax) OutShape(in Shape) Shape { return in }
 func (s *Softmax) FLOPs(in Shape) int64 { return int64(in.Elems()) * 4 }
 
 // softmaxItem is the single-item per-cell softmax kernel (summation order
-// over channels fixed, matching the historical Forward).
+// over channels fixed).
 //
 //sieve:noalloc softmax inner loop
 func softmaxItem(in []float32, c, h, w int, out []float32) {
@@ -495,13 +468,6 @@ func softmaxItem(in []float32, c, h, w int, out []float32) {
 			}
 		}
 	}
-}
-
-// Forward implements Layer.
-func (s *Softmax) Forward(in *Tensor) *Tensor {
-	out := NewTensor(in.C, in.H, in.W)
-	softmaxItem(in.Data, in.C, in.H, in.W, out.Data)
-	return out
 }
 
 // ForwardBatch implements Layer.

@@ -12,25 +12,6 @@ type Network struct {
 	Input Shape
 }
 
-// Forward runs the full network.
-func (n *Network) Forward(in *Tensor) *Tensor {
-	cur := in
-	for _, l := range n.Layers {
-		cur = l.Forward(cur)
-	}
-	return cur
-}
-
-// ForwardRange runs layers [from, to) — the unit of work the edge or cloud
-// compute engine executes under a partition plan.
-func (n *Network) ForwardRange(in *Tensor, from, to int) *Tensor {
-	cur := in
-	for i := from; i < to && i < len(n.Layers); i++ {
-		cur = n.Layers[i].Forward(cur)
-	}
-	return cur
-}
-
 // LayerStats describes one layer's cost profile for a given input shape.
 type LayerStats struct {
 	Index int

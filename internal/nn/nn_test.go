@@ -9,15 +9,29 @@ import (
 	"sieve/internal/synth"
 )
 
+// forwardLayer runs l over every item of in through ForwardBatch into a
+// fresh batch of l's output shape.
+func forwardLayer(l Layer, in *Batch) *Batch {
+	s := l.OutShape(Shape{C: in.C, H: in.H, W: in.W})
+	out := NewBatch(in.N, s.C, s.H, s.W)
+	l.ForwardBatch(in, out)
+	return out
+}
+
+// at returns element (c, y, x) of item 0 of b.
+func at(b *Batch, c, y, x int) float32 {
+	return b.Data[(c*b.H+y)*b.W+x]
+}
+
 func TestConv2DKnownValues(t *testing.T) {
 	// 1-channel 3x3 identity kernel centred: output == input (pad 1, stride 1).
 	c := NewConv2D("id", 1, 1, 3, 1, 1)
 	c.W[0][0][4] = 1 // centre tap
-	in := NewTensor(1, 4, 4)
+	in := NewBatch(1, 1, 4, 4)
 	for i := range in.Data {
 		in.Data[i] = float32(i)
 	}
-	out := c.Forward(in)
+	out := forwardLayer(c, in)
 	if out.C != 1 || out.H != 4 || out.W != 4 {
 		t.Fatalf("shape %dx%dx%d", out.C, out.H, out.W)
 	}
@@ -34,30 +48,30 @@ func TestConv2DStrideAndBias(t *testing.T) {
 		c.W[0][0][i] = 1
 	}
 	c.B[0] = 10
-	in := NewTensor(1, 4, 4)
+	in := NewBatch(1, 1, 4, 4)
 	for i := range in.Data {
 		in.Data[i] = 1
 	}
-	out := c.Forward(in)
+	out := forwardLayer(c, in)
 	if out.H != 2 || out.W != 2 {
 		t.Fatalf("stride-2 output %dx%d, want 2x2", out.H, out.W)
 	}
 	// Top-left window at (-1,-1): 2x2 valid pixels = 4 + bias.
-	if out.At(0, 0, 0) != 14 {
-		t.Fatalf("corner = %v, want 14", out.At(0, 0, 0))
+	if at(out, 0, 0, 0) != 14 {
+		t.Fatalf("corner = %v, want 14", at(out, 0, 0, 0))
 	}
 	// Interior window at (1,1): full 3x3 = 9 + bias... (position (1,1) maps
 	// to input (1,1) so all taps inside for a 4x4 input).
-	if out.At(0, 1, 1) != 19 {
-		t.Fatalf("interior = %v, want 19", out.At(0, 1, 1))
+	if at(out, 0, 1, 1) != 19 {
+		t.Fatalf("interior = %v, want 19", at(out, 0, 1, 1))
 	}
 }
 
 func TestReLU(t *testing.T) {
 	r := &ReLU{Tag: "r"}
-	in := NewTensor(1, 1, 4)
+	in := NewBatch(1, 1, 1, 4)
 	copy(in.Data, []float32{-2, -0.5, 0, 3})
-	out := r.Forward(in)
+	out := forwardLayer(r, in)
 	want := []float32{0, 0, 0, 3}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -68,31 +82,31 @@ func TestReLU(t *testing.T) {
 
 func TestMaxPool2(t *testing.T) {
 	m := &MaxPool2{Tag: "p"}
-	in := NewTensor(1, 4, 4)
+	in := NewBatch(1, 1, 4, 4)
 	for i := range in.Data {
 		in.Data[i] = float32(i)
 	}
-	out := m.Forward(in)
+	out := forwardLayer(m, in)
 	if out.H != 2 || out.W != 2 {
 		t.Fatalf("pool shape %dx%d", out.H, out.W)
 	}
-	if out.At(0, 0, 0) != 5 || out.At(0, 1, 1) != 15 {
-		t.Fatalf("pool values %v %v", out.At(0, 0, 0), out.At(0, 1, 1))
+	if at(out, 0, 0, 0) != 5 || at(out, 0, 1, 1) != 15 {
+		t.Fatalf("pool values %v %v", at(out, 0, 0, 0), at(out, 0, 1, 1))
 	}
 }
 
 func TestSoftmaxSumsToOne(t *testing.T) {
 	s := &Softmax{Tag: "s"}
-	in := NewTensor(4, 2, 2)
+	in := NewBatch(1, 4, 2, 2)
 	for i := range in.Data {
 		in.Data[i] = float32(i%7) - 3
 	}
-	out := s.Forward(in)
+	out := forwardLayer(s, in)
 	for y := 0; y < 2; y++ {
 		for x := 0; x < 2; x++ {
 			var sum float64
 			for c := 0; c < 4; c++ {
-				v := out.At(c, y, x)
+				v := at(out, c, y, x)
 				if v < 0 || v > 1 {
 					t.Fatalf("prob out of range: %v", v)
 				}
@@ -109,12 +123,17 @@ func TestForwardRangeComposition(t *testing.T) {
 	d := NewYOLite([]string{"car"}, 96)
 	f := frame.NewYUV(128, 96)
 	f.Fill(100, 120, 130)
-	in := FromYUV(f, 96)
-	full := d.Network().Forward(in)
-	half1 := d.Network().ForwardRange(in, 0, 4)
-	half2 := d.Network().ForwardRange(half1, 4, len(d.Network().Layers))
-	if full.Len() != half2.Len() {
-		t.Fatalf("length mismatch %d vs %d", full.Len(), half2.Len())
+	in := NewBatch(1, 3, 96, 96)
+	fromYUVInto(in.Data, f, 96)
+	net := d.Network()
+	// The second half reads the first half's output, so the halves work in
+	// separate scratches (a range's input must not alias its scratch).
+	var s1, s2, sFull BatchScratch
+	half1 := net.ForwardBatchRange(in, &s1, 0, 4)
+	half2 := net.ForwardBatchRange(half1, &s2, 4, len(net.Layers))
+	full := net.ForwardBatch(in, &sFull)
+	if len(full.Data) != len(half2.Data) {
+		t.Fatalf("length mismatch %d vs %d", len(full.Data), len(half2.Data))
 	}
 	for i := range full.Data {
 		if full.Data[i] != half2.Data[i] {
@@ -126,17 +145,15 @@ func TestForwardRangeComposition(t *testing.T) {
 func TestFromYUVRange(t *testing.T) {
 	f := frame.NewYUV(64, 48)
 	f.Fill(255, 0, 255)
-	tensor := FromYUV(f, 32)
-	if tensor.C != 3 || tensor.H != 32 || tensor.W != 32 {
-		t.Fatalf("tensor shape %dx%dx%d", tensor.C, tensor.H, tensor.W)
-	}
-	for _, v := range tensor.Data {
+	in := NewBatch(1, 3, 32, 32)
+	fromYUVInto(in.Data, f, 32)
+	for _, v := range in.Data {
 		if v < 0 || v > 1 {
 			t.Fatalf("value %v out of [0,1]", v)
 		}
 	}
-	if tensor.At(0, 5, 5) != 1 {
-		t.Fatalf("luma = %v, want 1", tensor.At(0, 5, 5))
+	if at(in, 0, 5, 5) != 1 {
+		t.Fatalf("luma = %v, want 1", at(in, 0, 5, 5))
 	}
 }
 
@@ -194,8 +211,8 @@ func TestPartitionLatencyModel(t *testing.T) {
 	env := Env{EdgeFLOPS: 5e8, CloudFLOPS: 5e9, BandwidthBps: 30e6, InputBytes: 80_000}
 	best := Partition(net, env)
 	// Optimal must beat or match both extremes.
-	allCloud := EvalCut(net, -1, env)
-	allEdge := EvalCut(net, len(net.Layers)-1, env)
+	allCloud := evalCut(net.Stats(), -1, env)
+	allEdge := evalCut(net.Stats(), len(net.Layers)-1, env)
 	if best.Latency > allCloud.Latency || best.Latency > allEdge.Latency {
 		t.Fatalf("partition %d (%v) worse than extremes (%v / %v)",
 			best.SplitAfter, best.Latency, allCloud.Latency, allEdge.Latency)
@@ -315,10 +332,12 @@ func BenchmarkYOLiteForward300(b *testing.B) {
 
 func BenchmarkConvForward(b *testing.B) {
 	c := NewConv2D("bench", 16, 32, 3, 2, 1)
-	in := NewTensor(16, 75, 75)
+	in := NewBatch(1, 16, 75, 75)
+	s := c.OutShape(Shape{C: 16, H: 75, W: 75})
+	out := NewBatch(1, s.C, s.H, s.W)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Forward(in)
+		c.ForwardBatch(in, out)
 	}
 }

@@ -67,16 +67,6 @@ func PartitionStats(stats []LayerStats, env Env) Placement {
 	return best
 }
 
-// EvalCut exposes the latency model for a specific cut (for tables/benches).
-func EvalCut(n *Network, cut int, env Env) Placement {
-	return evalCut(n.Stats(), cut, env)
-}
-
-// EvalCutStats is EvalCut over a precomputed layer profile.
-func EvalCutStats(stats []LayerStats, cut int, env Env) Placement {
-	return evalCut(stats, cut, env)
-}
-
 func evalCut(stats []LayerStats, cut int, env Env) Placement {
 	var edgeFLOPs, cloudFLOPs int64
 	for i, s := range stats {

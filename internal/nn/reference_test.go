@@ -94,14 +94,15 @@ func randomActivations(data []float32, seed uint64, special bool) {
 
 // checkConvAgainstReference runs c over in through the shipped kernel and
 // the oracle and fails on the first differing bit.
-func checkConvAgainstReference(t testing.TB, c *Conv2D, in *Tensor) {
+func checkConvAgainstReference(t testing.TB, c *Conv2D, in *Batch) {
 	t.Helper()
-	got := c.Forward(in)
-	want := NewTensor(got.C, got.H, got.W)
-	// Poison the oracle's output too: both kernels must write every element.
+	s := c.OutShape(Shape{C: in.C, H: in.H, W: in.W})
+	got, want := NewBatch(1, s.C, s.H, s.W), NewBatch(1, s.C, s.H, s.W)
+	// Poison both outputs: both kernels must write every element.
 	for i := range want.Data {
-		want.Data[i] = float32(math.NaN())
+		got.Data[i], want.Data[i] = float32(math.NaN()), float32(math.NaN())
 	}
+	c.ForwardBatch(in, got)
 	referenceConvItem(c, in.Data, in.H, in.W, want.Data, want.H, want.W)
 	if i := firstBitDiff(got.Data, want.Data); i >= 0 {
 		plane := got.H * got.W
@@ -163,7 +164,7 @@ func TestConvMatchesReference(t *testing.T) {
 					for _, special := range []bool{false, true} {
 						seed++
 						c := randomConv(3, 5, k, stride, pad, seed)
-						in := NewTensor(3, hw[0], hw[1])
+						in := NewBatch(1, 3, hw[0], hw[1])
 						randomActivations(in.Data, seed*7919, special)
 						checkConvAgainstReference(t, c, in)
 
@@ -192,12 +193,12 @@ func TestConvSkipsPaddingTaps(t *testing.T) {
 			for o := range zeros.B {
 				zeros.B[o] = negZero
 			}
-			in := NewTensor(2, 6, 6)
+			in := NewBatch(1, 2, 6, 6)
 			for i := range in.Data {
 				in.Data[i] = -1 - float32(i)
 			}
 			checkConvAgainstReference(t, zeros, in)
-			for i, v := range zeros.Forward(in).Data {
+			for i, v := range forwardLayer(zeros, in).Data {
 				if math.Float32bits(v) != math.Float32bits(negZero) {
 					t.Fatalf("k%d s%d: output %d = %v (%#08x), want -0", k, stride, i, v, math.Float32bits(v))
 				}
@@ -216,7 +217,7 @@ func TestConvSkipsPaddingTaps(t *testing.T) {
 				in.Data[i] = 1 + float32(i%5)
 			}
 			checkConvAgainstReference(t, rim, in)
-			if v := rim.Forward(in).Data[0]; v != v {
+			if v := forwardLayer(rim, in).Data[0]; v != v {
 				t.Fatalf("k%d s%d: corner output is NaN: a padding tap was multiplied, not skipped", k, stride)
 			}
 		}
@@ -231,14 +232,14 @@ func TestConvSkipsPaddingTaps(t *testing.T) {
 //   - one non-zero tap, at each position, makes the pair non-zero.
 func TestConvZeroPairSkipIsExact(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
-	positive := func(in *Tensor) {
+	positive := func(in *Batch) {
 		for i := range in.Data {
 			in.Data[i] = 1 + float32(i%7)/8
 		}
 	}
 	for _, g := range []struct{ k, stride, pad int }{{3, 1, 1}, {3, 2, 1}, {5, 1, 2}, {1, 1, 0}} {
 		name := fmt.Sprintf("k%ds%dp%d", g.k, g.stride, g.pad)
-		in := NewTensor(3, 8, 8)
+		in := NewBatch(1, 3, 8, 8)
 		positive(in)
 
 		// Zero filters under a -0 bias, over positive inputs: the dense sum
@@ -253,7 +254,7 @@ func TestConvZeroPairSkipIsExact(t *testing.T) {
 			}
 			c.B[3], c.B[4], c.B[5] = 0.5, 0.5, 0.5
 			checkConvAgainstReference(t, c, in)
-			out := c.Forward(in)
+			out := forwardLayer(c, in)
 			plane := out.H * out.W
 			for i, v := range out.Data[:3*plane] {
 				if math.Float32bits(v) != math.Float32bits(z) {
@@ -272,7 +273,7 @@ func TestConvZeroPairSkipIsExact(t *testing.T) {
 				positive(in)
 				in.Data[(1*in.H+at[0])*in.W+at[1]] = bad
 				checkConvAgainstReference(t, c, in)
-				out := c.Forward(in)
+				out := forwardLayer(c, in)
 				for oy := 0; oy < out.H; oy++ {
 					for ox := 0; ox < out.W; ox++ {
 						dy, dx := at[0]-(oy*g.stride-g.pad), at[1]-(ox*g.stride-g.pad)
@@ -300,7 +301,7 @@ func TestConvZeroPairSkipIsExact(t *testing.T) {
 				}
 				c.W[pair[0]][pair[1]][tap] = 1.5
 				checkConvAgainstReference(t, c, in)
-				out := c.Forward(in)
+				out := forwardLayer(c, in)
 				plane := out.H * out.W
 				moved := 0
 				for _, v := range out.Data[pair[0]*plane : (pair[0]+1)*plane] {
@@ -322,14 +323,15 @@ func TestConvZeroPairSkipIsExact(t *testing.T) {
 func TestYOLiteLayersMatchReference(t *testing.T) {
 	for _, size := range []int{96, 300} {
 		d := randomHeadDetector([]string{"car", "bus", "truck"}, size, 77)
-		cur := FromYUV(noiseFrame(320, 240, uint64(size)), size)
+		cur := NewBatch(1, 3, size, size)
+		fromYUVInto(cur.Data, noiseFrame(320, 240, uint64(size)), size)
 		convs := 0
 		for _, l := range d.net.Layers {
 			if c, ok := l.(*Conv2D); ok {
 				checkConvAgainstReference(t, c, cur)
 				convs++
 			}
-			cur = l.Forward(cur)
+			cur = forwardLayer(l, cur)
 		}
 		if convs != 6 {
 			t.Fatalf("size %d: checked %d convolutions, want 6", size, convs)
@@ -394,7 +396,7 @@ func FuzzConvMatchesReference(f *testing.F) {
 			}
 			c.B[o] = next()
 		}
-		in := NewTensor(inC, h, w)
+		in := NewBatch(1, inC, h, w)
 		for i := range in.Data {
 			in.Data[i] = next()
 		}
@@ -425,11 +427,22 @@ func TestConvForwardBatchRejectsMisshapedOutput(t *testing.T) {
 	c.ForwardBatch(in, NewBatch(2, 3, 4, 4)) // the right shape is accepted
 }
 
+// layerAtATime is the forward traversal without the item-by-item ping-pong:
+// each layer of [from, to) runs its ForwardBatch over the whole batch into a
+// fresh batch. It is the oracle for ForwardBatchRange's traversal.
+func layerAtATime(net *Network, in *Batch, from, to int) *Batch {
+	cur := in
+	for _, l := range net.Layers[from:to] {
+		cur = forwardLayer(l, cur)
+	}
+	return cur
+}
+
 // TestForwardBatchRangeMatchesForwardRange pins the batch traversal: at
 // every [from, to) — cuts between a convolution and its ReLU included — and
-// at batch sizes 0, 1 and several, ForwardBatchRange returns per item exactly
-// what the single-tensor ForwardRange does, and an empty range returns its
-// input untouched.
+// at batch sizes 0, 1 and several, ForwardBatchRange returns exactly what
+// running the layers one at a time over the whole batch does, leaves its
+// input untouched, and returns the input itself for an empty range.
 func TestForwardBatchRangeMatchesForwardRange(t *testing.T) {
 	d := randomHeadDetector([]string{"car", "bus"}, 48, 13)
 	net := d.Network()
@@ -453,20 +466,14 @@ func TestForwardBatchRangeMatchesForwardRange(t *testing.T) {
 					}
 					continue
 				}
-				if got.N != n {
-					t.Fatalf("[%d,%d) n=%d: result has %d items", from, to, n, got.N)
+				want := layerAtATime(net, in, from, to)
+				if got.N != want.N || got.C != want.C || got.H != want.H || got.W != want.W {
+					t.Fatalf("[%d,%d) n=%d: shape %dx%dx%dx%d, want %dx%dx%dx%d",
+						from, to, n, got.N, got.C, got.H, got.W, want.N, want.C, want.H, want.W)
 				}
-				for i := 0; i < n; i++ {
-					item := in.ItemTensor(i)
-					want := net.ForwardRange(&item, from, to)
-					if got.C != want.C || got.H != want.H || got.W != want.W {
-						t.Fatalf("[%d,%d) n=%d: shape %dx%dx%d, want %dx%dx%d",
-							from, to, n, got.C, got.H, got.W, want.C, want.H, want.W)
-					}
-					if j := firstBitDiff(got.Item(i), want.Data); j >= 0 {
-						t.Fatalf("[%d,%d) n=%d item %d element %d: batched %v != single %v",
-							from, to, n, i, j, got.Item(i)[j], want.Data[j])
-					}
+				if j := firstBitDiff(got.Data, want.Data); j >= 0 {
+					t.Fatalf("[%d,%d) n=%d item %d element %d: ForwardBatchRange %v, layer at a time %v",
+						from, to, n, j/got.ItemLen(), j%got.ItemLen(), got.Data[j], want.Data[j])
 				}
 				if j := firstBitDiff(in.Data, pristine); j >= 0 {
 					t.Fatalf("[%d,%d) n=%d: the input batch was written at element %d", from, to, n, j)
@@ -569,7 +576,8 @@ func TestFromYUVIntoMatchesReference(t *testing.T) {
 // 32 — while the head layers are dense.
 func BenchmarkConvLayers(b *testing.B) {
 	d := randomHeadDetector([]string{"car", "bus", "truck"}, 96, 11)
-	cur := FromYUV(noiseFrame(320, 240, 60), 96)
+	cur := NewBatch(1, 3, 96, 96)
+	fromYUVInto(cur.Data, noiseFrame(320, 240, 60), 96)
 	for _, l := range d.net.Layers {
 		if c, ok := l.(*Conv2D); ok {
 			in := cur
@@ -583,6 +591,6 @@ func BenchmarkConvLayers(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*macs), "ns/MAC")
 			})
 		}
-		cur = l.Forward(cur)
+		cur = forwardLayer(l, cur)
 	}
 }

@@ -264,7 +264,7 @@ func TestEvalCutEdgeCases(t *testing.T) {
 	last := len(stats) - 1
 	env := Env{EdgeFLOPS: 1e9, CloudFLOPS: 2e9, BandwidthBps: 30e6, InputBytes: 12_288, ReturnBytes: 64}
 
-	allCloud := EvalCut(net, -1, env)
+	allCloud := evalCut(stats, -1, env)
 	if allCloud.TransferBytes != env.InputBytes {
 		t.Fatalf("cut -1 ships %d bytes, want InputBytes %d", allCloud.TransferBytes, env.InputBytes)
 	}
@@ -275,7 +275,7 @@ func TestEvalCutEdgeCases(t *testing.T) {
 		t.Fatalf("cut -1 return: %d bytes in %v", allCloud.ReturnBytes, allCloud.ReturnTime)
 	}
 
-	allEdge := EvalCut(net, last, env)
+	allEdge := evalCut(stats, last, env)
 	if allEdge.CloudTime != 0 || allEdge.EdgeTime == 0 {
 		t.Fatalf("all-edge times: edge %v cloud %v", allEdge.EdgeTime, allEdge.CloudTime)
 	}
@@ -286,7 +286,7 @@ func TestEvalCutEdgeCases(t *testing.T) {
 		t.Fatalf("all-edge ships %d, want final output %d", allEdge.TransferBytes, stats[last].OutBytes)
 	}
 
-	noLink := EvalCut(net, 2, Env{EdgeFLOPS: 1e9, CloudFLOPS: 1e9, InputBytes: 1, ReturnBytes: 64})
+	noLink := evalCut(stats, 2, Env{EdgeFLOPS: 1e9, CloudFLOPS: 1e9, InputBytes: 1, ReturnBytes: 64})
 	if noLink.TransferTime != 0 || noLink.ReturnTime != 0 {
 		t.Fatalf("zero bandwidth must zero the link terms: %+v", noLink)
 	}
@@ -294,7 +294,7 @@ func TestEvalCutEdgeCases(t *testing.T) {
 		t.Fatalf("zero-bandwidth latency %v != compute %v", noLink.Latency, noLink.EdgeTime+noLink.CloudTime)
 	}
 
-	noRates := EvalCut(net, 2, Env{BandwidthBps: 10e6, InputBytes: 1})
+	noRates := evalCut(stats, 2, Env{BandwidthBps: 10e6, InputBytes: 1})
 	if noRates.EdgeTime != 0 || noRates.CloudTime != 0 {
 		t.Fatalf("zero FLOPS rates must zero the compute terms: %+v", noRates)
 	}
@@ -355,7 +355,7 @@ func TestPartitionReturnBytesAndTieBreak(t *testing.T) {
 	}
 
 	// The return term shows up in the arithmetic of a single cut too.
-	withReturn := EvalCutStats(stats, 0, Env{BandwidthBps: 8e6, ReturnBytes: 1000})
+	withReturn := evalCut(stats, 0, Env{BandwidthBps: 8e6, ReturnBytes: 1000})
 	if withReturn.ReturnBytes != 1000 || withReturn.ReturnTime != 1*time.Millisecond {
 		t.Fatalf("return transfer not modelled: %+v", withReturn)
 	}

@@ -13,46 +13,6 @@ import (
 	"sieve/internal/frame"
 )
 
-// Tensor is a dense float32 tensor in channel-major (C, H, W) layout.
-// A flat vector is represented as (C, 1, 1).
-type Tensor struct {
-	Data    []float32
-	C, H, W int
-}
-
-// NewTensor allocates a zeroed C×H×W tensor.
-func NewTensor(c, h, w int) *Tensor {
-	return &Tensor{Data: make([]float32, c*h*w), C: c, H: h, W: w}
-}
-
-// At returns the element at (c, y, x).
-func (t *Tensor) At(c, y, x int) float32 {
-	return t.Data[(c*t.H+y)*t.W+x]
-}
-
-// Set writes the element at (c, y, x).
-func (t *Tensor) Set(c, y, x int, v float32) {
-	t.Data[(c*t.H+y)*t.W+x] = v
-}
-
-// Len returns the number of elements.
-func (t *Tensor) Len() int { return t.C * t.H * t.W }
-
-// Reshape resizes t to c×h×w, reusing Data's capacity when it suffices.
-// Contents are undefined after a reshape.
-func (t *Tensor) Reshape(c, h, w int) {
-	t.C, t.H, t.W = c, h, w
-	need := c * h * w
-	if cap(t.Data) < need {
-		t.Data = make([]float32, need)
-		return
-	}
-	t.Data = t.Data[:need]
-}
-
-// Bytes returns the tensor's wire size (float32 payload).
-func (t *Tensor) Bytes() int64 { return int64(t.Len()) * 4 }
-
 // Shape describes tensor dimensions without storage.
 type Shape struct{ C, H, W int }
 
@@ -65,28 +25,13 @@ func (s Shape) Bytes() int64 { return int64(s.Elems()) * 4 }
 // String renders the shape as CxHxW.
 func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.C, s.H, s.W) }
 
-// FromYUV converts a frame to a 3×size×size input tensor (Y, Cb, Cr
-// channels, chroma upsampled by the resize, values scaled to [0,1]).
-// This mirrors the paper's resize of frames to the square NN input.
-func FromYUV(f *frame.YUV, size int) *Tensor {
-	t := NewTensor(3, size, size)
-	return FromYUVInto(t, f, size)
-}
-
-// FromYUVInto converts a frame into dst, reshaped to 3×size×size reusing
-// its capacity — the allocation-free steady-state input conversion. Instead
-// of materialising a resized intermediate frame (what FromYUV historically
-// did), each tensor value is sampled straight off the source planes with
-// the arithmetic of frame.Resize, expression for expression, so the tensor
-// is element-identical to the allocating path. Returns dst.
-func FromYUVInto(dst *Tensor, f *frame.YUV, size int) *Tensor {
-	dst.Reshape(3, size, size)
-	fromYUVInto(dst.Data, f, size)
-	return dst
-}
-
-// fromYUVInto fills data (laid out as one 3×size×size item) from f. Split
-// out so batched inference can convert directly into batch item storage.
+// fromYUVInto converts a frame into data, laid out as one 3×size×size
+// item (Y, Cb, Cr channels, chroma upsampled by the resize, values scaled to
+// [0,1]) — the paper's resize of frames to the square NN input, written
+// straight into batch item storage. Instead of materialising a resized
+// intermediate frame, each value is sampled straight off the source planes
+// with the arithmetic of frame.Resize, expression for expression, so the
+// item is element-identical to resizing the frame and then indexing it.
 //
 //sieve:noalloc input conversion on the batched detect path
 func fromYUVInto(data []float32, f *frame.YUV, size int) {

@@ -79,12 +79,16 @@ func (d *YOLite) Train(frames []LabeledFrame, cfg TrainConfig) (TrainReport, err
 	h1, _ := d.headConvs()
 	var samples []cellSample
 	positives := 0
-	// One reused input tensor across the whole pass: the backbone forward
-	// allocates its own activations, so the conversion is the only per-frame
-	// input cost worth eliding (same FromYUVInto discipline as inference).
-	var in Tensor
+	// The backbone features come out of the traversal inference runs, one
+	// frame at a time through a one-item batch and one reused scratch.
+	var (
+		in      Batch
+		scratch BatchScratch
+	)
 	for _, lf := range frames {
-		feats := d.net.ForwardRange(FromYUVInto(&in, lf.Frame, d.InputSize), 0, d.headIndex)
+		in.Reshape(1, 3, d.InputSize, d.InputSize)
+		fromYUVInto(in.Data, lf.Frame, d.InputSize)
+		feats := d.net.ForwardBatchRange(&in, &scratch, 0, d.headIndex)
 		grid := feats.H
 		cells := d.labelCells(lf, grid)
 		for cy := 0; cy < grid; cy++ {
@@ -181,8 +185,9 @@ func foldNormalization(h1 *Conv2D, mean, std []float32) {
 }
 
 // patchVector extracts the K×K neighbourhood of features around cell
-// (cx, cy) in the head conv's weight layout (zero padding at grid edges).
-func patchVector(feats *Tensor, cx, cy, k, pad int) []float32 {
+// (cx, cy) of the one-item batch feats in the head conv's weight layout
+// (zero padding at grid edges).
+func patchVector(feats *Batch, cx, cy, k, pad int) []float32 {
 	out := make([]float32, feats.C*k*k)
 	for ic := 0; ic < feats.C; ic++ {
 		base := ic * k * k
@@ -196,7 +201,7 @@ func patchVector(feats *Tensor, cx, cy, k, pad int) []float32 {
 				if x < 0 || x >= feats.W {
 					continue
 				}
-				out[base+ky*k+kx] = feats.At(ic, y, x)
+				out[base+ky*k+kx] = feats.Data[(ic*feats.H+y)*feats.W+x]
 			}
 		}
 	}

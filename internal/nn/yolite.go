@@ -33,7 +33,7 @@ type YOLite struct {
 type Detection struct {
 	Class string
 	Prob  float32
-	// CellX, CellY are grid coordinates; Cells is the grid width.
+	// CellX, CellY are grid coordinates (GridSize is the grid width).
 	CellX, CellY int
 }
 
@@ -71,9 +71,6 @@ func (d *YOLite) Classes() []string { return d.classes[1:] }
 // Network exposes the underlying network (for partitioning and summaries).
 func (d *YOLite) Network() *Network { return d.net }
 
-// HeadIndex returns the index of the trainable head layer.
-func (d *YOLite) HeadIndex() int { return d.headIndex }
-
 // GridSize returns the detection grid edge length.
 func (d *YOLite) GridSize() int {
 	s := d.net.Input
@@ -83,26 +80,19 @@ func (d *YOLite) GridSize() int {
 	return s.H
 }
 
-// Detect runs the network and returns all cells above threshold.
+// Detect runs the network on one frame and returns all cells above
+// threshold. It is a batch of one through a throwaway Inference context;
+// hot paths (the inference plane) hold a persistent Inference so repeated
+// batches are allocation-free.
 func (d *YOLite) Detect(f *frame.YUV) []Detection {
-	probs := d.net.Forward(FromYUV(f, d.InputSize))
-	return appendDetections(probs.Data, probs.C, probs.H, probs.W, d.classes, d.CellThresh, nil)
-}
-
-// DetectBatch runs one batched forward pass over frames and returns
-// per-frame detections, each element-identical to Detect on that frame. It
-// is a convenience that builds a throwaway Inference context; hot paths
-// (the inference plane) hold a persistent Inference so repeated batches are
-// allocation-free.
-func (d *YOLite) DetectBatch(frames []*frame.YUV) [][]Detection {
-	return NewInference(d).DetectBatch(frames, nil)
+	return NewInference(d).DetectBatch([]*frame.YUV{f}, nil)[0]
 }
 
 // appendDetections scans one frame's class-probability grid (CHW data,
 // channel 0 = background) and appends every above-threshold cell to dst.
 // The strict > comparison keeps the first maximum, so ties between equally
-// probable classes deterministically pick the lowest class index — pinned
-// by tests, since batched and per-frame paths must agree exactly.
+// probable classes deterministically pick the lowest class index (pinned
+// by TestDetectTieBreak).
 func appendDetections(probs []float32, c, h, w int, classes []string, thresh float32, dst []Detection) []Detection {
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
@@ -130,13 +120,6 @@ func appendDetections(probs []float32, c, h, w int, classes []string, thresh flo
 func (d *YOLite) FrameLabels(f *frame.YUV) labels.Set {
 	set, _ := frameLabelSet(d.Detect(f), make(map[string]int), make(map[string]float32), nil)
 	return set
-}
-
-// FrameLabelsBatch reduces one batched forward pass over frames to
-// per-frame label sets, each identical to FrameLabels on that frame.
-// Like DetectBatch, it is a convenience over a throwaway Inference.
-func (d *YOLite) FrameLabelsBatch(frames []*frame.YUV) []labels.Set {
-	return NewInference(d).FrameLabelsBatch(frames, nil)
 }
 
 // frameLabelSet applies the ≥2-cells-or-one-very-confident-cell rule to one

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -164,15 +163,4 @@ func sampleValueIndex(s string) int {
 		}
 	}
 	return last
-}
-
-// SortedSampleKeys returns the sample keys in sorted order — the helper
-// CLI and tests use to print a parsed scrape deterministically.
-func SortedSampleKeys(samples map[string]float64) []string {
-	keys := make([]string, 0, len(samples))
-	for k := range samples {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

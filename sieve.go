@@ -135,11 +135,6 @@ func OpenStream(ra io.ReaderAt, size int64) (*container.Reader, error) {
 	return container.NewReader(ra, size)
 }
 
-// OpenStreamFile opens an SVF file from disk.
-func OpenStreamFile(path string) (*container.Reader, io.Closer, error) {
-	return container.OpenFile(path)
-}
-
 // IFrameSeeker walks a stream's metadata and exposes only its key frames —
 // the paper's edge-side module that makes analysis 100x cheaper than
 // decoding everything.
