@@ -302,11 +302,6 @@ type Cluster struct {
 	// stalling the run.
 	syncClock Clock
 
-	// splitPlanes holds each site's split-inference plane when the cluster
-	// was built with WithSplitInference (the Hub only sees an
-	// InferencePlane; the split view lives here for Snapshot).
-	splitPlanes map[string]*InferencePlane
-
 	mu        sync.Mutex
 	sites     []*clusterSite
 	started   bool
@@ -397,7 +392,6 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 		events:    make(chan Event, eventBuffer),
 		skew:      make(map[string]float64),
 	}
-	c.splitPlanes = make(map[string]*InferencePlane)
 	c.fstats = newFailoverCounters(cfg.reg)
 	if c.ingest != nil {
 		c.ingest.instrument(cfg.reg)
@@ -414,13 +408,7 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 			WithHubTelemetry(cfg.reg), withHubSite(name), WithHubTrace(cfg.tracer),
 		}
 		if cfg.inferDet != nil {
-			if cfg.split {
-				ip := c.newSplitPlane(name)
-				c.splitPlanes[name] = ip
-				hubOpts = append(hubOpts, withHubPlane(ip))
-			} else {
-				hubOpts = append(hubOpts, WithHubInference(cfg.inferDet, cfg.inferBatch))
-			}
+			hubOpts = append(hubOpts, withHubPlane(c.newSitePlane(name)))
 		}
 		s := &clusterSite{
 			name:  name,
@@ -446,11 +434,15 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	return c, nil
 }
 
-// newSplitPlane builds one site's split-inference plane: the cut chooser
-// bound to the site's uplink, the ship hook metering activations through
-// the coordinator, and the modelled tier rates for the split telemetry.
-func (c *Cluster) newSplitPlane(site string) *InferencePlane {
+// newSitePlane builds one site's shared inference plane. A split plane
+// also gets the cut chooser bound to the site's uplink, the ship hook
+// metering activations through the coordinator, and the modelled tier
+// rates for the split telemetry.
+func (c *Cluster) newSitePlane(site string) *InferencePlane {
 	det := c.cfg.inferDet
+	if !c.cfg.split {
+		return NewInferencePlane(det, c.cfg.inferBatch)
+	}
 	net := det.Network()
 	stats := net.Stats()
 	numLayers := len(stats)
@@ -574,26 +566,14 @@ func (c *Cluster) Run(ctx context.Context) error {
 		c.mu.Unlock()
 		return fmt.Errorf("sieve: cluster: %w", ErrAlreadyRun)
 	}
-	// The admission window runs before the feed set freezes: wire feeds
-	// admit themselves through AddFeed exactly like in-process callers.
-	if c.ingest != nil {
-		ingest := c.ingest
+	// The feed set freezes once the admission window, if any, closes.
+	ended, err := c.ingest.admit(ctx, clusterIngestTarget{c}, &c.mu, &c.started)
+	if err != nil {
 		c.mu.Unlock()
-		if err := ingest.start(ctx, clusterIngestTarget{c}); err != nil {
-			close(c.events)
-			return fmt.Errorf("sieve: cluster: %w", err)
-		}
-		defer ingest.runEnded()
-		if err := ingest.awaitAdmission(ctx); err != nil {
-			c.mu.Lock()
-			c.started = true
-			c.mu.Unlock()
-			close(c.events)
-			return fmt.Errorf("sieve: cluster: %w", err)
-		}
-		c.mu.Lock()
+		close(c.events)
+		return fmt.Errorf("sieve: cluster: %w", err)
 	}
-	c.started = true
+	defer ended()
 	sites := append([]*clusterSite(nil), c.sites...)
 	c.mu.Unlock()
 
@@ -680,49 +660,9 @@ func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
 	pump.Add(1)
 	go func() {
 		defer pump.Done()
-		synced := 0 // detections recorded since the last delta flush
 		// The ship scope is site-wide control-plane work, not a feed's
 		// pipeline: feed stays "" and the span carries the frame number.
-		ship := c.cfg.tracer.Scope(s.name, "")
-		for ev := range s.hub.Events() {
-			ev.Site = s.name
-			// Every forwarded event is a liveness proof: heartbeats are
-			// event-driven, not wall-clock timers.
-			c.coord.Heartbeat(s.name)
-			switch ev.Kind {
-			case EventFrameEncoded:
-				// Encode progress drives the fault script: frame counts are
-				// the deterministic clock faults are anchored to.
-				c.applyFaults(c.frunner.Observe(ev.Feed, ev.Frame+1))
-			case EventDetection:
-				// The edge records locally and ships the tiny detection
-				// record upstream — the frame payload never crosses the WAN.
-				s.shard.Put(ev.Feed, ev.Frame, ev.Labels)
-				sp := ship.Start(telemetry.StageShip, ev.Frame)
-				err := c.coord.ShipDetection(s.name, ev.Feed, ev.Labels)
-				sp.End()
-				if err != nil && pumpErr == nil {
-					pumpErr = err
-				}
-				if synced++; synced >= c.cfg.syncEvery {
-					synced = 0
-					c.flushDeltas(ctx, s)
-				}
-			case EventStats:
-				if err := c.coord.ShipStats(s.name); err != nil && pumpErr == nil {
-					pumpErr = err
-				}
-			}
-			select {
-			case c.events <- ev:
-			case <-ctx.Done():
-				// Mirror Hub.Run: sessions unblock themselves on
-				// cancellation; drain so the hub can close its channel.
-				for range s.hub.Events() {
-				}
-				return
-			}
-		}
+		_, pumpErr = c.pump(ctx, s, s.hub.Events(), c.cfg.tracer.Scope(s.name, ""))
 	}()
 
 	runErr := s.hub.Run(ctx)
@@ -775,31 +715,71 @@ func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
 		return errors.Join(errs...)
 	}
 
-	// Flush the trailing delta so the cloud replica is complete, then ship
-	// the end-of-run manifest. A partitioned uplink degrades the site
-	// (stale-but-consistent cloud view) instead of failing the run; the
-	// pre-merge reconcile pass retries if the link heals.
-	c.flushDeltas(ctx, s)
-	st := s.hub.Snapshot()
-	err := c.coord.Submit(cluster.Report{
-		Site:         s.name,
-		Shard:        s.shard,
-		Frames:       st.Frames,
-		IFrames:      st.IFrames,
-		Detections:   st.Detections,
-		PayloadBytes: st.PayloadBytes,
-	})
-	switch {
-	case err == nil:
-		c.mu.Lock()
-		s.submitted = true
-		c.mu.Unlock()
+	// A partitioned uplink degrades the site (stale-but-consistent cloud
+	// view) instead of failing the run; the pre-merge reconcile pass
+	// retries if the link heals.
+	switch err := c.submit(ctx, s); {
 	case errors.Is(err, simnet.ErrLinkDown):
 		c.coord.MarkDegraded(s.name, fmt.Sprintf("uplink partitioned at submit; replica at cursor %d", c.coord.SyncCursor(s.name)))
-	default:
+	case err != nil:
 		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
+}
+
+// pump forwards one site's events onto the cluster stream and does the
+// cloud-facing work each one implies: a heartbeat per event, fault-script
+// progress per encoded frame, and per detection a shard record, an uplink
+// ship and, every syncEvery detections, a delta flush. A live site and a
+// failover migration run this same pump; what differs between them is a
+// parameter, never a branch: s is the site the work is charged to (the
+// adoptive site for a migration), events the hub's or migrated session's
+// stream, and ship the span scope for detection ships (nil for a
+// migration, which is a recovery action, not a pipeline stage). It
+// returns the frames encoded — a migration's replayed count — and the
+// first uplink ship error.
+func (c *Cluster) pump(ctx context.Context, s *clusterSite, events <-chan Event, ship *telemetry.Scope) (encoded int, err error) {
+	synced := 0 // detections recorded since the last delta flush
+	for ev := range events {
+		ev.Site = s.name
+		// Every forwarded event is a liveness proof: heartbeats are
+		// event-driven, not wall-clock timers.
+		c.coord.Heartbeat(s.name)
+		var shipErr error
+		switch ev.Kind {
+		case EventFrameEncoded:
+			// Encode progress drives the fault script: frame counts are
+			// the deterministic clock faults are anchored to.
+			encoded++
+			c.applyFaults(c.frunner.Observe(ev.Feed, ev.Frame+1))
+		case EventDetection:
+			// The edge records locally and ships the tiny detection
+			// record upstream — the frame payload never crosses the WAN.
+			s.shard.Put(ev.Feed, ev.Frame, ev.Labels)
+			sp := ship.Start(telemetry.StageShip, ev.Frame)
+			shipErr = c.coord.ShipDetection(s.name, ev.Feed, ev.Labels)
+			sp.End()
+			if synced++; synced >= c.cfg.syncEvery {
+				synced = 0
+				c.flushDeltas(ctx, s)
+			}
+		case EventStats:
+			shipErr = c.coord.ShipStats(s.name)
+		}
+		if err == nil {
+			err = shipErr
+		}
+		select {
+		case c.events <- ev:
+		case <-ctx.Done():
+			// Sessions unblock themselves on cancellation; drain so the
+			// producer can close its channel.
+			for range events {
+			}
+			return encoded, err
+		}
+	}
+	return encoded, err
 }
 
 // applyFaults executes fired fault-script events. It is called from the
@@ -1026,37 +1006,16 @@ func (c *Cluster) runMigratedFeed(ctx context.Context, from *clusterSite, f *clu
 		return err
 	}
 
-	var pump sync.WaitGroup
+	var (
+		pump     sync.WaitGroup
+		replayed int // owned by the pump goroutine until pump.Wait
+	)
 	pump.Add(1)
-	replayed := 0
 	go func() {
 		defer pump.Done()
-		synced := 0
-		for ev := range sess.Events() {
-			ev.Site = to.name
-			c.coord.Heartbeat(to.name)
-			switch ev.Kind {
-			case EventFrameEncoded:
-				replayed++
-				c.applyFaults(c.frunner.Observe(ev.Feed, ev.Frame+1))
-			case EventDetection:
-				to.shard.Put(ev.Feed, ev.Frame, ev.Labels)
-				_ = c.coord.ShipDetection(to.name, ev.Feed, ev.Labels)
-				if synced++; synced >= c.cfg.syncEvery {
-					synced = 0
-					c.flushDeltas(ctx, to)
-				}
-			case EventStats:
-				_ = c.coord.ShipStats(to.name)
-			}
-			select {
-			case c.events <- ev:
-			case <-ctx.Done():
-				for range sess.Events() {
-				}
-				return
-			}
-		}
+		// Ship errors are not the migration's to report: a partitioned
+		// adoptive uplink shows as that site's degraded marker.
+		replayed, _ = c.pump(ctx, to, sess.Events(), nil)
 	}()
 	runErr := sess.Run(ctx)
 	pump.Wait()
@@ -1129,22 +1088,32 @@ func (c *Cluster) reconcile(ctx context.Context, sites []*clusterSite) {
 			// to its streamed replica and mark it degraded.
 			continue
 		}
-		c.flushDeltas(ctx, s)
-		st := s.hub.Snapshot()
-		if err := c.coord.Submit(cluster.Report{
-			Site:         s.name,
-			Shard:        s.shard,
-			Frames:       st.Frames,
-			IFrames:      st.IFrames,
-			Detections:   st.Detections,
-			PayloadBytes: st.PayloadBytes,
-		}); err == nil {
-			c.mu.Lock()
-			s.submitted = true
-			c.mu.Unlock()
-			c.coord.ClearDegraded(s.name)
-		}
+		_ = c.submit(ctx, s)
 	}
+}
+
+// submit flushes a site's trailing delta so the cloud replica is
+// complete, then ships the end-of-run report carrying the authoritative
+// shard. A delivered report clears the site's degraded marker: its slice
+// of the merged view is no longer stale.
+func (c *Cluster) submit(ctx context.Context, s *clusterSite) error {
+	c.flushDeltas(ctx, s)
+	st := s.hub.Snapshot()
+	if err := c.coord.Submit(cluster.Report{
+		Site:         s.name,
+		Shard:        s.shard,
+		Frames:       st.Frames,
+		IFrames:      st.IFrames,
+		Detections:   st.Detections,
+		PayloadBytes: st.PayloadBytes,
+	}); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	s.submitted = true
+	c.mu.Unlock()
+	c.coord.ClearDegraded(s.name)
+	return nil
 }
 
 // View merges the cloud's shadow replicas into a snapshot of the global
@@ -1209,15 +1178,24 @@ func (c *Cluster) EdgeStore(site string) (*EdgeStoreDB, error) {
 // site's edge store (post-event analysis does not need to know the
 // sharding). It returns the frame metadata and the owning site.
 func (c *Cluster) SeekEvent(camera string, target int) (FrameMeta, string, error) {
+	s := c.siteStoring(camera)
+	if s == nil {
+		return FrameMeta{}, "", fmt.Errorf("sieve: cluster: no site stores camera %q", camera)
+	}
+	m, err := s.edge.SeekEvent(camera, target)
+	return m, s.name, err
+}
+
+// siteStoring returns the first site, in site order, whose edge store
+// holds camera's stream, or nil. The site list is fixed at NewCluster, so
+// no lock is needed.
+func (c *Cluster) siteStoring(camera string) *clusterSite {
 	for _, s := range c.sites {
-		for _, stored := range s.edge.Cameras() {
-			if stored == camera {
-				m, err := s.edge.SeekEvent(camera, target)
-				return m, s.name, err
-			}
+		if s.edge.Has(camera) {
+			return s
 		}
 	}
-	return FrameMeta{}, "", fmt.Errorf("sieve: cluster: no site stores camera %q", camera)
+	return nil
 }
 
 // SiteStats is one edge site's snapshot: its hub counters plus uplink and
@@ -1323,7 +1301,7 @@ func (c *Cluster) Snapshot() ClusterStats {
 		if bytes, transfers, busy, err := c.coord.UplinkStats(s.name); err == nil {
 			ss.UplinkBytes, ss.UplinkTransfers, ss.UplinkBusy = bytes, transfers, busy
 		}
-		if ip, ok := c.splitPlanes[s.name]; ok {
+		if ip := s.hub.plane; ip != nil {
 			ss.Split = ip.SplitStats()
 			st.Split.SplitBatches += ss.Split.SplitBatches
 			st.Split.Fallbacks += ss.Split.Fallbacks

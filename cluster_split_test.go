@@ -9,15 +9,19 @@ import (
 
 // runSplitClusterJSON runs the acceptance fleet through a K=3 cluster with
 // split inference at the given cut (SplitAuto tunes per site) and returns
-// the merged ResultsDB JSON plus the final snapshot. Feeds carry no
-// detector of their own — detection happens only through the per-site
-// split planes.
+// the merged ResultsDB JSON plus the final snapshot.
 func runSplitClusterJSON(t testing.TB, batch, cut int, opts ...ClusterOption) ([]byte, ClusterStats) {
 	t.Helper()
-	opts = append([]ClusterOption{
-		WithSharder(ShardRoundRobin()), WithSiteWorkers(2),
-		WithSplitInference(trainedTestDetector(t), batch, cut),
-	}, opts...)
+	return runSitePlaneClusterJSON(t, WithSplitInference(trainedTestDetector(t), batch, cut), opts...)
+}
+
+// runSitePlaneClusterJSON runs the acceptance fleet through a K=3 cluster
+// whose site planes come from plane (WithClusterInference or
+// WithSplitInference). Feeds carry no detector of their own — detection
+// happens only through the per-site planes.
+func runSitePlaneClusterJSON(t testing.TB, plane ClusterOption, opts ...ClusterOption) ([]byte, ClusterStats) {
+	t.Helper()
+	opts = append([]ClusterOption{WithSharder(ShardRoundRobin()), WithSiteWorkers(2), plane}, opts...)
 	c, err := NewCluster(3, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +39,7 @@ func runSplitClusterJSON(t testing.TB, batch, cut int, opts ...ClusterOption) ([
 		}
 	}()
 	if err := c.Run(context.Background()); err != nil {
-		t.Fatalf("split cluster run (cut %d): %v", cut, err)
+		t.Fatalf("site-plane cluster run: %v", err)
 	}
 	<-done
 	merged, err := c.Merged()
@@ -92,6 +96,28 @@ func TestClusterSplitEquivalence(t *testing.T) {
 		}
 		if st.Split.Fallbacks != 0 {
 			t.Fatalf("cut %d: fallbacks on a healthy uplink: %+v", k, st.Split)
+		}
+		// The cluster totals are the sums of what each site's own plane
+		// reports.
+		var activation, batches int64
+		for _, ss := range st.Sites {
+			activation += ss.Split.ActivationBytes
+			batches += ss.Split.SplitBatches
+		}
+		if activation != st.Split.ActivationBytes || batches != st.Split.SplitBatches {
+			t.Fatalf("cut %d: sites sum to %d activation bytes in %d split batches, cluster reports %+v",
+				k, activation, batches, st.Split)
+		}
+	}
+
+	// An unsplit site plane reports no split activity on any site.
+	unsplit, st := runSitePlaneClusterJSON(t, WithClusterInference(trainedTestDetector(t), 4))
+	if string(unsplit) != string(baseline) {
+		t.Fatalf("batched cluster merged DB differs from all-edge flat run:\nbatched:\n%s\nflat:\n%s", unsplit, baseline)
+	}
+	for _, ss := range st.Sites {
+		if ss.Split != (SplitStats{}) {
+			t.Fatalf("site %s of an unsplit cluster reports split stats %+v", ss.Site, ss.Split)
 		}
 	}
 

@@ -97,6 +97,14 @@ func feedOpts(t testing.TB) []SessionOption {
 // the cluster for further inspection.
 func runClusterJSON(t testing.TB, opts ...ClusterOption) ([]byte, *Cluster) {
 	t.Helper()
+	data, c, _ := runClusterEvents(t, opts...)
+	return data, c
+}
+
+// runClusterEvents is runClusterJSON that also returns every event the
+// cluster stream delivered, in arrival order.
+func runClusterEvents(t testing.TB, opts ...ClusterOption) ([]byte, *Cluster, []Event) {
+	t.Helper()
 	opts = append([]ClusterOption{WithSharder(ShardRoundRobin()), WithSiteWorkers(2)}, opts...)
 	c, err := NewCluster(3, opts...)
 	if err != nil {
@@ -107,10 +115,12 @@ func runClusterJSON(t testing.TB, opts ...ClusterOption) ([]byte, *Cluster) {
 			t.Fatal(err)
 		}
 	}
+	var events []Event
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for range c.Events() {
+		for ev := range c.Events() {
+			events = append(events, ev)
 		}
 	}()
 	if err := c.Run(context.Background()); err != nil {
@@ -129,7 +139,7 @@ func runClusterJSON(t testing.TB, opts ...ClusterOption) ([]byte, *Cluster) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data, c
+	return data, c, events
 }
 
 // runFlatHubJSON runs the same fleet through one flat Hub, recording
@@ -366,6 +376,33 @@ func TestClusterLifecycleErrors(t *testing.T) {
 	}
 }
 
+func TestClusterRunAfterFailedListenerAttach(t *testing.T) {
+	// The Cluster twin of TestHubRunAfterFailedListenerAttach: a failed
+	// listener attach spends the single Run and freezes the feed set.
+	l := NewIngestListener(NewMemListener())
+	defer l.Close()
+	first, err := NewCluster(2, WithClusterListener(l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Run(cancelledCtx()); err == nil {
+		t.Fatal("Run under a cancelled context completed its admission window")
+	}
+	c, err := NewCluster(2, WithClusterListener(l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Run(context.Background()); err == nil {
+		t.Fatal("second owner attached a listener another cluster holds")
+	}
+	if err := c.Run(context.Background()); !errors.Is(err, ErrAlreadyRun) {
+		t.Fatalf("repeat Run = %v, want ErrAlreadyRun", err)
+	}
+	if _, _, err := c.AddFeed("late", NewSynthSource(clusterScene(t, 1, 2))); !errors.Is(err, ErrStarted) {
+		t.Fatalf("AddFeed after a failed Run = %v, want ErrStarted", err)
+	}
+}
+
 func TestClusterRejectedAddDoesNotPerturbPlacement(t *testing.T) {
 	// A rejected AddFeed (duplicate name) must not advance a stateful
 	// sharder: placement is a function of the accepted feed sequence only.
@@ -545,7 +582,7 @@ func TestClusterFailoverEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ca := runClusterJSON(t, WithFaultPlan(plan))
+	a, ca, events := runClusterEvents(t, WithFaultPlan(plan))
 	b, _ := runClusterJSON(t, WithFaultPlan(plan))
 	if string(a) != string(b) {
 		t.Fatalf("merged ResultsDB differs between identical failover runs:\n%s\nvs\n%s", a, b)
@@ -562,15 +599,31 @@ func TestClusterFailoverEquivalence(t *testing.T) {
 	if st.MigratedFeeds != 1 || st.LostFeeds != 0 {
 		t.Fatalf("MigratedFeeds = %d, LostFeeds = %d; want 1, 0", st.MigratedFeeds, st.LostFeeds)
 	}
-	if st.ReplayedFrames == 0 {
-		t.Fatal("no frames replayed by the adoptive site")
-	}
 	fo := ca.Failovers()
 	if len(fo) != 1 || fo[0].Feed != "cam-south" || fo[0].From != "site1" || fo[0].To == "site1" {
 		t.Fatalf("Failovers = %+v", fo)
 	}
 	if fo[0].ResumeFrame < 0 || fo[0].ResumeFrame > 6 {
 		t.Fatalf("resume frame %d outside the pre-crash window", fo[0].ResumeFrame)
+	}
+	// The seekable synth feed re-runs from the resume point to its end, and
+	// every replayed frame reaches the stream tagged with the adoptive site.
+	frames := clusterScene(t, 11, 4).NumFrames()
+	if want := frames - fo[0].ResumeFrame; fo[0].ReplayedFrames != want {
+		t.Fatalf("ReplayedFrames = %d, want %d frames from resume frame %d",
+			fo[0].ReplayedFrames, want, fo[0].ResumeFrame)
+	}
+	if st.ReplayedFrames != fo[0].ReplayedFrames {
+		t.Fatalf("snapshot ReplayedFrames = %d, failover record %d", st.ReplayedFrames, fo[0].ReplayedFrames)
+	}
+	adopted := 0
+	for _, ev := range events {
+		if ev.Feed == "cam-south" && ev.Kind == EventFrameEncoded && ev.Site == fo[0].To {
+			adopted++
+		}
+	}
+	if adopted != fo[0].ReplayedFrames {
+		t.Fatalf("%d cam-south frames encoded on adoptive %s, want %d", adopted, fo[0].To, fo[0].ReplayedFrames)
 	}
 	deg := ca.Degraded()
 	if len(deg) != 1 || deg[0].Site != "site1" {

@@ -240,26 +240,14 @@ func (h *Hub) Run(ctx context.Context) error {
 		h.mu.Unlock()
 		return fmt.Errorf("sieve: hub: %w", ErrAlreadyRun)
 	}
-	// The admission window runs before the feed set freezes: wire feeds
-	// admit themselves through Add exactly like in-process callers.
-	if h.ingest != nil {
-		ingest := h.ingest
+	// The feed set freezes once the admission window, if any, closes.
+	ended, err := h.ingest.admit(ctx, hubIngestTarget{h}, &h.mu, &h.started)
+	if err != nil {
 		h.mu.Unlock()
-		if err := ingest.start(ctx, hubIngestTarget{h}); err != nil {
-			close(h.events)
-			return fmt.Errorf("sieve: hub: %w", err)
-		}
-		defer ingest.runEnded()
-		if err := ingest.awaitAdmission(ctx); err != nil {
-			h.mu.Lock()
-			h.started = true
-			h.mu.Unlock()
-			close(h.events)
-			return fmt.Errorf("sieve: hub: %w", err)
-		}
-		h.mu.Lock()
+		close(h.events)
+		return fmt.Errorf("sieve: hub: %w", err)
 	}
-	h.started = true
+	defer ended()
 	feeds := append([]*hubFeed(nil), h.feeds...)
 	h.mu.Unlock()
 	if len(feeds) == 0 {

@@ -289,3 +289,33 @@ func TestHubEmptyRunThenSecondRunStillErrAlreadyRun(t *testing.T) {
 		t.Fatalf("second Run = %v, want ErrAlreadyRun", err)
 	}
 }
+
+// cancelledCtx returns a context that is already done: a Run under it
+// attaches its listener and then fails its admission window at once.
+func cancelledCtx() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}
+
+func TestHubRunAfterFailedListenerAttach(t *testing.T) {
+	// A Run that cannot attach its listener (another hub holds it) still
+	// spends the hub's single Run: a repeat Run reports ErrAlreadyRun
+	// instead of closing the event channel twice, and the feed set stays
+	// frozen.
+	l := NewIngestListener(NewMemListener())
+	defer l.Close()
+	if err := NewHub(WithListener(l)).Run(cancelledCtx()); err == nil {
+		t.Fatal("Run under a cancelled context completed its admission window")
+	}
+	hub := NewHub(WithListener(l))
+	if err := hub.Run(context.Background()); err == nil {
+		t.Fatal("second owner attached a listener another hub holds")
+	}
+	if err := hub.Run(context.Background()); !errors.Is(err, ErrAlreadyRun) {
+		t.Fatalf("repeat Run = %v, want ErrAlreadyRun", err)
+	}
+	if _, err := hub.Add("late", NewSynthSource(smallDataset(t))); !errors.Is(err, ErrStarted) {
+		t.Fatalf("Add after a failed Run = %v, want ErrStarted", err)
+	}
+}

@@ -350,8 +350,34 @@ func (l *IngestListener) Feeds() []string {
 	return append([]string(nil), l.order...)
 }
 
-// start binds the listener to its target and begins accepting. Called
-// by Hub.Run / Cluster.Run exactly once.
+// admit runs the admission window at the head of Hub.Run and
+// Cluster.Run. The owner calls it with mu held, after refusing a repeat
+// Run, and gets mu back held with *started set whatever the outcome: a
+// window that failed (the listener is attached elsewhere, or ctx ended
+// before the expected feeds arrived) still spends the owner's single
+// Run, so a second Run reports ErrAlreadyRun and Add reports ErrStarted.
+// The window itself runs unlocked, because wire feeds admit themselves
+// through the owner's Add path exactly like in-process callers. On
+// success the owner defers ended, which rejects resumes once its run is
+// over. A nil listener has no window.
+func (l *IngestListener) admit(ctx context.Context, target ingestTarget, mu *sync.Mutex, started *bool) (ended func(), err error) {
+	defer func() { *started = true }()
+	if l == nil {
+		return func() {}, nil
+	}
+	mu.Unlock()
+	defer mu.Lock()
+	if err := l.start(ctx, target); err != nil {
+		return nil, err
+	}
+	if err := l.awaitAdmission(ctx); err != nil {
+		l.runEnded()
+		return nil, err
+	}
+	return l.runEnded, nil
+}
+
+// start binds the listener to its target and begins accepting.
 func (l *IngestListener) start(ctx context.Context, target ingestTarget) error {
 	l.mu.Lock()
 	if l.started {
@@ -553,14 +579,11 @@ func (l *IngestListener) resumeFeed(rs wire.Resume) (*wireFeed, wire.ErrCode, st
 	l.mu.Lock()
 	f, live := l.feeds[rs.Feed]
 	ended := l.ended
-	target := l.target
 	l.mu.Unlock()
 	if !live {
-		if target != nil {
-			if st, ok := target.archiveStore(rs.Feed); ok {
-				code, msg := l.validateStoredResume(st, rs)
-				return nil, code, msg
-			}
+		if st, ok := l.targetArchive(rs.Feed); ok {
+			code, msg := l.validateStoredResume(st, rs)
+			return nil, code, msg
 		}
 		return nil, wire.ErrCodeUnknownFeed, fmt.Sprintf("unknown feed %q", rs.Feed)
 	}
@@ -1050,12 +1073,7 @@ func (t hubIngestTarget) addIngestFeed(name string, src FrameSource, opts []Sess
 
 func (t hubIngestTarget) archiveStore(feed string) (*EdgeStoreDB, bool) {
 	st := t.h.ingest.Store()
-	for _, cam := range st.Cameras() {
-		if cam == feed {
-			return st, true
-		}
-	}
-	return nil, false
+	return st, st.Has(feed)
 }
 
 // clusterIngestTarget admits wire feeds onto a Cluster; the cluster owns
@@ -1071,15 +1089,8 @@ func (t clusterIngestTarget) addIngestFeed(name string, src FrameSource, opts []
 }
 
 func (t clusterIngestTarget) archiveStore(feed string) (*EdgeStoreDB, bool) {
-	t.c.mu.Lock()
-	sites := append([]*clusterSite(nil), t.c.sites...)
-	t.c.mu.Unlock()
-	for _, s := range sites {
-		for _, cam := range s.edge.Cameras() {
-			if cam == feed {
-				return s.edge, true
-			}
-		}
+	if s := t.c.siteStoring(feed); s != nil {
+		return s.edge, true
 	}
 	return nil, false
 }
