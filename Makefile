@@ -236,9 +236,10 @@ split-smoke:
 	$(GO) test -race -run '^TestSplitPlane' -count=1 ./internal/infer/
 
 # Equivalence anchors under stress: the detector's batched, split and
-# sharded equivalence tests, repeated at several GOMAXPROCS settings under
+# sharded equivalence tests and the cluster's failover, trace, telemetry
+# and wire-admission anchors, repeated at several GOMAXPROCS settings under
 # the race detector, so an anchor that holds only on one schedule fails here.
-ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence)$$'
+ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence|TestClusterFailoverEquivalence|TestClusterFailoverTraceDeterminism|TestClusterTelemetryEquivalence|TestWireClusterEquivalence|TestClusterUnseekableFeedReplaysTail)$$'
 
 anchors-stress:
 	$(GO) test -race -short -count=3 -cpu 1,2,4 -run $(ANCHORS) .

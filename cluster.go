@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -263,13 +264,11 @@ type clusterSite struct {
 	frames int // expected frames of bounded feeds (sharder load input)
 	err    error
 	// Failover state (guarded by Cluster.mu). crashed: the site is down
-	// right now; failover: it crashed at some point, so its feeds need
-	// migration when its goroutine exits; recovered: a later SiteRecover
-	// healed its uplink and put it back in the load table; submitted: its
-	// final report reached the cloud.
+	// right now (a SiteRecover clears it); failover: it crashed at some
+	// point, so its feeds need migration when its goroutine exits;
+	// submitted: its final report reached the cloud.
 	crashed   bool
 	failover  bool
-	recovered bool
 	submitted bool
 	cancel    context.CancelFunc
 }
@@ -290,10 +289,8 @@ type clusterSite struct {
 // then Snapshot / Merged / Query.
 type Cluster struct {
 	cfg     clusterConfig
-	sharder Sharder
 	topo    *cluster.Topology
 	coord   *cluster.Coordinator
-	ingest  *IngestListener // network ingest plane, nil = in-process only
 	frunner *faultplan.Runner
 	// syncClock paces delta-sync retry backoff. It is a VirtualClock — like
 	// the simnet links, retry time is simulated, so a partitioned site
@@ -301,8 +298,10 @@ type Cluster struct {
 	// stalling the run.
 	syncClock Clock
 
-	mu        sync.Mutex
+	// sites is fixed at NewCluster, so finding a site needs no lock; the
+	// per-site state it points to is guarded by mu.
 	sites     []*clusterSite
+	mu        sync.Mutex
 	started   bool
 	merged    *ResultsDB
 	events    chan Event
@@ -334,26 +333,20 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:       cfg,
-		sharder:   cfg.sharder,
 		topo:      topo,
 		coord:     cluster.NewCoordinator(topo),
-		ingest:    cfg.ingest,
 		frunner:   faultplan.NewRunner(cfg.faults),
 		syncClock: NewVirtualClock(time.Unix(0, 0).UTC()),
 		events:    make(chan Event, eventBuffer),
 		skew:      make(map[string]float64),
 	}
 	c.fstats = newFailoverCounters(cfg.reg)
-	if c.ingest != nil {
-		c.ingest.instrument(cfg.reg)
-	}
-	for _, name := range names {
-		c.coord.Register(name)
-	}
+	cfg.ingest.instrument(cfg.reg)
 	cfg.reg.Describe("sieve_cluster_edge_store_bytes", "per-site edge store usage")
 	cfg.reg.Describe("sieve_cluster_uplink_bytes", "per-site bytes shipped over the edge-to-cloud uplink")
 	cfg.reg.Describe("sieve_cluster_degraded_sites", "sites whose slice of the merged view is incomplete or stale")
 	for _, name := range names {
+		c.coord.Register(name)
 		hubOpts := []HubOption{
 			WithWorkers(cfg.siteWorkers),
 			WithHubTelemetry(cfg.reg), withHubSite(name), WithHubTrace(cfg.tracer),
@@ -475,13 +468,13 @@ func (c *Cluster) AddFeed(name string, src FrameSource, opts ...SessionOption) (
 	for i, s := range c.sites {
 		loads[i] = SiteLoad{Name: s.name, Feeds: len(s.feeds), Frames: s.frames}
 	}
-	idx, err := c.sharder.Assign(name, loads)
+	idx, err := c.cfg.sharder.Assign(name, loads)
 	if err != nil {
 		return nil, "", fmt.Errorf("sieve: cluster: placing feed %q: %w", name, err)
 	}
 	if idx < 0 || idx >= len(c.sites) {
 		return nil, "", fmt.Errorf("sieve: cluster: sharder %s placed feed %q on site %d of %d",
-			c.sharder.Name(), name, idx, len(c.sites))
+			c.cfg.sharder.Name(), name, idx, len(c.sites))
 	}
 	site := c.sites[idx]
 	sink := &container.Buffer{}
@@ -518,46 +511,40 @@ func (c *Cluster) Run(ctx context.Context) error {
 		return fmt.Errorf("sieve: cluster: %w", ErrAlreadyRun)
 	}
 	// The feed set freezes once the admission window, if any, closes.
-	ended, err := c.ingest.admit(ctx, clusterIngestTarget{c}, &c.mu, &c.started)
+	ended, err := c.cfg.ingest.admit(ctx, clusterIngestTarget{c}, &c.mu, &c.started)
+	c.mu.Unlock()
 	if err != nil {
-		c.mu.Unlock()
 		close(c.events)
 		return fmt.Errorf("sieve: cluster: %w", err)
 	}
 	defer ended()
-	sites := append([]*clusterSite(nil), c.sites...)
-	c.mu.Unlock()
 
-	total := 0
-	for _, s := range sites {
-		total += len(s.feeds)
-	}
-	if total == 0 {
+	if !slices.ContainsFunc(c.sites, func(s *clusterSite) bool { return len(s.feeds) > 0 }) {
 		close(c.events)
 		return fmt.Errorf("sieve: cluster: %w", ErrNoFeeds)
 	}
 
 	// Each site runs under its own cancelable context so a scripted crash
 	// can kill one site without touching the others.
-	done := make(chan *clusterSite, len(sites))
-	for _, s := range sites {
+	done := make(chan *clusterSite, len(c.sites))
+	for _, s := range c.sites {
 		siteCtx, cancel := context.WithCancel(ctx)
 		c.mu.Lock()
 		s.cancel = cancel
 		c.mu.Unlock()
-		go func(s *clusterSite, sctx context.Context) {
-			err := c.runSite(sctx, s)
+		go func() {
+			err := c.runSite(siteCtx, s)
 			c.mu.Lock()
 			s.err = err
 			c.mu.Unlock()
 			done <- s
-		}(s, siteCtx)
+		}()
 	}
 	// Collect sites as they finish; a crashed site's feeds fail over to the
 	// survivors (which are typically still running) as soon as its goroutine
 	// exits and the cloud's missed-heartbeat counter confirms the death.
 	var migrations sync.WaitGroup
-	for range sites {
+	for range c.sites {
 		s := <-done
 		c.mu.Lock()
 		failover := s.failover
@@ -567,9 +554,9 @@ func (c *Cluster) Run(ctx context.Context) error {
 		}
 	}
 	migrations.Wait()
-	c.reconcile(ctx, sites)
+	c.reconcile(ctx)
 	close(c.events)
-	for _, s := range sites {
+	for _, s := range c.sites {
 		s.cancel()
 	}
 
@@ -582,19 +569,15 @@ func (c *Cluster) Run(ctx context.Context) error {
 	c.merged = merged
 	c.mu.Unlock()
 
+	// Every site's err was written before its done send, which Run has
+	// received.
 	var errs []error
-	for _, s := range sites {
-		c.mu.Lock()
-		err := s.err
-		c.mu.Unlock()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("site %s: %w", s.name, err))
+	for _, s := range c.sites {
+		if s.err != nil {
+			errs = append(errs, fmt.Errorf("site %s: %w", s.name, s.err))
 		}
 	}
-	if mergeErr != nil {
-		errs = append(errs, mergeErr)
-	}
-	return errors.Join(errs...)
+	return errors.Join(append(errs, mergeErr)...)
 }
 
 // runSite drives one edge site: pump its hub's events (recording
@@ -604,16 +587,12 @@ func (c *Cluster) Run(ctx context.Context) error {
 // salvages its partial streams into the EdgeStore for replay and returns
 // nil — the degraded markers and failover records carry the signal.
 func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
-	var (
-		pump    sync.WaitGroup
-		pumpErr error // owned by the pump goroutine until pump.Wait
-	)
-	pump.Add(1)
+	pumped := make(chan error, 1)
 	go func() {
-		defer pump.Done()
 		// The ship scope is site-wide control-plane work, not a feed's
 		// pipeline: feed stays "" and the span carries the frame number.
-		_, pumpErr = c.pump(ctx, s, s.hub.Events(), c.cfg.tracer.Scope(s.name, ""))
+		_, err := c.pump(ctx, s, s.hub.Events(), c.cfg.tracer.Scope(s.name, ""))
+		pumped <- err
 	}()
 
 	runErr := s.hub.Run(ctx)
@@ -622,37 +601,30 @@ func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
 		// only serves to close the event channel for the pump.
 		runErr = nil
 	}
-	pump.Wait()
+	pumpErr := <-pumped
 
 	c.mu.Lock()
 	crashed := s.failover
 	c.mu.Unlock()
-
-	var errs []error
-	if !crashed {
-		if runErr != nil {
-			errs = append(errs, runErr)
+	if crashed {
+		// The crash killed the process, not the disk: finalise each partial
+		// stream's index and retain it so the migrated feed can replay its
+		// tail. Frames append whole, so the salvage point is always a frame
+		// boundary.
+		for _, f := range s.feeds {
+			if f.sess.salvage() {
+				_, _ = s.edge.PutEvict(f.name, f.sink)
+			}
 		}
-		if pumpErr != nil {
-			errs = append(errs, pumpErr)
-		}
+		return nil
 	}
 
+	errs := []error{runErr, pumpErr}
 	feedErrs := make(map[string]string, len(s.feeds))
 	for _, fs := range s.hub.Snapshot().Feeds {
 		feedErrs[fs.Feed] = fs.Err
 	}
 	for _, f := range s.feeds {
-		if crashed {
-			// The crash killed the process, not the disk: finalise each
-			// partial stream's index and retain it so the migrated feed can
-			// replay its tail. Frames append whole, so the salvage point is
-			// always a frame boundary.
-			if f.sess.salvage() {
-				_, _ = s.edge.PutEvict(f.name, f.sink)
-			}
-			continue
-		}
 		// Archive completed streams in the site's edge store (failed feeds
 		// have no finalised stream to retain).
 		if feedErrs[f.name] != "" {
@@ -661,9 +633,6 @@ func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
 		if err := s.edge.Put(f.name, f.sink); err != nil {
 			errs = append(errs, fmt.Errorf("archiving feed %s: %w", f.name, err))
 		}
-	}
-	if crashed {
-		return errors.Join(errs...)
 	}
 
 	// A partitioned uplink degrades the site (stale-but-consistent cloud
@@ -678,17 +647,14 @@ func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
 	return errors.Join(errs...)
 }
 
-// pump forwards one site's events onto the cluster stream and does the
-// cloud-facing work each one implies: a heartbeat per event, fault-script
-// progress per encoded frame, and per detection a shard record, an uplink
-// ship and, every syncEvery detections, a delta flush. A live site and a
-// failover migration run this same pump; what differs between them is a
-// parameter, never a branch: s is the site the work is charged to (the
-// adoptive site for a migration), events the hub's or migrated session's
-// stream, and ship the span scope for detection ships (nil for a
-// migration, which is a recovery action, not a pipeline stage). It
-// returns the frames encoded — a migration's replayed count — and the
-// first uplink ship error.
+// pump forwards a site's events onto the cluster stream with the cloud
+// work each implies: a heartbeat per event, fault-script progress per
+// encoded frame, and per detection a shard record, an uplink ship and,
+// every syncEvery detections, a delta flush. A live site and a failover
+// migration share it, and their differences are parameters: s is the
+// site charged (the adoptive one for a migration), events the hub's or
+// migrated session's stream, ship the detection-ship span scope (nil for
+// a migration). It returns the frames encoded and the first ship error.
 func (c *Cluster) pump(ctx context.Context, s *clusterSite, events <-chan Event, ship *telemetry.Scope) (encoded int, err error) {
 	synced := 0 // detections recorded since the last delta flush
 	for ev := range events {
@@ -775,32 +741,38 @@ func (c *Cluster) Track(camera string, numFrames int) (LabelTrack, error) {
 
 // EdgeStore returns a site's edge store (the encoded streams it retained).
 func (c *Cluster) EdgeStore(site string) (*EdgeStoreDB, error) {
-	for _, s := range c.sites {
-		if s.name == site {
-			return s.edge, nil
-		}
+	if s := c.site(site); s != nil {
+		return s.edge, nil
 	}
 	return nil, fmt.Errorf("sieve: cluster: unknown site %q", site)
+}
+
+// site returns the named site, or nil.
+func (c *Cluster) site(name string) *clusterSite {
+	for _, s := range c.sites {
+		if s.name == name {
+			return s
+		}
+	}
+	return nil
 }
 
 // SeekEvent locates the GOP containing a camera's frame, searching every
 // site's edge store (post-event analysis does not need to know the
 // sharding). It returns the frame metadata and the owning site.
 func (c *Cluster) SeekEvent(camera string, target int) (FrameMeta, string, error) {
-	s := c.siteStoring(camera)
-	if s == nil {
-		return FrameMeta{}, "", fmt.Errorf("sieve: cluster: no site stores camera %q", camera)
+	if s := c.siteStoring(camera); s != nil {
+		m, err := s.edge.SeekEvent(camera, target)
+		return m, s.name, err
 	}
-	m, err := s.edge.SeekEvent(camera, target)
-	return m, s.name, err
+	return FrameMeta{}, "", fmt.Errorf("sieve: cluster: no site stores camera %q", camera)
 }
 
-// siteStoring returns the first site, in site order, whose edge store
-// holds camera's stream, or nil. The site list is fixed at NewCluster, so
-// no lock is needed.
+// siteStoring returns the first site whose edge store holds camera's
+// stream, or nil.
 func (c *Cluster) siteStoring(camera string) *clusterSite {
 	for _, s := range c.sites {
-		if s.edge.Has(camera) {
+		if slices.Contains(s.edge.Cameras(), camera) {
 			return s
 		}
 	}
@@ -882,13 +854,11 @@ func (st ClusterStats) FilterRate() float64 {
 // is in flight.
 func (c *Cluster) Snapshot() ClusterStats {
 	c.mu.Lock()
-	sites := append([]*clusterSite(nil), c.sites...)
 	merged := c.merged
-	fs := c.fstats
-	failovers := append([]Failover(nil), c.failovers...)
 	c.mu.Unlock()
+	fs := c.fstats
 	st := ClusterStats{
-		Sites:          make([]SiteStats, 0, len(sites)),
+		Sites:          make([]SiteStats, 0, len(c.sites)),
 		Crashes:        int(fs.crashes.Value()),
 		Recoveries:     int(fs.recoveries.Value()),
 		MigratedFeeds:  int(fs.migrated.Value()),
@@ -896,16 +866,16 @@ func (c *Cluster) Snapshot() ClusterStats {
 		ReplayedFrames: int(fs.replayed.Value()),
 		DeltaSyncs:     fs.deltaSyncs.Value(),
 		SyncRetries:    fs.retries.Value(),
-		Failovers:      failovers,
+		Failovers:      c.Failovers(),
 		Degraded:       c.coord.Degraded(),
 	}
 	if merged != nil {
 		st.MergedEntries = merged.Len()
 	}
-	if c.ingest != nil {
-		st.Ingest = c.ingest.Stats()
+	if c.cfg.ingest != nil {
+		st.Ingest = c.cfg.ingest.Stats()
 	}
-	for _, s := range sites {
+	for _, s := range c.sites {
 		ss := SiteStats{Site: s.name, Hub: s.hub.Snapshot(), StoredBytes: s.edge.Used()}
 		if bytes, transfers, busy, err := c.coord.UplinkStats(s.name); err == nil {
 			ss.UplinkBytes, ss.UplinkTransfers, ss.UplinkBusy = bytes, transfers, busy

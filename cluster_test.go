@@ -632,6 +632,66 @@ func TestClusterFailoverEquivalence(t *testing.T) {
 	if st.DeltaSyncs == 0 {
 		t.Fatal("no streaming delta syncs recorded")
 	}
+
+	// An adoptive site with no feeds of its own has no flusher but the
+	// migration, so the migration's own delta flushes are all that keeps
+	// the cloud view current. With a flush per detection, every replayed
+	// detection is in View() by the time its event arrives, and the view
+	// ends whole. A 2-frame GOP gives the feed I-frames, and so detections,
+	// past the crash point.
+	plan, err = ParseFaultPlan("crash:site0:cam-south@6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCluster(2, WithSharder(ShardRoundRobin()), WithDeltaSync(1, 4), WithFaultPlan(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	south := clusterScene(t, 11, 4)
+	params := DefaultParams(south.Spec().Width, south.Spec().Height)
+	params.GOPSize = 2
+	opts := append(feedOpts(t), WithTunedParams(params))
+	if _, site, err := c.AddFeed("cam-south", NewSynthSource(south), opts...); err != nil || site != "site0" {
+		t.Fatalf("add cam-south: %v on %s", err, site)
+	}
+	replayed := 0
+	var staleErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range c.Events() {
+			if ev.Kind != EventDetection || ev.Site != "site1" {
+				continue
+			}
+			replayed++
+			if view, err := c.View(); err != nil {
+				staleErr = err
+			} else if _, ok := view.Get(ev.Feed, ev.Frame); !ok && staleErr == nil {
+				staleErr = fmt.Errorf("replayed detection %s@%d not in the cloud view when delivered", ev.Feed, ev.Frame)
+			}
+		}
+	}()
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if staleErr != nil {
+		t.Fatal(staleErr)
+	}
+	if replayed == 0 {
+		t.Fatal("the adoptive site replayed no detections")
+	}
+	view, err := c.View()
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := c.Merged()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Len() != merged.Len() {
+		t.Fatalf("final cloud view has %d entries, merged %d", view.Len(), merged.Len())
+	}
 }
 
 // TestClusterViewQueryableMidRun asserts the streaming half of the

@@ -28,21 +28,18 @@ type failoverCounters struct {
 
 // newFailoverCounters registers the cluster-level fault/sync series in reg.
 func newFailoverCounters(reg *telemetry.Registry) failoverCounters {
-	reg.Describe("sieve_cluster_crashes_total", "scripted site crashes fired")
-	reg.Describe("sieve_cluster_recoveries_total", "crashed sites whose uplink recovered")
-	reg.Describe("sieve_cluster_migrated_feeds_total", "feeds adopted by surviving sites after a crash")
-	reg.Describe("sieve_cluster_lost_feeds_total", "feeds no surviving site could adopt")
-	reg.Describe("sieve_cluster_replayed_frames_total", "frames re-encoded by adoptive sites during failover")
-	reg.Describe("sieve_cluster_delta_syncs_total", "streaming shard-sync delta flushes")
-	reg.Describe("sieve_cluster_sync_retries_total", "extra delta-sync attempts spent on partitioned uplinks")
+	counter := func(name, help string) *telemetry.Counter {
+		reg.Describe(name, help)
+		return reg.Counter(name)
+	}
 	return failoverCounters{
-		crashes:    reg.Counter("sieve_cluster_crashes_total"),
-		recoveries: reg.Counter("sieve_cluster_recoveries_total"),
-		migrated:   reg.Counter("sieve_cluster_migrated_feeds_total"),
-		lost:       reg.Counter("sieve_cluster_lost_feeds_total"),
-		replayed:   reg.Counter("sieve_cluster_replayed_frames_total"),
-		deltaSyncs: reg.Counter("sieve_cluster_delta_syncs_total"),
-		retries:    reg.Counter("sieve_cluster_sync_retries_total"),
+		crashes:    counter("sieve_cluster_crashes_total", "scripted site crashes fired"),
+		recoveries: counter("sieve_cluster_recoveries_total", "crashed sites whose uplink recovered"),
+		migrated:   counter("sieve_cluster_migrated_feeds_total", "feeds adopted by surviving sites after a crash"),
+		lost:       counter("sieve_cluster_lost_feeds_total", "feeds no surviving site could adopt"),
+		replayed:   counter("sieve_cluster_replayed_frames_total", "frames re-encoded by adoptive sites during failover"),
+		deltaSyncs: counter("sieve_cluster_delta_syncs_total", "streaming shard-sync delta flushes"),
+		retries:    counter("sieve_cluster_sync_retries_total", "extra delta-sync attempts spent on partitioned uplinks"),
 	}
 }
 
@@ -90,21 +87,12 @@ func (c *Cluster) applyFaults(fired []faultplan.Event) {
 	}
 }
 
-func (c *Cluster) siteLocked(name string) *clusterSite {
-	for _, s := range c.sites {
-		if s.name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // crashSite kills a site: cancels its context (its sessions stop at their
 // next frame) and drops its uplink. The EdgeStore survives — a crash is
 // not disk loss.
 func (c *Cluster) crashSite(name string) {
+	s := c.site(name)
 	c.mu.Lock()
-	s := c.siteLocked(name)
 	if s == nil || s.crashed {
 		c.mu.Unlock()
 		return
@@ -130,14 +118,13 @@ func (c *Cluster) crashSite(name string) {
 // eligible to adopt future failovers, and the reconcile pass can ship its
 // pre-crash shard once the link is up.
 func (c *Cluster) recoverSite(name string) {
+	s := c.site(name)
 	c.mu.Lock()
-	s := c.siteLocked(name)
 	if s == nil || !s.crashed {
 		c.mu.Unlock()
 		return
 	}
 	s.crashed = false
-	s.recovered = true
 	c.fstats.recoveries.Inc()
 	c.mu.Unlock()
 	if l, ok := c.topo.Uplink(name); ok {
@@ -164,7 +151,6 @@ func (c *Cluster) handleCrash(ctx context.Context, dead *clusterSite, wg *sync.W
 			c.noteLostFeed(dead, f.name, err)
 			continue
 		}
-		f := f
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -203,13 +189,13 @@ func (c *Cluster) assignFailover(name string, from *clusterSite) (*clusterSite, 
 	if len(eligible) == 0 {
 		return nil, errors.New("no surviving site to adopt the feed")
 	}
-	idx, err := c.sharder.Assign(name, loads)
+	idx, err := c.cfg.sharder.Assign(name, loads)
 	if err != nil {
 		return nil, err
 	}
 	if idx < 0 || idx >= len(eligible) {
 		return nil, fmt.Errorf("sharder %s placed feed %q on site %d of %d survivors",
-			c.sharder.Name(), name, idx, len(eligible))
+			c.cfg.sharder.Name(), name, idx, len(eligible))
 	}
 	return eligible[idx], nil
 }
@@ -233,7 +219,6 @@ func (c *Cluster) runMigratedFeed(ctx context.Context, from *clusterSite, f *clu
 	}
 
 	src := f.src
-	var release func()
 	if sk, ok := src.(interface{ Seek(int) error }); ok {
 		if err := sk.Seek(base); err != nil {
 			return fmt.Errorf("rewinding source to frame %d: %w", base, err)
@@ -241,29 +226,23 @@ func (c *Cluster) runMigratedFeed(ctx context.Context, from *clusterSite, f *clu
 	} else {
 		// Pin the salvaged stream so quota eviction on the dead site's
 		// store cannot invalidate the open replay cursor.
-		rel, err := from.edge.Pin(f.name)
+		release, err := from.edge.Pin(f.name)
 		if err != nil {
 			return fmt.Errorf("no replayable stream: %w", err)
 		}
-		release = rel
+		defer release()
 		r, err := from.edge.Open(f.name)
 		if err != nil {
-			release()
 			return err
 		}
 		rs, err := NewReplaySource(r)
 		if err != nil {
-			release()
 			return err
 		}
 		if err := rs.Seek(base); err != nil {
-			release()
 			return err
 		}
 		src = rs
-	}
-	if release != nil {
-		defer release()
 	}
 
 	sink := &container.Buffer{}
@@ -284,19 +263,15 @@ func (c *Cluster) runMigratedFeed(ctx context.Context, from *clusterSite, f *clu
 		return err
 	}
 
-	var (
-		pump     sync.WaitGroup
-		replayed int // owned by the pump goroutine until pump.Wait
-	)
-	pump.Add(1)
+	pumped := make(chan int, 1)
 	go func() {
-		defer pump.Done()
 		// Ship errors are not the migration's to report: a partitioned
 		// adoptive uplink shows as that site's degraded marker.
-		replayed, _ = c.pump(ctx, to, sess.Events(), nil)
+		replayed, _ := c.pump(ctx, to, sess.Events(), nil)
+		pumped <- replayed
 	}()
 	runErr := sess.Run(ctx)
-	pump.Wait()
+	replayed := <-pumped
 	if runErr != nil {
 		return runErr
 	}

@@ -173,9 +173,7 @@ func NewHub(opts ...HubOption) *Hub {
 	if h.plane != nil {
 		h.plane.p.Instrument(h.reg, siteSeriesLabels(h.site)...)
 	}
-	if h.ingest != nil {
-		h.ingest.instrument(h.reg)
-	}
+	h.ingest.instrument(h.reg)
 	h.events = make(chan Event, eventBuffer)
 	return h
 }
@@ -242,14 +240,13 @@ func (h *Hub) Run(ctx context.Context) error {
 	}
 	// The feed set freezes once the admission window, if any, closes.
 	ended, err := h.ingest.admit(ctx, hubIngestTarget{h}, &h.mu, &h.started)
+	feeds := append([]*hubFeed(nil), h.feeds...)
+	h.mu.Unlock()
 	if err != nil {
-		h.mu.Unlock()
 		close(h.events)
 		return fmt.Errorf("sieve: hub: %w", err)
 	}
 	defer ended()
-	feeds := append([]*hubFeed(nil), h.feeds...)
-	h.mu.Unlock()
 	if len(feeds) == 0 {
 		close(h.events)
 		return fmt.Errorf("sieve: hub: %w", ErrNoFeeds)
@@ -317,10 +314,7 @@ func (h *Hub) Run(ctx context.Context) error {
 	fwd.Wait()
 	close(h.events)
 
-	errs := make([]error, 0, len(feeds)+1)
-	if mapErr != nil {
-		errs = append(errs, mapErr)
-	}
+	errs := []error{mapErr}
 	for _, f := range feeds {
 		if f.err != nil {
 			errs = append(errs, fmt.Errorf("feed %s: %w", f.name, f.err))

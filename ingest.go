@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"sieve/internal/container"
@@ -234,8 +235,9 @@ func newIngestCounters() ingestCounters {
 // NewHub/NewCluster at construction — before the listener accepts
 // anything, so all counts are still zero and rebinding transfers nothing;
 // the accumulated values are carried over regardless. First registry wins.
+// A nil listener has nothing to instrument.
 func (l *IngestListener) instrument(reg *telemetry.Registry) {
-	if reg == nil {
+	if l == nil || reg == nil {
 		return
 	}
 	reg.Describe("sieve_ingest_frames_received_total", "frames accepted into ingest queues")
@@ -350,16 +352,12 @@ func (l *IngestListener) Feeds() []string {
 	return append([]string(nil), l.order...)
 }
 
-// admit runs the admission window at the head of Hub.Run and
-// Cluster.Run. The owner calls it with mu held, after refusing a repeat
-// Run, and gets mu back held with *started set whatever the outcome: a
-// window that failed (the listener is attached elsewhere, or ctx ended
-// before the expected feeds arrived) still spends the owner's single
-// Run, so a second Run reports ErrAlreadyRun and Add reports ErrStarted.
-// The window itself runs unlocked, because wire feeds admit themselves
-// through the owner's Add path exactly like in-process callers. On
-// success the owner defers ended, which rejects resumes once its run is
-// over. A nil listener has no window.
+// admit runs the admission window that opens Hub.Run and Cluster.Run.
+// The owner calls it holding mu and gets mu back with *started set on
+// every outcome, so a failed window (listener attached elsewhere, ctx
+// done early) still spends the owner's one Run. The window runs
+// unlocked: wire feeds admit themselves through the owner's Add. On
+// success the owner defers ended. A nil listener has no window.
 func (l *IngestListener) admit(ctx context.Context, target ingestTarget, mu *sync.Mutex, started *bool) (ended func(), err error) {
 	defer func() { *started = true }()
 	if l == nil {
@@ -1073,7 +1071,7 @@ func (t hubIngestTarget) addIngestFeed(name string, src FrameSource, opts []Sess
 
 func (t hubIngestTarget) archiveStore(feed string) (*EdgeStoreDB, bool) {
 	st := t.h.ingest.Store()
-	return st, st.Has(feed)
+	return st, slices.Contains(st.Cameras(), feed)
 }
 
 // clusterIngestTarget admits wire feeds onto a Cluster; the cluster owns

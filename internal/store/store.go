@@ -586,14 +586,6 @@ func (s *EdgeStore) Used() int64 {
 	return s.used
 }
 
-// Has reports whether a stream is stored for camera.
-func (s *EdgeStore) Has(camera string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.videos[camera]
-	return ok
-}
-
 // Cameras lists stored camera keys (sorted).
 func (s *EdgeStore) Cameras() []string {
 	s.mu.RLock()

@@ -47,8 +47,8 @@ func (c *Cluster) flushDeltas(ctx context.Context, s *clusterSite) {
 // late in the script) still contributes an authoritative shard instead of
 // a stale replica. Sites still partitioned fail here too and keep their
 // degraded markers.
-func (c *Cluster) reconcile(ctx context.Context, sites []*clusterSite) {
-	for _, s := range sites {
+func (c *Cluster) reconcile(ctx context.Context) {
+	for _, s := range c.sites {
 		c.mu.Lock()
 		submitted, down := s.submitted, s.crashed
 		c.mu.Unlock()
