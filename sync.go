@@ -57,6 +57,8 @@ func (c *Cluster) reconcile(ctx context.Context) {
 			// to its streamed replica and mark it degraded.
 			continue
 		}
+		// A failed retry is not a run error: the site stays marked
+		// degraded.
 		_ = c.submit(ctx, s)
 	}
 }
