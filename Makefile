@@ -7,7 +7,7 @@ GO ?= go
 BENCH_PKGS = ./internal/codec/ ./internal/vision/ ./internal/tuner/ \
              ./internal/nn/ ./internal/infer/ ./internal/runner/ ./internal/container/
 
-.PHONY: all build test test-short test-fma bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e bench-gate docs-lint wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress fmt vet lint sievelint reach fuzz-smoke vuln ci
+.PHONY: all build test test-short test-fma test-portable bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e bench-gate docs-lint wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress fmt vet lint sievelint reach fuzz-smoke vuln ci
 
 all: build
 
@@ -128,6 +128,17 @@ test-fma:
 		echo "$$fused"; exit 1; \
 	fi
 
+# The portable path run, not only compiled: the packages with amd64
+# assembly (nn, transform, frame) and the codec, bitstream and container
+# around them, tested as a 32-bit x86 build, where haveSSE2 is false and
+# every golden fixture and oracle test goes through the Go kernels that
+# non-amd64 builds ship.
+PORTABLE_PKGS = ./internal/nn/ ./internal/codec/ ./internal/bitstream/ \
+                ./internal/transform/ ./internal/frame/ ./internal/container/
+
+test-portable:
+	GOARCH=386 $(GO) test -count=1 $(PORTABLE_PKGS)
+
 # One-iteration smoke run: benchmarks must still compile and complete.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x $(BENCH_PKGS)
@@ -169,7 +180,9 @@ bench-cluster-smoke:
 # Shared-inference micro-benchmarks: ns/frame of the batched detect path at
 # batch 1/4/16 vs the legacy per-frame forward (ns/frame must not rise with
 # the batch size), each convolution of the detector on its own at the
-# bench's 96×96 geometry in ns per multiply-accumulate (which layer moved),
+# bench's 96×96 geometry in ns per multiply-accumulate (which layer moved;
+# /kernel is what forwardItem runs — the SSE2 kernels on amd64 — and /go
+# the Go kernels),
 # plus the plane's batch-of-1 scheduling round trip. allocs/op must read 0
 # for the batchN variants and the round trip — allocations are the
 # regression gate here; wall-clock claims are made with bench/. CI runs the
@@ -273,4 +286,4 @@ bench-gate:
 	done
 
 # Everything CI checks, in CI's order.
-ci: build vet fmt lint reach test-short test-fma bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke bench-gate
+ci: build vet fmt lint reach test-short test-fma test-portable bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke bench-gate

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"sieve/internal/codec"
@@ -365,12 +366,17 @@ func TestWriterRefusesUnreadableStreams(t *testing.T) {
 		t.Fatalf("refused frame was written: size %d → %d, %d frames, %d index bytes", size, buf.Size(), w.FrameCount(), len(w.index))
 	}
 	// A 4 GiB payload is not allocated here: admit sees only its length.
-	w.frames = 0
-	if err := w.admit(math.MaxUint32); err != nil {
-		t.Fatalf("payload of 2^32-1 bytes refused: %v", err)
-	}
-	if err := w.admit(math.MaxUint32 + 1); err == nil {
-		t.Fatal("payload of 2^32 bytes accepted; its index record would truncate the size")
+	// Only a 64-bit int holds 2^32; on a 32-bit platform no payload can be
+	// that long.
+	if strconv.IntSize == 64 {
+		w.frames = 0
+		maxSize := uint64(math.MaxUint32)
+		if err := w.admit(int(maxSize)); err != nil {
+			t.Fatalf("payload of 2^32-1 bytes refused: %v", err)
+		}
+		if err := w.admit(int(maxSize + 1)); err == nil {
+			t.Fatal("payload of 2^32 bytes accepted; its index record would truncate the size")
+		}
 	}
 }
 

@@ -130,7 +130,7 @@ func checkSAD(t *testing.T, a *Plane, ax, ay int, b *Plane, bx, by, w, h int) {
 		t.Fatalf("SAD %dx%d a%dx%d/%d@(%d,%d) b%dx%d/%d@(%d,%d) = %d (Go kernel %d), reference %d",
 			w, h, a.W, a.H, a.Stride, ax, ay, b.W, b.H, b.Stride, bx, by, got, goK, exact)
 	}
-	for _, bound := range []int{0, 1, exact / 2, exact, exact + 1, 1 << 40} {
+	for _, bound := range []int{0, 1, exact / 2, exact, exact + 1, math.MaxInt} {
 		got := SADBounded(a, ax, ay, b, bx, by, w, h, bound)
 		goK := sadBoundedGo(a, ax, ay, b, bx, by, w, h, bound)
 		ref := refSADBounded(a, ax, ay, b, bx, by, w, h, bound)

@@ -80,6 +80,29 @@ func TestReLU(t *testing.T) {
 	}
 }
 
+// TestReLUMatchesReference holds reluInto to `if v > 0 { v } else { 0 }`
+// bit for bit on the boundary patterns: ±0, the smallest subnormal and
+// largest finite of each sign, ±Inf and NaNs of either sign.
+func TestReLUMatchesReference(t *testing.T) {
+	bits := []uint32{0, 0x80000000, 1, 0x80000001, 0x7f7fffff, 0xff7fffff,
+		0x7f800000, 0xff800000, 0x7f800001, 0x7fc00000, 0xffc00000, 0x3f800000, 0xbf800000}
+	in := make([]float32, len(bits))
+	for i, b := range bits {
+		in[i] = math.Float32frombits(b)
+	}
+	out := make([]float32, len(in))
+	reluInto(in, out)
+	for i, v := range in {
+		want := float32(0)
+		if v > 0 {
+			want = v
+		}
+		if math.Float32bits(out[i]) != math.Float32bits(want) {
+			t.Fatalf("relu(%#08x) = %#08x, want %#08x", bits[i], math.Float32bits(out[i]), math.Float32bits(want))
+		}
+	}
+}
+
 func TestMaxPool2(t *testing.T) {
 	m := &MaxPool2{Tag: "p"}
 	in := NewBatch(1, 1, 4, 4)

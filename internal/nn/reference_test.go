@@ -93,7 +93,8 @@ func randomActivations(data []float32, seed uint64, special bool) {
 }
 
 // checkConvAgainstReference runs c over in through the shipped kernel and
-// the oracle and fails on the first differing bit.
+// the oracle and fails on the first differing bit; then through each
+// kernel on its own (convKernelRoutes), which must match the oracle too.
 func checkConvAgainstReference(t testing.TB, c *Conv2D, in *Batch) {
 	t.Helper()
 	s := c.OutShape(Shape{C: in.C, H: in.H, W: in.W})
@@ -104,12 +105,101 @@ func checkConvAgainstReference(t testing.TB, c *Conv2D, in *Batch) {
 	}
 	c.ForwardBatch(in, got)
 	referenceConvItem(c, in.Data, in.H, in.W, want.Data, want.H, want.W)
-	if i := firstBitDiff(got.Data, want.Data); i >= 0 {
-		plane := got.H * got.W
-		t.Fatalf("conv %s in %dx%dx%d: output (oc %d, oy %d, ox %d) = %v (%#08x), reference %v (%#08x)",
-			c.Tag, in.C, in.H, in.W, i/plane, i%plane/got.W, i%got.W,
-			got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+	checkConvOutput(t, c, in, "ForwardBatch", got, want.Data)
+	for _, r := range convKernelRoutes(c, in) {
+		for i := range got.Data {
+			got.Data[i] = float32(math.NaN())
+		}
+		r.run(got.Data)
+		checkConvOutput(t, c, in, r.name, got, want.Data)
 	}
+}
+
+// checkConvOutput fails on the first bit at which got differs from want.
+func checkConvOutput(t testing.TB, c *Conv2D, in *Batch, route string, got *Batch, want []float32) {
+	t.Helper()
+	if i := firstBitDiff(got.Data, want); i >= 0 {
+		plane := got.H * got.W
+		t.Fatalf("conv %s (%d→%d filters) in %dx%dx%d, %s: output (oc %d, oy %d, ox %d) = %v (%#08x), reference %v (%#08x)",
+			c.Tag, c.InC, c.OutC, in.C, in.H, in.W, route, i/plane, i%plane/got.W, i%got.W,
+			got.Data[i], math.Float32bits(got.Data[i]), want[i], math.Float32bits(want[i]))
+	}
+}
+
+// convRoute is one way to compute every output of one item.
+type convRoute struct {
+	name string
+	run  func(out []float32)
+}
+
+// convKernelRoutes returns the ways checkConvAgainstReference also runs c
+// over the one item of in, each calling kernels directly: the Go kernels
+// as every other GOARCH runs them, forwardAtGo at every position, and on
+// amd64, for a layer within maxPanelTaps, the SSE2 kernels as forwardItem
+// runs them, panelSSE2 at every position, and — for a 3×3 at stride 1 or
+// 2 with four interior columns — interiorSSE2 on the interior of every
+// block, dense ones included, with panelSSE2 on the rest.
+func convKernelRoutes(c *Conv2D, in *Batch) []convRoute {
+	s := c.OutShape(Shape{C: in.C, H: in.H, W: in.W})
+	oyLo, oyHi := interiorRange(in.H, s.H, c.K, c.Stride, c.Pad)
+	oxLo, oxHi := interiorRange(in.W, s.W, c.K, c.Stride, c.Pad)
+	var panel []float32
+	if taps := c.InC * c.K * c.K; haveSSE2 && c.InC <= 64 && taps <= maxPanelTaps {
+		panel = make([]float32, taps*convBlock)
+	}
+	// blocks runs at once per block, after the block's loadBlock, with the
+	// zero pairs dropped over a non-finite input as forwardBlocks drops them.
+	blocks := func(at func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32)) func([]float32) {
+		return func(out []float32) {
+			finite := allFinite(in.Data)
+			var zero [convBlock]uint64
+			var bias [convBlock]float32
+			for oc0 := 0; oc0 < c.OutC; oc0 += convBlock {
+				blk := zero[:min(convBlock, c.OutC-oc0)]
+				c.loadBlock(oc0, blk, panel, &bias)
+				if !finite {
+					clear(blk)
+				}
+				at(out, oc0, blk, &bias)
+			}
+		}
+	}
+	// border runs forwardAtSSE2 (sse) or forwardAtGo on every position
+	// outside the interior given — on all of them when it is empty.
+	border := func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32, sse bool, oyLo, oyHi, oxLo, oxHi int) {
+		for oy := 0; oy < s.H; oy++ {
+			for ox := 0; ox < s.W; ox++ {
+				switch {
+				case oy >= oyLo && oy < oyHi && ox >= oxLo && ox < oxHi:
+				case sse:
+					c.forwardAtSSE2(in.Data, in.H, in.W, out, s.H, s.W, oy, ox, oc0, zero, panel, bias)
+				default:
+					c.forwardAtGo(in.Data, in.H, in.W, out, s.H, s.W, oy, ox, oc0, zero)
+				}
+			}
+		}
+	}
+	routes := []convRoute{
+		{"Go kernels", func(out []float32) { c.forwardBlocks(in.Data, in.H, in.W, out, s.H, s.W, nil) }},
+		{"forwardAtGo everywhere", blocks(func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32) {
+			border(out, oc0, zero, bias, false, 0, 0, 0, 0)
+		})},
+	}
+	if panel == nil {
+		return routes
+	}
+	routes = append(routes,
+		convRoute{"SSE2 kernels", func(out []float32) { c.forwardBlocks(in.Data, in.H, in.W, out, s.H, s.W, panel) }},
+		convRoute{"panelSSE2 everywhere", blocks(func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32) {
+			border(out, oc0, zero, bias, true, 0, 0, 0, 0)
+		})})
+	if c.K == 3 && (c.Stride == 1 || c.Stride == 2) && oxHi-oxLo >= 4 {
+		routes = append(routes, convRoute{"interiorSSE2 and panelSSE2", blocks(func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32) {
+			c.interior3x3SSE2(in.Data, in.H, in.W, out, s.H, s.W, oyLo, oyHi, oxLo, oxHi, oc0, zero)
+			border(out, oc0, zero, bias, true, oyLo, oyHi, oxLo, oxHi)
+		})})
+	}
+	return routes
 }
 
 // zeroPairs sets every weight of each (oc, ic) pair that keep rejects to a
@@ -175,6 +265,59 @@ func TestConvMatchesReference(t *testing.T) {
 						checkConvAgainstReference(t, c, in)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestConvBlocksMatchReference is TestConvMatchesReference across blocks
+// of sixteen filters: one lane, one block exactly, a ragged second and
+// third block, 64 input channels (the panel's limit, head1's width) and 65
+// (past it), and a 5×5 past the panel's taps — each dense, and with the
+// backbone's zero pairs (filter oc reads channel oc%inC), over ordinary
+// inputs and over inputs carrying -0, NaN and ±Inf.
+func TestConvBlocksMatchReference(t *testing.T) {
+	seed := uint64(500)
+	for _, ch := range [][2]int{{1, 1}, {3, 16}, {64, 33}, {65, 17}, {24, 40}} {
+		for _, k := range []int{1, 3, 5} {
+			for _, stride := range []int{1, 2} {
+				for _, hw := range [][2]int{{6, 6}, {9, 14}} {
+					for _, special := range []bool{false, true} {
+						seed++
+						c := randomConv(ch[0], ch[1], k, stride, k/2, seed)
+						in := NewBatch(1, ch[0], hw[0], hw[1])
+						randomActivations(in.Data, seed*7919, special)
+						checkConvAgainstReference(t, c, in)
+
+						inC := ch[0]
+						zeroPairs(c, func(oc, ic int) bool { return ic == oc%inC }, 0)
+						checkConvAgainstReference(t, c, in)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAllFiniteMatchesReference holds allFinite (allFiniteSSE2 on amd64)
+// and allFiniteGo to math.IsNaN/IsInf on every length up to 40 with one
+// value at each position set to each of the bit patterns at the boundary:
+// the largest finite magnitude and the smallest non-finite one of each
+// sign, NaNs with the lowest and highest payload, and a subnormal.
+func TestAllFiniteMatchesReference(t *testing.T) {
+	bits := []uint32{0x7f7fffff, 0xff7fffff, 0x7f800000, 0xff800000, 0x7f800001, 0xffffffff, 0x00000001, 0x80000000}
+	for n := 0; n <= 40; n++ {
+		v := make([]float32, n)
+		randomActivations(v, uint64(n), false)
+		for at := 0; at < n; at++ {
+			for _, b := range bits {
+				orig := v[at]
+				v[at] = math.Float32frombits(b)
+				want := !math.IsNaN(float64(v[at])) && !math.IsInf(float64(v[at]), 0)
+				if got, goK := allFinite(v), allFiniteGo(v); got != want || goK != want {
+					t.Fatalf("n %d, %#08x at %d: allFinite %v, allFiniteGo %v, want %v", n, b, at, got, goK, want)
+				}
+				v[at] = orig
 			}
 		}
 	}
@@ -341,7 +484,8 @@ func TestYOLiteLayersMatchReference(t *testing.T) {
 
 // FuzzConvMatchesReference lets the fuzzer pick the geometry (channels,
 // kernel size, stride, padding, plane size) from the first bytes of the
-// corpus entry, which (oc, ic) pairs to zero from the next — pair p is
+// corpus entry — up to 65 input channels, one past the panel's 64, and up
+// to 40 filters, a ragged third block of sixteen — which (oc, ic) pairs to zero from the next — pair p is
 // zeroed when bit p%8 is set, since random bit patterns almost never make
 // K×K zeros — and the weights, biases and input from the rest, as raw
 // float32 bit patterns, so -0, subnormals, NaN and ±Inf all turn up. A
@@ -356,11 +500,20 @@ func FuzzConvMatchesReference(f *testing.F) {
 	f.Add([]byte{2, 4, 1, 1, 1, 12, 7, 0x7d, 0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 192, 127})
 	f.Add([]byte{1, 3, 2, 0, 2, 6, 6, 0xff, 0, 0, 0, 128, 0, 0, 0, 64})
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 1, 0x03, 0, 0, 128, 63, 0, 0, 128, 63, 0, 0, 128, 63, 0, 0, 192, 127})
+	// Past one block of filters: head1's shape (64 channels, 3×3 stride 1,
+	// two blocks and a ragged third), conv4's (stride 2, three blocks, a
+	// zero pattern every block skips), 65 channels and a 5×5 over 24 (both
+	// past the panel: the Go kernels), and a 1×1 over 64.
+	f.Add([]byte{63, 32, 1, 0, 1, 6, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 160, 63, 0, 0, 0, 192})
+	f.Add([]byte{31, 39, 1, 1, 1, 12, 12, 0x7e, 0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 0, 63, 0, 0, 128, 191})
+	f.Add([]byte{64, 17, 1, 0, 1, 5, 7, 0, 0, 0, 128, 63, 0, 0, 0, 191})
+	f.Add([]byte{23, 20, 2, 0, 2, 6, 5, 0x11, 0, 0, 128, 63, 0, 0, 0, 128, 0, 0, 64, 64})
+	f.Add([]byte{63, 35, 0, 0, 0, 6, 6, 0, 0, 0, 128, 63, 0, 0, 128, 127, 0, 0, 64, 192})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 8 {
 			return
 		}
-		inC, outC := 1+int(data[0])%3, 1+int(data[1])%6
+		inC, outC := 1+int(data[0])%65, 1+int(data[1])%40
 		k := []int{1, 3, 5}[int(data[2])%3]
 		stride, pad := 1+int(data[3])%3, int(data[4])%3
 		h, w := 1+int(data[5])%14, 1+int(data[6])%14
@@ -567,13 +720,14 @@ func TestFromYUVIntoMatchesReference(t *testing.T) {
 
 // BenchmarkConvLayers times each convolution of the detector on its own at
 // the benchmark's 96×96 geometry and reports ns per multiply-accumulate, so
-// a forward-pass number can be traced to the layer that moved. The big
-// planes (conv1, conv2) are nearly all interior; conv4 and head1 produce
-// 6×6 planes where 11 and 20 of 36 outputs touch padding. ns/MAC divides by
-// the dense count FLOPs()/2, zero pairs included, so on the backbone it
-// falls with the zero-pair skip — each backbone filter reads one input
-// channel, so 2 of conv1's 3 pairs per filter are zero and 31 of conv4's
-// 32 — while the head layers are dense.
+// a forward-pass number can be traced to the layer that moved: /kernel is
+// what forwardItem runs (the SSE2 kernels on amd64), /go the Go kernels. The
+// big planes (conv1, conv2) are nearly all interior; conv4 and head1
+// produce 6×6 planes where 11 and 20 of 36 outputs touch padding. ns/MAC
+// divides by the dense count FLOPs()/2, zero pairs included, so on the
+// backbone it falls with the zero-pair skip — each backbone filter reads
+// one input channel, so 2 of conv1's 3 pairs per filter are zero and 31 of
+// conv4's 32 — while the head layers are dense.
 func BenchmarkConvLayers(b *testing.B) {
 	d := randomHeadDetector([]string{"car", "bus", "truck"}, 96, 11)
 	cur := NewBatch(1, 3, 96, 96)
@@ -584,9 +738,17 @@ func BenchmarkConvLayers(b *testing.B) {
 			shape := c.OutShape(Shape{C: in.C, H: in.H, W: in.W})
 			out := make([]float32, shape.Elems())
 			macs := c.FLOPs(Shape{C: in.C, H: in.H, W: in.W}) / 2
-			b.Run(c.Tag, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
+			b.Run(c.Tag+"/kernel", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
 					c.forwardItem(in.Data, in.H, in.W, out, shape.H, shape.W)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*macs), "ns/MAC")
+			})
+			b.Run(c.Tag+"/go", func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					c.forwardBlocks(in.Data, in.H, in.W, out, shape.H, shape.W, nil)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*macs), "ns/MAC")
 			})
