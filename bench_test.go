@@ -1,6 +1,7 @@
-// Ablation benchmarks of the design choices DESIGN.md calls out. The
-// paper's tables and figures are `sievebench -exp` (asserted by the
-// internal/experiments tests); end-to-end performance is `bench/`.
+// Ablation benchmarks of the design choices DESIGN.md calls out. They build
+// their streams with this package's own API (Tune, EncodeStream): the paper
+// harness, internal/experiments (`sievebench -exp`), imports this package,
+// so these tests cannot import it. End-to-end performance is `bench/`.
 package sieve
 
 import (
@@ -10,7 +11,6 @@ import (
 	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/frame"
-	"sieve/internal/pipeline"
 	"sieve/internal/synth"
 	"sieve/internal/tuner"
 )
@@ -65,18 +65,41 @@ func BenchmarkAblationTunerReplay(b *testing.B) {
 }
 
 // BenchmarkAblationSeekVsDecode isolates the paper's core claim: skipping
-// P-frames via stream metadata versus decoding every frame.
+// P-frames via stream metadata of the tuned stream versus decoding every
+// frame of the default one.
 func BenchmarkAblationSeekVsDecode(b *testing.B) {
-	a, err := pipeline.PrepareAsset(context.Background(), synth.JacksonSquare,
-		pipeline.AssetOpts{Seconds: 20, FPS: 5, TrainSeconds: 40})
+	ctx := context.Background()
+	train, err := synth.Preset(synth.JacksonSquare, synth.PresetOpts{Seconds: 40, FPS: 5, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	best, err := Tune(ctx, train, DefaultSweep())
+	if err != nil {
+		b.Fatal(err)
+	}
+	v, err := LoadDataset(synth.JacksonSquare, 20, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	encode := func(p EncoderParams) *container.Reader {
+		buf := &container.Buffer{}
+		if _, err := EncodeStream(ctx, NewSynthSource(v), buf, WithTunedParams(p)); err != nil {
+			b.Fatal(err)
+		}
+		r, err := OpenStream(buf, buf.Size())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return r
+	}
+	spec := v.Spec()
+	semantic := encode(TunedParams(spec.Width, spec.Height, best.Config))
+	def := encode(DefaultParams(spec.Width, spec.Height))
 	b.Run("seek", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			n := 0
-			a.Semantic.ScanMeta(func(m container.FrameMeta) bool {
+			semantic.ScanMeta(func(m container.FrameMeta) bool {
 				if m.Type == codec.FrameI {
 					n++
 				}
@@ -86,15 +109,15 @@ func BenchmarkAblationSeekVsDecode(b *testing.B) {
 	})
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
-		info := a.Default.Info()
+		info := def.Info()
 		img := frame.NewYUV(info.Width, info.Height)
 		for i := 0; i < b.N; i++ {
 			dec, err := codec.NewDecoder(info.CodecParams())
 			if err != nil {
 				b.Fatal(err)
 			}
-			for j := 0; j < a.NumFrames; j++ {
-				payload, err := a.Default.Payload(j)
+			for j := 0; j < def.NumFrames(); j++ {
+				payload, err := def.Payload(j)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -47,9 +47,8 @@ var all = []*analysis.Analyzer{
 // deterministicPkgs are the packages under the byte-identical determinism
 // contract: their outputs are pinned by golden-SHA fixtures, ResultsDB
 // equivalence tests and the VirtualClock event-log tests, so wall-clock
-// reads are bugs, not style. cmd/*, examples/* and the real-time pacing
-// packages (simnet sleeps by design) stay outside; everything they print
-// as timing is explicitly wall-clock reporting.
+// reads are bugs, not style. cmd/* and examples/* stay outside; everything
+// they print as timing is explicitly wall-clock reporting.
 var deterministicPkgs = map[string]bool{
 	"sieve":                      true, // Session/Hub/Cluster/ingest/pusher paths
 	"sieve/internal/bitstream":   true,
@@ -57,15 +56,14 @@ var deterministicPkgs = map[string]bool{
 	"sieve/internal/cluster":     true,
 	"sieve/internal/codec":       true,
 	"sieve/internal/container":   true,
-	"sieve/internal/des":         true,
-	"sieve/internal/experiments": true, // timing reports flow through the injected clock
+	"sieve/internal/experiments": true, // MeasureCosts and Table3 time through the injected clock
 	"sieve/internal/faultplan":   true, // fault triggers are frame counts, never wall time
 	"sieve/internal/frame":       true,
 	"sieve/internal/infer":       true,
 	"sieve/internal/labels":      true,
 	"sieve/internal/nn":          true,
-	"sieve/internal/pipeline":    true, // MeasureCosts times through the injected clock
 	"sieve/internal/retry":       true, // backoff sleeps through the injected Sleeper
+	"sieve/internal/simnet":      true, // links account virtual time, never sleep
 	"sieve/internal/store":       true,
 	"sieve/internal/synth":       true,
 	"sieve/internal/telemetry":   true, // span timestamps flow through the injected clock

@@ -9,7 +9,7 @@ import (
 	"log"
 
 	"sieve/internal/clock"
-	"sieve/internal/pipeline"
+	"sieve/internal/experiments"
 	"sieve/internal/synth"
 )
 
@@ -18,7 +18,7 @@ func main() {
 	ctx := context.Background()
 
 	fmt.Println("preparing asset (render → tune → encode twice → price baselines)...")
-	asset, err := pipeline.PrepareAsset(ctx, synth.JacksonSquare, pipeline.AssetOpts{
+	asset, err := experiments.PrepareAsset(ctx, synth.JacksonSquare, experiments.Opts{
 		Seconds: 40, FPS: 10, TrainSeconds: 60,
 	})
 	if err != nil {
@@ -28,18 +28,17 @@ func main() {
 		asset.NumFrames, len(asset.IFrames),
 		asset.Semantic.PayloadBytes(nil), asset.Default.PayloadBytes(nil))
 
-	costs, err := pipeline.MeasureCosts(asset, nil, clock.Wall())
+	costs, err := experiments.MeasureCosts(asset, nil, clock.Wall())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("measured: seek %v/frame, decode %v/frame, NN %v/frame\n\n",
 		costs.Seek, costs.DecodeP, costs.NN)
 
-	cluster := pipeline.DefaultCluster()
-	costMap := map[string]pipeline.MicroCosts{asset.Name: costs}
+	costMap := map[string]experiments.MicroCosts{asset.Name: costs}
 	fmt.Printf("%-26s %10s %14s %12s %s\n", "method", "fps", "edge→cloud", "makespan", "bottleneck")
-	for _, m := range pipeline.AllMethods() {
-		rep, err := pipeline.Evaluate(ctx, m, []*pipeline.VideoAsset{asset}, costMap, cluster, nil)
+	for _, m := range experiments.AllMethods() {
+		rep, err := experiments.Evaluate(m, []*experiments.VideoAsset{asset}, costMap)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,7 +8,7 @@ import (
 )
 
 // Default uplink parameters: the paper's 30 Mbps / 20 ms edge→cloud WAN
-// (the same numbers simnet.NewPaperTopology pins for the two-site testbed).
+// (the same link the paper harness, internal/experiments, models).
 const (
 	DefaultUplinkBps     = 30e6
 	DefaultUplinkLatency = 20 * time.Millisecond

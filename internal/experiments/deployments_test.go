@@ -1,24 +1,28 @@
-package pipeline
+package experiments
 
 import (
 	"context"
+	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
+	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"sieve/internal/clock"
 	"sieve/internal/codec"
 	"sieve/internal/nn"
-	"sieve/internal/runner"
 	"sieve/internal/synth"
 )
 
 // testAssetOpts returns the package tests' asset scale: full-sized normally,
 // shrunk under -short so the race-enabled CI job stays fast.
-func testAssetOpts() AssetOpts {
+func testAssetOpts() Opts {
 	if testing.Short() {
-		return AssetOpts{Seconds: 16, FPS: 5, TrainSeconds: 24}
+		return Opts{Seconds: 16, FPS: 5, TrainSeconds: 24}
 	}
-	return AssetOpts{Seconds: 40, FPS: 5, TrainSeconds: 60}
+	return Opts{Seconds: 40, FPS: 5, TrainSeconds: 60}
 }
 
 // testAsset prepares a small Jackson asset once for the package's tests.
@@ -70,7 +74,7 @@ func TestPrepareAssetBasics(t *testing.T) {
 func TestPrepareAssetCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PrepareAsset(ctx, synth.JacksonSquare, AssetOpts{Seconds: 4, FPS: 2, TrainSeconds: 4}); err == nil {
+	if _, err := PrepareAsset(ctx, synth.JacksonSquare, Opts{Seconds: 4, FPS: 2, TrainSeconds: 4}); err == nil {
 		t.Fatal("cancelled PrepareAsset succeeded")
 	}
 }
@@ -87,6 +91,69 @@ func TestSemanticStreamLargerThanDefault(t *testing.T) {
 	if float64(sem) > 2*float64(def) {
 		t.Fatalf("semantic stream %dB unreasonably larger than default %dB", sem, def)
 	}
+}
+
+// TestPrepareAssetUnlabelledMemoryFlat pins that pricing the MSE baseline
+// of an unlabelled feed keeps no decoded frame past its decode pass: the
+// peak live heap of PrepareAsset must not grow with the stream's length.
+func TestPrepareAssetUnlabelledMemoryFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders and encodes 720p frames")
+	}
+	peak := func(seconds int) uint64 {
+		var a *VideoAsset
+		p := peakLiveHeap(func() {
+			var err error
+			a, err = PrepareAsset(context.Background(), synth.Amsterdam, Opts{Seconds: seconds, FPS: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(a.MSESamples) == 0 {
+			t.Fatalf("%d s: no MSE picks", seconds)
+		}
+		return p
+	}
+	const frameBytes = 1280 * 720 * 3 / 2 // one decoded amsterdam frame
+	short, long := peak(5), peak(20)
+	t.Logf("peak live heap: %d MB at 5 frames, %d MB at 20", short>>20, long>>20)
+	// Holding every decoded frame would add 15 frames of heap; the two
+	// encoded streams grow by well under half of that.
+	if long > short+15*frameBytes/2 {
+		t.Fatalf("peak live heap grows with the stream: %d MB at 5 frames, %d MB at 20",
+			short>>20, long>>20)
+	}
+}
+
+// peakLiveHeap runs fn and returns the largest live heap a GC cycle marked
+// meanwhile. The collector runs at every 10 % of heap growth, so a peak
+// escapes the reading by at most that much.
+func peakLiveHeap(fn func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	runtime.GC()
+	var (
+		mu      sync.Mutex
+		peak    uint64
+		stopped bool
+	)
+	type sentinel struct{ _ [64]byte }
+	var onGC func(*sentinel)
+	onGC = func(*sentinel) {
+		s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(s)
+		mu.Lock()
+		defer mu.Unlock()
+		peak = max(peak, s[0].Value.Uint64())
+		if !stopped {
+			runtime.SetFinalizer(new(sentinel), onGC)
+		}
+	}
+	runtime.SetFinalizer(new(sentinel), onGC)
+	fn()
+	mu.Lock()
+	defer mu.Unlock()
+	stopped = true
+	return peak
 }
 
 func TestMeasureCosts(t *testing.T) {
@@ -148,11 +215,10 @@ func TestEvaluateAllMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	costs := map[string]MicroCosts{a.Name: mc}
-	cluster := DefaultCluster()
 
 	reports := make(map[Method]Report, 5)
 	for _, m := range AllMethods() {
-		rep, err := Evaluate(context.Background(), m, []*VideoAsset{a}, costs, cluster, nil)
+		rep, err := Evaluate(m, []*VideoAsset{a}, costs)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -199,48 +265,13 @@ func TestEvaluateAllMethods(t *testing.T) {
 	}
 }
 
-// TestEvaluateParallelMatchesSequential fixes the micro-costs (the only
-// timing input) and checks the whole Report — including the modelled
-// makespan and throughput — is bit-identical at every pool size. This is
-// the "parallelism changes wall-clock only" contract at its strictest.
-func TestEvaluateParallelMatchesSequential(t *testing.T) {
-	a := testAsset(t)
-	fixed := MicroCosts{
-		Seek:         50 * time.Nanosecond,
-		DecodeI:      900 * time.Microsecond,
-		DecodeP:      400 * time.Microsecond,
-		MSE:          150 * time.Microsecond,
-		ResizeEncode: 700 * time.Microsecond,
-		NN:           12 * time.Millisecond,
-	}
-	// Evaluate the same 3-asset workload; reusing one asset three times is
-	// fine — Evaluate treats each entry independently.
-	assets := []*VideoAsset{a, a, a}
-	costs := map[string]MicroCosts{a.Name: fixed}
-	cluster := DefaultCluster()
-	for _, m := range AllMethods() {
-		seq, err := Evaluate(context.Background(), m, assets, costs, cluster, runner.Sequential())
-		if err != nil {
-			t.Fatalf("%s sequential: %v", m, err)
-		}
-		par, err := Evaluate(context.Background(), m, assets, costs, cluster, runner.New(4))
-		if err != nil {
-			t.Fatalf("%s parallel: %v", m, err)
-		}
-		if seq != par {
-			t.Errorf("%s: parallel report differs from sequential:\nseq %+v\npar %+v", m, seq, par)
-		}
-	}
-}
-
 func TestEvaluateUnknownMethod(t *testing.T) {
 	a := testAsset(t)
-	_, err := Evaluate(context.Background(), Method("nope"), []*VideoAsset{a},
-		map[string]MicroCosts{a.Name: {}}, DefaultCluster(), nil)
+	_, err := Evaluate(Method("nope"), []*VideoAsset{a}, map[string]MicroCosts{a.Name: {}})
 	if err == nil {
 		t.Fatal("unknown method accepted")
 	}
-	_, err = Evaluate(context.Background(), IFrameEdgeCloudNN, []*VideoAsset{a}, nil, DefaultCluster(), nil)
+	_, err = Evaluate(IFrameEdgeCloudNN, []*VideoAsset{a}, nil)
 	if err == nil {
 		t.Fatal("missing costs accepted")
 	}
@@ -255,26 +286,80 @@ func TestIFrameTypesConsistent(t *testing.T) {
 	}
 }
 
-func TestAssetOptsQualityValidation(t *testing.T) {
-	// 0 selects the default.
-	o := AssetOpts{}
-	if err := o.fill(); err != nil || o.Quality != 85 {
-		t.Fatalf("fill() = %v, quality %d; want nil, 85", err, o.Quality)
+// constItems returns n items with the same service time at each stage.
+func constItems(n int, edge, wan, cloud time.Duration) []item {
+	items := make([]item, n)
+	for i := range items {
+		items[i] = item{edge: edge, wan: wan, cloud: cloud}
 	}
-	// The codec floor (1) must be expressible — an explicit lowest-quality
-	// request may not be silently rewritten.
-	o = AssetOpts{Quality: 1}
-	if err := o.fill(); err != nil || o.Quality != 1 {
-		t.Fatalf("fill() = %v, quality %d; want nil, 1", err, o.Quality)
+	return items
+}
+
+func TestSimulateSingleStage(t *testing.T) {
+	makespan, busy := simulate(constItems(10, time.Millisecond, 0, 0))
+	if makespan != 10*time.Millisecond {
+		t.Fatalf("makespan %v", makespan)
 	}
-	for _, q := range []int{-3, 101} {
-		o = AssetOpts{Quality: q}
-		if err := o.fill(); err == nil {
-			t.Fatalf("quality %d accepted", q)
+	if busy[0] != makespan || busy[1] != 0 || busy[2] != 0 {
+		t.Fatalf("busy %v", busy)
+	}
+}
+
+func TestSimulateBottleneck(t *testing.T) {
+	// Steady-state throughput equals the slowest stage's rate.
+	makespan, busy := simulate(constItems(1000, time.Millisecond, 4*time.Millisecond, 2*time.Millisecond))
+	if tp, want := 1000/makespan.Seconds(), 250.0; tp < want*0.98 || tp > want*1.02 {
+		t.Fatalf("throughput %v, want ~%v", tp, want)
+	}
+	if u := float64(busy[1]) / float64(makespan); u < 0.99 {
+		t.Fatalf("bottleneck utilisation %v", u)
+	}
+	if busy[1] <= busy[0] || busy[1] <= busy[2] {
+		t.Fatalf("busy %v: the WAN should be the busiest stage", busy)
+	}
+}
+
+func TestSimulateZeroServicePassThrough(t *testing.T) {
+	// Items with zero service time (P-frames skipped by the seeker) cost
+	// nothing anywhere.
+	items := make([]item, 100)
+	for i := range items {
+		if i%10 == 0 { // I-frames only
+			items[i].edge = time.Millisecond
 		}
 	}
-	// PrepareAsset rejects out-of-range quality before doing any work.
-	if _, err := PrepareAsset(context.Background(), synth.JacksonSquare, AssetOpts{Quality: -1}); err == nil {
-		t.Fatal("PrepareAsset accepted quality -1")
+	if makespan, _ := simulate(items); makespan != 10*time.Millisecond {
+		t.Fatalf("makespan %v, want 10ms", makespan)
+	}
+}
+
+func TestSimulateOverlapsStages(t *testing.T) {
+	// Two equal stages: makespan = (n+1) * d, not 2n*d.
+	d := time.Millisecond
+	if makespan, _ := simulate(constItems(100, d, 0, d)); makespan != 101*d {
+		t.Fatalf("makespan %v, want %v", makespan, 101*d)
+	}
+}
+
+func TestSimulateMakespanLowerBound(t *testing.T) {
+	// The makespan is at least every stage's total busy time.
+	f := func(seed int64, nItems uint8) bool {
+		items := make([]item, int(nItems%50)+1)
+		svc := func(stage, i int) time.Duration {
+			return time.Duration((seed>>uint(stage*7))&0xF+int64(i%3)) * time.Millisecond
+		}
+		for i := range items {
+			items[i] = item{edge: svc(0, i), wan: svc(1, i), cloud: svc(2, i)}
+		}
+		makespan, busy := simulate(items)
+		for _, b := range busy {
+			if b > makespan {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

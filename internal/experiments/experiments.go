@@ -8,6 +8,16 @@
 //	Figure 4 — end-to-end throughput of the five deployments
 //	Figure 5 — bytes moved camera→edge and edge→cloud
 //
+// Figures 4 and 5 compare the five deployments of Section V-B. A
+// VideoAsset bundles what they need for one camera feed: the feed encoded
+// by the production encoder with tuned and with default parameters, the
+// baselines' sampling decisions, and the exact byte sizes each method
+// ships over each hop. Evaluate then models each deployment as three
+// stages in series — edge compute, the paper's 30 Mbps WAN, cloud compute
+// — whose per-frame service times are micro-costs measured on this
+// repository's own codec, seeker, similarity detectors and NN, so relative
+// throughputs reflect real work.
+//
 // Each experiment returns a structured result plus a text rendering whose
 // rows mirror the paper's presentation. Scale defaults are laptop-sized;
 // the paper's absolute numbers come from hours of 30 fps video, so compare
@@ -21,12 +31,12 @@ import (
 	"strings"
 	"time"
 
+	"sieve"
 	"sieve/internal/clock"
 	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/frame"
 	"sieve/internal/labels"
-	"sieve/internal/pipeline"
 	"sieve/internal/runner"
 	"sieve/internal/synth"
 	"sieve/internal/tuner"
@@ -275,24 +285,13 @@ func Table1(opts Opts) []Table1Row {
 			continue
 		}
 		spec := v.Spec()
-		classes := map[string]bool{}
-		for _, o := range spec.Objects {
-			classes[string(o.Class)] = true
-		}
-		// Describe the schedule's classes even if the 1s window is empty.
-		names := describePresetClasses(name)
-		labelled := false
-		for _, p := range synth.LabelledPresets() {
-			if p == name {
-				labelled = true
-			}
-		}
 		rows = append(rows, Table1Row{
-			Name:        string(name),
-			Objects:     names,
+			Name: string(name),
+			// Describe the schedule's classes even if the 1s window is empty.
+			Objects:     describePresetClasses(name),
 			Resolution:  fmt.Sprintf("%dx%d", spec.Width, spec.Height),
 			FPS:         spec.FPS,
-			Labelled:    labelled,
+			Labelled:    isLabelled(name),
 			Description: presetDescription(name),
 		})
 	}
@@ -426,9 +425,8 @@ func Table3(ctx context.Context, opts Opts) ([]Table3Row, error) {
 
 	// Phase 1 (parallel): render and encode each preset's measurement clip.
 	type table3Setup struct {
-		row     Table3Row
-		reader  *container.Reader
-		nFrames int
+		row    Table3Row
+		reader *container.Reader
 	}
 	setups, err := runner.MapSlice(ctx, opts.pool(), synth.LabelledPresets(),
 		func(ctx context.Context, name synth.PresetName) (table3Setup, error) {
@@ -441,41 +439,14 @@ func Table3(ctx context.Context, opts Opts) ([]Table3Row, error) {
 			s.row.Dataset = string(name)
 			s.row.Resolution = fmt.Sprintf("%dx%d", spec.Width, spec.Height)
 
-			// Encode a short stream once (decode work is what's measured).
-			s.nFrames = v.NumFrames()
-			if s.nFrames > 40 {
-				s.nFrames = 40
-			}
-			enc, err := codec.NewEncoder(codec.Params{
-				Width: spec.Width, Height: spec.Height, Quality: 85,
-				GOPSize: 25, Scenecut: 200, MinGOP: tuner.DefaultMinGOP,
-			})
+			// Encode the first 40 frames once (decode work is what's measured).
+			spec.NumFrames = min(spec.NumFrames, 40)
+			clip, err := synth.New(spec)
 			if err != nil {
 				return s, err
 			}
-			buf := &container.Buffer{}
-			w, err := container.NewWriter(buf, container.StreamInfo{
-				Width: spec.Width, Height: spec.Height, FPS: spec.FPS, Quality: 85,
-			})
-			if err != nil {
-				return s, err
-			}
-			for i := 0; i < s.nFrames; i++ {
-				if err := ctx.Err(); err != nil {
-					return s, err
-				}
-				ef, err := enc.Encode(v.Frame(i))
-				if err != nil {
-					return s, err
-				}
-				if err := w.WriteEncoded(ef); err != nil {
-					return s, err
-				}
-			}
-			if err := w.Close(); err != nil {
-				return s, err
-			}
-			s.reader, err = container.NewReader(buf, buf.Size())
+			s.reader, err = encode(ctx, clip, sieve.TunedParams(spec.Width, spec.Height,
+				tuner.Config{GOP: 25, Scenecut: 200}))
 			return s, err
 		})
 	if err != nil {
@@ -488,7 +459,8 @@ func Table3(ctx context.Context, opts Opts) ([]Table3Row, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		row, r, nFrames := s.row, s.reader, s.nFrames
+		row, r := s.row, s.reader
+		nFrames := r.NumFrames()
 
 		// SiEVE: metadata scan rate.
 		clk := opts.Clock
@@ -575,7 +547,7 @@ func RenderTable3(rows []Table3Row) string {
 // E2EResult holds Figure 4 and Figure 5 data for one workload size.
 type E2EResult struct {
 	NumVideos int
-	Reports   []pipeline.Report
+	Reports   []Report
 }
 
 // E2E prepares assets for the first n presets and evaluates all five
@@ -590,56 +562,53 @@ type E2EResult struct {
 // changes.
 func E2E(ctx context.Context, numVideos []int, opts Opts) ([]E2EResult, error) {
 	opts.fill()
-	pool := opts.pool()
 	maxN := 0
 	for _, n := range numVideos {
-		if n > maxN {
-			maxN = n
-		}
+		maxN = max(maxN, n)
 	}
-	presets := synth.AllPresets()
-	if maxN > len(presets) {
-		return nil, fmt.Errorf("experiments: at most %d videos available", len(presets))
-	}
-
-	// Phase 1: prepare every asset in parallel (render, tune, encode twice,
-	// price baselines — the dominant cost).
-	assets, err := runner.Map(ctx, pool, maxN, func(ctx context.Context, i int) (*pipeline.VideoAsset, error) {
-		a, err := pipeline.PrepareAsset(ctx, presets[i], pipeline.AssetOpts{
-			Seconds: opts.Seconds, FPS: opts.FPS, TrainSeconds: opts.TrainSeconds,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: preparing %s: %w", presets[i], err)
-		}
-		return a, nil
-	})
+	assets, err := prepareAssets(ctx, maxN, opts)
 	if err != nil {
 		return nil, err
 	}
 	// Micro-costs are wall-clock measurements — take them one asset at a
 	// time so concurrent measurement runs never contend for cores and skew
-	// the service times the DES model is built on. This is milliseconds per
+	// the service times the model is built on. This is milliseconds per
 	// asset, so it costs the fan-out nothing.
-	costs := make(map[string]pipeline.MicroCosts, maxN)
+	costs := make(map[string]MicroCosts, maxN)
 	for _, a := range assets {
-		mc, err := pipeline.MeasureCosts(a, nil, opts.Clock)
+		mc, err := MeasureCosts(a, nil, opts.Clock)
 		if err != nil {
 			return nil, err
 		}
 		costs[a.Name] = mc
 	}
+	return evaluateGrid(ctx, opts.pool(), numVideos, assets, costs)
+}
 
-	// Phase 2: evaluate the methods × workload-sizes grid concurrently. The
-	// grid itself saturates the pool, so each cell runs its per-asset work
-	// sequentially — nesting the pool would just multiply CPU-bound
-	// goroutines past the -parallel bound.
-	cluster := pipeline.DefaultCluster()
-	methods := pipeline.AllMethods()
+// prepareAssets prepares the first n presets in parallel (render, tune,
+// encode twice, price baselines).
+func prepareAssets(ctx context.Context, n int, opts Opts) ([]*VideoAsset, error) {
+	presets := synth.AllPresets()
+	if n > len(presets) {
+		return nil, fmt.Errorf("experiments: at most %d videos available", len(presets))
+	}
+	return runner.Map(ctx, opts.pool(), n, func(ctx context.Context, i int) (*VideoAsset, error) {
+		a, err := PrepareAsset(ctx, presets[i], opts)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: preparing %s: %w", presets[i], err)
+		}
+		return a, nil
+	})
+}
+
+// evaluateGrid evaluates every method on the first n assets for each n in
+// numVideos, one grid cell per pool task.
+func evaluateGrid(ctx context.Context, pool *runner.Pool, numVideos []int, assets []*VideoAsset, costs map[string]MicroCosts) ([]E2EResult, error) {
+	methods := AllMethods()
 	reports, err := runner.Map(ctx, pool, len(numVideos)*len(methods),
-		func(ctx context.Context, cell int) (pipeline.Report, error) {
+		func(_ context.Context, cell int) (Report, error) {
 			n := numVideos[cell/len(methods)]
-			m := methods[cell%len(methods)]
-			return pipeline.Evaluate(ctx, m, assets[:n], costs, cluster, runner.Sequential())
+			return Evaluate(methods[cell%len(methods)], assets[:n], costs)
 		})
 	if err != nil {
 		return nil, err

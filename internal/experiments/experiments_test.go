@@ -165,9 +165,8 @@ func TestE2EOrderings(t *testing.T) {
 }
 
 // TestE2EConcurrent exercises the full concurrent engine — parallel asset
-// preparation, the methods × workloads grid, and the nested per-asset
-// fan-out inside Evaluate — at a scale small enough for -short, so the CI
-// race job covers every concurrency path on each run.
+// preparation and the methods × workloads grid — at a scale small enough
+// for -short, so the CI race job covers every concurrency path on each run.
 func TestE2EConcurrent(t *testing.T) {
 	results, err := E2E(context.Background(), []int{1, 1}, Opts{
 		Seconds: 6, TrainSeconds: 10, FPS: 2, Parallel: 4,
