@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/faultplan/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzStoreMatchesReference -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=10s ./internal/bitstream/
 	$(GO) test -run='^$$' -fuzz=FuzzWriterMatchesReference -fuzztime=10s ./internal/bitstream/
 	$(GO) test -run='^$$' -fuzz=FuzzContainerReader -fuzztime=10s ./internal/container/
@@ -249,10 +250,12 @@ split-smoke:
 	$(GO) test -race -run '^TestSplitPlane' -count=1 ./internal/infer/
 
 # Equivalence anchors under stress: the detector's batched, split and
-# sharded equivalence tests and the cluster's failover, trace, telemetry
-# and wire-admission anchors, repeated at several GOMAXPROCS settings under
-# the race detector, so an anchor that holds only on one schedule fails here.
-ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence|TestClusterFailoverEquivalence|TestClusterFailoverTraceDeterminism|TestClusterTelemetryEquivalence|TestWireClusterEquivalence|TestClusterUnseekableFeedReplaysTail)$$'
+# sharded equivalence tests, the cluster's failover, trace, telemetry and
+# wire-admission anchors, and the session's detect-on-reconstruction guard
+# (labels equal the archive's, stream bytes equal a detector-less encode),
+# repeated at several GOMAXPROCS settings under the race detector, so an
+# anchor that holds only on one schedule fails here.
+ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence|TestClusterFailoverEquivalence|TestClusterFailoverTraceDeterminism|TestClusterTelemetryEquivalence|TestWireClusterEquivalence|TestClusterUnseekableFeedReplaysTail|TestSessionDetectsWhatTheArchiveDecodes)$$'
 
 anchors-stress:
 	$(GO) test -race -short -count=3 -cpu 1,2,4 -run $(ANCHORS) .

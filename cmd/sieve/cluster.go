@@ -31,7 +31,7 @@ virtual clocks, so a given flag set reproduces byte-identical merged
 results on every run.
 
 With -batch N, every site runs one shared batched-inference plane: its
-feeds micro-batch decoded I-frames through a single detector forward pass
+feeds micro-batch their I-frames through a single detector forward pass
 (flushed at N frames, or sooner when every running feed is blocked), and
 the report adds the amortisation line. Results are byte-identical to the
 per-feed detector path.

@@ -24,7 +24,7 @@ presets. The report compares each feed's streaming filter rate against the
 batch I-frame seeker on the same stream.
 
 With -batch N, the hub trains a small detector and shares one
-batched-inference plane across every feed: decoded I-frames from
+batched-inference plane across every feed: I-frames from
 concurrent feeds coalesce into micro-batches through a single forward
 pass (flushed at N frames, or sooner when every running feed is blocked),
 and the report adds the amortisation line. Flushes are count-based, never

@@ -9,7 +9,7 @@ type InferenceStats = infer.Stats
 
 // InferencePlane is the shared batched-inference plane: sessions configured
 // with WithInferencePlane (or a Hub with WithHubInference, a Cluster with
-// WithClusterInference) submit their decoded I-frames to it and block until
+// WithClusterInference) submit their I-frames to it and block until
 // their labels come back; the plane coalesces submissions from concurrent
 // feeds into micro-batches through one YOLite forward pass.
 //

@@ -1,10 +1,18 @@
 package sieve
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"sieve/internal/container"
+	"sieve/internal/frame"
+	"sieve/internal/labels"
+	"sieve/internal/nn"
+	"sieve/internal/synth"
 )
 
 // runBatchedHubJSON runs the acceptance fleet through one Hub sharing a
@@ -203,5 +211,130 @@ func TestPlaneReservationWindow(t *testing.T) {
 		if got := planeReservation(feeds, shared, tc.window); got != tc.want {
 			t.Fatalf("window %d: reservation = %d, want %d", tc.window, got, tc.want)
 		}
+	}
+}
+
+// TestSessionDetectsWhatTheArchiveDecodes pins what the detecting session
+// hands the detector — the encoder's reconstruction of each I-frame, read in
+// place — to what the archive holds. Each I-frame's labels must equal the
+// detector run on IFrameSeeker.DecodeIFrame of the session's own stream.
+// And the detection path must leave the view alone: the stream must equal,
+// byte for byte, a detector-less EncodeStream of the same source, and the
+// encoder's reconstruction, taken as each frame is encoded, must equal a
+// sequential decode of the archive. A write through the view moves the next
+// P-frame's reference; the bytes show it only when it changes a coded
+// block, the reconstructions show it wherever it lands. The 136×88
+// geometry puts an overhanging block column and row in the chroma planes,
+// and the detector is trained on the scene itself, so the car's I-frames
+// are labelled and the others are not.
+func TestSessionDetectsWhatTheArchiveDecodes(t *testing.T) {
+	v, err := synth.New(synth.Spec{
+		Name: "cam", Width: 136, Height: 88, FPS: 5, NumFrames: 16,
+		NoiseAmp: 1,
+		Objects: []synth.Object{{
+			Class: synth.Car, Enter: 2, Exit: 8, Lane: 0.7, Speed: 24,
+			Scale: 0.3, Color: frame.RGB{R: 200, G: 40, B: 40}, Seed: 99,
+		}},
+		Seed: 99,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lab []nn.LabeledFrame
+	for i := 0; i < v.NumFrames(); i++ {
+		lf := nn.LabeledFrame{Frame: v.Frame(i)}
+		for _, b := range v.Boxes(i) {
+			lf.Boxes = append(lf.Boxes, nn.ObjectBox{Class: string(b.Class), X: b.X, Y: b.Y, W: b.W, H: b.H})
+		}
+		lab = append(lab, lf)
+	}
+	det := NewDetector([]string{"car"}, 64)
+	if _, err := det.Train(lab, nn.TrainConfig{Seed: 5, Epochs: 8}); err != nil {
+		t.Fatal(err)
+	}
+	params := DefaultParams(136, 88)
+	params.GOPSize = 4
+
+	var detected, plain container.Buffer
+	var sess *Session
+	var recons []*Frame
+	snapshot := withEventTap(func(ev Event) {
+		if ev.Kind == EventFrameEncoded {
+			recons = append(recons, sess.enc.recon().Clone())
+		}
+	})
+	sess, err = NewSession(NewSynthSource(v), WithClock(testClock()), WithTunedParams(params),
+		WithSink(&detected), WithDetector(det), snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[int]labels.Set{}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range sess.Events() {
+			if ev.Kind == EventDetection {
+				got[ev.Frame] = ev.Labels
+			}
+		}
+	}()
+	if err := sess.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if _, err := EncodeStream(context.Background(), NewSynthSource(v), &plain,
+		WithClock(testClock()), WithTunedParams(params)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(detected.Bytes(), plain.Bytes()) {
+		t.Fatal("the detecting session's stream differs from a detector-less encode of the same source")
+	}
+
+	r, err := OpenStream(&detected, detected.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewDecoder(r.Info())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recons) != r.NumFrames() {
+		t.Fatalf("%d reconstructions for %d archived frames", len(recons), r.NumFrames())
+	}
+	for i, want := range recons {
+		payload, err := r.Payload(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := dec.Decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !img.Equal(want) {
+			t.Fatalf("frame %d: the encoder's reconstruction differs from a sequential decode of the archive", i)
+		}
+	}
+
+	seeker := NewIFrameSeeker(r)
+	iframes := seeker.IFrames()
+	if len(got) != len(iframes) {
+		t.Fatalf("%d detections for %d archived I-frames", len(got), len(iframes))
+	}
+	labelled := 0
+	for _, m := range iframes {
+		img, err := seeker.DecodeIFrame(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := det.FrameLabels(img)
+		if !slices.Equal(got[m.Index], want) {
+			t.Fatalf("I-frame %d: session labels %q, detector on the archived frame %q", m.Index, got[m.Index], want)
+		}
+		if len(want) > 0 {
+			labelled++
+		}
+	}
+	if labelled == 0 || labelled == len(iframes) {
+		t.Fatalf("%d of %d I-frames labelled: the scene should give the detector both answers", labelled, len(iframes))
 	}
 }

@@ -42,6 +42,44 @@ func TestEncodeIntoSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestEncodeReconViewZeroAlloc is the session's detection path in miniature:
+// encode a frame and, when it is an I-frame, read the encoder's
+// reconstruction in place of decoding the payload. GOP 2 puts an I-frame in
+// every other op, so both frame types and the view are on the measured path.
+func TestEncodeReconViewZeroAlloc(t *testing.T) {
+	p := Params{Width: 64, Height: 48, Quality: 85, GOPSize: 2, Scenecut: 0}
+	frames := testVideo(64, 48, 4, 1, 24)
+	enc, err := NewEncoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ef EncodedFrame
+	sum := 0
+	step := func(f *frame.YUV) {
+		if err := enc.EncodeInto(f, &ef); err != nil {
+			t.Fatal(err)
+		}
+		if ef.Type == FrameI {
+			v := enc.Recon()
+			sum += int(v.Y.Pix[0]) + int(v.Cb.Pix[len(v.Cb.Pix)-1])
+		}
+	}
+	for _, f := range frames {
+		step(f)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		step(frames[i%len(frames)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state encode-then-view: %.1f allocs/op, want 0", allocs)
+	}
+	if sum == 0 {
+		t.Fatal("the view read nothing but zeros")
+	}
+}
+
 func TestDecodeIntoSteadyStateZeroAlloc(t *testing.T) {
 	p := Params{Width: 64, Height: 48, Quality: 85, GOPSize: 1 << 20, Scenecut: 0}
 	frames := testVideo(64, 48, 3, 1, 22)

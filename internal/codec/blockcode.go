@@ -182,8 +182,37 @@ func (bc *blockCoder) encodeBlock(w *bitstream.Writer, p, recon *frame.Plane, bx
 }
 
 // writePredBlock stores clamp(pred) into the 8×8 block at (bx, by); pixels
-// outside the plane are dropped, matching Plane.Set.
+// outside the plane are dropped, matching Plane.Set. On amd64 a block inside
+// the plane is stored by storePredSSE2 (store_amd64.s); a block that
+// overhangs an edge, and every block elsewhere, takes writePredBlockGo.
+//
+//sieve:noalloc reconstruct store of the encode and decode hot paths
 func writePredBlock(dst *frame.Plane, bx, by int, pred *transform.Block) {
+	if haveSSE2 && inside(dst, bx, by) {
+		storePredSSE2(dst.Pix[by*dst.Stride+bx:], dst.Stride, pred)
+		return
+	}
+	writePredBlockGo(dst, bx, by, pred)
+}
+
+// writeResidualBlock stores clamp(pred + residual) into the 8×8 block at
+// (bx, by), with the same edge handling and the same kernel split as
+// writePredBlock (storeResidualSSE2 for an in-plane block on amd64).
+//
+//sieve:noalloc reconstruct store of the encode and decode hot paths
+func writeResidualBlock(dst *frame.Plane, bx, by int, pred, res *transform.Block) {
+	if haveSSE2 && inside(dst, bx, by) {
+		storeResidualSSE2(dst.Pix[by*dst.Stride+bx:], dst.Stride, pred, res)
+		return
+	}
+	writeResidualBlockGo(dst, bx, by, pred, res)
+}
+
+// writePredBlockGo is the Go kernel of writePredBlock, and on amd64 the
+// oracle its assembly is tested against.
+//
+//sieve:noalloc reconstruct store of the encode and decode hot paths
+func writePredBlockGo(dst *frame.Plane, bx, by int, pred *transform.Block) {
 	x0, x1 := blockSpan(bx, dst.W)
 	y0, y1 := blockSpan(by, dst.H)
 	if x0 == x1 {
@@ -198,9 +227,11 @@ func writePredBlock(dst *frame.Plane, bx, by int, pred *transform.Block) {
 	}
 }
 
-// writeResidualBlock stores clamp(pred + residual) into the 8×8 block at
-// (bx, by), with the same edge handling as writePredBlock.
-func writeResidualBlock(dst *frame.Plane, bx, by int, pred, res *transform.Block) {
+// writeResidualBlockGo is the Go kernel of writeResidualBlock, and on amd64
+// the oracle its assembly is tested against.
+//
+//sieve:noalloc reconstruct store of the encode and decode hot paths
+func writeResidualBlockGo(dst *frame.Plane, bx, by int, pred, res *transform.Block) {
 	x0, x1 := blockSpan(bx, dst.W)
 	y0, y1 := blockSpan(by, dst.H)
 	if x0 == x1 {

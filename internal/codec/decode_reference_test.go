@@ -18,7 +18,9 @@ import (
 // ones; that entry point has no codec caller left). The one other edit is
 // the fix that came with its replacement: a run above 62 and an AC level
 // outside int32 are corrupt (the first used to index the block at a
-// negative position, the second to decode as a different level).
+// negative position, the second to decode as a different level). It stores
+// through the Go kernels (writePredBlockGo, writeResidualBlockGo), so on
+// amd64 the comparison covers the assembly store as well.
 type refBlockDecoder struct {
 	qz      *transform.Quantizer
 	pred    transform.Block
@@ -33,7 +35,7 @@ func (bd *refBlockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx
 		return fmt.Errorf("coded-block flag: %w", err)
 	}
 	if coded == 0 {
-		writePredBlock(dst, bx, by, &bd.pred)
+		writePredBlockGo(dst, bx, by, &bd.pred)
 		return nil
 	}
 	for i := range bd.zz {
@@ -80,7 +82,7 @@ func (bd *refBlockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx
 	// Every row and column named: the masked inverse without masks.
 	const all = 1<<transform.BlockSize - 1
 	bd.qz.InverseMasked(&bd.lev, all, all, &bd.rec)
-	writeResidualBlock(dst, bx, by, &bd.pred, &bd.rec)
+	writeResidualBlockGo(dst, bx, by, &bd.pred, &bd.rec)
 	return nil
 }
 

@@ -135,8 +135,10 @@ func DecodeIFrame(p Params, data []byte) (*frame.YUV, error) {
 
 // IFrameDecoder decodes independent I-frame payloads like DecodeIFrame but
 // with reused buffers: the output frame, block decoder and bitstream reader
-// all persist across calls, so the steady-state decode of a session's own
-// I-frames allocates nothing. Not safe for concurrent use.
+// all persist across calls, so a scan that decodes the I-frames of a stored
+// stream allocates nothing in steady state. (The encoding side has no need
+// of it: Encoder.Recon already holds the same pixels.) Not safe for
+// concurrent use.
 type IFrameDecoder struct {
 	p   Params
 	r   bitstream.Reader

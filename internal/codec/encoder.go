@@ -52,6 +52,16 @@ func NewEncoder(p Params) (*Encoder, error) {
 // Params returns the encoder's normalised parameters.
 func (e *Encoder) Params() Params { return e.p }
 
+// Recon returns the reconstruction of the last encoded frame: the pixels
+// every decoder of the stream produces for it, byte for byte, and the
+// reference the next P-frame predicts from. The frame is the encoder's own
+// buffer, not a copy, so it is read-only and valid only until the next
+// encode; a caller that writes to it corrupts every later P-frame. Before
+// the first encode it is all zeros.
+//
+//sieve:noalloc view accessor of the encode hot path
+func (e *Encoder) Recon() *frame.YUV { return e.recon }
+
 // Encode compresses the next frame, deciding its type via the GOP/scenecut
 // rule. The input frame is not retained. The returned EncodedFrame and its
 // Data are freshly allocated and owned by the caller; the allocation-free

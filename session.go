@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/infer"
 	"sieve/internal/telemetry"
@@ -196,13 +195,16 @@ func WithQuality(q int) SessionOption {
 	return func(c *sessionConfig) { c.quality = q }
 }
 
-// WithDetector runs d on every I-frame (decoded from its own payload, like
-// the edge does) and emits EventDetection events. Internally this is the
-// trivial batch-of-1 configuration of the inference plane: the session
-// builds a private InferencePlane around d, so the per-frame and batched
-// paths share one code path (and therefore one set of results). To amortise
-// the forward pass across feeds, share a plane instead: WithInferencePlane
-// here, WithHubInference on a Hub, WithClusterInference on a Cluster.
+// WithDetector runs d on every I-frame and emits EventDetection events. The
+// detector reads the encoder's reconstruction of the frame, which equals a
+// decode of the stored payload byte for byte, so its labels are the ones a
+// later scan of the archive finds, without a second decode at the edge.
+// Internally this is the trivial batch-of-1 configuration of the inference
+// plane: the session builds a private InferencePlane around d, so the
+// per-frame and batched paths share one code path (and therefore one set of
+// results). To amortise the forward pass across feeds, share a plane
+// instead: WithInferencePlane here, WithHubInference on a Hub,
+// WithClusterInference on a Cluster.
 func WithDetector(d *Detector) SessionOption {
 	return func(c *sessionConfig) { c.det = d }
 }
@@ -246,8 +248,7 @@ type Session struct {
 	src    FrameSource
 	cfg    sessionConfig
 	enc    *SemanticEncoder
-	buf    *container.Buffer    // non-nil when no external sink was given
-	ifd    *codec.IFrameDecoder // reused I-frame decode buffer (detection path)
+	buf    *container.Buffer // non-nil when no external sink was given
 	events chan Event
 
 	// Counters are registry instruments (a private registry when no
@@ -331,13 +332,6 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 	}
 	if s.cfg.det != nil {
 		s.cfg.plane = NewInferencePlane(s.cfg.det, 1)
-	}
-	if s.cfg.plane != nil {
-		ifd, err := codec.NewIFrameDecoder(enc.Params())
-		if err != nil {
-			return nil, fmt.Errorf("sieve: session %s: %w", cfg.name, err)
-		}
-		s.ifd = ifd
 	}
 	return s, nil
 }
@@ -468,15 +462,11 @@ func (s *Session) Run(ctx context.Context) (err error) {
 			filterSp.End()
 			if inferC != nil {
 				inferSp := s.trace.Start(telemetry.StageInfer, s.cfg.frameBase+ef.Number)
-				// Decode into the session's reused I-frame buffer; the plane
-				// only reads it until Infer returns, so the buffer is free to
-				// reuse on the next detection.
-				img, err := s.ifd.Decode(ef.Data)
-				if err != nil {
-					return fmt.Errorf("sieve: session %s: decoding own I-frame %d: %w",
-						s.cfg.name, ef.Number, err)
-				}
-				set, err := inferC.Infer(ctx, img)
+				// The detector reads the encoder's reconstruction of the
+				// frame, the pixels any decoder of the payload produces, in
+				// place: the plane only reads it until Infer returns, and the
+				// next encode, which rewrites it, comes after that.
+				set, err := inferC.Infer(ctx, s.enc.recon())
 				if err != nil {
 					return err
 				}

@@ -130,6 +130,13 @@ func (e *SemanticEncoder) ForceNextI() { e.enc.ForceNextI() }
 // Params returns the encoder's normalised parameters.
 func (e *SemanticEncoder) Params() EncoderParams { return e.enc.Params() }
 
+// recon is the reconstruction of the last encoded frame, what every decoder
+// of the stream produces for it (codec.Encoder.Recon): the encoder's own
+// reference buffer, read-only and valid until the next encode.
+//
+//sieve:noalloc view accessor of the session's detection path
+func (e *SemanticEncoder) recon() *Frame { return e.enc.Recon() }
+
 // OpenStream parses an SVF stream for reading and seeking.
 func OpenStream(ra io.ReaderAt, size int64) (*container.Reader, error) {
 	return container.NewReader(ra, size)
