@@ -64,6 +64,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeMatchesReference -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreMatchesReference -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzEncodeGlueMatchesReference -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzMotionSearchMatchesReference -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=10s ./internal/bitstream/
 	$(GO) test -run='^$$' -fuzz=FuzzWriterMatchesReference -fuzztime=10s ./internal/bitstream/
 	$(GO) test -run='^$$' -fuzz=FuzzContainerReader -fuzztime=10s ./internal/container/
@@ -147,15 +149,17 @@ bench:
 # Codec hot-path micro-benchmarks: steady-state encode (BenchmarkEncodeQuiet
 # is the content bench/'s edge_quiet encodes), decode (BenchmarkIFrameDecode
 # is the I-frames bench/'s archive_scan decodes), analyze, the bounded
-# SAD, and the kernels under them (DCT pair, quantiser, 16×16 SAD; each as
-# /kernel, what Forward, Inverse, Quantize and SAD run — the SSE2 assembly
-# on amd64 — and /go, the Go kernel). -benchmem:
+# SAD, the motion search at the frame's right edge and corner (/padded, the
+# encoder's, vs /clamped, the oracle), and the kernels under them (DCT
+# pair, quantiser, 16×16 SAD; each as /kernel, what Forward, Inverse,
+# Quantize and SAD run — the SSE2 assembly on amd64 — and /go, the Go
+# kernel). -benchmem:
 # allocs/op must read 0 on every row. ns/op here tells which kernel moved;
 # wall-clock claims are made with bench/ (make bench-e2e), on alternated
 # parent/change pairs — the reference box has 2 vCPUs and a run-to-run
 # spread of about a tenth. CI runs the same selection with -benchtime=1x so
 # the hot path cannot silently stop compiling as a benchmark.
-BENCH_CODEC = '^(BenchmarkEncodeP|BenchmarkEncodeQuiet|BenchmarkDecodeInto|BenchmarkIFrameDecode|BenchmarkAnalyze|BenchmarkSADBounded)'
+BENCH_CODEC = '^(BenchmarkEncodeP|BenchmarkEncodeQuiet|BenchmarkDecodeInto|BenchmarkIFrameDecode|BenchmarkAnalyze|BenchmarkSADBounded|BenchmarkMotionSearchEdge)'
 
 bench-codec:
 	$(GO) test -run='^$$' -bench=$(BENCH_CODEC) -benchmem ./internal/codec/

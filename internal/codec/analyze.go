@@ -14,10 +14,12 @@ import (
 // for every parameter configuration from one analysis pass.
 // The analyzer owns two half-res planes and ping-pongs between them — the
 // current downsample target and the previous frame's — so steady-state
-// Analyze allocates nothing.
+// Analyze allocates nothing. Both lie inside a replicated border sized for
+// its search (paddedPlane), extended after each downsample, so the search
+// reads every block and candidate in place.
 type CostAnalyzer struct {
-	prev *frame.Plane // last frame's half-res luma (one of half), nil = no history
-	half [2]*frame.Plane
+	prev *paddedPlane // last frame's half-res luma (one of half), nil = no history
+	half [2]*paddedPlane
 	cur  int      // index in half to downsample the next frame into
 	seen *visited // motion-search scratch over ±analysisRange
 }
@@ -43,14 +45,15 @@ const analysisRange = 8
 func (a *CostAnalyzer) Analyze(f *frame.YUV) Cost {
 	w, h := halfDims(f.Y)
 	if a.half[0] == nil || a.half[0].W != w || a.half[0].H != h {
-		a.half[0] = frame.NewPlane(w, h)
-		a.half[1] = frame.NewPlane(w, h)
+		a.half[0] = newPaddedPlane(w, h, analysisBlock, analysisRange)
+		a.half[1] = newPaddedPlane(w, h, analysisBlock, analysisRange)
 		a.prev = nil
 		a.cur = 0
 	}
 	half := a.half[a.cur]
-	Downsample2xInto(half, f.Y)
-	intra := intraCost(half)
+	Downsample2xInto(&half.Plane, f.Y)
+	half.extend()
+	intra := intraCost(&half.Plane)
 	inter := intra
 	if a.prev != nil {
 		inter = interCost(half, a.prev, a.seen)
@@ -80,8 +83,10 @@ func Downsample2x(p *frame.Plane) *frame.Plane {
 }
 
 // Downsample2xInto box-filters p into the preallocated dst, which must have
-// halfDims(p) geometry. Interior rows use direct row addressing; the last
-// column/row of odd-sized planes falls back to clamped At.
+// halfDims(p) geometry. Each output pixel rounds the mean of a 2×2 source
+// block; the last column or row of an odd-sized plane has no partner and
+// is dropped. Only a plane one pixel wide or high, whose 2×2 blocks leave
+// it, is read through clamped At.
 func Downsample2xInto(dst, p *frame.Plane) {
 	w, h := halfDims(p)
 	if dst.W != w || dst.H != h {
@@ -168,15 +173,19 @@ func blockDCCost(p *frame.Plane, bx, by int) int {
 const interDeadzonePerPixel = 1
 
 // interCost is the summed motion-compensated, deadzoned SAD of cur's 8×8
-// blocks against ref, using a diamond search per block.
-func interCost(cur, ref *frame.Plane, seen *visited) int64 {
+// blocks against ref, using a diamond search per block. Both planes are
+// extended, so a block that overhangs cur reads its clamped pixels from
+// cur's border.
+func interCost(cur, ref *paddedPlane, seen *visited) int64 {
 	deadzone := interDeadzonePerPixel * analysisBlock * analysisBlock
 	var total int64
 	pred := MV{}
+	blk := searchBlock{stride: cur.Stride, ref: ref, size: analysisBlock}
 	for by := 0; by < cur.H; by += analysisBlock {
 		pred = MV{}
 		for bx := 0; bx < cur.W; bx += analysisBlock {
-			mv, sad := diamondSearch(cur, ref, bx, by, analysisBlock, pred, seen)
+			blk.cur, blk.x, blk.y = cur.from(bx, by), bx, by
+			mv, sad := diamondSearch(&blk, pred, seen)
 			pred = mv
 			if sad > deadzone {
 				total += int64(sad - deadzone)

@@ -68,19 +68,16 @@ func inside(p *frame.Plane, bx, by int) bool {
 }
 
 // fillPredMC fills a prediction block with the motion-compensated reference
-// pixels at (bx+mv.X, by+mv.Y). Interior blocks take the row-copy fast path;
-// blocks whose reference window crosses a plane edge read clamped rows and
-// columns (the codec's border-extension rule), producing identical values.
+// pixels at (bx+mv.X, by+mv.Y) of an unpadded plane: the decoder's planes
+// and the encoder's chroma. Interior blocks take fetchBlock; blocks whose
+// reference window crosses a plane edge read clamped rows and columns (the
+// codec's border-extension rule), producing identical values. The
+// encoder's luma reference is padded (paddedPlane) and fetched with
+// fetchBlock alone.
 func fillPredMC(dst *transform.Block, ref *frame.Plane, bx, by int, mv MV) {
 	sx, sy := bx+mv.X, by+mv.Y
 	if inside(ref, sx, sy) {
-		for y := 0; y < transform.BlockSize; y++ {
-			row := ref.Pix[(sy+y)*ref.Stride+sx : (sy+y)*ref.Stride+sx+transform.BlockSize]
-			d := dst[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
-			for x := 0; x < transform.BlockSize; x++ {
-				d[x] = int32(row[x])
-			}
-		}
+		fetchBlock(dst, ref.Pix[sy*ref.Stride+sx:], ref.Stride)
 		return
 	}
 	cols := clampCols(sx, ref.W)
@@ -93,11 +90,99 @@ func fillPredMC(dst *transform.Block, ref *frame.Plane, bx, by int, mv MV) {
 	}
 }
 
+// fetchBlock widens the 8×8 block of pixels whose rows start at src[0],
+// stride bytes apart, into dst: fetchSSE2 on amd64, fetchBlockGo elsewhere.
+//
+//sieve:noalloc motion-compensated fetch of the encode and decode hot paths
+func fetchBlock(dst *transform.Block, src []byte, stride int) {
+	_ = src[7*stride+7]
+	if haveSSE2 {
+		fetchSSE2(dst, src, stride)
+		return
+	}
+	fetchBlockGo(dst, src, stride)
+}
+
+// residualBlock stores the 8×8 block of pixels at src (rows stride apart)
+// minus pred into dst: residualSSE2 on amd64, residualBlockGo elsewhere.
+//
+//sieve:noalloc residual of the encode hot path
+func residualBlock(dst *transform.Block, src []byte, stride int, pred *transform.Block) {
+	_ = src[7*stride+7]
+	if haveSSE2 {
+		residualSSE2(dst, src, stride, pred)
+		return
+	}
+	residualBlockGo(dst, src, stride, pred)
+}
+
+// nonZeroMask returns the raster mask of lev's non-zero levels (bit i for
+// lev[i]): nonZeroSSE2 on amd64, nonZeroMaskGo elsewhere.
+//
+//sieve:noalloc coded-block scan of the encode hot path
+func nonZeroMask(lev *transform.Block) uint64 {
+	if haveSSE2 {
+		return nonZeroSSE2(lev)
+	}
+	return nonZeroMaskGo(lev)
+}
+
+// fetchBlockGo is the Go kernel of fetchBlock, and on amd64 the oracle its
+// assembly is tested against.
+//
+//sieve:noalloc motion-compensated fetch of the encode and decode hot paths
+func fetchBlockGo(dst *transform.Block, src []byte, stride int) {
+	for y := 0; y < transform.BlockSize; y++ {
+		row := src[y*stride : y*stride+transform.BlockSize]
+		d := dst[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
+		for x := range d {
+			d[x] = int32(row[x])
+		}
+	}
+}
+
+// residualBlockGo is the Go kernel of residualBlock, and on amd64 the oracle
+// its assembly is tested against.
+//
+//sieve:noalloc residual of the encode hot path
+func residualBlockGo(dst *transform.Block, src []byte, stride int, pred *transform.Block) {
+	for y := 0; y < transform.BlockSize; y++ {
+		row := src[y*stride : y*stride+transform.BlockSize]
+		d := dst[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
+		pr := pred[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
+		for x := range d {
+			d[x] = int32(row[x]) - pr[x]
+		}
+	}
+}
+
+// nonZeroMaskGo is the Go kernel of nonZeroMask, and on amd64 the oracle its
+// assembly is tested against. l|-l has its sign bit set exactly when l is
+// not zero, MinInt32 included.
+//
+//sieve:noalloc coded-block scan of the encode hot path
+func nonZeroMaskGo(lev *transform.Block) uint64 {
+	var m uint64
+	for i, l := range lev {
+		m |= uint64(uint32(l|-l)>>31) << uint(i)
+	}
+	return m
+}
+
+// rasterToScan is the inverse of transform.ScanIndex: the scan position of
+// each raster index.
+var rasterToScan = func() (t [transform.BlockSize * transform.BlockSize]uint8) {
+	for i := range t {
+		t[transform.ScanIndex(i)] = uint8(i)
+	}
+	return t
+}()
+
 // blockCoder encodes and reconstructs 8×8 blocks against a prediction
 // block, sharing one scratch set of transform blocks across calls. The
-// caller fills pred (fillPredConst / fillPredMC) before each encodeBlock —
-// a flat scratch array instead of a per-pixel callback, so the hot loop is
-// 64 array reads rather than 64 indirect calls.
+// caller fills pred (fillPredConst, fillPredMC, fetchBlock) before each
+// encodeBlock — a flat scratch array instead of a per-pixel callback, so
+// the hot loop is 64 array reads rather than 64 indirect calls.
 type blockCoder struct {
 	qz             *transform.Quantizer
 	pred           transform.Block
@@ -118,14 +203,7 @@ func (bc *blockCoder) resetDC() { bc.dcPred = 0 }
 // reconstructed pixels (prediction + dequantised residual) into recon.
 func (bc *blockCoder) encodeBlock(w *bitstream.Writer, p, recon *frame.Plane, bx, by int) {
 	if inside(p, bx, by) {
-		for y := 0; y < transform.BlockSize; y++ {
-			row := p.Pix[(by+y)*p.Stride+bx : (by+y)*p.Stride+bx+transform.BlockSize]
-			s := bc.src[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
-			pr := bc.pred[y*transform.BlockSize : y*transform.BlockSize+transform.BlockSize]
-			for x := 0; x < transform.BlockSize; x++ {
-				s[x] = int32(row[x]) - pr[x]
-			}
-		}
+		residualBlock(&bc.src, p.Pix[by*p.Stride+bx:], p.Stride, &bc.pred)
 	} else {
 		cols := clampCols(bx, p.W)
 		for y := 0; y < transform.BlockSize; y++ {
@@ -147,30 +225,25 @@ func (bc *blockCoder) encodeBlock(w *bitstream.Writer, p, recon *frame.Plane, bx
 		return
 	}
 	w.WriteBit(1)
-	// One pass over the scan builds a mask of the non-zero levels (bit i for
-	// scan position i), without a branch.
+	// The raster mask of the non-zero levels gives, one set bit at a time,
+	// the scan-order mask the run/level list walks, and the rows and
+	// columns the levels lie in, which the decoder records as it parses:
+	// the inverse needs no scan of its own.
 	var nz uint64
-	for i := 0; i < len(bc.lev); i++ {
-		l := bc.lev[transform.ScanIndex(i)&63]
-		nz |= uint64(uint32(l|-l)>>31) << uint(i)
+	var rows, cols uint
+	for m := nonZeroMask(&bc.lev); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		nz |= 1 << rasterToScan[i&63]
+		rows |= 1 << (i >> 3)
+		cols |= 1 << (i & 7)
 	}
 	w.WriteSE(int64(bc.lev[0] - bc.dcPred))
 	bc.dcPred = bc.lev[0]
-	// The run/level list walks the set bits of the AC positions; the rows
-	// and columns the levels lie in are recorded as it goes, as the decoder
-	// records them while it parses, so the inverse needs no scan of its own.
-	var rows, cols uint
-	if nz&1 != 0 {
-		rows, cols = 1, 1
-	}
 	prev := 0
 	for m := nz &^ 1; m != 0; m &= m - 1 {
 		pos := bits.TrailingZeros64(m)
-		i := transform.ScanIndex(pos) & 63
 		w.WriteUE(uint64(pos - prev - 1))
-		w.WriteSE(int64(bc.lev[i]))
-		rows |= 1 << (i >> 3)
-		cols |= 1 << (i & 7)
+		w.WriteSE(int64(bc.lev[transform.ScanIndex(pos)&63]))
 		prev = pos
 	}
 	w.WriteUE(eobMarker)

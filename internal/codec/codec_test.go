@@ -419,9 +419,11 @@ func TestPayloadFrameType(t *testing.T) {
 func TestFullSearchAtLeastAsGoodAsDiamond(t *testing.T) {
 	frames := testVideo(64, 48, 2, 0, 16)
 	cur, ref := frames[1].Y, frames[0].Y
+	refPad := padPlane(ref, mbSize, 16)
 	for _, pos := range [][2]int{{0, 0}, {16, 16}, {32, 16}} {
-		_, dSAD := diamondSearch(cur, ref, pos[0], pos[1], 16, MV{}, newVisited(16))
-		_, fSAD := fullSearch(cur, ref, pos[0], pos[1], 16, 16)
+		b := encoderBlock(cur, refPad, pos[0], pos[1], mbSize)
+		_, dSAD := diamondSearch(b, MV{}, newVisited(16))
+		_, fSAD := fullSearch(b, 16)
 		if fSAD > dSAD {
 			t.Errorf("full search SAD %d worse than diamond %d at %v", fSAD, dSAD, pos)
 		}

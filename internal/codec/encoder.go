@@ -23,14 +23,35 @@ const intraShift = 128
 type Encoder struct {
 	p        Params
 	analyzer *CostAnalyzer
-	recon    *frame.YUV // reconstruction of the last encoded frame
-	scratch  *frame.YUV // ping-pong partner for P-frame reconstruction
+	recon    *reference // reconstruction of the last encoded frame
+	scratch  *reference // ping-pong partner for P-frame reconstruction
 	num      int        // next frame number
 	sinceI   int        // frames since last I-frame (0 right after an I)
 	forceI   bool       // next EncodeInto must place an I-frame (see ForceNextI)
 	bc       *blockCoder
 	w        *bitstream.Writer
-	seen     *visited // motion-search scratch, sized for p.SearchRange
+	seen     *visited              // motion-search scratch, sized for p.SearchRange
+	mb       [mbSize * mbSize]byte // a macroblock that overhangs the frame, clamped (loadBlock)
+}
+
+// reference is one of the encoder's reference frames. Its luma plane lies
+// inside a replicated border sized for the stream's search range
+// (paddedPlane), extended once the frame is reconstructed, so motion search
+// and luma motion compensation never clamp; its chroma planes are plain.
+type reference struct {
+	frame.YUV // Y is &luma.Plane
+	luma      *paddedPlane
+}
+
+func newReference(p Params) *reference {
+	r := &reference{luma: newPaddedPlane(p.Width, p.Height, mbSize, p.SearchRange)}
+	r.YUV = frame.YUV{
+		Y:  &r.luma.Plane,
+		Cb: frame.NewPlane(p.Width/2, p.Height/2),
+		Cr: frame.NewPlane(p.Width/2, p.Height/2),
+		W:  p.Width, H: p.Height,
+	}
+	return r
 }
 
 // NewEncoder validates p and returns a ready encoder.
@@ -41,8 +62,8 @@ func NewEncoder(p Params) (*Encoder, error) {
 	return &Encoder{
 		p:        p,
 		analyzer: NewCostAnalyzer(),
-		recon:    frame.NewYUV(p.Width, p.Height),
-		scratch:  frame.NewYUV(p.Width, p.Height),
+		recon:    newReference(p),
+		scratch:  newReference(p),
 		bc:       newBlockCoder(p.Quality),
 		w:        bitstream.NewWriter(p.Width * p.Height / 4),
 		seen:     newVisited(p.SearchRange),
@@ -59,8 +80,13 @@ func (e *Encoder) Params() Params { return e.p }
 // encode; a caller that writes to it corrupts every later P-frame. Before
 // the first encode it is all zeros.
 //
+// Its luma plane has Stride > W: the encoder keeps that plane inside a
+// replicated border for motion search. Pix ends at the last pixel of row
+// H−1, so a reader must address pixels through Stride (Row, At), and none
+// can reach the border.
+//
 //sieve:noalloc view accessor of the encode hot path
-func (e *Encoder) Recon() *frame.YUV { return e.recon }
+func (e *Encoder) Recon() *frame.YUV { return &e.recon.YUV }
 
 // Encode compresses the next frame, deciding its type via the GOP/scenecut
 // rule. The input frame is not retained. The returned EncodedFrame and its
@@ -164,6 +190,7 @@ func (e *Encoder) encodeIntra(f *frame.YUV) {
 			}
 		}
 	}
+	e.recon.luma.extend()
 }
 
 //sieve:noalloc leaf of the encode hot path
@@ -172,16 +199,20 @@ func (e *Encoder) encodeInter(f *frame.YUV) {
 	// macroblock loop reads ref (the last recon) and writes dst (the other
 	// ping-pong buffer); the final swap makes dst the new reference. Every
 	// plane pixel of dst is written exactly once — by a skip copy or a block
-	// reconstruction — so no clearing is needed.
+	// reconstruction — so no clearing is needed; dst's luma border is
+	// extended once the frame is complete.
 	ref, dst := e.recon, e.scratch
 
 	e.bc.resetDC()
 	dcY, dcCb, dcCr := int32(0), int32(0), int32(0)
 	pred := MV{}
+	blk := searchBlock{ref: ref.luma, size: mbSize}
 	for mby := 0; mby < f.H; mby += mbSize {
 		pred = MV{}
 		for mbx := 0; mbx < f.W; mbx += mbSize {
-			mv, sad := searchMotion(f.Y, ref.Y, mbx, mby, mbSize, pred, e.p.Search, e.seen)
+			blk.x, blk.y = mbx, mby
+			blk.cur, blk.stride = loadBlock(f.Y, mbx, mby, mbSize, e.mb[:])
+			mv, sad := searchMotion(&blk, pred, e.p.Search, e.seen)
 			if mv == (MV{}) && sad < e.p.SkipSAD {
 				// Skip: decoder copies the co-located block.
 				e.w.WriteBit(1)
@@ -196,12 +227,13 @@ func (e *Encoder) encodeInter(f *frame.YUV) {
 			e.w.WriteSE(int64(mv.Y - pred.Y))
 			pred = mv
 
-			// Four 8×8 luma blocks of this macroblock.
+			// Four 8×8 luma blocks of this macroblock, fetched from the
+			// padded reference in place.
 			e.bc.dcPred = dcY
 			for sub := 0; sub < 4; sub++ {
 				bx := mbx + (sub%2)*transform.BlockSize
 				by := mby + (sub/2)*transform.BlockSize
-				fillPredMC(&e.bc.pred, ref.Y, bx, by, mv)
+				fetchBlock(&e.bc.pred, ref.luma.from(bx+mv.X, by+mv.Y), ref.luma.Stride)
 				e.bc.encodeBlock(e.w, f.Y, dst.Y, bx, by)
 			}
 			dcY = e.bc.dcPred
@@ -218,6 +250,7 @@ func (e *Encoder) encodeInter(f *frame.YUV) {
 			dcCr = e.bc.dcPred
 		}
 	}
+	dst.luma.extend()
 	e.recon, e.scratch = dst, ref
 }
 

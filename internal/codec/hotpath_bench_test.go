@@ -146,6 +146,40 @@ func BenchmarkSADBounded(b *testing.B) {
 	})
 }
 
+// BenchmarkMotionSearchEdge times one exhaustive search (SearchFull, 33²
+// candidates at range 16) where the clamp used to be paid: a macroblock of
+// the 600×400 frame's last half-macroblock column (x = 592, eight of its
+// sixteen columns past the edge) and the bottom-right corner one, on noisy
+// content. /padded is what the encoder runs — the current block loaded
+// once, every candidate one SADRows on the padded reference — and /clamped
+// the plane-based oracle over frame.SADBounded, whose candidates there take
+// the clamped Go rows. Both cost the same candidates with the same bounds.
+func BenchmarkMotionSearchEdge(b *testing.B) {
+	frames := noisyVideo(600, 400, 2, 0, 35)
+	cur, ref := frames[1].Y, frames[0].Y
+	refPad := padPlane(ref, mbSize, 16)
+	scratch := make([]byte, mbSize*mbSize)
+	for _, pos := range []struct {
+		name   string
+		bx, by int
+	}{{"column", 592, 192}, {"corner", 592, 384}} {
+		b.Run(pos.name+"/padded", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				blk := searchBlock{ref: refPad, x: pos.bx, y: pos.by, size: mbSize}
+				blk.cur, blk.stride = loadBlock(cur, pos.bx, pos.by, mbSize, scratch)
+				fullSearch(&blk, 16)
+			}
+		})
+		b.Run(pos.name+"/clamped", func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				refFullSearch(cur, ref, pos.bx, pos.by, mbSize, 16)
+			}
+		})
+	}
+}
+
 // BenchmarkIFrameDecode decodes what bench/'s archive_scan decodes: the
 // I-frames of its rush-hour scene (320×240, sensor noise 2, one swaying
 // clutter patch, cars, buses and trucks in three lanes; seed 1), encoded at

@@ -1,6 +1,10 @@
 package codec
 
-import "sieve/internal/frame"
+import (
+	"math"
+
+	"sieve/internal/frame"
+)
 
 // largeDiamond and smallDiamond are the classic LDSP/SDSP point sets.
 var (
@@ -8,14 +12,35 @@ var (
 	smallDiamond = []MV{{0, -1}, {-1, 0}, {1, 0}, {0, 1}}
 )
 
-// searchMotion finds the motion vector minimising SAD for the size×size
-// block at (bx, by) of cur against ref, within ±seen.r of (0,0). pred seeds
-// the search (typically the left neighbour's MV).
-func searchMotion(cur, ref *frame.Plane, bx, by, size int, pred MV, method MotionSearch, seen *visited) (MV, int) {
+// searchBlock is what one motion search matches: the size×size block at
+// (x, y) of the current picture, whose rows lie stride bytes apart from
+// cur[0], against the padded reference ref. Every candidate vector the
+// search may choose (|mv| <= the range ref was padded for) addresses rows
+// inside ref's border, so each is costed by one SADRows call with no clamp.
+type searchBlock struct {
+	cur        []byte
+	stride     int
+	ref        *paddedPlane
+	x, y, size int
+}
+
+// sad returns the block's SAD against ref displaced by mv, stopping after
+// the first row at which the running sum reaches bound (frame.SADBounded's
+// contract, the same partial sums included).
+//
+//sieve:noalloc motion-search inner loop with early exit
+func (b *searchBlock) sad(mv MV, bound int) int {
+	return frame.SADRows(b.cur, b.stride, b.ref.from(b.x+mv.X, b.y+mv.Y), b.ref.Stride, b.size, b.size, bound)
+}
+
+// searchMotion finds the motion vector minimising the SAD of b within
+// ±seen.r of (0,0). pred seeds the search (typically the left neighbour's
+// MV).
+func searchMotion(b *searchBlock, pred MV, method MotionSearch, seen *visited) (MV, int) {
 	if method == SearchFull {
-		return fullSearch(cur, ref, bx, by, size, seen.r)
+		return fullSearch(b, seen.r)
 	}
-	return diamondSearch(cur, ref, bx, by, size, pred, seen)
+	return diamondSearch(b, pred, seen)
 }
 
 func clampMV(v, rangePx int) int {
@@ -66,14 +91,14 @@ func (v *visited) add(mv MV) bool {
 
 // diamondSearch threads the running best cost into every candidate SAD as
 // an early-exit bound: a candidate only matters if it is strictly better, so
-// frame.SADBounded can stop summing rows as soon as the partial sum reaches
-// bestCost without changing which vector wins. The returned cost is always
-// exact — a winning candidate's sum completes below the bound by definition.
-func diamondSearch(cur, ref *frame.Plane, bx, by, size int, pred MV, seen *visited) (MV, int) {
+// the SAD can stop summing rows as soon as the partial sum reaches bestCost
+// without changing which vector wins. The returned cost is always exact — a
+// winning candidate's sum completes below the bound by definition.
+func diamondSearch(b *searchBlock, pred MV, seen *visited) (MV, int) {
 	best := MV{}
-	bestCost := frame.SAD(cur, bx, by, ref, bx, by, size, size)
+	bestCost := b.sad(best, math.MaxInt)
 	// Early exit: a static block needs no search.
-	if bestCost <= size*size/2 {
+	if bestCost <= b.size*b.size/2 {
 		return best, bestCost
 	}
 	rangePx := seen.r
@@ -81,7 +106,7 @@ func diamondSearch(cur, ref *frame.Plane, bx, by, size int, pred MV, seen *visit
 	seen.add(best)
 	pred = MV{clampMV(pred.X, rangePx), clampMV(pred.Y, rangePx)}
 	if seen.add(pred) {
-		if c := frame.SADBounded(cur, bx, by, ref, bx+pred.X, by+pred.Y, size, size, bestCost); c < bestCost {
+		if c := b.sad(pred, bestCost); c < bestCost {
 			best, bestCost = pred, c
 		}
 	}
@@ -93,7 +118,7 @@ func diamondSearch(cur, ref *frame.Plane, bx, by, size int, pred MV, seen *visit
 			if !seen.add(cand) {
 				continue
 			}
-			if c := frame.SADBounded(cur, bx, by, ref, bx+cand.X, by+cand.Y, size, size, bestCost); c < bestCost {
+			if c := b.sad(cand, bestCost); c < bestCost {
 				best, bestCost = cand, c
 				improved = true
 			}
@@ -108,7 +133,7 @@ func diamondSearch(cur, ref *frame.Plane, bx, by, size int, pred MV, seen *visit
 		if !seen.add(cand) {
 			continue
 		}
-		if c := frame.SADBounded(cur, bx, by, ref, bx+cand.X, by+cand.Y, size, size, bestCost); c < bestCost {
+		if c := b.sad(cand, bestCost); c < bestCost {
 			best, bestCost = cand, c
 		}
 	}
@@ -119,15 +144,15 @@ func diamondSearch(cur, ref *frame.Plane, bx, by, size int, pred MV, seen *visit
 // tie-break (equal cost, strictly shorter vector wins) needs the exact SAD
 // when c == bestCost, and with bound = bestCost+1 any true sum <= bestCost
 // completes without an early exit, i.e. exactly.
-func fullSearch(cur, ref *frame.Plane, bx, by, size, rangePx int) (MV, int) {
+func fullSearch(b *searchBlock, rangePx int) (MV, int) {
 	best := MV{}
-	bestCost := frame.SAD(cur, bx, by, ref, bx, by, size, size)
+	bestCost := b.sad(best, math.MaxInt)
 	for dy := -rangePx; dy <= rangePx; dy++ {
 		for dx := -rangePx; dx <= rangePx; dx++ {
 			if dx == 0 && dy == 0 {
 				continue
 			}
-			c := frame.SADBounded(cur, bx, by, ref, bx+dx, by+dy, size, size, bestCost+1)
+			c := b.sad(MV{dx, dy}, bestCost+1)
 			if c < bestCost || (c == bestCost && absInt(dx)+absInt(dy) < absInt(best.X)+absInt(best.Y)) {
 				best, bestCost = MV{dx, dy}, c
 			}

@@ -14,7 +14,11 @@ import (
 // I-frame it also equals what the independent IFrameDecoder produces from
 // that one payload. The clips are noisy, so nearly every block is coded,
 // and the 600×400 geometry has chroma planes 300 wide, whose last block
-// column hangs half outside the plane.
+// column hangs half outside the plane. The view's luma plane lies inside
+// the encoder's padded reference: its rows are further apart than its
+// width, and its Pix must end at the last pixel of its last row, so that
+// no reader that walks Pix reaches the border; Equal compares it row by
+// row, through Stride.
 func TestEncoderReconMatchesDecoders(t *testing.T) {
 	for _, g := range []struct{ w, h int }{{320, 240}, {600, 400}} {
 		for _, gop := range []int{4, 25} {
@@ -42,6 +46,11 @@ func TestEncoderReconMatchesDecoders(t *testing.T) {
 					}
 					if err := dec.DecodeInto(ef.Data, out); err != nil {
 						t.Fatalf("frame %d: %v", i, err)
+					}
+					y := enc.Recon().Y
+					if y.Stride <= y.W || len(y.Pix) != (y.H-1)*y.Stride+y.W || cap(y.Pix) != len(y.Pix) {
+						t.Fatalf("frame %d: recon luma %dx%d, stride %d, len(Pix) %d, cap %d: want a padded stride and Pix cut at pixel (W-1, H-1)",
+							i, y.W, y.H, y.Stride, len(y.Pix), cap(y.Pix))
 					}
 					if !enc.Recon().Equal(out) {
 						t.Fatalf("frame %d (%v): encoder reconstruction differs from Decoder.DecodeInto", i, ef.Type)

@@ -193,26 +193,63 @@ func SAD(a *Plane, ax, ay int, b *Plane, bx, by, w, h int) int {
 // is identical to computing the full sum. Callers that need the exact value
 // on ties must pass bound = best+1.
 //
-// On amd64 an 8- or 16-wide block inside both planes is summed by sadRows
-// (sad_amd64.s), one PSADBW per row with the same per-row exit, so it
-// returns the same partial sums; every other block, and every block on other
-// architectures, takes sadBoundedGo.
+// An 8- or 16-wide block inside both planes is summed by SADRows, with the
+// same per-row exit and so the same partial sums; every other block takes
+// sadBoundedGo's clamped rows. The codec's motion search does not come here:
+// it reads a reference whose border is already replicated and calls SADRows
+// directly, so this clamped path is the oracle that search is tested
+// against.
 //
 //sieve:noalloc motion-search inner loop with early exit
 func SADBounded(a *Plane, ax, ay int, b *Plane, bx, by, w, h, bound int) int {
-	if haveSADAsm && (w == 8 || w == 16) && h > 0 &&
+	if (w == 8 || w == 16) && h > 0 &&
 		ax >= 0 && ay >= 0 && ax+w <= a.W && ay+h <= a.H &&
 		bx >= 0 && by >= 0 && bx+w <= b.W && by+h <= b.H {
-		return sadRows(a.Pix[ay*a.Stride+ax:], a.Stride, b.Pix[by*b.Stride+bx:], b.Stride, w, h, bound)
+		return SADRows(a.Pix[ay*a.Stride+ax:], a.Stride, b.Pix[by*b.Stride+bx:], b.Stride, w, h, bound)
 	}
 	return sadBoundedGo(a, ax, ay, b, bx, by, w, h, bound)
 }
 
-// sadBoundedGo is the Go kernel of SADBounded, and on amd64 the oracle its
-// assembly is tested against. The 8- and 16-wide blocks the codec issues
-// take eight pixels per step (absLanes); a block that hangs over a plane
-// edge is read through clampedRow, which replicates only the overhang. Other
-// widths sum pixel by pixel.
+// SADRows is SADBounded for blocks given by their first pixel: the h >= 1
+// rows of w (8 or 16) pixels start at a[0] and b[0] and lie astride and
+// bstride bytes apart, and the sum stops after the first row at which it
+// reaches bound. Every row must lie inside a and b; the last pixel of each
+// block is bounds-checked, so a short slice panics, and so does any other
+// width. On amd64 the rows are summed by sadRows (sad_amd64.s, one PSADBW
+// per row), elsewhere by sadRowsGo.
+//
+//sieve:noalloc motion-search inner loop with early exit
+func SADRows(a []byte, astride int, b []byte, bstride int, w, h, bound int) int {
+	if w != 8 && w != 16 {
+		panic(fmt.Sprintf("frame: SADRows width %d, want 8 or 16", w))
+	}
+	_ = a[(h-1)*astride+w-1]
+	_ = b[(h-1)*bstride+w-1]
+	if haveSADAsm {
+		return sadRows(a, astride, b, bstride, w, h, bound)
+	}
+	return sadRowsGo(a, astride, b, bstride, w, h, bound)
+}
+
+// sadRowsGo is the Go kernel of SADRows, and on amd64 the oracle its
+// assembly is tested against.
+//
+//sieve:noalloc motion-search inner loop with early exit
+func sadRowsGo(a []byte, astride int, b []byte, bstride int, w, h, bound int) int {
+	sum := 0
+	for y := 0; y < h; y++ {
+		sum += rowSAD(a[y*astride:y*astride+w], b[y*bstride:y*bstride+w])
+		if sum >= bound {
+			return sum
+		}
+	}
+	return sum
+}
+
+// sadBoundedGo is SADBounded's Go kernel: in-plane 8- and 16-wide blocks go
+// to sadRowsGo; a block that hangs over a plane edge is read through
+// clampedRow, which replicates only the overhang. Other widths sum pixel by
+// pixel.
 //
 //sieve:noalloc motion-search inner loop with early exit
 func sadBoundedGo(a *Plane, ax, ay int, b *Plane, bx, by, w, h, bound int) int {
@@ -232,33 +269,30 @@ func sadBoundedGo(a *Plane, ax, ay int, b *Plane, bx, by, w, h, bound int) int {
 		}
 		return sum
 	}
-	inside := ax >= 0 && ay >= 0 && ax+w <= a.W && ay+h <= a.H &&
-		bx >= 0 && by >= 0 && bx+w <= b.W && by+h <= b.H
-	ao, bo := ay*a.Stride+ax, by*b.Stride+bx
+	if h > 0 && ax >= 0 && ay >= 0 && ax+w <= a.W && ay+h <= a.H &&
+		bx >= 0 && by >= 0 && bx+w <= b.W && by+h <= b.H {
+		return sadRowsGo(a.Pix[ay*a.Stride+ax:], a.Stride, b.Pix[by*b.Stride+bx:], b.Stride, w, h, bound)
+	}
 	var abuf, bbuf [16]byte
 	for y := 0; y < h; y++ {
-		var ar, br []byte
-		if inside {
-			ar, br = a.Pix[ao:ao+w], b.Pix[bo:bo+w]
-			ao += a.Stride
-			bo += b.Stride
-		} else {
-			ar = clampedRow(a, &abuf, ax, ay+y, w)
-			br = clampedRow(b, &bbuf, bx, by+y, w)
-		}
-		p, q := load8(ar), load8(br)
-		lanes := absLanes(p&evenBytes, q&evenBytes) + absLanes(p>>8&evenBytes, q>>8&evenBytes)
-		if w == 16 {
-			p, q = load8(ar[8:]), load8(br[8:])
-			lanes += absLanes(p&evenBytes, q&evenBytes) + absLanes(p>>8&evenBytes, q>>8&evenBytes)
-		}
-		// Eight differences of at most 255 per lane: the lane total fits.
-		sum += int(lanes * 0x0001000100010001 >> 48)
+		sum += rowSAD(clampedRow(a, &abuf, ax, ay+y, w), clampedRow(b, &bbuf, bx, by+y, w))
 		if sum >= bound {
 			return sum
 		}
 	}
 	return sum
+}
+
+// rowSAD is the SAD of two rows of 8 or 16 pixels, eight per step.
+func rowSAD(ar, br []byte) int {
+	p, q := load8(ar), load8(br)
+	lanes := absLanes(p&evenBytes, q&evenBytes) + absLanes(p>>8&evenBytes, q>>8&evenBytes)
+	if len(ar) == 16 {
+		p, q = load8(ar[8:]), load8(br[8:])
+		lanes += absLanes(p&evenBytes, q&evenBytes) + absLanes(p>>8&evenBytes, q>>8&evenBytes)
+	}
+	// Eight differences of at most 255 per lane: the lane total fits.
+	return int(lanes * 0x0001000100010001 >> 48)
 }
 
 // clampedRow returns the w <= 16 pixels of row y of p that start at column

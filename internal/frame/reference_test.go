@@ -121,7 +121,8 @@ func offsetNear(rng *rand.Rand, n, size int) int {
 // contract — exact below the bound, some value >= bound otherwise — at
 // bounds on both sides of the exact sum. SAD and SADBounded, which run the
 // assembly on amd64, must also return exactly what the Go kernel
-// sadBoundedGo does, partial sums included.
+// sadBoundedGo does, partial sums included, and so must SADRows and its Go
+// kernel on a block inside both planes.
 func checkSAD(t *testing.T, a *Plane, ax, ay int, b *Plane, bx, by, w, h int) {
 	t.Helper()
 	exact := refSAD(a, ax, ay, b, bx, by, w, h)
@@ -143,6 +144,15 @@ func checkSAD(t *testing.T, a *Plane, ax, ay int, b *Plane, bx, by, w, h int) {
 		}
 		if exact >= bound && (got < bound || ref < bound) {
 			t.Fatalf("SADBounded %dx%d bound %d = %d (reference %d), want >= bound (exact %d)", w, h, bound, got, ref, exact)
+		}
+		if (w == 8 || w == 16) && h > 0 && ax >= 0 && ay >= 0 && ax+w <= a.W && ay+h <= a.H &&
+			bx >= 0 && by >= 0 && bx+w <= b.W && by+h <= b.H {
+			ar, br := a.Pix[ay*a.Stride+ax:], b.Pix[by*b.Stride+bx:]
+			rows, rowsGo := SADRows(ar, a.Stride, br, b.Stride, w, h, bound), sadRowsGo(ar, a.Stride, br, b.Stride, w, h, bound)
+			if rows != goK || rowsGo != goK {
+				t.Fatalf("SADRows %dx%d a%dx%d/%d@(%d,%d) b%dx%d/%d@(%d,%d) bound %d = %d (Go kernel %d), SADBounded's Go kernel %d",
+					w, h, a.W, a.H, a.Stride, ax, ay, b.W, b.H, b.Stride, bx, by, bound, rows, rowsGo, goK)
+			}
 		}
 	}
 }
@@ -243,4 +253,21 @@ func bilinearSample(src *Plane, w, h, x, y int) byte {
 	top := p00 + float64((p10-p00)*fx)
 	bot := p01 + float64((p11-p01)*fx)
 	return Clamp255(top + float64((bot-top)*fy))
+}
+
+// TestSADRowsRefusesOtherWidths pins SADRows's precondition: the kernels
+// sum 8 or 16 pixels a row, so any other width must panic rather than sum
+// the wrong span.
+func TestSADRowsRefusesOtherWidths(t *testing.T) {
+	pix := make([]byte, 64)
+	for _, w := range []int{0, 4, 12, 17} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SADRows width %d did not panic", w)
+				}
+			}()
+			SADRows(pix, 16, pix, 16, w, 2, math.MaxInt)
+		}()
+	}
 }

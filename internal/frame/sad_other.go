@@ -2,7 +2,7 @@
 
 package frame
 
-// haveSADAsm is false: SADBounded runs sadBoundedGo on every block.
+// haveSADAsm is false: SADRows runs sadRowsGo and SADBounded sadBoundedGo.
 const haveSADAsm = false
 
 func sadRows(a []byte, astride int, b []byte, bstride int, w, h, bound int) int {
