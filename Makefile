@@ -7,7 +7,7 @@ GO ?= go
 BENCH_PKGS = ./internal/codec/ ./internal/vision/ ./internal/tuner/ \
              ./internal/nn/ ./internal/infer/ ./internal/runner/ ./internal/container/
 
-.PHONY: all build test test-short test-fma test-portable bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e bench-gate docs-lint wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress fmt vet lint sievelint reach fuzz-smoke vuln ci
+.PHONY: all build test test-short test-fma test-portable bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e bench-gate size docs-lint wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress fmt vet lint sievelint reach fuzz-smoke vuln ci
 
 all: build
 
@@ -58,7 +58,7 @@ reach:
 # each — catches targets that no longer compile and regressions on the
 # corpus, while staying CI-sized. Longer runs: go test -fuzz=FuzzX ./pkg.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/frame/ ./internal/nn/ ./internal/bitstream/ ./internal/container/ ./internal/faultplan/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/frame/ ./internal/nn/ ./internal/bitstream/ ./internal/container/ ./internal/faultplan/ ./internal/telemetry/
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/faultplan/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSADMatchesReference -fuzztime=10s ./internal/frame/
 	$(GO) test -run='^$$' -fuzz=FuzzConvMatchesReference -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeActivationRecord -fuzztime=10s ./internal/nn/
+	$(GO) test -run='^$$' -fuzz=FuzzExpositionRoundTrip -fuzztime=10s ./internal/telemetry/
 
 # Known-vulnerability scan. govulncheck needs network access for the vuln
 # DB, so it runs as its own CI job; locally it degrades to a notice unless
@@ -232,12 +233,13 @@ chaos-smoke:
 
 # Observability smoke: the telemetry plane's equivalence and determinism
 # suite under the race detector (merged results byte-identical with
-# telemetry on vs off, traces byte-identical run to run including under
-# failover, /metrics scrapable mid-run), then the CLI round trip — a
+# tracing on vs off, traces byte-identical run to run including under
+# failover, /metrics scrapable mid-run, a hub's and a cluster's registry
+# holding their inference, split and ingest series), then the CLI round trip — a
 # short traced cluster run whose trace must parse back through
 # `sieve trace`.
 obs-smoke:
-	$(GO) test -race -run '^(TestClusterTelemetryEquivalence|TestClusterTraceDeterminism|TestClusterFailoverTraceDeterminism|TestClusterSnapshotConcurrentMidRun|TestDebugEndpointScrapesMidRun|TestSessionTelemetryStandalone)' -count=1 .
+	$(GO) test -race -run '^(TestClusterTelemetryEquivalence|TestClusterTraceDeterminism|TestClusterFailoverTraceDeterminism|TestClusterSnapshotConcurrentMidRun|TestDebugEndpointScrapesMidRun|TestSessionTelemetryStandalone|TestOwnerRegistryHoldsPlaneSeries)' -count=1 .
 	$(GO) run ./cmd/sieve cluster -feeds 4 -sites 2 -seconds 4 -detect=false -trace obs_trace.json -debug-addr 127.0.0.1:0 >/dev/null
 	$(GO) run ./cmd/sieve trace obs_trace.json
 	rm -f obs_trace.json
@@ -291,6 +293,15 @@ bench-gate:
 		if [ $$status -ne 0 ]; then echo "bench-gate: seed $$seed exited $$status"; exit 1; fi; \
 		if echo "$$out" | grep -q DRIFT; then echo "bench-gate: seed $$seed drifted from bench/expected.json"; exit 1; fi; \
 	done
+
+# The three size metrics ROADMAP tracks, counted its way: non-test lines
+# of the tracked *.go files outside bench/, exported With* options in
+# those files, and packages. A report, not a gate.
+size:
+	@files="$$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/')"; \
+	echo "non-test lines outside bench/: $$(cat $$files | wc -l)"; \
+	echo "exported With* options: $$(grep -hE '^func With[A-Z]' $$files | wc -l)"; \
+	echo "packages: $$($(GO) list ./... | wc -l)"
 
 # Everything CI checks, in CI's order.
 ci: build vet fmt lint reach test-short test-fma test-portable bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke bench-gate

@@ -92,18 +92,7 @@ type clusterConfig struct {
 	faults       *FaultPlan
 	syncEvery    int
 	syncAttempts int
-	reg          *telemetry.Registry
 	tracer       *telemetry.Tracer
-}
-
-// WithClusterTelemetry shares one metrics registry across the whole cluster:
-// every site hub, session, inference plane and the fault/sync planes register
-// their series (labelled by site and feed) in reg instead of private
-// registries, so a single Prometheus scrape or Snapshot covers the
-// deployment. Telemetry never alters results — the merged ResultsDB is
-// byte-identical with or without it.
-func WithClusterTelemetry(reg *Registry) ClusterOption {
-	return func(c *clusterConfig) { c.reg = reg }
 }
 
 // WithClusterTrace attaches a frame-anchored tracer: every session stage
@@ -289,6 +278,7 @@ type clusterSite struct {
 // then Snapshot / Merged / Query.
 type Cluster struct {
 	cfg     clusterConfig
+	reg     *telemetry.Registry // every site's and the cluster's own series
 	topo    *cluster.Topology
 	coord   *cluster.Coordinator
 	frunner *faultplan.Runner
@@ -320,9 +310,7 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.reg == nil {
-		cfg.reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	names := make([]string, numSites)
 	for i := range names {
 		names[i] = fmt.Sprintf("site%d", i)
@@ -333,6 +321,7 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	}
 	c := &Cluster{
 		cfg:       cfg,
+		reg:       reg,
 		topo:      topo,
 		coord:     cluster.NewCoordinator(topo),
 		frunner:   faultplan.NewRunner(cfg.faults),
@@ -340,16 +329,15 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 		events:    make(chan Event, eventBuffer),
 		skew:      make(map[string]float64),
 	}
-	c.fstats = newFailoverCounters(cfg.reg)
-	cfg.ingest.instrument(cfg.reg)
-	cfg.reg.Describe("sieve_cluster_edge_store_bytes", "per-site edge store usage")
-	cfg.reg.Describe("sieve_cluster_uplink_bytes", "per-site bytes shipped over the edge-to-cloud uplink")
-	cfg.reg.Describe("sieve_cluster_degraded_sites", "sites whose slice of the merged view is incomplete or stale")
+	c.fstats = newFailoverCounters(reg)
+	reg.Describe("sieve_cluster_edge_store_bytes", "per-site edge store usage")
+	reg.Describe("sieve_cluster_uplink_bytes", "per-site bytes shipped over the edge-to-cloud uplink")
+	reg.Describe("sieve_cluster_degraded_sites", "sites whose slice of the merged view is incomplete or stale")
 	for _, name := range names {
 		c.coord.Register(name)
 		hubOpts := []HubOption{
 			WithWorkers(cfg.siteWorkers),
-			WithHubTelemetry(cfg.reg), withHubSite(name), WithHubTrace(cfg.tracer),
+			withHubSite(name, reg), WithHubTrace(cfg.tracer),
 		}
 		if cfg.inferDet != nil {
 			hubOpts = append(hubOpts, withHubPlane(c.newSitePlane(name)))
@@ -364,17 +352,17 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 		// Sampled gauges: storage and uplink accounting live in their own
 		// planes, so a collect hook reads them at snapshot/scrape time
 		// instead of threading counters through the store and simnet layers.
-		stored := cfg.reg.Gauge("sieve_cluster_edge_store_bytes", telemetry.L("site", name))
-		uplink := cfg.reg.Gauge("sieve_cluster_uplink_bytes", telemetry.L("site", name))
-		cfg.reg.OnCollect(func() {
+		stored := reg.Gauge("sieve_cluster_edge_store_bytes", telemetry.L("site", name))
+		uplink := reg.Gauge("sieve_cluster_uplink_bytes", telemetry.L("site", name))
+		reg.OnCollect(func() {
 			stored.Set(s.edge.Used())
 			if bytes, _, _, err := c.coord.UplinkStats(s.name); err == nil {
 				uplink.Set(bytes)
 			}
 		})
 	}
-	degraded := cfg.reg.Gauge("sieve_cluster_degraded_sites")
-	cfg.reg.OnCollect(func() { degraded.Set(int64(len(c.coord.Degraded()))) })
+	degraded := reg.Gauge("sieve_cluster_degraded_sites")
+	reg.OnCollect(func() { degraded.Set(int64(len(c.coord.Degraded()))) })
 	return c, nil
 }
 
@@ -384,8 +372,9 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 // rates for the split telemetry.
 func (c *Cluster) newSitePlane(site string) *InferencePlane {
 	det := c.cfg.inferDet
+	lbl := telemetry.L("site", site)
 	if !c.cfg.split {
-		return NewInferencePlane(det, c.cfg.inferBatch)
+		return &InferencePlane{p: infer.New(det, c.cfg.inferBatch, c.reg, lbl)}
 	}
 	net := det.Network()
 	stats := net.Stats()
@@ -430,14 +419,15 @@ func (c *Cluster) newSitePlane(site string) *InferencePlane {
 		Ship:       func(rec []byte) error { return c.coord.ShipActivation(site, int64(len(rec))) },
 		EdgeFLOPS:  splitEdgeFLOPS,
 		CloudFLOPS: splitCloudFLOPS,
-	})
+	}, c.reg, lbl)
 	return &InferencePlane{p: p}
 }
 
-// Telemetry returns the cluster's metrics registry — the shared one passed
-// via WithClusterTelemetry, or the private default. Snapshot it, diff it, or
-// serve it on the debug endpoint.
-func (c *Cluster) Telemetry() *Registry { return c.cfg.reg }
+// Telemetry returns the cluster's metrics registry: every site's feeds,
+// inference plane and the cluster's own planes (sync, failover, ingest)
+// register their series there, labelled by site and feed. Snapshot it,
+// diff it, or serve it on the debug endpoint.
+func (c *Cluster) Telemetry() *Registry { return c.reg }
 
 // Sites lists the edge site names in order.
 func (c *Cluster) Sites() []string { return c.topo.Sites() }

@@ -156,16 +156,11 @@ func cmdCluster(args []string) {
 		}
 	}
 
-	// The registry is always attached: recording is allocation-free, the
-	// stats snapshot reads through it anyway, and it is what -debug-addr
-	// scrapes mid-run.
-	reg := sieve.NewRegistry()
 	copts := []sieve.ClusterOption{
 		sieve.WithSharder(sharder),
 		sieve.WithSiteWorkers(*workers),
 		sieve.WithUplink(*uplinkMbps*1e6, *latency),
 		sieve.WithDeltaSync(*syncEvery, 4),
-		sieve.WithClusterTelemetry(reg),
 	}
 	var tracer *sieve.Tracer
 	if *traceOut != "" {
@@ -203,7 +198,7 @@ func cmdCluster(args []string) {
 		log.Fatal(err)
 	}
 	if *debugAddr != "" {
-		dbg, err := debughttp.Start(*debugAddr, reg)
+		dbg, err := debughttp.Start(*debugAddr, c.Telemetry())
 		if err != nil {
 			log.Fatal(err)
 		}

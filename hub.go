@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"sieve/internal/infer"
 	"sieve/internal/runner"
 	"sieve/internal/telemetry"
 )
@@ -53,7 +54,7 @@ const eventBuffer = 256
 // on its cadence. Batching suits throughput-oriented replay and bounded
 // feeds; for latency-sensitive live sources keep batchSize 1.
 func WithHubInference(det *Detector, batchSize int) HubOption {
-	return func(h *Hub) { h.plane = NewInferencePlane(det, batchSize) }
+	return func(h *Hub) { h.inferDet, h.inferBatch = det, batchSize }
 }
 
 // withHubPlane shares an existing plane; Cluster hands each site hub the
@@ -63,27 +64,18 @@ func withHubPlane(p *InferencePlane) HubOption {
 	return func(h *Hub) { h.plane = p }
 }
 
-// WithHubTelemetry shares one metrics registry across the hub: every feed
-// added afterwards records its per-feed series into reg (see
-// WithTelemetry), and the hub's inference and ingest planes register their
-// counters there too. Without it the hub owns a private registry, exposed
-// by Telemetry() — the stats structs are views over the registry either
-// way.
-func WithHubTelemetry(reg *Registry) HubOption {
-	return func(h *Hub) { h.reg = reg }
-}
-
 // WithHubTrace records every feed's pipeline spans into t (see
 // WithTracer). A nil tracer disables tracing.
 func WithHubTrace(t *Tracer) HubOption {
 	return func(h *Hub) { h.tracer = t }
 }
 
-// withHubSite names the edge site this hub embodies: feed series gain a
-// {site} label and spans render under the site's process in the exported
-// trace. Threaded by Cluster when it builds its per-site hubs.
-func withHubSite(name string) HubOption {
-	return func(h *Hub) { h.site = name }
+// withHubSite names the edge site this hub embodies and hands it the
+// cluster's registry: feed series gain a {site} label and land in reg,
+// and spans render under the site's process in the exported trace.
+// Threaded by Cluster when it builds its per-site hubs.
+func withHubSite(name string, reg *Registry) HubOption {
+	return func(h *Hub) { h.site, h.reg = name, reg }
 }
 
 // WithListener attaches a network ingest plane: Run first opens the
@@ -137,12 +129,14 @@ func (st HubStats) FilterRate() float64 {
 //
 // Usage: Add feeds, consume Events concurrently, call Run, then Snapshot.
 type Hub struct {
-	pool   *runner.Pool
-	plane  *InferencePlane     // shared inference plane, nil = per-feed config
-	ingest *IngestListener     // network ingest plane, nil = in-process only
-	reg    *telemetry.Registry // shared metrics registry (private by default)
-	tracer *telemetry.Tracer   // span recorder, nil = tracing off
-	site   string              // owning site label, "" for a plain hub
+	pool       *runner.Pool
+	inferDet   *Detector           // WithHubInference's detector, nil = none
+	inferBatch int                 // WithHubInference's flush size
+	plane      *InferencePlane     // shared inference plane, nil = per-feed config
+	ingest     *IngestListener     // network ingest plane, nil = in-process only
+	reg        *telemetry.Registry // metrics registry (the cluster's for a site hub)
+	tracer     *telemetry.Tracer   // span recorder, nil = tracing off
+	site       string              // owning site label, "" for a plain hub
 
 	mu      sync.Mutex
 	feeds   []*hubFeed
@@ -166,29 +160,16 @@ func NewHub(opts ...HubOption) *Hub {
 	if h.reg == nil {
 		h.reg = telemetry.NewRegistry()
 	}
-	// Bind the shared planes' counters into the hub registry now, before
-	// any traffic: construction-time registration is the zero-alloc
-	// recording contract, and the planes' accumulated counts are still
-	// zero, so rebinding transfers nothing.
-	if h.plane != nil {
-		h.plane.p.Instrument(h.reg, siteSeriesLabels(h.site)...)
+	if h.inferDet != nil {
+		h.plane = &InferencePlane{p: infer.New(h.inferDet, h.inferBatch, h.reg)}
 	}
-	h.ingest.instrument(h.reg)
 	h.events = make(chan Event, eventBuffer)
 	return h
 }
 
-// siteSeriesLabels is the {site} label set for site-scoped planes (empty
-// for a plain hub, whose series carry no site dimension).
-func siteSeriesLabels(site string) []MetricLabel {
-	if site == "" {
-		return nil
-	}
-	return []MetricLabel{telemetry.L("site", site)}
-}
-
-// Telemetry returns the hub's metrics registry (the one shared via
-// WithHubTelemetry, or the hub's private default).
+// Telemetry returns the hub's metrics registry: the feeds', the inference
+// plane's and the ingest listener's series (a site hub's registry is its
+// cluster's).
 func (h *Hub) Telemetry() *Registry { return h.reg }
 
 // Add registers a feed: a named session over src, configured like any
@@ -205,8 +186,8 @@ func (h *Hub) Add(name string, src FrameSource, opts ...SessionOption) (*Session
 			return nil, fmt.Errorf("sieve: hub: duplicate feed %q", name)
 		}
 	}
-	// Prepended so a feed's own inference and telemetry options still win.
-	shared := []SessionOption{WithTelemetry(h.reg), WithTracer(h.tracer), withTraceSite(h.site)}
+	// Prepended so a feed's own inference and tracer options still win.
+	shared := []SessionOption{WithTracer(h.tracer), withOwner(h.reg, h.site)}
 	if h.plane != nil {
 		shared = append(shared, WithInferencePlane(h.plane))
 	}

@@ -1,6 +1,9 @@
 package sieve
 
-import "sieve/internal/infer"
+import (
+	"sieve/internal/infer"
+	"sieve/internal/telemetry"
+)
 
 // InferenceStats are a plane's batching counters: forward passes run,
 // frames inferred across them, and the largest batch, with MeanBatch() as
@@ -28,9 +31,10 @@ type InferencePlane struct {
 }
 
 // NewInferencePlane builds a plane over det flushing at batchSize frames
-// (values < 1 are clamped to 1, the trivial per-frame plane).
+// (values < 1 are clamped to 1, the trivial per-frame plane). The plane
+// keeps its counters in a private registry; read them through Stats.
 func NewInferencePlane(det *Detector, batchSize int) *InferencePlane {
-	return &InferencePlane{p: infer.New(det, batchSize)}
+	return &InferencePlane{p: infer.New(det, batchSize, telemetry.NewRegistry())}
 }
 
 // BatchSize returns the flush size.

@@ -169,6 +169,9 @@ type ingestTarget interface {
 	// archiveStore returns the store holding feed's finished stream, if
 	// any — the resume-past-end-of-store validation source.
 	archiveStore(feed string) (*EdgeStoreDB, bool)
+	// registry is the target's metrics registry, where the listener
+	// registers its counters.
+	registry() *telemetry.Registry
 }
 
 // IngestListener is the server side of the SVWP ingest plane: it turns
@@ -189,23 +192,22 @@ type IngestListener struct {
 	cfg   ingestConfig
 	store *EdgeStoreDB // unlimited archive of finished wire-feed streams (Hub targets)
 
-	mu           sync.Mutex
-	target       ingestTarget
-	runCtx       context.Context
-	feeds        map[string]*wireFeed
-	order        []string // admission order, for deterministic reporting
-	open         bool     // admission window open
-	ended        bool     // run finished; resumes impossible
-	started      bool
-	admitWake    chan struct{}
-	ctr          ingestCounters        // telemetry instruments behind IngestStats
-	instrumented bool                  // counters rebound into a shared registry
-	conns        map[net.Conn]struct{} // live raw conns, closed by Close
+	mu        sync.Mutex
+	target    ingestTarget
+	runCtx    context.Context
+	feeds     map[string]*wireFeed
+	order     []string // admission order, for deterministic reporting
+	open      bool     // admission window open
+	ended     bool     // run finished; resumes impossible
+	started   bool
+	admitWake chan struct{}
+	ctr       *ingestCounters       // instruments behind IngestStats, nil until start
+	conns     map[net.Conn]struct{} // live raw conns, closed by Close
 }
 
-// ingestCounters are the plane's telemetry instruments: free-standing at
-// construction, rebound into the owning hub's or cluster's registry by
-// instrument(). IngestStats is the snapshot view over them.
+// ingestCounters are the plane's telemetry instruments, registered by
+// start in the registry of the hub or cluster the listener serves.
+// IngestStats is the snapshot view over them.
 type ingestCounters struct {
 	feedsAdmitted  *telemetry.Counter
 	feedsRejected  *telemetry.Counter
@@ -220,50 +222,22 @@ type ingestCounters struct {
 	acksDropped    *telemetry.Counter
 }
 
-func newIngestCounters() ingestCounters {
-	return ingestCounters{
-		feedsAdmitted: &telemetry.Counter{}, feedsRejected: &telemetry.Counter{},
-		reconnects: &telemetry.Counter{}, framesReceived: &telemetry.Counter{},
-		bytesReceived: &telemetry.Counter{}, duplicates: &telemetry.Counter{},
-		skipped: &telemetry.Counter{}, shed: &telemetry.Counter{},
-		evicted: &telemetry.Counter{}, acksSent: &telemetry.Counter{},
-		acksDropped: &telemetry.Counter{},
-	}
-}
-
-// instrument rebinds the plane's counters into reg. Called by
-// NewHub/NewCluster at construction — before the listener accepts
-// anything, so all counts are still zero and rebinding transfers nothing;
-// the accumulated values are carried over regardless. First registry wins.
-// A nil listener has nothing to instrument.
-func (l *IngestListener) instrument(reg *telemetry.Registry) {
-	if l == nil || reg == nil {
-		return
-	}
+func newIngestCounters(reg *telemetry.Registry) *ingestCounters {
 	reg.Describe("sieve_ingest_frames_received_total", "frames accepted into ingest queues")
 	reg.Describe("sieve_ingest_bytes_received_total", "raw pixel bytes accepted into ingest queues")
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.instrumented {
-		return
+	return &ingestCounters{
+		feedsAdmitted:  reg.Counter("sieve_ingest_feeds_admitted_total"),
+		feedsRejected:  reg.Counter("sieve_ingest_feeds_rejected_total"),
+		reconnects:     reg.Counter("sieve_ingest_reconnects_total"),
+		framesReceived: reg.Counter("sieve_ingest_frames_received_total"),
+		bytesReceived:  reg.Counter("sieve_ingest_bytes_received_total"),
+		duplicates:     reg.Counter("sieve_ingest_duplicates_total"),
+		skipped:        reg.Counter("sieve_ingest_skipped_total"),
+		shed:           reg.Counter("sieve_ingest_shed_total"),
+		evicted:        reg.Counter("sieve_ingest_evicted_total"),
+		acksSent:       reg.Counter("sieve_ingest_acks_sent_total"),
+		acksDropped:    reg.Counter("sieve_ingest_acks_dropped_total"),
 	}
-	l.instrumented = true
-	bind := func(dst **telemetry.Counter, name string) {
-		c := reg.Counter(name)
-		c.Add((*dst).Value())
-		*dst = c
-	}
-	bind(&l.ctr.feedsAdmitted, "sieve_ingest_feeds_admitted_total")
-	bind(&l.ctr.feedsRejected, "sieve_ingest_feeds_rejected_total")
-	bind(&l.ctr.reconnects, "sieve_ingest_reconnects_total")
-	bind(&l.ctr.framesReceived, "sieve_ingest_frames_received_total")
-	bind(&l.ctr.bytesReceived, "sieve_ingest_bytes_received_total")
-	bind(&l.ctr.duplicates, "sieve_ingest_duplicates_total")
-	bind(&l.ctr.skipped, "sieve_ingest_skipped_total")
-	bind(&l.ctr.shed, "sieve_ingest_shed_total")
-	bind(&l.ctr.evicted, "sieve_ingest_evicted_total")
-	bind(&l.ctr.acksSent, "sieve_ingest_acks_sent_total")
-	bind(&l.ctr.acksDropped, "sieve_ingest_acks_dropped_total")
 }
 
 // MemListener is an in-process net.Listener over synchronous pipes —
@@ -292,7 +266,6 @@ func NewIngestListener(ln net.Listener, opts ...IngestOption) *IngestListener {
 		store:     store.NewEdgeStore(0),
 		feeds:     make(map[string]*wireFeed),
 		admitWake: make(chan struct{}, 1),
-		ctr:       newIngestCounters(),
 		conns:     make(map[net.Conn]struct{}),
 	}
 }
@@ -304,14 +277,18 @@ func (l *IngestListener) Addr() net.Addr { return l.ln.Addr() }
 // (Hub targets; cluster targets archive per site).
 func (l *IngestListener) Store() *EdgeStoreDB { return l.store }
 
-// Stats returns a counters snapshot; safe to call at any time.
-// IngestStats is a view over the plane's telemetry instruments: each
-// counter is read atomically, the snapshot as a whole is not a frozen
-// cross-counter cut (the standard monitoring contract).
+// Stats returns a counters snapshot; safe to call at any time, and zero
+// before the owning Run starts the listener. IngestStats is a view over
+// the plane's telemetry instruments: each counter is read atomically, the
+// snapshot as a whole is not a frozen cross-counter cut (the standard
+// monitoring contract).
 func (l *IngestListener) Stats() IngestStats {
 	l.mu.Lock()
 	c := l.ctr
 	l.mu.Unlock()
+	if c == nil {
+		return IngestStats{}
+	}
 	return IngestStats{
 		FeedsAdmitted:  int(c.feedsAdmitted.Value()),
 		FeedsRejected:  int(c.feedsRejected.Value()),
@@ -375,7 +352,11 @@ func (l *IngestListener) admit(ctx context.Context, target ingestTarget, mu *syn
 	return l.runEnded, nil
 }
 
-// start binds the listener to its target and begins accepting.
+// start binds the listener to its target, registers its counters in the
+// target's registry and begins accepting. It runs at most once (started),
+// and nothing is counted before the accept loop it launches, so l.ctr
+// never changes once an increment can read it: the increments take no
+// lock.
 func (l *IngestListener) start(ctx context.Context, target ingestTarget) error {
 	l.mu.Lock()
 	if l.started {
@@ -383,6 +364,7 @@ func (l *IngestListener) start(ctx context.Context, target ingestTarget) error {
 		return errors.New("sieve: ingest listener already attached to a running hub or cluster")
 	}
 	l.started = true
+	l.ctr = newIngestCounters(target.registry())
 	l.open = true
 	l.target = target
 	l.runCtx = ctx
@@ -453,7 +435,7 @@ func (l *IngestListener) acceptLoop() {
 func (l *IngestListener) reject(c *wire.Conn, code wire.ErrCode, format string, args ...any) {
 	c.SendError(wire.ErrorMsg{Code: code, Msg: fmt.Sprintf(format, args...)})
 	c.Close()
-	l.count(func(c *ingestCounters) { c.feedsRejected.Inc() })
+	l.ctr.feedsRejected.Inc()
 }
 
 func (l *IngestListener) handleConn(nc net.Conn) {
@@ -515,7 +497,7 @@ func (l *IngestListener) serveFeed(f *wireFeed, c *wire.Conn, resume bool) {
 	}
 	f.connect(rd)
 	if resume {
-		l.count(func(c *ingestCounters) { c.reconnects.Inc() })
+		l.ctr.reconnects.Inc()
 	}
 	l.serveFrames(f, rd)
 }
@@ -687,7 +669,7 @@ func (l *IngestListener) acceptFrame(f *wireFeed, rd *feedReader, payload []byte
 		// (or queued for it); dropping it here is what makes resends
 		// idempotent.
 		f.mu.Unlock()
-		l.count(func(c *ingestCounters) { c.duplicates.Inc() })
+		l.ctr.duplicates.Inc()
 		return nil
 	}
 	if idx > next {
@@ -695,7 +677,7 @@ func (l *IngestListener) acceptFrame(f *wireFeed, rd *feedReader, payload []byte
 		// that cannot rewind past a disconnect. The stream continues but
 		// must restart prediction (discontinuity rule).
 		f.pendingGap = true
-		l.count(func(c *ingestCounters) { c.skipped.Add(idx - next) })
+		l.ctr.skipped.Add(idx - next)
 	}
 	if (l.cfg.maxFrames > 0 && f.recvFrames+1 > l.cfg.maxFrames) ||
 		(l.cfg.maxBytes > 0 && f.recvBytes+rawBytes > l.cfg.maxBytes) {
@@ -755,7 +737,7 @@ func (l *IngestListener) acceptFrame(f *wireFeed, rd *feedReader, payload []byte
 			f.mu.Lock()
 			f.pendingGap = true
 			f.mu.Unlock()
-			l.count(func(c *ingestCounters) { c.shed.Inc() })
+			l.ctr.shed.Inc()
 			rd.conn.SendDrain(wire.Drain{Code: wire.DrainShed, Frame: idx, Count: 1})
 			return nil
 		}
@@ -778,7 +760,7 @@ func (l *IngestListener) acceptFrame(f *wireFeed, rd *feedReader, payload []byte
 			for _, ev := range evicted {
 				f.putBuf(ev.F)
 			}
-			l.count(func(c *ingestCounters) { c.evicted.Add(int64(len(evicted))) })
+			l.ctr.evicted.Add(int64(len(evicted)))
 			if len(evicted) > 0 {
 				rd.conn.SendDrain(wire.Drain{Code: wire.DrainEvicted,
 					Frame: evicted[0].Index, Count: len(evicted)})
@@ -807,17 +789,9 @@ func (l *IngestListener) acceptFrame(f *wireFeed, rd *feedReader, payload []byte
 	f.recvFrames++
 	f.recvBytes += rawBytes
 	f.mu.Unlock()
-	l.count(func(c *ingestCounters) { c.framesReceived.Inc(); c.bytesReceived.Add(rawBytes) })
+	l.ctr.framesReceived.Inc()
+	l.ctr.bytesReceived.Add(rawBytes)
 	return nil
-}
-
-// count runs fn over the instrument set under the listener lock (the lock
-// orders the pointer reads against instrument()'s rebinding, not the
-// increments themselves — those are atomic).
-func (l *IngestListener) count(fn func(*ingestCounters)) {
-	l.mu.Lock()
-	fn(&l.ctr)
-	l.mu.Unlock()
 }
 
 // wireFeed is one admitted feed's server-side state, living for the
@@ -976,15 +950,15 @@ func (f *wireFeed) onEvent(ev Event) {
 		return
 	}
 	if conn == nil {
-		f.lst.count(func(c *ingestCounters) { c.acksDropped.Inc() })
+		f.lst.ctr.acksDropped.Inc()
 		return
 	}
 	if err := conn.SendAck(wire.Ack{Frame: srcIdx, Type: uint8(ev.FrameType)}); err != nil {
 		f.detach(conn)
-		f.lst.count(func(c *ingestCounters) { c.acksDropped.Inc() })
+		f.lst.ctr.acksDropped.Inc()
 		return
 	}
-	f.lst.count(func(c *ingestCounters) { c.acksSent.Inc() })
+	f.lst.ctr.acksSent.Inc()
 }
 
 // finish is the session completion callback: archive the stream (hub
@@ -1074,6 +1048,8 @@ func (t hubIngestTarget) archiveStore(feed string) (*EdgeStoreDB, bool) {
 	return st, slices.Contains(st.Cameras(), feed)
 }
 
+func (t hubIngestTarget) registry() *telemetry.Registry { return t.h.reg }
+
 // clusterIngestTarget admits wire feeds onto a Cluster; the cluster owns
 // sinks and archives per site, so the listener archives nothing itself.
 type clusterIngestTarget struct{ c *Cluster }
@@ -1092,3 +1068,5 @@ func (t clusterIngestTarget) archiveStore(feed string) (*EdgeStoreDB, bool) {
 	}
 	return nil, false
 }
+
+func (t clusterIngestTarget) registry() *telemetry.Registry { return t.c.reg }

@@ -48,14 +48,10 @@ func DeltaWireBytes(d store.Delta) int64 {
 }
 
 // Report is the end-of-run record one edge site ships to the cloud when its
-// feeds finish: its results-database shard plus its final counters.
+// feeds finish: its results-database shard.
 type Report struct {
-	Site         string
-	Shard        *store.ResultsDB
-	Frames       int
-	IFrames      int
-	Detections   int
-	PayloadBytes int64
+	Site  string
+	Shard *store.ResultsDB
 }
 
 // DegradedSite marks a site whose contribution to the merged view is
@@ -321,18 +317,6 @@ func (c *Coordinator) Submit(rep Report) error {
 	defer c.mu.Unlock()
 	c.reports[rep.Site] = rep
 	return nil
-}
-
-// Reports returns the submitted reports sorted by site name.
-func (c *Coordinator) Reports() []Report {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Report, 0, len(c.reports))
-	for _, r := range c.reports {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
 }
 
 // MergeAll folds every site's shard into a fresh global ResultsDB, in

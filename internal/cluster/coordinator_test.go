@@ -98,10 +98,10 @@ func TestCoordinatorMergeAllDisjointShards(t *testing.T) {
 	if _, err := c.Query("cam0", "car", 0, 10); err == nil {
 		t.Fatal("query before merge accepted")
 	}
-	if err := c.Submit(Report{Site: "site1", Shard: shard1, Detections: 1}); err != nil {
+	if err := c.Submit(Report{Site: "site1", Shard: shard1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Submit(Report{Site: "site0", Shard: shard0, Detections: 2}); err != nil {
+	if err := c.Submit(Report{Site: "site0", Shard: shard0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Submit(Report{Site: "site0", Shard: shard0}); err == nil {
@@ -109,11 +109,6 @@ func TestCoordinatorMergeAllDisjointShards(t *testing.T) {
 	}
 	if err := c.Submit(Report{Site: "ghost", Shard: shard0}); err == nil {
 		t.Fatal("unknown site accepted")
-	}
-
-	reps := c.Reports()
-	if len(reps) != 2 || reps[0].Site != "site0" || reps[1].Site != "site1" {
-		t.Fatalf("Reports not in site order: %+v", reps)
 	}
 
 	merged, err := c.MergeAll()
@@ -324,10 +319,8 @@ func TestCoordinatorSubmitOverDeadLink(t *testing.T) {
 	if err := c.Submit(Report{Site: "site0", Shard: shard}); !errors.Is(err, simnet.ErrLinkDown) {
 		t.Fatalf("Submit over dead link = %v, want ErrLinkDown", err)
 	}
-	if reps := c.Reports(); len(reps) != 0 {
-		t.Fatalf("failed submit was recorded: %+v", reps)
-	}
-	// After healing the same submit succeeds.
+	// After healing the same submit succeeds: the failed one was not
+	// recorded, or this would be refused as a second submit.
 	l.Heal()
 	if err := c.Submit(Report{Site: "site0", Shard: shard}); err != nil {
 		t.Fatal(err)

@@ -85,13 +85,12 @@ type Plane struct {
 	pending  []*request // submitted, not yet taken by a leader
 	flushing bool       // a leader is inside the forward pass
 
-	// Batching counters are telemetry instruments: free-standing at New,
-	// rebound into a shared registry by Instrument. Updated only inside
-	// flushLocked (p.mu held), so reads under p.mu are exact.
-	instrumented bool
-	batches      *telemetry.Counter
-	frames64     *telemetry.Counter
-	maxBatch     *telemetry.Gauge
+	// Batching counters are telemetry instruments, registered in the
+	// owner's registry by New. Updated only inside flushLocked (p.mu
+	// held), so reads under p.mu are exact.
+	batches  *telemetry.Counter
+	frames64 *telemetry.Counter
+	maxBatch *telemetry.Gauge
 
 	// split is the edge/cloud partitioned-execution state (nil for a plain
 	// all-edge plane). See NewSplit.
@@ -113,57 +112,22 @@ type request struct {
 
 // New builds a plane over det with the given flush size. batchSize < 1 is
 // clamped to 1 (the trivial per-frame plane a lone session's WithDetector
-// degrades to).
-func New(det *nn.YOLite, batchSize int) *Plane {
+// degrades to). The batching counters are registered in reg, the plane
+// owner's registry, as sieve_infer_batches_total, sieve_infer_frames_total
+// and sieve_infer_max_batch with the given labels.
+func New(det *nn.YOLite, batchSize int, reg *telemetry.Registry, lbls ...telemetry.Label) *Plane {
 	if batchSize < 1 {
 		batchSize = 1
-	}
-	return &Plane{
-		inf: nn.NewInference(det), batch: batchSize,
-		batches: &telemetry.Counter{}, frames64: &telemetry.Counter{}, maxBatch: &telemetry.Gauge{},
-	}
-}
-
-// Instrument rebinds the plane's counters to series registered in reg
-// (sieve_infer_batches_total, sieve_infer_frames_total,
-// sieve_infer_max_batch, with the given labels). First registry wins: a
-// plane shared across hubs keeps its first binding. Hubs and clusters call
-// this at construction, before any traffic, so the accumulated counts to
-// carry over are zero in practice — but they are transferred anyway so a
-// late binding never loses history.
-func (p *Plane) Instrument(reg *telemetry.Registry, lbls ...telemetry.Label) {
-	if reg == nil {
-		return
 	}
 	reg.Describe("sieve_infer_batches_total", "detector forward passes run by the shared inference plane")
 	reg.Describe("sieve_infer_frames_total", "frames inferred across all batches")
 	reg.Describe("sieve_infer_max_batch", "largest batch flushed so far")
-	if p.split != nil {
-		reg.Describe("sieve_infer_split_batches_total", "batches whose forward split across the uplink (edge layers, activation ship, cloud layers)")
-		reg.Describe("sieve_infer_split_fallbacks_total", "split batches recomputed on the edge after the uplink refused their activation")
-		reg.Describe("sieve_infer_split_activation_bytes_total", "activation record bytes shipped edge-to-cloud")
-		reg.Describe("sieve_infer_split_edge_ns_total", "modelled edge-tier compute time of split batches (FLOPs at the configured rate)")
-		reg.Describe("sieve_infer_split_cloud_ns_total", "modelled cloud-tier compute time of split batches (FLOPs at the configured rate)")
-		reg.Describe("sieve_infer_split_cut", "current partition point: layers executed on the edge")
+	return &Plane{
+		inf: nn.NewInference(det), batch: batchSize,
+		batches:  reg.Counter("sieve_infer_batches_total", lbls...),
+		frames64: reg.Counter("sieve_infer_frames_total", lbls...),
+		maxBatch: reg.Gauge("sieve_infer_max_batch", lbls...),
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.instrumented {
-		return
-	}
-	p.instrumented = true
-	if p.split != nil {
-		p.instrumentSplitLocked(reg, lbls...)
-	}
-	b := reg.Counter("sieve_infer_batches_total", lbls...)
-	b.Add(p.batches.Value())
-	p.batches = b
-	f := reg.Counter("sieve_infer_frames_total", lbls...)
-	f.Add(p.frames64.Value())
-	p.frames64 = f
-	m := reg.Gauge("sieve_infer_max_batch", lbls...)
-	m.Max(p.maxBatch.Value())
-	p.maxBatch = m
 }
 
 // BatchSize returns the flush size.

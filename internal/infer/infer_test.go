@@ -10,6 +10,7 @@ import (
 	"sieve/internal/frame"
 	"sieve/internal/labels"
 	"sieve/internal/nn"
+	"sieve/internal/telemetry"
 )
 
 func testFrame(seed byte) *frame.YUV {
@@ -51,7 +52,7 @@ func waitPending(t *testing.T, p *Plane, n int) {
 // goroutine, with results identical to calling the detector directly.
 func TestBatchOfOneFlushesInline(t *testing.T) {
 	det := testDetector()
-	p := New(det, 1)
+	p := New(det, 1, telemetry.NewRegistry())
 	c := p.Register()
 	defer c.Close()
 	for i := 0; i < 3; i++ {
@@ -75,7 +76,7 @@ func TestBatchOfOneFlushesInline(t *testing.T) {
 // exactly once and no batch exceeds the flush size.
 func TestFlushAtBatchSize(t *testing.T) {
 	const clients, perClient = 4, 8
-	p := New(testDetector(), clients)
+	p := New(testDetector(), clients, telemetry.NewRegistry())
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	for i := 0; i < clients; i++ {
@@ -116,7 +117,7 @@ func TestFlushAtBatchSize(t *testing.T) {
 // number of submitters, a batch still flushes the moment every registered
 // submitter is blocked — the timer-free starvation guard.
 func TestFlushWhenAllRegisteredBlocked(t *testing.T) {
-	p := New(testDetector(), 100)
+	p := New(testDetector(), 100, telemetry.NewRegistry())
 	a, b := p.Register(), p.Register()
 	defer a.Close()
 	defer b.Close()
@@ -140,7 +141,7 @@ func TestFlushWhenAllRegisteredBlocked(t *testing.T) {
 // released when the other registered client deregisters (end of its feed),
 // because "everyone remaining is blocked" then holds.
 func TestCloseFlushesStragglers(t *testing.T) {
-	p := New(testDetector(), 100)
+	p := New(testDetector(), 100, telemetry.NewRegistry())
 	a, b := p.Register(), p.Register()
 	defer a.Close()
 	got := make(chan error, 1)
@@ -162,7 +163,7 @@ func TestCloseFlushesStragglers(t *testing.T) {
 // is withdrawn, and the client is dead afterwards; the remaining submitter
 // is unaffected.
 func TestInferContextCancel(t *testing.T) {
-	p := New(testDetector(), 3)
+	p := New(testDetector(), 3, telemetry.NewRegistry())
 	a, b := p.Register(), p.Register()
 	defer b.Close()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -198,7 +199,7 @@ func TestPlaneResultsMatchDirectDetection(t *testing.T) {
 	for i := range want {
 		want[i] = det.FrameLabels(testFrame(byte(10 + i)))
 	}
-	p := New(det, 3)
+	p := New(det, 3, telemetry.NewRegistry())
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		c := p.Register()
@@ -226,7 +227,7 @@ func TestPlaneResultsMatchDirectDetection(t *testing.T) {
 // promise) keeps an early submitter's frame batched until the promised
 // sibling registers and submits, then both flush as one batch.
 func TestReserveHoldsPartialFlush(t *testing.T) {
-	p := New(testDetector(), 4)
+	p := New(testDetector(), 4, telemetry.NewRegistry())
 	p.Reserve(2)
 	a := p.Register() // consumes one reservation
 	defer a.Close()
@@ -258,7 +259,7 @@ func TestReserveHoldsPartialFlush(t *testing.T) {
 // an inline leader flush — i.e. what a plain WithDetector session pays on
 // top of the detector forward itself.
 func BenchmarkPlaneRoundTrip(b *testing.B) {
-	p := New(testDetector(), 1)
+	p := New(testDetector(), 1, telemetry.NewRegistry())
 	c := p.Register()
 	defer c.Close()
 	f := testFrame(9)

@@ -55,8 +55,8 @@ type SplitStats struct {
 
 // splitState is the plane-side execution state for a Split config: the
 // hooks, the per-cut cumulative FLOPs table (computed once — the profile
-// is static), and the telemetry instruments, free-standing at construction
-// and rebound by Instrument like the batching counters.
+// is static), and the telemetry instruments, registered by NewSplit in the
+// same registry as the batching counters.
 type splitState struct {
 	cut  func() int
 	ship func(rec []byte) error
@@ -76,9 +76,16 @@ type splitState struct {
 
 // NewSplit builds a plane over det whose flushed batches execute under the
 // given split configuration. With a nil Cut or Ship hook the plane behaves
-// exactly like New (all-edge).
-func NewSplit(det *nn.YOLite, batchSize int, sp Split) *Plane {
-	p := New(det, batchSize)
+// exactly like New (all-edge). Besides New's series, the split counters
+// are registered in reg as the sieve_infer_split_* families.
+func NewSplit(det *nn.YOLite, batchSize int, sp Split, reg *telemetry.Registry, lbls ...telemetry.Label) *Plane {
+	p := New(det, batchSize, reg, lbls...)
+	reg.Describe("sieve_infer_split_batches_total", "batches whose forward split across the uplink (edge layers, activation ship, cloud layers)")
+	reg.Describe("sieve_infer_split_fallbacks_total", "split batches recomputed on the edge after the uplink refused their activation")
+	reg.Describe("sieve_infer_split_activation_bytes_total", "activation record bytes shipped edge-to-cloud")
+	reg.Describe("sieve_infer_split_edge_ns_total", "modelled edge-tier compute time of split batches (FLOPs at the configured rate)")
+	reg.Describe("sieve_infer_split_cloud_ns_total", "modelled cloud-tier compute time of split batches (FLOPs at the configured rate)")
+	reg.Describe("sieve_infer_split_cut", "current partition point: layers executed on the edge")
 	stats := det.Network().Stats()
 	cum := make([]int64, len(stats)+1)
 	for i, s := range stats {
@@ -87,9 +94,12 @@ func NewSplit(det *nn.YOLite, batchSize int, sp Split) *Plane {
 	p.split = &splitState{
 		cut: sp.Cut, ship: sp.Ship,
 		cumFLOPs: cum, edgeRate: sp.EdgeFLOPS, cloudRate: sp.CloudFLOPS,
-		splitBatches: &telemetry.Counter{}, fallbacks: &telemetry.Counter{},
-		actBytes: &telemetry.Counter{}, edgeNs: &telemetry.Counter{},
-		cloudNs: &telemetry.Counter{}, cutGauge: &telemetry.Gauge{},
+		splitBatches: reg.Counter("sieve_infer_split_batches_total", lbls...),
+		fallbacks:    reg.Counter("sieve_infer_split_fallbacks_total", lbls...),
+		actBytes:     reg.Counter("sieve_infer_split_activation_bytes_total", lbls...),
+		edgeNs:       reg.Counter("sieve_infer_split_edge_ns_total", lbls...),
+		cloudNs:      reg.Counter("sieve_infer_split_cloud_ns_total", lbls...),
+		cutGauge:     reg.Gauge("sieve_infer_split_cut", lbls...),
 	}
 	p.split.cutGauge.Set(int64(len(stats))) // all-edge until the first split flush
 	return p
@@ -159,28 +169,4 @@ func (p *Plane) SplitStats() SplitStats {
 		Cut:             int(p.split.cutGauge.Value()),
 		NumLayers:       p.split.numLayers(),
 	}
-}
-
-// instrumentSplit rebinds the split instruments into reg; called from
-// Instrument with the plane lock held and p.instrumented still false.
-func (p *Plane) instrumentSplitLocked(reg *telemetry.Registry, lbls ...telemetry.Label) {
-	s := p.split
-	sb := reg.Counter("sieve_infer_split_batches_total", lbls...)
-	sb.Add(s.splitBatches.Value())
-	s.splitBatches = sb
-	fb := reg.Counter("sieve_infer_split_fallbacks_total", lbls...)
-	fb.Add(s.fallbacks.Value())
-	s.fallbacks = fb
-	ab := reg.Counter("sieve_infer_split_activation_bytes_total", lbls...)
-	ab.Add(s.actBytes.Value())
-	s.actBytes = ab
-	en := reg.Counter("sieve_infer_split_edge_ns_total", lbls...)
-	en.Add(s.edgeNs.Value())
-	s.edgeNs = en
-	cn := reg.Counter("sieve_infer_split_cloud_ns_total", lbls...)
-	cn.Add(s.cloudNs.Value())
-	s.cloudNs = cn
-	cg := reg.Gauge("sieve_infer_split_cut", lbls...)
-	cg.Set(s.cutGauge.Value())
-	s.cutGauge = cg
 }

@@ -60,7 +60,7 @@ func TestSplitPlaneMatchesDirectDetection(t *testing.T) {
 			return nil
 		},
 		EdgeFLOPS: 1e9, CloudFLOPS: 3e9,
-	})
+	}, telemetry.NewRegistry())
 	runSplitClients(t, p, 4, 5)
 	st := p.SplitStats()
 	if st.SplitBatches == 0 || st.Fallbacks != 0 {
@@ -89,7 +89,7 @@ func TestSplitPlaneFallsBackOnShipFailure(t *testing.T) {
 	p := NewSplit(det, 2, Split{
 		Cut:  func() int { return 2 },
 		Ship: func([]byte) error { return down },
-	})
+	}, telemetry.NewRegistry())
 	runSplitClients(t, p, 4, 3)
 	st := p.SplitStats()
 	if st.Fallbacks == 0 || st.SplitBatches != 0 || st.ActivationBytes != 0 {
@@ -124,7 +124,7 @@ func TestSplitPlaneClampsCut(t *testing.T) {
 					mu.Unlock()
 					return nil
 				},
-			})
+			}, telemetry.NewRegistry())
 			runSplitClients(t, p, 2, 2)
 			st := p.SplitStats()
 			mu.Lock()
@@ -143,7 +143,7 @@ func TestSplitPlaneClampsCut(t *testing.T) {
 // TestSplitPlaneNilHooksDegradeToPlain: a Split with nil hooks behaves
 // exactly like New — no ship, no split accounting, identical results.
 func TestSplitPlaneNilHooksDegradeToPlain(t *testing.T) {
-	p := NewSplit(testDetector(), 2, Split{})
+	p := NewSplit(testDetector(), 2, Split{}, telemetry.NewRegistry())
 	runSplitClients(t, p, 3, 3)
 	st := p.SplitStats()
 	if st.SplitBatches != 0 || st.Fallbacks != 0 || st.ActivationBytes != 0 {
@@ -154,36 +154,52 @@ func TestSplitPlaneNilHooksDegradeToPlain(t *testing.T) {
 	}
 }
 
-// TestSplitPlaneInstrument pins the registration discipline: Instrument
-// rebinds the split series into the shared registry with accumulated
-// values carried over, and later activity lands in the registry's series.
-func TestSplitPlaneInstrument(t *testing.T) {
+// TestSplitPlaneRegistersInOwnerRegistry: a split plane's counters are the
+// series it registered at construction in its owner's registry, under the
+// owner's labels — every Stats and SplitStats field reads the same value
+// as its series, before any traffic and after.
+func TestSplitPlaneRegistersInOwnerRegistry(t *testing.T) {
 	det := testDetector()
+	reg := telemetry.NewRegistry()
+	lbl := telemetry.L("site", "site0")
 	p := NewSplit(det, 1, Split{
 		Cut:  func() int { return 1 },
 		Ship: func([]byte) error { return nil },
-	})
-	// Pre-instrument traffic accumulates in the free-standing counters.
-	runSplitClients(t, p, 1, 2)
-	before := p.SplitStats()
-	if before.SplitBatches != 2 {
-		t.Fatalf("pre-bind split batches %d, want 2", before.SplitBatches)
+	}, reg, lbl)
+	check := func(when string) {
+		t.Helper()
+		st, sp := p.Stats(), p.SplitStats()
+		for _, c := range []struct {
+			key  string
+			got  int64
+			want int64
+		}{
+			{"sieve_infer_batches_total", reg.Counter("sieve_infer_batches_total", lbl).Value(), st.Batches},
+			{"sieve_infer_frames_total", reg.Counter("sieve_infer_frames_total", lbl).Value(), st.Frames},
+			{"sieve_infer_max_batch", reg.Gauge("sieve_infer_max_batch", lbl).Value(), int64(st.MaxBatch)},
+			{"sieve_infer_split_batches_total", reg.Counter("sieve_infer_split_batches_total", lbl).Value(), sp.SplitBatches},
+			{"sieve_infer_split_fallbacks_total", reg.Counter("sieve_infer_split_fallbacks_total", lbl).Value(), sp.Fallbacks},
+			{"sieve_infer_split_activation_bytes_total", reg.Counter("sieve_infer_split_activation_bytes_total", lbl).Value(), sp.ActivationBytes},
+			{"sieve_infer_split_edge_ns_total", reg.Counter("sieve_infer_split_edge_ns_total", lbl).Value(), int64(sp.EdgeTime)},
+			{"sieve_infer_split_cloud_ns_total", reg.Counter("sieve_infer_split_cloud_ns_total", lbl).Value(), int64(sp.CloudTime)},
+			{"sieve_infer_split_cut", reg.Gauge("sieve_infer_split_cut", lbl).Value(), int64(sp.Cut)},
+		} {
+			if c.got != c.want {
+				t.Fatalf("%s: %s = %d, Stats view says %d", when, c.key, c.got, c.want)
+			}
+		}
 	}
-	reg := telemetry.NewRegistry()
-	lbl := telemetry.L("site", "site0")
-	p.Instrument(reg, lbl)
-	if got := reg.Counter("sieve_infer_split_batches_total", lbl).Value(); got != before.SplitBatches {
-		t.Fatalf("bound series %d, want carried-over %d", got, before.SplitBatches)
+	check("before traffic")
+	if got, want := p.SplitStats().Cut, len(det.Network().Layers); got != want {
+		t.Fatalf("cut before traffic %d, want all-edge %d", got, want)
 	}
 	runSplitClients(t, p, 1, 3)
-	if got := reg.Counter("sieve_infer_split_batches_total", lbl).Value(); got != before.SplitBatches+3 {
-		t.Fatalf("post-bind series %d, want %d", got, before.SplitBatches+3)
+	check("after traffic")
+	if st := p.SplitStats(); st.SplitBatches != 3 || st.Cut != 1 || st.ActivationBytes == 0 {
+		t.Fatalf("split stats after 3 split batches: %+v", st)
 	}
-	if got := reg.Gauge("sieve_infer_split_cut", lbl).Value(); got != 1 {
-		t.Fatalf("cut gauge %d, want 1", got)
-	}
-	if reg.Counter("sieve_infer_split_activation_bytes_total", lbl).Value() != p.SplitStats().ActivationBytes {
-		t.Fatal("activation byte series diverged from the snapshot view")
+	if n := len(reg.Snapshot().Counters) + len(reg.Snapshot().Gauges); n != 9 {
+		t.Fatalf("registry holds %d series, want the plane's 9", n)
 	}
 }
 
@@ -202,7 +218,7 @@ func TestSplitPlaneDynamicCut(t *testing.T) {
 			return cut
 		},
 		Ship: func([]byte) error { return nil },
-	})
+	}, telemetry.NewRegistry())
 	runSplitClients(t, p, 1, 2)
 	if st := p.SplitStats(); st.Cut != 1 {
 		t.Fatalf("cut %d, want 1", st.Cut)

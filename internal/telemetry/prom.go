@@ -137,17 +137,21 @@ func ParseExposition(r io.Reader) (map[string]float64, error) {
 }
 
 // sampleValueIndex finds the byte offset where a sample line's value
-// begins: the last space-separated token outside label braces.
+// begins: the last space-separated token outside label braces. Inside a
+// quoted label value a backslash escapes the byte after it, so `\\"`
+// closes the value and `\"` does not.
 func sampleValueIndex(s string) int {
 	depth := 0
 	inQuote := false
 	last := -1
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
-		case '"':
-			if i == 0 || s[i-1] != '\\' {
-				inQuote = !inQuote
+		case '\\':
+			if inQuote {
+				i++
 			}
+		case '"':
+			inQuote = !inQuote
 		case '{':
 			if !inQuote {
 				depth++

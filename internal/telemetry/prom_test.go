@@ -122,3 +122,66 @@ func TestLabelEscaping(t *testing.T) {
 		t.Fatalf("escaped exposition does not parse: %v", err)
 	}
 }
+
+// FuzzExpositionRoundTrip: whatever a label value holds — feed names come
+// from a wire HELLO, any 1–255 bytes — and whatever the instrument values,
+// every series WritePrometheus emits parses back through ParseExposition
+// under its own key with its own value. The seeds are the escaping edge
+// cases: a value ending in one or two backslashes (whose closing quote
+// follows an escaped backslash, not an escaped quote), an embedded quote,
+// an escaped quote, and a newline.
+func FuzzExpositionRoundTrip(f *testing.F) {
+	for _, v := range []string{`a\`, `a\\`, `a"b`, `a\"`, "a\nb"} {
+		f.Add(v, int64(3), int64(-2), int64(70))
+	}
+	f.Fuzz(func(t *testing.T, value string, c, g, h int64) {
+		if len(value) > 255 {
+			t.Skip("a HELLO feed name is at most 255 bytes")
+		}
+		r := NewRegistry()
+		lbl := L("feed", value)
+		r.Counter("c_total", lbl).Add(c)
+		r.Gauge("g", lbl).Set(g)
+		r.Histogram("h", []int64{10, 100}, lbl).Observe(h)
+		var sb strings.Builder
+		if err := r.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := ParseExposition(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatalf("own exposition rejected: %v\n%s", err, sb.String())
+		}
+		bucket := func(le string, bound int64) (string, int64) {
+			n := int64(0)
+			if le == "+Inf" || h <= bound {
+				n = 1
+			}
+			return Key("h_bucket", lbl, L("le", le)), n
+		}
+		want := map[string]int64{
+			Key("c_total", lbl): c,
+			Key("g", lbl):       g,
+			Key("h_sum", lbl):   h,
+			Key("h_count", lbl): 1,
+		}
+		for _, b := range []struct {
+			le    string
+			bound int64
+		}{{"10", 10}, {"100", 100}, {"+Inf", 0}} {
+			k, n := bucket(b.le, b.bound)
+			want[k] = n
+		}
+		if len(samples) != len(want) {
+			t.Fatalf("parsed %d series, want %d:\n%s", len(samples), len(want), sb.String())
+		}
+		for k, v := range want {
+			got, ok := samples[k]
+			if !ok {
+				t.Fatalf("series %q missing from the parse:\n%s", k, sb.String())
+			}
+			if got != float64(v) {
+				t.Fatalf("series %q = %v, want %d", k, got, v)
+			}
+		}
+	})
+}

@@ -137,9 +137,9 @@ type sessionConfig struct {
 	frameBase  int                 // event frame-number offset, see withFrameBase
 	tap        func(Event)         // synchronous observer, see withEventTap
 	onDone     func(error)         // completion callback, see withRunDone
-	reg        *telemetry.Registry // shared metrics registry, see WithTelemetry
+	reg        *telemetry.Registry // owner's metrics registry, see withOwner
 	tracer     *telemetry.Tracer   // span recorder, see WithTracer
-	site       string              // owning site label, see withTraceSite
+	site       string              // owning site label, see withOwner
 }
 
 // withFrameBase offsets every emitted event's Frame by n. A migrated
@@ -251,8 +251,9 @@ type Session struct {
 	buf    *container.Buffer // non-nil when no external sink was given
 	events chan Event
 
-	// Counters are registry instruments (a private registry when no
-	// WithTelemetry was given), updated lock-free from the encode loop.
+	// Counters are registry instruments (the owning hub's or cluster's
+	// registry, or a private one for a standalone session), updated
+	// lock-free from the encode loop.
 	// The session goroutine is their only writer, so its own EventStats
 	// snapshots are exact; concurrent Stats() readers see each counter
 	// atomically but not a cross-counter cut (the standard monitoring
@@ -358,8 +359,8 @@ func (s *Session) Stats() SessionStats {
 	}
 }
 
-// Telemetry returns the session's metrics registry (the one given via
-// WithTelemetry, or the session's private default).
+// Telemetry returns the session's metrics registry (its hub's or
+// cluster's, or a private one for a standalone session).
 func (s *Session) Telemetry() *Registry { return s.cfg.reg }
 
 // Stream opens a reader over the encoded stream. Only available after Run

@@ -69,15 +69,7 @@ func (c *Cluster) reconcile(ctx context.Context) {
 // of the merged view is no longer stale.
 func (c *Cluster) submit(ctx context.Context, s *clusterSite) error {
 	c.flushDeltas(ctx, s)
-	st := s.hub.Snapshot()
-	if err := c.coord.Submit(cluster.Report{
-		Site:         s.name,
-		Shard:        s.shard,
-		Frames:       st.Frames,
-		IFrames:      st.IFrames,
-		Detections:   st.Detections,
-		PayloadBytes: st.PayloadBytes,
-	}); err != nil {
+	if err := c.coord.Submit(cluster.Report{Site: s.name, Shard: s.shard}); err != nil {
 		return err
 	}
 	c.mu.Lock()

@@ -11,12 +11,14 @@ import (
 type (
 	// Registry is a set of pre-registered metric instruments (counters,
 	// gauges, fixed-bucket histograms). Registration happens at
-	// construction time; recording is lock-free and allocation-free, so a
-	// shared registry costs the hot paths nothing. Every Session, Hub and
-	// Cluster owns a registry (a private one by default); share one across
-	// components with WithTelemetry / WithHubTelemetry /
-	// WithClusterTelemetry and scrape it via Snapshot, WritePrometheus, or
-	// the -debug-addr HTTP surface.
+	// construction time; recording is lock-free and allocation-free, so
+	// the registry costs the hot paths nothing. Every Session, Hub and
+	// Cluster owns one, and each instrument is registered exactly once, in
+	// its owner's registry, when the owner builds it: a hub's feeds,
+	// inference plane and ingest listener register in the hub's, a
+	// cluster's sites in the cluster's. Read it through the owner's
+	// Telemetry() via Snapshot, WritePrometheus, or the -debug-addr HTTP
+	// surface.
 	Registry = telemetry.Registry
 	// MetricLabel is one key=value dimension of a metric series.
 	MetricLabel = telemetry.Label
@@ -37,9 +39,6 @@ type (
 	TraceSummary = telemetry.TraceSummary
 )
 
-// NewRegistry returns an empty metrics registry.
-func NewRegistry() *Registry { return telemetry.NewRegistry() }
-
 // NewTracer returns a tracer reading span timestamps from clk (the wall
 // clock when clk is nil). Attach it with WithTracer / WithClusterTrace and
 // export with Tracer.WriteChrome. A nil *Tracer is a valid no-op recorder,
@@ -57,17 +56,6 @@ func SummarizeChromeTrace(r io.Reader) (TraceSummary, error) {
 	return telemetry.SummarizeChrome(r)
 }
 
-// WithTelemetry records the session's counters into reg instead of a
-// private registry: sieve_frames_total, sieve_iframes_total,
-// sieve_payload_bytes_total, sieve_detections_total and the
-// sieve_frame_bytes histogram, all labelled {feed} (plus {site} under a
-// Cluster). SessionStats remains the snapshot view over these instruments,
-// so attaching a registry changes where counts live, never what is
-// counted — pipeline output is byte-identical with or without it.
-func WithTelemetry(reg *Registry) SessionOption {
-	return func(c *sessionConfig) { c.reg = reg }
-}
-
 // WithTracer records the session's per-frame pipeline spans (pull, encode,
 // filter, infer) into t. A nil tracer is a no-op. Hubs and clusters thread
 // their tracer to every feed automatically (WithHubTrace,
@@ -76,12 +64,15 @@ func WithTracer(t *Tracer) SessionOption {
 	return func(c *sessionConfig) { c.tracer = t }
 }
 
-// withTraceSite tags the session's spans and metric series with the edge
-// site that runs it. Threaded by Hub.Add from the hub's site identity; a
-// plain session has no site and its spans render under the "cluster"
-// process in the exported trace.
-func withTraceSite(site string) SessionOption {
-	return func(c *sessionConfig) { c.site = site }
+// withOwner hands a session its owner's registry and site: the session
+// registers its per-feed series (sieve_frames_total, sieve_iframes_total,
+// sieve_payload_bytes_total, sieve_detections_total and the
+// sieve_frame_bytes histogram, labelled {feed}, plus {site} under a
+// Cluster) in reg, and tags its spans with the site. Threaded by Hub.Add
+// and by failover; a plain session has a private registry and no site,
+// and its spans render under the "cluster" process in the exported trace.
+func withOwner(reg *Registry, site string) SessionOption {
+	return func(c *sessionConfig) { c.reg, c.site = reg, site }
 }
 
 // frameBytesBounds are the sieve_frame_bytes histogram buckets: encoded

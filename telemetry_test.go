@@ -20,26 +20,26 @@ import (
 // goroutine interleaving.
 func testTracer() *Tracer { return NewTracer(testClock()) }
 
-// runTracedClusterJSON is runClusterJSON plus a fresh registry and tracer,
-// returning the merged-DB JSON and the exported Chrome trace JSON.
+// runTracedClusterJSON is runClusterJSON plus a tracer, returning the
+// merged-DB JSON, the exported Chrome trace JSON, the cluster and its
+// registry.
 func runTracedClusterJSON(t *testing.T, opts ...ClusterOption) ([]byte, []byte, *Cluster, *Registry) {
 	t.Helper()
-	reg := NewRegistry()
 	tr := testTracer()
-	opts = append([]ClusterOption{WithClusterTelemetry(reg), WithClusterTrace(tr)}, opts...)
+	opts = append([]ClusterOption{WithClusterTrace(tr)}, opts...)
 	db, c := runClusterJSON(t, opts...)
 	var trace bytes.Buffer
 	if err := tr.WriteChrome(&trace); err != nil {
 		t.Fatal(err)
 	}
-	return db, trace.Bytes(), c, reg
+	return db, trace.Bytes(), c, c.Telemetry()
 }
 
 // TestClusterTelemetryEquivalence pins the observability plane's prime
-// invariant: attaching a shared registry and tracer changes where counters
-// live, never what is computed — the merged ResultsDB JSON is byte-identical
-// telemetry-on vs telemetry-off — and the registry view agrees with the
-// legacy ClusterStats snapshot.
+// invariant: attaching a tracer and reading the registry never change what
+// is computed — the merged ResultsDB JSON is byte-identical tracer-on vs
+// tracer-off — and the registry view agrees with the ClusterStats
+// snapshot.
 func TestClusterTelemetryEquivalence(t *testing.T) {
 	on, trace, c, reg := runTracedClusterJSON(t)
 	off, _ := runClusterJSON(t)
@@ -228,11 +228,11 @@ func TestClusterSnapshotConcurrentMidRun(t *testing.T) {
 // attached and scrapes /metrics while the run is in flight: the exposition
 // must parse, and a post-run scrape must agree with the final snapshot.
 func TestDebugEndpointScrapesMidRun(t *testing.T) {
-	reg := NewRegistry()
-	c, err := NewCluster(3, WithSharder(ShardRoundRobin()), WithSiteWorkers(2), WithClusterTelemetry(reg))
+	c, err := NewCluster(3, WithSharder(ShardRoundRobin()), WithSiteWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := c.Telemetry()
 	for _, cam := range clusterCameras {
 		if _, _, err := c.AddFeed(cam.name, NewSynthSource(clusterScene(t, cam.seed, cam.enter)), feedOpts(t)...); err != nil {
 			t.Fatal(err)
@@ -301,18 +301,18 @@ func TestDebugEndpointScrapesMidRun(t *testing.T) {
 }
 
 // TestSessionTelemetryStandalone covers the non-cluster path: a lone
-// session with WithTelemetry and WithTracer records the same counts its
-// SessionStats report, and EventStats snapshots stay exact (the session
-// goroutine is the only writer of its counters).
+// session with WithTracer records into its private registry the same
+// counts its SessionStats report, and EventStats snapshots stay exact (the
+// session goroutine is the only writer of its counters).
 func TestSessionTelemetryStandalone(t *testing.T) {
-	reg := NewRegistry()
 	tr := testTracer()
 	src := NewSynthSource(clusterScene(t, 21, 3))
 	sess, err := NewSession(src, WithName("solo"), WithClock(testClock()),
-		WithTelemetry(reg), WithTracer(tr), WithDetector(trainedTestDetector(t)))
+		WithTracer(tr), WithDetector(trainedTestDetector(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := sess.Telemetry()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -331,9 +331,6 @@ func TestSessionTelemetryStandalone(t *testing.T) {
 	if got := snap.Counter(`sieve_iframes_total{feed="solo"}`); int(got) != st.IFrames {
 		t.Fatalf("registry iframes = %d, SessionStats.IFrames = %d", got, st.IFrames)
 	}
-	if sess.Telemetry() != reg {
-		t.Fatal("Session.Telemetry did not return the shared registry")
-	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
@@ -345,4 +342,153 @@ func TestSessionTelemetryStandalone(t *testing.T) {
 	if len(summary.Feeds) != 1 || summary.Feeds[0] != "solo" {
 		t.Fatalf("trace feeds = %v, want [solo]", summary.Feeds)
 	}
+}
+
+// wireOwner is what a fleet can be pushed into: a Hub or a Cluster with a
+// listener attached.
+type wireOwner interface {
+	Events() <-chan Event
+	Run(ctx context.Context) error
+}
+
+// pushFleet runs owner while the acceptance fleet pushes itself over ln,
+// and returns once the run and every pusher have finished.
+func pushFleet(t *testing.T, owner wireOwner, ln *MemListener) {
+	t.Helper()
+	go func() {
+		for range owner.Events() {
+		}
+	}()
+	errc := make(chan error, 1)
+	go func() { errc <- owner.Run(context.Background()) }()
+	pushErrs := make(chan error, len(clusterCameras))
+	for _, cam := range clusterCameras {
+		// Rendered here: t.Fatal is off limits on the pusher goroutines.
+		src := NewSynthSource(clusterScene(t, cam.seed, cam.enter))
+		go func() {
+			conn, err := ln.Dial()
+			if err != nil {
+				pushErrs <- err
+				return
+			}
+			pushErrs <- NewPusher(src, WithPusherName(cam.name)).Run(context.Background(), conn)
+		}()
+	}
+	for range clusterCameras {
+		if err := <-pushErrs; err != nil {
+			t.Fatalf("pusher: %v", err)
+		}
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}
+
+// fleetListener is an ingest listener over a fresh MemListener admitting
+// the acceptance fleet, its sessions on the deterministic test clock.
+func fleetListener() (*IngestListener, *MemListener) {
+	ln := NewMemListener()
+	return NewIngestListener(ln,
+		WithExpectedFeeds(len(clusterCameras)),
+		WithIngestSession(func(string, SourceInfo) []SessionOption {
+			return []SessionOption{WithClock(testClock())}
+		}),
+	), ln
+}
+
+// runRegistryHub runs the fleet over the wire into a hub with a shared
+// inference plane.
+func runRegistryHub(t *testing.T) *Hub {
+	lst, ln := fleetListener()
+	hub := NewHub(WithWorkers(3), WithHubInference(trainedTestDetector(t), 2), WithListener(lst))
+	pushFleet(t, hub, ln)
+	return hub
+}
+
+// runRegistryCluster runs the fleet over the wire into a K=3 cluster whose
+// site planes split every batch after layer 1. Feeds are placed by name
+// hash, so the series set does not depend on the order they were admitted.
+func runRegistryCluster(t *testing.T) *Cluster {
+	lst, ln := fleetListener()
+	c, err := NewCluster(3, WithSiteWorkers(2),
+		WithSplitInference(trainedTestDetector(t), 2, 1), WithClusterListener(lst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushFleet(t, c, ln)
+	return c
+}
+
+// TestOwnerRegistryHoldsPlaneSeries: the inference plane, its split state
+// and the ingest listener register their instruments in their owner's
+// registry, so a hub's or cluster's Telemetry() carries them, each series
+// equal to the Stats view over it.
+func TestOwnerRegistryHoldsPlaneSeries(t *testing.T) {
+	type series struct {
+		key  string
+		want int64
+	}
+	check := func(t *testing.T, reg *Registry, want []series) {
+		t.Helper()
+		snap := reg.Snapshot()
+		values := make(map[string]int64)
+		for _, cp := range snap.Counters {
+			values[cp.Key] = cp.Value
+		}
+		for _, gp := range snap.Gauges {
+			values[gp.Key] = gp.Value
+		}
+		for _, s := range want {
+			got, ok := values[s.key]
+			if !ok {
+				t.Fatalf("registry has no series %s", s.key)
+			}
+			if got != s.want {
+				t.Fatalf("%s = %d, Stats view says %d", s.key, got, s.want)
+			}
+		}
+	}
+
+	t.Run("hub", func(t *testing.T) {
+		hub := runRegistryHub(t)
+		st := hub.Snapshot()
+		if st.Inference.Frames == 0 || st.Ingest.FramesReceived == 0 {
+			t.Fatalf("hub run inferred %d frames and received %d", st.Inference.Frames, st.Ingest.FramesReceived)
+		}
+		check(t, hub.Telemetry(), []series{
+			{"sieve_infer_frames_total", st.Inference.Frames},
+			{"sieve_infer_batches_total", st.Inference.Batches},
+			{"sieve_infer_max_batch", int64(st.Inference.MaxBatch)},
+			{"sieve_ingest_frames_received_total", st.Ingest.FramesReceived},
+			{"sieve_ingest_feeds_admitted_total", int64(st.Ingest.FeedsAdmitted)},
+			{"sieve_ingest_acks_sent_total", st.Ingest.AcksSent},
+		})
+	})
+
+	t.Run("cluster", func(t *testing.T) {
+		c := runRegistryCluster(t)
+		st := c.Snapshot()
+		if st.Split.SplitBatches == 0 || st.Ingest.FramesReceived == 0 {
+			t.Fatalf("cluster run split %d batches and received %d frames", st.Split.SplitBatches, st.Ingest.FramesReceived)
+		}
+		want := []series{
+			{"sieve_ingest_frames_received_total", st.Ingest.FramesReceived},
+			{"sieve_ingest_feeds_admitted_total", int64(st.Ingest.FeedsAdmitted)},
+			{"sieve_ingest_acks_sent_total", st.Ingest.AcksSent},
+		}
+		for _, ss := range st.Sites {
+			site := fmt.Sprintf("{site=%q}", ss.Site)
+			want = append(want,
+				series{"sieve_infer_frames_total" + site, ss.Hub.Inference.Frames},
+				series{"sieve_infer_batches_total" + site, ss.Hub.Inference.Batches},
+				series{"sieve_infer_split_batches_total" + site, ss.Split.SplitBatches},
+				series{"sieve_infer_split_fallbacks_total" + site, ss.Split.Fallbacks},
+				series{"sieve_infer_split_activation_bytes_total" + site, ss.Split.ActivationBytes},
+				series{"sieve_infer_split_edge_ns_total" + site, int64(ss.Split.EdgeTime)},
+				series{"sieve_infer_split_cloud_ns_total" + site, int64(ss.Split.CloudTime)},
+				series{"sieve_infer_split_cut" + site, int64(ss.Split.Cut)},
+			)
+		}
+		check(t, c.Telemetry(), want)
+	})
 }
