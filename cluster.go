@@ -335,16 +335,13 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	reg.Describe("sieve_cluster_degraded_sites", "sites whose slice of the merged view is incomplete or stale")
 	for _, name := range names {
 		c.coord.Register(name)
-		hubOpts := []HubOption{
-			WithWorkers(cfg.siteWorkers),
-			withHubSite(name, reg), WithHubTrace(cfg.tracer),
-		}
+		own := owner{reg: reg, site: name, tracer: cfg.tracer}
 		if cfg.inferDet != nil {
-			hubOpts = append(hubOpts, withHubPlane(c.newSitePlane(name)))
+			own.plane = c.newSitePlane(name)
 		}
 		s := &clusterSite{
 			name:  name,
-			hub:   NewHub(hubOpts...),
+			hub:   NewHub(WithWorkers(cfg.siteWorkers), withHubOwner(own)),
 			shard: NewResultsDB(),
 			edge:  store.NewEdgeStore(cfg.quota),
 		}
@@ -370,11 +367,11 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 // also gets the cut chooser bound to the site's uplink, the ship hook
 // metering activations through the coordinator, and the modelled tier
 // rates for the split telemetry.
-func (c *Cluster) newSitePlane(site string) *InferencePlane {
+func (c *Cluster) newSitePlane(site string) *infer.Plane {
 	det := c.cfg.inferDet
 	lbl := telemetry.L("site", site)
 	if !c.cfg.split {
-		return &InferencePlane{p: infer.New(det, c.cfg.inferBatch, c.reg, lbl)}
+		return infer.New(det, c.cfg.inferBatch, c.reg, lbl)
 	}
 	net := det.Network()
 	stats := net.Stats()
@@ -414,13 +411,12 @@ func (c *Cluster) newSitePlane(site string) *InferencePlane {
 			return lastCut
 		}
 	}
-	p := infer.NewSplit(det, c.cfg.inferBatch, infer.Split{
+	return infer.NewSplit(det, c.cfg.inferBatch, infer.Split{
 		Cut:        chooser,
 		Ship:       func(rec []byte) error { return c.coord.ShipActivation(site, int64(len(rec))) },
 		EdgeFLOPS:  splitEdgeFLOPS,
 		CloudFLOPS: splitCloudFLOPS,
 	}, c.reg, lbl)
-	return &InferencePlane{p: p}
 }
 
 // Telemetry returns the cluster's metrics registry: every site's feeds,
@@ -870,8 +866,8 @@ func (c *Cluster) Snapshot() ClusterStats {
 		if bytes, transfers, busy, err := c.coord.UplinkStats(s.name); err == nil {
 			ss.UplinkBytes, ss.UplinkTransfers, ss.UplinkBusy = bytes, transfers, busy
 		}
-		if ip := s.hub.plane; ip != nil {
-			ss.Split = ip.SplitStats()
+		if p := s.hub.own.plane; p != nil {
+			ss.Split = p.SplitStats()
 			st.Split.SplitBatches += ss.Split.SplitBatches
 			st.Split.Fallbacks += ss.Split.Fallbacks
 			st.Split.ActivationBytes += ss.Split.ActivationBytes

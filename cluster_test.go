@@ -147,33 +147,9 @@ func runClusterEvents(t testing.TB, opts ...ClusterOption) ([]byte, *Cluster, []
 // sharded run must match byte for byte.
 func runFlatHubJSON(t testing.TB) []byte {
 	t.Helper()
-	hub := NewHub(WithWorkers(3))
-	for _, cam := range clusterCameras {
-		if _, err := hub.Add(cam.name, NewSynthSource(clusterScene(t, cam.seed, cam.enter)), feedOpts(t)...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db := NewResultsDB()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for ev := range hub.Events() {
-			if ev.Kind == EventDetection {
-				db.Put(ev.Feed, ev.Frame, ev.Labels)
-			}
-		}
-	}()
-	if err := hub.Run(context.Background()); err != nil {
-		t.Fatalf("flat hub run: %v", err)
-	}
-	<-done
-	path := filepath.Join(t.TempDir(), "flat.json")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
+	data, err := runHubFleetJSON(context.Background(), t, NewHub(WithWorkers(3)), len(clusterCameras), feedOpts(t)...)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("flat hub run: %v", err)
 	}
 	return data
 }

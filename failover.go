@@ -251,7 +251,7 @@ func (c *Cluster) runMigratedFeed(ctx context.Context, from *clusterSite, f *clu
 	// action, not a pipeline stage, and tracing it would make fault-plan
 	// traces depend on migration scheduling.
 	opts := append(f.opts[:len(f.opts):len(f.opts)], WithName(f.name), WithSink(sink), withFrameBase(base),
-		withOwner(c.reg, to.name))
+		withOwner(owner{reg: c.reg, site: to.name}))
 	if c.cfg.inferDet != nil {
 		// The dead site's shared inference plane died with its hub; the
 		// migrated session falls back to the batch-of-1 configuration of the

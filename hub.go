@@ -40,13 +40,13 @@ func WithWorkers(n int) HubOption {
 const eventBuffer = 256
 
 // WithHubInference gives the hub one shared batched-inference plane: every
-// feed added afterwards routes its I-frame detections through it, so up to
-// batchSize frames from concurrent feeds share a single YOLite forward
-// pass. Results are byte-identical to per-feed WithDetector (the batched
-// forward is element-identical per frame); only the amortisation changes —
-// see HubStats.Inference. A feed's own WithInferencePlane overrides the
-// hub plane; combining the hub plane with per-feed WithDetector is a
-// configuration error surfaced by Add.
+// feed routes its I-frame detections through it, so up to batchSize frames
+// from concurrent feeds share a single YOLite forward pass. Results are
+// byte-identical to per-feed WithDetector (the batched forward is
+// element-identical per frame); only the amortisation changes — see
+// HubStats.Inference. The plane is the hub's, so no feed opts out of it;
+// combining it with a per-feed WithDetector is a configuration error
+// surfaced by Add.
 //
 // Flushes are count-based, never timed, so a feed that goes quiet while
 // still running (a wall-clock-paced replay between I-frames, a stalled
@@ -57,25 +57,18 @@ func WithHubInference(det *Detector, batchSize int) HubOption {
 	return func(h *Hub) { h.inferDet, h.inferBatch = det, batchSize }
 }
 
-// withHubPlane shares an existing plane; Cluster hands each site hub the
-// plane it built (and, for split inference, hooked to the site uplink).
-// See WithHubInference.
-func withHubPlane(p *InferencePlane) HubOption {
-	return func(h *Hub) { h.plane = p }
-}
-
-// WithHubTrace records every feed's pipeline spans into t (see
-// WithTracer). A nil tracer disables tracing.
+// WithHubTrace records every feed's per-frame pipeline spans (pull, encode,
+// filter, infer) into t. A nil tracer disables tracing.
 func WithHubTrace(t *Tracer) HubOption {
-	return func(h *Hub) { h.tracer = t }
+	return func(h *Hub) { h.own.tracer = t }
 }
 
-// withHubSite names the edge site this hub embodies and hands it the
-// cluster's registry: feed series gain a {site} label and land in reg,
-// and spans render under the site's process in the exported trace.
-// Threaded by Cluster when it builds its per-site hubs.
-func withHubSite(name string, reg *Registry) HubOption {
-	return func(h *Hub) { h.site, h.reg = name, reg }
+// withHubOwner makes the hub one edge site of a cluster: its feeds
+// register in the cluster's registry under the site's label, trace into
+// the cluster's tracer, and batch through the site's plane. Threaded by
+// Cluster when it builds its per-site hubs.
+func withHubOwner(o owner) HubOption {
+	return func(h *Hub) { h.own = o }
 }
 
 // WithListener attaches a network ingest plane: Run first opens the
@@ -130,13 +123,10 @@ func (st HubStats) FilterRate() float64 {
 // Usage: Add feeds, consume Events concurrently, call Run, then Snapshot.
 type Hub struct {
 	pool       *runner.Pool
-	inferDet   *Detector           // WithHubInference's detector, nil = none
-	inferBatch int                 // WithHubInference's flush size
-	plane      *InferencePlane     // shared inference plane, nil = per-feed config
-	ingest     *IngestListener     // network ingest plane, nil = in-process only
-	reg        *telemetry.Registry // metrics registry (the cluster's for a site hub)
-	tracer     *telemetry.Tracer   // span recorder, nil = tracing off
-	site       string              // owning site label, "" for a plain hub
+	inferDet   *Detector       // WithHubInference's detector, nil = none
+	inferBatch int             // WithHubInference's flush size
+	ingest     *IngestListener // network ingest plane, nil = in-process only
+	own        owner           // what every feed inherits (the cluster's for a site hub)
 
 	mu      sync.Mutex
 	feeds   []*hubFeed
@@ -157,11 +147,11 @@ func NewHub(opts ...HubOption) *Hub {
 	for _, opt := range opts {
 		opt(h)
 	}
-	if h.reg == nil {
-		h.reg = telemetry.NewRegistry()
+	if h.own.reg == nil {
+		h.own.reg = telemetry.NewRegistry()
 	}
 	if h.inferDet != nil {
-		h.plane = &InferencePlane{p: infer.New(h.inferDet, h.inferBatch, h.reg)}
+		h.own.plane = infer.New(h.inferDet, h.inferBatch, h.own.reg)
 	}
 	h.events = make(chan Event, eventBuffer)
 	return h
@@ -170,7 +160,7 @@ func NewHub(opts ...HubOption) *Hub {
 // Telemetry returns the hub's metrics registry: the feeds', the inference
 // plane's and the ingest listener's series (a site hub's registry is its
 // cluster's).
-func (h *Hub) Telemetry() *Registry { return h.reg }
+func (h *Hub) Telemetry() *Registry { return h.own.reg }
 
 // Add registers a feed: a named session over src, configured like any
 // Session (the name overrides WithName). Feeds cannot be added once Run has
@@ -186,13 +176,7 @@ func (h *Hub) Add(name string, src FrameSource, opts ...SessionOption) (*Session
 			return nil, fmt.Errorf("sieve: hub: duplicate feed %q", name)
 		}
 	}
-	// Prepended so a feed's own inference and tracer options still win.
-	shared := []SessionOption{WithTracer(h.tracer), withOwner(h.reg, h.site)}
-	if h.plane != nil {
-		shared = append(shared, WithInferencePlane(h.plane))
-	}
-	opts = append(shared, opts...)
-	opts = append(opts[:len(opts):len(opts)], WithName(name))
+	opts = append(opts[:len(opts):len(opts)], withOwner(h.own), WithName(name))
 	sess, err := NewSession(src, opts...)
 	if err != nil {
 		return nil, err
@@ -235,16 +219,15 @@ func (h *Hub) Run(ctx context.Context) error {
 
 	// Cold-start batching: promise the plane the registrations that are
 	// guaranteed imminent, so the first I-frames coalesce instead of
-	// flushing one by one while sibling feeds are still spinning up. The
-	// pool starts exactly the first Workers() feeds immediately, and a
-	// session registers on Run entry before it can block — so only
-	// plane-bound feeds inside that window may be counted. A feed beyond
-	// the window (or one that overrode the hub plane) must not be: its
-	// registration could wait on a worker held by a long or unbounded
-	// sibling, and an unconsumed reservation would hold batches open
-	// forever.
-	if h.plane != nil {
-		h.plane.p.Reserve(planeReservation(feeds, h.plane, h.pool.Workers()))
+	// flushing one by one while sibling feeds are still spinning up. Every
+	// feed uses the hub's plane, the pool starts exactly the first
+	// Workers() feeds immediately, and a session registers on Run entry
+	// before it can block — so that window is what may be counted. A feed
+	// beyond it must not be: its registration could wait on a worker held
+	// by a long or unbounded sibling, and an unconsumed reservation would
+	// hold batches open forever.
+	if h.own.plane != nil {
+		h.own.plane.Reserve(min(len(feeds), h.pool.Workers()))
 	}
 
 	// Forward each session's events onto the merged channel.
@@ -304,27 +287,6 @@ func (h *Hub) Run(ctx context.Context) error {
 	return errors.Join(errs...)
 }
 
-// planeReservation counts the feeds bound to plane among the first window
-// entries — the feeds the pool starts immediately (runner.Map hands out
-// indexes in order), each of which registers on Run entry before it can
-// block. Reservations must never exceed that guaranteed-imminent set: a
-// plane feed beyond the window waits for a worker that a long or unbounded
-// sibling may hold indefinitely, and a reservation nobody consumes would
-// hold every partial batch open forever.
-func planeReservation(feeds []*hubFeed, plane *InferencePlane, window int) int {
-	using := 0
-	for _, f := range feeds {
-		if window <= 0 {
-			break
-		}
-		window--
-		if f.sess.cfg.plane == plane {
-			using++
-		}
-	}
-	return using
-}
-
 // Snapshot reports per-feed and aggregate counters; safe to call while Run
 // is in flight.
 func (h *Hub) Snapshot() HubStats {
@@ -332,8 +294,8 @@ func (h *Hub) Snapshot() HubStats {
 	feeds := append([]*hubFeed(nil), h.feeds...)
 	h.mu.Unlock()
 	st := HubStats{Feeds: make([]FeedStats, 0, len(feeds))}
-	if h.plane != nil {
-		st.Inference = h.plane.Stats()
+	if h.own.plane != nil {
+		st.Inference = h.own.plane.Stats()
 	}
 	if h.ingest != nil {
 		st.Ingest = h.ingest.Stats()

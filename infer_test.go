@@ -3,10 +3,12 @@ package sieve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"sieve/internal/container"
 	"sieve/internal/frame"
@@ -15,16 +17,13 @@ import (
 	"sieve/internal/synth"
 )
 
-// runBatchedHubJSON runs the acceptance fleet through one Hub sharing a
-// single inference plane at the given batch size (feeds carry no detector
-// of their own), collecting detections into a ResultsDB exactly like
-// runFlatHubJSON does for the per-frame path.
-func runBatchedHubJSON(t testing.TB, batch int) ([]byte, HubStats) {
+// runHubFleetJSON adds the first n cameras of the acceptance fleet to hub,
+// each configured by opts, runs it under ctx and returns the ResultsDB its
+// detections fill (written via the atomic Save path) with Run's error.
+func runHubFleetJSON(ctx context.Context, t testing.TB, hub *Hub, n int, opts ...SessionOption) ([]byte, error) {
 	t.Helper()
-	hub := NewHub(WithWorkers(len(clusterCameras)), WithHubInference(trainedTestDetector(t), batch))
-	for _, cam := range clusterCameras {
-		if _, err := hub.Add(cam.name, NewSynthSource(clusterScene(t, cam.seed, cam.enter)),
-			WithClock(testClock())); err != nil {
+	for _, cam := range clusterCameras[:n] {
+		if _, err := hub.Add(cam.name, NewSynthSource(clusterScene(t, cam.seed, cam.enter)), opts...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,17 +37,28 @@ func runBatchedHubJSON(t testing.TB, batch int) ([]byte, HubStats) {
 			}
 		}
 	}()
-	if err := hub.Run(context.Background()); err != nil {
-		t.Fatalf("batched hub run: %v", err)
-	}
+	runErr := hub.Run(ctx)
 	<-done
-	path := filepath.Join(t.TempDir(), "batched.json")
+	path := filepath.Join(t.TempDir(), "hub.json")
 	if err := db.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return data, runErr
+}
+
+// runBatchedHubJSON runs the acceptance fleet like runFlatHubJSON, one
+// worker per feed, with one inference plane shared at the given batch size
+// in place of the feeds' own detectors.
+func runBatchedHubJSON(t testing.TB, batch int) ([]byte, HubStats) {
+	t.Helper()
+	hub := NewHub(WithWorkers(len(clusterCameras)), WithHubInference(trainedTestDetector(t), batch))
+	data, err := runHubFleetJSON(context.Background(), t, hub, len(clusterCameras), WithClock(testClock()))
+	if err != nil {
+		t.Fatalf("batched hub run: %v", err)
 	}
 	return data, hub.Snapshot()
 }
@@ -158,59 +168,46 @@ func TestClusterBatchedInferenceEquivalence(t *testing.T) {
 	}
 }
 
-// TestSessionInferenceOptionConflict pins the configuration rule: a session
-// gets its detections either from its own detector or from a shared plane,
-// never both.
+// TestSessionInferenceOptionConflict pins the configuration rule: a feed
+// of a hub that shares an inference plane gets its detections from that
+// plane, so a per-feed WithDetector there is an error surfaced by Add.
 func TestSessionInferenceOptionConflict(t *testing.T) {
 	det := trainedTestDetector(t)
 	src := NewSynthSource(clusterScene(t, 42, 2))
-	if _, err := NewSession(src, WithDetector(det), WithInferencePlane(NewInferencePlane(det, 2))); err == nil {
-		t.Fatal("WithDetector + WithInferencePlane accepted")
-	}
-	// Hub-level plane + per-feed detector is the same conflict, surfaced
-	// by Add.
 	hub := NewHub(WithHubInference(det, 2))
 	if _, err := hub.Add("cam", src, WithDetector(det)); err == nil {
 		t.Fatal("hub plane + per-feed WithDetector accepted")
 	}
 }
 
-// TestPlaneReservationWindow pins the cold-start reservation arithmetic:
-// only feeds bound to the hub's plane among the first Workers() pool slots
-// count. A plane feed beyond the window (its worker may be held
-// indefinitely by a long sibling) or a feed that overrode the plane must
-// not be reserved for — an unconsumed reservation would hold every partial
-// batch open forever.
+// TestPlaneReservationWindow pins the cold-start reservation's window
+// clamp by behaviour: a batch-4 hub whose pool runs fewer feeds at once
+// than it has must reserve only the feeds the pool starts immediately. A
+// reserved feed still waiting for a worker cannot register until a
+// running sibling finishes, and that sibling is blocked on a batch the
+// reservation holds open — the run would hang to the deadline. Within the
+// clamp the run finishes, on the per-frame path's ResultsDB bytes.
 func TestPlaneReservationWindow(t *testing.T) {
+	const feeds = 3
 	det := trainedTestDetector(t)
-	shared := NewInferencePlane(det, 4)
-	other := NewInferencePlane(det, 1)
-	mk := func(opt SessionOption) *hubFeed {
-		sess, err := NewSession(NewSynthSource(clusterScene(t, 5, 2)), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &hubFeed{sess: sess}
+	perFrame, err := runHubFleetJSON(context.Background(), t, NewHub(WithWorkers(feeds)), feeds,
+		WithClock(testClock()), WithDetector(det))
+	if err != nil {
+		t.Fatalf("per-frame hub run: %v", err)
 	}
-	feeds := []*hubFeed{
-		mk(WithInferencePlane(shared)),
-		mk(WithInferencePlane(other)), // overrode the hub plane
-		mk(WithInferencePlane(shared)),
-		mk(WithInferencePlane(shared)),
-	}
-	for _, tc := range []struct {
-		window, want int
-	}{
-		{0, 0},
-		{1, 1}, // only feed0 starts immediately
-		{2, 1}, // feed1 uses another plane
-		{3, 2},
-		{4, 3},
-		{99, 3}, // window larger than the fleet
-	} {
-		if got := planeReservation(feeds, shared, tc.window); got != tc.want {
-			t.Fatalf("window %d: reservation = %d, want %d", tc.window, got, tc.want)
-		}
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			hub := NewHub(WithWorkers(workers), WithHubInference(det, 4))
+			got, err := runHubFleetJSON(ctx, t, hub, feeds, WithClock(testClock()))
+			if err != nil {
+				t.Fatalf("batch-4 hub over %d feeds at %d workers: %v", feeds, workers, err)
+			}
+			if !bytes.Equal(got, perFrame) {
+				t.Fatalf("batched ResultsDB differs from per-frame path:\nbatched:\n%s\nper-frame:\n%s", got, perFrame)
+			}
+		})
 	}
 }
 

@@ -398,7 +398,7 @@ func (l *IngestListener) awaitAdmission(ctx context.Context) error {
 			l.open = false
 			l.mu.Unlock()
 			return fmt.Errorf("sieve: ingest: admission window cancelled after %d/%d feeds: %w",
-				n, l.cfg.expectFeeds, ctx.Err())
+				n, want, ctx.Err())
 		}
 	}
 }
@@ -1048,7 +1048,7 @@ func (t hubIngestTarget) archiveStore(feed string) (*EdgeStoreDB, bool) {
 	return st, slices.Contains(st.Cameras(), feed)
 }
 
-func (t hubIngestTarget) registry() *telemetry.Registry { return t.h.reg }
+func (t hubIngestTarget) registry() *telemetry.Registry { return t.h.own.reg }
 
 // clusterIngestTarget admits wire feeds onto a Cluster; the cluster owns
 // sinks and archives per site, so the listener archives nothing itself.

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -798,6 +799,36 @@ func TestWireAdmissionControl(t *testing.T) {
 	st := lst.Stats()
 	if st.FeedsAdmitted != 2 || st.FeedsRejected != 2 {
 		t.Fatalf("FeedsAdmitted = %d FeedsRejected = %d, want 2 and 2", st.FeedsAdmitted, st.FeedsRejected)
+	}
+}
+
+// TestWireAdmissionCancelReportsWindowTarget: a run cancelled inside the
+// admission window names the count the window was waiting for — the
+// expected feeds clamped to MaxFeeds, not the expected feeds.
+func TestWireAdmissionCancelReportsWindowTarget(t *testing.T) {
+	v := quietScene(t, 4)
+	ln := NewMemListener()
+	lst := NewIngestListener(ln, WithExpectedFeeds(3), WithMaxFeeds(2))
+	defer lst.Close()
+	hub := NewHub(WithListener(lst))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go func() {
+		for range hub.Events() {
+		}
+	}()
+	errc := make(chan error, 1)
+	go func() { errc <- hub.Run(ctx) }()
+
+	a := dialRaw(t, ln)
+	a.hello(quietHello(v, "cam-a"))
+	cancel()
+	err := <-errc
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("hub run error = %v, want context.Canceled", err)
+	}
+	if !strings.Contains(err.Error(), "after 1/2 feeds") {
+		t.Fatalf("hub run error = %q, want it to report 1/2 feeds", err)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // The scheduler is deliberately timer-free. A batch is flushed when either
 //
-//   - it reaches BatchSize frames, or
+//   - it reaches the batch size, or
 //   - every registered (or reserved, see Reserve) submitter is blocked
 //     waiting on the plane — nobody is left to grow the batch, so waiting
 //     longer could only deadlock.
@@ -25,7 +25,7 @@
 // I-frame cadence (until it submits, finishes, or its context is
 // cancelled). That is the right trade for throughput-oriented replay,
 // synthetic and bounded workloads, which is what this repo evaluates;
-// latency-sensitive live traffic should run BatchSize 1 (per-frame, zero
+// latency-sensitive live traffic should run batch size 1 (per-frame, zero
 // added coupling) rather than wish for a flush timer that would make runs
 // schedule-dependent.
 //
@@ -129,9 +129,6 @@ func New(det *nn.YOLite, batchSize int, reg *telemetry.Registry, lbls ...telemet
 		maxBatch: reg.Gauge("sieve_infer_max_batch", lbls...),
 	}
 }
-
-// BatchSize returns the flush size.
-func (p *Plane) BatchSize() int { return p.batch }
 
 // Detector returns the shared detector.
 func (p *Plane) Detector() *nn.YOLite { return p.inf.Detector() }

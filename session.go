@@ -129,17 +129,36 @@ type sessionConfig struct {
 	params     *EncoderParams
 	quality    int
 	det        *Detector
-	plane      *InferencePlane
 	clock      Clock
 	sink       io.WriteSeeker
 	statsEvery int
 	eventBuf   int
-	frameBase  int                 // event frame-number offset, see withFrameBase
-	tap        func(Event)         // synchronous observer, see withEventTap
-	onDone     func(error)         // completion callback, see withRunDone
-	reg        *telemetry.Registry // owner's metrics registry, see withOwner
-	tracer     *telemetry.Tracer   // span recorder, see WithTracer
-	site       string              // owning site label, see withOwner
+	frameBase  int         // event frame-number offset, see withFrameBase
+	tap        func(Event) // synchronous observer, see withEventTap
+	onDone     func(error) // completion callback, see withRunDone
+	own        owner       // inherited from the hub that runs the session, see withOwner
+}
+
+// owner is the state a session inherits from whoever runs its feed — a
+// Hub, or a Cluster's site hub — handed down as one value so no level
+// restates it. The session registers its per-feed series
+// (sieve_frames_total, sieve_iframes_total, sieve_payload_bytes_total,
+// sieve_detections_total and the sieve_frame_bytes histogram, labelled
+// {feed}, plus {site} under a Cluster) in reg, records its spans into
+// tracer under the site, and submits its I-frames to plane. A standalone
+// session has the zero owner: a private registry, no site, no tracer and
+// no shared plane.
+type owner struct {
+	reg    *telemetry.Registry
+	site   string
+	tracer *telemetry.Tracer // nil = tracing off
+	plane  *infer.Plane      // shared inference plane, nil = none
+}
+
+// withOwner hands a session its owner's state. Threaded by Hub.Add and by
+// failover.
+func withOwner(o owner) SessionOption {
+	return func(c *sessionConfig) { c.own = o }
 }
 
 // withFrameBase offsets every emitted event's Frame by n. A migrated
@@ -200,20 +219,13 @@ func WithQuality(q int) SessionOption {
 // decode of the stored payload byte for byte, so its labels are the ones a
 // later scan of the archive finds, without a second decode at the edge.
 // Internally this is the trivial batch-of-1 configuration of the inference
-// plane: the session builds a private InferencePlane around d, so the
-// per-frame and batched paths share one code path (and therefore one set of
-// results). To amortise the forward pass across feeds, share a plane
-// instead: WithInferencePlane here, WithHubInference on a Hub,
-// WithClusterInference on a Cluster.
+// plane: the session builds a private plane around d, so the per-frame and
+// batched paths share one code path (and therefore one set of results). To
+// amortise the forward pass across feeds, share a plane instead:
+// WithHubInference on a Hub, WithClusterInference on a Cluster — whose
+// feeds then take no WithDetector of their own.
 func WithDetector(d *Detector) SessionOption {
 	return func(c *sessionConfig) { c.det = d }
-}
-
-// WithInferencePlane routes the session's I-frame detections through a
-// shared batched-inference plane (see InferencePlane). Mutually exclusive
-// with WithDetector — configure inference one way per session.
-func WithInferencePlane(p *InferencePlane) SessionOption {
-	return func(c *sessionConfig) { c.plane = p }
 }
 
 // WithClock injects the session clock used for event timestamps (default
@@ -301,17 +313,18 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 			cfg.name, params.Width, params.Height, info.Width, info.Height)
 	}
 	s := &Session{src: src, cfg: cfg, events: make(chan Event, cfg.eventBuf)}
-	if s.cfg.reg == nil {
-		s.cfg.reg = telemetry.NewRegistry()
+	if s.cfg.own.reg == nil {
+		s.cfg.own.reg = telemetry.NewRegistry()
 	}
-	describeSessionMetrics(s.cfg.reg)
-	labels := feedSeriesLabels(cfg.site, cfg.name)
-	s.frames = s.cfg.reg.Counter("sieve_frames_total", labels...)
-	s.iframes = s.cfg.reg.Counter("sieve_iframes_total", labels...)
-	s.payload = s.cfg.reg.Counter("sieve_payload_bytes_total", labels...)
-	s.detections = s.cfg.reg.Counter("sieve_detections_total", labels...)
-	s.frameBytes = s.cfg.reg.Histogram("sieve_frame_bytes", frameBytesBounds, labels...)
-	s.trace = cfg.tracer.Scope(cfg.site, cfg.name)
+	reg := s.cfg.own.reg
+	describeSessionMetrics(reg)
+	labels := feedSeriesLabels(cfg.own.site, cfg.name)
+	s.frames = reg.Counter("sieve_frames_total", labels...)
+	s.iframes = reg.Counter("sieve_iframes_total", labels...)
+	s.payload = reg.Counter("sieve_payload_bytes_total", labels...)
+	s.detections = reg.Counter("sieve_detections_total", labels...)
+	s.frameBytes = reg.Histogram("sieve_frame_bytes", frameBytesBounds, labels...)
+	s.trace = cfg.own.tracer.Scope(cfg.own.site, cfg.name)
 	sink := cfg.sink
 	if sink == nil {
 		s.buf = &container.Buffer{}
@@ -327,12 +340,14 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 	}
 	s.enc = enc
 	// Inference wiring: WithDetector is sugar for a private batch-of-1
-	// plane, so per-frame and batched detection share one code path.
-	if s.cfg.det != nil && s.cfg.plane != nil {
-		return nil, fmt.Errorf("sieve: session %s: WithDetector and WithInferencePlane are mutually exclusive", cfg.name)
-	}
+	// plane, so per-frame and batched detection share one code path. Its
+	// counters go to a private registry, not the owner's: only a shared
+	// plane's series belong on the owner's /metrics.
 	if s.cfg.det != nil {
-		s.cfg.plane = NewInferencePlane(s.cfg.det, 1)
+		if s.cfg.own.plane != nil {
+			return nil, fmt.Errorf("sieve: session %s: WithDetector conflicts with the hub's shared inference plane", cfg.name)
+		}
+		s.cfg.own.plane = infer.New(s.cfg.det, 1, telemetry.NewRegistry())
 	}
 	return s, nil
 }
@@ -361,7 +376,7 @@ func (s *Session) Stats() SessionStats {
 
 // Telemetry returns the session's metrics registry (its hub's or
 // cluster's, or a private one for a standalone session).
-func (s *Session) Telemetry() *Registry { return s.cfg.reg }
+func (s *Session) Telemetry() *Registry { return s.cfg.own.reg }
 
 // Stream opens a reader over the encoded stream. Only available after Run
 // has completed successfully (the index is finalised then — while Run is in
@@ -405,8 +420,8 @@ func (s *Session) Run(ctx context.Context) (err error) {
 	// still contribute frames (a pool-queued or finished session must not
 	// hold a batch open).
 	var inferC *infer.Client
-	if s.cfg.plane != nil {
-		inferC = s.cfg.plane.p.Register()
+	if s.cfg.own.plane != nil {
+		inferC = s.cfg.own.plane.Register()
 		defer inferC.Close()
 	}
 

@@ -40,8 +40,8 @@ type (
 )
 
 // NewTracer returns a tracer reading span timestamps from clk (the wall
-// clock when clk is nil). Attach it with WithTracer / WithClusterTrace and
-// export with Tracer.WriteChrome. A nil *Tracer is a valid no-op recorder,
+// clock when clk is nil). Attach it with WithHubTrace / WithClusterTrace
+// and export with Tracer.WriteChrome. A nil *Tracer is a valid no-op recorder,
 // so code paths need no "tracing enabled" branches.
 func NewTracer(clk Clock) *Tracer {
 	if clk == nil {
@@ -54,25 +54,6 @@ func NewTracer(clk Clock) *Tracer {
 // produced by Tracer.WriteChrome and aggregates it per stage.
 func SummarizeChromeTrace(r io.Reader) (TraceSummary, error) {
 	return telemetry.SummarizeChrome(r)
-}
-
-// WithTracer records the session's per-frame pipeline spans (pull, encode,
-// filter, infer) into t. A nil tracer is a no-op. Hubs and clusters thread
-// their tracer to every feed automatically (WithHubTrace,
-// WithClusterTrace); use this for standalone sessions.
-func WithTracer(t *Tracer) SessionOption {
-	return func(c *sessionConfig) { c.tracer = t }
-}
-
-// withOwner hands a session its owner's registry and site: the session
-// registers its per-feed series (sieve_frames_total, sieve_iframes_total,
-// sieve_payload_bytes_total, sieve_detections_total and the
-// sieve_frame_bytes histogram, labelled {feed}, plus {site} under a
-// Cluster) in reg, and tags its spans with the site. Threaded by Hub.Add
-// and by failover; a plain session has a private registry and no site,
-// and its spans render under the "cluster" process in the exported trace.
-func withOwner(reg *Registry, site string) SessionOption {
-	return func(c *sessionConfig) { c.reg, c.site = reg, site }
 }
 
 // frameBytesBounds are the sieve_frame_bytes histogram buckets: encoded

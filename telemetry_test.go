@@ -300,15 +300,16 @@ func TestDebugEndpointScrapesMidRun(t *testing.T) {
 	}
 }
 
-// TestSessionTelemetryStandalone covers the non-cluster path: a lone
-// session with WithTracer records into its private registry the same
-// counts its SessionStats report, and EventStats snapshots stay exact (the
-// session goroutine is the only writer of its counters).
+// TestSessionTelemetryStandalone covers the non-cluster paths: a lone
+// session records into its private registry the same counts its
+// SessionStats report, and EventStats snapshots stay exact (the session
+// goroutine is the only writer of its counters); a one-feed Hub traced
+// with WithHubTrace hands its tracer to the feed, whose spans are the
+// trace's only feed.
 func TestSessionTelemetryStandalone(t *testing.T) {
-	tr := testTracer()
-	src := NewSynthSource(clusterScene(t, 21, 3))
-	sess, err := NewSession(src, WithName("solo"), WithClock(testClock()),
-		WithTracer(tr), WithDetector(trainedTestDetector(t)))
+	det := trainedTestDetector(t)
+	sess, err := NewSession(NewSynthSource(clusterScene(t, 21, 3)), WithName("solo"), WithClock(testClock()),
+		WithDetector(det))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,6 +331,20 @@ func TestSessionTelemetryStandalone(t *testing.T) {
 	}
 	if got := snap.Counter(`sieve_iframes_total{feed="solo"}`); int(got) != st.IFrames {
 		t.Fatalf("registry iframes = %d, SessionStats.IFrames = %d", got, st.IFrames)
+	}
+
+	tr := testTracer()
+	hub := NewHub(WithHubTrace(tr))
+	if _, err := hub.Add("solo", NewSynthSource(clusterScene(t, 21, 3)), WithClock(testClock()),
+		WithDetector(det)); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for range hub.Events() {
+		}
+	}()
+	if err := hub.Run(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
