@@ -58,7 +58,7 @@ reach:
 # each — catches targets that no longer compile and regressions on the
 # corpus, while staying CI-sized. Longer runs: go test -fuzz=FuzzX ./pkg.
 fuzz-smoke:
-	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/frame/ ./internal/nn/ ./internal/bitstream/ ./internal/container/ ./internal/faultplan/ ./internal/telemetry/
+	$(GO) test -run 'Fuzz' -count=1 ./internal/wire/ ./internal/codec/ ./internal/transform/ ./internal/frame/ ./internal/nn/ ./internal/bitstream/ ./internal/container/ ./internal/faultplan/ ./internal/telemetry/ ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzReadMessage -fuzztime=10s ./internal/wire/
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=10s ./internal/faultplan/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecode$$' -fuzztime=10s ./internal/codec/
@@ -75,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzConvMatchesReference -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeActivationRecord -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzExpositionRoundTrip -fuzztime=10s ./internal/telemetry/
+	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=10s ./internal/store/
 
 # Known-vulnerability scan. govulncheck needs network access for the vuln
 # DB, so it runs as its own CI job; locally it degrades to a notice unless
@@ -188,13 +189,14 @@ bench-cluster-smoke:
 # the batch size), each convolution of the detector on its own at the
 # bench's 96×96 geometry in ns per multiply-accumulate (which layer moved;
 # /kernel is what forwardItem runs — the SSE2 kernels on amd64 — and /go
-# the Go kernels),
-# plus the plane's batch-of-1 scheduling round trip. allocs/op must read 0
-# for the batchN variants and the round trip — allocations are the
+# the Go kernels), the input conversion of a 320×240 frame into the 96×96
+# item one plane at a time (BenchmarkFromYUV: /luma, /chroma), plus the
+# plane's batch-of-1 scheduling round trip. allocs/op must read 0 for the
+# batchN variants, the conversion and the round trip — allocations are the
 # regression gate here; wall-clock claims are made with bench/. CI runs the
 # 1-iteration smoke variant so the batched path cannot silently stop
 # compiling as a benchmark.
-BENCH_INFER = '^(BenchmarkInferBatch|BenchmarkConvLayers)'
+BENCH_INFER = '^(BenchmarkInferBatch|BenchmarkConvLayers|BenchmarkFromYUV)'
 
 bench-infer:
 	$(GO) test -run='^$$' -bench=$(BENCH_INFER) -benchmem ./internal/nn/

@@ -500,8 +500,12 @@ func (c *Cluster) Run(ctx context.Context) error {
 	ended, err := c.cfg.ingest.admit(ctx, clusterIngestTarget{c}, &c.mu, &c.started)
 	c.mu.Unlock()
 	if err != nil {
+		err = fmt.Errorf("sieve: cluster: %w", err)
+		for _, s := range c.sites {
+			s.hub.abandon(err)
+		}
 		close(c.events)
-		return fmt.Errorf("sieve: cluster: %w", err)
+		return err
 	}
 	defer ended()
 

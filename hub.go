@@ -208,8 +208,10 @@ func (h *Hub) Run(ctx context.Context) error {
 	feeds := append([]*hubFeed(nil), h.feeds...)
 	h.mu.Unlock()
 	if err != nil {
+		err = fmt.Errorf("sieve: hub: %w", err)
+		h.abandon(err)
 		close(h.events)
-		return fmt.Errorf("sieve: hub: %w", err)
+		return err
 	}
 	defer ended()
 	if len(feeds) == 0 {
@@ -263,18 +265,7 @@ func (h *Hub) Run(ctx context.Context) error {
 	})
 	// Feeds the pool never started (parent cancellation) still must close
 	// their event channels so the forwarders terminate.
-	for _, f := range feeds {
-		h.mu.Lock()
-		done := f.done
-		h.mu.Unlock()
-		if !done {
-			f.sess.abort()
-			h.mu.Lock()
-			f.err = ctx.Err()
-			f.done = true
-			h.mu.Unlock()
-		}
-	}
+	h.abandon(ctx.Err())
 	fwd.Wait()
 	close(h.events)
 
@@ -285,6 +276,27 @@ func (h *Hub) Run(ctx context.Context) error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// abandon finishes every feed whose session has not run with cause: the
+// session is aborted — its events close, and a wire feed's client is told
+// cause and its stream is not archived — and the feed's Err is cause.
+func (h *Hub) abandon(cause error) {
+	h.mu.Lock()
+	feeds := append([]*hubFeed(nil), h.feeds...)
+	h.mu.Unlock()
+	for _, f := range feeds {
+		h.mu.Lock()
+		done := f.done
+		h.mu.Unlock()
+		if !done {
+			f.sess.abort(cause)
+			h.mu.Lock()
+			f.err = cause
+			f.done = true
+			h.mu.Unlock()
+		}
+	}
 }
 
 // Snapshot reports per-feed and aggregate counters; safe to call while Run

@@ -820,7 +820,11 @@ type wireFeed struct {
 	recvBytes   int64
 	finished    bool
 	closeReason wire.CloseReason
-	done        chan struct{}
+	// The run's ending, set by finish before done closes: the run's error,
+	// or the CLOSE to send when it is nil.
+	endErr   error
+	endClose wire.Close
+	done     chan struct{}
 }
 
 func newWireFeed(l *IngestListener, h wire.Hello) *wireFeed {
@@ -909,13 +913,20 @@ func (f *wireFeed) attach(c *wire.Conn) *feedReader {
 }
 
 // connect routes the feed's acks and terminal CLOSE to rd's connection,
-// once its WELCOME is out — unless a newer reader has taken over.
+// once its WELCOME is out — unless a newer reader has taken over. A feed
+// whose session ended before this WELCOME went out (a run abandoned right
+// after admission) had no connection to tell: rd's gets the ending here.
 func (f *wireFeed) connect(rd *feedReader) {
 	f.mu.Lock()
-	if f.reader == rd {
+	finished := f.finished
+	if !finished && f.reader == rd {
 		f.conn = rd.conn
 	}
 	f.mu.Unlock()
+	if finished {
+		<-f.done
+		f.end(rd.conn)
+	}
 }
 
 // detach clears the feed's connection if it is still c.
@@ -967,26 +978,32 @@ func (f *wireFeed) onEvent(ev Event) {
 func (f *wireFeed) finish(runErr error) {
 	f.mu.Lock()
 	f.finished = true
-	reason := f.closeReason
-	frames := f.recvFrames
+	f.endClose = wire.Close{Reason: f.closeReason, Frames: f.recvFrames}
 	conn := f.conn
 	f.conn, f.reader = nil, nil // no resume can follow; let the connection's buffers go
 	f.mu.Unlock()
 
 	if f.sink != nil && runErr == nil {
-		if err := f.lst.store.Put(f.hello.Feed, f.sink); err != nil && runErr == nil {
+		if err := f.lst.store.Put(f.hello.Feed, f.sink); err != nil {
 			runErr = err
 		}
 	}
+	f.endErr = runErr
 	if conn != nil {
-		if runErr != nil {
-			conn.SendError(wire.ErrorMsg{Code: wire.ErrCodeProtocol, Msg: runErr.Error()})
-		} else {
-			conn.SendClose(wire.Close{Reason: reason, Frames: frames})
-		}
-		conn.Close()
+		f.end(conn)
 	}
 	close(f.done)
+}
+
+// end answers c with how the feed's run ended — ERROR with the run's
+// error, or the server CLOSE — and closes it.
+func (f *wireFeed) end(c *wire.Conn) {
+	if f.endErr != nil {
+		c.SendError(wire.ErrorMsg{Code: wire.ErrCodeProtocol, Msg: f.endErr.Error()})
+	} else {
+		c.SendClose(f.endClose)
+	}
+	c.Close()
 }
 
 // wireSource adapts a feed's ingest queue to the FrameSource contract,

@@ -832,6 +832,80 @@ func TestWireAdmissionCancelReportsWindowTarget(t *testing.T) {
 	}
 }
 
+// TestWireAdmissionCancelFinishesAdmittedFeeds cancels an admission window
+// that has admitted one of its feeds, on a Hub and on a Cluster: the run
+// must finish that feed with the cancellation — its client reads ERROR,
+// its Err is set, and no stream of it is archived — rather than leave it
+// served until the listener closes.
+func TestWireAdmissionCancelFinishesAdmittedFeeds(t *testing.T) {
+	v := quietScene(t, 4)
+	for _, owner := range []string{"hub", "cluster"} {
+		t.Run(owner, func(t *testing.T) {
+			ln := NewMemListener()
+			lst := NewIngestListener(ln, WithExpectedFeeds(3), WithMaxFeeds(2))
+			defer lst.Close()
+			var (
+				run     func(context.Context) error
+				events  <-chan Event
+				feeds   func() []FeedStats
+				archive func() []string
+			)
+			if owner == "hub" {
+				hub := NewHub(WithListener(lst))
+				run, events = hub.Run, hub.Events()
+				feeds = func() []FeedStats { return hub.Snapshot().Feeds }
+				archive = lst.Store().Cameras
+			} else {
+				c, err := NewCluster(2, WithClusterListener(lst))
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, events = c.Run, c.Events()
+				feeds = func() (fs []FeedStats) {
+					for _, s := range c.Snapshot().Sites {
+						fs = append(fs, s.Hub.Feeds...)
+					}
+					return fs
+				}
+				archive = func() (cams []string) {
+					for _, s := range c.sites {
+						cams = append(cams, s.edge.Cameras()...)
+					}
+					return cams
+				}
+			}
+			go func() {
+				for range events {
+				}
+			}()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			errc := make(chan error, 1)
+			go func() { errc <- run(ctx) }()
+
+			a := dialRaw(t, ln)
+			a.hello(quietHello(v, "cam-a"))
+			cancel()
+			if err := <-errc; !errors.Is(err, context.Canceled) {
+				t.Fatalf("run error = %v, want context.Canceled", err)
+			}
+			if err := a.nc.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if e := a.expectError(wire.ErrCodeProtocol); !strings.Contains(e.Msg, "admission window cancelled") {
+				t.Fatalf("ERROR message = %q, want the admission cancellation", e.Msg)
+			}
+			fs := feeds()
+			if len(fs) != 1 || fs[0].Feed != "cam-a" || !strings.Contains(fs[0].Err, "admission window cancelled") {
+				t.Fatalf("feeds = %+v, want cam-a failed with the admission cancellation", fs)
+			}
+			if cams := archive(); len(cams) != 0 {
+				t.Fatalf("archived %v, want nothing", cams)
+			}
+		})
+	}
+}
+
 // TestWireQuotaFramesCloses covers the per-feed frame quota: the stream
 // is finalised at the quota and the client is told why with a terminal
 // CLOSE(QUOTA_FRAMES) — terminal, not throttling.

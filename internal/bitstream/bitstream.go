@@ -201,6 +201,33 @@ func (r *Reader) take(n uint) uint64 {
 	return v
 }
 
+// Peek refills the window and returns it: the unread bits, left-aligned, and
+// how many of its top bits are stream bits — at least 57, or every bit left
+// when fewer remain. The bits below the top n are zeros or the stream's next
+// bits; a caller must not read them. Peek consumes nothing.
+//
+// Peek and Consume let a parser decode from a local copy of the window and
+// hand back what it used: it peeks, decodes codes off the top of its copy
+// while they fit in n, and consumes the bits it decoded, after which every
+// other call reads on from there.
+//
+//sieve:noalloc entropy parse of the decode hot path
+func (r *Reader) Peek() (win uint64, n uint) {
+	r.refill()
+	return r.win, r.nwin
+}
+
+// Consume discards the next n bits, which the last Peek's window must hold:
+// n may not exceed the count Peek returned, less any bits read since.
+//
+//sieve:noalloc entropy parse of the decode hot path
+func (r *Reader) Consume(n uint) {
+	if n > r.nwin {
+		panic("bitstream: Consume past the window")
+	}
+	r.take(n)
+}
+
 // ReadBit reads a single bit.
 func (r *Reader) ReadBit() (uint64, error) {
 	return r.ReadBits(1)

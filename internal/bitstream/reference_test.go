@@ -378,8 +378,13 @@ func errString(err error) string {
 // error or position differs. Each op is one byte; its low three bits pick
 // the call and its high five bits the ReadBits width:
 //
-//	0 ReadBit   1 ReadBits(0..31)   7 ReadBits(32..63)
-//	2, 3 ReadUE   4, 5 ReadSE   6 Align, or ReadBits(64|65) when bit 3 is set
+//	0 ReadBit   1 ReadBits(0..31)   7 ReadBits(32..63)   2 ReadUE   4 ReadSE
+//	3 Peek   5 Peek, then Consume(0..63, at most what Peek holds)
+//	6 Align, or ReadBits(64|65) when bit 3 is set
+//
+// The oracle has no window: a Peek must show the oracle's next bits, at
+// least 57 of them or all that are left, and a Consume must take the bits
+// the oracle's ReadBits of the same width returns.
 func replayOps(t *testing.T, buf, ops []byte) {
 	t.Helper()
 	got := NewReader(buf)
@@ -411,14 +416,30 @@ func replayOps(t *testing.T, buf, ops []byte) {
 				gv, ge = got.ReadBits(n)
 				wv, we = want.ReadBits(n)
 			}
-		case 2, 3:
+		case 2:
 			call = "ReadUE()"
 			gv, ge = got.ReadUE()
 			wv, we = want.ReadUE()
-		case 4, 5:
+		case 4:
 			call = "ReadSE()"
 			gs, ge = got.ReadSE()
 			ws, we = want.ReadSE()
+		case 3, 5:
+			call = "Peek()"
+			win, n := got.Peek()
+			ahead := *want
+			wv, we = ahead.ReadBits(n)
+			if rem := uint(want.Remaining()); n > rem || n < min(57, rem) {
+				t.Fatalf("op %d Peek(): %d bits, reference has %d left", i, n, rem)
+			}
+			gv = win >> (64 - n) // 0 for n == 0
+			if op&7 == 5 && gv == wv && we == nil {
+				k := min(uint(op>>3)<<1|uint(i&1), n)
+				call = fmt.Sprintf("Peek(), Consume(%d)", k)
+				got.Consume(k)
+				gv = win >> (64 - k)
+				wv, we = want.ReadBits(k)
+			}
 		}
 		if gv != wv || gs != ws || errString(ge) != errString(we) || errors.Is(ge, ErrShortBuffer) != errors.Is(we, ErrShortBuffer) {
 			t.Fatalf("op %d %s: got (%d, %d, %v), reference (%d, %d, %v)", i, call, gv, gs, ge, wv, ws, we)

@@ -360,41 +360,187 @@ func (bd *blockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx, b
 		clear(bd.lev[v : v+transform.BlockSize])
 	}
 	bd.dirty = 1<<transform.BlockSize - 1 // until this block's rows are known
-	dcDelta, err := r.ReadSE()
+	rows, cols, err := bd.parse(r)
 	if err != nil {
-		return fmt.Errorf("dc delta: %w", err)
+		return err
 	}
-	bd.dcPred += int32(dcDelta)
+	bd.dirty = rows
+	bd.qz.InverseMasked(&bd.lev, rows, cols, &bd.rec)
+	writeResidualBlock(dst, bx, by, &bd.pred, &bd.rec)
+	return nil
+}
+
+// pairBits is the width of the window prefix pairTable is indexed by.
+const pairBits = 12
+
+// pairTable decodes, in one lookup on the window's top pairBits bits, an AC
+// (run, level) pair whose two Exp-Golomb codes together fit in those bits:
+// entry = length | run<<8 | level<<16 (level signed, in the top half). An
+// entry is 0 unless its bits start with such a pair with a run of at most 62
+// and a non-zero level; the EOB code (13 bits) never fits. The table is
+// built from the writer's side of the code — every pair that fits, its
+// prefix filled for every value of the bits after it — and
+// TestPairTableMatchesReader checks it against ReadUE and ReadSE.
+var pairTable = func() (t [1 << pairBits]uint32) {
+	codeLen := func(x uint64) uint { return 2*uint(bits.Len64(x)) - 1 } // code of x−1
+	for run := uint64(0); run < eobMarker; run++ {
+		// A level whose code fits is within ±31 (an 11-bit code).
+		for level := int64(-1 << (pairBits / 2)); level <= 1<<(pairBits/2); level++ {
+			if level == 0 {
+				continue
+			}
+			u := uint64(2*level - 1) // the code number WriteSE gives level
+			if level < 0 {
+				u = uint64(-2 * level)
+			}
+			nr, nl := codeLen(run+1), codeLen(u+1)
+			n := nr + nl
+			if n > pairBits {
+				continue
+			}
+			code := (run+1)<<nl | (u + 1)
+			e := uint32(n) | uint32(run)<<8 | uint32(level)<<16
+			for low := uint64(0); low < 1<<(pairBits-n); low++ {
+				t[code<<(pairBits-n)|low] = e
+			}
+		}
+	}
+	return t
+}()
+
+// refillBelow is how few window bits make the parse, when a table lookup
+// misses, hand the window back and peek again. Refilled, the window holds
+// at least 57 bits; a pair with a run up to 62 and a level below 2¹³ is at
+// most 38.
+const refillBelow = 40
+
+// seValue maps an Exp-Golomb code number to its signed value, as
+// Reader.ReadSE does.
+func seValue(u uint64) int64 {
+	even, odd := -int64(u>>1), int64((u+1)>>1)
+	return even ^ (even^odd)&-int64(u&1)
+}
+
+// parse reads a coded block's DC delta and AC run-level list into bd.lev
+// and returns the rows and columns its levels lie in. It decodes off a
+// local copy of the reader's window (Peek), refilled when a lookup misses
+// with fewer than refillBelow bits left: each AC pair that fits in pairBits
+// bits in one pairTable lookup, other codes — the DC, the EOB, longer
+// pairs — from their leading zeros in one shift each. Whatever that cannot
+// take — a code longer than the window holds, one the end of the buffer
+// cuts, and every code that is an error — it hands back: it consumes the
+// codes it decoded and finishes the block in parseSlow or parseACSlow from
+// the code it stopped at, so values, errors and BitsRead are those of the
+// parse by ReadUE and ReadSE.
+//
+//sieve:noalloc leaf of the decode hot path
+func (bd *blockDecoder) parse(r *bitstream.Reader) (rows, cols uint, err error) {
+	w, n := r.Peek()
+	left := n
+	k := 2*uint(bits.LeadingZeros64(w)) + 1
+	if k > left {
+		return bd.parseSlow(r)
+	}
+	bd.dcPred += int32(seValue(w>>(64-k) - 1))
+	w <<= k
+	left -= k
 	bd.lev[0] = bd.dcPred
-	var rows, cols uint
 	if bd.dcPred != 0 {
 		rows, cols = 1, 1
 	}
 	pos := uint64(1)
 	for {
-		run, err := r.ReadUE()
-		if err != nil {
-			return fmt.Errorf("ac run: %w", err)
+		e := pairTable[w>>(64-pairBits)]
+		if l := uint(e & 0xFF); l-1 < left { // a pair (l > 0) the window holds
+			if p := pos + uint64(e>>8&0xFF); p < uint64(len(bd.lev)) {
+				i := uint(transform.ScanIndex(int(p))) & 63
+				bd.lev[i] = int32(e) >> 16
+				rows |= 1 << (i >> 3)
+				cols |= 1 << (i & 7)
+				w <<= l & 63
+				left -= l
+				pos = p + 1
+				continue
+			}
 		}
-		if run == eobMarker {
+		if left < refillBelow && left != n {
+			r.Consume(n - left)
+			w, n = r.Peek()
+			left = n
+			continue
+		}
+		k := 2*uint(bits.LeadingZeros64(w)) + 1
+		if k > left {
 			break
 		}
+		run := w>>(64-k) - 1
+		if run == eobMarker {
+			r.Consume(n - left + k)
+			return rows, cols, nil
+		}
+		if run > eobMarker-1 || pos+run >= uint64(len(bd.lev)) {
+			break
+		}
+		lw, ll := w<<k, left-k
+		kl := 2*uint(bits.LeadingZeros64(lw)) + 1
+		if kl > ll || lw>>63 == 1 { // cut off, or a zero level
+			break
+		}
+		// kl <= 63, so the code number is below 2³² and the level fits int32.
+		pos += run
+		i := uint(transform.ScanIndex(int(pos))) & 63
+		bd.lev[i] = int32(seValue(lw>>(64-kl) - 1))
+		rows |= 1 << (i >> 3)
+		cols |= 1 << (i & 7)
+		w = lw << kl
+		left = ll - kl
+		pos++
+	}
+	r.Consume(n - left)
+	return bd.parseACSlow(r, pos, rows, cols)
+}
+
+// parseSlow is parse from the DC code on, one ReadUE or ReadSE call per code.
+func (bd *blockDecoder) parseSlow(r *bitstream.Reader) (rows, cols uint, err error) {
+	dcDelta, err := r.ReadSE()
+	if err != nil {
+		return 0, 0, fmt.Errorf("dc delta: %w", err)
+	}
+	bd.dcPred += int32(dcDelta)
+	bd.lev[0] = bd.dcPred
+	if bd.dcPred != 0 {
+		rows, cols = 1, 1
+	}
+	return bd.parseACSlow(r, 1, rows, cols)
+}
+
+// parseACSlow is parse from the AC pair at scan position pos on, one ReadUE
+// or ReadSE call per code; rows and cols are those of the levels before it.
+func (bd *blockDecoder) parseACSlow(r *bitstream.Reader, pos uint64, rows, cols uint) (uint, uint, error) {
+	for {
+		run, err := r.ReadUE()
+		if err != nil {
+			return 0, 0, fmt.Errorf("ac run: %w", err)
+		}
+		if run == eobMarker {
+			return rows, cols, nil
+		}
 		if run > eobMarker-1 {
-			return fmt.Errorf("%w: AC run %d", ErrCorrupt, run)
+			return 0, 0, fmt.Errorf("%w: AC run %d", ErrCorrupt, run)
 		}
 		pos += run
 		if pos >= uint64(len(bd.lev)) {
-			return fmt.Errorf("%w: run-level overflow at position %d", ErrCorrupt, pos)
+			return 0, 0, fmt.Errorf("%w: run-level overflow at position %d", ErrCorrupt, pos)
 		}
 		level, err := r.ReadSE()
 		if err != nil {
-			return fmt.Errorf("ac level: %w", err)
+			return 0, 0, fmt.Errorf("ac level: %w", err)
 		}
 		if level == 0 {
-			return fmt.Errorf("%w: zero AC level", ErrCorrupt)
+			return 0, 0, fmt.Errorf("%w: zero AC level", ErrCorrupt)
 		}
 		if level != int64(int32(level)) {
-			return fmt.Errorf("%w: AC level %d out of range", ErrCorrupt, level)
+			return 0, 0, fmt.Errorf("%w: AC level %d out of range", ErrCorrupt, level)
 		}
 		i := transform.ScanIndex(int(pos & 63))
 		bd.lev[i] = int32(level)
@@ -402,8 +548,4 @@ func (bd *blockDecoder) decodeBlock(r *bitstream.Reader, dst *frame.Plane, bx, b
 		cols |= 1 << (i & 7)
 		pos++
 	}
-	bd.dirty = rows
-	bd.qz.InverseMasked(&bd.lev, rows, cols, &bd.rec)
-	writeResidualBlock(dst, bx, by, &bd.pred, &bd.rec)
-	return nil
 }

@@ -718,6 +718,28 @@ func TestFromYUVIntoMatchesReference(t *testing.T) {
 	}
 }
 
+// BenchmarkFromYUV times the detector's input conversion at the benchmark's
+// geometry, a 320×240 frame into a 96×96 item, one plane per op: /luma the
+// Y plane (cell 1), /chroma the Cb plane (cell 2, upsampled 2×2). allocs/op
+// must read 0.
+func BenchmarkFromYUV(b *testing.B) {
+	const size = 96
+	f := noiseFrame(320, 240, 60)
+	data := make([]float32, size*size)
+	b.Run("luma", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			resampleInto(data, size, f.Y, size, 1)
+		}
+	})
+	b.Run("chroma", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			resampleInto(data, size, f.Cb, size/2, 2)
+		}
+	})
+}
+
 // BenchmarkConvLayers times each convolution of the detector on its own at
 // the benchmark's 96×96 geometry and reports ns per multiply-accumulate, so
 // a forward-pass number can be traced to the layer that moved: /kernel is

@@ -49,12 +49,14 @@ func fromYUVInto(data []float32, f *frame.YUV, size int) {
 
 // resampleInto writes src, bilinearly resized to target×target and scaled to
 // [0,1], into the size×size plane dst, each sample filling a cell×cell block
-// (clipped at the plane edge). The value at (x, y) is the byte
-// frame.Resize(src, target, target) holds there — the same expressions in
-// the same order, so the same IEEE results — but the terms that depend only
-// on the column (sx, x0, fx: a multiply, a floor, two conversions, and the
-// edge clamps of the two taps) are computed once per call instead of once
-// per sample, a block of columns at a time so the table lives on the stack.
+// (clipped at the plane edge); cell is 1 (luma) or 2 (chroma). The value at
+// (x, y) is the byte frame.Resize(src, target, target) holds there — the
+// same expressions in the same order, so the same IEEE results — but the
+// terms that depend only on the column (sx, x0, fx: a multiply, a floor, two
+// conversions, and the edge clamps of the two taps) are computed once per
+// call instead of once per sample, a block of columns at a time so the table
+// lives on the stack. A luma sample is stored straight into its row, a
+// chroma sample into the two rows of its 2×2 cell.
 //
 //sieve:noalloc input conversion on the batched detect path
 func resampleInto(dst []float32, size int, src *frame.Plane, target, cell int) {
@@ -79,23 +81,50 @@ func resampleInto(dst []float32, size int, src *frame.Plane, target, cell int) {
 			y0 := int(math.Floor(sy))
 			fy := sy - float64(y0)
 			rowA, rowB := src.Row(clampIndex(y0, src.H)), src.Row(clampIndex(y0+1, src.H))
-			cellRows := dst[cell*y*size : min(cell*(y+1), size)*size]
+			if cell == 1 {
+				out := dst[y*size+c0 : y*size+c0+cols]
+				for i := range out {
+					out[i] = unitByte[frame.Clamp255(bilinear(rowA, rowB, xa[i], xb[i], fx[i], fy))]
+				}
+				continue
+			}
+			// The cell's second row and column fall outside an odd-sized
+			// plane at its last sample: bot is then top again, and the
+			// column is skipped.
+			top := dst[2*y*size : 2*y*size+size]
+			bot := top
+			if 2*y+1 < size {
+				bot = dst[(2*y+1)*size : (2*y+1)*size+size]
+			}
 			for i := 0; i < cols; i++ {
-				p00, p10 := float64(rowA[xa[i]]), float64(rowA[xb[i]])
-				p01, p11 := float64(rowB[xa[i]]), float64(rowB[xb[i]])
-				top := p00 + float64((p10-p00)*fx[i])
-				bot := p01 + float64((p11-p01)*fx[i])
-				v := float32(frame.Clamp255(top+float64((bot-top)*fy))) / 255
-				x, xEnd := cell*(c0+i), min(cell*(c0+i+1), size)
-				for row := 0; row < len(cellRows); row += size {
-					for dx := x; dx < xEnd; dx++ {
-						cellRows[row+dx] = v
-					}
+				v := unitByte[frame.Clamp255(bilinear(rowA, rowB, xa[i], xb[i], fx[i], fy))]
+				x := 2 * (c0 + i)
+				top[x], bot[x] = v, v
+				if x+1 < size {
+					top[x+1], bot[x+1] = v, v
 				}
 			}
 		}
 	}
 }
+
+// bilinear is frame.Resize's sample between the taps xa and xb of rows a
+// and b, at fractions fx and fy, before it is clamped and rounded to a byte.
+func bilinear(a, b []byte, xa, xb int, fx, fy float64) float64 {
+	p00, p10 := float64(a[xa]), float64(a[xb])
+	p01, p11 := float64(b[xa]), float64(b[xb])
+	top := p00 + float64((p10-p00)*fx)
+	bot := p01 + float64((p11-p01)*fx)
+	return top + float64((bot-top)*fy)
+}
+
+// unitByte maps a byte to its value scaled to [0,1], float32(b)/255.
+var unitByte = func() (t [256]float32) {
+	for b := range t {
+		t[b] = float32(b) / 255
+	}
+	return t
+}()
 
 // clampIndex clamps i to [0, n), frame.Plane.At's border-extension rule.
 func clampIndex(i, n int) int {

@@ -556,8 +556,12 @@ func (s *Session) salvage() bool {
 }
 
 // abort closes the event stream of a session that will never run (a Hub
-// feed skipped by cancellation). No-op if Run already started.
-func (s *Session) abort() {
+// feed skipped by cancellation, or whose Run failed before it started) and
+// reports cause, which must not be nil, to the completion callback as its
+// outcome. The callback runs on its own goroutine: it may be telling a
+// remote client, who must not hold up the run that abandons the session.
+// No-op if Run already started.
+func (s *Session) abort(cause error) {
 	s.mu.Lock()
 	if s.ran {
 		s.mu.Unlock()
@@ -567,7 +571,7 @@ func (s *Session) abort() {
 	close(s.events)
 	s.mu.Unlock()
 	if s.cfg.onDone != nil {
-		s.cfg.onDone(nil)
+		go s.cfg.onDone(cause)
 	}
 }
 
