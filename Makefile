@@ -274,9 +274,23 @@ anchors-stress:
 # message-type, error-code, drain and close tables and fail when they
 # disagree with the internal/wire constants (in either direction), and the
 # same discipline covers PROTOCOL.md's SVAR activation-record layout
-# against the internal/nn codec constants.
+# against the internal/nn codec constants. Then every `go run ./<dir>` and
+# every backticked cmd/ or examples/ path in the guides must exist, and
+# every ```go snippet in README.md must name the Example function in
+# example_test.go that runs it.
+DOC_GUIDES = README.md DESIGN.md .claude/skills/verify/SKILL.md
 docs-lint:
 	$(GO) test -run '^TestSpec' -count=1 ./internal/wire/ ./internal/nn/
+	@for p in $$(grep -ohE 'go run \./[A-Za-z0-9_./-]+|`(cmd|examples)/[^`[:space:]]*`' $(DOC_GUIDES) \
+		| sed -e 's|^go run \./||' -e 's/`//g' | sort -u); do \
+		[ -e "$$p" ] || { echo "docs-lint: $$p does not exist, but one of $(DOC_GUIDES) names it"; exit 1; }; \
+	done
+	@for ex in $$(awk '/^```go/ { in_go = 1; named = 0; next } \
+		in_go && /^```/ { in_go = 0; if (!named) print "unnamed:" NR; next } \
+		in_go { while (match($$0, /Example[A-Za-z_]+/)) { print substr($$0, RSTART, RLENGTH); named = 1; $$0 = substr($$0, RSTART + RLENGTH) } }' README.md); do \
+		case "$$ex" in unnamed:*) echo "docs-lint: the go snippet ending at README.md:$${ex#unnamed:} names no Example function"; exit 1;; esac; \
+		grep -q "^func $$ex()" example_test.go || { echo "docs-lint: README.md names $$ex, which example_test.go does not define"; exit 1; }; \
+	done
 
 # The repo's end-to-end benchmark (BENCHMARK.json, bench/README.md): four
 # workloads through the public API with the detector on; compare two runs

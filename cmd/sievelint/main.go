@@ -47,8 +47,8 @@ var all = []*analysis.Analyzer{
 // deterministicPkgs are the packages under the byte-identical determinism
 // contract: their outputs are pinned by golden-SHA fixtures, ResultsDB
 // equivalence tests and the VirtualClock event-log tests, so wall-clock
-// reads are bugs, not style. cmd/* and examples/* stay outside; everything
-// they print as timing is explicitly wall-clock reporting.
+// reads are bugs, not style. cmd/* stays outside; everything it prints as
+// timing is explicitly wall-clock reporting.
 var deterministicPkgs = map[string]bool{
 	"sieve":                      true, // Session/Hub/Cluster/ingest/pusher paths
 	"sieve/internal/bitstream":   true,

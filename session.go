@@ -26,8 +26,8 @@ const (
 	// EventDetection fires when the session's detector has labelled an
 	// I-frame.
 	EventDetection
-	// EventStats carries a SessionStats snapshot: periodic when
-	// WithStatsEvery is set, and always once as the final event.
+	// EventStats carries the session's final SessionStats snapshot, once,
+	// as its last event.
 	EventStats
 )
 
@@ -125,18 +125,17 @@ func (s SessionStats) FilterRate() float64 {
 type SessionOption func(*sessionConfig)
 
 type sessionConfig struct {
-	name       string
-	params     *EncoderParams
-	quality    int
-	det        *Detector
-	clock      Clock
-	sink       io.WriteSeeker
-	statsEvery int
-	eventBuf   int
-	frameBase  int         // event frame-number offset, see withFrameBase
-	tap        func(Event) // synchronous observer, see withEventTap
-	onDone     func(error) // completion callback, see withRunDone
-	own        owner       // inherited from the hub that runs the session, see withOwner
+	name      string
+	params    *EncoderParams
+	quality   int
+	det       *Detector
+	clock     Clock
+	sink      io.WriteSeeker
+	eventBuf  int
+	frameBase int         // event frame-number offset, see withFrameBase
+	tap       func(Event) // synchronous observer, see withEventTap
+	onDone    func(error) // completion callback, see withRunDone
+	own       owner       // inherited from the hub that runs the session, see withOwner
 }
 
 // owner is the state a session inherits from whoever runs its feed — a
@@ -240,12 +239,6 @@ func WithClock(clk Clock) SessionOption {
 // buffer exposed by Stream.
 func WithSink(ws io.WriteSeeker) SessionOption {
 	return func(c *sessionConfig) { c.sink = ws }
-}
-
-// WithStatsEvery emits an EventStats snapshot every n encoded frames
-// (default: only the final snapshot).
-func WithStatsEvery(n int) SessionOption {
-	return func(c *sessionConfig) { c.statsEvery = n }
 }
 
 // Session consumes one FrameSource incrementally through the semantic
@@ -455,7 +448,7 @@ func (s *Session) Run(ctx context.Context) (err error) {
 			return fmt.Errorf("sieve: session %s: %w", s.cfg.name, err)
 		}
 		encSp.End()
-		frames := int(s.frames.Inc())
+		s.frames.Inc()
 		s.payload.Add(int64(len(ef.Data)))
 		s.frameBytes.Observe(int64(len(ef.Data)))
 		if ef.Type == FrameI {
@@ -491,11 +484,6 @@ func (s *Session) Run(ctx context.Context) (err error) {
 				if !s.emit(ctx, Event{Kind: EventDetection, Frame: s.cfg.frameBase + ef.Number, Labels: set}) {
 					return ctx.Err()
 				}
-			}
-		}
-		if s.cfg.statsEvery > 0 && frames%s.cfg.statsEvery == 0 {
-			if !s.emit(ctx, Event{Kind: EventStats, Frame: s.cfg.frameBase + ef.Number, Stats: s.Stats()}) {
-				return ctx.Err()
 			}
 		}
 	}

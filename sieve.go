@@ -20,8 +20,8 @@
 //     overload shedding; the listener turns accepted connections into
 //     Hub or Cluster feeds.
 //
-// See examples/ for runnable end-to-end scenarios and DESIGN.md for the
-// system inventory.
+// The Example functions run end-to-end scenarios (go test -run Example -v
+// .); DESIGN.md holds the system inventory.
 package sieve
 
 import (

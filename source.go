@@ -12,7 +12,6 @@ import (
 	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/frame"
-	"sieve/internal/synth"
 )
 
 // Clock abstracts time for stream pacing and event timestamps. Production
@@ -70,16 +69,6 @@ type SynthSource struct {
 
 // NewSynthSource wraps a synthetic video as a FrameSource.
 func NewSynthSource(v *Dataset) *SynthSource { return &SynthSource{v: v} }
-
-// OpenSynthSource builds one of the Table I presets and wraps it as a
-// FrameSource.
-func OpenSynthSource(name synth.PresetName, seconds, fps int) (*SynthSource, error) {
-	v, err := LoadDataset(name, seconds, fps)
-	if err != nil {
-		return nil, err
-	}
-	return NewSynthSource(v), nil
-}
 
 // Info implements FrameSource.
 func (s *SynthSource) Info() SourceInfo {

@@ -78,7 +78,7 @@ func TestSynthSourceStreamsExactFrames(t *testing.T) {
 func TestSessionEventLogDeterministic(t *testing.T) {
 	run := func() []string {
 		sess, err := NewSession(NewSynthSource(smallDataset(t)),
-			WithClock(testClock()), WithStatsEvery(4))
+			WithClock(testClock()))
 		if err != nil {
 			t.Fatal(err)
 		}
