@@ -226,10 +226,10 @@ wire-smoke:
 # detector — scripted site crashes with EdgeStore replay failover
 # (byte-identical to the fault-free run), uplink partition/heal, load-skewed
 # placement, mid-run cloud queryability, pusher reconnect backoff, and the
-# faultplan/retry/simnet unit suites.
+# faultplan/simnet unit suites.
 chaos-smoke:
 	$(GO) test -race -run '^(TestClusterFailover|TestClusterView|TestClusterPartition|TestClusterLoadSkew|TestClusterUnseekable|TestPusherRunRetry)' -count=1 .
-	$(GO) test -race -count=1 ./internal/faultplan/ ./internal/retry/
+	$(GO) test -race -count=1 ./internal/faultplan/
 	$(GO) test -race -run '^(TestFailHeal|TestDegrade)' -count=1 ./internal/simnet/
 	$(GO) test -race -run '^TestCoordinator' -count=1 ./internal/cluster/
 

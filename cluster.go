@@ -198,21 +198,20 @@ func WithClusterListener(l *IngestListener) ClusterOption {
 
 // WithFaultPlan scripts deterministic fault injection into the run: the
 // plan's events fire as feeds hit their trigger frame counts. A crashed
-// site's uplink drops and its sessions stop; once the cloud's
-// missed-heartbeat counter confirms the death, the site's feeds are
-// re-sharded over the surviving sites and each resumes at an I-frame
-// boundary, replaying its tail from the dead site's EdgeStore, so the
-// merged view still converges on the fault-free result. See FaultPlan.
+// site's uplink drops and its sessions stop; once its goroutine has
+// exited, the site's feeds are re-sharded over the surviving sites and
+// each resumes at an I-frame boundary, replaying its tail from the dead
+// site's EdgeStore, so the merged view still converges on the fault-free
+// result. See FaultPlan.
 func WithFaultPlan(p *FaultPlan) ClusterOption {
 	return func(c *clusterConfig) { c.faults = p }
 }
 
 // WithDeltaSync tunes the streaming shard replication: every `every`
 // detections a site ships an incremental ResultsDB delta to the cloud
-// (making the global view queryable mid-run via Cluster.View), retrying a
-// failed ship up to `attempts` times on the deterministic exponential
-// backoff schedule before marking the site degraded. Defaults: every 8,
-// 4 attempts.
+// (making the global view queryable mid-run via Cluster.View), trying a
+// failed ship up to `attempts` times in a row before marking the site
+// degraded. Defaults: every 8, 4 attempts.
 func WithDeltaSync(every, attempts int) ClusterOption {
 	return func(c *clusterConfig) {
 		if every > 0 {
@@ -282,11 +281,6 @@ type Cluster struct {
 	topo    *cluster.Topology
 	coord   *cluster.Coordinator
 	frunner *faultplan.Runner
-	// syncClock paces delta-sync retry backoff. It is a VirtualClock — like
-	// the simnet links, retry time is simulated, so a partitioned site
-	// exhausts its schedule instantly and deterministically instead of
-	// stalling the run.
-	syncClock Clock
 
 	// sites is fixed at NewCluster, so finding a site needs no lock; the
 	// per-site state it points to is guarded by mu.
@@ -320,14 +314,13 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 		return nil, fmt.Errorf("sieve: cluster: %w", err)
 	}
 	c := &Cluster{
-		cfg:       cfg,
-		reg:       reg,
-		topo:      topo,
-		coord:     cluster.NewCoordinator(topo),
-		frunner:   faultplan.NewRunner(cfg.faults),
-		syncClock: NewVirtualClock(time.Unix(0, 0).UTC()),
-		events:    make(chan Event, eventBuffer),
-		skew:      make(map[string]float64),
+		cfg:     cfg,
+		reg:     reg,
+		topo:    topo,
+		coord:   cluster.NewCoordinator(topo),
+		frunner: faultplan.NewRunner(cfg.faults),
+		events:  make(chan Event, eventBuffer),
+		skew:    make(map[string]float64),
 	}
 	c.fstats = newFailoverCounters(reg)
 	reg.Describe("sieve_cluster_edge_store_bytes", "per-site edge store usage")
@@ -531,8 +524,8 @@ func (c *Cluster) Run(ctx context.Context) error {
 		}()
 	}
 	// Collect sites as they finish; a crashed site's feeds fail over to the
-	// survivors (which are typically still running) as soon as its goroutine
-	// exits and the cloud's missed-heartbeat counter confirms the death.
+	// survivors (which are typically still running) as soon as its
+	// goroutine exits.
 	var migrations sync.WaitGroup
 	for range c.sites {
 		s := <-done
@@ -638,9 +631,9 @@ func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
 }
 
 // pump forwards a site's events onto the cluster stream with the cloud
-// work each implies: a heartbeat per event, fault-script progress per
-// encoded frame, and per detection a shard record, an uplink ship and,
-// every syncEvery detections, a delta flush. A live site and a failover
+// work each implies: fault-script progress per encoded frame, and per
+// detection a shard record, an uplink ship and, every syncEvery
+// detections, a delta flush. A live site and a failover
 // migration share it, and their differences are parameters: s is the
 // site charged (the adoptive one for a migration), events the hub's or
 // migrated session's stream, ship the detection-ship span scope (nil for
@@ -649,9 +642,6 @@ func (c *Cluster) pump(ctx context.Context, s *clusterSite, events <-chan Event,
 	synced := 0 // detections recorded since the last delta flush
 	for ev := range events {
 		ev.Site = s.name
-		// Every forwarded event is a liveness proof: heartbeats are
-		// event-driven, not wall-clock timers.
-		c.coord.Heartbeat(s.name)
 		var shipErr error
 		switch ev.Kind {
 		case EventFrameEncoded:
@@ -823,7 +813,7 @@ type ClusterStats struct {
 	// ReplayedFrames the frames re-encoded by adoptive sites.
 	Crashes, Recoveries, MigratedFeeds, LostFeeds, ReplayedFrames int
 	// DeltaSyncs counts streaming shard-sync flushes; SyncRetries the extra
-	// attempts the backoff schedule spent on partitioned uplinks.
+	// tries those flushes spent on partitioned uplinks.
 	DeltaSyncs, SyncRetries int64
 	// Failovers records each migrated feed (see Failover).
 	Failovers []Failover

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"sieve/internal/frame"
+	"sieve/internal/labels"
 	"sieve/internal/nn"
 	"sieve/internal/synth"
 )
@@ -605,6 +606,11 @@ func TestClusterFailoverEquivalence(t *testing.T) {
 	if len(deg) != 1 || deg[0].Site != "site1" {
 		t.Fatalf("Degraded = %+v, want the crashed site marked", deg)
 	}
+	// The merge notes the replica cursor after the crash; it does not
+	// replace it.
+	if want := "crashed; feeds failing over; no final report; merged streamed replica at cursor "; !strings.HasPrefix(deg[0].Reason, want) {
+		t.Fatalf("degraded reason after Run = %q, want prefix %q", deg[0].Reason, want)
+	}
 	if st.DeltaSyncs == 0 {
 		t.Fatal("no streaming delta syncs recorded")
 	}
@@ -778,6 +784,66 @@ func TestClusterPartitionDegradesThenHeals(t *testing.T) {
 	}
 	if deg := c2.Degraded(); len(deg) != 0 {
 		t.Fatalf("healed run still degraded: %+v", deg)
+	}
+}
+
+// unsyncedSite returns a one-site cluster whose site holds one detection
+// the cloud replica has not applied.
+func unsyncedSite(t *testing.T) (*Cluster, *clusterSite) {
+	t.Helper()
+	c, err := NewCluster(1, WithDeltaSync(8, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.sites[0]
+	s.shard.Put("cam", 0, labels.NewSet("car"))
+	return c, s
+}
+
+// TestFlushDeltasCancelledContext: a flush whose context is already done
+// (a crashed site's pump) makes no attempt, so it counts no delta sync, no
+// retry (never a negative one) and marks nothing.
+func TestFlushDeltasCancelledContext(t *testing.T) {
+	c, s := unsyncedSite(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.flushDeltas(ctx, s)
+	if st := c.Snapshot(); st.DeltaSyncs != 0 || st.SyncRetries != 0 {
+		t.Fatalf("cancelled flush counted DeltaSyncs = %d, SyncRetries = %d; want 0, 0", st.DeltaSyncs, st.SyncRetries)
+	}
+	if deg := c.Degraded(); len(deg) != 0 {
+		t.Fatalf("cancelled flush marked %+v", deg)
+	}
+	if got := c.coord.SyncCursor(s.name); got != 0 {
+		t.Fatalf("cancelled flush moved the cursor to %d", got)
+	}
+}
+
+// TestFlushDeltasExhaustsAttempts: over a partitioned uplink one flush
+// makes exactly syncAttempts tries and marks the site degraded; once the
+// link heals the next flush ships in one try and clears the marker.
+func TestFlushDeltasExhaustsAttempts(t *testing.T) {
+	c, s := unsyncedSite(t)
+	l, _ := c.topo.Uplink(s.name)
+	l.Fail()
+	c.flushDeltas(context.Background(), s)
+	if st := c.Snapshot(); st.DeltaSyncs != 1 || st.SyncRetries != 2 {
+		t.Fatalf("partitioned flush: DeltaSyncs = %d, SyncRetries = %d; want 1, 2", st.DeltaSyncs, st.SyncRetries)
+	}
+	deg := c.Degraded()
+	if len(deg) != 1 || !strings.HasPrefix(deg[0].Reason, "delta sync stalled at cursor 0 after 3 attempts: ") {
+		t.Fatalf("Degraded = %+v, want the stalled sync after 3 attempts", deg)
+	}
+	l.Heal()
+	c.flushDeltas(context.Background(), s)
+	if st := c.Snapshot(); st.DeltaSyncs != 2 || st.SyncRetries != 2 {
+		t.Fatalf("healed flush: DeltaSyncs = %d, SyncRetries = %d; want 2, 2", st.DeltaSyncs, st.SyncRetries)
+	}
+	if deg := c.Degraded(); len(deg) != 0 {
+		t.Fatalf("healed flush left %+v", deg)
+	}
+	if got, want := c.coord.SyncCursor(s.name), s.shard.Version(); got != want {
+		t.Fatalf("cursor = %d after the healed flush, want %d", got, want)
 	}
 }
 

@@ -218,14 +218,11 @@ func cmdCluster(args []string) {
 		spec := v.Spec()
 		params := sieve.EncoderParams{
 			Width: spec.Width, Height: spec.Height,
-			GOPSize: *gop, Scenecut: *scenecut, MinGOP: tuner.DefaultMinGOP,
+			GOPSize: *gop, Scenecut: *scenecut, MinGOP: tuner.DefaultMinGOP, Quality: *quality,
 		}
 		opts := []sieve.SessionOption{
 			sieve.WithTunedParams(params),
 			sieve.WithClock(sieve.NewVirtualClock(time.Unix(0, 0).UTC())),
-		}
-		if *quality != 0 {
-			opts = append(opts, sieve.WithQuality(*quality))
 		}
 		if det != nil && *batch == 0 {
 			// With -batch the site's shared plane handles inference; the

@@ -93,7 +93,7 @@ func cmdStream(args []string) {
 		spec := v.Spec()
 		params := sieve.EncoderParams{
 			Width: spec.Width, Height: spec.Height,
-			GOPSize: *gop, Scenecut: *scenecut, MinGOP: tuner.DefaultMinGOP,
+			GOPSize: *gop, Scenecut: *scenecut, MinGOP: tuner.DefaultMinGOP, Quality: *quality,
 		}
 		clock := sieve.Clock(sieve.NewVirtualClock(time.Unix(0, 0).UTC()))
 		if *realtime {
@@ -109,7 +109,7 @@ func cmdStream(args []string) {
 			// then replay the SVF stream paced at capture rate.
 			var rec container.Buffer
 			if _, err := sieve.EncodeStream(ctx, sieve.NewSynthSource(v), &rec,
-				sieve.WithTunedParams(params), sieve.WithQuality(*quality)); err != nil {
+				sieve.WithTunedParams(params)); err != nil {
 				log.Fatal(err)
 			}
 			r, err := sieve.OpenStream(&rec, rec.Size())
@@ -135,9 +135,6 @@ func cmdStream(args []string) {
 			})
 		}
 		opts := []sieve.SessionOption{sieve.WithTunedParams(params), sieve.WithClock(clock)}
-		if *quality != 0 {
-			opts = append(opts, sieve.WithQuality(*quality))
-		}
 		sess, err := hub.Add(name, src, opts...)
 		if err != nil {
 			log.Fatal(err)

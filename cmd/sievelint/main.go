@@ -62,7 +62,6 @@ var deterministicPkgs = map[string]bool{
 	"sieve/internal/infer":       true,
 	"sieve/internal/labels":      true,
 	"sieve/internal/nn":          true,
-	"sieve/internal/retry":       true, // backoff sleeps through the injected Sleeper
 	"sieve/internal/simnet":      true, // links account virtual time, never sleep
 	"sieve/internal/store":       true,
 	"sieve/internal/synth":       true,

@@ -226,7 +226,7 @@ func ExampleWithFaultPlan() {
 	fmt.Println("merged results equal the fault-free run's:", bytes.Equal(faultFree, crashed))
 	// Output:
 	// failover: cam-south site1 -> site2, resumed at frame 6, 2 frames replayed
-	// degraded: site1: no final report; merged streamed replica at cursor 2
+	// degraded: site1: crashed; feeds failing over; no final report; merged streamed replica at cursor 2
 	// merged results equal the fault-free run's: true
 }
 

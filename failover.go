@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"sieve/internal/cluster"
 	"sieve/internal/container"
 	"sieve/internal/faultplan"
 	"sieve/internal/telemetry"
@@ -133,18 +132,13 @@ func (c *Cluster) recoverSite(name string) {
 }
 
 // handleCrash runs on the Run goroutine when a crashed site's goroutine
-// exits. The cloud first confirms the death the way a real coordinator
-// would — observing silence epochs until the missed-heartbeat counter
-// crosses the threshold — then every feed of the dead site is re-sharded
-// over the survivors. Target assignment is sequential in feed Add order so
-// stateful sharders (round-robin) place deterministically; the migrations
-// themselves run concurrently.
+// exits: the fault plane has already told the cloud the site died
+// (crashSite set its failover flag), so every feed of the dead site is
+// re-sharded over the survivors. Target assignment is sequential in feed
+// Add order so stateful sharders (round-robin) place deterministically;
+// the migrations themselves run concurrently.
 func (c *Cluster) handleCrash(ctx context.Context, dead *clusterSite, wg *sync.WaitGroup) {
-	for !c.coord.SuspectDead(dead.name) {
-		c.coord.NoteSilence(dead.name)
-	}
-	c.coord.MarkDegraded(dead.name,
-		fmt.Sprintf("crashed after %d missed heartbeats; feeds failing over", cluster.HeartbeatThreshold))
+	c.coord.MarkDegraded(dead.name, "crashed; feeds failing over")
 	for _, f := range dead.feeds {
 		target, err := c.assignFailover(f.name, dead)
 		if err != nil {

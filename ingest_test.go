@@ -1348,3 +1348,33 @@ func TestPusherRunRetryExhausts(t *testing.T) {
 		}
 	}
 }
+
+// TestPusherRunRetrySchedule pins the reconnect schedule: no wait before
+// the first try, doubling from the base, capped at the max (uncapped when
+// the max is 0, saturating instead of overflowing), and a pure function of
+// the retry number.
+func TestPusherRunRetrySchedule(t *testing.T) {
+	ms := time.Millisecond
+	b := backoff{base: 10 * ms, max: 80 * ms, attempts: 8}
+	want := []time.Duration{0, 10 * ms, 20 * ms, 40 * ms, 80 * ms, 80 * ms, 80 * ms}
+	for i, w := range want {
+		if d := b.delay(i); d != w {
+			t.Fatalf("delay(%d) = %v, want %v", i, d, w)
+		}
+		if b.delay(i) != b.delay(i) {
+			t.Fatalf("delay(%d) not stable", i)
+		}
+	}
+	if d := (backoff{base: 10 * ms, max: 25 * ms}).delay(3); d != 25*ms {
+		t.Fatalf("delay past a cap between doublings = %v, want 25ms", d)
+	}
+	if d := (backoff{base: 10 * ms}).delay(5); d != 160*ms {
+		t.Fatalf("uncapped delay(5) = %v, want 160ms", d)
+	}
+	if d := (backoff{base: 10 * ms}).delay(200); d <= 0 {
+		t.Fatalf("uncapped delay(200) = %v, want a positive saturated wait", d)
+	}
+	if d := (backoff{max: 80 * ms}).delay(3); d != 0 {
+		t.Fatalf("zero-base delay = %v, want 0", d)
+	}
+}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -23,11 +24,6 @@ const (
 	statsWireBytes = 48
 	// reportOverheadBytes is the fixed header of a shard sync or delta.
 	reportOverheadBytes = 64
-	// HeartbeatThreshold is how many consecutive missed heartbeats mark a
-	// site suspect. Heartbeats are event-driven (no wall clock): the
-	// failover controller notes silence when it observes other sites make
-	// progress while one stays quiet.
-	HeartbeatThreshold = 3
 )
 
 // DetectionWireBytes models the uplink payload of one shipped detection
@@ -64,8 +60,8 @@ type DegradedSite struct {
 // Coordinator is the cloud side of the cluster (the "results database" box
 // of Figure 1, scaled out): it meters everything the edge sites ship over
 // their uplinks, maintains a per-site shadow replica fed by streaming
-// deltas (so the global view is queryable mid-run), tracks site liveness
-// via missed-heartbeat counters, and merges the shards into one
+// deltas (so the global view is queryable mid-run), records which sites'
+// slices of that view are degraded, and merges the shards into one
 // conflict-checked global view that serves cross-camera queries.
 type Coordinator struct {
 	topo *Topology
@@ -76,8 +72,6 @@ type Coordinator struct {
 	// replicas are the cloud-side shadow shards, built exclusively from
 	// ApplyDelta — each replica's Version is the site's sync cursor.
 	replicas map[string]*store.ResultsDB
-	beats    map[string]int64
-	missed   map[string]int
 	degraded map[string]string
 	merged   *store.ResultsDB
 }
@@ -89,8 +83,6 @@ func NewCoordinator(topo *Topology) *Coordinator {
 		expected: make(map[string]bool),
 		reports:  make(map[string]Report),
 		replicas: make(map[string]*store.ResultsDB),
-		beats:    make(map[string]int64),
-		missed:   make(map[string]int),
 		degraded: make(map[string]string),
 	}
 }
@@ -191,33 +183,6 @@ func (c *Coordinator) ShipDelta(site string, d store.Delta) error {
 		return fmt.Errorf("cluster: delta sync %s: %w", site, err)
 	}
 	return nil
-}
-
-// Heartbeat records liveness for a site, resetting its missed counter.
-func (c *Coordinator) Heartbeat(site string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.beats[site]++
-	c.missed[site] = 0
-}
-
-// NoteSilence increments a site's missed-heartbeat counter (called when
-// other sites make progress while this one stays quiet — an event-count
-// notion of time, deterministic under a virtual clock) and returns the new
-// count.
-func (c *Coordinator) NoteSilence(site string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.missed[site]++
-	return c.missed[site]
-}
-
-// SuspectDead reports whether a site has missed HeartbeatThreshold or more
-// consecutive heartbeats.
-func (c *Coordinator) SuspectDead(site string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.missed[site] >= HeartbeatThreshold
 }
 
 // MarkDegraded records that a site's contribution to the merged view is
@@ -325,10 +290,11 @@ func (c *Coordinator) Submit(rep Report) error {
 // contribute their authoritative shard; a registered site that never
 // submitted (it crashed, or its uplink stayed partitioned) contributes
 // whatever its streamed replica holds and gains an explicit degraded
-// marker — the merged view is stale-but-consistent, never silently short
-// without saying so. On a conflict the merged view built so far is
-// discarded and the error names the offending (camera, frame). The merged
-// database is retained for Merged/Query/Track.
+// marker, appended to any reason the run already recorded — the merged
+// view is stale-but-consistent, never silently short without saying so,
+// and a crashed site still says it crashed. On a conflict the merged view
+// built so far is discarded and the error names the offending (camera,
+// frame). The merged database is retained for Merged/Query/Track.
 func (c *Coordinator) MergeAll() (*store.ResultsDB, error) {
 	c.mu.Lock()
 	sites := make(map[string]bool, len(c.expected))
@@ -371,12 +337,33 @@ func (c *Coordinator) MergeAll() (*store.ResultsDB, error) {
 		if shards[s] != nil {
 			cursor = shards[s].Version()
 		}
-		c.MarkDegraded(s, fmt.Sprintf("no final report; merged streamed replica at cursor %d", cursor))
+		c.mu.Lock()
+		c.degraded[s] = withStaleNote(c.degraded[s], cursor)
+		c.mu.Unlock()
 	}
 	c.mu.Lock()
 	c.merged = merged
 	c.mu.Unlock()
 	return merged, nil
+}
+
+// staleNote is MergeAll's degraded reason for a site merged from its
+// streamed replica.
+const staleNote = "no final report; merged streamed replica at cursor "
+
+// withStaleNote appends MergeAll's note to a site's existing degraded
+// reason, so the cause recorded during the run (a crash, a partition)
+// survives the merge. A note from an earlier MergeAll is replaced, not
+// repeated.
+func withStaleNote(reason string, cursor int64) string {
+	if i := strings.Index(reason, staleNote); i >= 0 {
+		reason = strings.TrimSuffix(reason[:i], "; ")
+	}
+	note := fmt.Sprintf("%s%d", staleNote, cursor)
+	if reason == "" {
+		return note
+	}
+	return reason + "; " + note
 }
 
 // Merged returns the global view built by MergeAll (nil before it).

@@ -246,8 +246,12 @@ func TestCoordinatorPartialMergeDegrades(t *testing.T) {
 	if err := c.ShipDelta("site1", partial); err != nil {
 		t.Fatal(err)
 	}
+	c.MarkDegraded("site1", "crashed; feeds failing over")
 
-	merged, err := c.MergeAll()
+	if _, err := c.MergeAll(); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := c.MergeAll() // a second merge must not repeat the note
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +269,8 @@ func TestCoordinatorPartialMergeDegrades(t *testing.T) {
 	if len(deg) != 1 || deg[0].Site != "site1" {
 		t.Fatalf("Degraded = %+v, want exactly site1", deg)
 	}
-	if !strings.Contains(deg[0].Reason, "cursor 1") {
-		t.Fatalf("degraded reason does not carry the replica cursor: %q", deg[0].Reason)
+	if want := "crashed; feeds failing over; no final report; merged streamed replica at cursor 1"; deg[0].Reason != want {
+		t.Fatalf("degraded reason = %q, want %q (the run's cause kept, the replica cursor appended once)", deg[0].Reason, want)
 	}
 	// Recovery: the late report arrives, the marker clears on re-merge.
 	if err := c.Submit(Report{Site: "site1", Shard: shard1}); err != nil {
@@ -282,31 +286,6 @@ func TestCoordinatorPartialMergeDegrades(t *testing.T) {
 	}
 	if deg := c.Degraded(); len(deg) != 0 {
 		t.Fatalf("Degraded after recovery = %+v", deg)
-	}
-}
-
-func TestCoordinatorHeartbeats(t *testing.T) {
-	c := NewCoordinator(testTopo(t, "site0"))
-	c.Register("site0")
-	if c.SuspectDead("site0") {
-		t.Fatal("fresh site suspect")
-	}
-	for i := 1; i < HeartbeatThreshold; i++ {
-		if n := c.NoteSilence("site0"); n != i {
-			t.Fatalf("NoteSilence #%d = %d", i, n)
-		}
-		if c.SuspectDead("site0") {
-			t.Fatalf("suspect after %d misses (threshold %d)", i, HeartbeatThreshold)
-		}
-	}
-	c.NoteSilence("site0")
-	if !c.SuspectDead("site0") {
-		t.Fatal("not suspect at threshold")
-	}
-	// A heartbeat clears the counter.
-	c.Heartbeat("site0")
-	if c.SuspectDead("site0") {
-		t.Fatal("suspect after heartbeat")
 	}
 }
 

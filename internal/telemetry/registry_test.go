@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"sieve/internal/clock"
 )
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
@@ -111,7 +114,7 @@ func TestRecordPathsZeroAlloc(t *testing.T) {
 	c := r.Counter("c")
 	g := r.Gauge("g")
 	h := r.Histogram("h", []int64{1, 10, 100})
-	tr := NewTracer(fixedClock{})
+	tr := NewTracer(fixedClock())
 	sc := tr.Scope("site0", "cam")
 	tr.Record("warm", "up", StagePull, 0, time.Time{}, time.Time{}) // allocate the first chunk
 	checks := map[string]func(){
@@ -171,10 +174,9 @@ func TestConcurrentRecordingAndSnapshot(t *testing.T) {
 	}
 }
 
-// fixedClock is a frozen test clock.
-type fixedClock struct{}
-
-func (fixedClock) Now() time.Time { return time.Unix(0, 0).UTC() }
+// fixedClock is a frozen test clock: nothing in the tracer sleeps, so a
+// Virtual clock never moves.
+func fixedClock() clock.Clock { return clock.NewVirtual(time.Unix(0, 0).UTC()) }
 
 // tickClock advances a fixed step per Now call.
 type tickClock struct {
@@ -188,4 +190,11 @@ func (c *tickClock) Now() time.Time {
 	defer c.mu.Unlock()
 	c.now = c.now.Add(c.step)
 	return c.now
+}
+
+func (c *tickClock) Sleep(ctx context.Context, d time.Duration) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.now = c.now.Add(d)
+	return ctx.Err()
 }

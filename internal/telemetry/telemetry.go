@@ -6,7 +6,7 @@
 // benchmark report schema.
 //
 // Determinism contract: the package never reads the wall clock — every
-// timestamp flows in through the injectable Clock — and every export path
+// timestamp flows in through the injected clock.Clock — and every export path
 // (Snapshot, WritePrometheus, WriteChrome) emits in a sorted, stable
 // order, so under a VirtualClock two identical runs produce byte-identical
 // artifacts. Record paths (Counter.Add, Gauge.Set/Max, Histogram.Observe,
@@ -19,16 +19,7 @@ package telemetry
 import (
 	"sort"
 	"strings"
-	"time"
 )
-
-// Clock is the subset of the root package's Clock the tracer needs.
-// sieve.Clock satisfies it structurally, so call sites pass their session
-// or cluster clock straight through; tests pass a VirtualClock for
-// byte-identical traces, CLIs pass the wall clock for real durations.
-type Clock interface {
-	Now() time.Time
-}
 
 // Label is one dimension of an instrument's identity (feed, site, ...).
 // Labels are fixed at registration; a labelled instrument is a distinct

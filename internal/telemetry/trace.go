@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"sieve/internal/clock"
 )
 
 // Stage names one pipeline stage of the SiEVE dataflow. Spans are keyed
@@ -52,7 +54,7 @@ const traceChunk = 4096
 // wall clock makes it a real profile. A nil *Tracer is a valid no-op
 // (Scope and Record on nil do nothing), so call sites need no branching.
 type Tracer struct {
-	clock Clock
+	clock clock.Clock
 
 	mu     sync.Mutex
 	active []Span
@@ -60,12 +62,12 @@ type Tracer struct {
 	dead   map[string]bool // sites whose spans are dropped (crash semantics)
 }
 
-// NewTracer returns a tracer reading timestamps from clock.
-func NewTracer(clock Clock) *Tracer {
-	if clock == nil {
+// NewTracer returns a tracer reading timestamps from clk.
+func NewTracer(clk clock.Clock) *Tracer {
+	if clk == nil {
 		panic("telemetry: NewTracer needs a clock")
 	}
-	return &Tracer{clock: clock}
+	return &Tracer{clock: clk}
 }
 
 // Record appends one completed span. Spans recorded for a site previously

@@ -11,7 +11,7 @@ import (
 func at(ms int) time.Time { return time.Unix(0, 0).UTC().Add(time.Duration(ms) * time.Millisecond) }
 
 func TestTracerSpansSorted(t *testing.T) {
-	tr := NewTracer(fixedClock{})
+	tr := NewTracer(fixedClock())
 	tr.Record("site1", "cam-b", StageEncode, 2, at(0), at(1))
 	tr.Record("site0", "cam-a", StagePull, 0, at(0), at(1))
 	tr.Record("site0", "cam-a", StageEncode, 0, at(1), at(2))
@@ -55,7 +55,7 @@ func TestNilTracerAndScopeAreInert(t *testing.T) {
 }
 
 func TestDropSiteDiscardsPastAndFuture(t *testing.T) {
-	tr := NewTracer(fixedClock{})
+	tr := NewTracer(fixedClock())
 	tr.Record("site0", "a", StagePull, 0, at(0), at(1))
 	tr.Record("site1", "b", StagePull, 0, at(0), at(1))
 	tr.DropSite("site1")
@@ -71,7 +71,7 @@ func TestDropSiteDiscardsPastAndFuture(t *testing.T) {
 // exports — the sorted total order is the determinism mechanism.
 func TestWriteChromeDeterministic(t *testing.T) {
 	export := func(shuffle bool) []byte {
-		tr := NewTracer(fixedClock{})
+		tr := NewTracer(fixedClock())
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -170,7 +170,7 @@ func TestSummarizeChromeRejectsMalformed(t *testing.T) {
 }
 
 func TestTracerChunkRollover(t *testing.T) {
-	tr := NewTracer(fixedClock{})
+	tr := NewTracer(fixedClock())
 	const n = traceChunk*2 + 17
 	for i := 0; i < n; i++ {
 		tr.Record("s", "f", StagePull, i, at(0), at(0))

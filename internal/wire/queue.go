@@ -71,6 +71,7 @@ func (q *Queue) Push(ctx context.Context, it Item) error {
 		q.mu.Lock()
 		if q.closed {
 			q.mu.Unlock()
+			signal(q.notFull) // wake the next blocked producer to see it too
 			return ErrQueueClosed
 		}
 		if len(q.items) < q.capacity {

@@ -327,6 +327,34 @@ func TestQueueCloseWithError(t *testing.T) {
 	}
 }
 
+// TestQueueCloseWakesEveryBlockedPush: several producers blocked on a
+// full queue all return ErrQueueClosed on Close, with no Pop to free a
+// slot and no cancellation.
+func TestQueueCloseWakesEveryBlockedPush(t *testing.T) {
+	q := NewQueue(1)
+	ctx := context.Background()
+	if err := q.Push(ctx, Item{}); err != nil {
+		t.Fatal(err)
+	}
+	const producers = 3
+	var started sync.WaitGroup
+	errs := make(chan error, producers)
+	for i := 0; i < producers; i++ {
+		started.Add(1)
+		go func() {
+			started.Done()
+			errs <- q.Push(ctx, Item{Index: 1})
+		}()
+	}
+	started.Wait()
+	q.Close(nil)
+	for i := 0; i < producers; i++ {
+		if err := <-errs; !errors.Is(err, ErrQueueClosed) {
+			t.Fatalf("blocked push %d = %v, want ErrQueueClosed", i, err)
+		}
+	}
+}
+
 func TestQueuePopHonoursContext(t *testing.T) {
 	q := NewQueue(1)
 	ctx, cancel := context.WithCancel(context.Background())

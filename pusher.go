@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
 
-	"sieve/internal/retry"
 	"sieve/internal/telemetry"
 	"sieve/internal/wire"
 )
@@ -21,7 +21,7 @@ type pusherConfig struct {
 	name       string
 	params     EncoderParams
 	haveParams bool
-	backoff    retry.Backoff
+	backoff    backoff
 	clock      Clock
 }
 
@@ -46,8 +46,35 @@ func WithPusherEncoding(p EncoderParams) PusherOption {
 // scripted flaky transport reconnects at the same points every run.
 func WithPusherBackoff(base, max time.Duration, maxAttempts int) PusherOption {
 	return func(c *pusherConfig) {
-		c.backoff = retry.Backoff{Base: base, Max: max, MaxAttempts: maxAttempts}
+		c.backoff = backoff{base: base, max: max, attempts: maxAttempts}
 	}
+}
+
+// backoff is RunRetry's reconnect schedule: retry i ≥ 1 waits
+// base·2^(i−1), capped at max (0: uncapped), and attempts bounds the
+// consecutive tries without progress.
+type backoff struct {
+	base, max time.Duration
+	attempts  int
+}
+
+// delay returns the wait before retry i (none before the first try). It
+// is a pure function of the schedule and i — no randomness, no clock.
+func (b backoff) delay(i int) time.Duration {
+	if i <= 0 || b.base <= 0 {
+		return 0
+	}
+	d := b.base
+	for n := 1; n < i; n++ {
+		if b.max > 0 && d >= b.max || d > math.MaxInt64/2 {
+			break
+		}
+		d *= 2
+	}
+	if b.max > 0 && d > b.max {
+		return b.max
+	}
+	return d
 }
 
 // WithPusherClock injects the clock RunRetry sleeps its backoff delays on
@@ -90,7 +117,7 @@ var ErrPusherDone = errors.New("sieve: pusher: feed already finalised by server"
 
 // ErrRetryExhausted matches (errors.Is) the error RunRetry returns when
 // the reconnect budget is spent without progress.
-var ErrRetryExhausted = retry.ErrAttemptsExhausted
+var ErrRetryExhausted = errors.New("sieve: pusher: reconnect budget spent")
 
 // Pusher is the client side of the SVWP ingest plane: it streams a
 // FrameSource's raw frames to an IngestListener over any net.Conn. The
@@ -281,7 +308,7 @@ func (p *Pusher) Run(ctx context.Context, nc net.Conn) error {
 // reconnecting through the capped exponential-backoff schedule when the
 // transport fails. Progress resets the schedule: a connection that
 // delivered new frames, acks or a RESUME handshake drops the streak back
-// to the base delay, so only MaxAttempts *consecutive fruitless* attempts
+// to the base delay, so only maxAttempts *consecutive fruitless* attempts
 // exhaust the budget (an error matching ErrRetryExhausted, wrapped with
 // the last transport error). A server rejection (wire ERROR) is terminal
 // and never retried;
@@ -298,18 +325,17 @@ func (p *Pusher) RunRetry(ctx context.Context, dial func(context.Context) (net.C
 		clk = RealClock()
 	}
 	b := p.cfg.backoff
-	if b.MaxAttempts == 0 {
-		b = retry.Backoff{Base: 50 * time.Millisecond, Max: time.Second, MaxAttempts: 5}
+	if b.attempts == 0 {
+		b = backoff{base: 50 * time.Millisecond, max: time.Second, attempts: 5}
 	}
 	streak := 0 // consecutive attempts without progress
 	var last error
 	for {
-		if streak >= b.MaxAttempts {
-			return fmt.Errorf("sieve: pusher: reconnect budget spent (%d attempts without progress): %w",
-				b.MaxAttempts, errors.Join(retry.ErrAttemptsExhausted, last))
+		if streak >= b.attempts {
+			return errors.Join(fmt.Errorf("%w (%d attempts without progress)", ErrRetryExhausted, b.attempts), last)
 		}
 		if streak > 0 {
-			if err := clk.Sleep(ctx, b.Delay(streak)); err != nil {
+			if err := clk.Sleep(ctx, b.delay(streak)); err != nil {
 				return errors.Join(err, last)
 			}
 		}

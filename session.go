@@ -127,7 +127,6 @@ type SessionOption func(*sessionConfig)
 type sessionConfig struct {
 	name      string
 	params    *EncoderParams
-	quality   int
 	det       *Detector
 	clock     Clock
 	sink      io.WriteSeeker
@@ -208,11 +207,6 @@ func WithTunedParams(p EncoderParams) SessionOption {
 	return func(c *sessionConfig) { c.params = &p }
 }
 
-// WithQuality overrides the encoder quality in [1,100] (default 85).
-func WithQuality(q int) SessionOption {
-	return func(c *sessionConfig) { c.quality = q }
-}
-
 // WithDetector runs d on every I-frame and emits EventDetection events. The
 // detector reads the encoder's reconstruction of the frame, which equals a
 // decode of the stored payload byte for byte, so its labels are the ones a
@@ -278,7 +272,7 @@ type Session struct {
 
 // NewSession builds a session over src. The encoder geometry defaults to
 // the source's, with the paper's default parameters unless WithTunedParams
-// or WithQuality override them.
+// overrides them.
 func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 	if src == nil {
 		return nil, errors.New("sieve: nil frame source")
@@ -297,9 +291,6 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 	params := DefaultParams(info.Width, info.Height)
 	if cfg.params != nil {
 		params = *cfg.params
-	}
-	if cfg.quality != 0 {
-		params.Quality = cfg.quality
 	}
 	if params.Width != info.Width || params.Height != info.Height {
 		return nil, fmt.Errorf("sieve: session %s: params %dx%d do not match source %dx%d",

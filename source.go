@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"sieve/internal/clock"
 	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/frame"
+	"sieve/internal/wire"
 )
 
 // Clock abstracts time for stream pacing and event timestamps. Production
@@ -226,27 +226,20 @@ var ErrSourceClosed = errors.New("sieve: push source closed")
 
 // PushSource is a programmatic FrameSource: producers Push frames (camera
 // drivers, RTSP adapters, tests) and a Session pulls them. Push blocks when
-// the buffer is full, giving producers natural backpressure.
+// the buffer is full, giving producers natural backpressure. The buffer is
+// the ingest plane's bounded queue, so a pushed feed and a wire feed close
+// and drain alike.
 type PushSource struct {
 	info SourceInfo
-	ch   chan *Frame
-	done chan struct{}
-
-	mu     sync.Mutex
-	closed bool
-	err    error
+	q    *wire.Queue
 }
 
 // NewPushSource returns a push source for the given geometry with an
 // internal buffer of the given capacity (minimum 1).
 func NewPushSource(name string, width, height, fps, buffer int) *PushSource {
-	if buffer < 1 {
-		buffer = 1
-	}
 	return &PushSource{
 		info: SourceInfo{Name: name, Width: width, Height: height, FPS: fps, Frames: -1},
-		ch:   make(chan *Frame, buffer),
-		done: make(chan struct{}),
+		q:    wire.NewQueue(buffer),
 	}
 }
 
@@ -257,58 +250,23 @@ func (s *PushSource) Push(ctx context.Context, f *Frame) error {
 	if f == nil {
 		return errors.New("sieve: push of nil frame")
 	}
-	select {
-	case <-s.done:
+	err := s.q.Push(ctx, wire.Item{F: f})
+	if errors.Is(err, wire.ErrQueueClosed) {
 		return ErrSourceClosed
-	default:
 	}
-	select {
-	case s.ch <- f:
-		return nil
-	case <-s.done:
-		return ErrSourceClosed
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return err
 }
 
 // Close ends the stream. Frames already pushed are still delivered; after
 // that the consumer sees io.EOF when err is nil, or err itself (a camera
 // failure, for instance). Close is idempotent; only the first call counts.
-func (s *PushSource) Close(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	s.err = err
-	close(s.done)
-}
+func (s *PushSource) Close(err error) { s.q.Close(err) }
 
 // Info implements FrameSource.
 func (s *PushSource) Info() SourceInfo { return s.info }
 
 // Next implements FrameSource.
 func (s *PushSource) Next(ctx context.Context) (*Frame, error) {
-	select {
-	case f := <-s.ch:
-		return f, nil
-	case <-s.done:
-		// Drain frames that were pushed before Close.
-		select {
-		case f := <-s.ch:
-			return f, nil
-		default:
-		}
-		s.mu.Lock()
-		err := s.err
-		s.mu.Unlock()
-		if err == nil {
-			err = io.EOF
-		}
-		return nil, err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	it, err := s.q.Pop(ctx)
+	return it.F, err
 }

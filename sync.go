@@ -2,43 +2,61 @@ package sieve
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"sieve/internal/cluster"
-	"sieve/internal/retry"
 )
 
 // flushDeltas ships the shard entries the cloud replica has not applied
-// yet, retrying a partitioned uplink on the deterministic exponential
-// backoff schedule (virtual sleeps — exhaustion is instant and identical
-// every run). Exhaustion marks the site degraded; the next successful
-// flush clears the marker. Concurrent flushes for one site (its own pump
-// plus a migration pump) are safe: deltas always start at the replica's
-// cursor and overlapping retransmissions apply idempotently.
+// yet, trying a partitioned uplink up to syncAttempts times in a row and
+// checking ctx before each try. The uplinks are simulated, so there is
+// nothing to wait for between tries: exhaustion is instant and identical
+// every run. Exhaustion marks the site degraded; the next successful flush
+// clears the marker. A flush that makes no attempt (ctx already done)
+// counts nothing and leaves the markers alone. Concurrent flushes for one
+// site (its own pump plus a migration pump) are safe: deltas always start
+// at the replica's cursor and overlapping retransmissions apply
+// idempotently.
 func (c *Cluster) flushDeltas(ctx context.Context, s *clusterSite) {
 	if c.coord.SyncCursor(s.name) == s.shard.Version() {
 		return
 	}
-	b := retry.Backoff{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond, MaxAttempts: c.cfg.syncAttempts}
-	attempts, err := retry.Do(ctx, c.syncClock, b, func() error {
-		d, derr := s.shard.DeltaSince(c.coord.SyncCursor(s.name))
-		if derr != nil {
-			return derr
+	attempts := 0
+	var err error
+	for attempts < c.cfg.syncAttempts {
+		if cerr := ctx.Err(); cerr != nil {
+			err = errors.Join(cerr, err)
+			break
 		}
-		if d.From == d.To {
-			return nil // another flusher already caught the replica up
+		attempts++
+		if err = c.shipDelta(s); err == nil {
+			break
 		}
-		return c.coord.ShipDelta(s.name, d)
-	})
+	}
+	if attempts == 0 {
+		return
+	}
 	c.fstats.deltaSyncs.Inc()
 	c.fstats.retries.Add(int64(attempts - 1))
 	if err != nil {
-		c.coord.MarkDegraded(s.name,
-			fmt.Sprintf("delta sync stalled at cursor %d: %v", c.coord.SyncCursor(s.name), err))
+		c.coord.MarkDegraded(s.name, fmt.Sprintf("delta sync stalled at cursor %d after %d attempts: %v",
+			c.coord.SyncCursor(s.name), attempts, err))
 	} else {
 		c.coord.ClearDegraded(s.name)
 	}
+}
+
+// shipDelta is one delta-sync try: everything past the replica's cursor.
+func (c *Cluster) shipDelta(s *clusterSite) error {
+	d, err := s.shard.DeltaSince(c.coord.SyncCursor(s.name))
+	if err != nil {
+		return err
+	}
+	if d.From == d.To {
+		return nil // another flusher already caught the replica up
+	}
+	return c.coord.ShipDelta(s.name, d)
 }
 
 // reconcile is the pre-merge sweep: every site that has not delivered its
