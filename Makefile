@@ -5,7 +5,8 @@ GO ?= go
 
 # Packages fast enough for the 1-iteration benchmark smoke run.
 BENCH_PKGS = ./internal/codec/ ./internal/vision/ ./internal/tuner/ \
-             ./internal/nn/ ./internal/infer/ ./internal/runner/ ./internal/container/
+             ./internal/nn/ ./internal/infer/ ./internal/runner/ ./internal/container/ \
+             ./internal/store/
 
 .PHONY: all build test test-short test-fma test-portable bench bench-codec bench-codec-smoke bench-cluster bench-cluster-smoke bench-infer bench-infer-smoke bench-ingest bench-ingest-smoke bench-e2e bench-gate size docs-lint wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress fmt vet lint sievelint reach fuzz-smoke vuln ci
 
@@ -74,8 +75,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSADMatchesReference -fuzztime=10s ./internal/frame/
 	$(GO) test -run='^$$' -fuzz=FuzzConvMatchesReference -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeActivationRecord -fuzztime=10s ./internal/nn/
+	$(GO) test -run='^$$' -fuzz=FuzzReLUMatchesReference -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzExpositionRoundTrip -fuzztime=10s ./internal/telemetry/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz=FuzzQueryMatchesTrack -fuzztime=10s ./internal/store/
 
 # Known-vulnerability scan. govulncheck needs network access for the vuln
 # DB, so it runs as its own CI job; locally it degrades to a notice unless
@@ -189,14 +192,15 @@ bench-cluster-smoke:
 # the batch size), each convolution of the detector on its own at the
 # bench's 96×96 geometry in ns per multiply-accumulate (which layer moved;
 # /kernel is what forwardItem runs — the SSE2 kernels on amd64 — and /go
-# the Go kernels), the input conversion of a 320×240 frame into the 96×96
+# the Go kernels), the ReLU over conv1's output (BenchmarkReLU: /kernel,
+# /go), the input conversion of a 320×240 frame into the 96×96
 # item one plane at a time (BenchmarkFromYUV: /luma, /chroma), plus the
 # plane's batch-of-1 scheduling round trip. allocs/op must read 0 for the
 # batchN variants, the conversion and the round trip — allocations are the
 # regression gate here; wall-clock claims are made with bench/. CI runs the
 # 1-iteration smoke variant so the batched path cannot silently stop
 # compiling as a benchmark.
-BENCH_INFER = '^(BenchmarkInferBatch|BenchmarkConvLayers|BenchmarkFromYUV)'
+BENCH_INFER = '^(BenchmarkInferBatch|BenchmarkConvLayers|BenchmarkReLU|BenchmarkFromYUV)'
 
 bench-infer:
 	$(GO) test -run='^$$' -bench=$(BENCH_INFER) -benchmem ./internal/nn/

@@ -8,7 +8,9 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"time"
 
+	"sieve/internal/clock"
 	"sieve/internal/container"
 	"sieve/internal/frame"
 	"sieve/internal/store"
@@ -995,9 +997,20 @@ func (f *wireFeed) finish(runErr error) {
 	close(f.done)
 }
 
+// endWriteTimeout bounds the terminal write on a feed's connection. end
+// runs on the session's goroutine (finish) or the handler's (connect), so a
+// client that stopped reading would otherwise hold the session, and the
+// Run that waits for it, for as long as it does not read.
+const endWriteTimeout = 2 * time.Second
+
 // end answers c with how the feed's run ended — ERROR with the run's
-// error, or the server CLOSE — and closes it.
+// error, or the server CLOSE — and closes it, also when the write has not
+// gone out within endWriteTimeout. The deadline is wall time: it bounds a
+// real write whatever clock the run keeps.
 func (f *wireFeed) end(c *wire.Conn) {
+	// This fails only on a connection already closed, where the write
+	// below fails at once too.
+	_ = c.SetWriteDeadline(clock.Wall().Now().Add(endWriteTimeout))
 	if f.endErr != nil {
 		c.SendError(wire.ErrorMsg{Code: wire.ErrCodeProtocol, Msg: f.endErr.Error()})
 	} else {

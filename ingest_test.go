@@ -950,6 +950,43 @@ func TestWireQuotaFramesCloses(t *testing.T) {
 	}
 }
 
+// TestWireTerminalWriteHasDeadline: a client that reads WELCOME and every
+// ACK, sends its CLOSE and then stops reading cannot hold the run. The
+// server's terminal CLOSE, written from the session's goroutine into an
+// unbuffered pipe nobody reads, times out after endWriteTimeout and the
+// connection closes, so Hub.Run returns within endWriteTimeout plus a
+// margin. Without the deadline the write blocks until the client reads or
+// goes; here the client goes only when the test ends, so the test fails on
+// its own timer instead of hanging.
+func TestWireTerminalWriteHasDeadline(t *testing.T) {
+	const frames = 3
+	v := quietScene(t, frames)
+	ln := NewMemListener()
+	errc := startHub(NewHub(WithListener(NewIngestListener(ln))))
+	c := dialRaw(t, ln)
+	defer c.nc.Close()
+	c.hello(quietHello(v, "cam"))
+	for i := int64(0); i < frames; i++ {
+		c.sendFrame(v, int(i), i)
+		c.expectAck(i)
+	}
+	if err := c.c.SendClose(wire.Close{Reason: wire.CloseEndOfStream, Frames: frames}); err != nil {
+		t.Fatal(err)
+	}
+	bound := endWriteTimeout + 5*time.Second
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("hub run: %v", err)
+		}
+	case <-time.After(bound):
+		t.Fatalf("Hub.Run still running %v after the client stopped reading", bound)
+	}
+	if mt, _, err := c.c.ReadMessage(); err == nil {
+		t.Fatalf("client read %s after the server's write timed out, want a closed connection", mt)
+	}
+}
+
 // TestWireRejectNewSheds covers the reject-new overload policy
 // deterministically: the queue is filled during the admission window
 // (the session has not started), so exactly the frames beyond the

@@ -44,8 +44,9 @@ func (b *Batch) Item(i int) []float32 {
 }
 
 // BatchScratch holds the buffers ForwardBatchRange works in: two one-item
-// activation buffers it ping-pongs between from layer to layer, and the
-// batch the final activations of every item collect in. One scratch serves
+// activation buffers it ping-pongs between from layer to layer, the batch
+// the final activations of every item collect in, and each convolution's
+// packed weights. One scratch serves
 // any number of sequential ForwardBatch calls with zero steady-state
 // allocations; it is not safe for concurrent use (the inference plane
 // serialises batches, so one scratch per plane suffices).
@@ -55,6 +56,8 @@ type BatchScratch struct {
 	// first and last are one-item views of the caller's input and of out,
 	// kept here so handing them to a Layer does not allocate.
 	first, last Batch
+	// packs[i] is layer i's convPack when layer i is a Conv2D.
+	packs []convPack
 }
 
 // ForwardBatch runs the full network over every item of in and returns the
@@ -84,10 +87,22 @@ func (n *Network) ForwardBatch(in *Batch, s *BatchScratch) *Batch {
 // them, and the working set does not grow with the batch. Layer by layer
 // over the whole batch streams N times that through the cache per layer,
 // and where it no longer fits a frame costs more at batch 16 than at 1.
+//
+// Each convolution's weights are packed once per call, before the first
+// item, and every item reads that one pack: a batch of 16 packs once
+// where a layer-at-a-time ForwardBatch per item would pack 16 times.
 func (n *Network) ForwardBatchRange(in *Batch, s *BatchScratch, from, to int) *Batch {
 	from, to = max(from, 0), min(to, len(n.Layers))
 	if from >= to {
 		return in
+	}
+	if len(s.packs) < len(n.Layers) {
+		s.packs = make([]convPack, len(n.Layers))
+	}
+	for i := from; i < to && in.N > 0; i++ {
+		if c, ok := n.Layers[i].(*Conv2D); ok {
+			c.pack(&s.packs[i], c.panelFits())
+		}
 	}
 	inShape := Shape{C: in.C, H: in.H, W: in.W}
 	outShape := inShape
@@ -110,7 +125,11 @@ func (n *Network) ForwardBatchRange(in *Batch, s *BatchScratch, from, to int) *B
 			} else {
 				next.Reshape(1, shape.C, shape.H, shape.W)
 			}
-			l.ForwardBatch(cur, next)
+			if c, ok := l.(*Conv2D); ok {
+				c.forwardBatch(cur, next, &s.packs[from+i])
+			} else {
+				l.ForwardBatch(cur, next)
+			}
 			cur = next
 		}
 	}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sieve/internal/frame"
@@ -71,6 +72,45 @@ func TestForwardBatchMatchesForward(t *testing.T) {
 	for k, i := range []int{3, 1} {
 		if j := firstBitDiff(out2.Item(k), single(i)); j >= 0 {
 			t.Fatalf("reused scratch diverged on item %d at element %d", k, j)
+		}
+	}
+}
+
+// TestForwardBatchNonFiniteItem: a batch of 16 whose item 7 carries -0,
+// NaN and ±Inf equals 16 batches of one, bit for bit, at every cut after a
+// convolution and through the whole network, and leaves every
+// convolution's pack in the scratch equal to a fresh one. The non-finite
+// item runs every pair (a skipped pair would drop a NaN or an Inf the
+// oracle adds), the finite items after it still skip, and the masks it
+// voids are its own copy, never the pack the batch shares.
+func TestForwardBatchNonFiniteItem(t *testing.T) {
+	d := randomHeadDetector([]string{"car", "bus"}, 32, 5)
+	net := d.net
+	in := NewBatch(16, 3, 32, 32)
+	for i := 0; i < in.N; i++ {
+		randomActivations(in.Item(i), uint64(90+i), i == 7)
+	}
+	for _, to := range []int{1, 3, 5, 7, 9, 11, len(net.Layers)} {
+		var s BatchScratch
+		got := net.ForwardBatchRange(in, &s, 0, to)
+		for i, l := range net.Layers[:to] {
+			c, ok := l.(*Conv2D)
+			if !ok {
+				continue
+			}
+			var fresh convPack
+			c.pack(&fresh, c.panelFits())
+			if !reflect.DeepEqual(s.packs[i], fresh) {
+				t.Fatalf("[0,%d): after the batch, %s's pack differs from a fresh one", to, c.Tag)
+			}
+		}
+		for i := 0; i < in.N; i++ {
+			one := &Batch{Data: in.Item(i), N: 1, C: in.C, H: in.H, W: in.W}
+			var s1 BatchScratch
+			want := net.ForwardBatchRange(one, &s1, 0, to)
+			if j := firstBitDiff(got.Item(i), want.Data); j >= 0 {
+				t.Fatalf("[0,%d) item %d element %d: batch of 16 %v, batch of one %v", to, i, j, got.Item(i)[j], want.Data[j])
+			}
 		}
 	}
 }

@@ -71,20 +71,111 @@ func (c *Conv2D) FLOPs(in Shape) int64 {
 	return int64(out.C) * int64(out.H) * int64(out.W) * int64(c.InC) * int64(c.K*c.K) * 2
 }
 
-// convBlock is how many filters forwardItem takes at a time: one pass over
-// their weights per item, and on amd64 one border position's sums in four
-// XMM registers of four lanes.
+// convBlock is how many filters forwardItem takes at a time: one block of
+// the pack, and on amd64 one border position's sums in four XMM registers
+// of four lanes.
 const convBlock = 16
 
-// maxPanelTaps bounds the panel a block's weights are laid out in for
-// panelSSE2: at most 64 input channels (the channels a position runs are
-// one uint64) and InC·K·K <= 576 taps, a 3×3 kernel over 64 channels, so
-// the panel is 576·16 float32 = 36 KiB of stack. A larger layer runs the
-// Go kernels.
-const maxPanelTaps = 64 * 3 * 3
+// convPack is one convolution's weights in the layout forwardItem reads,
+// built by pack once per ForwardBatchRange call and shared by every item
+// of the batch. Only the weights go in; what depends on an item's values
+// (allFinite, which may void the masks) is decided per item, on a copy.
+type convPack struct {
+	// panel is the weights of each block of convBlock filters in
+	// panelSSE2's order: block b's panel starts at b·InC·K·K·convBlock and
+	// holds W[b·convBlock+j][ic][t] at (ic·K·K+t)·convBlock+j. The lanes
+	// past the layer's last filter are 0; panelSSE2 computes them and
+	// forwardAtSSE2 never stores them. Nil when the Go kernels run.
+	panel []float32
+	// zero[oc] is the input channels on which filter oc is all ±0 — none
+	// for a filter that is not skippable, or in a layer of more than 64
+	// input channels.
+	zero []uint64
+	// bias is B padded with zeros to whole blocks, so each block's sixteen
+	// lanes start at bias[b·convBlock].
+	bias []float32
+	// skips[b] reports whether any filter of block b has a zero pair.
+	skips []bool
+}
 
-// forwardItem is the single-item convolution kernel ForwardBatch runs per
-// item. The contract every loop below keeps, and the oracle in
+// resize returns s with length n, reusing its storage when it suffices.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// panelFits reports whether c runs the SSE2 kernels: on amd64, with at
+// most 64 input channels (the channels a position runs are one uint64).
+func (c *Conv2D) panelFits() bool { return haveSSE2 && c.InC <= 64 }
+
+// pack is the one pass over c's weights a ForwardBatchRange call makes
+// (ForwardBatch makes its own): it fills p's masks and biases, and with
+// sse its panel. Packing per call rather than once per Inference means
+// training, which writes the head's weights between calls, needs no
+// invalidation.
+//
+//sieve:noalloc per-call setup of the convolution
+func (c *Conv2D) pack(p *convPack, sse bool) {
+	kk := c.K * c.K
+	step := c.InC * kk * convBlock // one block's panel
+	blocks := (c.OutC + convBlock - 1) / convBlock
+	p.zero, p.skips = resize(p.zero, c.OutC), resize(p.skips, blocks)
+	p.bias = resize(p.bias, blocks*convBlock)
+	clear(p.bias[copy(p.bias, c.B):])
+	clear(p.skips)
+	if sse {
+		p.panel = resize(p.panel, blocks*step)
+		clear(p.panel[(blocks-1)*step:]) // the last block's unused lanes
+	} else {
+		p.panel = nil
+	}
+	for oc, filter := range c.W {
+		var panel []float32
+		if sse {
+			panel = p.panel[oc/convBlock*step+oc%convBlock:]
+		}
+		var m uint64
+		for ic, w := range filter {
+			w = w[:kk]
+			var mag uint32 // the ORed bits of every weight; sign aside, zero iff all are ±0
+			switch {
+			case panel != nil && kk == 9:
+				w, q := (*[9]float32)(w), (*[8*convBlock + 1]float32)(panel[ic*kk*convBlock:])
+				q[0], q[convBlock], q[2*convBlock] = w[0], w[1], w[2]
+				q[3*convBlock], q[4*convBlock], q[5*convBlock] = w[3], w[4], w[5]
+				q[6*convBlock], q[7*convBlock], q[8*convBlock] = w[6], w[7], w[8]
+				mag = math.Float32bits(w[0]) | math.Float32bits(w[1]) | math.Float32bits(w[2]) |
+					math.Float32bits(w[3]) | math.Float32bits(w[4]) | math.Float32bits(w[5]) |
+					math.Float32bits(w[6]) | math.Float32bits(w[7]) | math.Float32bits(w[8])
+			case panel != nil:
+				q := panel[ic*kk*convBlock:]
+				for t, v := range w {
+					q[t*convBlock] = v
+					mag |= math.Float32bits(v)
+				}
+			default:
+				for _, v := range w {
+					if mag |= math.Float32bits(v); mag<<1 != 0 {
+						break
+					}
+				}
+			}
+			if mag<<1 == 0 {
+				m |= 1 << uint(ic)
+			}
+		}
+		if !c.skippable(oc) || c.InC > 64 {
+			m = 0
+		}
+		p.zero[oc] = m
+		p.skips[oc/convBlock] = p.skips[oc/convBlock] || m != 0
+	}
+}
+
+// forwardItem is the single-item convolution kernel, over the weights p
+// packs. The contract every loop below keeps, and the oracle in
 // reference_test.go states: an output starts at its filter's bias and then
 // takes `+= float32(w*x)` once per tap that lands inside the input, in
 // (ic, ky, kx) order. Taps in the zero padding are skipped, never added
@@ -96,56 +187,47 @@ const maxPanelTaps = 64 * 3 * 3
 // other kernel size) clamps its tap ranges once and runs a block of
 // filters side by side.
 //
-// On amd64 a layer within maxPanelTaps runs the SSE2 kernels, everything
-// else the Go kernels; forwardBlocks says which loop takes which output.
+// With a panel in p the SSE2 kernels run, without one the Go kernels. The
+// Go kernels sweep the 3×3 interior with interior3x3Go and run every other
+// output on forwardAtGo. The SSE2 kernels run every output of a block on
+// forwardAtSSE2 unless the block has a pair it may skip — a property of
+// the weights: the trained head has none, the backbone's blocks all do —
+// and then sweep the 3×3 interior with interior3x3SSE2 (interior3x3Go
+// below four columns or past stride 2), skipping those pairs, first.
 //
 // The loops skip an (oc, ic) pair whose K×K weights are all ±0, where that
 // is exact: when every input value is finite each skipped product is ±0,
 // and adding ±0 leaves a sum unchanged unless the sum is -0. Under
 // round-to-nearest a sum is -0 only when both terms are, so an output whose
 // bias is not -0 is never -0, and the skip is taken only for such filters.
-// Otherwise the pair is multiplied like any other.
+// Otherwise the pair is multiplied like any other: an item with a NaN or
+// ±Inf runs every block on a cleared copy of its masks, and the pack the
+// other items share keeps its own.
 //
 //sieve:noalloc convolution inner loop
-func (c *Conv2D) forwardItem(in []float32, inH, inW int, out []float32, outH, outW int) {
-	if taps := c.InC * c.K * c.K; haveSSE2 && c.InC <= 64 && taps <= maxPanelTaps {
-		var panel [maxPanelTaps * convBlock]float32
-		c.forwardBlocks(in, inH, inW, out, outH, outW, panel[:taps*convBlock])
-		return
-	}
-	c.forwardBlocks(in, inH, inW, out, outH, outW, nil)
-}
-
-// forwardBlocks is forwardItem on one set of kernels: the SSE2 ones when
-// panel has room for one block's weights, the Go ones when it is nil. Per
-// block of filters, loadBlock reads the weights once. The Go kernels sweep
-// the 3×3 interior with interior3x3Go and run every other output on
-// forwardAtGo. The SSE2 kernels run every output of a block on
-// forwardAtSSE2 unless the block has a pair it may skip — a property of
-// the weights: the trained head has none, the backbone's blocks all do —
-// and then sweep the 3×3 interior with interior3x3SSE2 (interior3x3Go
-// below four columns or past stride 2), skipping those pairs, first.
-//
-//sieve:noalloc convolution inner loop
-func (c *Conv2D) forwardBlocks(in []float32, inH, inW int, out []float32, outH, outW int, panel []float32) {
+func (c *Conv2D) forwardItem(in []float32, inH, inW int, out []float32, outH, outW int, p *convPack) {
 	var oyLo, oyHi, oxLo, oxHi int
 	if c.K == 3 {
 		oyLo, oyHi = interiorRange(inH, outH, 3, c.Stride, c.Pad)
 		oxLo, oxHi = interiorRange(inW, outW, 3, c.Stride, c.Pad)
 	}
-	var zero [convBlock]uint64
-	var bias [convBlock]float32
+	step := c.InC * c.K * c.K * convBlock
+	var dense [convBlock]uint64 // a non-finite item's masks: every pair runs
 	finite, scanned := false, false
-	for oc0 := 0; oc0 < c.OutC; oc0 += convBlock {
-		blk := zero[:min(convBlock, c.OutC-oc0)]
-		skips := c.loadBlock(oc0, blk, panel, &bias)
-		if skips && !scanned {
+	for b, oc0 := 0, 0; oc0 < c.OutC; b, oc0 = b+1, oc0+convBlock {
+		blk := p.zero[oc0:min(oc0+convBlock, c.OutC)]
+		if p.skips[b] && !scanned {
 			finite, scanned = allFinite(in), true
 		}
 		if !finite {
-			clear(blk)
+			blk = dense[:len(blk)]
 		}
-		sweep := c.K == 3 && (skips || panel == nil)
+		var panel []float32
+		if p.panel != nil {
+			panel = p.panel[b*step : (b+1)*step]
+		}
+		bias := (*[convBlock]float32)(p.bias[oc0:])
+		sweep := c.K == 3 && (p.skips[b] || panel == nil)
 		if sweep {
 			if panel != nil && (c.Stride == 1 || c.Stride == 2) && oxHi-oxLo >= 4 {
 				c.interior3x3SSE2(in, inH, inW, out, outH, outW, oyLo, oyHi, oxLo, oxHi, oc0, blk)
@@ -163,7 +245,7 @@ func (c *Conv2D) forwardBlocks(in []float32, inH, inW int, out []float32, outH, 
 				switch {
 				case ox >= left && ox < right:
 				case panel != nil:
-					c.forwardAtSSE2(in, inH, inW, out, outH, outW, oy, ox, oc0, blk, panel, &bias)
+					c.forwardAtSSE2(in, inH, inW, out, outH, outW, oy, ox, oc0, blk, panel, bias)
 				default:
 					c.forwardAtGo(in, inH, inW, out, outH, outW, oy, ox, oc0, blk)
 				}
@@ -211,61 +293,6 @@ func (c *Conv2D) skippable(oc int) bool {
 	return math.Float32bits(c.B[oc]) != 1<<31
 }
 
-// loadBlock is the one pass over the weights of filters [oc0,
-// oc0+len(zero)) an item makes. It writes zero[j], the input channels on
-// which filter oc0+j is all ±0 — none for a filter that is not skippable,
-// or in a layer of more than 64 input channels — and bias[j], the
-// filter's bias. A non-nil panel gets the weights in panelSSE2's order,
-// panel[(ic·K·K+t)·convBlock+j] = W[oc0+j][ic][t]. Lanes past the block's
-// last filter keep whatever they held: panelSSE2 computes them and
-// forwardAtSSE2 never stores them. It reports whether any channel of any
-// filter may be skipped.
-//
-//sieve:noalloc per-item setup of the convolution
-func (c *Conv2D) loadBlock(oc0 int, zero []uint64, panel []float32, bias *[convBlock]float32) (skips bool) {
-	kk := c.K * c.K
-	for j := range zero {
-		oc := oc0 + j
-		bias[j] = c.B[oc]
-		var m uint64
-		for ic, w := range c.W[oc] {
-			w = w[:kk]
-			var mag uint32 // the ORed bits of every weight; sign aside, zero iff all are ±0
-			switch {
-			case panel != nil && kk == 9:
-				w, p := (*[9]float32)(w), (*[8*convBlock + 1]float32)(panel[ic*kk*convBlock+j:])
-				p[0], p[convBlock], p[2*convBlock] = w[0], w[1], w[2]
-				p[3*convBlock], p[4*convBlock], p[5*convBlock] = w[3], w[4], w[5]
-				p[6*convBlock], p[7*convBlock], p[8*convBlock] = w[6], w[7], w[8]
-				mag = math.Float32bits(w[0]) | math.Float32bits(w[1]) | math.Float32bits(w[2]) |
-					math.Float32bits(w[3]) | math.Float32bits(w[4]) | math.Float32bits(w[5]) |
-					math.Float32bits(w[6]) | math.Float32bits(w[7]) | math.Float32bits(w[8])
-			case panel != nil:
-				p := panel[ic*kk*convBlock+j:]
-				for t, v := range w {
-					p[t*convBlock] = v
-					mag |= math.Float32bits(v)
-				}
-			default:
-				for _, v := range w {
-					if mag |= math.Float32bits(v); mag<<1 != 0 {
-						break
-					}
-				}
-			}
-			if mag<<1 == 0 {
-				m |= 1 << uint(ic)
-			}
-		}
-		if !c.skippable(oc) || c.InC > 64 {
-			m = 0
-		}
-		zero[j] = m
-		skips = skips || m != 0
-	}
-	return skips
-}
-
 // interiorRange returns the half-open range of output coordinates along one
 // axis whose k taps all land inside an input of length inLen; lo == hi when
 // there are none (an input smaller than the kernel).
@@ -284,7 +311,7 @@ func interiorRange(inLen, outLen, k, stride, pad int) (lo, hi int) {
 // as the accumulator, so an output still sees its taps in (ic, ky, kx)
 // order while the nine weights of the (oc, ic) pair sit in locals for the
 // whole sweep and neighbouring outputs — independent nine-add chains —
-// overlap in the pipeline. The pairs in zero (loadBlock) are skipped. It
+// overlap in the pipeline. The pairs in zero (convPack) are skipped. It
 // is the Go kernel of the sweep and, on amd64, its oracle.
 //
 //sieve:noalloc convolution inner loop
@@ -378,7 +405,7 @@ func (c *Conv2D) interior3x3SSE2(in []float32, inH, inW int, out []float32, outH
 // dependent adds leaves the pipeline three-quarters idle. When the block's
 // width is not a multiple of four the last group repeats its final filter
 // — the same value stored twice. A group skips the input channels all four
-// of its filters skip (zero, loadBlock). It is the Go kernel of the border
+// of its filters skip (zero, convPack). It is the Go kernel of the border
 // and, on amd64, the oracle of forwardAtSSE2.
 //
 //sieve:noalloc convolution inner loop
@@ -427,7 +454,7 @@ func (c *Conv2D) forwardAtGo(in []float32, inH, inW int, out []float32, outH, ou
 
 // forwardAtSSE2 is forwardAtGo for the filters of one block: panelSSE2
 // computes all sixteen lanes at one position over the block's panel and
-// biases (loadBlock), on the taps forwardAtGo's clamps keep and the input
+// biases (convPack), on the taps forwardAtGo's clamps keep and the input
 // channels not every filter of the block skips, and the block's lanes are
 // stored.
 //
@@ -474,10 +501,20 @@ func clampTaps(i0, k, n int) (lo, hi int) {
 	return lo, hi
 }
 
-// ForwardBatch implements Layer.
+// ForwardBatch implements Layer: it packs the weights for this call, then
+// runs every item. ForwardBatchRange keeps its packs in the scratch and
+// calls forwardBatch.
+func (c *Conv2D) ForwardBatch(in, out *Batch) {
+	var p convPack
+	c.pack(&p, c.panelFits())
+	c.forwardBatch(in, out, &p)
+}
+
+// forwardBatch runs every item of in through forwardItem over p, which
+// holds c's weights packed.
 //
 //sieve:noalloc batched forward reuses caller buffers
-func (c *Conv2D) ForwardBatch(in, out *Batch) {
+func (c *Conv2D) forwardBatch(in, out *Batch, p *convPack) {
 	if in.C != c.InC {
 		panic(fmt.Sprintf("nn: conv %s expects %d channels, got %d", c.Tag, c.InC, in.C))
 	}
@@ -485,7 +522,7 @@ func (c *Conv2D) ForwardBatch(in, out *Batch) {
 		panic(fmt.Sprintf("nn: conv %s output batch is %dx%dx%dx%d, want %dx%s", c.Tag, out.N, out.C, out.H, out.W, in.N, want))
 	}
 	for i := 0; i < in.N; i++ {
-		c.forwardItem(in.Item(i), in.H, in.W, out.Item(i), out.H, out.W)
+		c.forwardItem(in.Item(i), in.H, in.W, out.Item(i), out.H, out.W, p)
 	}
 }
 
@@ -507,11 +544,25 @@ func (r *ReLU) FLOPs(in Shape) int64 { return int64(in.Elems()) }
 
 // reluInto writes v where v > 0 and +0 elsewhere, NaN and -0 included,
 // for every element (out may hold stale data, so zeros are written
-// explicitly). v > 0 is the bit patterns 1 through 0x7f800000 (+Inf), so
-// one unsigned compare picks them without a branch on the data's sign.
+// explicitly; out may be in): on amd64 by reluSSE2 up to the last multiple
+// of four values, elsewhere by reluGo.
 //
 //sieve:noalloc activation inner loop
 func reluInto(in, out []float32) {
+	out = out[:len(in)]
+	if n := len(in) &^ 3; haveSSE2 && n > 0 {
+		reluSSE2(&in[0], &out[0], n)
+		in, out = in[n:], out[n:]
+	}
+	reluGo(in, out)
+}
+
+// reluGo is the Go kernel of reluInto. v > 0 is the bit patterns 1 through
+// 0x7f800000 (+Inf), so one unsigned compare picks them without a branch on
+// the data's sign.
+//
+//sieve:noalloc activation inner loop
+func reluGo(in, out []float32) {
 	out = out[:len(in)]
 	for i, v := range in {
 		b := math.Float32bits(v)

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"time"
@@ -80,26 +81,102 @@ func TestReLU(t *testing.T) {
 	}
 }
 
-// TestReLUMatchesReference holds reluInto to `if v > 0 { v } else { 0 }`
-// bit for bit on the boundary patterns: ±0, the smallest subnormal and
-// largest finite of each sign, ±Inf and NaNs of either sign.
+// reluReference is ReLU as the textbook writes it.
+func reluReference(v float32) float32 {
+	if v > 0 {
+		return v
+	}
+	return 0
+}
+
+// checkReLU runs reluInto (reluSSE2 and its tail on amd64) and reluGo over
+// in, out of place into a NaN-poisoned buffer one value longer than in,
+// whose last value must stay as it was, and in place over a copy; every
+// result must equal reluReference bit for bit.
+func checkReLU(t testing.TB, in []float32) {
+	t.Helper()
+	kernels := []struct {
+		name string
+		run  func(in, out []float32)
+	}{{"reluInto", reluInto}, {"reluGo", reluGo}}
+	for _, k := range kernels {
+		out := make([]float32, len(in)+1)
+		for i := range out {
+			out[i] = float32(math.NaN())
+		}
+		k.run(in, out[:len(in)])
+		inPlace := append([]float32(nil), in...)
+		k.run(inPlace, inPlace)
+		for i, v := range in {
+			want := math.Float32bits(reluReference(v))
+			if got := math.Float32bits(out[i]); got != want {
+				t.Fatalf("%s over %d values: relu(%#08x) at %d = %#08x, want %#08x", k.name, len(in), math.Float32bits(v), i, got, want)
+			}
+			if got := math.Float32bits(inPlace[i]); got != want {
+				t.Fatalf("%s in place over %d values: relu(%#08x) at %d = %#08x, want %#08x", k.name, len(in), math.Float32bits(v), i, got, want)
+			}
+		}
+		if !math.IsNaN(float64(out[len(in)])) {
+			t.Fatalf("%s over %d values wrote past its output", k.name, len(in))
+		}
+	}
+}
+
+// TestReLUMatchesReference holds reluInto and reluGo to `if v > 0 { v }
+// else { 0 }` bit for bit on the boundary patterns — ±0, the smallest
+// subnormal and largest finite of each sign, ±Inf and NaNs of either sign
+// — at every length up to all of them, so each pattern meets the SSE2
+// kernel's sixteen-value loop, its four-value loop and the Go tail.
 func TestReLUMatchesReference(t *testing.T) {
 	bits := []uint32{0, 0x80000000, 1, 0x80000001, 0x7f7fffff, 0xff7fffff,
 		0x7f800000, 0xff800000, 0x7f800001, 0x7fc00000, 0xffc00000, 0x3f800000, 0xbf800000}
-	in := make([]float32, len(bits))
-	for i, b := range bits {
-		in[i] = math.Float32frombits(b)
+	var in []float32
+	for rep := 0; rep < 3; rep++ {
+		for _, b := range bits {
+			in = append(in, math.Float32frombits(b))
+		}
+		bits = append(bits[1:], bits[0])
 	}
+	for n := 0; n <= len(in); n++ {
+		checkReLU(t, in[:n])
+	}
+}
+
+// FuzzReLUMatchesReference is TestReLUMatchesReference over arbitrary
+// float32 bit patterns, four bytes each, at lengths 0 to 67: every split
+// of the sixteen-value loop, the four-value loop and the tail.
+func FuzzReLUMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0x80, 1, 0, 0, 0, 0, 0, 0xc0, 0x7f, 0, 0, 0x80, 0xff})
+	f.Add(make([]byte, 4*67))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0x80, 0x3f, 0, 0, 0x80, 0xbf, 1, 0, 0, 0x80, 0, 0, 0x80, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := make([]float32, min(len(data)/4, 67))
+		for i := range in {
+			in[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		checkReLU(t, in)
+	})
+}
+
+// BenchmarkReLU times the activation at the detector's largest plane at
+// the benchmark's 96×96 geometry (relu1: conv1's 8×48×48 output, mixed
+// signs): /kernel is what reluInto runs — reluSSE2 on amd64 — and /go the
+// Go kernel.
+func BenchmarkReLU(b *testing.B) {
+	in := make([]float32, 8*48*48)
+	randomActivations(in, 3, false)
 	out := make([]float32, len(in))
-	reluInto(in, out)
-	for i, v := range in {
-		want := float32(0)
-		if v > 0 {
-			want = v
-		}
-		if math.Float32bits(out[i]) != math.Float32bits(want) {
-			t.Fatalf("relu(%#08x) = %#08x, want %#08x", bits[i], math.Float32bits(out[i]), math.Float32bits(want))
-		}
+	for _, k := range []struct {
+		name string
+		run  func(in, out []float32)
+	}{{"kernel", reluInto}, {"go", reluGo}} {
+		b.Run(k.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(4 * len(in)))
+			for b.Loop() {
+				k.run(in, out)
+			}
+		})
 	}
 }
 

@@ -135,43 +135,49 @@ type convRoute struct {
 // convKernelRoutes returns the ways checkConvAgainstReference also runs c
 // over the one item of in, each calling kernels directly: the Go kernels
 // as every other GOARCH runs them, forwardAtGo at every position, and on
-// amd64, for a layer within maxPanelTaps, the SSE2 kernels as forwardItem
-// runs them, panelSSE2 at every position, and — for a 3×3 at stride 1 or
-// 2 with four interior columns — interiorSSE2 on the interior of every
-// block, dense ones included, with panelSSE2 on the rest.
+// amd64, for a layer of at most 64 input channels, the SSE2 kernels as
+// forwardItem runs them, panelSSE2 at every position, and — for a 3×3 at
+// stride 1 or 2 with four interior columns — interiorSSE2 on the interior
+// of every block, dense ones included, with panelSSE2 on the rest.
 func convKernelRoutes(c *Conv2D, in *Batch) []convRoute {
 	s := c.OutShape(Shape{C: in.C, H: in.H, W: in.W})
 	oyLo, oyHi := interiorRange(in.H, s.H, c.K, c.Stride, c.Pad)
 	oxLo, oxHi := interiorRange(in.W, s.W, c.K, c.Stride, c.Pad)
-	var panel []float32
-	if taps := c.InC * c.K * c.K; haveSSE2 && c.InC <= 64 && taps <= maxPanelTaps {
-		panel = make([]float32, taps*convBlock)
+	var goPack, ssePack convPack
+	c.pack(&goPack, false)
+	sse := c.panelFits()
+	if sse {
+		c.pack(&ssePack, true)
 	}
-	// blocks runs at once per block, after the block's loadBlock, with the
-	// zero pairs dropped over a non-finite input as forwardBlocks drops them.
-	blocks := func(at func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32)) func([]float32) {
+	step := c.InC * c.K * c.K * convBlock
+	// blocks runs at once per block of p, with the zero pairs dropped over
+	// a non-finite input as forwardItem drops them.
+	blocks := func(p *convPack, at func(out []float32, oc0 int, zero []uint64, panel []float32, bias *[convBlock]float32)) func([]float32) {
 		return func(out []float32) {
 			finite := allFinite(in.Data)
-			var zero [convBlock]uint64
-			var bias [convBlock]float32
-			for oc0 := 0; oc0 < c.OutC; oc0 += convBlock {
-				blk := zero[:min(convBlock, c.OutC-oc0)]
-				c.loadBlock(oc0, blk, panel, &bias)
+			var dense [convBlock]uint64
+			for b, oc0 := 0, 0; oc0 < c.OutC; b, oc0 = b+1, oc0+convBlock {
+				blk := p.zero[oc0:min(oc0+convBlock, c.OutC)]
 				if !finite {
-					clear(blk)
+					blk = dense[:len(blk)]
 				}
-				at(out, oc0, blk, &bias)
+				var panel []float32
+				if p.panel != nil {
+					panel = p.panel[b*step : (b+1)*step]
+				}
+				at(out, oc0, blk, panel, (*[convBlock]float32)(p.bias[oc0:]))
 			}
 		}
 	}
-	// border runs forwardAtSSE2 (sse) or forwardAtGo on every position
-	// outside the interior given — on all of them when it is empty.
-	border := func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32, sse bool, oyLo, oyHi, oxLo, oxHi int) {
+	// border runs forwardAtSSE2 (with a panel) or forwardAtGo on every
+	// position outside the interior given — on all of them when it is
+	// empty.
+	border := func(out []float32, oc0 int, zero []uint64, panel []float32, bias *[convBlock]float32, oyLo, oyHi, oxLo, oxHi int) {
 		for oy := 0; oy < s.H; oy++ {
 			for ox := 0; ox < s.W; ox++ {
 				switch {
 				case oy >= oyLo && oy < oyHi && ox >= oxLo && ox < oxHi:
-				case sse:
+				case panel != nil:
 					c.forwardAtSSE2(in.Data, in.H, in.W, out, s.H, s.W, oy, ox, oc0, zero, panel, bias)
 				default:
 					c.forwardAtGo(in.Data, in.H, in.W, out, s.H, s.W, oy, ox, oc0, zero)
@@ -179,24 +185,23 @@ func convKernelRoutes(c *Conv2D, in *Batch) []convRoute {
 			}
 		}
 	}
-	routes := []convRoute{
-		{"Go kernels", func(out []float32) { c.forwardBlocks(in.Data, in.H, in.W, out, s.H, s.W, nil) }},
-		{"forwardAtGo everywhere", blocks(func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32) {
-			border(out, oc0, zero, bias, false, 0, 0, 0, 0)
-		})},
+	everywhere := func(out []float32, oc0 int, zero []uint64, panel []float32, bias *[convBlock]float32) {
+		border(out, oc0, zero, panel, bias, 0, 0, 0, 0)
 	}
-	if panel == nil {
+	routes := []convRoute{
+		{"Go kernels", func(out []float32) { c.forwardItem(in.Data, in.H, in.W, out, s.H, s.W, &goPack) }},
+		{"forwardAtGo everywhere", blocks(&goPack, everywhere)},
+	}
+	if !sse {
 		return routes
 	}
 	routes = append(routes,
-		convRoute{"SSE2 kernels", func(out []float32) { c.forwardBlocks(in.Data, in.H, in.W, out, s.H, s.W, panel) }},
-		convRoute{"panelSSE2 everywhere", blocks(func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32) {
-			border(out, oc0, zero, bias, true, 0, 0, 0, 0)
-		})})
+		convRoute{"SSE2 kernels", func(out []float32) { c.forwardItem(in.Data, in.H, in.W, out, s.H, s.W, &ssePack) }},
+		convRoute{"panelSSE2 everywhere", blocks(&ssePack, everywhere)})
 	if c.K == 3 && (c.Stride == 1 || c.Stride == 2) && oxHi-oxLo >= 4 {
-		routes = append(routes, convRoute{"interiorSSE2 and panelSSE2", blocks(func(out []float32, oc0 int, zero []uint64, bias *[convBlock]float32) {
+		routes = append(routes, convRoute{"interiorSSE2 and panelSSE2", blocks(&ssePack, func(out []float32, oc0 int, zero []uint64, panel []float32, bias *[convBlock]float32) {
 			c.interior3x3SSE2(in.Data, in.H, in.W, out, s.H, s.W, oyLo, oyHi, oxLo, oxHi, oc0, zero)
-			border(out, oc0, zero, bias, true, oyLo, oyHi, oxLo, oxHi)
+			border(out, oc0, zero, panel, bias, oyLo, oyHi, oxLo, oxHi)
 		})})
 	}
 	return routes
@@ -273,7 +278,7 @@ func TestConvMatchesReference(t *testing.T) {
 // TestConvBlocksMatchReference is TestConvMatchesReference across blocks
 // of sixteen filters: one lane, one block exactly, a ragged second and
 // third block, 64 input channels (the panel's limit, head1's width) and 65
-// (past it), and a 5×5 past the panel's taps — each dense, and with the
+// (past it), and a 5×5 over 24 channels, 600 taps — each dense, and with the
 // backbone's zero pairs (filter oc reads channel oc%inC), over ordinary
 // inputs and over inputs carrying -0, NaN and ±Inf.
 func TestConvBlocksMatchReference(t *testing.T) {
@@ -502,8 +507,8 @@ func FuzzConvMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 0, 1, 1, 0x03, 0, 0, 128, 63, 0, 0, 128, 63, 0, 0, 128, 63, 0, 0, 192, 127})
 	// Past one block of filters: head1's shape (64 channels, 3×3 stride 1,
 	// two blocks and a ragged third), conv4's (stride 2, three blocks, a
-	// zero pattern every block skips), 65 channels and a 5×5 over 24 (both
-	// past the panel: the Go kernels), and a 1×1 over 64.
+	// zero pattern every block skips), 65 channels (past the panel: the Go
+	// kernels), a 5×5 over 24, and a 1×1 over 64.
 	f.Add([]byte{63, 32, 1, 0, 1, 6, 6, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 0, 160, 63, 0, 0, 0, 192})
 	f.Add([]byte{31, 39, 1, 1, 1, 12, 12, 0x7e, 0, 0, 128, 63, 0, 0, 0, 64, 0, 0, 0, 63, 0, 0, 128, 191})
 	f.Add([]byte{64, 17, 1, 0, 1, 5, 7, 0, 0, 0, 128, 63, 0, 0, 0, 191})
@@ -760,17 +765,20 @@ func BenchmarkConvLayers(b *testing.B) {
 			shape := c.OutShape(Shape{C: in.C, H: in.H, W: in.W})
 			out := make([]float32, shape.Elems())
 			macs := c.FLOPs(Shape{C: in.C, H: in.H, W: in.W}) / 2
+			var goPack, kernelPack convPack
+			c.pack(&goPack, false)
+			c.pack(&kernelPack, c.panelFits())
 			b.Run(c.Tag+"/kernel", func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					c.forwardItem(in.Data, in.H, in.W, out, shape.H, shape.W)
+					c.forwardItem(in.Data, in.H, in.W, out, shape.H, shape.W, &kernelPack)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*macs), "ns/MAC")
 			})
 			b.Run(c.Tag+"/go", func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					c.forwardBlocks(in.Data, in.H, in.W, out, shape.H, shape.W, nil)
+					c.forwardItem(in.Data, in.H, in.W, out, shape.H, shape.W, &goPack)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*macs), "ns/MAC")
 			})

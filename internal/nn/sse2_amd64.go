@@ -1,7 +1,8 @@
 package nn
 
-// haveSSE2 routes Conv2D.forwardItem and allFinite to the SSE2 kernels
-// below. SSE2 is part of every amd64 CPU, so there is nothing to detect.
+// haveSSE2 routes Conv2D.forwardItem, allFinite and reluInto to the SSE2
+// kernels below. SSE2 is part of every amd64 CPU, so there is nothing to
+// detect.
 const haveSSE2 = true
 
 // interiorSSE2 is interior3x3Go's sweep of one (oc, ic) pair four outputs
@@ -32,3 +33,9 @@ func panelSSE2(w, x *float32, sums *[convBlock]float32, run uint64, plane, inW, 
 //
 //go:noescape
 func allFiniteSSE2(v *float32, n int) bool
+
+// reluSSE2 is reluGo from in to out over n values, n a multiple of four,
+// four values at a time (relu_amd64.s). out may be in.
+//
+//go:noescape
+func reluSSE2(in, out *float32, n int)

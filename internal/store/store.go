@@ -5,11 +5,14 @@
 package store
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"sieve/internal/codec"
@@ -21,23 +24,71 @@ import (
 // where each tuple consists of frame ID and the object names that appear in
 // the frame". It is safe for concurrent use.
 //
+// Each camera's results are one frameIndex, sorted by frame ID, so reads
+// that follow SiEVE's propagation rule (LabelsAt, Track, Query) walk the
+// intervals between analysed frames instead of sorting or scanning.
+//
 // Every Put is also appended to an ordered change log, which is what the
 // cluster's streaming shard sync ships over the uplink: DeltaSince cuts a
 // contiguous slice of the log, ApplyDelta replays it into a shadow replica
 // with cursor validation. Version() — the log length — is the replication
 // cursor.
 type ResultsDB struct {
-	mu sync.RWMutex
-	// byCamera[camera][frame] = labels
-	byCamera map[string]map[int]labels.Set
+	mu       sync.RWMutex
+	byCamera map[string]*frameIndex
 	// log records every Put in order; log[i] is change i and Version()
 	// (== len(log)) is the next cursor.
 	log []DeltaEntry
 }
 
+// frameIndex is one camera's analysed frames in ascending frame ID, each
+// with its labels: under the propagation rule sets[k] holds on frames
+// [ids[k], ids[k+1]), and on every later frame for the last k.
+type frameIndex struct {
+	ids  []int
+	sets []labels.Set
+}
+
+// set stores ls at frame id: an append when id is past the last frame (an
+// in-order Put), an overwrite when id is stored, an insertion otherwise.
+func (ix *frameIndex) set(id int, ls labels.Set) {
+	if n := len(ix.ids); n == 0 || ix.ids[n-1] < id {
+		ix.ids, ix.sets = append(ix.ids, id), append(ix.sets, ls)
+		return
+	}
+	k, found := slices.BinarySearch(ix.ids, id)
+	if found {
+		ix.sets[k] = ls
+		return
+	}
+	ix.ids, ix.sets = slices.Insert(ix.ids, k, id), slices.Insert(ix.sets, k, ls)
+}
+
+// at returns the position of the last frame at or before id, -1 when every
+// stored frame is after it. A nil index has none.
+func (ix *frameIndex) at(id int) int {
+	if ix == nil {
+		return -1
+	}
+	k, found := slices.BinarySearch(ix.ids, id)
+	if !found {
+		k--
+	}
+	return k
+}
+
+// span returns the frames of [from, to) on which sets[k] holds.
+func (ix *frameIndex) span(k, from, to int) (lo, hi int) {
+	lo, hi = max(ix.ids[k], from), to
+	if k+1 < len(ix.ids) {
+		hi = min(hi, ix.ids[k+1])
+	}
+	return lo, hi
+}
+
 // NewResultsDB returns an empty database.
 func NewResultsDB() *ResultsDB {
-	return &ResultsDB{byCamera: make(map[string]map[int]labels.Set)}
+	return &ResultsDB{byCamera: make(map[string]*frameIndex)}
 }
 
 // Put records the labels detected on one (camera, frame).
@@ -49,12 +100,12 @@ func (db *ResultsDB) Put(camera string, frameID int, ls labels.Set) {
 
 // put applies and logs one change; callers hold db.mu.
 func (db *ResultsDB) put(camera string, frameID int, ls labels.Set) {
-	m, ok := db.byCamera[camera]
+	ix, ok := db.byCamera[camera]
 	if !ok {
-		m = make(map[int]labels.Set)
-		db.byCamera[camera] = m
+		ix = &frameIndex{}
+		db.byCamera[camera] = ix
 	}
-	m[frameID] = ls
+	ix.set(frameID, ls)
 	db.log = append(db.log, DeltaEntry{Camera: camera, Frame: frameID, Labels: ls})
 }
 
@@ -62,8 +113,11 @@ func (db *ResultsDB) put(camera string, frameID int, ls labels.Set) {
 func (db *ResultsDB) Get(camera string, frameID int) (labels.Set, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	ls, ok := db.byCamera[camera][frameID]
-	return ls, ok
+	ix := db.byCamera[camera]
+	if k := ix.at(frameID); k >= 0 && ix.ids[k] == frameID {
+		return ix.sets[k], true
+	}
+	return nil, false
 }
 
 // LabelsAt returns the effective labels of any frame under SiEVE's
@@ -72,16 +126,11 @@ func (db *ResultsDB) Get(camera string, frameID int) (labels.Set, bool) {
 func (db *ResultsDB) LabelsAt(camera string, frameID int) labels.Set {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	m := db.byCamera[camera]
-	best := -1
-	var out labels.Set
-	for id, ls := range m {
-		if id <= frameID && id > best {
-			best = id
-			out = ls
-		}
+	ix := db.byCamera[camera]
+	if k := ix.at(frameID); k >= 0 {
+		return ix.sets[k]
 	}
-	return out
+	return nil
 }
 
 // Cameras returns the sorted camera keys with at least one stored result.
@@ -90,9 +139,7 @@ func (db *ResultsDB) Cameras() []string {
 	defer db.mu.RUnlock()
 	out := make([]string, 0, len(db.byCamera))
 	for cam := range db.byCamera {
-		if len(db.byCamera[cam]) > 0 {
-			out = append(out, cam)
-		}
+		out = append(out, cam)
 	}
 	sort.Strings(out)
 	return out
@@ -103,8 +150,8 @@ func (db *ResultsDB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	n := 0
-	for _, m := range db.byCamera {
-		n += len(m)
+	for _, ix := range db.byCamera {
+		n += len(ix.ids)
 	}
 	return n
 }
@@ -113,43 +160,56 @@ func (db *ResultsDB) Len() int {
 func (db *ResultsDB) AnalysedFrames(camera string) []int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	m := db.byCamera[camera]
-	out := make([]int, 0, len(m))
-	for id := range m {
-		out = append(out, id)
+	var ids []int
+	if ix := db.byCamera[camera]; ix != nil {
+		ids = ix.ids
 	}
-	sort.Ints(out)
-	return out
+	return append(make([]int, 0, len(ids)), ids...)
 }
 
 // Track materialises the propagated per-frame label track for frames
 // [0, numFrames) — what a downstream application (or the accuracy metric)
-// consumes.
+// consumes. A track of numFrames <= 0 is empty.
 func (db *ResultsDB) Track(camera string, numFrames int) labels.Track {
-	ids := db.AnalysedFrames(camera)
-	tr := make(labels.Track, numFrames)
-	var cur labels.Set
-	k := 0
-	for i := 0; i < numFrames; i++ {
-		for k < len(ids) && ids[k] <= i {
-			if ls, ok := db.Get(camera, ids[k]); ok {
-				cur = ls
-			}
-			k++
+	tr := make(labels.Track, max(numFrames, 0))
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	ix := db.byCamera[camera]
+	for k := max(ix.at(0), 0); ix != nil && k < len(ix.ids) && ix.ids[k] < numFrames; k++ {
+		lo, hi := ix.span(k, 0, numFrames)
+		for i := lo; i < hi; i++ {
+			tr[i] = ix.sets[k]
 		}
-		tr[i] = cur
 	}
 	return tr
 }
 
 // Query returns the frames in [from, to) whose effective labels contain
-// class — the "find every car" query the paper's storage layer serves.
+// class — the "find every car" query the paper's storage layer serves —
+// in ascending order, nil when there are none. Frames before 0 do not
+// exist: a negative from reads as 0. It walks the camera's index once to
+// size the answer and once to fill it.
 func (db *ResultsDB) Query(camera, class string, from, to int) []int {
-	tr := db.Track(camera, to)
-	var out []int
-	for i := from; i < to && i < len(tr); i++ {
-		if tr[i].Contains(class) {
-			out = append(out, i)
+	from = max(from, 0)
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	ix := db.byCamera[camera]
+	first := max(ix.at(from), 0)
+	n := 0
+	for k := first; ix != nil && k < len(ix.ids) && ix.ids[k] < to; k++ {
+		if lo, hi := ix.span(k, from, to); hi > lo && ix.sets[k].Contains(class) {
+			n += hi - lo
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	for k := first; len(out) < n; k++ {
+		if lo, hi := ix.span(k, from, to); hi > lo && ix.sets[k].Contains(class) {
+			for i := lo; i < hi; i++ {
+				out = append(out, i)
+			}
 		}
 	}
 	return out
@@ -189,58 +249,37 @@ func (db *ResultsDB) Merge(other *ResultsDB) error {
 		return nil
 	}
 	// Snapshot the incoming shard (label sets are canonical and treated as
-	// immutable, so sharing the slices is safe).
+	// immutable, so sharing the slices is safe). Each index is already in
+	// frame order.
 	other.mu.RLock()
-	in := make(map[string]map[int]labels.Set, len(other.byCamera))
-	for cam, m := range other.byCamera {
-		fm := make(map[int]labels.Set, len(m))
-		for id, ls := range m {
-			fm[id] = ls
-		}
-		in[cam] = fm
+	in := make(map[string]frameIndex, len(other.byCamera))
+	for cam, ix := range other.byCamera {
+		in[cam] = frameIndex{ids: slices.Clone(ix.ids), sets: slices.Clone(ix.sets)}
 	}
 	other.mu.RUnlock()
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// Phase 1: validate, scanning in sorted order so the reported conflict
-	// is deterministic.
 	cams := make([]string, 0, len(in))
 	for cam := range in {
 		cams = append(cams, cam)
 	}
 	sort.Strings(cams)
+	// Phase 1: validate, in (camera, frame) order so the reported conflict
+	// is deterministic.
 	for _, cam := range cams {
-		have, ok := db.byCamera[cam]
-		if !ok {
-			continue
-		}
-		ids := make([]int, 0, len(in[cam]))
-		for id := range in[cam] {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			ls, ok := have[id]
-			if !ok {
-				continue
-			}
-			if !ls.Equal(in[cam][id]) {
-				return &MergeConflictError{Camera: cam, Frame: id, Have: ls, Incoming: in[cam][id]}
+		have := db.byCamera[cam]
+		for j, id := range in[cam].ids {
+			if k := have.at(id); k >= 0 && have.ids[k] == id && !have.sets[k].Equal(in[cam].sets[j]) {
+				return &MergeConflictError{Camera: cam, Frame: id, Have: have.sets[k], Incoming: in[cam].sets[j]}
 			}
 		}
 	}
-	// Phase 2: apply, in sorted order so the change log stays deterministic
-	// (a merge is logged like any other sequence of Puts).
+	// Phase 2: apply, in the same order so the change log stays
+	// deterministic (a merge is logged like any other sequence of Puts).
 	for _, cam := range cams {
-		fm := in[cam]
-		ids := make([]int, 0, len(fm))
-		for id := range fm {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			db.put(cam, id, fm[id])
+		for j, id := range in[cam].ids {
+			db.put(cam, id, in[cam].sets[j])
 		}
 	}
 	return nil
@@ -321,19 +360,16 @@ func (db *ResultsDB) ApplyDelta(d Delta) error {
 }
 
 // MaxFrame returns the highest frame ID stored for a camera, or -1 when the
-// camera has no entries. The failover controller uses the coordinator
-// replica's MaxFrame as the applied cursor when picking a migrated feed's
-// resume point.
+// camera has no entries or only frames before -1. The failover controller
+// uses the coordinator replica's MaxFrame as the applied cursor when
+// picking a migrated feed's resume point.
 func (db *ResultsDB) MaxFrame(camera string) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	max := -1
-	for id := range db.byCamera[camera] {
-		if id > max {
-			max = id
-		}
+	if ix := db.byCamera[camera]; ix != nil {
+		return max(ix.ids[len(ix.ids)-1], -1)
 	}
-	return max
+	return -1
 }
 
 // persisted is the JSON schema of a saved database.
@@ -381,10 +417,10 @@ func (db *ResultsDB) Save(path string) error {
 func (db *ResultsDB) MarshalIndent() ([]byte, error) {
 	db.mu.RLock()
 	p := persisted{Cameras: make(map[string]map[string][]string, len(db.byCamera))}
-	for cam, m := range db.byCamera {
-		fm := make(map[string][]string, len(m))
-		for id, ls := range m {
-			fm[fmt.Sprint(id)] = []string(ls)
+	for cam, ix := range db.byCamera {
+		fm := make(map[string][]string, len(ix.ids))
+		for k, id := range ix.ids {
+			fm[fmt.Sprint(id)] = []string(ix.sets[k])
 		}
 		p.Cameras[cam] = fm
 	}
@@ -406,14 +442,33 @@ func LoadResultsDB(path string) (*ResultsDB, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("store: parse results: %w", err)
 	}
+	// Put in (camera, frame) order: every Put is then an append, and the
+	// loaded change log does not depend on map iteration.
+	type entry struct {
+		id  int
+		key string
+	}
 	db := NewResultsDB()
-	for cam, fm := range p.Cameras {
-		for idStr, names := range fm {
+	cams := make([]string, 0, len(p.Cameras))
+	for cam := range p.Cameras {
+		cams = append(cams, cam)
+	}
+	sort.Strings(cams)
+	for _, cam := range cams {
+		fm := p.Cameras[cam]
+		entries := make([]entry, 0, len(fm))
+		for idStr := range fm {
 			var id int
 			if _, err := fmt.Sscanf(idStr, "%d", &id); err != nil {
 				return nil, fmt.Errorf("store: bad frame id %q: %w", idStr, err)
 			}
-			db.Put(cam, id, labels.NewSet(names...))
+			entries = append(entries, entry{id, idStr})
+		}
+		slices.SortFunc(entries, func(a, b entry) int {
+			return cmp.Or(cmp.Compare(a.id, b.id), strings.Compare(a.key, b.key))
+		})
+		for _, e := range entries {
+			db.Put(cam, e.id, labels.NewSet(fm[e.key]...))
 		}
 	}
 	return db, nil

@@ -8,6 +8,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"time"
 
 	"sieve/internal/frame"
 )
@@ -39,6 +40,10 @@ func NewConn(c net.Conn) *Conn {
 
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.raw.Close() }
+
+// SetWriteDeadline sets the underlying connection's write deadline: a
+// write still blocked at t fails, and so does every write after it.
+func (c *Conn) SetWriteDeadline(t time.Time) error { return c.raw.SetWriteDeadline(t) }
 
 // WriteMessage frames and sends one message: u8 type, u32 payload
 // length, payload. The write is buffered; callers batch-flushing many
