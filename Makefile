@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExpositionRoundTrip -fuzztime=10s ./internal/telemetry/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryMatchesTrack -fuzztime=10s ./internal/store/
+	$(GO) test -run='^$$' -fuzz=FuzzLoadResultsDB -fuzztime=10s ./internal/store/
 
 # Known-vulnerability scan. govulncheck needs network access for the vuln
 # DB, so it runs as its own CI job; locally it degrades to a notice unless
@@ -264,12 +265,14 @@ split-smoke:
 # Equivalence anchors under stress: the detector's batched, split and
 # sharded equivalence tests, the hub plane's cold-start reservation clamp
 # (a batch-4 plane with fewer workers than feeds must finish), the
-# cluster's failover, trace, telemetry and wire-admission anchors, and the
+# cluster's failover, trace, telemetry and wire-admission anchors, the
+# partition anchor (the cloud's view is exactly what crossed the uplink:
+# stale under a partition, level with the flat run once it heals), and the
 # session's detect-on-reconstruction guard (labels equal the archive's,
 # stream bytes equal a detector-less encode), repeated at several
 # GOMAXPROCS settings under the race detector, so an anchor that holds
 # only on one schedule fails here.
-ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestPlaneReservationWindow|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence|TestClusterFailoverEquivalence|TestClusterFailoverTraceDeterminism|TestClusterTelemetryEquivalence|TestWireClusterEquivalence|TestClusterUnseekableFeedReplaysTail|TestSessionDetectsWhatTheArchiveDecodes)$$'
+ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestPlaneReservationWindow|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence|TestClusterFailoverEquivalence|TestClusterFailoverTraceDeterminism|TestClusterTelemetryEquivalence|TestWireClusterEquivalence|TestClusterUnseekableFeedReplaysTail|TestClusterPartitionDegradesThenHeals|TestSessionDetectsWhatTheArchiveDecodes)$$'
 
 anchors-stress:
 	$(GO) test -race -short -count=3 -cpu 1,2,4 -run $(ANCHORS) .

@@ -253,19 +253,18 @@ type clusterSite struct {
 	err    error
 	// Failover state (guarded by Cluster.mu). crashed: the site is down
 	// right now (a SiteRecover clears it); failover: it crashed at some
-	// point, so its feeds need migration when its goroutine exits;
-	// submitted: its final report reached the cloud.
-	crashed   bool
-	failover  bool
-	submitted bool
-	cancel    context.CancelFunc
+	// point, so its feeds need migration when its goroutine exits.
+	crashed  bool
+	failover bool
+	cancel   context.CancelFunc
 }
 
 // Cluster is the multi-site deployment of Figure 1: N camera feeds sharded
 // across K edge sites, each site a Hub with its own worker pool, ResultsDB
 // shard and EdgeStore, shipping I-frame detections and stats to a simulated
 // cloud over per-site metered uplinks. After Run, the cloud coordinator has
-// merged the shards into one conflict-checked global view serving
+// merged its replicas of the shards — built only from the deltas that
+// crossed the uplinks — into one conflict-checked global view serving
 // cross-camera Query/Track calls.
 //
 // Determinism contract: with per-feed VirtualClocks and deterministic
@@ -566,7 +565,7 @@ func (c *Cluster) Run(ctx context.Context) error {
 // runSite drives one edge site: pump its hub's events (recording
 // detections into the shard, streaming incremental deltas to the cloud and
 // metering the uplink), run the hub, archive the encoded streams, and ship
-// the final shard report. A site killed by a scripted crash instead
+// the end-of-run manifest. A site killed by a scripted crash instead
 // salvages its partial streams into the EdgeStore for replay and returns
 // nil — the degraded markers and failover records carry the signal.
 func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
@@ -704,19 +703,21 @@ func (c *Cluster) Merged() (*ResultsDB, error) {
 
 // Query answers "which frames of camera show class" on the merged view.
 func (c *Cluster) Query(camera, class string, from, to int) ([]int, error) {
-	if _, err := c.Merged(); err != nil {
+	m, err := c.Merged()
+	if err != nil {
 		return nil, err
 	}
-	return c.coord.Query(camera, class, from, to)
+	return m.Query(camera, class, from, to), nil
 }
 
 // Track materialises a camera's propagated per-frame labels from the
 // merged view.
 func (c *Cluster) Track(camera string, numFrames int) (LabelTrack, error) {
-	if _, err := c.Merged(); err != nil {
+	m, err := c.Merged()
+	if err != nil {
 		return nil, err
 	}
-	return c.coord.Track(camera, numFrames)
+	return m.Track(camera, numFrames), nil
 }
 
 // EdgeStore returns a site's edge store (the encoded streams it retained).

@@ -847,6 +847,58 @@ func TestFlushDeltasExhaustsAttempts(t *testing.T) {
 	}
 }
 
+// TestReconcileMergesOnlyWhatCrossed: the merged view is what crossed the
+// uplink. A site that submitted its manifest and then gained an entry it
+// could not ship merges without that entry, marked by its stalled sync;
+// once the link heals, reconcile flushes the backlog and the view comes
+// level with the shard.
+func TestReconcileMergesOnlyWhatCrossed(t *testing.T) {
+	c, s := unsyncedSite(t)
+	ctx := context.Background()
+	if err := c.submit(ctx, s); err != nil {
+		t.Fatal(err)
+	}
+	s.shard.Put("cam", 3, labels.NewSet("bus"))
+	l, _ := c.topo.Uplink(s.name)
+	l.Fail()
+	c.flushDeltas(ctx, s)
+	c.reconcile(ctx)
+	merged, err := c.coord.MergeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Len() != 1 {
+		t.Fatalf("merged entries = %d over a dead uplink, want 1 (the replica's)", merged.Len())
+	}
+	if _, ok := merged.Get("cam", 3); ok {
+		t.Fatal("an entry that never crossed the uplink appeared in the merged view")
+	}
+	deg := c.Degraded()
+	if len(deg) != 1 || !strings.HasPrefix(deg[0].Reason, "delta sync stalled at cursor 1 ") {
+		t.Fatalf("Degraded = %+v, want the stalled sync at cursor 1", deg)
+	}
+
+	l.Heal()
+	c.reconcile(ctx)
+	if merged, err = c.coord.MergeAll(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := merged.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.shard.MarshalIndent()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("healed view:\n%s\nwant the shard:\n%s", got, want)
+	}
+	if deg := c.Degraded(); len(deg) != 0 {
+		t.Fatalf("healed reconcile left %+v", deg)
+	}
+}
+
 // TestClusterLoadSkewSteersFailover scripts a LoadSkew before the crash:
 // the least-busy sharder sees the skewed site as overloaded and places the
 // orphan on the other survivor.

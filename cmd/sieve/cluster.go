@@ -22,8 +22,8 @@ const clusterUsage = `usage: sieve cluster [flags]
 Run N camera feeds sharded across K edge sites with a cloud results-merge
 plane: each site is a hub with its own worker pool, results-database shard
 and edge store; detections ship upstream over a metered per-site uplink and
-the cloud coordinator merges the shards into one conflict-checked global
-view. The report shows per-site load, uplink accounting, and the merged
+the cloud coordinator merges what crossed it into one conflict-checked
+global view. The report shows per-site load, uplink accounting, and the merged
 database, plus the cluster-wide filter rate.
 
 Feeds cycle through the Table I presets with per-feed seeds and run on

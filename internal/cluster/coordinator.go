@@ -43,8 +43,11 @@ func DeltaWireBytes(d store.Delta) int64 {
 	return n
 }
 
-// Report is the end-of-run record one edge site ships to the cloud when its
-// feeds finish: its results-database shard.
+// Report is the end-of-run manifest one edge site ships to the cloud when
+// its feeds finish. Shard is the site's live shard, but only its Version
+// crosses the uplink: the cursor the cloud's replica must reach for the
+// site's slice of the merged view to be complete. The entries themselves
+// cross as deltas (ShipDelta).
 type Report struct {
 	Site  string
 	Shard *store.ResultsDB
@@ -59,31 +62,31 @@ type DegradedSite struct {
 
 // Coordinator is the cloud side of the cluster (the "results database" box
 // of Figure 1, scaled out): it meters everything the edge sites ship over
-// their uplinks, maintains a per-site shadow replica fed by streaming
-// deltas (so the global view is queryable mid-run), records which sites'
-// slices of that view are degraded, and merges the shards into one
-// conflict-checked global view that serves cross-camera queries.
+// their uplinks, keeps a per-site replica built only from the deltas that
+// crossed them, records each site's end-of-run manifest cursor and which
+// sites' slices of the view are degraded, and merges the replicas into one
+// conflict-checked global view. The cloud never reads an edge shard: what
+// it serves is exactly what crossed the links.
 type Coordinator struct {
 	topo *Topology
 
-	mu       sync.Mutex
-	expected map[string]bool
-	reports  map[string]Report
+	mu sync.Mutex
 	// replicas are the cloud-side shadow shards, built exclusively from
 	// ApplyDelta — each replica's Version is the site's sync cursor.
 	replicas map[string]*store.ResultsDB
-	degraded map[string]string
-	merged   *store.ResultsDB
+	// manifests holds the shard version each site's end-of-run manifest
+	// carried.
+	manifests map[string]int64
+	degraded  map[string]string
 }
 
 // NewCoordinator builds a coordinator over the given star topology.
 func NewCoordinator(topo *Topology) *Coordinator {
 	return &Coordinator{
-		topo:     topo,
-		expected: make(map[string]bool),
-		reports:  make(map[string]Report),
-		replicas: make(map[string]*store.ResultsDB),
-		degraded: make(map[string]string),
+		topo:      topo,
+		replicas:  make(map[string]*store.ResultsDB),
+		manifests: make(map[string]int64),
+		degraded:  make(map[string]string),
 	}
 }
 
@@ -95,16 +98,21 @@ func (c *Coordinator) uplink(site string) (*simnet.Link, error) {
 	return l, nil
 }
 
-// Register declares a site the merged view is expected to cover. MergeAll
-// marks any registered site that never delivered a final report as
-// degraded instead of silently under-reporting.
-func (c *Coordinator) Register(site string) {
+// Register declares a site the merged view is expected to cover by giving
+// it an empty replica. MergeAll marks any site whose manifest never arrived
+// as degraded instead of silently under-reporting.
+func (c *Coordinator) Register(site string) { c.replica(site) }
+
+// replica returns a site's replica, creating it empty on first use.
+func (c *Coordinator) replica(site string) *store.ResultsDB {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expected[site] = true
-	if _, ok := c.replicas[site]; !ok {
-		c.replicas[site] = store.NewResultsDB()
+	r, ok := c.replicas[site]
+	if !ok {
+		r = store.NewResultsDB()
+		c.replicas[site] = r
 	}
+	return r
 }
 
 // ShipDetection accounts one detection record crossing a site's uplink
@@ -172,14 +180,7 @@ func (c *Coordinator) ShipDelta(site string, d store.Delta) error {
 	if _, err := l.TrySend(DeltaWireBytes(d)); err != nil {
 		return fmt.Errorf("cluster: delta sync %s: %w", site, err)
 	}
-	c.mu.Lock()
-	r, ok := c.replicas[site]
-	if !ok {
-		r = store.NewResultsDB()
-		c.replicas[site] = r
-	}
-	c.mu.Unlock()
-	if err := r.ApplyDelta(d); err != nil {
+	if err := c.replica(site).ApplyDelta(d); err != nil {
 		return fmt.Errorf("cluster: delta sync %s: %w", site, err)
 	}
 	return nil
@@ -238,6 +239,16 @@ func (c *Coordinator) AppliedFrame(camera string) int {
 // deltas. Conflicts across replicas surface as errors exactly as in
 // MergeAll.
 func (c *Coordinator) View() (*store.ResultsDB, error) {
+	view, _, err := c.mergeReplicas()
+	return view, err
+}
+
+// mergeReplicas folds every replica into a fresh ResultsDB in sorted site
+// order, so the outcome (and any reported conflict) never depends on
+// delivery scheduling. It returns each site's cursor at the time its
+// replica was read; on a conflict the view built so far is discarded and
+// the error names the offending site and (camera, frame).
+func (c *Coordinator) mergeReplicas() (*store.ResultsDB, map[string]int64, error) {
 	c.mu.Lock()
 	sites := make([]string, 0, len(c.replicas))
 	reps := make(map[string]*store.ResultsDB, len(c.replicas))
@@ -248,19 +259,21 @@ func (c *Coordinator) View() (*store.ResultsDB, error) {
 	c.mu.Unlock()
 	sort.Strings(sites)
 	view := store.NewResultsDB()
+	cursors := make(map[string]int64, len(sites))
 	for _, s := range sites {
+		cursors[s] = reps[s].Version()
 		if err := view.Merge(reps[s]); err != nil {
-			return nil, fmt.Errorf("cluster: view merging replica of site %s: %w", s, err)
+			return nil, nil, fmt.Errorf("cluster: merging replica of site %s: %w", s, err)
 		}
 	}
-	return view, nil
+	return view, cursors, nil
 }
 
-// Submit records a site's final report, accounting the sync header on the
-// site's uplink (the shard entries themselves have already crossed as
-// streaming deltas; Submit is the durable end-of-run manifest). Each site
-// may submit once; a partitioned uplink fails the submit, leaving the site
-// to be marked degraded.
+// Submit records a site's end-of-run manifest, accounting its header on
+// the site's uplink. The manifest carries only rep.Shard's version: the
+// entries have already crossed as deltas, and MergeAll checks the site's
+// replica against this cursor. Each site may submit once; a partitioned
+// uplink fails the submit, leaving the site to be marked degraded.
 func (c *Coordinator) Submit(rep Report) error {
 	l, err := c.uplink(rep.Site)
 	if err != nil {
@@ -269,86 +282,52 @@ func (c *Coordinator) Submit(rep Report) error {
 	if rep.Shard == nil {
 		return fmt.Errorf("cluster: site %q submitted a nil shard", rep.Site)
 	}
-	c.mu.Lock()
-	if _, dup := c.reports[rep.Site]; dup {
-		c.mu.Unlock()
+	if c.Submitted(rep.Site) {
 		return fmt.Errorf("cluster: site %q submitted twice", rep.Site)
 	}
-	c.mu.Unlock()
+	cursor := rep.Shard.Version()
 	if _, err := l.TrySend(reportOverheadBytes); err != nil {
 		return fmt.Errorf("cluster: submit %s: %w", rep.Site, err)
 	}
+	c.replica(rep.Site)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.reports[rep.Site] = rep
+	c.manifests[rep.Site] = cursor
 	return nil
 }
 
-// MergeAll folds every site's shard into a fresh global ResultsDB, in
-// sorted site order so the outcome (and any reported conflict) never
-// depends on submission scheduling. Sites that submitted a final report
-// contribute their authoritative shard; a registered site that never
-// submitted (it crashed, or its uplink stayed partitioned) contributes
-// whatever its streamed replica holds and gains an explicit degraded
-// marker, appended to any reason the run already recorded — the merged
-// view is stale-but-consistent, never silently short without saying so,
-// and a crashed site still says it crashed. On a conflict the merged view
-// built so far is discarded and the error names the offending (camera,
-// frame). The merged database is retained for Merged/Query/Track.
-func (c *Coordinator) MergeAll() (*store.ResultsDB, error) {
+// Submitted reports whether a site's end-of-run manifest has arrived.
+func (c *Coordinator) Submitted(site string) bool {
 	c.mu.Lock()
-	sites := make(map[string]bool, len(c.expected))
-	for s := range c.expected {
-		sites[s] = true
-	}
-	for s := range c.reports {
-		sites[s] = true
-	}
-	for s := range c.replicas {
-		if c.replicas[s].Version() > 0 {
-			sites[s] = true
-		}
-	}
-	order := make([]string, 0, len(sites))
-	for s := range sites {
-		order = append(order, s)
-	}
-	sort.Strings(order)
-	shards := make(map[string]*store.ResultsDB, len(order))
-	var missing []string
-	for _, s := range order {
-		if rep, ok := c.reports[s]; ok {
-			shards[s] = rep.Shard
-		} else {
-			shards[s] = c.replicas[s] // may be nil for an expected, silent site
-			missing = append(missing, s)
-		}
-	}
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	_, ok := c.manifests[site]
+	return ok
+}
 
-	merged := store.NewResultsDB()
-	for _, s := range order {
-		if err := merged.Merge(shards[s]); err != nil {
-			return nil, fmt.Errorf("cluster: merging shard of site %s: %w", s, err)
-		}
-	}
-	for _, s := range missing {
-		var cursor int64
-		if shards[s] != nil {
-			cursor = shards[s].Version()
-		}
-		c.mu.Lock()
-		c.degraded[s] = withStaleNote(c.degraded[s], cursor)
-		c.mu.Unlock()
+// MergeAll merges every site's replica into a fresh global ResultsDB, by
+// the same sorted-site fold as View. A site whose manifest never arrived
+// (it crashed, or its uplink stayed partitioned), or whose replica is
+// behind the cursor its manifest carried, gains an explicit degraded
+// marker appended to any reason the run already recorded — the merged view
+// is stale-but-consistent, never silently short without saying so, and a
+// crashed site still says it crashed.
+func (c *Coordinator) MergeAll() (*store.ResultsDB, error) {
+	merged, cursors, err := c.mergeReplicas()
+	if err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
-	c.merged = merged
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	for s, cursor := range cursors {
+		if m, ok := c.manifests[s]; !ok || cursor < m {
+			c.degraded[s] = withStaleNote(c.degraded[s], cursor)
+		}
+	}
 	return merged, nil
 }
 
-// staleNote is MergeAll's degraded reason for a site merged from its
-// streamed replica.
+// staleNote is MergeAll's degraded reason for a site whose replica falls
+// short of its manifest.
 const staleNote = "no final report; merged streamed replica at cursor "
 
 // withStaleNote appends MergeAll's note to a site's existing degraded
@@ -364,33 +343,6 @@ func withStaleNote(reason string, cursor int64) string {
 		return note
 	}
 	return reason + "; " + note
-}
-
-// Merged returns the global view built by MergeAll (nil before it).
-func (c *Coordinator) Merged() *store.ResultsDB {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.merged
-}
-
-// Query answers the cross-camera "find every <class>" query on the merged
-// view. It errors before MergeAll.
-func (c *Coordinator) Query(camera, class string, from, to int) ([]int, error) {
-	m := c.Merged()
-	if m == nil {
-		return nil, fmt.Errorf("cluster: query before merge")
-	}
-	return m.Query(camera, class, from, to), nil
-}
-
-// Track materialises a camera's propagated label track from the merged
-// view. It errors before MergeAll.
-func (c *Coordinator) Track(camera string, numFrames int) (labels.Track, error) {
-	m := c.Merged()
-	if m == nil {
-		return nil, fmt.Errorf("cluster: track before merge")
-	}
-	return m.Track(camera, numFrames), nil
 }
 
 // UplinkStats reports a site's uplink meter: bytes, transfer count, and

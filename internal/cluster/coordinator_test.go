@@ -85,6 +85,20 @@ func otherStats(c *Coordinator, site string) (int64, int64, time.Duration, error
 	return c.UplinkStats(site)
 }
 
+// ship sends a shard's whole change log to the site's replica, as the
+// edge's delta sync does before its manifest, and returns the delta.
+func ship(t *testing.T, c *Coordinator, site string, shard *store.ResultsDB) store.Delta {
+	t.Helper()
+	d, err := shard.DeltaSince(c.SyncCursor(site))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ShipDelta(site, d); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestCoordinatorMergeAllDisjointShards(t *testing.T) {
 	topo := testTopo(t, "site0", "site1")
 	c := NewCoordinator(topo)
@@ -95,12 +109,11 @@ func TestCoordinatorMergeAllDisjointShards(t *testing.T) {
 	shard1 := store.NewResultsDB()
 	shard1.Put("cam1", 4, labels.NewSet("person"))
 
-	if _, err := c.Query("cam0", "car", 0, 10); err == nil {
-		t.Fatal("query before merge accepted")
-	}
+	ship(t, c, "site1", shard1)
 	if err := c.Submit(Report{Site: "site1", Shard: shard1}); err != nil {
 		t.Fatal(err)
 	}
+	d0 := ship(t, c, "site0", shard0)
 	if err := c.Submit(Report{Site: "site0", Shard: shard0}); err != nil {
 		t.Fatal(err)
 	}
@@ -119,34 +132,68 @@ func TestCoordinatorMergeAllDisjointShards(t *testing.T) {
 		t.Fatalf("merged entries = %d, want 3", merged.Len())
 	}
 	// Cross-camera serving straight off the merged view.
-	frames, err := c.Query("cam0", "car", 0, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 9 || frames[0] != 0 {
+	if frames := merged.Query("cam0", "car", 0, 9); len(frames) != 9 || frames[0] != 0 {
 		t.Fatalf("Query = %v (propagated car frames 0..8)", frames)
 	}
-	tr, err := c.Track("cam1", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr[5].Contains("person") || !tr[4].Contains("person") || len(tr[3]) != 0 {
+	if tr := merged.Track("cam1", 6); !tr[5].Contains("person") || !tr[4].Contains("person") || len(tr[3]) != 0 {
 		t.Fatalf("Track = %v", tr)
 	}
-	if c.Merged() != merged {
-		t.Fatal("Merged() does not return the MergeAll result")
-	}
-	// The submit manifest was metered (the shard entries travel as deltas).
+	// The delta and the submit manifest were metered.
 	b, _, _, err := c.UplinkStats("site0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b != reportOverheadBytes {
-		t.Fatalf("site0 uplink = %d bytes, want submit header %d", b, int64(reportOverheadBytes))
+	if want := DeltaWireBytes(d0) + reportOverheadBytes; b != want {
+		t.Fatalf("site0 uplink = %d bytes, want delta plus submit header %d", b, want)
 	}
 	// Both sites reported, so nothing is degraded.
 	if deg := c.Degraded(); len(deg) != 0 {
 		t.Fatalf("Degraded = %v", deg)
+	}
+}
+
+// TestCoordinatorManifestAheadOfReplica pins that the merged view is what
+// crossed the uplink: a manifest whose cursor the replica never reached
+// marks the site stale, and the entries that never shipped stay out of the
+// view even though the submitted shard holds them.
+func TestCoordinatorManifestAheadOfReplica(t *testing.T) {
+	topo := testTopo(t, "site0")
+	c := NewCoordinator(topo)
+	c.Register("site0")
+
+	shard := store.NewResultsDB()
+	shard.Put("cam0", 0, labels.NewSet("car"))
+	ship(t, c, "site0", shard)
+	shard.Put("cam0", 5, labels.NewSet("bus"))
+	if err := c.Submit(Report{Site: "site0", Shard: shard}); err != nil {
+		t.Fatal(err)
+	}
+
+	merged, err := c.MergeAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.Len() != 1 {
+		t.Fatalf("merged entries = %d, want 1 (the shipped one)", merged.Len())
+	}
+	if _, ok := merged.Get("cam0", 5); ok {
+		t.Fatal("an entry that never crossed the uplink appeared in the merged view")
+	}
+	deg := c.Degraded()
+	if want := "no final report; merged streamed replica at cursor 1"; len(deg) != 1 || deg[0].Site != "site0" || deg[0].Reason != want {
+		t.Fatalf("Degraded = %+v, want site0 %q", deg, want)
+	}
+	// Once the rest ships the replica meets the manifest: no new note.
+	ship(t, c, "site0", shard)
+	c.ClearDegraded("site0")
+	if merged, err = c.MergeAll(); err != nil {
+		t.Fatal(err)
+	}
+	if merged.Len() != 2 {
+		t.Fatalf("merged entries = %d, want 2", merged.Len())
+	}
+	if deg := c.Degraded(); len(deg) != 0 {
+		t.Fatalf("Degraded after the catch-up = %+v", deg)
 	}
 }
 
@@ -234,6 +281,7 @@ func TestCoordinatorPartialMergeDegrades(t *testing.T) {
 
 	// site0 completes normally; site1 streams one delta, then dies before
 	// its second delta and final report.
+	ship(t, c, "site0", shard0)
 	if err := c.Submit(Report{Site: "site0", Shard: shard0}); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +320,9 @@ func TestCoordinatorPartialMergeDegrades(t *testing.T) {
 	if want := "crashed; feeds failing over; no final report; merged streamed replica at cursor 1"; deg[0].Reason != want {
 		t.Fatalf("degraded reason = %q, want %q (the run's cause kept, the replica cursor appended once)", deg[0].Reason, want)
 	}
-	// Recovery: the late report arrives, the marker clears on re-merge.
+	// Recovery: the rest of the shard and the late report arrive, the
+	// marker clears on re-merge.
+	ship(t, c, "site1", shard1)
 	if err := c.Submit(Report{Site: "site1", Shard: shard1}); err != nil {
 		t.Fatal(err)
 	}
@@ -314,6 +364,8 @@ func TestCoordinatorMergeConflict(t *testing.T) {
 	a.Put("cam", 5, labels.NewSet("car"))
 	b := store.NewResultsDB()
 	b.Put("cam", 5, labels.NewSet("bus"))
+	ship(t, c, "site0", a)
+	ship(t, c, "site1", b)
 	if err := c.Submit(Report{Site: "site0", Shard: a}); err != nil {
 		t.Fatal(err)
 	}

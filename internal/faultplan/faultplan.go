@@ -228,7 +228,6 @@ func (p *Plan) String() string {
 type Runner struct {
 	mu      sync.Mutex
 	pending []Event // plan order; fired events are removed
-	fired   []Event
 }
 
 // NewRunner returns a Runner over the plan (nil plan → inert runner).
@@ -251,7 +250,6 @@ func (r *Runner) Observe(feed string, frames int) []Event {
 	for _, e := range r.pending {
 		if e.Trigger.Feed == feed && e.Trigger.AtFrame <= frames {
 			out = append(out, e)
-			r.fired = append(r.fired, e)
 		} else {
 			kept = append(kept, e)
 		}
@@ -265,13 +263,4 @@ func (r *Runner) Remaining() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.pending)
-}
-
-// Fired returns the events that have fired, in firing order.
-func (r *Runner) Fired() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Event, len(r.fired))
-	copy(out, r.fired)
-	return out
 }

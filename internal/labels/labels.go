@@ -7,6 +7,7 @@
 package labels
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -15,23 +16,20 @@ import (
 // visible in one frame. The empty set means "no label".
 type Set []string
 
-// NewSet builds a canonical Set from names (duplicates removed).
+// NewSet builds a canonical Set from names (duplicates and "" removed). A
+// set with no labels is always nil, so it has one form.
 func NewSet(names ...string) Set {
-	if len(names) == 0 {
-		return nil
-	}
-	uniq := make(map[string]struct{}, len(names))
+	out := make(Set, 0, len(names))
 	for _, n := range names {
 		if n != "" {
-			uniq[n] = struct{}{}
+			out = append(out, n)
 		}
 	}
-	out := make(Set, 0, len(uniq))
-	for n := range uniq {
-		out = append(out, n)
+	if len(out) == 0 {
+		return nil
 	}
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
 // Key returns a canonical string form ("" for the empty set).
@@ -90,15 +88,18 @@ func Events(t Track) []Event {
 	return out
 }
 
-// Propagate assigns a label set to every frame given the sampled frame
-// indices: each sampled frame receives its true labels (the reference NN is
-// treated as an oracle, as in the paper), and every following frame inherits
-// them until the next sample. Frames before the first sample get the empty
-// set. samples must be sorted ascending; out-of-range indices are ignored.
-func Propagate(t Track, samples []int) Track {
-	out := make(Track, len(t))
+// Accuracy is the fraction of frames whose propagated labels match the
+// ground truth — the paper's "accuracy of per-frame object detection".
+// Each sampled frame receives its true labels (the reference NN is treated
+// as an oracle, as in the paper), and every following frame inherits them
+// until the next sample; frames before the first sample get the empty set.
+// samples must be sorted ascending; out-of-range indices are ignored.
+func Accuracy(t Track, samples []int) float64 {
+	if len(t) == 0 {
+		return 1
+	}
 	cur := Set(nil)
-	si := 0
+	si, correct := 0, 0
 	for i := range t {
 		for si < len(samples) && samples[si] <= i {
 			if samples[si] == i {
@@ -106,21 +107,7 @@ func Propagate(t Track, samples []int) Track {
 			}
 			si++
 		}
-		out[i] = cur
-	}
-	return out
-}
-
-// Accuracy is the fraction of frames whose propagated labels match the
-// ground truth — the paper's "accuracy of per-frame object detection".
-func Accuracy(t Track, samples []int) float64 {
-	if len(t) == 0 {
-		return 1
-	}
-	prop := Propagate(t, samples)
-	correct := 0
-	for i := range t {
-		if prop[i].Equal(t[i]) {
+		if cur.Equal(t[i]) {
 			correct++
 		}
 	}

@@ -27,8 +27,8 @@ func TestNewSetCanonical(t *testing.T) {
 	if !s.Contains("car") || !s.Contains("bus") || s.Contains("truck") {
 		t.Fatal("Contains misbehaves")
 	}
-	if !NewSet().Empty() || !NewSet("").Empty() {
-		t.Fatal("empty construction")
+	if NewSet() != nil || NewSet("", "") != nil {
+		t.Fatal("an empty set is not nil, so it has two forms")
 	}
 	if !NewSet("a", "b").Equal(NewSet("b", "a")) {
 		t.Fatal("order-insensitive equality failed")
@@ -56,24 +56,6 @@ func TestEventsSegmentation(t *testing.T) {
 	}
 	if Events(nil) != nil {
 		t.Error("empty track should have no events")
-	}
-}
-
-func TestPropagate(t *testing.T) {
-	tr := track("", "car", "car", "", "")
-	prop := Propagate(tr, []int{1, 3})
-	wantKeys := []string{"", "car", "car", "", ""}
-	for i, w := range wantKeys {
-		if prop[i].Key() != w {
-			t.Errorf("prop[%d] = %q, want %q", i, prop[i].Key(), w)
-		}
-	}
-	// No samples: all empty.
-	prop = Propagate(tr, nil)
-	for i := range prop {
-		if !prop[i].Empty() {
-			t.Errorf("prop[%d] not empty with no samples", i)
-		}
 	}
 }
 
@@ -109,6 +91,15 @@ func TestAccuracyMidEventSample(t *testing.T) {
 	acc = Accuracy(tr, []int{0, 4, 6})
 	if math.Abs(acc-0.8) > 1e-9 {
 		t.Fatalf("accuracy = %v, want 0.8", acc)
+	}
+	// With no samples every frame propagates the empty set.
+	if acc = Accuracy(tr, nil); math.Abs(acc-0.6) > 1e-9 {
+		t.Fatalf("accuracy with no samples = %v, want 0.6", acc)
+	}
+	// Frames before the first sample are empty; out-of-range samples are
+	// ignored.
+	if acc = Accuracy(track("", "car", "car", "", ""), []int{1, 3, 9}); acc != 1 {
+		t.Fatalf("accuracy = %v, want 1", acc)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 	"sync/atomic"
 )
 
-// Pool bounds the parallelism of Map/MapSlice/ForEach calls. A nil *Pool
+// Pool bounds the parallelism of Map/MapSlice calls. A nil *Pool
 // and the zero Pool are both valid and run with GOMAXPROCS workers.
 type Pool struct {
 	workers int
@@ -154,13 +154,4 @@ func MapSlice[S, T any](ctx context.Context, p *Pool, items []S, fn func(context
 	return Map(ctx, p, len(items), func(ctx context.Context, i int) (T, error) {
 		return fn(ctx, items[i])
 	})
-}
-
-// ForEach runs fn(ctx, i) for every i in [0, n) with Map's concurrency and
-// error semantics, discarding results.
-func ForEach(ctx context.Context, p *Pool, n int, fn func(context.Context, int) error) error {
-	_, err := Map(ctx, p, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

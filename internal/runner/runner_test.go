@@ -198,28 +198,6 @@ func TestMapSlice(t *testing.T) {
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(context.Background(), New(4), 10, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-	boom := errors.New("boom")
-	if err := ForEach(context.Background(), New(4), 10, func(_ context.Context, i int) error {
-		if i == 3 {
-			return boom
-		}
-		return nil
-	}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // BenchmarkMapOverhead measures the pool's fixed cost per fan-out with
 // trivial tasks — the price every parallelised loop pays up front.
 func BenchmarkMapOverhead(b *testing.B) {

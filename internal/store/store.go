@@ -12,7 +12,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"sync"
 
 	"sieve/internal/codec"
@@ -420,7 +420,7 @@ func (db *ResultsDB) MarshalIndent() ([]byte, error) {
 	for cam, ix := range db.byCamera {
 		fm := make(map[string][]string, len(ix.ids))
 		for k, id := range ix.ids {
-			fm[fmt.Sprint(id)] = []string(ix.sets[k])
+			fm[strconv.Itoa(id)] = []string(ix.sets[k])
 		}
 		p.Cameras[cam] = fm
 	}
@@ -438,6 +438,13 @@ func LoadResultsDB(path string) (*ResultsDB, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseResultsDB(data)
+}
+
+// parseResultsDB decodes the persisted JSON schema. A frame key must be
+// the decimal form MarshalIndent writes (strconv.Itoa of its ID), so no two
+// keys name one frame and a loaded database marshals back to its input.
+func parseResultsDB(data []byte) (*ResultsDB, error) {
 	var p persisted
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("store: parse results: %w", err)
@@ -457,16 +464,14 @@ func LoadResultsDB(path string) (*ResultsDB, error) {
 	for _, cam := range cams {
 		fm := p.Cameras[cam]
 		entries := make([]entry, 0, len(fm))
-		for idStr := range fm {
-			var id int
-			if _, err := fmt.Sscanf(idStr, "%d", &id); err != nil {
-				return nil, fmt.Errorf("store: bad frame id %q: %w", idStr, err)
+		for key := range fm {
+			id, err := strconv.Atoi(key)
+			if err != nil || strconv.Itoa(id) != key {
+				return nil, fmt.Errorf("store: bad frame id %q", key)
 			}
-			entries = append(entries, entry{id, idStr})
+			entries = append(entries, entry{id, key})
 		}
-		slices.SortFunc(entries, func(a, b entry) int {
-			return cmp.Or(cmp.Compare(a.id, b.id), strings.Compare(a.key, b.key))
-		})
+		slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.id, b.id) })
 		for _, e := range entries {
 			db.Put(cam, e.id, labels.NewSet(fm[e.key]...))
 		}

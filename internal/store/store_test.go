@@ -2,6 +2,8 @@ package store
 
 import (
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -127,6 +129,41 @@ func TestResultsDBSaveLoad(t *testing.T) {
 	}
 	if _, err := LoadResultsDB(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestLoadResultsDBFrameKeys: a frame key loads only in the decimal form
+// MarshalIndent writes; every other spelling of a number is refused rather
+// than read as that frame.
+func TestLoadResultsDBFrameKeys(t *testing.T) {
+	for _, tc := range []struct {
+		key     string
+		frame   int
+		refused bool
+	}{
+		{key: "7", frame: 7}, {key: "0", frame: 0}, {key: "-3", frame: -3},
+		{key: "7abc", refused: true}, {key: " 7", refused: true}, {key: "7 8", refused: true},
+		{key: "007", refused: true}, {key: "+7", refused: true}, {key: "-0", refused: true},
+	} {
+		path := filepath.Join(t.TempDir(), "results.json")
+		data := fmt.Sprintf(`{"cameras": {"cam": {%q: ["car"]}}}`, tc.key)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		db, err := LoadResultsDB(path)
+		if tc.refused {
+			if err == nil {
+				t.Errorf("key %q loaded as %v, want it refused", tc.key, db.AnalysedFrames("cam"))
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("key %q: %v", tc.key, err)
+			continue
+		}
+		if _, ok := db.Get("cam", tc.frame); !ok || db.Len() != 1 {
+			t.Errorf("key %q loaded frames %v, want [%d]", tc.key, db.AnalysedFrames("cam"), tc.frame)
+		}
 	}
 }
 

@@ -59,20 +59,25 @@ func (c *Cluster) shipDelta(s *clusterSite) error {
 	return c.coord.ShipDelta(s.name, d)
 }
 
-// reconcile is the pre-merge sweep: every site that has not delivered its
-// final report gets one more delta flush and submit attempt, so a site
-// whose uplink healed after its goroutine finished (linkup or recovery
-// late in the script) still contributes an authoritative shard instead of
-// a stale replica. Sites still partitioned fail here too and keep their
-// degraded markers.
+// reconcile is the pre-merge sweep over every live site: one more delta
+// flush for a site whose replica is behind its shard (a migration pumped
+// into it after its manifest, or its last flush hit a partition), and one
+// more submit for a site with no manifest, so a site whose uplink healed
+// after its goroutine finished (linkup or recovery late in the script)
+// still reaches the merged view complete instead of stale. Sites still
+// partitioned fail here too and keep their degraded markers.
 func (c *Cluster) reconcile(ctx context.Context) {
 	for _, s := range c.sites {
 		c.mu.Lock()
-		submitted, down := s.submitted, s.crashed
+		down := s.crashed
 		c.mu.Unlock()
-		if submitted || down {
-			// A still-crashed site's uplink is gone; MergeAll will fall back
-			// to its streamed replica and mark it degraded.
+		if down {
+			// A still-crashed site's uplink is gone; MergeAll marks its
+			// replica stale.
+			continue
+		}
+		if c.coord.Submitted(s.name) {
+			c.flushDeltas(ctx, s)
 			continue
 		}
 		// A failed retry is not a run error: the site stays marked
@@ -82,17 +87,14 @@ func (c *Cluster) reconcile(ctx context.Context) {
 }
 
 // submit flushes a site's trailing delta so the cloud replica is
-// complete, then ships the end-of-run report carrying the authoritative
-// shard. A delivered report clears the site's degraded marker: its slice
-// of the merged view is no longer stale.
+// complete, then ships the end-of-run manifest carrying the shard's
+// cursor. A delivered manifest clears the site's degraded marker: its
+// slice of the merged view is no longer stale.
 func (c *Cluster) submit(ctx context.Context, s *clusterSite) error {
 	c.flushDeltas(ctx, s)
 	if err := c.coord.Submit(cluster.Report{Site: s.name, Shard: s.shard}); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	s.submitted = true
-	c.mu.Unlock()
 	c.coord.ClearDegraded(s.name)
 	return nil
 }
