@@ -67,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStoreMatchesReference -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzEncodeGlueMatchesReference -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzMotionSearchMatchesReference -fuzztime=10s ./internal/codec/
+	$(GO) test -run='^$$' -fuzz=FuzzAnalyzeMatchesReference -fuzztime=10s ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzReaderMatchesReference -fuzztime=10s ./internal/bitstream/
 	$(GO) test -run='^$$' -fuzz=FuzzWriterMatchesReference -fuzztime=10s ./internal/bitstream/
 	$(GO) test -run='^$$' -fuzz=FuzzContainerReader -fuzztime=10s ./internal/container/
@@ -77,6 +78,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeActivationRecord -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzReLUMatchesReference -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzExpositionRoundTrip -fuzztime=10s ./internal/telemetry/
+	$(GO) test -run='^$$' -fuzz=FuzzParseExposition -fuzztime=10s ./internal/telemetry/
+	$(GO) test -run='^$$' -fuzz=FuzzSummarizeChrome -fuzztime=10s ./internal/telemetry/
 	$(GO) test -run='^$$' -fuzz=FuzzApplyDelta -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzQueryMatchesTrack -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzLoadResultsDB -fuzztime=10s ./internal/store/
@@ -154,7 +157,8 @@ bench:
 
 # Codec hot-path micro-benchmarks: steady-state encode (BenchmarkEncodeQuiet
 # is the content bench/'s edge_quiet encodes), decode (BenchmarkIFrameDecode
-# is the I-frames bench/'s archive_scan decodes), analyze, the bounded
+# is the I-frames bench/'s archive_scan decodes), analyze (BenchmarkAnalyze,
+# the cost analysis of that edge_quiet content), the bounded
 # SAD, the motion search at the frame's right edge and corner (/padded, the
 # encoder's, vs /clamped, the oracle), and the kernels under them (DCT
 # pair, quantiser, 16×16 SAD; each as /kernel, what Forward, Inverse,

@@ -85,8 +85,9 @@ func Downsample2x(p *frame.Plane) *frame.Plane {
 // Downsample2xInto box-filters p into the preallocated dst, which must have
 // halfDims(p) geometry. Each output pixel rounds the mean of a 2×2 source
 // block; the last column or row of an odd-sized plane has no partner and
-// is dropped. Only a plane one pixel wide or high, whose 2×2 blocks leave
-// it, is read through clamped At.
+// is dropped. Rows whose blocks lie inside p take downsampleRow; only a
+// plane one pixel wide or high, whose 2×2 blocks leave it, is read through
+// clamped At.
 func Downsample2xInto(dst, p *frame.Plane) {
 	w, h := halfDims(p)
 	if dst.W != w || dst.H != h {
@@ -96,12 +97,7 @@ func Downsample2xInto(dst, p *frame.Plane) {
 	for y := 0; y < h; y++ {
 		row := dst.Row(y)
 		if interior {
-			r0 := p.Pix[(2*y)*p.Stride : (2*y)*p.Stride+2*w]
-			r1 := p.Pix[(2*y+1)*p.Stride : (2*y+1)*p.Stride+2*w]
-			for x := 0; x < w; x++ {
-				s := int(r0[2*x]) + int(r0[2*x+1]) + int(r1[2*x]) + int(r1[2*x+1])
-				row[x] = byte((s + 2) / 4)
-			}
+			downsampleRow(row, p.Pix[(2*y)*p.Stride:][:2*w], p.Pix[(2*y+1)*p.Stride:][:2*w])
 			continue
 		}
 		for x := 0; x < w; x++ {
@@ -109,6 +105,32 @@ func Downsample2xInto(dst, p *frame.Plane) {
 				int(p.At(2*x, 2*y+1)) + int(p.At(2*x+1, 2*y+1))
 			row[x] = byte((s + 2) / 4)
 		}
+	}
+}
+
+// downsampleRow box-filters the source rows r0 and r1 (2·len(dst) bytes
+// each) into dst: downsampleRowSSE2 on amd64 for rows of 16 outputs or
+// more, downsampleRowGo otherwise.
+//
+//sieve:noalloc per-frame analysis downsample
+func downsampleRow(dst, r0, r1 []byte) {
+	_, _ = r0[2*len(dst)-1], r1[2*len(dst)-1]
+	if haveSSE2 && len(dst) >= 16 {
+		downsampleRowSSE2(dst, r0, r1)
+		return
+	}
+	downsampleRowGo(dst, r0, r1)
+}
+
+// downsampleRowGo is the Go kernel of downsampleRow, and on amd64 the
+// kernel of rows narrower than 16.
+//
+//sieve:noalloc per-frame analysis downsample
+func downsampleRowGo(dst, r0, r1 []byte) {
+	r0, r1 = r0[:2*len(dst)], r1[:2*len(dst)]
+	for x := range dst {
+		s := int(r0[2*x]) + int(r0[2*x+1]) + int(r1[2*x]) + int(r1[2*x+1])
+		dst[x] = byte((s + 2) / 4)
 	}
 }
 
@@ -130,7 +152,25 @@ func intraCost(p *frame.Plane) int64 {
 	return total
 }
 
+// blockDCCost is the summed absolute deviation from its rounded mean of the
+// block of p at (bx, by), clipped to the plane: dcCostSSE2 on amd64 for a
+// whole 8×8 block, blockDCCostGo otherwise.
+//
+//sieve:noalloc per-frame analysis block cost
 func blockDCCost(p *frame.Plane, bx, by int) int {
+	if haveSSE2 && bx+analysisBlock <= p.W && by+analysisBlock <= p.H {
+		src := p.Pix[by*p.Stride+bx:]
+		_ = src[(analysisBlock-1)*p.Stride+analysisBlock-1]
+		return dcCostSSE2(src, p.Stride)
+	}
+	return blockDCCostGo(p, bx, by)
+}
+
+// blockDCCostGo is the Go kernel of blockDCCost, and on amd64 the kernel of
+// blocks clipped by the plane's right or bottom edge.
+//
+//sieve:noalloc per-frame analysis block cost
+func blockDCCostGo(p *frame.Plane, bx, by int) int {
 	w := analysisBlock
 	h := analysisBlock
 	if bx+w > p.W {

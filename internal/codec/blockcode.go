@@ -224,7 +224,6 @@ func (bc *blockCoder) encodeBlock(w *bitstream.Writer, p, recon *frame.Plane, bx
 		writePredBlock(recon, bx, by, &bc.pred)
 		return
 	}
-	w.WriteBit(1)
 	// The raster mask of the non-zero levels gives, one set bit at a time,
 	// the scan-order mask the run/level list walks, and the rows and
 	// columns the levels lie in, which the decoder records as it parses:
@@ -237,21 +236,58 @@ func (bc *blockCoder) encodeBlock(w *bitstream.Writer, p, recon *frame.Plane, bx
 		rows |= 1 << (i >> 3)
 		cols |= 1 << (i & 7)
 	}
-	w.WriteSE(int64(bc.lev[0] - bc.dcPred))
+	// The coded flag goes out with the DC delta, each AC pair as one
+	// write, and the EOB with the last code before it when it fits.
+	ac := nz &^ 1
+	eob := writeJoined(w, 1, 1, bc.lev[0]-bc.dcPred, ac == 0)
 	bc.dcPred = bc.lev[0]
 	prev := 0
-	for m := nz &^ 1; m != 0; m &= m - 1 {
+	for m := ac; m != 0; m &= m - 1 {
 		pos := bits.TrailingZeros64(m)
-		w.WriteUE(uint64(pos - prev - 1))
-		w.WriteSE(int64(bc.lev[transform.ScanIndex(pos)&63]))
+		hi := uint64(pos - prev) // the run's code, run+1, 2·len−1 bits long
+		eob = writeJoined(w, hi, 2*uint(bits.Len64(hi))-1, bc.lev[transform.ScanIndex(pos)&63], m&(m-1) == 0)
 		prev = pos
 	}
-	w.WriteUE(eobMarker)
+	if !eob {
+		w.WriteUE(eobMarker)
+	}
 	// Prediction + dequantised residual, exactly what the decoder will
 	// compute, so encoder and decoder reference frames stay bit-identical
 	// (no drift).
 	bc.qz.InverseMasked(&bc.lev, rows, cols, &bc.rec)
 	writeResidualBlock(recon, bx, by, &bc.pred, &bc.rec)
+}
+
+// eobCode is the Exp-Golomb code of eobMarker, eobLen bits long.
+const eobCode, eobLen = eobMarker + 1, 13
+
+// writeJoined writes the code hi (nh bits, at most 11) and then level's
+// signed Exp-Golomb code, with one WriteBits of the two joined,
+// hi<<len(se) | se, when they fit in 64 bits; it reports whether it also
+// wrote the EOB, which it joins on when eob is set and the three fit. The
+// bits are those of WriteBits(hi, nh) and WriteSE(level) (and WriteUE of
+// the EOB), and a pair longer than 64 bits — a level of magnitude 2²⁶ or
+// more, which no 8-bit residual quantises to — is written by those two
+// calls. encodeBlock writes the coded flag and the DC delta (hi = 1) and
+// each AC run and level (hi = run+1) through it.
+//
+//sieve:noalloc entropy write of the encode hot path
+func writeJoined(w *bitstream.Writer, hi uint64, nh uint, level int32, eob bool) bool {
+	m := -int64(level)
+	x := (uint64(m<<1) ^ uint64(m>>63)) + 1 // the code number WriteSE gives level, plus one
+	n := nh + 2*uint(bits.Len64(x)) - 1
+	if n > 64 {
+		w.WriteBits(hi, nh)
+		w.WriteSE(int64(level))
+		return false
+	}
+	code := hi<<(n-nh) | x
+	joined := eob && n <= 64-eobLen
+	if joined {
+		code, n = code<<eobLen|eobCode, n+eobLen
+	}
+	w.WriteBits(code, n)
+	return joined
 }
 
 // writePredBlock stores clamp(pred) into the 8×8 block at (bx, by); pixels

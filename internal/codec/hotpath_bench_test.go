@@ -35,12 +35,12 @@ func BenchmarkEncodeP(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeQuiet encodes what bench/'s edge_quiet workload encodes:
-// the 600×400 Jackson Square scene (sensor noise 2 on every pixel, foliage
-// clutter, a vehicle every few seconds) at Quality 85, GOP 25, scenecut off,
-// walking the clip forwards then backwards so no frame follows a cut. One op
-// is one frame, I-frames included at their 1-in-25 share.
-func BenchmarkEncodeQuiet(b *testing.B) {
+// quietClip returns the 600×400 Jackson Square scene bench/'s edge_quiet
+// workload encodes (sensor noise 2 on every pixel, foliage clutter, a
+// vehicle every few seconds), ten seconds at 5 fps, as a function of the
+// frame index that walks the clip forwards then backwards, so no frame
+// follows a cut.
+func quietClip(b *testing.B) func(int) *frame.YUV {
 	v, err := synth.Preset(synth.JacksonSquare, synth.PresetOpts{Seconds: 10, FPS: 5})
 	if err != nil {
 		b.Fatal(err)
@@ -49,12 +49,7 @@ func BenchmarkEncodeQuiet(b *testing.B) {
 	for i := range clip {
 		clip[i] = v.Frame(i)
 	}
-	enc, err := NewEncoder(Params{Width: 600, Height: 400, GOPSize: 25, Scenecut: 0})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ef EncodedFrame
-	frameAt := func(pos int) *frame.YUV {
+	return func(pos int) *frame.YUV {
 		n := len(clip)
 		pos %= 2*n - 2
 		if pos >= n {
@@ -62,6 +57,18 @@ func BenchmarkEncodeQuiet(b *testing.B) {
 		}
 		return clip[pos]
 	}
+}
+
+// BenchmarkEncodeQuiet encodes what bench/'s edge_quiet workload encodes:
+// the quiet scene at Quality 85, GOP 25, scenecut off. One op is one frame,
+// I-frames included at their 1-in-25 share.
+func BenchmarkEncodeQuiet(b *testing.B) {
+	frameAt := quietClip(b)
+	enc, err := NewEncoder(Params{Width: 600, Height: 400, GOPSize: 25, Scenecut: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ef EncodedFrame
 	const warm = 26 // one full GOP: writer, analyzer and ef.Data reach capacity
 	for i := 0; i < warm; i++ {
 		if err := enc.EncodeInto(frameAt(i), &ef); err != nil {
@@ -112,17 +119,21 @@ func BenchmarkDecodeInto(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyze runs the cost analysis the encoder runs on every frame
+// (downsample, intra cost, half-res motion search) over the quiet scene at
+// 600×400, walking the clip as BenchmarkEncodeQuiet does. One op is one
+// frame.
 func BenchmarkAnalyze(b *testing.B) {
-	frames := testVideo(160, 120, 3, 1, 33)
+	frameAt := quietClip(b)
 	an := NewCostAnalyzer()
-	for _, f := range frames {
-		an.Analyze(f)
+	const warm = 2
+	for i := 0; i < warm; i++ {
+		an.Analyze(frameAt(i))
 	}
-	f := frames[len(frames)-1]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		an.Analyze(f)
+		an.Analyze(frameAt(warm + i))
 	}
 }
 

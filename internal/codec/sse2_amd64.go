@@ -3,10 +3,11 @@ package codec
 import "sieve/internal/transform"
 
 // haveSSE2 routes the reconstruct store (writePredBlock, writeResidualBlock),
-// the motion-compensated fetch (fetchBlock), the residual (residualBlock)
-// and the non-zero mask (nonZeroMask) to their SSE2 kernels, for blocks
-// inside the plane. SSE2 is part of every amd64 CPU, so there is nothing to
-// detect.
+// the motion-compensated fetch (fetchBlock), the residual (residualBlock),
+// the non-zero mask (nonZeroMask) and the analyzer's downsample
+// (downsampleRow) and block cost (blockDCCost) to their SSE2 kernels, for
+// blocks inside the plane. SSE2 is part of every amd64 CPU, so there is
+// nothing to detect.
 const haveSSE2 = true
 
 // storeResidualSSE2 is writeResidualBlockGo for an 8×8 block wholly inside
@@ -42,3 +43,19 @@ func residualSSE2(dst *transform.Block, src []byte, stride int, pred *transform.
 //
 //go:noescape
 func nonZeroSSE2(lev *transform.Block) uint64
+
+// downsampleRowSSE2 is downsampleRowGo (analyze_amd64.s) for a row of at
+// least 16 outputs: PAND and PSRLW split the even and odd bytes of each
+// source row into 16-bit lanes, where the four taps and the rounding 2 sum
+// to at most 1022, so PSRLW $2 and PACKUSWB give (s+2)/4 exactly.
+//
+//go:noescape
+func downsampleRowSSE2(dst, r0, r1 []byte)
+
+// dcCostSSE2 is blockDCCostGo for a whole 8×8 block (analyze_amd64.s):
+// src[0] is its top-left pixel and rows lie stride bytes apart. PSADBW
+// against zero gives the sum, and against the broadcast byte mean the sum
+// of distances, both exact in 64-bit lanes.
+//
+//go:noescape
+func dcCostSSE2(src []byte, stride int) int

@@ -5,7 +5,8 @@ package codec
 import "sieve/internal/transform"
 
 // haveSSE2 is false: every block is stored, fetched, differenced and
-// masked by the Go kernels.
+// masked, and every analysis row and block downsampled and costed, by the
+// Go kernels.
 const haveSSE2 = false
 
 func storeResidualSSE2(dst []byte, stride int, pred, res *transform.Block) {
@@ -26,4 +27,12 @@ func residualSSE2(dst *transform.Block, src []byte, stride int, pred *transform.
 
 func nonZeroSSE2(lev *transform.Block) uint64 {
 	panic("codec: nonZeroSSE2 exists only on amd64")
+}
+
+func downsampleRowSSE2(dst, r0, r1 []byte) {
+	panic("codec: downsampleRowSSE2 exists only on amd64")
+}
+
+func dcCostSSE2(src []byte, stride int) int {
+	panic("codec: dcCostSSE2 exists only on amd64")
 }

@@ -75,8 +75,10 @@ func withLE(labels []Label, le string) []Label {
 // ParseExposition parses and validates Prometheus text-format output as
 // produced by WritePrometheus, returning every sample keyed by its series
 // string. It errors on malformed lines, unparseable values, TYPE lines
-// with unknown kinds, and samples of families never declared by a TYPE
-// line — the checks the obs-smoke job runs against a live scrape.
+// with unknown kinds, and samples whose family — the series name, or that
+// name less one _bucket, _sum or _count suffix — no earlier TYPE line
+// ("# TYPE name kind") declares: the checks the obs-smoke job runs against
+// a live scrape.
 func ParseExposition(r io.Reader) (map[string]float64, error) {
 	samples := make(map[string]float64)
 	typed := make(map[string]string)
@@ -91,7 +93,7 @@ func ParseExposition(r io.Reader) (map[string]float64, error) {
 		}
 		if strings.HasPrefix(text, "#") {
 			fields := strings.Fields(text)
-			if len(fields) >= 4 && fields[1] == "TYPE" {
+			if len(fields) >= 4 && fields[0] == "#" && fields[1] == "TYPE" {
 				switch fields[3] {
 				case "counter", "gauge", "histogram", "summary", "untyped":
 					typed[fields[2]] = fields[3]
@@ -119,7 +121,13 @@ func ParseExposition(r io.Reader) (map[string]float64, error) {
 			}
 			family = family[:i]
 		}
-		base := strings.TrimSuffix(strings.TrimSuffix(strings.TrimSuffix(family, "_bucket"), "_sum"), "_count")
+		base := family
+		for _, suffix := range [...]string{"_bucket", "_sum", "_count"} {
+			if b, ok := strings.CutSuffix(family, suffix); ok {
+				base = b
+				break
+			}
+		}
 		if _, ok := typed[family]; !ok {
 			if _, ok := typed[base]; !ok {
 				return nil, fmt.Errorf("telemetry: exposition line %d: sample %q has no TYPE declaration", line, family)

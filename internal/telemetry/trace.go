@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -337,7 +338,8 @@ type TraceSummary struct {
 // SummarizeChrome parses and validates Chrome trace_event JSON produced
 // by WriteChrome (or anything shaped like it) and aggregates it. Errors
 // on structural violations: unknown phase, missing names, negative
-// durations, events referencing unnamed processes.
+// durations, events referencing unnamed processes, and durations a stage
+// total cannot hold in a time.Duration.
 func SummarizeChrome(r io.Reader) (TraceSummary, error) {
 	var tr chromeTrace
 	dec := json.NewDecoder(r)
@@ -379,13 +381,24 @@ func SummarizeChrome(r io.Reader) (TraceSummary, error) {
 				return TraceSummary{}, fmt.Errorf("telemetry: span event %d (%s) references unnamed tid %d/%d", i, ev.Name, ev.Pid, ev.Tid)
 			}
 			sum.Events++
+			// A duration whose nanoseconds do not fit a Duration, or that
+			// would take its stage's total past the largest one, is refused:
+			// converted or added, it would wrap to a negative total.
+			ns := *ev.Dur * 1e3
+			if ns >= 1<<63 {
+				return TraceSummary{}, fmt.Errorf("telemetry: span event %d (%s) has dur %g µs, longer than a time.Duration", i, ev.Name, *ev.Dur)
+			}
 			agg := stageAgg[ev.Name]
 			if agg == nil {
 				agg = &StageCount{Stage: ev.Name}
 				stageAgg[ev.Name] = agg
 			}
+			d := time.Duration(ns)
+			if agg.Total > math.MaxInt64-d {
+				return TraceSummary{}, fmt.Errorf("telemetry: span event %d (%s) takes the stage's total duration past a time.Duration", i, ev.Name)
+			}
 			agg.Count++
-			agg.Total += time.Duration(*ev.Dur * 1e3)
+			agg.Total += d
 		default:
 			return TraceSummary{}, fmt.Errorf("telemetry: trace event %d (%s) has unsupported phase %q", i, ev.Name, ev.Ph)
 		}
