@@ -267,16 +267,18 @@ split-smoke:
 	$(GO) test -race -run '^TestSplitPlane' -count=1 ./internal/infer/
 
 # Equivalence anchors under stress: the detector's batched, split and
-# sharded equivalence tests, the hub plane's cold-start reservation clamp
-# (a batch-4 plane with fewer workers than feeds must finish), the
-# cluster's failover, trace, telemetry and wire-admission anchors, the
+# sharded equivalence tests, the hub plane's no-hang anchors (a batch-4
+# plane with fewer workers than feeds must finish; a stalled feed must not
+# hold a sibling's detections), the frame-boundary hand-off (a feed's
+# events reach the consumer while it runs), the cluster's failover, trace,
+# telemetry and wire-admission anchors, the
 # partition anchor (the cloud's view is exactly what crossed the uplink:
 # stale under a partition, level with the flat run once it heals), and the
 # session's detect-on-reconstruction guard (labels equal the archive's,
 # stream bytes equal a detector-less encode), repeated at several
 # GOMAXPROCS settings under the race detector, so an anchor that holds
 # only on one schedule fails here.
-ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestPlaneReservationWindow|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence|TestClusterFailoverEquivalence|TestClusterFailoverTraceDeterminism|TestClusterTelemetryEquivalence|TestWireClusterEquivalence|TestClusterUnseekableFeedReplaysTail|TestClusterPartitionDegradesThenHeals|TestSessionDetectsWhatTheArchiveDecodes)$$'
+ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestPlaneReservationWindow|TestHubStalledFeedDoesNotHoldDetections|TestEventsReachConsumerAtFrameBoundary|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence|TestClusterFailoverEquivalence|TestClusterFailoverTraceDeterminism|TestClusterTelemetryEquivalence|TestWireClusterEquivalence|TestClusterUnseekableFeedReplaysTail|TestClusterPartitionDegradesThenHeals|TestSessionDetectsWhatTheArchiveDecodes)$$'
 
 anchors-stress:
 	$(GO) test -race -short -count=3 -cpu 1,2,4 -run $(ANCHORS) .

@@ -813,8 +813,10 @@ type ClusterStats struct {
 	// MigratedFeeds and LostFeeds count failover outcomes, and
 	// ReplayedFrames the frames re-encoded by adoptive sites.
 	Crashes, Recoveries, MigratedFeeds, LostFeeds, ReplayedFrames int
-	// DeltaSyncs counts streaming shard-sync flushes; SyncRetries the extra
-	// tries those flushes spent on partitioned uplinks.
+	// DeltaSyncs counts streaming shard-sync flushes that shipped a delta
+	// or stalled on a partitioned uplink (a flush that found the replica
+	// already caught up counts nothing); SyncRetries the extra tries
+	// flushes spent on partitioned uplinks.
 	DeltaSyncs, SyncRetries int64
 	// Failovers records each migrated feed (see Failover).
 	Failovers []Failover

@@ -847,6 +847,55 @@ func TestFlushDeltasExhaustsAttempts(t *testing.T) {
 	}
 }
 
+// catchUpCtx is a context whose first Err call runs catchUp. flushDeltas
+// checks its context after its cursor check and before each try, so
+// catchUp runs exactly where a concurrent flusher (a migration pump) can
+// catch the replica up under it.
+type catchUpCtx struct {
+	context.Context
+	catchUp func()
+}
+
+func (c *catchUpCtx) Err() error {
+	if f := c.catchUp; f != nil {
+		c.catchUp = nil
+		f()
+	}
+	return c.Context.Err()
+}
+
+// TestFlushDeltasCaughtUpCountsNothing: a flush whose try finds the replica
+// already caught up by another flusher shipped nothing, so it counts no
+// delta sync and no retry; the next flush that ships counts one.
+func TestFlushDeltasCaughtUpCountsNothing(t *testing.T) {
+	c, s := unsyncedSite(t)
+	l, _ := c.topo.Uplink(s.name)
+	ctx := &catchUpCtx{Context: context.Background(), catchUp: func() {
+		d, err := s.shard.DeltaSince(c.coord.SyncCursor(s.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.coord.ShipDelta(s.name, d); err != nil {
+			t.Fatal(err)
+		}
+	}}
+	c.flushDeltas(ctx, s)
+	if st := c.Snapshot(); st.DeltaSyncs != 0 || st.SyncRetries != 0 {
+		t.Fatalf("flush over a caught-up replica counted DeltaSyncs = %d, SyncRetries = %d; want 0, 0", st.DeltaSyncs, st.SyncRetries)
+	}
+	if _, transfers, _ := l.Stats(); transfers != 1 {
+		t.Fatalf("uplink transfers = %d, want 1 (the other flusher's)", transfers)
+	}
+	s.shard.Put("cam", 3, labels.NewSet("bus"))
+	c.flushDeltas(context.Background(), s)
+	if st := c.Snapshot(); st.DeltaSyncs != 1 {
+		t.Fatalf("DeltaSyncs = %d after a flush that shipped, want 1", st.DeltaSyncs)
+	}
+	if got, want := c.coord.SyncCursor(s.name), s.shard.Version(); got != want {
+		t.Fatalf("cursor = %d, want %d", got, want)
+	}
+}
+
 // TestReconcileMergesOnlyWhatCrossed: the merged view is what crossed the
 // uplink. A site that submitted its manifest and then gained an entry it
 // could not ship merges without that entry, marked by its stalled sync;

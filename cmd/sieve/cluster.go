@@ -32,8 +32,8 @@ results on every run.
 
 With -batch N, every site runs one shared batched-inference plane: its
 feeds micro-batch their I-frames through a single detector forward pass
-(flushed at N frames, or sooner when every running feed is blocked), and
-the report adds the amortisation line. Results are byte-identical to the
+(up to N frames: whatever queued while the previous pass ran), and the
+report adds the amortisation line. Results are byte-identical to the
 per-feed detector path.
 
 With -split, each site's batched forward is partitioned across its uplink:

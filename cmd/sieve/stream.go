@@ -26,11 +26,10 @@ batch I-frame seeker on the same stream.
 With -batch N, the hub trains a small detector and shares one
 batched-inference plane across every feed: I-frames from
 concurrent feeds coalesce into micro-batches through a single forward
-pass (flushed at N frames, or sooner when every running feed is blocked),
-and the report adds the amortisation line. Flushes are count-based, never
-timed, so with -realtime a quiet feed's cadence delays its siblings'
-detections — batching is for throughput-oriented replay; pace live feeds
-with -batch 1.
+pass (up to N frames: whatever queued while the previous pass ran), and
+the report adds the amortisation line. No feed waits for a batch to fill,
+so a quiet feed never delays its siblings' detections; how many frames
+share a pass depends on scheduling.
 
 examples:
   sieve stream -feeds 3                        # synth + replay + push, virtual time

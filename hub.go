@@ -48,11 +48,10 @@ const eventBuffer = 256
 // combining it with a per-feed WithDetector is a configuration error
 // surfaced by Add.
 //
-// Flushes are count-based, never timed, so a feed that goes quiet while
-// still running (a wall-clock-paced replay between I-frames, a stalled
-// push producer) holds partial batches open and siblings' detections wait
-// on its cadence. Batching suits throughput-oriented replay and bounded
-// feeds; for latency-sensitive live sources keep batchSize 1.
+// A batch forms from the I-frames that queue while the previous forward
+// runs, so no feed's detection waits for a sibling: a feed that goes quiet
+// (a paced replay between I-frames, a stalled push producer) holds nobody
+// back. How many frames share a pass depends on scheduling.
 func WithHubInference(det *Detector, batchSize int) HubOption {
 	return func(h *Hub) { h.inferDet, h.inferBatch = det, batchSize }
 }
@@ -217,19 +216,6 @@ func (h *Hub) Run(ctx context.Context) error {
 	if len(feeds) == 0 {
 		close(h.events)
 		return fmt.Errorf("sieve: hub: %w", ErrNoFeeds)
-	}
-
-	// Cold-start batching: promise the plane the registrations that are
-	// guaranteed imminent, so the first I-frames coalesce instead of
-	// flushing one by one while sibling feeds are still spinning up. Every
-	// feed uses the hub's plane, the pool starts exactly the first
-	// Workers() feeds immediately, and a session registers on Run entry
-	// before it can block — so that window is what may be counted. A feed
-	// beyond it must not be: its registration could wait on a worker held
-	// by a long or unbounded sibling, and an unconsumed reservation would
-	// hold batches open forever.
-	if h.own.plane != nil {
-		h.own.plane.Reserve(min(len(feeds), h.pool.Workers()))
 	}
 
 	// Forward each session's events onto the merged channel.

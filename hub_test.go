@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"sieve/internal/container"
@@ -317,5 +319,57 @@ func TestHubRunAfterFailedListenerAttach(t *testing.T) {
 	}
 	if _, err := hub.Add("late", NewSynthSource(smallDataset(t))); !errors.Is(err, ErrStarted) {
 		t.Fatalf("Add after a failed Run = %v, want ErrStarted", err)
+	}
+}
+
+// consumedAtPull wraps a source and records, at each Next call, how many
+// EventFrameEncoded events the hub's consumer has taken so far.
+type consumedAtPull struct {
+	FrameSource
+	consumed *atomic.Int64
+	atPull   []int64
+}
+
+func (s *consumedAtPull) Next(ctx context.Context) (*Frame, error) {
+	s.atPull = append(s.atPull, s.consumed.Load())
+	return s.FrameSource.Next(ctx)
+}
+
+// TestEventsReachConsumerAtFrameBoundary: on one P, a feed's events reach
+// the Hub.Events consumer while the feed runs, not when it ends. A session
+// that never blocks would leave the goroutines its sends wake queued
+// behind it until it finished or sysmon preempted it; the session yields
+// once per frame, so by the time it pulls frame i+2, frame i's
+// EventFrameEncoded has been consumed. (One frame of slack covers the
+// scheduler taking the yielding goroutine back from the global queue
+// first, which it does once every 61 scheduling rounds.)
+func TestEventsReachConsumerAtFrameBoundary(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var consumed atomic.Int64
+	src := &consumedAtPull{FrameSource: NewSynthSource(smallDataset(t)), consumed: &consumed}
+	hub := NewHub(WithWorkers(1))
+	if _, err := hub.Add("cam", src, WithClock(testClock())); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for ev := range hub.Events() {
+			if ev.Kind == EventFrameEncoded {
+				consumed.Add(1)
+			}
+		}
+	}()
+	if err := hub.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if len(src.atPull) < 3 {
+		t.Fatalf("%d pulls, want at least 3", len(src.atPull))
+	}
+	for i := 2; i < len(src.atPull); i++ {
+		if got := src.atPull[i]; got < int64(i-1) {
+			t.Fatalf("at the pull of frame %d the consumer had taken %d frame events, want %d (frames 0..%d)", i, got, i-1, i-2)
+		}
 	}
 }

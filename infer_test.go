@@ -3,6 +3,7 @@ package sieve
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,12 +99,9 @@ func TestHubBatchedInferenceEquivalence(t *testing.T) {
 	if inf.Batches < 1 || inf.Batches > inf.Frames {
 		t.Fatalf("batches = %d with %d frames", inf.Batches, inf.Frames)
 	}
-	// With four workers and four feeds sharing the plane, Hub.Run reserves
-	// all four registrations before the pool starts, so the fleet's frame-0
-	// I-frames must coalesce into one full batch — deterministically, not
-	// just when scheduling happens to align.
-	if inf.MaxBatch != 4 {
-		t.Fatalf("max batch %d, want a full batch of 4 (cold-start reservation)", inf.MaxBatch)
+	// Which frames share a pass is scheduling; its size is bounded.
+	if inf.MaxBatch < 1 || inf.MaxBatch > 4 {
+		t.Fatalf("max batch %d, want 1..4", inf.MaxBatch)
 	}
 	if got := inf.MeanBatch(); got < 1 {
 		t.Fatalf("mean batch %v < 1", got)
@@ -180,13 +178,11 @@ func TestSessionInferenceOptionConflict(t *testing.T) {
 	}
 }
 
-// TestPlaneReservationWindow pins the cold-start reservation's window
-// clamp by behaviour: a batch-4 hub whose pool runs fewer feeds at once
-// than it has must reserve only the feeds the pool starts immediately. A
-// reserved feed still waiting for a worker cannot register until a
-// running sibling finishes, and that sibling is blocked on a batch the
-// reservation holds open — the run would hang to the deadline. Within the
-// clamp the run finishes, on the per-frame path's ResultsDB bytes.
+// TestPlaneReservationWindow: a batch-4 hub whose pool runs fewer feeds at
+// once than it has finishes, on the per-frame path's ResultsDB bytes. A
+// feed still waiting for a worker submits nothing, and no running feed's
+// detection may wait for it: were it to, the run would hang to the
+// deadline.
 func TestPlaneReservationWindow(t *testing.T) {
 	const feeds = 3
 	det := trainedTestDetector(t)
@@ -208,6 +204,58 @@ func TestPlaneReservationWindow(t *testing.T) {
 				t.Fatalf("batched ResultsDB differs from per-frame path:\nbatched:\n%s\nper-frame:\n%s", got, perFrame)
 			}
 		})
+	}
+}
+
+// TestHubStalledFeedDoesNotHoldDetections: on a batch-4 hub, a feed whose
+// push source is never fed does not hold back a sibling's detections.
+// Every detection of the feed that runs must reach the consumer, with that
+// feed's final stats, before the stalled feed is cancelled.
+func TestHubStalledFeedDoesNotHoldDetections(t *testing.T) {
+	hub := NewHub(WithWorkers(2), WithHubInference(trainedTestDetector(t), 4))
+	cam := clusterCameras[0]
+	if _, err := hub.Add("live", NewSynthSource(clusterScene(t, cam.seed, cam.enter)), WithClock(testClock())); err != nil {
+		t.Fatal(err)
+	}
+	stalled := NewPushSource("stalled", 128, 80, 5, 1)
+	if _, err := hub.Add("stalled", stalled, WithClock(testClock())); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runErr := make(chan error, 1)
+	go func() { runErr <- hub.Run(ctx) }()
+
+	detections := 0
+	var final *SessionStats
+	timeout := time.After(30 * time.Second)
+	for final == nil {
+		select {
+		case ev := <-hub.Events():
+			switch {
+			case ev.Feed != "live":
+			case ev.Kind == EventDetection:
+				detections++
+			case ev.Kind == EventStats:
+				final = &ev.Stats
+			}
+		case <-timeout:
+			t.Fatalf("the live feed had not finished after 30 s (%d detections): its detections wait for the stalled feed", detections)
+		}
+	}
+	if final.IFrames == 0 || detections != final.IFrames || final.Detections != final.IFrames {
+		t.Fatalf("live feed: %d detections consumed, stats %+v; want one per I-frame", detections, *final)
+	}
+	cancel()
+	for range hub.Events() {
+	}
+	if err := <-runErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want the stalled feed's cancellation", err)
+	}
+	for _, fs := range hub.Snapshot().Feeds {
+		if fs.Feed == "live" && fs.Err != "" {
+			t.Fatalf("live feed failed: %s", fs.Err)
+		}
 	}
 }
 

@@ -40,29 +40,36 @@ func (w *Writer) WriteBit(v uint64) {
 	w.WriteBits(v&1, 1)
 }
 
-// WriteBits appends the low n bits of v, MSB first. n must be in [0,64].
-// Bits that fit in the window are one shift and or; the write that fills
-// it stores all 64 bits with one AppendUint64.
+// WriteBits appends the low n bits of v, MSB first. n must be in [0,64];
+// any other n panics. Bits that fit in the window are one shift and or;
+// the write that fills it stores all 64 bits with one AppendUint64, and
+// the bits of v left over stay in win.
+//
+// The whole method fits the inliner's budget, so it inlines into its
+// callers: AppendUint64 costs the inliner one node, and the range check
+// panics with a conversion, not a formatted string, because a call to
+// fmt would cost more than the budget holds.
 func (w *Writer) WriteBits(v uint64, n uint) {
-	if n < 64-w.n { // w.n < 64, so no wrap; n > 64 goes to writeFull
+	if n < 64-w.n { // w.n < 64, so no wrap; n > 64 falls through
 		w.win = w.win<<n | v&(1<<n-1)
 		w.n += n
 		return
 	}
-	w.writeFull(v, n)
-}
-
-// writeFull is WriteBits when the n bits of v complete the window: its bits
-// and the top 64−w.n of v go to buf as one word, and v's rest stays in win.
-func (w *Writer) writeFull(v uint64, n uint) {
 	if n > 64 {
-		panic(fmt.Sprintf("bitstream: WriteBits n=%d out of range", n))
+		panic(widthError(n))
 	}
 	v &= 1<<n - 1 // 1<<64 is 0 in Go: n == 64 keeps every bit
 	k := 64 - w.n // 1..64; a shift by 64 gives 0
 	w.buf = binary.BigEndian.AppendUint64(w.buf, w.win<<k|v>>(n-k))
 	w.win = v
 	w.n = n - k
+}
+
+// widthError is what WriteBits panics with for a width above 64.
+type widthError uint
+
+func (n widthError) Error() string {
+	return fmt.Sprintf("bitstream: WriteBits n=%d out of range", uint(n))
 }
 
 // errNoCode is what WriteUE and WriteSE panic with for the two values a

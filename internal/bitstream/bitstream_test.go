@@ -3,6 +3,7 @@ package bitstream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -110,6 +111,30 @@ func TestWriteUEOneFieldMatchesTwo(t *testing.T) {
 				if back, err := r.ReadUE(); err != nil || back != v {
 					t.Fatalf("ReadUE after WriteUE(%d) = %d, %v", v, back, err)
 				}
+			}
+		}
+	}
+}
+
+// TestWriteBitsRefusesWidth: WriteBits panics on a width above 64, with
+// the width in the message, and writes nothing, whether or not the window
+// is empty.
+func TestWriteBitsRefusesWidth(t *testing.T) {
+	for _, pre := range []uint{0, 1, 63} {
+		for _, n := range []uint{65, 128, math.MaxUint} {
+			w := NewWriter(16)
+			w.WriteBits(0, pre)
+			func() {
+				defer func() {
+					err, _ := recover().(error)
+					if want := fmt.Sprintf("bitstream: WriteBits n=%d out of range", n); err == nil || err.Error() != want {
+						t.Fatalf("after %d bits, WriteBits(·, %d) recovered %v, want %q", pre, n, err, want)
+					}
+				}()
+				w.WriteBits(1, n)
+			}()
+			if w.BitLen() != int(pre) {
+				t.Fatalf("after %d bits, the refused WriteBits(·, %d) left BitLen %d", pre, n, w.BitLen())
 			}
 		}
 	}

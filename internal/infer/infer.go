@@ -4,38 +4,24 @@
 // un-amortised single-frame invocations (the SurveilEdge-style shared
 // edge/cloud NN worker, specialised to SiEVE's I-frame-only inference).
 //
-// The scheduler is deliberately timer-free. A batch is flushed when either
+// The scheduler is flat combining, timer-free and goroutine-free. A
+// submitter that finds no forward running becomes the combiner: it takes
+// everything pending, its own frame included, up to the batch size, runs
+// the forward with the plane's mutex released, delivers every result, and
+// repeats while frames are pending. A submitter that finds a forward
+// running queues its frame and blocks; the running combiner takes it in
+// its next batch. So batches form from whatever queues while a forward
+// runs, and no frame ever waits for a sibling to submit: while a frame is
+// pending, a forward is running (the plane is work-conserving).
 //
-//   - it reaches the batch size, or
-//   - every registered (or reserved, see Reserve) submitter is blocked
-//     waiting on the plane — nobody is left to grow the batch, so waiting
-//     longer could only deadlock.
+// Which frames share a batch therefore depends on scheduling, and so do
+// the batching counters (Stats). The labels do not: the batched forward
+// processes items independently with per-item arithmetic identical to the
+// single-frame path, so the labels a session gets back are byte-identical
+// to running its own detector however frames happened to be grouped.
 //
-// Both triggers are pure counts, so a run's behaviour under VirtualClock,
-// fixed seeds and -race contains no time-dependent branches; and because
-// the batched forward processes items independently with per-item
-// arithmetic identical to the single-frame path, the labels a session gets
-// back are byte-identical to running its own detector regardless of how
-// frames happened to be grouped into batches.
-//
-// The timer-free rule trades latency for determinism and throughput: a
-// registered session that is blocked OUTSIDE the plane — a wall-clock-paced
-// replay between I-frames, a push feed whose producer stalls — holds
-// partial batches open, so sibling submitters wait on the slowest source's
-// I-frame cadence (until it submits, finishes, or its context is
-// cancelled). That is the right trade for throughput-oriented replay,
-// synthetic and bounded workloads, which is what this repo evaluates;
-// latency-sensitive live traffic should run batch size 1 (per-frame, zero
-// added coupling) rather than wish for a flush timer that would make runs
-// schedule-dependent.
-//
-// Execution is leader-based: the goroutine whose submission (or
-// deregistration) completes a flush condition runs the forward pass itself
-// while the plane's mutex is released, then delivers every result. There is
-// no background goroutine, so a Plane needs no lifecycle management — it is
-// garbage the moment the last client drops it. On a small edge box this is
-// also work-conserving: a blocked submitter lends its CPU to the batch that
-// unblocks it.
+// There is no background goroutine, so a Plane needs no lifecycle
+// management: it is garbage the moment the last client drops it.
 package infer
 
 import (
@@ -50,8 +36,8 @@ import (
 	"sieve/internal/telemetry"
 )
 
-// ErrClientClosed is returned by Infer on a client that was closed or that
-// abandoned an in-flight request after cancellation.
+// ErrClientClosed is returned by Infer on a client that abandoned an
+// in-flight request after cancellation.
 var ErrClientClosed = errors.New("infer: client closed")
 
 // Stats are a plane's monotonic batching counters.
@@ -80,13 +66,11 @@ type Plane struct {
 	batch int
 
 	mu       sync.Mutex
-	clients  int        // registered submitters (running sessions)
-	reserved int        // promised registrations not yet made (see Reserve)
-	pending  []*request // submitted, not yet taken by a leader
-	flushing bool       // a leader is inside the forward pass
+	pending  []*request // submitted, not yet taken by a combiner
+	flushing bool       // a combiner is inside the forward pass
 
 	// Batching counters are telemetry instruments, registered in the
-	// owner's registry by New. Updated only inside flushLocked (p.mu
+	// owner's registry by New. Updated only inside combineLocked (p.mu
 	// held), so reads under p.mu are exact.
 	batches  *telemetry.Counter
 	frames64 *telemetry.Counter
@@ -96,15 +80,15 @@ type Plane struct {
 	// all-edge plane). See NewSplit.
 	split *splitState
 
-	// Leader-owned scratch, guarded by flushing (only one leader at a time).
+	// Combiner-owned scratch, guarded by flushing (one combiner at a time).
 	takes  []*request
 	frames []*frame.YUV
 	sets   []labels.Set
 }
 
 // request is one client's outstanding frame. done is buffered (capacity 1)
-// and owned by the client, so delivery never blocks the leader even if the
-// client abandoned the request on cancellation.
+// and owned by the client, so delivery never blocks the combiner even if
+// the client abandoned the request on cancellation.
 type request struct {
 	f    *frame.YUV
 	done chan labels.Set
@@ -146,38 +130,11 @@ func (p *Plane) Stats() Stats {
 	}
 }
 
-// Register adds a submitter (consuming one outstanding reservation, if
-// any). A session registers when its run starts and Closes the client when
-// it ends — the registered count must track sessions that are actually
-// executing, because "every registered submitter is blocked" is the
-// plane's no-one-else-is-coming flush trigger. Registering idle sessions
-// would stall flushes; forgetting to Close would too.
+// Register returns a new submitter handle. A session takes one when its
+// run starts. The plane keeps no count of its clients: a client that never
+// submits, or submits rarely, holds no sibling back.
 func (p *Plane) Register() *Client {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.reserved > 0 {
-		p.reserved--
-	}
-	p.clients++
 	return &Client{p: p, req: request{done: make(chan labels.Set, 1)}}
-}
-
-// Reserve promises n imminent Register calls, holding partial flushes back
-// until they arrive. Without it, a fleet's cold start degenerates: the
-// first session to reach an I-frame is momentarily the only registered
-// submitter, so its frame flushes as a batch of one even though sibling
-// feeds are microseconds from submitting. A Hub reserves one slot per feed
-// its pool is about to start concurrently (never more — a reservation that
-// no running session will consume would hold batches open indefinitely,
-// which is why only callers that control scheduling, like Hub.Run, should
-// reserve).
-func (p *Plane) Reserve(n int) {
-	if n <= 0 {
-		return
-	}
-	p.mu.Lock()
-	p.reserved += n
-	p.mu.Unlock()
 }
 
 // Client is one submitter's handle. A client carries its own reusable
@@ -190,12 +147,14 @@ type Client struct {
 }
 
 // Infer submits one decoded I-frame and blocks until its label set is
-// delivered (or ctx is cancelled). f is only read before Infer returns, so
-// the caller may reuse the frame buffer between calls. On cancellation the
-// client is closed: an in-flight frame may still be read by the leader
-// until the abandoned result is delivered, and since the session that owns
-// the buffer stops on the same cancellation, the buffer is never
-// concurrently rewritten.
+// delivered (or ctx is cancelled). If no forward is running, the caller
+// runs the pending frames itself, its own included; otherwise it waits for
+// the running combiner to take its frame. f is only read before Infer
+// returns, so the caller may reuse the frame buffer between calls. On
+// cancellation the client is closed: an in-flight frame may still be read
+// by the combiner until the abandoned result is delivered, and since the
+// session that owns the buffer stops on the same cancellation, the buffer
+// is never concurrently rewritten.
 func (c *Client) Infer(ctx context.Context, f *frame.YUV) (labels.Set, error) {
 	if c.closed {
 		return nil, ErrClientClosed
@@ -207,7 +166,7 @@ func (c *Client) Infer(ctx context.Context, f *frame.YUV) (labels.Set, error) {
 	p := c.p
 	p.mu.Lock()
 	p.pending = append(p.pending, &c.req)
-	p.flushLocked()
+	p.combineLocked()
 	p.mu.Unlock()
 	select {
 	case set := <-c.req.done:
@@ -218,29 +177,11 @@ func (c *Client) Infer(ctx context.Context, f *frame.YUV) (labels.Set, error) {
 	}
 }
 
-// Close deregisters the client. It must be called exactly once when the
-// submitter stops (deferred from the session run); dropping a registered
-// client without Close would leave the plane waiting for submissions that
-// never come. Close itself may become the leader: removing the last
-// straggler is exactly the moment "everyone remaining is blocked" can
-// become true.
-func (c *Client) Close() {
-	if c.closed {
-		return
-	}
-	c.closed = true
-	p := c.p
-	p.mu.Lock()
-	p.clients--
-	p.flushLocked()
-	p.mu.Unlock()
-}
-
-// abandon tears down a client whose Infer lost the race with cancellation.
-// If its request is still pending it is removed (the plane must not read
-// the frame after Infer returns an error); if a leader already took it, the
+// abandon closes a client whose Infer lost the race with cancellation. If
+// its request is still pending it is removed (the plane must not read the
+// frame after Infer returns an error); if a combiner already took it, the
 // result lands in the buffered done channel and is discarded with the
-// client. Either way the client deregisters.
+// client.
 func (c *Client) abandon() {
 	c.closed = true
 	p := c.p
@@ -251,23 +192,16 @@ func (c *Client) abandon() {
 			break
 		}
 	}
-	p.clients--
-	p.flushLocked()
 	p.mu.Unlock()
 }
 
-// flushLocked runs batches for as long as a flush condition holds and no
-// other leader is active. Called with p.mu held; the mutex is released
-// around the forward pass, so submissions keep accumulating while a batch
-// computes and the loop re-checks on re-entry. The caller becomes the
-// leader — work-conserving and goroutine-free.
-func (p *Plane) flushLocked() {
-	for !p.flushing && len(p.pending) > 0 &&
-		(len(p.pending) >= p.batch || len(p.pending) >= p.clients+p.reserved) {
-		n := len(p.pending)
-		if n > p.batch {
-			n = p.batch
-		}
+// combineLocked runs batches of up to the batch size until nothing is
+// pending, unless another combiner is already running. Called with p.mu
+// held; the mutex is released around the forward pass, so submissions
+// keep queueing while a batch computes and form the next one.
+func (p *Plane) combineLocked() {
+	for !p.flushing && len(p.pending) > 0 {
+		n := min(len(p.pending), p.batch)
 		p.takes = append(p.takes[:0], p.pending[:n]...)
 		rest := copy(p.pending, p.pending[n:])
 		for i := rest; i < len(p.pending); i++ {
@@ -283,7 +217,7 @@ func (p *Plane) flushLocked() {
 		var sets []labels.Set
 		var splitInfo nn.SplitInfo
 		if p.split != nil {
-			// The leader decides this batch's cut (the hook reads observed
+			// The combiner decides this batch's cut (the hook reads observed
 			// link state) and runs the partitioned forward; a refused
 			// activation falls back to all-edge inside the split call.
 			sets, splitInfo = p.inf.FrameLabelsBatchSplit(p.frames, p.sets, p.split.nextCut(), p.split.ship)

@@ -48,13 +48,12 @@ func waitPending(t *testing.T, p *Plane, n int) {
 }
 
 // TestBatchOfOneFlushesInline pins the WithDetector degenerate case: a lone
-// registered client flushes every submission immediately, in its own
-// goroutine, with results identical to calling the detector directly.
+// client flushes every submission immediately, in its own goroutine, with
+// results identical to calling the detector directly.
 func TestBatchOfOneFlushesInline(t *testing.T) {
 	det := testDetector()
 	p := New(det, 1, telemetry.NewRegistry())
 	c := p.Register()
-	defer c.Close()
 	for i := 0; i < 3; i++ {
 		f := testFrame(byte(i))
 		got, err := c.Infer(context.Background(), f)
@@ -84,7 +83,6 @@ func TestFlushAtBatchSize(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *Client) {
 			defer wg.Done()
-			defer c.Close()
 			f := testFrame(byte(i))
 			for j := 0; j < perClient; j++ {
 				if _, err := c.Infer(context.Background(), f); err != nil {
@@ -114,13 +112,11 @@ func TestFlushAtBatchSize(t *testing.T) {
 }
 
 // TestFlushWhenAllRegisteredBlocked: with a flush size far above the
-// number of submitters, a batch still flushes the moment every registered
-// submitter is blocked — the timer-free starvation guard.
+// number of submitters, every submission still gets its result — no frame
+// waits for a batch to fill.
 func TestFlushWhenAllRegisteredBlocked(t *testing.T) {
 	p := New(testDetector(), 100, telemetry.NewRegistry())
 	a, b := p.Register(), p.Register()
-	defer a.Close()
-	defer b.Close()
 	var wg sync.WaitGroup
 	for _, c := range []*Client{a, b} {
 		wg.Add(1)
@@ -137,35 +133,99 @@ func TestFlushWhenAllRegisteredBlocked(t *testing.T) {
 	}
 }
 
-// TestCloseFlushesStragglers: a submitter blocked on a partial batch is
-// released when the other registered client deregisters (end of its feed),
-// because "everyone remaining is blocked" then holds.
-func TestCloseFlushesStragglers(t *testing.T) {
-	p := New(testDetector(), 100, telemetry.NewRegistry())
-	a, b := p.Register(), p.Register()
-	defer a.Close()
+// TestIdleClientDoesNotHoldSibling: a client that never submits (a feed
+// whose source has stalled) does not hold its sibling's result. The
+// sibling finds no forward running and runs its own frame.
+func TestIdleClientDoesNotHoldSibling(t *testing.T) {
+	p := New(testDetector(), 4, telemetry.NewRegistry())
+	a, _ := p.Register(), p.Register()
 	got := make(chan error, 1)
 	go func() {
 		_, err := a.Infer(context.Background(), testFrame(2))
 		got <- err
 	}()
-	waitPending(t, p, 1) // a is submitted and blocked; b is "running"
-	b.Close()            // b's feed ends — a must not wait forever
-	if err := <-got; err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a lone submission waited for an idle sibling client")
 	}
 	if st := p.Stats(); st.Batches != 1 || st.Frames != 1 {
 		t.Fatalf("stats = %+v, want one batch of one", st)
 	}
 }
 
-// TestInferContextCancel: a cancelled submitter gets ctx.Err, its request
-// is withdrawn, and the client is dead afterwards; the remaining submitter
-// is unaffected.
+// heldSplitPlane returns a split plane whose first forward blocks in its
+// Ship hook until release is called, and a channel that receives once that
+// forward is running: a test can queue requests behind a forward that is
+// still running. Every later forward ships straight through.
+func heldSplitPlane(batch int) (p *Plane, running <-chan struct{}, release func()) {
+	gate := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	p = NewSplit(testDetector(), batch, Split{
+		Cut: func() int { return 1 },
+		Ship: func([]byte) error {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-gate
+			return nil
+		},
+	}, telemetry.NewRegistry())
+	return p, entered, func() { close(gate) }
+}
+
+// TestQueuedWhileForwardRunsFlushAsOneBatch: requests that queue while a
+// forward runs are taken together, as one batch, by the combiner when
+// that forward ends.
+func TestQueuedWhileForwardRunsFlushAsOneBatch(t *testing.T) {
+	det := testDetector()
+	p, running, release := heldSplitPlane(4)
+	var wg sync.WaitGroup
+	submit := func(seed byte) {
+		c := p.Register()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := c.Infer(context.Background(), testFrame(seed))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if want := det.FrameLabels(testFrame(seed)); !got.Equal(want) {
+				t.Errorf("frame %d: %v != %v", seed, got, want)
+			}
+		}()
+	}
+	submit(0)
+	<-running
+	for seed := byte(1); seed <= 3; seed++ {
+		submit(seed)
+	}
+	waitPending(t, p, 3)
+	release()
+	wg.Wait()
+	if st := p.Stats(); st.Batches != 2 || st.Frames != 4 || st.MaxBatch != 3 {
+		t.Fatalf("stats = %+v, want a batch of one, then the three queued behind it as one batch", st)
+	}
+}
+
+// TestInferContextCancel: a submitter cancelled while its request is
+// queued behind a running forward gets ctx.Err, its request is withdrawn
+// and never read, and the client is dead afterwards; the running forward's
+// submitter is unaffected.
 func TestInferContextCancel(t *testing.T) {
-	p := New(testDetector(), 3, telemetry.NewRegistry())
+	p, running, release := heldSplitPlane(3)
 	a, b := p.Register(), p.Register()
-	defer b.Close()
+	bDone := make(chan error, 1)
+	go func() {
+		_, err := b.Infer(context.Background(), testFrame(4))
+		bDone <- err
+	}()
+	<-running
 	ctx, cancel := context.WithCancel(context.Background())
 	got := make(chan error, 1)
 	go func() {
@@ -180,12 +240,12 @@ func TestInferContextCancel(t *testing.T) {
 	if _, err := a.Infer(context.Background(), testFrame(3)); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Infer on abandoned client returned %v, want ErrClientClosed", err)
 	}
-	// a deregistered on cancellation, so b alone can make progress.
-	if _, err := b.Infer(context.Background(), testFrame(4)); err != nil {
+	release()
+	if err := <-bDone; err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.Frames != 1 {
-		t.Fatalf("frames = %d, want only b's (the cancelled request was withdrawn)", st.Frames)
+	if st := p.Stats(); st.Batches != 1 || st.Frames != 1 {
+		t.Fatalf("stats = %+v, want only b's frame (the cancelled request was withdrawn)", st)
 	}
 }
 
@@ -206,7 +266,6 @@ func TestPlaneResultsMatchDirectDetection(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *Client) {
 			defer wg.Done()
-			defer c.Close()
 			for j := 0; j < 5; j++ {
 				got, err := c.Infer(context.Background(), testFrame(byte(10+i)))
 				if err != nil {
@@ -223,45 +282,13 @@ func TestPlaneResultsMatchDirectDetection(t *testing.T) {
 	wg.Wait()
 }
 
-// TestReserveHoldsPartialFlush: a reservation (Hub.Run's cold-start
-// promise) keeps an early submitter's frame batched until the promised
-// sibling registers and submits, then both flush as one batch.
-func TestReserveHoldsPartialFlush(t *testing.T) {
-	p := New(testDetector(), 4, telemetry.NewRegistry())
-	p.Reserve(2)
-	a := p.Register() // consumes one reservation
-	defer a.Close()
-	got := make(chan error, 1)
-	go func() {
-		_, err := a.Infer(context.Background(), testFrame(5))
-		got <- err
-	}()
-	waitPending(t, p, 1)
-	if st := p.Stats(); st.Batches != 0 {
-		t.Fatalf("flushed %d batches before the reserved sibling arrived", st.Batches)
-	}
-	b := p.Register() // consumes the second reservation
-	defer b.Close()
-	if _, err := b.Infer(context.Background(), testFrame(6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-got; err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Batches != 1 || st.Frames != 2 || st.MaxBatch != 2 {
-		t.Fatalf("stats %+v, want one batch of two", st)
-	}
-}
-
 // BenchmarkPlaneRoundTrip measures the plane's scheduling overhead in its
-// cheapest configuration — one registered client, batch-of-1, every Infer
-// an inline leader flush — i.e. what a plain WithDetector session pays on
+// cheapest configuration — one client, batch-of-1, every Infer an inline
+// flush by its own submitter — i.e. what a plain WithDetector session pays on
 // top of the detector forward itself.
 func BenchmarkPlaneRoundTrip(b *testing.B) {
 	p := New(testDetector(), 1, telemetry.NewRegistry())
 	c := p.Register()
-	defer c.Close()
 	f := testFrame(9)
 	ctx := context.Background()
 	if _, err := c.Infer(ctx, f); err != nil {

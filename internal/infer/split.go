@@ -21,8 +21,8 @@ type Split struct {
 	// Cut returns the partition point for the next batch: the edge runs
 	// layers [0, Cut()), the cloud the rest. Values are clamped to
 	// [0, numLayers]; numLayers (or more) keeps the batch on the edge.
-	// Called once per flush by the flush leader — implementations may keep
-	// unsynchronised state, leader handoff is mutex-ordered. nil pins the
+	// Called once per batch by the combiner — implementations may keep
+	// unsynchronised state, combiners are mutex-ordered. nil pins the
 	// plane to all-edge.
 	Cut func() int
 	// Ship transfers one activation wire record to the cloud executor.
@@ -109,7 +109,7 @@ func NewSplit(det *nn.YOLite, batchSize int, sp Split, reg *telemetry.Registry, 
 func (s *splitState) numLayers() int { return len(s.cumFLOPs) - 1 }
 
 // nextCut asks the Cut hook for the next batch's partition point, clamped
-// to [0, numLayers]. Called by the flush leader only.
+// to [0, numLayers]. Called by the combiner only.
 func (s *splitState) nextCut() int {
 	n := s.numLayers()
 	if s.cut == nil || s.ship == nil {

@@ -25,7 +25,6 @@ func runSplitClients(t *testing.T, p *Plane, n, rounds int) {
 		wg.Add(1)
 		go func(i int, c *Client) {
 			defer wg.Done()
-			defer c.Close()
 			for j := 0; j < rounds; j++ {
 				got, err := c.Infer(context.Background(), testFrame(byte(10+i)))
 				if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -398,15 +399,9 @@ func (s *Session) Run(ctx context.Context) (err error) {
 	}
 	defer close(s.events)
 
-	// Register with the inference plane only while actually running: the
-	// plane flushes a partial batch once every *registered* submitter is
-	// blocked, so the registered set must be exactly the sessions that can
-	// still contribute frames (a pool-queued or finished session must not
-	// hold a batch open).
 	var inferC *infer.Client
 	if s.cfg.own.plane != nil {
 		inferC = s.cfg.own.plane.Register()
-		defer inferC.Close()
 	}
 
 	// One EncodedFrame reused across the whole feed: with the zero-alloc
@@ -477,6 +472,16 @@ func (s *Session) Run(ctx context.Context) (err error) {
 				}
 			}
 		}
+		// Hand the frame's events off before pulling the next frame. Each
+		// emit is a buffered send that puts the goroutine it wakes (the
+		// hub's forwarder) in this P's runnext slot, and a goroutine that
+		// never blocks leaves it there until an idle P steals it or sysmon
+		// preempts this one after 10 ms: on a busy box that wait, not the
+		// encode, would be the frame's latency. One yield per frame lets the
+		// forwarder, the cluster pump and the consumer run now, for one
+		// scheduler round trip per frame. See "Frame-boundary hand-off" in
+		// DESIGN.md.
+		runtime.Gosched()
 	}
 	if err := s.enc.Close(); err != nil {
 		return fmt.Errorf("sieve: session %s: closing stream: %w", s.cfg.name, err)

@@ -13,16 +13,19 @@ import (
 // checking ctx before each try. The uplinks are simulated, so there is
 // nothing to wait for between tries: exhaustion is instant and identical
 // every run. Exhaustion marks the site degraded; the next successful flush
-// clears the marker. A flush that makes no attempt (ctx already done)
-// counts nothing and leaves the markers alone. Concurrent flushes for one
-// site (its own pump plus a migration pump) are safe: deltas always start
-// at the replica's cursor and overlapping retransmissions apply
-// idempotently.
+// clears the marker. A flush counts as a delta sync when it shipped a
+// delta or exhausted its attempts; one that makes no attempt (ctx already
+// done) counts nothing and leaves the markers alone, and so does one whose
+// try finds the replica already caught up by another flusher. Concurrent
+// flushes for one site (its own pump plus a migration pump) are safe:
+// deltas always start at the replica's cursor and overlapping
+// retransmissions apply idempotently.
 func (c *Cluster) flushDeltas(ctx context.Context, s *clusterSite) {
 	if c.coord.SyncCursor(s.name) == s.shard.Version() {
 		return
 	}
 	attempts := 0
+	shipped := false
 	var err error
 	for attempts < c.cfg.syncAttempts {
 		if cerr := ctx.Err(); cerr != nil {
@@ -30,14 +33,16 @@ func (c *Cluster) flushDeltas(ctx context.Context, s *clusterSite) {
 			break
 		}
 		attempts++
-		if err = c.shipDelta(s); err == nil {
+		if shipped, err = c.shipDelta(s); err == nil {
 			break
 		}
 	}
 	if attempts == 0 {
 		return
 	}
-	c.fstats.deltaSyncs.Inc()
+	if shipped || err != nil {
+		c.fstats.deltaSyncs.Inc()
+	}
 	c.fstats.retries.Add(int64(attempts - 1))
 	if err != nil {
 		c.coord.MarkDegraded(s.name, fmt.Sprintf("delta sync stalled at cursor %d after %d attempts: %v",
@@ -48,15 +53,15 @@ func (c *Cluster) flushDeltas(ctx context.Context, s *clusterSite) {
 }
 
 // shipDelta is one delta-sync try: everything past the replica's cursor.
-func (c *Cluster) shipDelta(s *clusterSite) error {
+// It reports whether a delta crossed the uplink: none does when another
+// flusher already caught the replica up.
+func (c *Cluster) shipDelta(s *clusterSite) (shipped bool, err error) {
 	d, err := s.shard.DeltaSince(c.coord.SyncCursor(s.name))
-	if err != nil {
-		return err
+	if err != nil || d.From == d.To {
+		return false, err
 	}
-	if d.From == d.To {
-		return nil // another flusher already caught the replica up
-	}
-	return c.coord.ShipDelta(s.name, d)
+	err = c.coord.ShipDelta(s.name, d)
+	return err == nil, err
 }
 
 // reconcile is the pre-merge sweep over every live site: one more delta
