@@ -257,8 +257,9 @@ obs-smoke:
 
 # Split-inference smoke: the k-sweep equivalence suite under the race
 # detector — merged results byte-identical to the all-edge flat run at
-# every cut, with per-site auto tuning, and under a scripted
-# linkdown/degrade fault plan — plus the activation codec, partition-model
+# every cut, with per-site auto tuning, under a scripted linkdown/degrade
+# fault plan, and under a site crash (the adopted feed runs on its
+# adoptive site's plane and counts there) — plus the activation codec, partition-model
 # and plane-level split tests (including the zero-alloc pin on the split
 # detect path).
 split-smoke:
@@ -271,7 +272,8 @@ split-smoke:
 # plane with fewer workers than feeds must finish; a stalled feed must not
 # hold a sibling's detections), the frame-boundary hand-off (a feed's
 # events reach the consumer while it runs), the cluster's failover, trace,
-# telemetry and wire-admission anchors, the
+# telemetry (after a crash too: ClusterStats = registry sums = delivered
+# detections) and wire-admission anchors, the
 # partition anchor (the cloud's view is exactly what crossed the uplink:
 # stale under a partition, level with the flat run once it heals), and the
 # session's detect-on-reconstruction guard (labels equal the archive's,
@@ -325,16 +327,18 @@ bench-gate:
 		if echo "$$out" | grep -q DRIFT; then echo "bench-gate: seed $$seed drifted from bench/expected.json"; exit 1; fi; \
 	done
 
-# The four size metrics ROADMAP tracks, counted its way: non-test lines
-# of the tracked *.go files outside bench/, exported With* options in
-# those files, packages, and the exported API of package sieve as lines of
-# `go doc -short .`. A report, not a gate.
+# The size metrics ROADMAP tracks, counted its way: non-test lines of the
+# tracked *.go files outside bench/, exported With* options in those
+# files, packages, the exported API of package sieve as lines of
+# `go doc -short .`, and how many of those are exported *Stats types. A
+# report, not a gate.
 size:
 	@files="$$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/')"; \
 	echo "non-test lines outside bench/: $$(cat $$files | wc -l)"; \
 	echo "exported With* options: $$(grep -hE '^func With[A-Z]' $$files | wc -l)"; \
 	echo "packages: $$($(GO) list ./... | wc -l)"; \
-	echo "exported API of package sieve (go doc -short .): $$($(GO) doc -short . | wc -l)"
+	echo "exported API of package sieve (go doc -short .): $$($(GO) doc -short . | wc -l)"; \
+	echo "exported *Stats types of package sieve: $$($(GO) doc -short . | grep -cE '^type [A-Z][A-Za-z]*Stats\b')"
 
 # Everything CI checks, in CI's order.
 ci: build vet fmt lint reach test-short test-fma test-portable bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke bench-gate

@@ -136,9 +136,10 @@ func WithEdgeQuota(bytes int64) ClusterOption {
 // batch of up to batchSize frames), instead of each feed configuring
 // WithDetector and paying an un-amortised forward per frame. One plane per
 // site — not one per cluster — because the plane serialises its forward
-// passes and sites are the unit of horizontal scale-out. Results are
-// byte-identical to the per-feed path; see ClusterStats.Inference for the
-// amortisation counters.
+// passes and sites are the unit of horizontal scale-out. A feed that fails
+// over to a site from a crashed one joins that site's plane. Results are
+// byte-identical to the per-feed path; see SiteStats.Hub.Inference and
+// ClusterStats.Inference for the amortisation counters.
 func WithClusterInference(det *Detector, batchSize int) ClusterOption {
 	return func(c *clusterConfig) { c.inferDet, c.inferBatch = det, batchSize }
 }
@@ -384,7 +385,7 @@ func (c *Cluster) newSitePlane(site string) *infer.Plane {
 		// The chooser re-evaluates the partition only when the observed
 		// bandwidth moves — the layer profile is static, so the cut is a pure
 		// function of the link state. Plain fields, no lock: Cut() is called
-		// by flush leaders only, and leader handoff is mutex-ordered (see
+		// by the plane's combiner only, and combiners are mutex-ordered (see
 		// infer.Split).
 		lastBps := -1.0
 		lastCut := numLayers
@@ -602,14 +603,10 @@ func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
 	}
 
 	errs := []error{runErr, pumpErr}
-	feedErrs := make(map[string]string, len(s.feeds))
-	for _, fs := range s.hub.Snapshot().Feeds {
-		feedErrs[fs.Feed] = fs.Err
-	}
 	for _, f := range s.feeds {
 		// Archive completed streams in the site's edge store (failed feeds
 		// have no finalised stream to retain).
-		if feedErrs[f.name] != "" {
+		if f.sess.outcome() != nil {
 			continue
 		}
 		if err := s.edge.Put(f.name, f.sink); err != nil {
@@ -786,11 +783,10 @@ type SiteStats struct {
 type ClusterStats struct {
 	// Sites lists per-site stats in site order.
 	Sites []SiteStats
-	// Frames/IFrames/Detections/PayloadBytes are cluster-wide totals.
-	Frames       int
-	IFrames      int
-	Detections   int
-	PayloadBytes int64
+	// Counts are the cluster-wide totals: every session that ran, on the
+	// site that ran it (a failed-over feed counts on both sites, up to the
+	// crash and from its resume point).
+	Counts
 	// UplinkBytes is the total shipped over every site's uplink.
 	UplinkBytes int64
 	// Inference aggregates the per-site planes' batching counters (zero
@@ -825,14 +821,6 @@ type ClusterStats struct {
 	Degraded []DegradedSite
 }
 
-// FilterRate is the cluster-wide share of frames dropped at the edges.
-func (st ClusterStats) FilterRate() float64 {
-	if st.Frames == 0 {
-		return 0
-	}
-	return 1 - float64(st.IFrames)/float64(st.Frames)
-}
-
 // Snapshot reports per-site and aggregate counters; safe to call while Run
 // is in flight.
 func (c *Cluster) Snapshot() ClusterStats {
@@ -865,15 +853,6 @@ func (c *Cluster) Snapshot() ClusterStats {
 		}
 		if p := s.hub.own.plane; p != nil {
 			ss.Split = p.SplitStats()
-			st.Split.SplitBatches += ss.Split.SplitBatches
-			st.Split.Fallbacks += ss.Split.Fallbacks
-			st.Split.ActivationBytes += ss.Split.ActivationBytes
-			st.Split.EdgeTime += ss.Split.EdgeTime
-			st.Split.CloudTime += ss.Split.CloudTime
-			st.Split.NumLayers = ss.Split.NumLayers
-			if ss.Split.Cut > st.Split.Cut {
-				st.Split.Cut = ss.Split.Cut
-			}
 		}
 		c.mu.Lock()
 		if s.err != nil {
@@ -881,16 +860,10 @@ func (c *Cluster) Snapshot() ClusterStats {
 		}
 		c.mu.Unlock()
 		st.Sites = append(st.Sites, ss)
-		st.Frames += ss.Hub.Frames
-		st.IFrames += ss.Hub.IFrames
-		st.Detections += ss.Hub.Detections
-		st.PayloadBytes += ss.Hub.PayloadBytes
+		st.Counts.Add(ss.Hub.Counts)
+		st.Inference.Add(ss.Hub.Inference)
+		st.Split.Add(ss.Split)
 		st.UplinkBytes += ss.UplinkBytes
-		st.Inference.Batches += ss.Hub.Inference.Batches
-		st.Inference.Frames += ss.Hub.Inference.Frames
-		if ss.Hub.Inference.MaxBatch > st.Inference.MaxBatch {
-			st.Inference.MaxBatch = ss.Hub.Inference.MaxBatch
-		}
 	}
 	return st
 }

@@ -1,11 +1,6 @@
 package sieve
 
-import (
-	"context"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 // runSplitClusterJSON runs the acceptance fleet through a K=3 cluster with
 // split inference at the given cut (SplitAuto tunes per site) and returns
@@ -21,39 +16,7 @@ func runSplitClusterJSON(t testing.TB, batch, cut int, opts ...ClusterOption) ([
 // happens only through the per-site planes.
 func runSitePlaneClusterJSON(t testing.TB, plane ClusterOption, opts ...ClusterOption) ([]byte, ClusterStats) {
 	t.Helper()
-	opts = append([]ClusterOption{WithSharder(ShardRoundRobin()), WithSiteWorkers(2), plane}, opts...)
-	c, err := NewCluster(3, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cam := range clusterCameras {
-		if _, _, err := c.AddFeed(cam.name, NewSynthSource(clusterScene(t, cam.seed, cam.enter)),
-			WithClock(testClock())); err != nil {
-			t.Fatal(err)
-		}
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range c.Events() {
-		}
-	}()
-	if err := c.Run(context.Background()); err != nil {
-		t.Fatalf("site-plane cluster run: %v", err)
-	}
-	<-done
-	merged, err := c.Merged()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "merged.json")
-	if err := merged.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, c, _ := runFleet(t, nil, append([]ClusterOption{plane}, opts...)...)
 	return data, c.Snapshot()
 }
 
@@ -137,26 +100,43 @@ func TestClusterSplitEquivalence(t *testing.T) {
 	// Scripted faults on the activation path: site1's uplink partitions and
 	// heals mid-run, site0's degrades 8x (moving the auto chooser's
 	// bottleneck). Faults cost fallback recomputes and cut moves — never
-	// results. Two runs pin determinism under the plan.
-	plan := "linkdown:site1:cam-south@3;linkup:site1:cam-south@8;degrade:site0:cam-north@4:8"
-	for _, cut := range []int{2, SplitAuto} {
-		var prev []byte
-		for rep := 0; rep < 2; rep++ {
-			p, err := ParseFaultPlan(plan)
-			if err != nil {
-				t.Fatal(err)
+	// results. Two runs pin determinism under the plan. The crash plan
+	// moves cam-south onto a surviving site, whose split plane then serves
+	// the adopted feed too.
+	linkPlan := "linkdown:site1:cam-south@3;linkup:site1:cam-south@8;degrade:site0:cam-north@4:8"
+	crashPlan := "crash:site1:cam-south@6"
+	for _, plan := range []string{linkPlan, crashPlan} {
+		for _, cut := range []int{2, SplitAuto} {
+			var prev []byte
+			for rep := 0; rep < 2; rep++ {
+				p, err := ParseFaultPlan(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, c, events := runFleet(t, nil, WithSplitInference(trainedTestDetector(t), 4, cut), WithFaultPlan(p))
+				if string(got) != string(baseline) {
+					t.Fatalf("%s, cut %d rep %d: faulted split cluster differs from all-edge flat run:\nsplit:\n%s\nflat:\n%s",
+						plan, cut, rep, got, baseline)
+				}
+				if prev != nil && string(got) != string(prev) {
+					t.Fatalf("%s, cut %d: faulted split cluster differs between identical runs", plan, cut)
+				}
+				prev = got
+				if plan == crashPlan {
+					checkAdoptedOnPlane(t, c.Snapshot(), events)
+				}
 			}
-			got, _ := runSplitClusterJSON(t, 4, cut, WithFaultPlan(p))
-			if string(got) != string(baseline) {
-				t.Fatalf("cut %d rep %d: faulted split cluster differs from all-edge flat run:\nsplit:\n%s\nflat:\n%s",
-					cut, rep, got, baseline)
-			}
-			if prev != nil && string(got) != string(prev) {
-				t.Fatalf("cut %d: faulted split cluster differs between identical runs", cut)
-			}
-			prev = got
 		}
 	}
+	p, err := ParseFaultPlan(crashPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, c, events := runFleet(t, nil, WithClusterInference(trainedTestDetector(t), 4), WithFaultPlan(p))
+	if string(got) != string(baseline) {
+		t.Fatalf("crashed batched cluster merged DB differs from all-edge flat run:\nbatched:\n%s\nflat:\n%s", got, baseline)
+	}
+	checkAdoptedOnPlane(t, c.Snapshot(), events)
 }
 
 // TestClusterSplitUplinkMetering pins that activations actually cross the
@@ -169,5 +149,36 @@ func TestClusterSplitUplinkMetering(t *testing.T) {
 	if split.Split.ActivationBytes == 0 || extra != split.Split.ActivationBytes {
 		t.Fatalf("uplink grew by %d bytes, split shipped %d activation bytes",
 			extra, split.Split.ActivationBytes)
+	}
+}
+
+// checkAdoptedOnPlane fails unless the one failed-over feed of a crash run
+// went through its adoptive site's plane and counts on that site: the
+// site's plane inferred exactly the detections its hub counts and the
+// stream delivered from it, adopted feed included, and the fleet's planes
+// inferred exactly the cluster's detections.
+func checkAdoptedOnPlane(t *testing.T, st ClusterStats, events []Event) {
+	t.Helper()
+	if len(st.Failovers) != 1 {
+		t.Fatalf("failovers = %+v, want one", st.Failovers)
+	}
+	to := st.Failovers[0].To
+	delivered := 0
+	for _, ev := range events {
+		if ev.Kind == EventDetection && ev.Site == to {
+			delivered++
+		}
+	}
+	for _, ss := range st.Sites {
+		if ss.Site != to {
+			continue
+		}
+		if ss.Hub.Inference.Frames != int64(ss.Hub.Detections) || ss.Hub.Detections != delivered {
+			t.Fatalf("adoptive %s: plane inferred %d frames, hub counts %d detections, stream delivered %d",
+				to, ss.Hub.Inference.Frames, ss.Hub.Detections, delivered)
+		}
+	}
+	if got, want := st.Inference.Frames, int64(st.Detections); got != want {
+		t.Fatalf("planes inferred %d frames, cluster counts %d detections", got, want)
 	}
 }

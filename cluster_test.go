@@ -106,13 +106,26 @@ func runClusterJSON(t testing.TB, opts ...ClusterOption) ([]byte, *Cluster) {
 // cluster stream delivered, in arrival order.
 func runClusterEvents(t testing.TB, opts ...ClusterOption) ([]byte, *Cluster, []Event) {
 	t.Helper()
+	return runFleet(t, trainedTestDetector(t), opts...)
+}
+
+// runFleet runs the acceptance fleet through a K=3 cluster, each feed on
+// its own test clock and, unless det is nil, with its own detector. It
+// returns the merged ResultsDB JSON, the cluster and every event the
+// cluster stream delivered, in arrival order.
+func runFleet(t testing.TB, det *Detector, opts ...ClusterOption) ([]byte, *Cluster, []Event) {
+	t.Helper()
 	opts = append([]ClusterOption{WithSharder(ShardRoundRobin()), WithSiteWorkers(2)}, opts...)
 	c, err := NewCluster(3, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cam := range clusterCameras {
-		if _, _, err := c.AddFeed(cam.name, NewSynthSource(clusterScene(t, cam.seed, cam.enter)), feedOpts(t)...); err != nil {
+		feed := []SessionOption{WithClock(testClock())}
+		if det != nil {
+			feed = append(feed, WithDetector(det))
+		}
+		if _, _, err := c.AddFeed(cam.name, NewSynthSource(clusterScene(t, cam.seed, cam.enter)), feed...); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -207,7 +207,7 @@ func cmdCluster(args []string) {
 	}
 
 	presets := synth.AllPresets()
-	placement := make(map[string][]string) // site -> feed names
+	feedNames := make(map[string]bool)
 	for i := 0; i < *feeds; i++ {
 		preset := presets[i%len(presets)]
 		name := fmt.Sprintf("cam%d-%s", i, preset)
@@ -229,22 +229,15 @@ func cmdCluster(args []string) {
 			// per-feed detector is the un-amortised baseline.
 			opts = append(opts, sieve.WithDetector(det))
 		}
-		_, site, err := c.AddFeed(name, sieve.NewSynthSource(v), opts...)
-		if err != nil {
+		if _, _, err := c.AddFeed(name, sieve.NewSynthSource(v), opts...); err != nil {
 			log.Fatal(err)
 		}
-		placement[site] = append(placement[site], name)
+		feedNames[name] = true
 	}
 
 	if plan != nil {
 		// A typo'd site or feed name would make the whole script a silent
 		// no-op; fail loudly before the run instead.
-		feedNames := make(map[string]bool)
-		for _, names := range placement {
-			for _, n := range names {
-				feedNames[n] = true
-			}
-		}
 		siteNames := make(map[string]bool)
 		for i := 0; i < *sites; i++ {
 			siteNames[fmt.Sprintf("site%d", i)] = true
@@ -280,8 +273,13 @@ func cmdCluster(args []string) {
 		fmt.Printf("%-8s %6d %8d %8d %8.4f %12d %12d %12s %10d\n",
 			ss.Site, len(ss.Hub.Feeds), ss.Hub.Frames, ss.Hub.IFrames, ss.Hub.FilterRate(),
 			ss.Hub.PayloadBytes, ss.UplinkBytes, ss.UplinkBusy.Round(time.Microsecond), ss.StoredBytes)
-		if len(placement[ss.Site]) > 0 {
-			fmt.Printf("%-8s   %s\n", "", strings.Join(placement[ss.Site], ", "))
+		// A site's feeds: those placed on it, then any it adopted.
+		if len(ss.Hub.Feeds) > 0 {
+			names := make([]string, len(ss.Hub.Feeds))
+			for i, f := range ss.Hub.Feeds {
+				names[i] = f.Feed
+			}
+			fmt.Printf("%-8s   %s\n", "", strings.Join(names, ", "))
 		}
 		if ss.Err != "" {
 			fmt.Printf("%-8s   error: %s\n", "", ss.Err)

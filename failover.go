@@ -239,20 +239,11 @@ func (c *Cluster) runMigratedFeed(ctx context.Context, from *clusterSite, f *clu
 		src = rs
 	}
 
+	// The migrated session joins the adoptive site: its registry label, its
+	// plane (the dead site's died with its hub) and its snapshot.
 	sink := &container.Buffer{}
-	// The migrated session joins the cluster registry under the adoptive
-	// site's label, but gets no trace scope: failover replay is a recovery
-	// action, not a pipeline stage, and tracing it would make fault-plan
-	// traces depend on migration scheduling.
-	opts := append(f.opts[:len(f.opts):len(f.opts)], WithName(f.name), WithSink(sink), withFrameBase(base),
-		withOwner(owner{reg: c.reg, site: to.name}))
-	if c.cfg.inferDet != nil {
-		// The dead site's shared inference plane died with its hub; the
-		// migrated session falls back to the batch-of-1 configuration of the
-		// same detector, which is result-identical by construction.
-		opts = append(opts, WithDetector(c.cfg.inferDet))
-	}
-	sess, err := NewSession(src, opts...)
+	sess, err := to.hub.adopt(src, append(f.opts[:len(f.opts):len(f.opts)],
+		WithName(f.name), WithSink(sink), withFrameBase(base))...)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sieve/internal/infer"
@@ -81,37 +82,20 @@ func WithListener(l *IngestListener) HubOption {
 	return func(h *Hub) { h.ingest = l }
 }
 
-// FeedStats is one feed's counters plus its terminal error, if any.
-type FeedStats struct {
-	SessionStats
-	// Err is the feed's terminal error message ("" while running or on
-	// success).
-	Err string
-}
-
 // HubStats aggregates a snapshot across feeds.
 type HubStats struct {
-	// Feeds lists per-feed stats in Add order.
-	Feeds []FeedStats
-	// Frames/IFrames/Detections/PayloadBytes are the cross-feed totals.
-	Frames       int
-	IFrames      int
-	Detections   int
-	PayloadBytes int64
+	// Feeds lists per-feed stats in Add order, then any feeds the hub
+	// adopted from a crashed cluster site.
+	Feeds []SessionStats
+	// Counts are the cross-feed totals.
+	Counts
 	// Inference holds the shared plane's batching counters (zero unless the
-	// hub was built with WithHubInference).
+	// hub, or its cluster, was built with a shared plane). The plane serves
+	// every feed, adopted ones too, so Inference.Frames equals Detections.
 	Inference InferenceStats
 	// Ingest holds the network ingest plane's counters (zero unless the
 	// hub was built with WithListener).
 	Ingest IngestStats
-}
-
-// FilterRate is the aggregate share of frames dropped across all feeds.
-func (st HubStats) FilterRate() float64 {
-	if st.Frames == 0 {
-		return 0
-	}
-	return 1 - float64(st.IFrames)/float64(st.Frames)
 }
 
 // Hub multiplexes N concurrent sessions over the internal worker pool with
@@ -128,16 +112,10 @@ type Hub struct {
 	own        owner           // what every feed inherits (the cluster's for a site hub)
 
 	mu      sync.Mutex
-	feeds   []*hubFeed
+	feeds   []*Session
+	adopted []*Session // see adopt: folded into Snapshot only
 	started bool
 	events  chan Event
-}
-
-type hubFeed struct {
-	name string
-	sess *Session
-	err  error
-	done bool
 }
 
 // NewHub returns an empty hub.
@@ -171,7 +149,7 @@ func (h *Hub) Add(name string, src FrameSource, opts ...SessionOption) (*Session
 		return nil, fmt.Errorf("sieve: hub: add feed %q: %w", name, ErrStarted)
 	}
 	for _, f := range h.feeds {
-		if f.name == name {
+		if f.Name() == name {
 			return nil, fmt.Errorf("sieve: hub: duplicate feed %q", name)
 		}
 	}
@@ -180,7 +158,25 @@ func (h *Hub) Add(name string, src FrameSource, opts ...SessionOption) (*Session
 	if err != nil {
 		return nil, err
 	}
-	h.feeds = append(h.feeds, &hubFeed{name: name, sess: sess})
+	h.feeds = append(h.feeds, sess)
+	return sess, nil
+}
+
+// adopt builds the session of a feed that failed over to this site hub:
+// it runs on the hub's plane and folds into Snapshot, but is not traced
+// (failover replay is recovery, and tracing it would make fault-plan traces
+// depend on migration scheduling). The caller runs it; Run and abandon
+// never see it, so a hub that finishes first cannot abort it unstarted.
+func (h *Hub) adopt(src FrameSource, opts ...SessionOption) (*Session, error) {
+	own := h.own
+	own.tracer = nil
+	sess, err := NewSession(src, append(opts[:len(opts):len(opts)], withOwner(own))...)
+	if err != nil {
+		return nil, err
+	}
+	h.mu.Lock()
+	h.adopted = append(h.adopted, sess)
+	h.mu.Unlock()
 	return sess, nil
 }
 
@@ -204,7 +200,7 @@ func (h *Hub) Run(ctx context.Context) error {
 	}
 	// The feed set freezes once the admission window, if any, closes.
 	ended, err := h.ingest.admit(ctx, hubIngestTarget{h}, &h.mu, &h.started)
-	feeds := append([]*hubFeed(nil), h.feeds...)
+	feeds := slices.Clone(h.feeds)
 	h.mu.Unlock()
 	if err != nil {
 		err = fmt.Errorf("sieve: hub: %w", err)
@@ -222,15 +218,15 @@ func (h *Hub) Run(ctx context.Context) error {
 	var fwd sync.WaitGroup
 	for _, f := range feeds {
 		fwd.Add(1)
-		go func(f *hubFeed) {
+		go func(f *Session) {
 			defer fwd.Done()
-			for ev := range f.sess.Events() {
+			for ev := range f.Events() {
 				select {
 				case h.events <- ev:
 				case <-ctx.Done():
 					// Sessions unblock themselves on cancellation; just
 					// drain so their channels can close.
-					for range f.sess.Events() {
+					for range f.Events() {
 					}
 					return
 				}
@@ -238,15 +234,12 @@ func (h *Hub) Run(ctx context.Context) error {
 		}(f)
 	}
 
-	// Feed errors travel as values so the pool's first-error cancellation
-	// never couples one feed's failure to its siblings (a failing session
-	// simply returns; its source and goroutines are its own to unwind).
+	// Feed errors travel as values, each recorded by its session, so the
+	// pool's first-error cancellation never couples one feed's failure to
+	// its siblings (a failing session simply returns; its source and
+	// goroutines are its own to unwind).
 	_, mapErr := runner.Map(ctx, h.pool, len(feeds), func(ctx context.Context, i int) (struct{}, error) {
-		err := feeds[i].sess.Run(ctx)
-		h.mu.Lock()
-		feeds[i].err = err
-		feeds[i].done = true
-		h.mu.Unlock()
+		_ = feeds[i].Run(ctx)
 		return struct{}{}, nil
 	})
 	// Feeds the pool never started (parent cancellation) still must close
@@ -257,8 +250,8 @@ func (h *Hub) Run(ctx context.Context) error {
 
 	errs := []error{mapErr}
 	for _, f := range feeds {
-		if f.err != nil {
-			errs = append(errs, fmt.Errorf("feed %s: %w", f.name, f.err))
+		if err := f.outcome(); err != nil {
+			errs = append(errs, fmt.Errorf("feed %s: %w", f.Name(), err))
 		}
 	}
 	return errors.Join(errs...)
@@ -269,19 +262,10 @@ func (h *Hub) Run(ctx context.Context) error {
 // cause and its stream is not archived — and the feed's Err is cause.
 func (h *Hub) abandon(cause error) {
 	h.mu.Lock()
-	feeds := append([]*hubFeed(nil), h.feeds...)
+	feeds := slices.Clone(h.feeds)
 	h.mu.Unlock()
 	for _, f := range feeds {
-		h.mu.Lock()
-		done := f.done
-		h.mu.Unlock()
-		if !done {
-			f.sess.abort(cause)
-			h.mu.Lock()
-			f.err = cause
-			f.done = true
-			h.mu.Unlock()
-		}
+		f.abort(cause)
 	}
 }
 
@@ -289,9 +273,9 @@ func (h *Hub) abandon(cause error) {
 // is in flight.
 func (h *Hub) Snapshot() HubStats {
 	h.mu.Lock()
-	feeds := append([]*hubFeed(nil), h.feeds...)
+	feeds := slices.Concat(h.feeds, h.adopted)
 	h.mu.Unlock()
-	st := HubStats{Feeds: make([]FeedStats, 0, len(feeds))}
+	st := HubStats{Feeds: make([]SessionStats, 0, len(feeds))}
 	if h.own.plane != nil {
 		st.Inference = h.own.plane.Stats()
 	}
@@ -299,17 +283,9 @@ func (h *Hub) Snapshot() HubStats {
 		st.Ingest = h.ingest.Stats()
 	}
 	for _, f := range feeds {
-		fs := FeedStats{SessionStats: f.sess.Stats()}
-		h.mu.Lock()
-		if f.err != nil {
-			fs.Err = f.err.Error()
-		}
-		h.mu.Unlock()
+		fs := f.Stats()
 		st.Feeds = append(st.Feeds, fs)
-		st.Frames += fs.Frames
-		st.IFrames += fs.IFrames
-		st.Detections += fs.Detections
-		st.PayloadBytes += fs.PayloadBytes
+		st.Counts.Add(fs.Counts)
 	}
 	return st
 }

@@ -847,13 +847,13 @@ func TestWireAdmissionCancelFinishesAdmittedFeeds(t *testing.T) {
 			var (
 				run     func(context.Context) error
 				events  <-chan Event
-				feeds   func() []FeedStats
+				feeds   func() []SessionStats
 				archive func() []string
 			)
 			if owner == "hub" {
 				hub := NewHub(WithListener(lst))
 				run, events = hub.Run, hub.Events()
-				feeds = func() []FeedStats { return hub.Snapshot().Feeds }
+				feeds = func() []SessionStats { return hub.Snapshot().Feeds }
 				archive = lst.Store().Cameras
 			} else {
 				c, err := NewCluster(2, WithClusterListener(lst))
@@ -861,7 +861,7 @@ func TestWireAdmissionCancelFinishesAdmittedFeeds(t *testing.T) {
 					t.Fatal(err)
 				}
 				run, events = c.Run, c.Events()
-				feeds = func() (fs []FeedStats) {
+				feeds = func() (fs []SessionStats) {
 					for _, s := range c.Snapshot().Sites {
 						fs = append(fs, s.Hub.Feeds...)
 					}

@@ -58,6 +58,13 @@ func (s Stats) MeanBatch() float64 {
 	return float64(s.Frames) / float64(s.Batches)
 }
 
+// Add folds o into s: counts sum, MaxBatch is the larger of the two.
+func (s *Stats) Add(o Stats) {
+	s.Batches += o.Batches
+	s.Frames += o.Frames
+	s.MaxBatch = max(s.MaxBatch, o.MaxBatch)
+}
+
 // Plane is the shared micro-batching scheduler. Create with New, hand one
 // to every session (Register), and read Stats at any time. All methods are
 // safe for concurrent use.

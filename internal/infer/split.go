@@ -53,6 +53,17 @@ type SplitStats struct {
 	Cut, NumLayers int
 }
 
+// Add folds o into s: counts and times sum, Cut and NumLayers take the max.
+func (s *SplitStats) Add(o SplitStats) {
+	s.SplitBatches += o.SplitBatches
+	s.Fallbacks += o.Fallbacks
+	s.ActivationBytes += o.ActivationBytes
+	s.EdgeTime += o.EdgeTime
+	s.CloudTime += o.CloudTime
+	s.Cut = max(s.Cut, o.Cut)
+	s.NumLayers = max(s.NumLayers, o.NumLayers)
+}
+
 // splitState is the plane-side execution state for a Split config: the
 // hooks, the per-cut cumulative FLOPs table (computed once — the profile
 // is static), and the telemetry instruments, registered by NewSplit in the

@@ -141,13 +141,13 @@ func NewRegistry() *Registry {
 // labels. Panics if the family is already registered as a different kind —
 // instrument identity is a construction-time programming contract.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	e := r.register(name, kindCounter, labels)
+	e := r.register(name, kindCounter, nil, labels)
 	return e.c
 }
 
 // Gauge registers (or returns the existing) gauge series.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	e := r.register(name, kindGauge, labels)
+	e := r.register(name, kindGauge, nil, labels)
 	return e.g
 }
 
@@ -160,18 +160,13 @@ func (r *Registry) Histogram(name string, bounds []int64, labels ...Label) *Hist
 			panic(fmt.Sprintf("telemetry: histogram %s bounds not ascending", name))
 		}
 	}
-	e := r.register(name, kindHist, labels)
-	if e.h.bounds == nil {
-		b := make([]int64, len(bounds))
-		copy(b, bounds)
-		e.h.bounds = b
-		e.h.buckets = make([]atomic.Int64, len(bounds)+1)
-	}
-	return e.h
+	return r.register(name, kindHist, bounds, labels).h
 }
 
 // register finds or creates the series entry, enforcing kind consistency.
-func (r *Registry) register(name, kind string, labels []Label) *entry {
+// A new histogram gets its bounds and buckets here, under the lock, so a
+// concurrent Snapshot never sees the series half-built.
+func (r *Registry) register(name, kind string, bounds []int64, labels []Label) *entry {
 	key := Key(name, labels...)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -191,7 +186,7 @@ func (r *Registry) register(name, kind string, labels []Label) *entry {
 	case kindGauge:
 		e.g = &Gauge{}
 	case kindHist:
-		e.h = &Histogram{}
+		e.h = &Histogram{bounds: append([]int64{}, bounds...), buckets: make([]atomic.Int64, len(bounds)+1)}
 	}
 	r.kinds[name] = kind
 	r.index[key] = e

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -151,6 +152,9 @@ func TestConcurrentRecordingAndSnapshot(t *testing.T) {
 			}
 		}
 	}()
+	// The workers also register series while the snapshots run, as a
+	// session built mid-run does: Snapshot must never read a histogram
+	// half-built.
 	const workers, per = 4, 1000
 	var rec sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -160,6 +164,9 @@ func TestConcurrentRecordingAndSnapshot(t *testing.T) {
 			for i := 0; i < per; i++ {
 				c.Inc()
 				h.Observe(int64(i))
+				if i%50 == 0 {
+					r.Histogram("late", []int64{8}, L("w", fmt.Sprint(w)), L("i", fmt.Sprint(i))).Observe(1)
+				}
 			}
 		}()
 	}

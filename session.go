@@ -97,29 +97,48 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// SessionStats are a session's monotonic counters.
-type SessionStats struct {
-	// Feed is the session name.
-	Feed string
+// Counts are the frame counters every level reports, embedded in
+// SessionStats, HubStats and ClusterStats: a hub's are the sum of its
+// feeds', a cluster's the sum of its sites'.
+type Counts struct {
 	// Frames is the number of frames encoded so far.
 	Frames int
 	// IFrames is how many of them were I-frames.
 	IFrames int
-	// PayloadBytes is the encoded stream payload size so far.
-	PayloadBytes int64
 	// Detections counts detector invocations (one per I-frame when a
 	// detector is configured).
 	Detections int
+	// PayloadBytes is the encoded stream payload size so far.
+	PayloadBytes int64
+}
+
+// Add folds o into c.
+func (c *Counts) Add(o Counts) {
+	c.Frames += o.Frames
+	c.IFrames += o.IFrames
+	c.Detections += o.Detections
+	c.PayloadBytes += o.PayloadBytes
 }
 
 // FilterRate is the share of frames the I-frame seeker would drop without
 // decoding — the streaming counterpart of IFrameSeeker.FilterRate, and equal
-// to it on the session's own stream.
-func (s SessionStats) FilterRate() float64 {
-	if s.Frames == 0 {
+// to it on a session's own stream.
+func (c Counts) FilterRate() float64 {
+	if c.Frames == 0 {
 		return 0
 	}
-	return 1 - float64(s.IFrames)/float64(s.Frames)
+	return 1 - float64(c.IFrames)/float64(c.Frames)
+}
+
+// SessionStats are a session's monotonic counters plus its terminal error.
+type SessionStats struct {
+	// Feed is the session name.
+	Feed string
+	Counts
+	// Err is the session's terminal error message: Run's error, or the
+	// cause a session that never ran was abandoned with ("" while running
+	// or on success).
+	Err string
 }
 
 // SessionOption configures a Session (functional options).
@@ -267,7 +286,8 @@ type Session struct {
 
 	mu       sync.Mutex
 	ran      bool
-	finished bool // stream index finalised (Run completed successfully)
+	finished bool  // stream index finalised (Run completed successfully)
+	err      error // terminal outcome: Run's error or abort's cause
 	seq      int
 }
 
@@ -350,13 +370,24 @@ func (s *Session) Events() <-chan Event { return s.events }
 // exact. A concurrent reader may observe counters from slightly different
 // instants — individually correct and monotonic, not a frozen cut.
 func (s *Session) Stats() SessionStats {
-	return SessionStats{
-		Feed:         s.cfg.name,
+	st := SessionStats{Feed: s.cfg.name, Counts: Counts{
 		Frames:       int(s.frames.Value()),
 		IFrames:      int(s.iframes.Value()),
 		PayloadBytes: s.payload.Value(),
 		Detections:   int(s.detections.Value()),
+	}}
+	if err := s.outcome(); err != nil {
+		st.Err = err.Error()
 	}
+	return st
+}
+
+// outcome is the session's terminal error: Run's error, abort's cause, or
+// nil while running or on success.
+func (s *Session) outcome() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
 }
 
 // Telemetry returns the session's metrics registry (its hub's or
@@ -398,6 +429,11 @@ func (s *Session) Run(ctx context.Context) (err error) {
 		defer func() { s.cfg.onDone(err) }()
 	}
 	defer close(s.events)
+	defer func() {
+		s.mu.Lock()
+		s.err = err
+		s.mu.Unlock()
+	}()
 
 	var inferC *infer.Client
 	if s.cfg.own.plane != nil {
@@ -552,6 +588,7 @@ func (s *Session) abort(cause error) {
 		return
 	}
 	s.ran = true
+	s.err = cause
 	close(s.events)
 	s.mu.Unlock()
 	if s.cfg.onDone != nil {

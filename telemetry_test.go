@@ -35,11 +35,36 @@ func runTracedClusterJSON(t *testing.T, opts ...ClusterOption) ([]byte, []byte, 
 	return db, trace.Bytes(), c, c.Telemetry()
 }
 
+// checkRegistryCounts fails unless st's counts equal the sums of the
+// per-feed sieve_*_total series in snap.
+func checkRegistryCounts(t *testing.T, run string, st ClusterStats, snap MetricsSnapshot) {
+	t.Helper()
+	for _, c := range []struct {
+		family string
+		want   int64
+	}{
+		{"sieve_frames_total", int64(st.Frames)},
+		{"sieve_iframes_total", int64(st.IFrames)},
+		{"sieve_detections_total", int64(st.Detections)},
+		{"sieve_payload_bytes_total", st.PayloadBytes},
+	} {
+		var got int64
+		for _, cp := range snap.Counters {
+			if strings.HasPrefix(cp.Key, c.family+"{") {
+				got += cp.Value
+			}
+		}
+		if got != c.want {
+			t.Fatalf("%s: %s = %d, ClusterStats says %d", run, c.family, got, c.want)
+		}
+	}
+}
+
 // TestClusterTelemetryEquivalence pins the observability plane's prime
 // invariant: attaching a tracer and reading the registry never change what
 // is computed — the merged ResultsDB JSON is byte-identical tracer-on vs
 // tracer-off — and the registry view agrees with the ClusterStats
-// snapshot.
+// snapshot, after a failover too.
 func TestClusterTelemetryEquivalence(t *testing.T) {
 	on, trace, c, reg := runTracedClusterJSON(t)
 	off, _ := runClusterJSON(t)
@@ -49,26 +74,7 @@ func TestClusterTelemetryEquivalence(t *testing.T) {
 
 	st := c.Snapshot()
 	snap := reg.Snapshot()
-	sum := func(family string) (n int64) {
-		for _, cp := range snap.Counters {
-			if strings.HasPrefix(cp.Key, family+"{") {
-				n += cp.Value
-			}
-		}
-		return n
-	}
-	if got := sum("sieve_frames_total"); int(got) != st.Frames {
-		t.Fatalf("sieve_frames_total = %d, ClusterStats.Frames = %d", got, st.Frames)
-	}
-	if got := sum("sieve_iframes_total"); int(got) != st.IFrames {
-		t.Fatalf("sieve_iframes_total = %d, ClusterStats.IFrames = %d", got, st.IFrames)
-	}
-	if got := sum("sieve_detections_total"); int(got) != st.Detections {
-		t.Fatalf("sieve_detections_total = %d, ClusterStats.Detections = %d", got, st.Detections)
-	}
-	if got := sum("sieve_payload_bytes_total"); got != st.PayloadBytes {
-		t.Fatalf("sieve_payload_bytes_total = %d, ClusterStats.PayloadBytes = %d", got, st.PayloadBytes)
-	}
+	checkRegistryCounts(t, "fault-free run", st, snap)
 	if got := snap.Counter("sieve_cluster_delta_syncs_total"); got != st.DeltaSyncs {
 		t.Fatalf("sieve_cluster_delta_syncs_total = %d, ClusterStats.DeltaSyncs = %d", got, st.DeltaSyncs)
 	}
@@ -120,6 +126,30 @@ func TestClusterTelemetryEquivalence(t *testing.T) {
 	if stages["filter"] != st.IFrames {
 		t.Fatalf("filter spans = %d, want one per I-frame (%d)", stages["filter"], st.IFrames)
 	}
+
+	// After a crash the three views still agree: the adopted feed counts on
+	// its adoptive site, so ClusterStats folds every session that ran, as
+	// the registry does, and its Detections are the ones the stream
+	// delivered.
+	plan, err := ParseFaultPlan("crash:site1:cam-south@6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fc, events := runFleet(t, nil, WithClusterInference(trainedTestDetector(t), 4), WithFaultPlan(plan))
+	fst := fc.Snapshot()
+	if fst.MigratedFeeds != 1 {
+		t.Fatalf("crash run migrated %d feeds, want 1", fst.MigratedFeeds)
+	}
+	checkRegistryCounts(t, "crash run", fst, fc.Telemetry().Snapshot())
+	delivered := 0
+	for _, ev := range events {
+		if ev.Kind == EventDetection {
+			delivered++
+		}
+	}
+	if delivered != fst.Detections {
+		t.Fatalf("crash run: stream delivered %d detections, ClusterStats.Detections = %d", delivered, fst.Detections)
+	}
 }
 
 // TestClusterTraceDeterminism is the tracing acceptance bar: two identical
@@ -161,11 +191,22 @@ func TestClusterFailoverTraceDeterminism(t *testing.T) {
 }
 
 // TestClusterSnapshotConcurrentMidRun hammers ClusterStats, HubStats and
-// registry snapshots from several goroutines while the run is in flight.
-// Under -race this is the regression net for torn stats reads; the
-// monotonicity check catches counters that go backwards mid-run.
+// registry snapshots from several goroutines while the run is in flight,
+// with and without a crash (a site hub adopting a feed mid-run). Under
+// -race this is the regression net for torn stats reads; the monotonicity
+// check catches counters that go backwards mid-run.
 func TestClusterSnapshotConcurrentMidRun(t *testing.T) {
-	c, err := NewCluster(3, WithSharder(ShardRoundRobin()), WithSiteWorkers(2))
+	crash, err := ParseFaultPlan("crash:site1:cam-south@6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plan := range []*FaultPlan{nil, crash} {
+		snapshotConcurrentMidRun(t, plan)
+	}
+}
+
+func snapshotConcurrentMidRun(t *testing.T, plan *FaultPlan) {
+	c, err := NewCluster(3, WithSharder(ShardRoundRobin()), WithSiteWorkers(2), WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
