@@ -103,7 +103,8 @@ fmt:
 		echo "gofmt needed on:"; echo "$$files"; exit 1; \
 	fi
 
-# Full suite, including the slow figure/table regressions (several minutes).
+# Tier-1: the full suite, the slow figure/table regressions and every
+# other testing.Short()-gated test at full size (~2.5 min on 2 vCPUs).
 test:
 	$(GO) test ./...
 
@@ -341,4 +342,4 @@ size:
 	echo "exported *Stats types of package sieve: $$($(GO) doc -short . | grep -cE '^type [A-Z][A-Za-z]*Stats\b')"
 
 # Everything CI checks, in CI's order.
-ci: build vet fmt lint reach test-short test-fma test-portable bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke bench-gate
+ci: build vet fmt lint reach test-short test-fma test-portable test bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke bench-gate

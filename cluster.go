@@ -80,13 +80,11 @@ type ClusterOption func(*clusterConfig)
 
 type clusterConfig struct {
 	sharder      Sharder
-	siteWorkers  int
+	site         []HubOption // every site hub's own options (WithWorkers, WithHubInference)
 	uplinkBps    float64
 	latency      time.Duration
 	quota        int64
-	inferDet     *Detector
-	inferBatch   int
-	split        bool
+	split        bool // partition the site planes across their uplinks at splitCut
 	splitCut     int
 	ingest       *IngestListener
 	faults       *FaultPlan
@@ -111,9 +109,10 @@ func WithSharder(s Sharder) ClusterOption {
 }
 
 // WithSiteWorkers bounds each site's runner pool: how many of the site's
-// feeds encode concurrently (default GOMAXPROCS, like Hub).
+// feeds encode concurrently (default GOMAXPROCS). It is the site hub's
+// WithWorkers.
 func WithSiteWorkers(n int) ClusterOption {
-	return func(c *clusterConfig) { c.siteWorkers = n }
+	return func(c *clusterConfig) { c.site = append(c.site, WithWorkers(n)) }
 }
 
 // WithUplink configures every site's edge→cloud link (defaults: the
@@ -139,9 +138,10 @@ func WithEdgeQuota(bytes int64) ClusterOption {
 // passes and sites are the unit of horizontal scale-out. A feed that fails
 // over to a site from a crashed one joins that site's plane. Results are
 // byte-identical to the per-feed path; see SiteStats.Hub.Inference and
-// ClusterStats.Inference for the amortisation counters.
+// ClusterStats.Inference for the amortisation counters. It is the site
+// hub's WithHubInference.
 func WithClusterInference(det *Detector, batchSize int) ClusterOption {
-	return func(c *clusterConfig) { c.inferDet, c.inferBatch = det, batchSize }
+	return func(c *clusterConfig) { c.site = append(c.site, WithHubInference(det, batchSize)) }
 }
 
 // SplitAuto asks WithSplitInference to pick each site's cut point from the
@@ -158,28 +158,21 @@ const SplitAuto = -1
 // the return trip.
 const splitReturnWireBytes = 64
 
-// splitEdgeFLOPS and splitCloudFLOPS are the modelled sustained compute
-// rates (FLOP/s) behind SplitAuto's cut choice and the split telemetry:
-// the paper's 1 GFLOP/s edge desktop and 3 GFLOP/s cloud Xeon.
-const (
-	splitEdgeFLOPS  = 1e9
-	splitCloudFLOPS = 3e9
-)
-
 // WithSplitInference is WithClusterInference with the forward pass itself
 // partitioned across the uplink: each site's plane runs layers [0,cut) on
 // the edge, ships the intermediate activation over the site's metered
 // uplink (so linkdown/degrade faults apply to activations exactly like
 // detections and deltas), and finishes layers [cut,N) in the cloud. cut is
 // a fixed layer index for every site, or SplitAuto to tune each site's cut
-// from its own observed bandwidth. cut >= the network depth degrades to the
-// all-edge WithClusterInference path; a partitioned uplink makes affected
-// batches fall back to edge recompute. Results are byte-identical to the
-// all-edge path at every cut under every fault — the split moves compute
-// and bytes, never detections. See ClusterStats.Split.
+// from its own observed bandwidth; NewCluster refuses any other negative
+// cut. cut >= the network depth degrades to the all-edge
+// WithClusterInference path; a partitioned uplink makes affected batches
+// fall back to edge recompute. Results are byte-identical to the all-edge
+// path at every cut under every fault — the split moves compute and bytes,
+// never detections. See ClusterStats.Split.
 func WithSplitInference(det *Detector, batchSize, cut int) ClusterOption {
 	return func(c *clusterConfig) {
-		c.inferDet, c.inferBatch = det, batchSize
+		c.site = append(c.site, WithHubInference(det, batchSize))
 		c.split, c.splitCut = true, cut
 	}
 }
@@ -304,6 +297,9 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	if cfg.split && cfg.splitCut < 0 && cfg.splitCut != SplitAuto {
+		return nil, fmt.Errorf("sieve: cluster: split cut %d: want a layer index >= 0 or SplitAuto", cfg.splitCut)
+	}
 	reg := telemetry.NewRegistry()
 	names := make([]string, numSites)
 	for i := range names {
@@ -328,13 +324,15 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	reg.Describe("sieve_cluster_degraded_sites", "sites whose slice of the merged view is incomplete or stale")
 	for _, name := range names {
 		c.coord.Register(name)
-		own := owner{reg: reg, site: name, tracer: cfg.tracer}
-		if cfg.inferDet != nil {
-			own.plane = c.newSitePlane(name)
+		hopts := append(cfg.site[:len(cfg.site):len(cfg.site)], withHubOwner(owner{reg: reg, site: name, tracer: cfg.tracer}))
+		if cfg.split {
+			link, _ := topo.Uplink(name)
+			ship := func(rec []byte) error { return c.coord.ShipActivation(name, int64(len(rec))) }
+			hopts = append(hopts, withSplit(siteSplit{cut: cfg.splitCut, link: link, ship: ship}))
 		}
 		s := &clusterSite{
 			name:  name,
-			hub:   NewHub(WithWorkers(cfg.siteWorkers), withHubOwner(own)),
+			hub:   NewHub(hopts...),
 			shard: NewResultsDB(),
 			edge:  store.NewEdgeStore(cfg.quota),
 		}
@@ -356,60 +354,51 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	return c, nil
 }
 
-// newSitePlane builds one site's shared inference plane. A split plane
-// also gets the cut chooser bound to the site's uplink, the ship hook
-// metering activations through the coordinator, and the modelled tier
-// rates for the split telemetry.
-func (c *Cluster) newSitePlane(site string) *infer.Plane {
-	det := c.cfg.inferDet
-	lbl := telemetry.L("site", site)
-	if !c.cfg.split {
-		return infer.New(det, c.cfg.inferBatch, c.reg, lbl)
+// siteSplit is one cluster site's partition of its plane's forward pass:
+// the cut WithSplitInference asked for, the site's uplink the SplitAuto
+// chooser reads, and the hook that meters each activation through the
+// coordinator. The site hub's plane is built from it (see newPlane).
+type siteSplit struct {
+	cut  int          // a layer index >= 0, or SplitAuto
+	link *simnet.Link // the site's uplink, nil when the topology has none
+	ship func(rec []byte) error
+}
+
+// hooks binds the split to the plane's network: a fixed cut as is, or
+// SplitAuto's chooser, which re-evaluates the partition only when the
+// observed bandwidth moves — the layer profile is static, so the cut is a
+// pure function of the link state. The chooser keeps plain fields, no
+// lock: Cut() is called by the plane's combiner only, and combiners are
+// mutex-ordered (see infer.Split).
+func (sp siteSplit) hooks(net *nn.Network) infer.Split {
+	if sp.cut != SplitAuto {
+		return infer.Split{Cut: func() int { return sp.cut }, Ship: sp.ship}
 	}
-	net := det.Network()
 	stats := net.Stats()
 	numLayers := len(stats)
-	link, _ := c.topo.Uplink(site)
-
-	var chooser func() int
-	if c.cfg.splitCut != SplitAuto {
-		fixed := c.cfg.splitCut // the plane clamps to [0, numLayers]
-		chooser = func() int { return fixed }
-	} else {
-		env := nn.Env{
-			EdgeFLOPS:   splitEdgeFLOPS,
-			CloudFLOPS:  splitCloudFLOPS,
-			InputBytes:  net.Input.Bytes(),
-			ReturnBytes: splitReturnWireBytes,
-		}
-		// The chooser re-evaluates the partition only when the observed
-		// bandwidth moves — the layer profile is static, so the cut is a pure
-		// function of the link state. Plain fields, no lock: Cut() is called
-		// by the plane's combiner only, and combiners are mutex-ordered (see
-		// infer.Split).
-		lastBps := -1.0
-		lastCut := numLayers
-		chooser = func() int {
-			if link == nil || link.Down() {
-				// A partitioned uplink can't carry activations; stay on the
-				// edge instead of paying a fallback recompute per batch.
-				return numLayers
-			}
-			bps := link.Bandwidth() / link.Degraded()
-			if bps != lastBps {
-				lastBps = bps
-				env.BandwidthBps = bps
-				lastCut = nn.PartitionStats(stats, env).SplitAfter + 1
-			}
-			return lastCut
-		}
+	env := nn.Env{
+		EdgeFLOPS:   nn.EdgeTierFLOPS,
+		CloudFLOPS:  nn.CloudTierFLOPS,
+		InputBytes:  net.Input.Bytes(),
+		ReturnBytes: splitReturnWireBytes,
 	}
-	return infer.NewSplit(det, c.cfg.inferBatch, infer.Split{
-		Cut:        chooser,
-		Ship:       func(rec []byte) error { return c.coord.ShipActivation(site, int64(len(rec))) },
-		EdgeFLOPS:  splitEdgeFLOPS,
-		CloudFLOPS: splitCloudFLOPS,
-	}, c.reg, lbl)
+	lastBps := -1.0
+	lastCut := numLayers
+	chooser := func() int {
+		if sp.link == nil || sp.link.Down() {
+			// A partitioned uplink can't carry activations; stay on the
+			// edge instead of paying a fallback recompute per batch.
+			return numLayers
+		}
+		bps := sp.link.Bandwidth() / sp.link.Degraded()
+		if bps != lastBps {
+			lastBps = bps
+			env.BandwidthBps = bps
+			lastCut = nn.PartitionStats(stats, env).SplitAfter + 1
+		}
+		return lastCut
+	}
+	return infer.Split{Cut: chooser, Ship: sp.ship}
 }
 
 // Telemetry returns the cluster's metrics registry: every site's feeds,

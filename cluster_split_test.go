@@ -20,6 +20,24 @@ func runSitePlaneClusterJSON(t testing.TB, plane ClusterOption, opts ...ClusterO
 	return data, c.Snapshot()
 }
 
+// TestClusterSplitRefusesNegativeCut: a negative cut other than SplitAuto
+// names no layer, so NewCluster refuses it rather than run every layer in
+// the cloud on the raw input; SplitAuto, 0 and a cut past the network's
+// depth (all-edge) are accepted.
+func TestClusterSplitRefusesNegativeCut(t *testing.T) {
+	det := trainedTestDetector(t)
+	for _, cut := range []int{-2, -100} {
+		if _, err := NewCluster(2, WithSplitInference(det, 4, cut)); err == nil {
+			t.Errorf("NewCluster accepted split cut %d", cut)
+		}
+	}
+	for _, cut := range []int{SplitAuto, 0, len(det.Network().Layers) + 1} {
+		if _, err := NewCluster(2, WithSplitInference(det, 4, cut)); err != nil {
+			t.Errorf("NewCluster refused split cut %d: %v", cut, err)
+		}
+	}
+}
+
 // TestClusterSplitEquivalence is the split-inference acceptance bar: the
 // merged ResultsDB JSON is byte-identical to the all-edge flat-hub run at
 // every cut point, with the per-site auto chooser, and under a scripted

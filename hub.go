@@ -64,11 +64,18 @@ func WithHubTrace(t *Tracer) HubOption {
 }
 
 // withHubOwner makes the hub one edge site of a cluster: its feeds
-// register in the cluster's registry under the site's label, trace into
-// the cluster's tracer, and batch through the site's plane. Threaded by
-// Cluster when it builds its per-site hubs.
+// register in the cluster's registry under the site's label and trace into
+// the cluster's tracer, and its plane registers there under the site's
+// label too. Threaded by Cluster when it builds its per-site hubs.
 func withHubOwner(o owner) HubOption {
 	return func(h *Hub) { h.own = o }
+}
+
+// withSplit partitions the hub's plane across its cluster site's uplink
+// (WithSplitInference). Threaded by Cluster when it builds its per-site
+// hubs.
+func withSplit(sp siteSplit) HubOption {
+	return func(h *Hub) { h.split = &sp }
 }
 
 // WithListener attaches a network ingest plane: Run first opens the
@@ -108,6 +115,7 @@ type Hub struct {
 	pool       *runner.Pool
 	inferDet   *Detector       // WithHubInference's detector, nil = none
 	inferBatch int             // WithHubInference's flush size
+	split      *siteSplit      // withSplit's partition, nil = all-edge
 	ingest     *IngestListener // network ingest plane, nil = in-process only
 	own        owner           // what every feed inherits (the cluster's for a site hub)
 
@@ -128,10 +136,25 @@ func NewHub(opts ...HubOption) *Hub {
 		h.own.reg = telemetry.NewRegistry()
 	}
 	if h.inferDet != nil {
-		h.own.plane = infer.New(h.inferDet, h.inferBatch, h.own.reg)
+		h.own.plane = newPlane(h.inferDet, h.inferBatch, h.split, h.own.reg, h.own.site)
 	}
 	h.events = make(chan Event, eventBuffer)
 	return h
+}
+
+// newPlane builds an inference plane over det, flushing batches of up to
+// batchSize frames, with its counters in reg: a hub's shared plane, a
+// cluster site's (labelled {site}, split across the site's uplink when
+// split is non-nil), or a bare session's private batch-of-1 plane.
+func newPlane(det *Detector, batchSize int, split *siteSplit, reg *telemetry.Registry, site string) *infer.Plane {
+	var lbls []telemetry.Label
+	if site != "" {
+		lbls = append(lbls, telemetry.L("site", site))
+	}
+	if split == nil {
+		return infer.New(det, batchSize, reg, lbls...)
+	}
+	return infer.NewSplit(det, batchSize, split.hooks(det.Network()), reg, lbls...)
 }
 
 // Telemetry returns the hub's metrics registry: the feeds', the inference

@@ -168,13 +168,31 @@ func TestClusterBatchedInferenceEquivalence(t *testing.T) {
 
 // TestSessionInferenceOptionConflict pins the configuration rule: a feed
 // of a hub that shares an inference plane gets its detections from that
-// plane, so a per-feed WithDetector there is an error surfaced by Add.
+// plane, so a per-feed WithDetector there is an error surfaced by Add — on
+// a Hub, and on a cluster site's hub, whose plane is plain or split.
 func TestSessionInferenceOptionConflict(t *testing.T) {
 	det := trainedTestDetector(t)
 	src := NewSynthSource(clusterScene(t, 42, 2))
-	hub := NewHub(WithHubInference(det, 2))
-	if _, err := hub.Add("cam", src, WithDetector(det)); err == nil {
-		t.Fatal("hub plane + per-feed WithDetector accepted")
+	addToCluster := func(plane ClusterOption) error {
+		c, err := NewCluster(2, plane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = c.AddFeed("cam", src, WithDetector(det))
+		return err
+	}
+	_, hubErr := NewHub(WithHubInference(det, 2)).Add("cam", src, WithDetector(det))
+	for _, tc := range []struct {
+		plane string
+		err   error
+	}{
+		{"hub plane", hubErr},
+		{"cluster site plane", addToCluster(WithClusterInference(det, 2))},
+		{"split cluster site plane", addToCluster(WithSplitInference(det, 2, SplitAuto))},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s + per-feed WithDetector accepted", tc.plane)
+		}
 	}
 }
 

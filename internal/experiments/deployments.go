@@ -48,7 +48,7 @@ const quality = 85
 
 // cloudSpeed divides the cloud's service times: the paper's cloud Xeon runs
 // the NN 3× faster than the edge desktop, which runs at this host's speed.
-const cloudSpeed = 3
+const cloudSpeed = nn.CloudTierFLOPS / nn.EdgeTierFLOPS
 
 // labelTupleBytes prices one (frameID, labels) result tuple shipped to the
 // cloud database by the edge-NN deployment.

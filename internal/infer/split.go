@@ -29,11 +29,6 @@ type Split struct {
 	// An error (typically a partitioned uplink) makes the plane recompute
 	// that batch entirely on the edge. nil pins the plane to all-edge.
 	Ship func(rec []byte) error
-	// EdgeFLOPS and CloudFLOPS are the modelled sustained rates behind the
-	// sieve_infer_split_{edge,cloud}_ns_total instruments. The times are
-	// derived from per-layer FLOPs — never the wall clock — so split runs
-	// stay deterministic. 0 disables the corresponding instrument.
-	EdgeFLOPS, CloudFLOPS float64
 }
 
 // SplitStats is a snapshot of a split plane's counters.
@@ -45,7 +40,9 @@ type SplitStats struct {
 	// ActivationBytes totals the activation records shipped.
 	ActivationBytes int64
 	// EdgeTime and CloudTime are the modelled per-tier compute times
-	// accumulated over split batches (FLOPs at the configured rates).
+	// accumulated over split batches: per-layer FLOPs at the paper's tier
+	// rates (nn.EdgeTierFLOPS, nn.CloudTierFLOPS), never the wall clock, so
+	// split runs stay deterministic.
 	EdgeTime, CloudTime time.Duration
 	// Cut is the most recently executed partition point (layers on the
 	// edge); NumLayers the network depth, so Cut == NumLayers reads as
@@ -73,9 +70,7 @@ type splitState struct {
 	ship func(rec []byte) error
 
 	// cumFLOPs[k] is the cost of layers [0,k); len == numLayers+1.
-	cumFLOPs  []int64
-	edgeRate  float64
-	cloudRate float64
+	cumFLOPs []int64
 
 	splitBatches *telemetry.Counter
 	fallbacks    *telemetry.Counter
@@ -94,8 +89,8 @@ func NewSplit(det *nn.YOLite, batchSize int, sp Split, reg *telemetry.Registry, 
 	reg.Describe("sieve_infer_split_batches_total", "batches whose forward split across the uplink (edge layers, activation ship, cloud layers)")
 	reg.Describe("sieve_infer_split_fallbacks_total", "split batches recomputed on the edge after the uplink refused their activation")
 	reg.Describe("sieve_infer_split_activation_bytes_total", "activation record bytes shipped edge-to-cloud")
-	reg.Describe("sieve_infer_split_edge_ns_total", "modelled edge-tier compute time of split batches (FLOPs at the configured rate)")
-	reg.Describe("sieve_infer_split_cloud_ns_total", "modelled cloud-tier compute time of split batches (FLOPs at the configured rate)")
+	reg.Describe("sieve_infer_split_edge_ns_total", "modelled edge-tier compute time of split batches (FLOPs at the edge tier's rate)")
+	reg.Describe("sieve_infer_split_cloud_ns_total", "modelled cloud-tier compute time of split batches (FLOPs at the cloud tier's rate)")
 	reg.Describe("sieve_infer_split_cut", "current partition point: layers executed on the edge")
 	stats := det.Network().Stats()
 	cum := make([]int64, len(stats)+1)
@@ -103,8 +98,7 @@ func NewSplit(det *nn.YOLite, batchSize int, sp Split, reg *telemetry.Registry, 
 		cum[i+1] = cum[i] + s.FLOPs
 	}
 	p.split = &splitState{
-		cut: sp.Cut, ship: sp.Ship,
-		cumFLOPs: cum, edgeRate: sp.EdgeFLOPS, cloudRate: sp.CloudFLOPS,
+		cut: sp.Cut, ship: sp.Ship, cumFLOPs: cum,
 		splitBatches: reg.Counter("sieve_infer_split_batches_total", lbls...),
 		fallbacks:    reg.Counter("sieve_infer_split_fallbacks_total", lbls...),
 		actBytes:     reg.Counter("sieve_infer_split_activation_bytes_total", lbls...),
@@ -150,17 +144,12 @@ func (s *splitState) record(info nn.SplitInfo, frames int) {
 	}
 	s.splitBatches.Inc()
 	s.actBytes.Add(info.ActivationBytes)
-	s.edgeNs.Add(modelNs(s.cumFLOPs[info.Cut], s.edgeRate) * int64(frames))
-	s.cloudNs.Add(modelNs(s.cumFLOPs[s.numLayers()]-s.cumFLOPs[info.Cut], s.cloudRate) * int64(frames))
+	s.edgeNs.Add(modelNs(s.cumFLOPs[info.Cut], nn.EdgeTierFLOPS) * int64(frames))
+	s.cloudNs.Add(modelNs(s.cumFLOPs[s.numLayers()]-s.cumFLOPs[info.Cut], nn.CloudTierFLOPS) * int64(frames))
 }
 
 // modelNs converts a FLOPs count to modelled nanoseconds at rate FLOP/s.
-func modelNs(flops int64, rate float64) int64 {
-	if rate <= 0 || flops == 0 {
-		return 0
-	}
-	return int64(float64(flops) / rate * 1e9)
-}
+func modelNs(flops int64, rate float64) int64 { return int64(float64(flops) / rate * 1e9) }
 
 // SplitStats returns a snapshot of the split counters (zero-valued with
 // NumLayers == 0 for a plane built without NewSplit). Taken under the

@@ -58,7 +58,6 @@ func TestSplitPlaneMatchesDirectDetection(t *testing.T) {
 			mu.Unlock()
 			return nil
 		},
-		EdgeFLOPS: 1e9, CloudFLOPS: 3e9,
 	}, telemetry.NewRegistry())
 	runSplitClients(t, p, 4, 5)
 	st := p.SplitStats()

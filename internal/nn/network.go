@@ -1,10 +1,5 @@
 package nn
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Network is a feed-forward stack of layers.
 type Network struct {
 	Layers []Layer
@@ -49,16 +44,4 @@ func (n *Network) TotalFLOPs() int64 {
 		total += s.FLOPs
 	}
 	return total
-}
-
-// Summary renders a human-readable per-layer table.
-func (n *Network) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-3s %-12s %-14s %-14s %12s %12s\n",
-		"#", "layer", "in", "out", "FLOPs", "out bytes")
-	for _, s := range n.Stats() {
-		fmt.Fprintf(&b, "%-3d %-12s %-14s %-14s %12d %12d\n",
-			s.Index, s.Name, s.In, s.Out, s.FLOPs, s.OutBytes)
-	}
-	return b.String()
 }

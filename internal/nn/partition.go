@@ -25,6 +25,14 @@ type Placement struct {
 	Latency time.Duration
 }
 
+// EdgeTierFLOPS and CloudTierFLOPS are the paper's two compute tiers as
+// sustained rates (FLOP/s): the 1 GFLOP/s edge desktop and the 3 GFLOP/s
+// cloud Xeon. Every modelled tier time in the system is priced at them.
+const (
+	EdgeTierFLOPS  = 1e9
+	CloudTierFLOPS = 3e9
+)
+
 // Env models the two compute tiers and the link between them —
 // the inputs of the Neurosurgeon-style partitioning decision the paper's
 // NN Deployment service makes.

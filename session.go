@@ -352,7 +352,7 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 		if s.cfg.own.plane != nil {
 			return nil, fmt.Errorf("sieve: session %s: WithDetector conflicts with the hub's shared inference plane", cfg.name)
 		}
-		s.cfg.own.plane = infer.New(s.cfg.det, 1, telemetry.NewRegistry())
+		s.cfg.own.plane = newPlane(s.cfg.det, 1, nil, telemetry.NewRegistry(), "")
 	}
 	return s, nil
 }
