@@ -139,9 +139,13 @@ func WithEdgeQuota(bytes int64) ClusterOption {
 // over to a site from a crashed one joins that site's plane. Results are
 // byte-identical to the per-feed path; see SiteStats.Hub.Inference and
 // ClusterStats.Inference for the amortisation counters. It is the site
-// hub's WithHubInference.
+// hub's WithHubInference. The last inference option wins: it replaces an
+// earlier WithSplitInference, split included.
 func WithClusterInference(det *Detector, batchSize int) ClusterOption {
-	return func(c *clusterConfig) { c.site = append(c.site, WithHubInference(det, batchSize)) }
+	return func(c *clusterConfig) {
+		c.site = append(c.site, WithHubInference(det, batchSize))
+		c.split, c.splitCut = false, 0
+	}
 }
 
 // SplitAuto asks WithSplitInference to pick each site's cut point from the

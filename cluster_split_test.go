@@ -38,6 +38,33 @@ func TestClusterSplitRefusesNegativeCut(t *testing.T) {
 	}
 }
 
+// TestClusterLastInferenceOptionWins: WithClusterInference after
+// WithSplitInference on one NewCluster call builds the plain plane it
+// documents, and the reverse order a split one.
+func TestClusterLastInferenceOptionWins(t *testing.T) {
+	det := trainedTestDetector(t)
+	for _, tc := range []struct {
+		name      string
+		opts      []ClusterOption
+		wantSplit bool
+	}{
+		{"split then plain", []ClusterOption{WithSplitInference(det, 4, 2), WithClusterInference(det, 4)}, false},
+		{"plain then split", []ClusterOption{WithClusterInference(det, 4), WithSplitInference(det, 4, 2)}, true},
+	} {
+		c, err := NewCluster(1, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		p := c.sites[0].hub.own.plane
+		if p == nil {
+			t.Fatalf("%s: site has no inference plane", tc.name)
+		}
+		if got := p.SplitStats().NumLayers != 0; got != tc.wantSplit {
+			t.Fatalf("%s: split plane = %v (NumLayers %d), want %v", tc.name, got, p.SplitStats().NumLayers, tc.wantSplit)
+		}
+	}
+}
+
 // TestClusterSplitEquivalence is the split-inference acceptance bar: the
 // merged ResultsDB JSON is byte-identical to the all-edge flat-hub run at
 // every cut point, with the per-site auto chooser, and under a scripted

@@ -1,122 +1,114 @@
 #include "textflag.h"
 
-// forwardSSE2 is forwardGo with two outputs per register. Every lane is one
-// dot8: the first product, then each further product added on its own, in
-// forwardGo's order. MULPD and ADDPD round each product and each sum exactly
-// as the scalar code does; nothing is fused, reordered or shared.
+// forwardAVX2 is forwardGo with four outputs per register. Both passes are
+// the same 8×8 product, out[a][j] = Σk A[a][k]·B[k][j], k ascending: the
+// rows take A = the samples, B = cosByX; the columns A = cosTable, B = the
+// rows' result. Every lane is one dot8: the first product, then each
+// further product added on its own, in forwardGo's order. VMULPD and VADDPD
+// round each product and each sum exactly as the scalar code does; nothing
+// is fused, reordered or shared. Every instruction is VEX-encoded and the
+// kernel ends in VZEROUPPER.
 //
-// Layouts: src and dst are [8][8]int32 (row y at y*32), cosByX[x][u] is at
-// x*64+u*8, cosDup[v][y] (cosTable[v][y] twice) at v*128+y*16, and the row
-// pass writes tmp[y][u] to the 512 bytes of the frame at y*64+u*8.
+// Layouts: src and dst are [8][8]int32 (row y at y*32); cosByX[x][u] is at
+// x*64+u*8 and cosTable[v][y] at v*64+y*8; the frame holds the samples as
+// doubles (x[y][k] at y*64+k*8) and tmp[y][u] at 512+y*64+u*8.
 
-// ROWTERM adds sample k of the row, xk in both lanes, times cosByX[k] (at
-// off) to the accumulators X8..X11, which hold outputs (0,1) (2,3) (4,5) (6,7).
-#define ROWTERM(off, xk) \
-	MOVUPD off(R8), X12; MULPD xk, X12; ADDPD X12, X8; \
-	MOVUPD off+16(R8), X13; MULPD xk, X13; ADDPD X13, X9; \
-	MOVUPD off+32(R8), X14; MULPD xk, X14; ADDPD X14, X10; \
-	MOVUPD off+48(R8), X15; MULPD xk, X15; ADDPD X15, X11
+// TERM adds A[a][k]·B[k] for the four rows a of a quad to Y0..Y7 (row a in
+// Y(2a) and Y(2a+1), outputs 0..3 and 4..7): B[k] is at kb(R9), A[a][k] at
+// ka+a*64(R8).
+#define TERM(ka, kb) \
+	VMOVUPD      kb(R9), Y8; VMOVUPD kb+32(R9), Y9; \
+	VBROADCASTSD ka(R8), Y10; VMULPD Y8, Y10, Y11; VADDPD Y11, Y0, Y0; VMULPD Y9, Y10, Y12; VADDPD Y12, Y1, Y1; \
+	VBROADCASTSD ka+64(R8), Y13; VMULPD Y8, Y13, Y14; VADDPD Y14, Y2, Y2; VMULPD Y9, Y13, Y15; VADDPD Y15, Y3, Y3; \
+	VBROADCASTSD ka+128(R8), Y10; VMULPD Y8, Y10, Y11; VADDPD Y11, Y4, Y4; VMULPD Y9, Y10, Y12; VADDPD Y12, Y5, Y5; \
+	VBROADCASTSD ka+192(R8), Y13; VMULPD Y8, Y13, Y14; VADDPD Y14, Y6, Y6; VMULPD Y9, Y13, Y15; VADDPD Y15, Y7, Y7
 
-// COLTERM adds row y of the column pair, xy, times cosDup[v][y] (at off for
-// the first of four consecutive v) to X8..X11, which hold those four v.
-#define COLTERM(off, xy) \
-	MOVUPD off(R9), X12; MULPD xy, X12; ADDPD X12, X8; \
-	MOVUPD off+128(R9), X13; MULPD xy, X13; ADDPD X13, X9; \
-	MOVUPD off+256(R9), X14; MULPD xy, X14; ADDPD X14, X10; \
-	MOVUPD off+384(R9), X15; MULPD xy, X15; ADDPD X15, X11
+// FIRST starts the sums of Y0..Y7 at their k = 0 products.
+#define FIRST \
+	VMOVUPD      0(R9), Y8; VMOVUPD 32(R9), Y9; \
+	VBROADCASTSD 0(R8), Y10; VMULPD Y8, Y10, Y0; VMULPD Y9, Y10, Y1; \
+	VBROADCASTSD 64(R8), Y13; VMULPD Y8, Y13, Y2; VMULPD Y9, Y13, Y3; \
+	VBROADCASTSD 128(R8), Y10; VMULPD Y8, Y10, Y4; VMULPD Y9, Y10, Y5; \
+	VBROADCASTSD 192(R8), Y13; VMULPD Y8, Y13, Y6; VMULPD Y9, Y13, Y7
 
-// COLS computes outputs v..v+3 of the column pair in X0..X7, with off the
-// offset of cosDup[v][0] and d that of dst[v][u], rounds them to int32 and
-// stores them.
-#define COLS(off, d) \
-	MOVUPD off(R9), X8; MULPD X0, X8; \
-	MOVUPD off+128(R9), X9; MULPD X0, X9; \
-	MOVUPD off+256(R9), X10; MULPD X0, X10; \
-	MOVUPD off+384(R9), X11; MULPD X0, X11; \
-	COLTERM(off+16, X1); \
-	COLTERM(off+32, X2); \
-	COLTERM(off+48, X3); \
-	COLTERM(off+64, X4); \
-	COLTERM(off+80, X5); \
-	COLTERM(off+96, X6); \
-	COLTERM(off+112, X7); \
-	CVTPD2PL X8, X8; MOVQ X8, d(DI); \
-	CVTPD2PL X9, X9; MOVQ X9, d+32(DI); \
-	CVTPD2PL X10, X10; MOVQ X10, d+64(DI); \
-	CVTPD2PL X11, X11; MOVQ X11, d+96(DI)
+// QUAD computes four rows of out into Y0..Y7.
+#define QUAD \
+	FIRST; \
+	TERM(8, 64); \
+	TERM(16, 128); \
+	TERM(24, 192); \
+	TERM(32, 256); \
+	TERM(40, 320); \
+	TERM(48, 384); \
+	TERM(56, 448)
 
-// func forwardSSE2(src, dst *Block)
-TEXT ·forwardSSE2(SB), 0, $512-16
+// func forwardAVX2(src, dst *Block)
+TEXT ·forwardAVX2(SB), 0, $1024-16
 	MOVQ src+0(FP), SI
 	MOVQ dst+8(FP), DI
-	LEAQ ·cosByX(SB), R8
-	LEAQ ·cosDup(SB), R9
 
-	// Rows: tmp[y][u] = Σx src[y][x]·cosTable[u][x], two u per register.
-	MOVQ SP, R10
+	// The samples as doubles, a row per step.
+	MOVQ SP, R8
 	MOVQ $8, CX
 
+convert:
+	VCVTDQ2PD 0(SI), Y0
+	VCVTDQ2PD 16(SI), Y1
+	VMOVUPD   Y0, 0(R8)
+	VMOVUPD   Y1, 32(R8)
+	ADDQ      $32, SI
+	ADDQ      $64, R8
+	DECQ      CX
+	JNZ       convert
+
+	// Rows: tmp[y][u] = Σx src[y][x]·cosTable[u][x], four rows y at a time.
+	MOVQ SP, R8
+	LEAQ ·cosByX(SB), R9
+	LEAQ 512(SP), R10
+	MOVQ $2, CX
+
 rows:
-	// The eight samples as doubles, each in both lanes of X0..X7.
-	CVTPL2PD 0(SI), X0
-	CVTPL2PD 8(SI), X2
-	CVTPL2PD 16(SI), X4
-	CVTPL2PD 24(SI), X6
-	MOVAPD   X0, X1
-	UNPCKLPD X0, X0
-	UNPCKHPD X1, X1
-	MOVAPD   X2, X3
-	UNPCKLPD X2, X2
-	UNPCKHPD X3, X3
-	MOVAPD   X4, X5
-	UNPCKLPD X4, X4
-	UNPCKHPD X5, X5
-	MOVAPD   X6, X7
-	UNPCKLPD X6, X6
-	UNPCKHPD X7, X7
+	QUAD
+	VMOVUPD Y0, 0(R10)
+	VMOVUPD Y1, 32(R10)
+	VMOVUPD Y2, 64(R10)
+	VMOVUPD Y3, 96(R10)
+	VMOVUPD Y4, 128(R10)
+	VMOVUPD Y5, 160(R10)
+	VMOVUPD Y6, 192(R10)
+	VMOVUPD Y7, 224(R10)
+	ADDQ    $256, R8
+	ADDQ    $256, R10
+	DECQ    CX
+	JNZ     rows
 
-	MOVUPD 0(R8), X8
-	MULPD  X0, X8
-	MOVUPD 16(R8), X9
-	MULPD  X0, X9
-	MOVUPD 32(R8), X10
-	MULPD  X0, X10
-	MOVUPD 48(R8), X11
-	MULPD  X0, X11
-	ROWTERM(64, X1)
-	ROWTERM(128, X2)
-	ROWTERM(192, X3)
-	ROWTERM(256, X4)
-	ROWTERM(320, X5)
-	ROWTERM(384, X6)
-	ROWTERM(448, X7)
-
-	MOVUPD X8, 0(R10)
-	MOVUPD X9, 16(R10)
-	MOVUPD X10, 32(R10)
-	MOVUPD X11, 48(R10)
-	ADDQ   $32, SI
-	ADDQ   $64, R10
-	DECQ   CX
-	JNZ    rows
-
-	// Columns: dst[v][u] = Σy tmp[y][u]·cosTable[v][y], two u per register.
-	MOVQ SP, R10
-	MOVQ $4, CX
+	// Columns: dst[v][u] = Σy cosTable[v][y]·tmp[y][u], four rows v at a
+	// time, rounded to int32.
+	LEAQ ·cosTable(SB), R8
+	LEAQ 512(SP), R9
+	MOVQ $2, CX
 
 cols:
-	MOVUPD 0(R10), X0
-	MOVUPD 64(R10), X1
-	MOVUPD 128(R10), X2
-	MOVUPD 192(R10), X3
-	MOVUPD 256(R10), X4
-	MOVUPD 320(R10), X5
-	MOVUPD 384(R10), X6
-	MOVUPD 448(R10), X7
-	COLS(0, 0)
-	COLS(512, 128)
-	ADDQ   $16, R10
-	ADDQ   $8, DI
-	DECQ   CX
-	JNZ    cols
+	QUAD
+	VCVTPD2DQY Y0, X0
+	VCVTPD2DQY Y1, X1
+	VCVTPD2DQY Y2, X2
+	VCVTPD2DQY Y3, X3
+	VCVTPD2DQY Y4, X4
+	VCVTPD2DQY Y5, X5
+	VCVTPD2DQY Y6, X6
+	VCVTPD2DQY Y7, X7
+	VMOVDQU    X0, 0(DI)
+	VMOVDQU    X1, 16(DI)
+	VMOVDQU    X2, 32(DI)
+	VMOVDQU    X3, 48(DI)
+	VMOVDQU    X4, 64(DI)
+	VMOVDQU    X5, 80(DI)
+	VMOVDQU    X6, 96(DI)
+	VMOVDQU    X7, 112(DI)
+	ADDQ       $256, R8
+	ADDQ       $128, DI
+	DECQ       CX
+	JNZ        cols
+	VZEROUPPER
 	RET

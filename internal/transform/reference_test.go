@@ -82,8 +82,18 @@ func refDequantize(qz *Quantizer, src, dst *Block) {
 	}
 }
 
-// checkForward asserts that Forward, which is the assembly on amd64, and the
-// Go kernel forwardGo both equal the textbook oracle on blk.
+// noteKernels says, in the test's log, when the AVX2 kernels cannot run
+// (another GOARCH, or an amd64 CPU without AVX2): the oracle tests then skip
+// the assembly and compare only the Go kernels with the textbook loops.
+func noteKernels(t testing.TB) {
+	t.Helper()
+	if !haveAVX2 {
+		t.Log("no AVX2 kernels here (not amd64, or the CPU lacks AVX2): the assembly is skipped, only the Go kernels are checked")
+	}
+}
+
+// checkForward asserts that Forward, which is forwardAVX2 on an AVX2 CPU,
+// and the Go kernel forwardGo both equal the textbook oracle on blk.
 func checkForward(t testing.TB, blk *Block) {
 	t.Helper()
 	var got, goK, want Block
@@ -102,8 +112,9 @@ func checkForward(t testing.TB, blk *Block) {
 // magnitude, which FuzzTransformMatchesReference (int16 samples) cannot
 // reach: products and sums far from the residual range, and coefficients
 // beyond int32, where the result is whatever the conversion to int32 makes
-// of them and the assembly's CVTPD2PL must agree with Go's.
+// of them and the assembly's VCVTPD2DQ must agree with Go's.
 func TestForwardMatchesReferenceFullRange(t *testing.T) {
+	noteKernels(t)
 	n := 100000
 	if testing.Short() {
 		n = 10000
@@ -160,8 +171,8 @@ func checkTransforms(t testing.TB, blk *Block, qz *Quantizer) {
 	checkInverseKernels(t, fmt.Sprintf("q%d", qz.Quality()), blk, &qz.q, rows, cols, &want)
 }
 
-// checkInverseKernels asserts that the Go kernel inverseMaskedGo and, on
-// amd64, the assembly inverseMaskedSSE2 — called directly, so also on the
+// checkInverseKernels asserts that the Go kernel inverseMaskedGo and, on an
+// AVX2 CPU, the assembly inverseMaskedAVX2 — called directly, so also on the
 // DC-only blocks inverseMasked keeps in Go — both give want, the textbook
 // inverse of lev dequantised by q, under the masks rows and cols.
 func checkInverseKernels(t testing.TB, name string, lev *Block, q *[BlockSize * BlockSize]int32, rows, cols uint, want *Block) {
@@ -172,17 +183,18 @@ func checkInverseKernels(t testing.TB, name string, lev *Block, q *[BlockSize * 
 		t.Fatalf("inverseMaskedGo (%s, rows %08b, cols %08b) differs from the reference\nin   %v\ngot  %v\nwant %v",
 			name, rows, cols, *lev, got, *want)
 	}
-	if !haveSSE2 {
+	if !haveAVX2 {
 		return
 	}
-	inverseMaskedSSE2(lev, q, rows, cols, &got)
+	inverseMaskedAVX2(lev, q, rows, cols, &got)
 	if got != *want {
-		t.Fatalf("inverseMaskedSSE2 (%s, rows %08b, cols %08b) differs from the reference\nin   %v\ngot  %v\nwant %v",
+		t.Fatalf("inverseMaskedAVX2 (%s, rows %08b, cols %08b) differs from the reference\nin   %v\ngot  %v\nwant %v",
 			name, rows, cols, *lev, got, *want)
 	}
 }
 
 func TestTransformMatchesReferenceRandom(t *testing.T) {
+	noteKernels(t)
 	n := 100000
 	if testing.Short() {
 		n = 10000
@@ -209,6 +221,7 @@ func TestTransformMatchesReferenceRandom(t *testing.T) {
 }
 
 func TestTransformMatchesReferenceSparse(t *testing.T) {
+	noteKernels(t)
 	vals := []int32{1, -1, 2040, -2040, 32767, -32767}
 	qz := NewQuantizer(85)
 	var blk Block
@@ -241,6 +254,7 @@ func TestTransformMatchesReferenceSparse(t *testing.T) {
 // (a[u][v] = −a[v][u]) fills every row and column yet cancels exactly on the
 // diagonal samples, which therefore sit at k+½ plus float noise.
 func TestTransformMatchesReferenceTies(t *testing.T) {
+	noteKernels(t)
 	rng := rand.New(rand.NewSource(19))
 	qz := NewQuantizer(85)
 	var blk Block
@@ -289,8 +303,8 @@ var unitQuantizer = func() *Quantizer {
 
 // checkQuantize compares one block with the reference, including the
 // reported any-non-zero flag, through Quantize, the Go kernel quantizeGo
-// and, on amd64, the assembly quantizeSSE2, which must refuse exactly the
-// blocks that hold a coefficient of 2¹⁵ or more in magnitude.
+// and, on an AVX2 CPU, the assembly quantizeAVX2, which must refuse exactly
+// the blocks that hold a coefficient of 2¹⁵ or more in magnitude.
 func checkQuantize(t *testing.T, qz *Quantizer, src *Block) {
 	t.Helper()
 	var want Block
@@ -315,7 +329,7 @@ func checkQuantize(t *testing.T, qz *Quantizer, src *Block) {
 	got = Block{}
 	nz = qz.quantizeGo(src, &got)
 	check("quantizeGo", &got, nz)
-	if !haveSSE2 {
+	if !haveAVX2 {
 		return
 	}
 	exact := true
@@ -325,12 +339,12 @@ func checkQuantize(t *testing.T, qz *Quantizer, src *Block) {
 		}
 	}
 	got = Block{}
-	nz, ok := quantizeSSE2(src, &got, &qz.q, &qz.recip)
+	nz, ok := quantizeAVX2(src, &got, &qz.q, &qz.recip)
 	if ok != exact {
-		t.Fatalf("quantizeSSE2 reported ok=%v for %v, want %v", ok, *src, exact)
+		t.Fatalf("quantizeAVX2 reported ok=%v for %v, want %v", ok, *src, exact)
 	}
 	if ok {
-		check("quantizeSSE2", &got, nz)
+		check("quantizeAVX2", &got, nz)
 	}
 }
 
@@ -340,6 +354,7 @@ func checkQuantize(t *testing.T, qz *Quantizer, src *Block) {
 // fallbacks beyond it: the Go kernel's plain division, and the assembly's
 // refusal of any block that holds one such coefficient, wherever it sits.
 func TestQuantizeMatchesReferenceExhaustive(t *testing.T) {
+	noteKernels(t)
 	beyond := []int32{
 		quantExact, -quantExact, quantExact + 1, -quantExact - 1, 65535, -65535, 1 << 20, -(1 << 20),
 		1<<24 - 1, 1 << 24, -(1 << 24), math.MaxInt32, math.MaxInt32 - 127, math.MinInt32, math.MinInt32 + 1,
@@ -362,7 +377,7 @@ func TestQuantizeMatchesReferenceExhaustive(t *testing.T) {
 		copy(src[:], beyond)
 		checkQuantize(t, qz, &src)
 		// Each out-of-range coefficient alone, at a position that moves
-		// through all four lanes and all sixteen registers.
+		// through all eight lanes and all eight registers.
 		for k, c := range beyond {
 			src = Block{}
 			src[(int(q)*7+k*5)%len(src)] = c
@@ -398,6 +413,7 @@ func FuzzTransformMatchesReference(f *testing.F) {
 	dcTie[0] = 4
 	f.Add(dcTie)
 	qz := NewQuantizer(85)
+	noteKernels(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var blk Block
 		for i := range blk {
@@ -442,6 +458,7 @@ func masksOf(lev *Block) (rows, cols uint) {
 // name empty rows and columns (which add exact zeros), and on single levels
 // at every position.
 func TestInverseMaskedMatchesReference(t *testing.T) {
+	noteKernels(t)
 	n := 20000
 	if testing.Short() {
 		n = 2000
@@ -475,10 +492,11 @@ func TestInverseMaskedMatchesReference(t *testing.T) {
 // TestInverseMaskedMatchesReferenceFullRange feeds the masked inverse levels
 // of every int32 magnitude, which no quantised residual reaches: level ×
 // step products that wrap in int32 (as Go's multiply and the assembly's
-// IMULL both do), and sums beyond int32, where both roundings give
+// VPMULLD both do), and sums beyond int32, where both roundings give
 // MinInt32. Blocks are dense, sparse and single-row or single-column, with
 // exact masks and with masks that also name empty rows and columns.
 func TestInverseMaskedMatchesReferenceFullRange(t *testing.T) {
+	noteKernels(t)
 	n := 100000
 	if testing.Short() {
 		n = 10000
@@ -526,6 +544,7 @@ func TestInverseMaskedMatchesReferenceFullRange(t *testing.T) {
 // DC-only block meets only the matrix's DC step, so a quality whose step an
 // earlier one had is the same computation and is not run twice.
 func TestInverseDCOnlyExhaustive(t *testing.T) {
+	noteKernels(t)
 	for x, c := range cosTable[0] {
 		if c != cosTable[0][0] {
 			t.Fatalf("cosTable[0][%d] = %v, cosTable[0][0] = %v", x, c, cosTable[0][0])

@@ -107,18 +107,19 @@ func dot8(x0, x1, x2, x3, x4, x5, x6, x7 float64, c *[BlockSize]float64) float64
 
 // Forward applies the 2-D DCT-II to src (spatial samples, typically centred
 // around zero by subtracting 128 or a prediction) writing coefficients to dst.
-// On amd64 it runs forwardSSE2 (forward_amd64.s), which computes the same
-// products in the same order two outputs at a time; elsewhere forwardGo.
+// On an AVX2 CPU it runs forwardAVX2 (forward_amd64.s), which computes the
+// same products in the same order four outputs at a time; elsewhere
+// forwardGo.
 func Forward(src, dst *Block) {
-	if haveSSE2 {
-		forwardSSE2(src, dst)
+	if haveAVX2 {
+		forwardAVX2(src, dst)
 		return
 	}
 	forwardGo(src, dst)
 }
 
-// forwardGo is the Go kernel of Forward, and on amd64 the oracle its
-// assembly is tested against.
+// forwardGo is the Go kernel of Forward, and the oracle its assembly is
+// tested against.
 func forwardGo(src, dst *Block) {
 	var tmp [BlockSize * BlockSize]float64
 	// Rows: each sample is converted once, not once per output.
@@ -189,21 +190,21 @@ func (qz *Quantizer) InverseMasked(lev *Block, rows, cols uint, dst *Block) {
 }
 
 // inverseMasked is inverse once the non-empty rows and columns are known. A
-// DC-only block takes inverseMaskedGo's constant fill; on amd64 every other
-// block, dense ones included, takes inverseMaskedSSE2 (inverse_amd64.s),
-// the sparse path two accumulators per register.
+// DC-only block takes inverseMaskedGo's constant fill; on an AVX2 CPU every
+// other block, dense ones included, takes inverseMaskedAVX2
+// (inverse_amd64.s), the sparse path four accumulators per register.
 //
 //sieve:noalloc inverse transform of the encode and decode hot paths
 func inverseMasked(src *Block, q *[BlockSize * BlockSize]int32, rows, cols uint, dst *Block) {
-	if haveSSE2 && rows|cols > 1 {
-		inverseMaskedSSE2(src, q, rows, cols, dst)
+	if haveAVX2 && rows|cols > 1 {
+		inverseMaskedAVX2(src, q, rows, cols, dst)
 		return
 	}
 	inverseMaskedGo(src, q, rows, cols, dst)
 }
 
-// inverseMaskedGo is the Go kernel of inverseMasked, and on amd64 the oracle
-// its assembly is tested against. A DC-only block is a constant: cosTable[0]
+// inverseMaskedGo is the Go kernel of inverseMasked, and the oracle its
+// assembly is tested against. A DC-only block is a constant: cosTable[0]
 // holds c(0)/2 in every entry (cos 0 is exactly 1), so every sample is the
 // sparse path's two products f·c₀₀·c₀₀, each added to a zero. A block with
 // no empty row or column (one in nine of an I-frame's, and every block of
@@ -345,7 +346,7 @@ type Quantizer struct {
 	q    [BlockSize * BlockSize]int32
 	qual int
 	// recip[i] = ⌈2³¹/q[i]⌉, which fits in 32 bits for every q, 1
-	// included, as quantizeSSE2's PMULULQ needs. For 0 <= n < 2¹⁶ and
+	// included, as quantizeAVX2's VPMULUDQ needs. For 0 <= n < 2¹⁶ and
 	// 1 <= q <= 255, n/q == n*recip>>31 exactly: the error
 	// n·(recip·q−2³¹)/(q·2³¹) stays below the 1/q gap to the next integer
 	// because recip·q−2³¹ < q <= 2⁸, so n·(recip·q−2³¹) < 2²⁴ < 2³¹.
@@ -356,7 +357,7 @@ type Quantizer struct {
 
 // quantExact bounds the coefficients Quantize divides by reciprocal; the
 // DCT of 8-bit residuals stays below 2¹², anything at or above 2¹⁵ takes
-// the plain division (on amd64: the whole block takes quantizeGo).
+// the plain division (on an AVX2 CPU: the whole block takes quantizeGo).
 const quantExact = 1 << 15
 
 // NewQuantizer builds a quantizer for quality in [1,100] using the JPEG
@@ -399,20 +400,20 @@ func (qz *Quantizer) Quality() int { return qz.qual }
 
 // Quantize divides coefficients by the scaled matrix, rounding half away
 // from zero, and reports whether any level is non-zero (an all-zero block
-// is coded as one bit). On amd64 it runs quantizeSSE2 (quantize_amd64.s),
-// and quantizeGo for a block that holds a coefficient of 2¹⁵ or more in
-// magnitude.
+// is coded as one bit). On an AVX2 CPU it runs quantizeAVX2
+// (quantize_amd64.s), and quantizeGo for a block that holds a coefficient of
+// 2¹⁵ or more in magnitude.
 func (qz *Quantizer) Quantize(src, dst *Block) bool {
-	if haveSSE2 {
-		if nz, ok := quantizeSSE2(src, dst, &qz.q, &qz.recip); ok {
+	if haveAVX2 {
+		if nz, ok := quantizeAVX2(src, dst, &qz.q, &qz.recip); ok {
 			return nz
 		}
 	}
 	return qz.quantizeGo(src, dst)
 }
 
-// quantizeGo is the Go kernel of Quantize, and on amd64 the oracle its
-// assembly is tested against.
+// quantizeGo is the Go kernel of Quantize, and the oracle its assembly is
+// tested against.
 func (qz *Quantizer) quantizeGo(src, dst *Block) bool {
 	var any int32
 	for i := range src {

@@ -194,7 +194,7 @@ func TestEndToEndBlockPipelinePSNR(t *testing.T) {
 }
 
 // BenchmarkForwardDCT times one 8×8 forward DCT: /kernel is what Forward
-// runs (the assembly on amd64), /go the Go kernel.
+// runs (the AVX2 assembly on an AVX2 CPU), /go the Go kernel.
 func BenchmarkForwardDCT(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	var src, dst Block
@@ -217,7 +217,7 @@ func BenchmarkForwardDCT(b *testing.B) {
 
 // BenchmarkInverseDCT times one 8×8 inverse DCT of raw coefficients, a
 // block with no empty row or column: /kernel is what Inverse runs (the
-// assembly on amd64), /go the Go kernel behind the same scan.
+// AVX2 assembly on an AVX2 CPU), /go the Go kernel behind the same scan.
 func BenchmarkInverseDCT(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	var src, coef, dst Block
@@ -265,8 +265,8 @@ func quietLevels(qz *Quantizer) ([]Block, float64) {
 
 // BenchmarkInverseDCTQuantized is the inverse as the encoder and decoder
 // call it: on quietLevels, through the dequantising entry point. /kernel is
-// what Quantizer.Inverse runs (the assembly on amd64), /go the Go kernel
-// behind the same scan.
+// what Quantizer.Inverse runs (the AVX2 assembly on an AVX2 CPU), /go the
+// Go kernel behind the same scan.
 func BenchmarkInverseDCTQuantized(b *testing.B) {
 	qz := NewQuantizer(85)
 	levs, nz := quietLevels(qz)
@@ -294,8 +294,8 @@ func BenchmarkInverseDCTQuantized(b *testing.B) {
 }
 
 // BenchmarkQuantize times one block of Quantize on the forward DCTs of
-// noisy residuals at quality 85: /kernel is what Quantize runs (the
-// assembly on amd64), /go the Go kernel.
+// noisy residuals at quality 85: /kernel is what Quantize runs (the AVX2
+// assembly on an AVX2 CPU), /go the Go kernel.
 func BenchmarkQuantize(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	qz := NewQuantizer(85)
