@@ -352,7 +352,9 @@ bench-gate:
 # The size metrics ROADMAP tracks, counted its way: non-test lines of the
 # tracked *.go files outside bench/, exported With* options in those
 # files, packages, the exported API of package sieve as lines of
-# `go doc -short .`, and how many of those are exported *Stats types. A
+# `go doc -short .`, how many of those are exported *Stats types, and the
+# exported identifiers of every library package (all but the main packages
+# under cmd/ and bench/) as the sum of their `go doc -short` lines. A
 # report, not a gate.
 size:
 	@files="$$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/')"; \
@@ -360,7 +362,8 @@ size:
 	echo "exported With* options: $$(grep -hE '^func With[A-Z]' $$files | wc -l)"; \
 	echo "packages: $$($(GO) list ./... | wc -l)"; \
 	echo "exported API of package sieve (go doc -short .): $$($(GO) doc -short . | wc -l)"; \
-	echo "exported *Stats types of package sieve: $$($(GO) doc -short . | grep -cE '^type [A-Z][A-Za-z]*Stats\b')"
+	echo "exported *Stats types of package sieve: $$($(GO) doc -short . | grep -cE '^type [A-Z][A-Za-z]*Stats\b')"; \
+	echo "exported identifiers outside bench/: $$(for p in $$($(GO) list -f '{{if ne .Name "main"}}{{.ImportPath}}{{end}}' ./...); do $(GO) doc -short $$p; done | wc -l)"
 
 # Everything CI checks, in CI's order.
 ci: build vet fmt lint reach test-short test-fma test-portable test bench wire-smoke chaos-smoke obs-smoke split-smoke anchors-stress docs-lint fuzz-smoke bench-gate

@@ -42,7 +42,10 @@ func BenchmarkAblationTunerReplay(b *testing.B) {
 	b.Run("replay", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			costs := tuner.AnalyzeCosts(v)
+			costs, err := tuner.AnalyzeCostsContext(context.Background(), v)
+			if err != nil {
+				b.Fatal(err)
+			}
 			_, best := tuner.RunSweep(costs, track, tuner.DefaultSweep(), tuner.DefaultMinGOP)
 			_ = best
 		}
@@ -127,38 +130,6 @@ func BenchmarkAblationSeekVsDecode(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationMotionSearch compares diamond search (default) against
-// exhaustive full search in the encoder.
-func BenchmarkAblationMotionSearch(b *testing.B) {
-	v := benchClip(b, 8)
-	frames := make([]*frame.YUV, v.NumFrames())
-	for i := range frames {
-		frames[i] = v.Frame(i)
-	}
-	for _, method := range []struct {
-		name   string
-		search codec.MotionSearch
-	}{{"diamond", codec.SearchDiamond}, {"full", codec.SearchFull}} {
-		b.Run(method.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				enc, err := codec.NewEncoder(codec.Params{
-					Width: 160, Height: 120, GOPSize: 1000, Scenecut: 0,
-					Search: method.search,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, f := range frames {
-					if _, err := enc.Encode(f); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationScenecutCost compares the analyzer's motion-compensated

@@ -124,20 +124,8 @@ func TestHubFilterRatesMatchBatchSeeker(t *testing.T) {
 	// parameters, so each must reproduce the batch seeker's filter rate.
 	v := smallDataset(t)
 	spec := v.Spec()
-	var buf container.Buffer
-	enc, err := NewSemanticEncoder(&buf, DefaultParams(spec.Width, spec.Height), spec.FPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < v.NumFrames(); i++ {
-		if _, err := enc.Encode(v.Frame(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenStream(&buf, buf.Size())
+	buf := encodeReference(t, v, DefaultParams(spec.Width, spec.Height))
+	r, err := OpenStream(buf, buf.Size())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,7 +323,7 @@ func TestSessionDetectsWhatTheArchiveDecodes(t *testing.T) {
 	var recons []*Frame
 	snapshot := withEventTap(func(ev Event) {
 		if ev.Kind == EventFrameEncoded {
-			recons = append(recons, sess.enc.recon().Clone())
+			recons = append(recons, sess.enc.Recon().Clone())
 		}
 	})
 	sess, err = NewSession(NewSynthSource(v), WithClock(testClock()), WithTunedParams(params),

@@ -143,7 +143,7 @@ func TestReferencePlaneBytes(t *testing.T) {
 		// half-res (8+160+8)×(8+120+8), twice.
 		{320, 240, 2 * (352*272 + 2*160*120), 2 * 176 * 136},
 	} {
-		enc, err := NewEncoder(Params{Width: c.w, Height: c.h, GOPSize: 25, SearchRange: 16})
+		enc, err := NewEncoder(Params{Width: c.w, Height: c.h, GOPSize: 25})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,8 +315,9 @@ func decodeCopy(payload []byte, decode func([]byte) error) (weak.Pointer[byte], 
 }
 
 // TestIFrameDecoderMatchesDecodeIFrame pins the reused-buffer I-frame
-// decoder (the session detection path) against the allocating one-shot
-// DecodeIFrame, and its steady-state zero-alloc contract.
+// decoder (the archive scan's path), with P payloads rejected between its
+// I-frames, against a fresh one-shot DecodeIFrame per payload, and its
+// steady-state zero-alloc contract.
 func TestIFrameDecoderMatchesDecodeIFrame(t *testing.T) {
 	p := Params{Width: 64, Height: 48, Quality: 85, GOPSize: 2, Scenecut: 0}
 	frames := testVideo(64, 48, 6, 1, 27)

@@ -74,14 +74,6 @@ func halfDims(p *frame.Plane) (int, int) {
 	return w, h
 }
 
-// Downsample2x box-filters a plane to half resolution in each dimension.
-func Downsample2x(p *frame.Plane) *frame.Plane {
-	w, h := halfDims(p)
-	d := frame.NewPlane(w, h)
-	Downsample2xInto(d, p)
-	return d
-}
-
 // Downsample2xInto box-filters p into the preallocated dst, which must have
 // halfDims(p) geometry. Each output pixel rounds the mean of a 2×2 source
 // block; the last column or row of an odd-sized plane has no partner and

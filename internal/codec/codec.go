@@ -51,16 +51,6 @@ func (t FrameType) String() string {
 // at 400 every frame with any motion becomes an I-frame).
 const MaxScenecut = 400
 
-// MotionSearch selects the motion-estimation algorithm.
-type MotionSearch uint8
-
-const (
-	// SearchDiamond is the default two-stage diamond search.
-	SearchDiamond MotionSearch = iota
-	// SearchFull is exhaustive search inside the range (ablation/reference).
-	SearchFull
-)
-
 // Params configures an encoder/decoder pair. Width and Height must be even
 // and positive; the macroblock grid internally extends past non-multiple-of-16
 // edges with border replication.
@@ -76,10 +66,6 @@ type Params struct {
 	// MinGOP suppresses scenecut I-frames closer than this to the previous
 	// I-frame (x264 min-keyint). 0 or 1 means no suppression.
 	MinGOP int
-	// SearchRange is the motion search radius in pixels (default 16).
-	SearchRange int
-	// Search selects the ME algorithm (default diamond).
-	Search MotionSearch
 	// SkipSAD is the macroblock SAD below which a zero-motion macroblock
 	// is coded as a skip (default 512 ≈ 2 grey levels per pixel).
 	SkipSAD int
@@ -119,12 +105,6 @@ func (p *Params) normalize() error {
 	if !(p.Scenecut >= 0 && p.Scenecut <= MaxScenecut) {
 		return fmt.Errorf("codec: scenecut %.1f out of [0,%d]", p.Scenecut, MaxScenecut)
 	}
-	if p.SearchRange == 0 {
-		p.SearchRange = 16
-	}
-	if p.SearchRange < 1 {
-		return fmt.Errorf("codec: search range %d must be >= 1", p.SearchRange)
-	}
 	if p.SkipSAD == 0 {
 		p.SkipSAD = 512
 	}
@@ -162,6 +142,10 @@ type MV struct{ X, Y int }
 
 // mbSize is the macroblock edge in luma pixels.
 const mbSize = 16
+
+// searchRange is the encoder's motion search radius in pixels: it sizes the
+// reference frames' padded border and the diamond search's visited table.
+const searchRange = 16
 
 // scenecutRatio maps the 0–400 threshold onto the inter/intra cost ratio
 // test: a frame is a scenecut when interCost >= ratio·intraCost. The

@@ -321,7 +321,6 @@ func TestParamsValidation(t *testing.T) {
 		{Width: 32, Height: 32, GOPSize: 10, Scenecut: math.NaN()},
 		{Width: 32, Height: 32, GOPSize: 10, Scenecut: math.Inf(1)},
 		{Width: 32, Height: 32, GOPSize: 10, Scenecut: math.Inf(-1)},
-		{Width: 32, Height: 32, GOPSize: 10, SearchRange: -2},
 	}
 	for i, p := range bad {
 		if _, err := NewEncoder(p); err == nil {
@@ -460,6 +459,14 @@ func TestAnalyzerReplayMatchesEncoderDecisions(t *testing.T) {
 	}
 }
 
+// downsample2x box-filters p into a fresh half-resolution plane.
+func downsample2x(p *frame.Plane) *frame.Plane {
+	w, h := halfDims(p)
+	d := frame.NewPlane(w, h)
+	Downsample2xInto(d, p)
+	return d
+}
+
 func TestDownsample2x(t *testing.T) {
 	p := frame.NewPlane(4, 4)
 	vals := []byte{
@@ -469,7 +476,7 @@ func TestDownsample2x(t *testing.T) {
 		50, 50, 60, 60,
 	}
 	copy(p.Pix, vals)
-	d := Downsample2x(p)
+	d := downsample2x(p)
 	if d.W != 2 || d.H != 2 {
 		t.Fatalf("dims %dx%d", d.W, d.H)
 	}

@@ -111,34 +111,13 @@ func (d *Decoder) decodeFrame(data []byte) error {
 // Reset drops the reference frame (e.g. before seeking to an I-frame).
 func (d *Decoder) Reset() { d.hasRef = false }
 
-// DecodeIFrame decodes a single I-frame payload independently of any stream
-// state — the "decompress like a still JPEG" path the SiEVE edge engine uses
-// after the I-frame seeker. Returns ErrNotIFrame for P-frame payloads.
-func DecodeIFrame(p Params, data []byte) (*frame.YUV, error) {
-	if err := p.normalize(); err != nil {
-		return nil, err
-	}
-	var r bitstream.Reader
-	ft, quality, err := readFrameHeader(&r, data)
-	if err != nil {
-		return nil, err
-	}
-	if ft != FrameI {
-		return nil, ErrNotIFrame
-	}
-	out := frame.NewYUV(p.Width, p.Height)
-	if err := decodeIntraInto(&r, newBlockDecoder(quality), out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// IFrameDecoder decodes independent I-frame payloads like DecodeIFrame but
-// with reused buffers: the output frame, block decoder and bitstream reader
-// all persist across calls, so a scan that decodes the I-frames of a stored
-// stream allocates nothing in steady state. (The encoding side has no need
-// of it: Encoder.Recon already holds the same pixels.) Not safe for
-// concurrent use.
+// IFrameDecoder decodes independent I-frame payloads — the "decompress
+// like a still JPEG" path the SiEVE edge engine uses after the I-frame
+// seeker — with reused buffers: the output frame, block decoder and
+// bitstream reader all persist across calls, so a scan that decodes the
+// I-frames of a stored stream allocates nothing in steady state. (The
+// encoding side has no need of it: Encoder.Recon already holds the same
+// pixels.) Not safe for concurrent use.
 type IFrameDecoder struct {
 	p   Params
 	r   bitstream.Reader
@@ -179,6 +158,17 @@ func (d *IFrameDecoder) decode(data []byte) error {
 		d.bd = newBlockDecoder(quality)
 	}
 	return decodeIntraInto(&d.r, d.bd, d.out)
+}
+
+// DecodeIFrame decodes a single I-frame payload independently of any stream
+// state through a one-shot IFrameDecoder, so the frame it returns is the
+// caller's. Returns ErrNotIFrame for P-frame payloads.
+func DecodeIFrame(p Params, data []byte) (*frame.YUV, error) {
+	d, err := NewIFrameDecoder(p)
+	if err != nil {
+		return nil, err
+	}
+	return d.Decode(data)
 }
 
 // PayloadFrameType peeks at a payload's frame-type bit without decoding.

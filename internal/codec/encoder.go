@@ -30,7 +30,7 @@ type Encoder struct {
 	forceI   bool       // next EncodeInto must place an I-frame (see ForceNextI)
 	bc       *blockCoder
 	w        *bitstream.Writer
-	seen     *visited              // motion-search scratch, sized for p.SearchRange
+	seen     *visited              // motion-search scratch, sized for searchRange
 	mb       [mbSize * mbSize]byte // a macroblock that overhangs the frame, clamped (loadBlock)
 }
 
@@ -44,7 +44,7 @@ type reference struct {
 }
 
 func newReference(p Params) *reference {
-	r := &reference{luma: newPaddedPlane(p.Width, p.Height, mbSize, p.SearchRange)}
+	r := &reference{luma: newPaddedPlane(p.Width, p.Height, mbSize, searchRange)}
 	r.YUV = frame.YUV{
 		Y:  &r.luma.Plane,
 		Cb: frame.NewPlane(p.Width/2, p.Height/2),
@@ -66,7 +66,7 @@ func NewEncoder(p Params) (*Encoder, error) {
 		scratch:  newReference(p),
 		bc:       newBlockCoder(p.Quality),
 		w:        bitstream.NewWriter(p.Width * p.Height / 4),
-		seen:     newVisited(p.SearchRange),
+		seen:     newVisited(searchRange),
 	}, nil
 }
 
@@ -212,7 +212,7 @@ func (e *Encoder) encodeInter(f *frame.YUV) {
 		for mbx := 0; mbx < f.W; mbx += mbSize {
 			blk.x, blk.y = mbx, mby
 			blk.cur, blk.stride = loadBlock(f.Y, mbx, mby, mbSize, e.mb[:])
-			mv, sad := searchMotion(&blk, pred, e.p.Search, e.seen)
+			mv, sad := diamondSearch(&blk, pred, e.seen)
 			if mv == (MV{}) && sad < e.p.SkipSAD {
 				// Skip: decoder copies the co-located block.
 				e.w.WriteBit(1)

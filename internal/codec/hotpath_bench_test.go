@@ -157,7 +157,7 @@ func BenchmarkSADBounded(b *testing.B) {
 	})
 }
 
-// BenchmarkMotionSearchEdge times one exhaustive search (SearchFull, 33²
+// BenchmarkMotionSearchEdge times one exhaustive search (fullSearch, 33²
 // candidates at range 16) where the clamp used to be paid: a macroblock of
 // the 600×400 frame's last half-macroblock column (x = 592, eight of its
 // sixteen columns past the edge) and the bottom-right corner one, on noisy

@@ -33,16 +33,6 @@ func (b *searchBlock) sad(mv MV, bound int) int {
 	return frame.SADRows(b.cur, b.stride, b.ref.from(b.x+mv.X, b.y+mv.Y), b.ref.Stride, b.size, b.size, bound)
 }
 
-// searchMotion finds the motion vector minimising the SAD of b within
-// ±seen.r of (0,0). pred seeds the search (typically the left neighbour's
-// MV).
-func searchMotion(b *searchBlock, pred MV, method MotionSearch, seen *visited) (MV, int) {
-	if method == SearchFull {
-		return fullSearch(b, seen.r)
-	}
-	return diamondSearch(b, pred, seen)
-}
-
 func clampMV(v, rangePx int) int {
 	if v < -rangePx {
 		return -rangePx
@@ -89,8 +79,10 @@ func (v *visited) add(mv MV) bool {
 	return true
 }
 
-// diamondSearch threads the running best cost into every candidate SAD as
-// an early-exit bound: a candidate only matters if it is strictly better, so
+// diamondSearch finds the motion vector minimising the SAD of b within
+// ±seen.r of (0,0); pred seeds the search (typically the left neighbour's
+// MV). It threads the running best cost into every candidate SAD as an
+// early-exit bound: a candidate only matters if it is strictly better, so
 // the SAD can stop summing rows as soon as the partial sum reaches bestCost
 // without changing which vector wins. The returned cost is always exact — a
 // winning candidate's sum completes below the bound by definition.
@@ -138,32 +130,4 @@ func diamondSearch(b *searchBlock, pred MV, seen *visited) (MV, int) {
 		}
 	}
 	return best, bestCost
-}
-
-// fullSearch bounds each candidate at bestCost+1, not bestCost: its
-// tie-break (equal cost, strictly shorter vector wins) needs the exact SAD
-// when c == bestCost, and with bound = bestCost+1 any true sum <= bestCost
-// completes without an early exit, i.e. exactly.
-func fullSearch(b *searchBlock, rangePx int) (MV, int) {
-	best := MV{}
-	bestCost := b.sad(best, math.MaxInt)
-	for dy := -rangePx; dy <= rangePx; dy++ {
-		for dx := -rangePx; dx <= rangePx; dx++ {
-			if dx == 0 && dy == 0 {
-				continue
-			}
-			c := b.sad(MV{dx, dy}, bestCost+1)
-			if c < bestCost || (c == bestCost && absInt(dx)+absInt(dy) < absInt(best.X)+absInt(best.Y)) {
-				best, bestCost = MV{dx, dy}, c
-			}
-		}
-	}
-	return best, bestCost
-}
-
-func absInt(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

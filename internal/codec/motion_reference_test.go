@@ -77,6 +77,36 @@ func refFullSearch(cur, ref *frame.Plane, bx, by, size, rangePx int) (MV, int) {
 	return best, bestCost
 }
 
+// fullSearch is the exhaustive search over the padded reference, the
+// oracle the diamond search is measured against. It bounds each candidate
+// at bestCost+1, not bestCost: its tie-break (equal cost, strictly shorter
+// vector wins) needs the exact SAD when c == bestCost, and with bound =
+// bestCost+1 any true sum <= bestCost completes without an early exit, i.e.
+// exactly.
+func fullSearch(b *searchBlock, rangePx int) (MV, int) {
+	best := MV{}
+	bestCost := b.sad(best, math.MaxInt)
+	for dy := -rangePx; dy <= rangePx; dy++ {
+		for dx := -rangePx; dx <= rangePx; dx++ {
+			if dx == 0 && dy == 0 {
+				continue
+			}
+			c := b.sad(MV{dx, dy}, bestCost+1)
+			if c < bestCost || (c == bestCost && absInt(dx)+absInt(dy) < absInt(best.X)+absInt(best.Y)) {
+				best, bestCost = MV{dx, dy}, c
+			}
+		}
+	}
+	return best, bestCost
+}
+
+func absInt(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
 // refInterCost is the analyzer's inter cost over plain half-res planes.
 func refInterCost(cur, ref *frame.Plane) int64 {
 	deadzone := interDeadzonePerPixel * analysisBlock * analysisBlock
@@ -188,7 +218,7 @@ func TestDiamondSearchMatchesReference(t *testing.T) {
 					}
 					cur, ref := frames[i].Y, frames[i-back].Y
 					if geom.half {
-						cur, ref = Downsample2x(cur), Downsample2x(ref)
+						cur, ref = downsample2x(cur), downsample2x(ref)
 					}
 					curPad, refPad := padPlane(cur, geom.size, geom.rangePx), padPlane(ref, geom.size, geom.rangePx)
 					for by := 0; by < cur.H; by += geom.size {
@@ -319,7 +349,7 @@ func FuzzMotionSearchMatchesReference(f *testing.F) {
 				checkSearches(t, cur, ref, curPad, refPad, bx, by, size, r, pred, corner)
 			}
 		}
-		hc, hr := Downsample2x(cur), Downsample2x(ref)
+		hc, hr := downsample2x(cur), downsample2x(ref)
 		got := interCost(padPlane(hc, analysisBlock, analysisRange), padPlane(hr, analysisBlock, analysisRange), newVisited(analysisRange))
 		if want := refInterCost(hc, hr); got != want {
 			t.Fatalf("%dx%d half-res inter cost %d, reference %d", hc.W, hc.H, got, want)

@@ -188,7 +188,7 @@ func Figure3(ctx context.Context, name synth.PresetName, opts Opts) (Fig3Result,
 
 	tasks := []func(context.Context) (Fig3Series, error){
 		sieveSeries,
-		baselineSeries(vision.NewSIFT(vision.SIFTConfig{})),
+		baselineSeries(vision.NewSIFT()),
 		baselineSeries(vision.NewMSE()),
 	}
 	series, err := runner.MapSlice(ctx, pool, tasks,
@@ -499,7 +499,7 @@ func Table3(ctx context.Context, opts Opts) ([]Table3Row, error) {
 		row.MSEFPS = float64(nFrames) / clk.Now().Sub(start).Seconds()
 
 		// SIFT: decode + keypoints + matching (fewer frames: it is slow).
-		sift := vision.NewSIFT(vision.SIFTConfig{})
+		sift := vision.NewSIFT()
 		dec2, err := codec.NewDecoder(r.Info().CodecParams())
 		if err != nil {
 			return nil, err

@@ -91,7 +91,7 @@ func TestGoldenHarness(t *testing.T) {
 	for _, a := range assets {
 		costs[a.Name] = fixed
 	}
-	results, err := evaluateGrid(ctx, runner.Sequential(), []int{1, 3, 5}, assets, costs)
+	results, err := evaluateGrid(ctx, runner.New(1), []int{1, 3, 5}, assets, costs)
 	if err != nil {
 		t.Fatal(err)
 	}

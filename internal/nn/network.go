@@ -36,12 +36,3 @@ func (n *Network) Stats() []LayerStats {
 	}
 	return out
 }
-
-// TotalFLOPs sums the network's compute cost.
-func (n *Network) TotalFLOPs() int64 {
-	var total int64
-	for _, s := range n.Stats() {
-		total += s.FLOPs
-	}
-	return total
-}

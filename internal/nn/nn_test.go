@@ -274,11 +274,16 @@ func TestNetworkStatsConsistency(t *testing.T) {
 	if last.Out.C != 3 {
 		t.Fatalf("final channels %d, want 3", last.Out.C)
 	}
-	if d.Network().TotalFLOPs() <= 0 {
+	var flops int64
+	for _, s := range stats {
+		flops += s.FLOPs
+	}
+	if flops <= 0 {
 		t.Fatal("zero FLOPs")
 	}
-	if d.GridSize() != last.Out.H {
-		t.Fatalf("grid %d != %d", d.GridSize(), last.Out.H)
+	// The detection grid is square.
+	if last.Out.H != last.Out.W {
+		t.Fatalf("grid %d×%d is not square", last.Out.W, last.Out.H)
 	}
 }
 

@@ -9,11 +9,6 @@ import (
 type TrainConfig struct {
 	// Epochs over the collected cell dataset (default 40).
 	Epochs int
-	// LR is the SGD learning rate (default 0.02).
-	LR float32
-	// BackgroundRatio caps background cells at this multiple of the
-	// positive cell count (default 3).
-	BackgroundRatio float64
 	// Seed drives background subsampling and shuffling.
 	Seed uint64
 }
@@ -22,13 +17,15 @@ func (c *TrainConfig) fill() {
 	if c.Epochs <= 0 {
 		c.Epochs = 40
 	}
-	if c.LR <= 0 {
-		c.LR = 0.02
-	}
-	if c.BackgroundRatio <= 0 {
-		c.BackgroundRatio = 3
-	}
 }
+
+const (
+	// trainLR is the SGD learning rate of the first epoch.
+	trainLR float32 = 0.02
+	// trainBackgroundRatio caps the easy background cells at this multiple
+	// of the positive cell count.
+	trainBackgroundRatio = 3
+)
 
 // TrainReport summarises a training run.
 type TrainReport struct {
@@ -239,9 +236,9 @@ func (d *YOLite) labelCells(lf LabeledFrame, grid int) []int {
 
 // subsampleBackground keeps every positive and every hard negative, and
 // randomly thins the remaining (easy, far-from-object) background down to
-// BackgroundRatio × positives.
+// trainBackgroundRatio × positives.
 func subsampleBackground(samples []cellSample, positives int, cfg TrainConfig) []cellSample {
-	budget := int(cfg.BackgroundRatio * float64(positives))
+	budget := int(trainBackgroundRatio * float64(positives))
 	easy := 0
 	for _, s := range samples {
 		if s.class == 0 && !s.hard {
@@ -286,7 +283,7 @@ func (d *YOLite) sgd(samples []cellSample, cfg TrainConfig) {
 			j := int(rng.next() % uint64(i+1))
 			order[i], order[j] = order[j], order[i]
 		}
-		lr := cfg.LR / (1 + float32(0.05*float32(epoch)))
+		lr := trainLR / (1 + float32(0.05*float32(epoch)))
 		for _, idx := range order {
 			s := samples[idx]
 			headForward(h1, h2, s.feat, hidden, probs)

@@ -33,7 +33,7 @@ type YOLite struct {
 type Detection struct {
 	Class string
 	Prob  float32
-	// CellX, CellY are grid coordinates (GridSize is the grid width).
+	// CellX, CellY are grid coordinates.
 	CellX, CellY int
 }
 
@@ -70,15 +70,6 @@ func (d *YOLite) Classes() []string { return d.classes[1:] }
 
 // Network exposes the underlying network (for partitioning and summaries).
 func (d *YOLite) Network() *Network { return d.net }
-
-// GridSize returns the detection grid edge length.
-func (d *YOLite) GridSize() int {
-	s := d.net.Input
-	for _, l := range d.net.Layers {
-		s = l.OutShape(s)
-	}
-	return s.H
-}
 
 // Detect runs the network on one frame and returns all cells above
 // threshold. It is a batch of one through a throwaway Inference context;

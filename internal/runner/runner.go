@@ -38,10 +38,6 @@ func New(n int) *Pool {
 	return &Pool{workers: n}
 }
 
-// Sequential returns a one-worker pool: fan-outs degrade to plain loops
-// with the exact scheduling of the pre-pool code.
-func Sequential() *Pool { return New(1) }
-
 // Workers reports the pool's concurrency bound.
 func (p *Pool) Workers() int {
 	if p == nil || p.workers <= 0 {

@@ -140,7 +140,7 @@ func TestMapParentCancellation(t *testing.T) {
 func TestMapSequentialFastPath(t *testing.T) {
 	// One worker must execute strictly in order with no goroutines.
 	var order []int
-	out, err := Map(context.Background(), Sequential(), 10, func(_ context.Context, i int) (int, error) {
+	out, err := Map(context.Background(), New(1), 10, func(_ context.Context, i int) (int, error) {
 		order = append(order, i) // safe: sequential path is single-threaded
 		return i, nil
 	})
@@ -179,9 +179,6 @@ func TestWorkers(t *testing.T) {
 	}
 	if New(0).Workers() < 1 || (*Pool)(nil).Workers() < 1 {
 		t.Fatal("defaulted worker count must be positive")
-	}
-	if Sequential().Workers() != 1 {
-		t.Fatal("Sequential should bound to one worker")
 	}
 }
 

@@ -20,7 +20,7 @@ type Stage string
 const (
 	// StagePull covers FrameSource.Next — waiting on the camera.
 	StagePull Stage = "pull"
-	// StageEncode covers SemanticEncoder.EncodeInto.
+	// StageEncode covers the session's encode and its stream write.
 	StageEncode Stage = "encode"
 	// StageFilter marks a frame passing the I-frame filter (the paper's
 	// candidate-event signal); P/B frames are filtered out and get no span.

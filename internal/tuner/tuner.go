@@ -99,16 +99,10 @@ type Result struct {
 	Samples []int `json:"-"`
 }
 
-// AnalyzeCosts runs the codec's lookahead analyzer over the whole video.
-// One pass serves every configuration in the sweep.
-func AnalyzeCosts(src Source) []codec.Cost {
-	out, _ := AnalyzeCostsContext(context.Background(), src) // cannot fail
-	return out
-}
-
-// AnalyzeCostsContext is AnalyzeCosts with between-frame cancellation —
-// the analysis pass is the long-running part of tuning, so this is where a
-// deadline has to be able to interrupt.
+// AnalyzeCostsContext runs the codec's lookahead analyzer over the whole
+// video; one pass serves every configuration in the sweep. It checks ctx
+// between frames — the analysis pass is the long-running part of tuning, so
+// this is where a deadline has to be able to interrupt.
 func AnalyzeCostsContext(ctx context.Context, src Source) ([]codec.Cost, error) {
 	an := codec.NewCostAnalyzer()
 	out := make([]codec.Cost, src.NumFrames())

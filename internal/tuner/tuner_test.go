@@ -7,9 +7,20 @@ import (
 
 	"os"
 
+	"sieve/internal/codec"
 	"sieve/internal/frame"
 	"sieve/internal/synth"
 )
+
+// analyzeCosts is AnalyzeCostsContext with no deadline.
+func analyzeCosts(tb testing.TB, src Source) []codec.Cost {
+	tb.Helper()
+	costs, err := AnalyzeCostsContext(context.Background(), src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return costs
+}
 
 // tunerClip builds a labelled clip with clear events. Pacing mirrors real
 // surveillance: crossings of ~30 frames separated by long idle gaps, so the
@@ -51,7 +62,7 @@ func TestReplayMatchesEncoding(t *testing.T) {
 	// The central tuner invariant: replaying decisions from one analysis
 	// pass gives exactly the placement the real encoder produces.
 	v := tunerClip(t, 120, 3)
-	costs := AnalyzeCosts(v)
+	costs := analyzeCosts(t, v)
 	configs := []Config{
 		{GOP: 30, Scenecut: 0},
 		{GOP: 40, Scenecut: 100},
@@ -81,7 +92,7 @@ func TestReplayMatchesEncoding(t *testing.T) {
 func TestTunedBeatsDefaultF1(t *testing.T) {
 	v := tunerClip(t, 1200, 7)
 	track := v.Track()
-	costs := AnalyzeCosts(v)
+	costs := analyzeCosts(t, v)
 	results, best := RunSweep(costs, track, DefaultSweep(), 1)
 	if len(results) != 25 {
 		t.Fatalf("results %d", len(results))
@@ -130,7 +141,7 @@ func TestTuneValidation(t *testing.T) {
 
 func TestReplayRespectsMinGOP(t *testing.T) {
 	v := tunerClip(t, 100, 5)
-	costs := AnalyzeCosts(v)
+	costs := analyzeCosts(t, v)
 	cfg := Config{GOP: 1000, Scenecut: 400} // fires on any motion
 	free := ReplayPlacement(costs, cfg, 1)
 	spaced := ReplayPlacement(costs, cfg, 25)
@@ -202,7 +213,7 @@ func TestEvaluateAtEventStarts(t *testing.T) {
 
 func TestAnalyzeCostsLength(t *testing.T) {
 	v := tunerClip(t, 37, 17)
-	costs := AnalyzeCosts(v)
+	costs := analyzeCosts(t, v)
 	if len(costs) != 37 {
 		t.Fatalf("costs length %d", len(costs))
 	}
@@ -224,7 +235,7 @@ func BenchmarkReplaySweep25(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	costs := AnalyzeCosts(v)
+	costs := analyzeCosts(b, v)
 	track := v.Track()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,33 +7,18 @@ import (
 	"sieve/internal/frame"
 )
 
-// SIFTConfig tunes the SIFT-lite detector. Zero values select defaults.
-type SIFTConfig struct {
-	// Octaves is the number of pyramid octaves (default 3).
-	Octaves int
-	// ContrastThresh rejects weak DoG extrema (default 6).
-	ContrastThresh float64
-	// MaxKeypoints caps the per-frame keypoint count, keeping descriptor
-	// matching tractable (default 256; strongest responses win).
-	MaxKeypoints int
-	// MatchRatio is Lowe's nearest/second-nearest ratio test (default 0.8).
-	MatchRatio float64
-}
-
-func (c *SIFTConfig) fill() {
-	if c.Octaves <= 0 {
-		c.Octaves = 3
-	}
-	if c.ContrastThresh <= 0 {
-		c.ContrastThresh = 6
-	}
-	if c.MaxKeypoints <= 0 {
-		c.MaxKeypoints = 256
-	}
-	if c.MatchRatio <= 0 {
-		c.MatchRatio = 0.8
-	}
-}
+// The SIFT-lite detector's settings.
+const (
+	// siftOctaves is the number of pyramid octaves.
+	siftOctaves = 3
+	// siftContrastThresh rejects weak DoG extrema.
+	siftContrastThresh = 6
+	// siftMaxKeypoints caps the per-frame keypoint count, keeping
+	// descriptor matching tractable (strongest responses win).
+	siftMaxKeypoints = 256
+	// siftMatchRatio is Lowe's nearest/second-nearest ratio test.
+	siftMatchRatio = 0.8
+)
 
 // Keypoint is a detected DoG extremum.
 type Keypoint struct {
@@ -57,18 +42,14 @@ type Descriptor [128]float32
 // objects contribute few or none, which is exactly the baseline's weakness
 // the paper reports on the Coral Reef and Venice feeds.
 type SIFTDetector struct {
-	cfg      SIFTConfig
 	prevDesc []Descriptor
 	started  bool
 }
 
 var _ Detector = (*SIFTDetector)(nil)
 
-// NewSIFT builds a detector with the given (or default) configuration.
-func NewSIFT(cfg SIFTConfig) *SIFTDetector {
-	cfg.fill()
-	return &SIFTDetector{cfg: cfg}
-}
+// NewSIFT builds a detector.
+func NewSIFT() *SIFTDetector { return &SIFTDetector{} }
 
 // Name implements Detector.
 func (d *SIFTDetector) Name() string { return "sift" }
@@ -81,7 +62,7 @@ func (d *SIFTDetector) Reset() {
 
 // Score implements Detector.
 func (d *SIFTDetector) Score(f *frame.YUV) float64 {
-	_, desc := DetectAndDescribe(f.Y, d.cfg)
+	_, desc := DetectAndDescribe(f.Y)
 	if !d.started {
 		d.started = true
 		d.prevDesc = desc
@@ -93,19 +74,18 @@ func (d *SIFTDetector) Score(f *frame.YUV) float64 {
 	if total == 0 {
 		return 0
 	}
-	ab := MatchDescriptors(prev, desc, d.cfg.MatchRatio)
-	ba := MatchDescriptors(desc, prev, d.cfg.MatchRatio)
+	ab := MatchDescriptors(prev, desc, siftMatchRatio)
+	ba := MatchDescriptors(desc, prev, siftMatchRatio)
 	return 1 - float64(ab+ba)/float64(total)
 }
 
 // DetectAndDescribe finds DoG keypoints in a luma plane and computes their
 // descriptors.
-func DetectAndDescribe(p *frame.Plane, cfg SIFTConfig) ([]Keypoint, []Descriptor) {
-	cfg.fill()
+func DetectAndDescribe(p *frame.Plane) ([]Keypoint, []Descriptor) {
 	var kps []Keypoint
 	level := toFloat(p)
 	scale := 1
-	for oct := 0; oct < cfg.Octaves; oct++ {
+	for oct := 0; oct < siftOctaves; oct++ {
 		if level.w < 16 || level.h < 16 {
 			break
 		}
@@ -114,14 +94,14 @@ func DetectAndDescribe(p *frame.Plane, cfg SIFTConfig) ([]Keypoint, []Descriptor
 		g3 := gaussBlur(level, 2.2)
 		d1 := subPlanes(g2, g1)
 		d2 := subPlanes(g3, g2)
-		kps = append(kps, findExtrema(d1, d2, oct, scale, cfg.ContrastThresh)...)
+		kps = append(kps, findExtrema(d1, d2, oct, scale, siftContrastThresh)...)
 		level = halveFloat(g2)
 		scale *= 2
 	}
 	// Keep the strongest keypoints.
 	sort.Slice(kps, func(i, j int) bool { return kps[i].Response > kps[j].Response })
-	if len(kps) > cfg.MaxKeypoints {
-		kps = kps[:cfg.MaxKeypoints]
+	if len(kps) > siftMaxKeypoints {
+		kps = kps[:siftMaxKeypoints]
 	}
 	descs := make([]Descriptor, len(kps))
 	for i, kp := range kps {

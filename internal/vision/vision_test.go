@@ -62,7 +62,7 @@ func TestMSESpikesOnObjectEntry(t *testing.T) {
 
 func TestSIFTDetectsLargeObject(t *testing.T) {
 	v := testClip(t, 30)
-	d := NewSIFT(SIFTConfig{})
+	d := NewSIFT()
 	var scores []float64
 	for i := 0; i < 30; i++ {
 		scores = append(scores, d.Score(v.Frame(i)))
@@ -90,8 +90,8 @@ func TestSIFTDetectsLargeObject(t *testing.T) {
 func TestSIFTKeypointsOnTexturedObject(t *testing.T) {
 	v := testClip(t, 30)
 	// Object fully visible mid-clip.
-	kpQuiet, _ := DetectAndDescribe(v.Frame(2).Y, SIFTConfig{})
-	kpObj, _ := DetectAndDescribe(v.Frame(15).Y, SIFTConfig{})
+	kpQuiet, _ := DetectAndDescribe(v.Frame(2).Y)
+	kpObj, _ := DetectAndDescribe(v.Frame(15).Y)
 	if len(kpObj) <= len(kpQuiet) {
 		t.Fatalf("object should add keypoints: quiet=%d obj=%d", len(kpQuiet), len(kpObj))
 	}
@@ -99,7 +99,7 @@ func TestSIFTKeypointsOnTexturedObject(t *testing.T) {
 
 func TestSIFTDescriptorNormalised(t *testing.T) {
 	v := testClip(t, 30)
-	_, descs := DetectAndDescribe(v.Frame(15).Y, SIFTConfig{})
+	_, descs := DetectAndDescribe(v.Frame(15).Y)
 	if len(descs) == 0 {
 		t.Fatal("no descriptors")
 	}
@@ -119,7 +119,7 @@ func TestSIFTDescriptorNormalised(t *testing.T) {
 
 func TestSIFTSelfMatch(t *testing.T) {
 	v := testClip(t, 30)
-	_, descs := DetectAndDescribe(v.Frame(15).Y, SIFTConfig{})
+	_, descs := DetectAndDescribe(v.Frame(15).Y)
 	if len(descs) < 4 {
 		t.Skip("not enough descriptors")
 	}
@@ -236,7 +236,7 @@ func TestSIFTWeakOnSmallObject(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := NewSIFT(SIFTConfig{})
+		d := NewSIFT()
 		var entryMax float64
 		for i := 0; i < 14; i++ {
 			s := d.Score(v.Frame(i))
@@ -278,7 +278,7 @@ func BenchmarkSIFTScore(b *testing.B) {
 		b.Fatal(err)
 	}
 	f0, f1 := v.Frame(0), v.Frame(1)
-	d := NewSIFT(SIFTConfig{})
+	d := NewSIFT()
 	d.Score(f0)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/infer"
 	"sieve/internal/telemetry"
@@ -266,7 +267,8 @@ func WithSink(ws io.WriteSeeker) SessionOption {
 type Session struct {
 	src    FrameSource
 	cfg    sessionConfig
-	enc    *SemanticEncoder
+	enc    *codec.Encoder
+	w      *container.Writer // the SVF stream enc's payloads are appended to
 	buf    *container.Buffer // non-nil when no external sink was given
 	events chan Event
 
@@ -339,11 +341,18 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 	if fps <= 0 {
 		fps = 1
 	}
-	enc, err := NewSemanticEncoder(sink, params, fps)
+	enc, err := codec.NewEncoder(params)
 	if err != nil {
 		return nil, fmt.Errorf("sieve: session %s: %w", cfg.name, err)
 	}
-	s.enc = enc
+	w, err := container.NewWriter(sink, container.StreamInfo{
+		Width: params.Width, Height: params.Height, FPS: fps,
+		Quality: enc.Params().Quality, GOPSize: params.GOPSize, Scenecut: params.Scenecut,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("sieve: session %s: %w", cfg.name, err)
+	}
+	s.enc, s.w = enc, w
 	// Inference wiring: WithDetector is sugar for a private batch-of-1
 	// plane, so per-frame and batched detection share one code path. Its
 	// counters go to a private registry, not the owner's: only a shared
@@ -446,7 +455,7 @@ func (s *Session) Run(ctx context.Context) (err error) {
 	// keeps that property: counter updates are atomic adds on
 	// pre-registered instruments, and span handles are stack values whose
 	// storage is amortised inside the tracer.
-	var ef EncodedFrame
+	var ef codec.EncodedFrame
 	gaps, _ := s.src.(gapSource)
 	for {
 		// The encoder numbers frames sequentially, so the frame about to be
@@ -467,6 +476,9 @@ func (s *Session) Run(ctx context.Context) (err error) {
 		}
 		encSp := s.trace.Start(telemetry.StageEncode, next)
 		if err := s.enc.EncodeInto(f, &ef); err != nil {
+			return fmt.Errorf("sieve: session %s: %w", s.cfg.name, err)
+		}
+		if err := s.w.WriteEncoded(&ef); err != nil {
 			return fmt.Errorf("sieve: session %s: %w", s.cfg.name, err)
 		}
 		encSp.End()
@@ -497,7 +509,7 @@ func (s *Session) Run(ctx context.Context) (err error) {
 				// frame, the pixels any decoder of the payload produces, in
 				// place: the plane only reads it until Infer returns, and the
 				// next encode, which rewrites it, comes after that.
-				set, err := inferC.Infer(ctx, s.enc.recon())
+				set, err := inferC.Infer(ctx, s.enc.Recon())
 				if err != nil {
 					return err
 				}
@@ -519,7 +531,7 @@ func (s *Session) Run(ctx context.Context) (err error) {
 		// DESIGN.md.
 		runtime.Gosched()
 	}
-	if err := s.enc.Close(); err != nil {
+	if err := s.w.Close(); err != nil {
 		return fmt.Errorf("sieve: session %s: closing stream: %w", s.cfg.name, err)
 	}
 	s.mu.Lock()
@@ -568,7 +580,7 @@ func (s *Session) salvage() bool {
 	if !s.ran {
 		return false
 	}
-	if err := s.enc.Close(); err != nil {
+	if err := s.w.Close(); err != nil {
 		return false
 	}
 	s.finished = true

@@ -8,7 +8,9 @@
 //     Events; a Hub multiplexes many concurrent feeds with per-feed
 //     isolation. Batch helpers (EncodeStream) are thin wrappers over a
 //     Session, so live and recorded traffic share one code path.
-//   - SemanticEncoder / Decoder: the tunable video codec (scenecut + GOP).
+//   - PushSource + Session / NewDecoder, OpenStream: the tunable video
+//     codec (scenecut + GOP) — a Session encodes whatever is pushed into
+//     its source, and the decoder and stream reader take it back apart.
 //   - IFrameSeeker: I-frame extraction from stream metadata, no decoding.
 //   - Tune: the offline parameter sweep producing per-camera configs.
 //   - Detector: the YOLite reference NN, with Neurosurgeon-style
@@ -46,8 +48,6 @@ type (
 	FrameType = codec.FrameType
 	// EncoderParams configures the semantic encoder.
 	EncoderParams = codec.Params
-	// EncodedFrame is one compressed frame with its decision costs.
-	EncodedFrame = codec.EncodedFrame
 	// StreamInfo is the container header.
 	StreamInfo = container.StreamInfo
 	// FrameMeta is one stream-index record (what the seeker reads).
@@ -69,73 +69,6 @@ const (
 	FrameI = codec.FrameI
 	FrameP = codec.FrameP
 )
-
-// SemanticEncoder compresses frames with the SiEVE-tuned I-frame placement
-// rule and writes them into a seekable SVF stream.
-type SemanticEncoder struct {
-	enc *codec.Encoder
-	w   *container.Writer
-}
-
-// NewSemanticEncoder creates an encoder writing to ws (any io.WriteSeeker;
-// container.Buffer or an *os.File both work). fps is the nominal capture
-// rate recorded in the header.
-func NewSemanticEncoder(ws io.WriteSeeker, p EncoderParams, fps int) (*SemanticEncoder, error) {
-	enc, err := codec.NewEncoder(p)
-	if err != nil {
-		return nil, err
-	}
-	w, err := container.NewWriter(ws, container.StreamInfo{
-		Width: p.Width, Height: p.Height, FPS: fps,
-		Quality: enc.Params().Quality, GOPSize: p.GOPSize, Scenecut: p.Scenecut,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &SemanticEncoder{enc: enc, w: w}, nil
-}
-
-// Encode compresses and appends one frame, returning its type and size.
-// The returned EncodedFrame is freshly allocated; streaming hot paths that
-// call per frame should prefer EncodeInto with a reused EncodedFrame.
-func (e *SemanticEncoder) Encode(f *Frame) (*EncodedFrame, error) {
-	ef := &EncodedFrame{}
-	if err := e.EncodeInto(f, ef); err != nil {
-		return nil, err
-	}
-	return ef, nil
-}
-
-// EncodeInto compresses and appends one frame into ef, reusing ef.Data's
-// capacity — the allocation-free steady-state path (see codec.EncodeInto).
-// The payload is written to the stream before EncodeInto returns, so ef is
-// purely an output/report structure the caller may reuse every frame.
-func (e *SemanticEncoder) EncodeInto(f *Frame, ef *EncodedFrame) error {
-	if err := e.enc.EncodeInto(f, ef); err != nil {
-		return err
-	}
-	return e.w.WriteEncoded(ef)
-}
-
-// Close finalises the stream index.
-func (e *SemanticEncoder) Close() error { return e.w.Close() }
-
-// ForceNextI makes the next encoded frame an I-frame regardless of the
-// GOP/scenecut decision. The network ingest plane calls this at stream
-// discontinuities (reconnect gaps, shed frames): a P-frame there would
-// predict from a reference the stored stream's decoder never saw. The
-// flag is consumed by the next encode and affects nothing else.
-func (e *SemanticEncoder) ForceNextI() { e.enc.ForceNextI() }
-
-// Params returns the encoder's normalised parameters.
-func (e *SemanticEncoder) Params() EncoderParams { return e.enc.Params() }
-
-// recon is the reconstruction of the last encoded frame, what every decoder
-// of the stream produces for it (codec.Encoder.Recon): the encoder's own
-// reference buffer, read-only and valid until the next encode.
-//
-//sieve:noalloc view accessor of the session's detection path
-func (e *SemanticEncoder) recon() *Frame { return e.enc.Recon() }
 
 // OpenStream parses an SVF stream for reading and seeking.
 func OpenStream(ra io.ReaderAt, size int64) (*container.Reader, error) {

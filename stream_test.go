@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sieve/internal/codec"
 	"sieve/internal/container"
 	"sieve/internal/frame"
 	"sieve/internal/synth"
@@ -33,6 +34,39 @@ func smallDataset(t *testing.T) *Dataset {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// encodeReference writes every frame of v into an SVF stream with
+// codec.Encoder and container.Writer directly: the reference the session
+// and hub streams are checked against, sharing no code with the session's
+// encode loop.
+func encodeReference(t *testing.T, v *Dataset, p EncoderParams) *container.Buffer {
+	t.Helper()
+	enc, err := codec.NewEncoder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := &container.Buffer{}
+	w, err := container.NewWriter(buf, container.StreamInfo{
+		Width: p.Width, Height: p.Height, FPS: v.Spec().FPS,
+		Quality: enc.Params().Quality, GOPSize: p.GOPSize, Scenecut: p.Scenecut,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < v.NumFrames(); i++ {
+		ef, err := enc.Encode(v.Frame(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteEncoded(ef); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf
 }
 
 // drainLog runs a session to completion, returning the rendered event log.
@@ -103,21 +137,9 @@ func TestSessionMatchesBatchSeeker(t *testing.T) {
 	spec := v.Spec()
 	params := DefaultParams(spec.Width, spec.Height)
 
-	// Batch path: the pre-streaming flow, frame loop over SemanticEncoder.
-	var batchBuf container.Buffer
-	enc, err := NewSemanticEncoder(&batchBuf, params, spec.FPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < v.NumFrames(); i++ {
-		if _, err := enc.Encode(v.Frame(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	br, err := OpenStream(&batchBuf, batchBuf.Size())
+	// Batch path: the pre-streaming flow, a frame loop over the codec.
+	batchBuf := encodeReference(t, v, params)
+	br, err := OpenStream(batchBuf, batchBuf.Size())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,19 +172,7 @@ func TestEncodeStreamMatchesManualEncode(t *testing.T) {
 	spec := v.Spec()
 	params := DefaultParams(spec.Width, spec.Height)
 
-	var manual container.Buffer
-	enc, err := NewSemanticEncoder(&manual, params, spec.FPS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < v.NumFrames(); i++ {
-		if _, err := enc.Encode(v.Frame(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := enc.Close(); err != nil {
-		t.Fatal(err)
-	}
+	manual := encodeReference(t, v, params)
 
 	var streamed container.Buffer
 	stats, err := EncodeStream(context.Background(), NewSynthSource(v), &streamed,
