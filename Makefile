@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBufferMatchesReference -fuzztime=10s ./internal/container/
 	$(GO) test -run='^$$' -fuzz=FuzzTransformMatchesReference -fuzztime=10s ./internal/transform/
 	$(GO) test -run='^$$' -fuzz=FuzzSADMatchesReference -fuzztime=10s ./internal/frame/
+	$(GO) test -run='^$$' -fuzz=FuzzSADx4MatchesReference -fuzztime=10s ./internal/frame/
 	$(GO) test -run='^$$' -fuzz=FuzzConvMatchesReference -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeActivationRecord -fuzztime=10s ./internal/nn/
 	$(GO) test -run='^$$' -fuzz=FuzzReLUMatchesReference -fuzztime=10s ./internal/nn/
@@ -164,9 +165,10 @@ test-fma:
 
 # The portable path run, not only compiled: the packages with amd64
 # assembly (nn, transform, frame) and the codec, bitstream and container
-# around them, tested as a 32-bit x86 build, where haveSSE2 and haveAVX2
+# around them, tested as a 32-bit x86 build, where haveSSE2 and cpu.AVX2
 # are false and every golden fixture and oracle test goes through the Go
-# kernels that non-amd64 builds ship.
+# kernels that non-amd64 builds ship (SADx4's four sadRowsGo sums
+# included).
 PORTABLE_PKGS = ./internal/nn/ ./internal/codec/ ./internal/bitstream/ \
                 ./internal/transform/ ./internal/frame/ ./internal/container/
 
@@ -183,9 +185,10 @@ bench:
 # the cost analysis of that edge_quiet content), the bounded
 # SAD, the motion search at the frame's right edge and corner (/padded, the
 # encoder's, vs /clamped, the oracle), and the kernels under them (DCT
-# pair, quantiser, 16×16 SAD; each as /kernel, what Forward, Inverse,
-# Quantize and SAD run — the SSE2 assembly on amd64 — and /go, the Go
-# kernel). -benchmem:
+# pair, quantiser, 16×16 SAD, the four-candidate SAD at 16×16 and 8×8;
+# each as /kernel, what Forward, Inverse, Quantize, SAD and SADx4 run — the
+# assembly on amd64, AVX2 where the CPU has it — and /go, the Go kernel).
+# -benchmem:
 # allocs/op must read 0 on every row. ns/op here tells which kernel moved;
 # wall-clock claims are made with bench/ (make bench-e2e), on alternated
 # parent/change pairs — the reference box has 2 vCPUs and a run-to-run
@@ -196,12 +199,12 @@ BENCH_CODEC = '^(BenchmarkEncodeP|BenchmarkEncodeQuiet|BenchmarkDecodeInto|Bench
 bench-codec:
 	$(GO) test -run='^$$' -bench=$(BENCH_CODEC) -benchmem ./internal/codec/
 	$(GO) test -run='^$$' -bench='^(BenchmarkForwardDCT|BenchmarkInverseDCT|BenchmarkQuantize)' -benchmem ./internal/transform/
-	$(GO) test -run='^$$' -bench='^BenchmarkSAD16x16' -benchmem ./internal/frame/
+	$(GO) test -run='^$$' -bench='^(BenchmarkSAD16x16|BenchmarkSADx4)' -benchmem ./internal/frame/
 
 bench-codec-smoke:
 	$(GO) test -run='^$$' -bench=$(BENCH_CODEC) -benchtime=1x -benchmem ./internal/codec/
 	$(GO) test -run='^$$' -bench='^(BenchmarkForwardDCT|BenchmarkInverseDCT|BenchmarkQuantize)' -benchtime=1x -benchmem ./internal/transform/
-	$(GO) test -run='^$$' -bench='^BenchmarkSAD16x16' -benchtime=1x -benchmem ./internal/frame/
+	$(GO) test -run='^$$' -bench='^(BenchmarkSAD16x16|BenchmarkSADx4)' -benchtime=1x -benchmem ./internal/frame/
 
 # Multi-site cluster micro-benchmark: feeds/sec for a fixed 4-camera fleet
 # at K=1,2,4 edge sites (encode + shard bookkeeping + uplink metering +

@@ -126,24 +126,29 @@ func TestAnalyzeSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestReferencePlaneBytes pins what the padded references cost: the exact
-// bytes of the encoder's two reference frames and the analyzer's two
-// half-res planes, once one frame has allocated the latter. Only luma is
-// padded, and only by the search range on the left and top and by the
-// range plus the last block's overhang on the right and bottom; a border
-// that grows, or spreads to chroma, moves these numbers.
+// bytes of the encoder's two reference frames and, once one frame has
+// allocated them, the analyzer's two half-res planes — none at scenecut 0,
+// where the encoder runs no analysis. Only luma is padded, and only by the
+// search range on the left and top and by the range plus the last block's
+// overhang on the right and bottom; a border that grows, or spreads to
+// chroma, moves these numbers, and so does an analyzer built where nothing
+// reads its costs.
 func TestReferencePlaneBytes(t *testing.T) {
 	for _, c := range []struct {
 		w, h          int
+		scenecut      float64
 		refs, analyze int
 	}{
 		// Luma (16+600+24)×(16+400+16), chroma 2·300×200, twice;
 		// half-res (8+300+12)×(8+200+8), twice.
-		{600, 400, 2 * (640*432 + 2*300*200), 2 * 320 * 216},
+		{600, 400, 40, 2 * (640*432 + 2*300*200), 2 * 320 * 216},
+		{600, 400, 0, 2 * (640*432 + 2*300*200), 0},
 		// Luma (16+320+16)×(16+240+16), chroma 2·160×120, twice;
 		// half-res (8+160+8)×(8+120+8), twice.
-		{320, 240, 2 * (352*272 + 2*160*120), 2 * 176 * 136},
+		{320, 240, 250, 2 * (352*272 + 2*160*120), 2 * 176 * 136},
+		{320, 240, 0, 2 * (352*272 + 2*160*120), 0},
 	} {
-		enc, err := NewEncoder(Params{Width: c.w, Height: c.h, GOPSize: 25})
+		enc, err := NewEncoder(Params{Width: c.w, Height: c.h, GOPSize: 25, Scenecut: c.scenecut})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,10 +159,13 @@ func TestReferencePlaneBytes(t *testing.T) {
 		for _, r := range []*reference{enc.recon, enc.scratch} {
 			refs += cap(r.luma.buf) + cap(r.Cb.Pix) + cap(r.Cr.Pix)
 		}
-		analyze := cap(enc.analyzer.half[0].buf) + cap(enc.analyzer.half[1].buf)
+		analyze := 0
+		if enc.analyzer != nil {
+			analyze = cap(enc.analyzer.half[0].buf) + cap(enc.analyzer.half[1].buf)
+		}
 		if refs != c.refs || analyze != c.analyze {
-			t.Errorf("%dx%d at range 16: reference frames %d B, analyzer planes %d B; want %d and %d",
-				c.w, c.h, refs, analyze, c.refs, c.analyze)
+			t.Errorf("%dx%d at range 16, scenecut %g: reference frames %d B, analyzer planes %d B; want %d and %d",
+				c.w, c.h, c.scenecut, refs, analyze, c.refs, c.analyze)
 		}
 	}
 }

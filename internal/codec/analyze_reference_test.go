@@ -126,8 +126,8 @@ func randomFrames(rng *rand.Rand, w, h, n int) []*frame.YUV {
 }
 
 // TestAnalyzeMatchesReference runs checkAnalyze on the quiet scene at
-// 600×400 (and requires every EncodedFrame's IntraCost and InterCost to
-// equal the reference's), on random frames of odd sizes, of planes one
+// 600×400 (and requires every EncodedFrame's IntraCost and InterCost, from
+// an encoder at a scenecut that reads them, to equal the reference's), on random frames of odd sizes, of planes one
 // pixel wide or high, and of half-res widths on both sides of 16 (the SSE2
 // row's width) and of multiples of 8 (the block's); then holds each kernel
 // — dispatcher, Go kernel and, on amd64, SSE2 — to the textbook loop on
@@ -135,7 +135,7 @@ func randomFrames(rng *rand.Rand, w, h, n int) []*frame.YUV {
 func TestAnalyzeMatchesReference(t *testing.T) {
 	quiet := quietFrames(t, 6)
 	checkAnalyze(t, quiet)
-	enc, err := NewEncoder(Params{Width: 600, Height: 400, GOPSize: 25, Scenecut: 0})
+	enc, err := NewEncoder(Params{Width: 600, Height: 400, GOPSize: 25, Scenecut: 40})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,9 +114,8 @@ func (p *Params) normalize() error {
 	return nil
 }
 
-// EncodedFrame is one compressed frame plus the side information the SiEVE
-// tuner and seeker rely on: its type, and the analysis costs that drove the
-// I/P decision.
+// EncodedFrame is one compressed frame, its number and type, and the
+// analysis costs that drove its I/P decision.
 type EncodedFrame struct {
 	// Number is the display/encode order index, starting at 0.
 	Number int
@@ -126,7 +125,9 @@ type EncodedFrame struct {
 	// the stream Params).
 	Data []byte
 	// IntraCost and InterCost are the half-resolution analysis costs used
-	// for the scenecut decision (InterCost == IntraCost on frame 0).
+	// for the scenecut decision (InterCost == IntraCost on frame 0). Both
+	// are 0 when the stream's Scenecut is 0: the encoder then runs no
+	// analysis, because the decision does not read it.
 	IntraCost, InterCost int64
 }
 

@@ -22,12 +22,12 @@ const intraShift = 128
 // naive in-place scheme needs, so steady-state encoding allocates nothing.
 type Encoder struct {
 	p        Params
-	analyzer *CostAnalyzer
-	recon    *reference // reconstruction of the last encoded frame
-	scratch  *reference // ping-pong partner for P-frame reconstruction
-	num      int        // next frame number
-	sinceI   int        // frames since last I-frame (0 right after an I)
-	forceI   bool       // next EncodeInto must place an I-frame (see ForceNextI)
+	analyzer *CostAnalyzer // nil when Scenecut is 0: nothing reads the costs
+	recon    *reference    // reconstruction of the last encoded frame
+	scratch  *reference    // ping-pong partner for P-frame reconstruction
+	num      int           // next frame number
+	sinceI   int           // frames since last I-frame (0 right after an I)
+	forceI   bool          // next EncodeInto must place an I-frame (see ForceNextI)
 	bc       *blockCoder
 	w        *bitstream.Writer
 	seen     *visited              // motion-search scratch, sized for searchRange
@@ -59,15 +59,18 @@ func NewEncoder(p Params) (*Encoder, error) {
 	if err := p.normalize(); err != nil {
 		return nil, err
 	}
-	return &Encoder{
-		p:        p,
-		analyzer: NewCostAnalyzer(),
-		recon:    newReference(p),
-		scratch:  newReference(p),
-		bc:       newBlockCoder(p.Quality),
-		w:        bitstream.NewWriter(p.Width * p.Height / 4),
-		seen:     newVisited(searchRange),
-	}, nil
+	e := &Encoder{
+		p:       p,
+		recon:   newReference(p),
+		scratch: newReference(p),
+		bc:      newBlockCoder(p.Quality),
+		w:       bitstream.NewWriter(p.Width * p.Height / 4),
+		seen:    newVisited(searchRange),
+	}
+	if p.Scenecut > 0 {
+		e.analyzer = NewCostAnalyzer()
+	}
+	return e, nil
 }
 
 // Params returns the encoder's normalised parameters.
@@ -108,7 +111,7 @@ func (e *Encoder) Encode(f *frame.YUV) (*EncodedFrame, error) {
 //
 //sieve:noalloc steady-state P-frame path pinned to 0 allocs/op by alloc_test.go
 func (e *Encoder) EncodeInto(f *frame.YUV, ef *EncodedFrame) error {
-	cost := e.analyzer.Analyze(f)
+	cost := e.analyze(f)
 	dist := 0
 	if e.num > 0 {
 		dist = e.sinceI + 1 // distance this frame would have from last I
@@ -132,7 +135,7 @@ func (e *Encoder) ForceNextI() { e.forceI = true }
 // EncodeForced compresses the next frame with a caller-chosen type,
 // bypassing the decision rule (frame 0 must still be an I-frame).
 func (e *Encoder) EncodeForced(f *frame.YUV, ft FrameType) (*EncodedFrame, error) {
-	cost := e.analyzer.Analyze(f)
+	cost := e.analyze(f)
 	if e.num == 0 && ft != FrameI {
 		return nil, fmt.Errorf("codec: frame 0 must be an I-frame")
 	}
@@ -141,6 +144,18 @@ func (e *Encoder) EncodeForced(f *frame.YUV, ft FrameType) (*EncodedFrame, error
 		return nil, err
 	}
 	return ef, nil
+}
+
+// analyze returns f's scenecut costs, or zero costs without running the
+// analysis when Scenecut is 0: DecideType reads the costs only at a
+// positive threshold, so they would decide nothing.
+//
+//sieve:noalloc per-frame cost scan, skipped when nothing reads it
+func (e *Encoder) analyze(f *frame.YUV) Cost {
+	if e.analyzer == nil {
+		return Cost{}
+	}
+	return e.analyzer.Analyze(f)
 }
 
 //sieve:noalloc shared by EncodeInto; error branches are cold

@@ -69,7 +69,7 @@ func BenchmarkEncodeQuiet(b *testing.B) {
 		b.Fatal(err)
 	}
 	var ef EncodedFrame
-	const warm = 26 // one full GOP: writer, analyzer and ef.Data reach capacity
+	const warm = 26 // one full GOP: writer and ef.Data reach capacity
 	for i := 0; i < warm; i++ {
 		if err := enc.EncodeInto(frameAt(i), &ef); err != nil {
 			b.Fatal(err)

@@ -16,7 +16,7 @@ var (
 // (x, y) of the current picture, whose rows lie stride bytes apart from
 // cur[0], against the padded reference ref. Every candidate vector the
 // search may choose (|mv| <= the range ref was padded for) addresses rows
-// inside ref's border, so each is costed by one SADRows call with no clamp.
+// inside ref's border, so SADRows and SADx4 cost each with no clamp.
 type searchBlock struct {
 	cur        []byte
 	stride     int
@@ -31,6 +31,18 @@ type searchBlock struct {
 //sieve:noalloc motion-search inner loop with early exit
 func (b *searchBlock) sad(mv MV, bound int) int {
 	return frame.SADRows(b.cur, b.stride, b.ref.from(b.x+mv.X, b.y+mv.Y), b.ref.Stride, b.size, b.size, bound)
+}
+
+// sadx4 sets costs[i] to the block's full SAD against ref displaced by
+// mvs[i].
+//
+//sieve:noalloc motion-search inner loop, four candidates a call
+func (b *searchBlock) sadx4(mvs *[4]MV, costs *[4]int) {
+	var offs [4]int
+	for i, mv := range mvs {
+		offs[i] = b.ref.offset(b.x+mv.X, b.y+mv.Y)
+	}
+	frame.SADx4(b.cur, b.stride, b.ref.buf, b.ref.Stride, &offs, b.size, costs)
 }
 
 func clampMV(v, rangePx int) int {
@@ -71,7 +83,7 @@ func (v *visited) begin() {
 // add puts mv (inside the window) into the set and reports whether it was
 // new.
 func (v *visited) add(mv MV) bool {
-	i := (mv.Y+v.r)*(2*v.r+1) + mv.X + v.r
+	i := v.index(mv)
 	if v.stamp[i] == v.gen {
 		return false
 	}
@@ -79,12 +91,19 @@ func (v *visited) add(mv MV) bool {
 	return true
 }
 
+// has reports whether mv (inside the window) is in the set, without adding
+// it.
+func (v *visited) has(mv MV) bool { return v.stamp[v.index(mv)] == v.gen }
+
+func (v *visited) index(mv MV) int { return (mv.Y+v.r)*(2*v.r+1) + mv.X + v.r }
+
 // diamondSearch finds the motion vector minimising the SAD of b within
 // ±seen.r of (0,0); pred seeds the search (typically the left neighbour's
-// MV). It threads the running best cost into every candidate SAD as an
-// early-exit bound: a candidate only matters if it is strictly better, so
-// the SAD can stop summing rows as soon as the partial sum reaches bestCost
-// without changing which vector wins. The returned cost is always exact — a
+// MV). It threads the running best cost into the single-candidate SADs as
+// an early-exit bound: a candidate only matters if it is strictly better,
+// so the SAD can stop summing rows as soon as the partial sum reaches
+// bestCost without changing which vector wins. The diamonds' candidates
+// are costed four at a time (pass). The returned cost is always exact — a
 // winning candidate's sum completes below the bound by definition.
 func diamondSearch(b *searchBlock, pred MV, seen *visited) (MV, int) {
 	best := MV{}
@@ -104,30 +123,60 @@ func diamondSearch(b *searchBlock, pred MV, seen *visited) (MV, int) {
 	}
 	// Large diamond until the centre wins.
 	for steps := 0; steps < 2*rangePx; steps++ {
-		improved := false
-		for _, d := range largeDiamond {
-			cand := MV{clampMV(best.X+d.X, rangePx), clampMV(best.Y+d.Y, rangePx)}
-			if !seen.add(cand) {
-				continue
-			}
-			if c := b.sad(cand, bestCost); c < bestCost {
-				best, bestCost = cand, c
-				improved = true
-			}
-		}
+		var improved bool
+		best, bestCost, improved = b.pass(largeDiamond, best, bestCost, seen)
 		if !improved {
 			break
 		}
 	}
 	// Small diamond refinement.
-	for _, d := range smallDiamond {
-		cand := MV{clampMV(best.X+d.X, rangePx), clampMV(best.Y+d.Y, rangePx)}
-		if !seen.add(cand) {
-			continue
+	best, bestCost, _ = b.pass(smallDiamond, best, bestCost, seen)
+	return best, bestCost
+}
+
+// pass tries the points of diamond around best in order, each candidate
+// not yet in seen, and moves best to every one that costs less than
+// bestCost — so the points after a move lie around the new centre. It
+// gathers the next four unvisited candidates around the current centre,
+// peeking at seen, costs them with one frame.SADx4 and walks them in order,
+// adding each to seen; at the first that improves, it drops the rest,
+// whose vectors were taken around the old centre, and gathers again after
+// that point. A full SAD is below bestCost exactly when the bounded one is,
+// and every candidate is compared with the bestCost the one-at-a-time walk
+// would hold there, so the pass chooses the same vectors at the same costs.
+// A candidate gathered twice (two points clamped to one vector) is costed
+// once by the walk, as seen.add reports it only once.
+//
+//sieve:noalloc motion-search inner loop, four candidates a call
+func (b *searchBlock) pass(diamond []MV, best MV, bestCost int, seen *visited) (MV, int, bool) {
+	improved := false
+	r := seen.r
+	for i := 0; i < len(diamond); {
+		var cands [4]MV
+		var next [4]int // index in diamond after each candidate's point
+		n := 0
+		for ; i < len(diamond) && n < len(cands); i++ {
+			cand := MV{clampMV(best.X+diamond[i].X, r), clampMV(best.Y+diamond[i].Y, r)}
+			if !seen.has(cand) {
+				cands[n], next[n] = cand, i+1
+				n++
+			}
 		}
-		if c := b.sad(cand, bestCost); c < bestCost {
-			best, bestCost = cand, c
+		if n == 0 {
+			break
+		}
+		var costs [4]int
+		b.sadx4(&cands, &costs) // slots past n cost the zero vector, unread
+		for j, cand := range cands[:n] {
+			if !seen.add(cand) {
+				continue
+			}
+			if costs[j] < bestCost {
+				best, bestCost, improved = cand, costs[j], true
+				i = next[j]
+				break
+			}
 		}
 	}
-	return best, bestCost
+	return best, bestCost, improved
 }

@@ -375,3 +375,98 @@ func TestVisitedGenerationWrap(t *testing.T) {
 		t.Fatal("a stamp from before the wrap reads as visited")
 	}
 }
+
+// staleDiamondSearch is diamondSearch with the fault the batched pass must
+// not have: after an improvement it walks on through the rest of the batch,
+// whose vectors were taken around the old centre, instead of gathering
+// again around the new one.
+func staleDiamondSearch(b *searchBlock, seen *visited) (MV, int) {
+	best := MV{}
+	bestCost := b.sad(best, math.MaxInt)
+	r := seen.r
+	seen.begin()
+	seen.add(best)
+	pass := func(diamond []MV) (improved bool) {
+		for i := 0; i < len(diamond); {
+			var cands [4]MV
+			n := 0
+			for ; i < len(diamond) && n < len(cands); i++ {
+				if cand := (MV{clampMV(best.X+diamond[i].X, r), clampMV(best.Y+diamond[i].Y, r)}); !seen.has(cand) {
+					cands[n] = cand
+					n++
+				}
+			}
+			var costs [4]int
+			b.sadx4(&cands, &costs)
+			for j, cand := range cands[:n] {
+				if seen.add(cand) && costs[j] < bestCost {
+					best, bestCost, improved = cand, costs[j], true
+				}
+			}
+		}
+		return improved
+	}
+	for steps := 0; steps < 2*r && pass(largeDiamond); steps++ {
+	}
+	pass(smallDiamond)
+	return best, bestCost
+}
+
+// TestDiamondSearchCentreMovesMidPass pins the case that makes a batch of
+// candidates around a fixed centre wrong: a 16×16 block of a smooth texture
+// displaced by (4, 4), where the first large-diamond batch improves at a
+// candidate that is not its last, so the rest of that batch lies around the
+// wrong centre. Walking on through it (staleDiamondSearch) ends at another
+// vector; the search must regather and end where the one-at-a-time oracle
+// does, at the true motion.
+func TestDiamondSearchCentreMovesMidPass(t *testing.T) {
+	const w, h, grid = 48, 48, 16
+	rng := rand.New(rand.NewSource(214))
+	knots := make([]int, grid*grid)
+	for i := range knots {
+		knots[i] = rng.Intn(256)
+	}
+	// Bilinear between knots 4 pixels apart.
+	texture := func(x, y int) byte {
+		k, fx, fy := y/4*grid+x/4, x%4, y%4
+		return byte((knots[k]*(4-fx)*(4-fy) + knots[k+1]*fx*(4-fy) +
+			knots[k+grid]*(4-fx)*fy + knots[k+grid+1]*fx*fy) / 16)
+	}
+	cur, ref := frame.NewPlane(w, h), frame.NewPlane(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			cur.Set(x, y, texture(x+4, y+4))
+			ref.Set(x, y, texture(x+8, y+8))
+		}
+	}
+	refPad := padPlane(ref, mbSize, searchRange)
+	b := encoderBlock(cur, refPad, 16, 16, mbSize)
+
+	// The premise: the first batch improves on the centre before its last
+	// candidate.
+	var first [4]MV
+	copy(first[:], largeDiamond)
+	var costs [4]int
+	b.sadx4(&first, &costs)
+	centre := b.sad(MV{}, math.MaxInt)
+	j := 0
+	for j < len(first) && costs[j] >= centre {
+		j++
+	}
+	if j >= len(first)-1 {
+		t.Fatalf("first batch %v costs %v against the centre's %d: no improvement before its last candidate", first, costs, centre)
+	}
+	stale, staleCost := staleDiamondSearch(b, newVisited(searchRange))
+
+	wantMV, wantCost := refDiamondSearch(cur, ref, 16, 16, mbSize, searchRange, MV{})
+	if wantMV != (MV{-4, -4}) || wantCost != 0 {
+		t.Fatalf("oracle found %v cost %d, want the true motion (-4,-4) at cost 0", wantMV, wantCost)
+	}
+	if stale == wantMV {
+		t.Fatalf("the stale batch also ends at %v cost %d: the case no longer separates the two walks", stale, staleCost)
+	}
+	if mv, cost := diamondSearch(b, MV{}, newVisited(searchRange)); mv != wantMV || cost != wantCost {
+		t.Fatalf("diamond search %v cost %d, oracle %v cost %d (a stale batch ends at %v cost %d)",
+			mv, cost, wantMV, wantCost, stale, staleCost)
+	}
+}

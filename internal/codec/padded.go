@@ -42,7 +42,13 @@ func newPaddedPlane(w, h, size, r int) *paddedPlane {
 // the border.
 //
 //sieve:noalloc motion-search inner loop
-func (p *paddedPlane) from(x, y int) []byte { return p.buf[p.org+y*p.Stride+x:] }
+func (p *paddedPlane) from(x, y int) []byte { return p.buf[p.offset(x, y):] }
+
+// offset returns the index in buf of pixel (x, y), for any (x, y) inside
+// the border.
+//
+//sieve:noalloc motion-search inner loop
+func (p *paddedPlane) offset(x, y int) int { return p.org + y*p.Stride + x }
 
 // extend writes the border from the picture's edge pixels: each row's ends
 // left and right, then the first and last rows, corners included, up and

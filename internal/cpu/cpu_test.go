@@ -1,4 +1,4 @@
-package transform
+package cpu
 
 import (
 	"os"
@@ -9,8 +9,9 @@ import (
 )
 
 // TestProbeFindsAVX2 catches a probe that says "no" on a CPU that has AVX2:
-// every kernel would then run in Go, bit-exact and two to three times
-// slower, and no oracle test would notice. The kernel's own view of the CPU
+// every AVX2 kernel (the transform's and the four-candidate SAD) would then
+// run in Go, bit-exact and two to three times slower, and no oracle test
+// would notice. The kernel's own view of the CPU
 // is /proc/cpuinfo's flags line.
 func TestProbeFindsAVX2(t *testing.T) {
 	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
@@ -25,8 +26,8 @@ func TestProbeFindsAVX2(t *testing.T) {
 		if !ok || strings.TrimSpace(key) != "flags" {
 			continue
 		}
-		if slices.Contains(strings.Fields(flags), "avx2") && !haveAVX2 {
-			t.Fatal("/proc/cpuinfo lists avx2, but the probe reports no AVX2: every transform kernel runs in Go")
+		if slices.Contains(strings.Fields(flags), "avx2") && !AVX2 {
+			t.Fatal("/proc/cpuinfo lists avx2, but the probe reports no AVX2: every AVX2 kernel runs in Go")
 		}
 		return
 	}

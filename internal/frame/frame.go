@@ -8,6 +8,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"sieve/internal/cpu"
 )
 
 // Plane is a single 8-bit image channel with an explicit stride so that
@@ -197,8 +199,8 @@ func SAD(a *Plane, ax, ay int, b *Plane, bx, by, w, h int) int {
 // same per-row exit and so the same partial sums; every other block takes
 // sadBoundedGo's clamped rows. The codec's motion search does not come here:
 // it reads a reference whose border is already replicated and calls SADRows
-// directly, so this clamped path is the oracle that search is tested
-// against.
+// and SADx4 directly, so this clamped path is the oracle that search is
+// tested against.
 //
 //sieve:noalloc motion-search inner loop with early exit
 func SADBounded(a *Plane, ax, ay int, b *Plane, bx, by, w, h, bound int) int {
@@ -244,6 +246,37 @@ func sadRowsGo(a []byte, astride int, b []byte, bstride int, w, h, bound int) in
 		}
 	}
 	return sum
+}
+
+// SADx4 costs four candidates at once: sads[i] is the full SAD of the w×w
+// block (w 8 or 16) starting at a[0], rows astride bytes apart, against the
+// one starting at b[offs[i]], rows bstride apart — what SADRows returns at
+// bound math.MaxInt. It has no early exit: a caller that compares each sum
+// with a bound gets the outcome the bounded SAD gives, because a full sum is
+// below a bound exactly when the bounded one is. Every row of the five
+// blocks must lie inside a and b, or SADx4 panics, as it does for any other
+// width. With AVX2 the sums come from sadX4AVX2 (sadx4_amd64.s), which
+// reads each row of a once for all four; elsewhere SADRows sums each
+// candidate on its own — sadRowsGo, or the SSE2 sadRows on an amd64 CPU
+// without AVX2.
+//
+//sieve:noalloc motion-search inner loop, four candidates a call
+func SADx4(a []byte, astride int, b []byte, bstride int, offs *[4]int, w int, sads *[4]int) {
+	if w != 8 && w != 16 {
+		panic(fmt.Sprintf("frame: SADx4 width %d, want 8 or 16", w))
+	}
+	_ = a[(w-1)*astride+w-1]
+	last := (w-1)*bstride + w - 1
+	for _, o := range offs {
+		_ = b[o:][last]
+	}
+	if cpu.AVX2 {
+		sadX4AVX2(a, astride, b, bstride, offs, w, sads)
+		return
+	}
+	for i, o := range offs {
+		sads[i] = SADRows(a, astride, b[o:], bstride, w, w, math.MaxInt)
+	}
 }
 
 // sadBoundedGo is SADBounded's Go kernel: in-plane 8- and 16-wide blocks go

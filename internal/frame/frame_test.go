@@ -1,6 +1,7 @@
 package frame
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -270,6 +271,36 @@ func BenchmarkSAD16x16(b *testing.B) {
 			sadBoundedGo(p, 100, 100, q, 103, 98, 16, 16, math.MaxInt)
 		}
 	})
+}
+
+// BenchmarkSADx4 times four 16×16 and four 8×8 full SADs, the candidates
+// one diamond-search batch costs: /kernel is what SADx4 runs (the AVX2
+// assembly where the CPU has it), /go sadRowsGo four times, what it runs
+// off amd64.
+func BenchmarkSADx4(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	p := randomPlane(rng, 1920, 1080)
+	q := randomPlane(rng, 1920, 1080)
+	for _, w := range []int{16, 8} {
+		a := p.Pix[100*p.Stride+100:]
+		o := 98*q.Stride + 100
+		offs := [4]int{o + 3, o - 2*q.Stride, o + q.Stride - 1, o + 2}
+		var sads [4]int
+		b.Run(fmt.Sprintf("%dx%d/kernel", w, w), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				SADx4(a, p.Stride, q.Pix, q.Stride, &offs, w, &sads)
+			}
+		})
+		b.Run(fmt.Sprintf("%dx%d/go", w, w), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for i, o := range offs {
+					sads[i] = sadRowsGo(a, p.Stride, q.Pix[o:], q.Stride, w, w, math.MaxInt)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkResize1080pTo300(b *testing.B) {

@@ -271,3 +271,114 @@ func TestSADRowsRefusesOtherWidths(t *testing.T) {
 		}()
 	}
 }
+
+// checkSADx4 requires each of SADx4's four sums to equal the textbook loop
+// (refSAD) and the Go kernel sadRowsGo at bound math.MaxInt.
+func checkSADx4(t *testing.T, a []byte, astride int, b []byte, bstride int, offs *[4]int, w int) {
+	t.Helper()
+	var got [4]int
+	SADx4(a, astride, b, bstride, offs, w, &got)
+	pa := &Plane{Pix: a, Stride: astride, W: w, H: w}
+	for i, o := range offs {
+		want := refSAD(pa, 0, 0, &Plane{Pix: b[o:], Stride: bstride, W: w, H: w}, 0, 0, w, w)
+		goK := sadRowsGo(a, astride, b[o:], bstride, w, w, math.MaxInt)
+		if got[i] != want || goK != want {
+			t.Fatalf("SADx4 %dx%d a/%d b/%d offsets %v: candidate %d = %d (sadRowsGo %d), reference %d",
+				w, w, astride, bstride, *offs, i, got[i], goK, want)
+		}
+	}
+}
+
+// FuzzSADx4MatchesReference runs checkSADx4 on a geometry and pixels chosen
+// by the fuzzer. geom packs, low bits first: the block width (8 or 16), the
+// stride padding of a and of b (4 and 5 bits), the start of the block in a
+// (3 bits), b's slack past the last candidate row (4 bits), the pixel mode
+// (2 bits) and the four candidate offsets in b (9 bits each, reduced to
+// the offsets whose rows lie inside b). The modes are pix repeated (b from
+// its middle), 0 against 255 everywhere, and each pixel 0 or 255 by its
+// own bit of pix: the extremes where a lane of the kernel could overflow.
+func FuzzSADx4MatchesReference(f *testing.F) {
+	f.Add(uint64(0), []byte{})
+	f.Add(uint64(1), []byte{})
+	f.Add(uint64(0x2a5c_3b1e_9f07_4d63), []byte{0, 255, 7, 128, 255, 0, 1, 2, 3})
+	for _, mode := range []uint64{1, 2} {
+		for _, w := range []uint64{0, 1} {
+			f.Add(w|mode<<17|0x5e3d_7b1a<<19, []byte{0xa5, 0x3c, 0xff, 0x00, 0x96})
+		}
+	}
+	rng := rand.New(rand.NewSource(51))
+	for range 16 {
+		pix := make([]byte, 1+rng.Intn(64))
+		rng.Read(pix)
+		f.Add(rng.Uint64(), pix)
+	}
+	f.Fuzz(func(t *testing.T, geom uint64, pix []byte) {
+		if len(pix) == 0 {
+			pix = []byte{0}
+		}
+		take := func(bits uint) int {
+			v := int(geom & (1<<bits - 1))
+			geom >>= bits
+			return v
+		}
+		w := 8 << take(1)
+		astride, bstride := w+take(4), w+take(5)
+		start := take(3)
+		a := make([]byte, start+(w-1)*astride+w)
+		b := make([]byte, (w-1)*bstride+w+w*bstride+take(4))
+		switch take(2) {
+		case 1:
+			fillBytes(b, 255)
+		case 2:
+			for i := range a {
+				a[i] = 255 * (pix[i%len(pix)] >> (i % 8) & 1)
+			}
+			for i := range b {
+				b[i] = 255 * (pix[(i+len(pix)/2)%len(pix)] >> ((i + 3) % 8) & 1)
+			}
+		default:
+			for i := range a {
+				a[i] = pix[i%len(pix)]
+			}
+			for i := range b {
+				b[i] = pix[(i+len(pix)/2)%len(pix)]
+			}
+		}
+		var offs [4]int
+		span := len(b) - (w-1)*bstride - w + 1
+		for i := range offs {
+			offs[i] = take(9) % span
+		}
+		checkSADx4(t, a[start:], astride, b, bstride, &offs, w)
+	})
+}
+
+func fillBytes(p []byte, v byte) {
+	for i := range p {
+		p[i] = v
+	}
+}
+
+// TestSADx4RefusesOtherWidthsAndShortSlices pins SADx4's preconditions: any
+// width but 8 or 16, a block of a that runs past a, and a candidate whose
+// rows leave b (past its end, or before its start) must panic rather than
+// sum the wrong pixels.
+func TestSADx4RefusesOtherWidthsAndShortSlices(t *testing.T) {
+	pix := make([]byte, 16*16)
+	var sads [4]int
+	for name, call := range map[string]func(){
+		"width 12":         func() { SADx4(pix, 16, pix, 16, &[4]int{}, 12, &sads) },
+		"short a":          func() { SADx4(pix[:15*16+15], 16, pix, 16, &[4]int{}, 16, &sads) },
+		"candidate past b": func() { SADx4(pix, 16, pix, 16, &[4]int{0, 0, 1, 0}, 16, &sads) },
+		"negative offset":  func() { SADx4(pix, 8, pix, 8, &[4]int{0, -1, 0, 0}, 8, &sads) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SADx4 with %s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}

@@ -12,3 +12,11 @@ const haveSADAsm = true
 //
 //go:noescape
 func sadRows(a []byte, astride int, b []byte, bstride int, w, h, bound int) int
+
+// sadX4AVX2 sets sads[i] to the SAD of the w×w (8 or 16) block at a[0],
+// rows astride bytes apart, against the one at b[offs[i]], rows bstride
+// apart, every row summed (sadx4_amd64.s). SADx4 guarantees every row lies
+// inside a and b.
+//
+//go:noescape
+func sadX4AVX2(a []byte, astride int, b []byte, bstride int, offs *[4]int, w int, sads *[4]int)

@@ -1,14 +1,8 @@
 package transform
 
-// haveAVX2 routes Forward to forwardAVX2, the inverse of every block with
-// more than a DC term to inverseMaskedAVX2 and Quantize to quantizeAVX2. It
-// is read once, at package init; an amd64 CPU without AVX2 runs the Go
-// kernels, as every other GOARCH does.
-var haveAVX2 = probeAVX2()
-
-// probeAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
-// registers (cpu_amd64.s).
-func probeAVX2() bool
+// cpu.AVX2 routes Forward to forwardAVX2, the inverse of every block with
+// more than a DC term to inverseMaskedAVX2 and Quantize to quantizeAVX2; an
+// amd64 CPU without AVX2 runs the Go kernels, as every other GOARCH does.
 
 // forwardAVX2 is forwardGo four lanes at a time (forward_amd64.s): each lane
 // is one dot8, the same products added left to right from the first, with

@@ -2,8 +2,8 @@
 
 package transform
 
-// haveAVX2 is false: Forward, the inverse and Quantize run their Go kernels.
-const haveAVX2 = false
+// cpu.AVX2 is false here: Forward, the inverse and Quantize run their Go
+// kernels, and the assembly's stand-ins below are never called.
 
 func forwardAVX2(src, dst *Block) { panic("transform: forwardAVX2 exists only on amd64") }
 

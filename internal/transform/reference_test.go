@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"sieve/internal/cpu"
 )
 
 // The kernels this package shipped before the bit-exact fast paths, kept
@@ -87,7 +89,7 @@ func refDequantize(qz *Quantizer, src, dst *Block) {
 // the assembly and compare only the Go kernels with the textbook loops.
 func noteKernels(t testing.TB) {
 	t.Helper()
-	if !haveAVX2 {
+	if !cpu.AVX2 {
 		t.Log("no AVX2 kernels here (not amd64, or the CPU lacks AVX2): the assembly is skipped, only the Go kernels are checked")
 	}
 }
@@ -183,7 +185,7 @@ func checkInverseKernels(t testing.TB, name string, lev *Block, q *[BlockSize * 
 		t.Fatalf("inverseMaskedGo (%s, rows %08b, cols %08b) differs from the reference\nin   %v\ngot  %v\nwant %v",
 			name, rows, cols, *lev, got, *want)
 	}
-	if !haveAVX2 {
+	if !cpu.AVX2 {
 		return
 	}
 	inverseMaskedAVX2(lev, q, rows, cols, &got)
@@ -329,7 +331,7 @@ func checkQuantize(t *testing.T, qz *Quantizer, src *Block) {
 	got = Block{}
 	nz = qz.quantizeGo(src, &got)
 	check("quantizeGo", &got, nz)
-	if !haveAVX2 {
+	if !cpu.AVX2 {
 		return
 	}
 	exact := true

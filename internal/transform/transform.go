@@ -7,6 +7,8 @@ package transform
 import (
 	"math"
 	"math/bits"
+
+	"sieve/internal/cpu"
 )
 
 // BlockSize is the transform block edge length in pixels.
@@ -111,7 +113,7 @@ func dot8(x0, x1, x2, x3, x4, x5, x6, x7 float64, c *[BlockSize]float64) float64
 // same products in the same order four outputs at a time; elsewhere
 // forwardGo.
 func Forward(src, dst *Block) {
-	if haveAVX2 {
+	if cpu.AVX2 {
 		forwardAVX2(src, dst)
 		return
 	}
@@ -196,7 +198,7 @@ func (qz *Quantizer) InverseMasked(lev *Block, rows, cols uint, dst *Block) {
 //
 //sieve:noalloc inverse transform of the encode and decode hot paths
 func inverseMasked(src *Block, q *[BlockSize * BlockSize]int32, rows, cols uint, dst *Block) {
-	if haveAVX2 && rows|cols > 1 {
+	if cpu.AVX2 && rows|cols > 1 {
 		inverseMaskedAVX2(src, q, rows, cols, dst)
 		return
 	}
@@ -404,7 +406,7 @@ func (qz *Quantizer) Quality() int { return qz.qual }
 // (quantize_amd64.s), and quantizeGo for a block that holds a coefficient of
 // 2¹⁵ or more in magnitude.
 func (qz *Quantizer) Quantize(src, dst *Block) bool {
-	if haveAVX2 {
+	if cpu.AVX2 {
 		if nz, ok := quantizeAVX2(src, dst, &qz.q, &qz.recip); ok {
 			return nz
 		}
