@@ -296,7 +296,9 @@ split-smoke:
 # sharded equivalence tests, the hub plane's no-hang anchors (a batch-4
 # plane with fewer workers than feeds must finish; a stalled feed must not
 # hold a sibling's detections), the frame-boundary hand-off (a feed's
-# events reach the consumer while it runs), the cluster's failover, trace,
+# events reach the consumer while it runs), the cluster's failover (the
+# merged view equals the fault-free one, and the failover record is the
+# same in every run: a crash lands on its trigger frame), trace,
 # telemetry (after a crash too: ClusterStats = registry sums = delivered
 # detections) and wire-admission anchors, the
 # partition anchor (the cloud's view is exactly what crossed the uplink:
@@ -305,7 +307,7 @@ split-smoke:
 # stream bytes equal a detector-less encode), repeated at several
 # GOMAXPROCS settings under the race detector, so an anchor that holds
 # only on one schedule fails here.
-ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestPlaneReservationWindow|TestHubStalledFeedDoesNotHoldDetections|TestEventsReachConsumerAtFrameBoundary|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence|TestClusterFailoverEquivalence|TestClusterFailoverTraceDeterminism|TestClusterTelemetryEquivalence|TestWireClusterEquivalence|TestClusterUnseekableFeedReplaysTail|TestClusterPartitionDegradesThenHeals|TestSessionDetectsWhatTheArchiveDecodes)$$'
+ANCHORS = '^(TestClusterBatchedInferenceEquivalence|TestHubBatchedInferenceEquivalence|TestPlaneReservationWindow|TestHubStalledFeedDoesNotHoldDetections|TestEventsReachConsumerAtFrameBoundary|TestClusterSplitEquivalence|TestClusterShardedRunEquivalence|TestClusterFailoverEquivalence|TestClusterFailoverRecordDeterministic|TestClusterFailoverTraceDeterminism|TestClusterTelemetryEquivalence|TestWireClusterEquivalence|TestClusterUnseekableFeedReplaysTail|TestClusterPartitionDegradesThenHeals|TestSessionDetectsWhatTheArchiveDecodes)$$'
 
 anchors-stress:
 	$(GO) test -race -short -count=3 -cpu 1,2,4 -run $(ANCHORS) .

@@ -249,6 +249,10 @@ type clusterSite struct {
 	feeds  []*clusterFeed
 	frames int // expected frames of bounded feeds (sharder load input)
 	err    error
+	// mu orders the site's detection work (see siteHook) and its delta
+	// flushes, and guards synced: detections since the last flush.
+	mu     sync.Mutex
+	synced int
 	// Failover state (guarded by Cluster.mu). crashed: the site is down
 	// right now (a SiteRecover clears it); failover: it crashed at some
 	// point, so its feeds need migration when its goroutine exits.
@@ -328,18 +332,15 @@ func NewCluster(numSites int, opts ...ClusterOption) (*Cluster, error) {
 	reg.Describe("sieve_cluster_degraded_sites", "sites whose slice of the merged view is incomplete or stale")
 	for _, name := range names {
 		c.coord.Register(name)
-		hopts := append(cfg.site[:len(cfg.site):len(cfg.site)], withHubOwner(owner{reg: reg, site: name, tracer: cfg.tracer}))
+		s := &clusterSite{name: name, shard: NewResultsDB(), edge: store.NewEdgeStore(cfg.quota)}
+		own := owner{reg: reg, site: name, tracer: cfg.tracer, events: c.events, hook: c.siteHook(s)}
+		hopts := append(cfg.site[:len(cfg.site):len(cfg.site)], withHubOwner(own))
 		if cfg.split {
 			link, _ := topo.Uplink(name)
 			ship := func(rec []byte) error { return c.coord.ShipActivation(name, int64(len(rec))) }
 			hopts = append(hopts, withSplit(siteSplit{cut: cfg.splitCut, link: link, ship: ship}))
 		}
-		s := &clusterSite{
-			name:  name,
-			hub:   NewHub(hopts...),
-			shard: NewResultsDB(),
-			edge:  store.NewEdgeStore(cfg.quota),
-		}
+		s.hub = NewHub(hopts...)
 		c.sites = append(c.sites, s)
 		// Sampled gauges: storage and uplink accounting live in their own
 		// planes, so a collect hook reads them at snapshot/scrape time
@@ -462,8 +463,10 @@ func (c *Cluster) AddFeed(name string, src FrameSource, opts ...SessionOption) (
 	return sess, site.name, nil
 }
 
-// Events returns the cluster-wide event stream: every site's events,
-// tagged with their Site, merged onto one channel. Closed when Run returns.
+// Events returns the cluster-wide event stream: every feed's session
+// publishes onto it directly, tagging each event with the Site that ran
+// it. Closed when Run returns, once every site and every failover
+// migration is done.
 func (c *Cluster) Events() <-chan Event { return c.events }
 
 // Run executes every site concurrently — each site's Hub over its own
@@ -556,28 +559,17 @@ func (c *Cluster) Run(ctx context.Context) error {
 	return errors.Join(append(errs, mergeErr)...)
 }
 
-// runSite drives one edge site: pump its hub's events (recording
-// detections into the shard, streaming incremental deltas to the cloud and
-// metering the uplink), run the hub, archive the encoded streams, and ship
-// the end-of-run manifest. A site killed by a scripted crash instead
-// salvages its partial streams into the EdgeStore for replay and returns
-// nil — the degraded markers and failover records carry the signal.
+// runSite drives one edge site: run the hub (whose feeds do the site's
+// cloud work through its hook), archive the encoded streams, and ship the
+// end-of-run manifest; a site the sharder left empty only ships the
+// manifest. A site killed by a scripted crash instead salvages its
+// partial streams into the EdgeStore for replay and returns nil — the
+// degraded markers and failover records carry the signal.
 func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
-	pumped := make(chan error, 1)
-	go func() {
-		// The ship scope is site-wide control-plane work, not a feed's
-		// pipeline: feed stays "" and the span carries the frame number.
-		_, err := c.pump(ctx, s, s.hub.Events(), c.cfg.tracer.Scope(s.name, ""))
-		pumped <- err
-	}()
-
-	runErr := s.hub.Run(ctx)
-	if len(s.feeds) == 0 && errors.Is(runErr, ErrNoFeeds) {
-		// A site the sharder left empty is healthy; running its (empty) hub
-		// only serves to close the event channel for the pump.
-		runErr = nil
+	var runErr error
+	if len(s.feeds) > 0 {
+		runErr = s.hub.Run(ctx)
 	}
-	pumpErr := <-pumped
 
 	c.mu.Lock()
 	crashed := s.failover
@@ -595,7 +587,7 @@ func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
 		return nil
 	}
 
-	errs := []error{runErr, pumpErr}
+	errs := []error{runErr}
 	for _, f := range s.feeds {
 		// Archive completed streams in the site's edge store (failed feeds
 		// have no finalised stream to retain).
@@ -619,53 +611,38 @@ func (c *Cluster) runSite(ctx context.Context, s *clusterSite) error {
 	return errors.Join(errs...)
 }
 
-// pump forwards a site's events onto the cluster stream with the cloud
-// work each implies: fault-script progress per encoded frame, and per
-// detection a shard record, an uplink ship and, every syncEvery
-// detections, a delta flush. A live site and a failover
-// migration share it, and their differences are parameters: s is the
-// site charged (the adoptive one for a migration), events the hub's or
-// migrated session's stream, ship the detection-ship span scope (nil for
-// a migration). It returns the frames encoded and the first ship error.
-func (c *Cluster) pump(ctx context.Context, s *clusterSite, events <-chan Event, ship *telemetry.Scope) (encoded int, err error) {
-	synced := 0 // detections recorded since the last delta flush
-	for ev := range events {
-		ev.Site = s.name
-		var shipErr error
+// siteHook is the cloud work each event of a site's feeds implies:
+// fault-script progress per encoded frame; per detection a shard record,
+// an uplink ship and, every syncEvery of the site's detections, a delta
+// flush; per final stats a stats ship. Every feed the site runs, adopted
+// ones too, runs it before publishing the event, so a crash it fires stops
+// that feed at the trigger frame. The detection work runs under s.mu: the
+// shard, the ships and the flushes keep one total order whichever feed's
+// goroutine runs them.
+func (c *Cluster) siteHook(s *clusterSite) eventHook {
+	return func(ctx context.Context, ev Event, ship *telemetry.Scope) {
 		switch ev.Kind {
 		case EventFrameEncoded:
 			// Encode progress drives the fault script: frame counts are
 			// the deterministic clock faults are anchored to.
-			encoded++
 			c.applyFaults(c.frunner.Observe(ev.Feed, ev.Frame+1))
 		case EventDetection:
+			s.mu.Lock()
+			defer s.mu.Unlock()
 			// The edge records locally and ships the tiny detection
 			// record upstream — the frame payload never crosses the WAN.
 			s.shard.Put(ev.Feed, ev.Frame, ev.Labels)
 			sp := ship.Start(telemetry.StageShip, ev.Frame)
-			shipErr = c.coord.ShipDetection(s.name, ev.Feed, ev.Labels)
+			_ = c.coord.ShipDetection(s.name, ev.Feed, ev.Labels) // fails only for a site the topology lacks
 			sp.End()
-			if synced++; synced >= c.cfg.syncEvery {
-				synced = 0
+			if s.synced++; s.synced >= c.cfg.syncEvery {
+				s.synced = 0
 				c.flushDeltas(ctx, s)
 			}
 		case EventStats:
-			shipErr = c.coord.ShipStats(s.name)
-		}
-		if err == nil {
-			err = shipErr
-		}
-		select {
-		case c.events <- ev:
-		case <-ctx.Done():
-			// Sessions unblock themselves on cancellation; drain so the
-			// producer can close its channel.
-			for range events {
-			}
-			return encoded, err
+			_ = c.coord.ShipStats(s.name) // likewise
 		}
 	}
-	return encoded, err
 }
 
 // View merges the cloud's shadow replicas into a snapshot of the global

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -238,7 +239,7 @@ func TestClusterEventsTaggedWithSites(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		// Keep draining even after a failed assertion: abandoning the
-		// channel would wedge the site pumps and hang Run.
+		// channel would wedge the feeds publishing onto it and hang Run.
 		defer close(done)
 		for ev := range c.Events() {
 			events++
@@ -593,8 +594,11 @@ func TestClusterFailoverEquivalence(t *testing.T) {
 	if len(fo) != 1 || fo[0].Feed != "cam-south" || fo[0].From != "site1" || fo[0].To == "site1" {
 		t.Fatalf("Failovers = %+v", fo)
 	}
-	if fo[0].ResumeFrame < 0 || fo[0].ResumeFrame > 6 {
-		t.Fatalf("resume frame %d outside the pre-crash window", fo[0].ResumeFrame)
+	// The crash lands on cam-south's frame 5, before site1's first delta
+	// flush (one per 8 detections): the cloud holds none of cam-south's
+	// detections, so the survivor resumes at frame 0.
+	if fo[0].ResumeFrame != 0 {
+		t.Fatalf("resume frame %d, want 0", fo[0].ResumeFrame)
 	}
 	// The seekable synth feed re-runs from the resume point to its end, and
 	// every replayed frame reaches the stream tagged with the adoptive site.
@@ -686,6 +690,77 @@ func TestClusterFailoverEquivalence(t *testing.T) {
 	}
 	if view.Len() != merged.Len() {
 		t.Fatalf("final cloud view has %d entries, merged %d", view.Len(), merged.Len())
+	}
+}
+
+// failoverRecord is what one crash run recorded about its failover.
+type failoverRecord struct {
+	failovers  []Failover
+	replayed   int
+	deltaSyncs int64
+	stored     int // frames of the crashed site's salvaged cam-south stream
+}
+
+// runFailoverRecord runs three single-feed sites, GOP 3 and a delta flush
+// per detection, under plan, and returns the failover record.
+func runFailoverRecord(t *testing.T, plan *FaultPlan) failoverRecord {
+	t.Helper()
+	c, err := NewCluster(3, WithSharder(ShardRoundRobin()), WithDeltaSync(1, 4), WithFaultPlan(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cam := range clusterCameras[:3] {
+		v := clusterScene(t, cam.seed, cam.enter)
+		params := EncoderParams{Width: v.Spec().Width, Height: v.Spec().Height, GOPSize: 3, MinGOP: 2}
+		if _, _, err := c.AddFeed(cam.name, NewSynthSource(v), append(feedOpts(t), WithTunedParams(params))...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range c.Events() {
+		}
+	}()
+	if err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	edge, err := c.EdgeStore("site1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := edge.Open("cam-south")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Snapshot()
+	return failoverRecord{failovers: st.Failovers, replayed: st.ReplayedFrames, deltaSyncs: st.DeltaSyncs, stored: r.NumFrames()}
+}
+
+// TestClusterFailoverRecordDeterministic: a crash triggered by a feed of
+// the crashed site lands on its trigger frame. The plan fires as cam-south
+// (alone on site1) encodes frame 5, the P-frame right before I-frame 6, so
+// the salvaged stream holds exactly frames 0..5 in every run, and the
+// failover record that follows from it — resume point, replayed frames,
+// delta syncs — is a function of the plan, not of scheduling.
+func TestClusterFailoverRecordDeterministic(t *testing.T) {
+	plan, err := ParseFaultPlan("crash:site1:cam-south@6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := runFailoverRecord(t, plan)
+	if first.stored != 6 {
+		t.Fatalf("crashed site stored %d cam-south frames, want 6 (frames 0..5)", first.stored)
+	}
+	if len(first.failovers) != 1 {
+		t.Fatalf("Failovers = %+v, want one", first.failovers)
+	}
+	for i := 1; i < 20; i++ {
+		got := runFailoverRecord(t, plan)
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("run %d recorded %+v, run 0 %+v", i, got, first)
+		}
 	}
 }
 
@@ -814,7 +889,7 @@ func unsyncedSite(t *testing.T) (*Cluster, *clusterSite) {
 }
 
 // TestFlushDeltasCancelledContext: a flush whose context is already done
-// (a crashed site's pump) makes no attempt, so it counts no delta sync, no
+// (a crashed site's feed) makes no attempt, so it counts no delta sync, no
 // retry (never a negative one) and marks nothing.
 func TestFlushDeltasCancelledContext(t *testing.T) {
 	c, s := unsyncedSite(t)
@@ -862,8 +937,8 @@ func TestFlushDeltasExhaustsAttempts(t *testing.T) {
 
 // catchUpCtx is a context whose first Err call runs catchUp. flushDeltas
 // checks its context after its cursor check and before each try, so
-// catchUp runs exactly where a concurrent flusher (a migration pump) can
-// catch the replica up under it.
+// catchUp runs exactly where a flush finds the replica caught up under
+// it.
 type catchUpCtx struct {
 	context.Context
 	catchUp func()

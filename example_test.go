@@ -213,9 +213,9 @@ func ExampleWithFaultPlan() {
 	}
 
 	faultFree, _ := run()
-	// site1 dies as cam-south encodes its seventh frame, I-frame 6. The
-	// cloud holds the detections up to I-frame 3, so the survivor resumes
-	// at I-frame 6, however far the dying site got past it.
+	// site1 dies as cam-south encodes its seventh frame, I-frame 6, and
+	// cam-south stores nothing past it. The cloud holds the detections up
+	// to I-frame 3, so the survivor resumes at the stored I-frame 6.
 	plan, err := sieve.ParseFaultPlan("crash:site1:cam-south@7")
 	check(err)
 	crashed, st := run(sieve.WithFaultPlan(plan))

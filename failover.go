@@ -56,9 +56,10 @@ type Failover struct {
 	ReplayedFrames int
 }
 
-// applyFaults executes fired fault-script events. It is called from the
-// site pumps (and migration pumps) as feeds report encode progress, so the
-// cluster state at each firing is a pure function of per-feed frame counts.
+// applyFaults executes fired fault-script events. The site hooks call it
+// as each feed encodes a frame, before publishing the frame's event, so
+// the cluster state at each firing is a pure function of per-feed frame
+// counts.
 func (c *Cluster) applyFaults(fired []faultplan.Event) {
 	for _, e := range fired {
 		switch e.Kind {
@@ -86,9 +87,10 @@ func (c *Cluster) applyFaults(fired []faultplan.Event) {
 	}
 }
 
-// crashSite kills a site: cancels its context (its sessions stop at their
-// next frame) and drops its uplink. The EdgeStore survives — a crash is
-// not disk loss.
+// crashSite kills a site: cancels its context and drops its uplink. A
+// session of the site whose event fired the crash stops before its next
+// frame; the site's other sessions stop wherever the cancellation finds
+// them. The EdgeStore survives — a crash is not disk loss.
 func (c *Cluster) crashSite(name string) {
 	s := c.site(name)
 	c.mu.Lock()
@@ -102,7 +104,7 @@ func (c *Cluster) crashSite(name string) {
 	c.mu.Unlock()
 	// A crash loses the process's in-memory trace buffer, and dropping the
 	// dying site's tail spans keeps fault-plan traces deterministic (how far
-	// it limped past the trigger is scheduling noise).
+	// its other feeds limped past the trigger is scheduling noise).
 	c.cfg.tracer.DropSite(name)
 	if l, ok := c.topo.Uplink(name); ok {
 		l.Fail()
@@ -240,27 +242,21 @@ func (c *Cluster) runMigratedFeed(ctx context.Context, from *clusterSite, f *clu
 	}
 
 	// The migrated session joins the adoptive site: its registry label, its
-	// plane (the dead site's died with its hub) and its snapshot.
+	// plane (the dead site's died with its hub), its hook, its stream and
+	// its snapshot.
 	sink := &container.Buffer{}
 	sess, err := to.hub.adopt(src, append(f.opts[:len(f.opts):len(f.opts)],
 		WithName(f.name), WithSink(sink), withFrameBase(base))...)
 	if err != nil {
 		return err
 	}
-
-	pumped := make(chan int, 1)
-	go func() {
-		// Ship errors are not the migration's to report: a partitioned
-		// adoptive uplink shows as that site's degraded marker.
-		replayed, _ := c.pump(ctx, to, sess.Events(), nil)
-		pumped <- replayed
-	}()
-	runErr := sess.Run(ctx)
-	replayed := <-pumped
-	if runErr != nil {
-		return runErr
+	if err := sess.Run(ctx); err != nil {
+		return err
 	}
+	replayed := sess.Stats().Frames
+	to.mu.Lock()
 	c.flushDeltas(ctx, to)
+	to.mu.Unlock()
 	// Retain the replayed tail segment on the adoptive site; under quota
 	// pressure the results have already shipped, so a failed archive only
 	// loses the redundant stream copy.

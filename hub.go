@@ -63,10 +63,10 @@ func WithHubTrace(t *Tracer) HubOption {
 	return func(h *Hub) { h.own.tracer = t }
 }
 
-// withHubOwner makes the hub one edge site of a cluster: its feeds
-// register in the cluster's registry under the site's label and trace into
-// the cluster's tracer, and its plane registers there under the site's
-// label too. Threaded by Cluster when it builds its per-site hubs.
+// withHubOwner makes the hub one edge site of a cluster: its feeds and
+// its plane take the cluster's registry, tracer and stream, the site's
+// label and the site's hook. Threaded by Cluster when it builds its
+// per-site hubs.
 func withHubOwner(o owner) HubOption {
 	return func(h *Hub) { h.own = o }
 }
@@ -107,8 +107,9 @@ type HubStats struct {
 
 // Hub multiplexes N concurrent sessions over the internal worker pool with
 // per-feed isolation: one feed's failure cancels only that feed, the others
-// run to completion, and Run returns the joined per-feed errors. Events from
-// all feeds are merged onto one channel, each tagged with its feed name.
+// run to completion, and Run returns the joined per-feed errors. Every feed
+// publishes its events straight onto the hub's one channel, each tagged
+// with its feed name.
 //
 // Usage: Add feeds, consume Events concurrently, call Run, then Snapshot.
 type Hub struct {
@@ -118,12 +119,12 @@ type Hub struct {
 	split      *siteSplit      // withSplit's partition, nil = all-edge
 	ingest     *IngestListener // network ingest plane, nil = in-process only
 	own        owner           // what every feed inherits (the cluster's for a site hub)
+	events     chan Event      // the stream the hub made and Run closes, nil for a site hub
 
 	mu      sync.Mutex
 	feeds   []*Session
 	adopted []*Session // see adopt: folded into Snapshot only
 	started bool
-	events  chan Event
 }
 
 // NewHub returns an empty hub.
@@ -138,7 +139,10 @@ func NewHub(opts ...HubOption) *Hub {
 	if h.inferDet != nil {
 		h.own.plane = newPlane(h.inferDet, h.inferBatch, h.split, h.own.reg, h.own.site)
 	}
-	h.events = make(chan Event, eventBuffer)
+	if h.own.events == nil {
+		h.events = make(chan Event, eventBuffer)
+		h.own.events = h.events
+	}
 	return h
 }
 
@@ -186,9 +190,10 @@ func (h *Hub) Add(name string, src FrameSource, opts ...SessionOption) (*Session
 }
 
 // adopt builds the session of a feed that failed over to this site hub:
-// it runs on the hub's plane and folds into Snapshot, but is not traced
-// (failover replay is recovery, and tracing it would make fault-plan traces
-// depend on migration scheduling). The caller runs it; Run and abandon
+// it runs on the hub's plane, runs the site's hook, publishes onto the
+// cluster's stream and folds into Snapshot, but is not traced (failover
+// replay is recovery, and tracing it would make fault-plan traces depend
+// on migration scheduling). The caller runs it; Run and abandon
 // never see it, so a hub that finishes first cannot abort it unstarted.
 func (h *Hub) adopt(src FrameSource, opts ...SessionOption) (*Session, error) {
 	own := h.own
@@ -203,8 +208,11 @@ func (h *Hub) adopt(src FrameSource, opts ...SessionOption) (*Session, error) {
 	return sess, nil
 }
 
-// Events returns the merged event stream, closed when Run returns.
-func (h *Hub) Events() <-chan Event { return h.events }
+// Events returns the stream every feed publishes onto, closed when Run
+// returns — also when Run fails before any feed runs, so no reader hangs
+// on it. A cluster site's hub has no stream of its own: its feeds publish
+// onto the cluster's (Cluster.Events), which the cluster closes.
+func (h *Hub) Events() <-chan Event { return h.own.events }
 
 // Run executes every feed's session over the worker pool and blocks until
 // all complete. A feed error cancels that feed only; Run returns the joined
@@ -221,6 +229,9 @@ func (h *Hub) Run(ctx context.Context) error {
 		h.mu.Unlock()
 		return fmt.Errorf("sieve: hub: %w", ErrAlreadyRun)
 	}
+	if h.events != nil {
+		defer close(h.events)
+	}
 	// The feed set freezes once the admission window, if any, closes.
 	ended, err := h.ingest.admit(ctx, hubIngestTarget{h}, &h.mu, &h.started)
 	feeds := slices.Clone(h.feeds)
@@ -228,33 +239,11 @@ func (h *Hub) Run(ctx context.Context) error {
 	if err != nil {
 		err = fmt.Errorf("sieve: hub: %w", err)
 		h.abandon(err)
-		close(h.events)
 		return err
 	}
 	defer ended()
 	if len(feeds) == 0 {
-		close(h.events)
 		return fmt.Errorf("sieve: hub: %w", ErrNoFeeds)
-	}
-
-	// Forward each session's events onto the merged channel.
-	var fwd sync.WaitGroup
-	for _, f := range feeds {
-		fwd.Add(1)
-		go func(f *Session) {
-			defer fwd.Done()
-			for ev := range f.Events() {
-				select {
-				case h.events <- ev:
-				case <-ctx.Done():
-					// Sessions unblock themselves on cancellation; just
-					// drain so their channels can close.
-					for range f.Events() {
-					}
-					return
-				}
-			}
-		}(f)
 	}
 
 	// Feed errors travel as values, each recorded by its session, so the
@@ -265,11 +254,9 @@ func (h *Hub) Run(ctx context.Context) error {
 		_ = feeds[i].Run(ctx)
 		return struct{}{}, nil
 	})
-	// Feeds the pool never started (parent cancellation) still must close
-	// their event channels so the forwarders terminate.
+	// Feeds the pool never started (parent cancellation) are finished
+	// with the cancellation as their error.
 	h.abandon(ctx.Err())
-	fwd.Wait()
-	close(h.events)
 
 	errs := []error{mapErr}
 	for _, f := range feeds {
@@ -281,8 +268,8 @@ func (h *Hub) Run(ctx context.Context) error {
 }
 
 // abandon finishes every feed whose session has not run with cause: the
-// session is aborted — its events close, and a wire feed's client is told
-// cause and its stream is not archived — and the feed's Err is cause.
+// session is aborted — a wire feed's client is told cause and its stream
+// is not archived — and the feed's Err is cause.
 func (h *Hub) abandon(cause error) {
 	h.mu.Lock()
 	feeds := slices.Clone(h.feeds)

@@ -53,9 +53,9 @@ func (k EventKind) String() string {
 // events totally; across feeds of a Hub the interleaving follows scheduling,
 // so durable logs should be keyed by (Feed, Seq).
 type Event struct {
-	// Site is the edge site that ran the emitting session. It is empty for
-	// plain Sessions and Hubs; a Cluster tags every forwarded event with
-	// the feed's assigned site.
+	// Site is the edge site that ran the emitting session: the feed's
+	// assigned site under a Cluster, or the adoptive site once the feed has
+	// failed over. It is empty for plain Sessions and Hubs.
 	Site string
 	// Feed is the emitting session's name.
 	Feed string
@@ -151,7 +151,6 @@ type sessionConfig struct {
 	det       *Detector
 	clock     Clock
 	sink      io.WriteSeeker
-	eventBuf  int
 	frameBase int         // event frame-number offset, see withFrameBase
 	tap       func(Event) // synchronous observer, see withEventTap
 	onDone    func(error) // completion callback, see withRunDone
@@ -164,15 +163,26 @@ type sessionConfig struct {
 // (sieve_frames_total, sieve_iframes_total, sieve_payload_bytes_total,
 // sieve_detections_total and the sieve_frame_bytes histogram, labelled
 // {feed}, plus {site} under a Cluster) in reg, records its spans into
-// tracer under the site, and submits its I-frames to plane. A standalone
-// session has the zero owner: a private registry, no site, no tracer and
-// no shared plane.
+// tracer under the site, submits its I-frames to plane, and publishes
+// each event onto events after running hook on it. A standalone session
+// has the zero owner: a private registry and none of the rest.
 type owner struct {
 	reg    *telemetry.Registry
 	site   string
 	tracer *telemetry.Tracer // nil = tracing off
 	plane  *infer.Plane      // shared inference plane, nil = none
+	events chan Event        // the owner's stream (a hub's or a cluster's), nil = the session's own
+	hook   eventHook         // the cluster site's per-event work, nil = none
 }
+
+// eventHook is a cluster site's work for one event of its feeds (see
+// Cluster.siteHook), run by emit on the session goroutine with the
+// session's context. ship is the site-wide span scope (nil when the feed
+// is not traced).
+type eventHook func(ctx context.Context, ev Event, ship *telemetry.Scope)
+
+// noEvents is the closed channel Events returns for a hub or cluster feed.
+var noEvents = func() chan Event { ch := make(chan Event); close(ch); return ch }()
 
 // withOwner hands a session its owner's state. Threaded by Hub.Add and by
 // failover.
@@ -191,8 +201,9 @@ func withFrameBase(n int) SessionOption {
 }
 
 // withEventTap registers a synchronous event observer: fn runs on the
-// session goroutine for every event, before the event is offered to the
-// Events channel, so it sees the exact encode order with no buffering.
+// session goroutine for every event, before the owner's hook and before
+// the event is published, so it sees the exact encode order with no
+// buffering.
 // The ingest plane uses it to ack encoded frames back to the pushing
 // client. fn must be fast and must never block on the session itself.
 func withEventTap(fn func(Event)) SessionOption {
@@ -270,7 +281,8 @@ type Session struct {
 	enc    *codec.Encoder
 	w      *container.Writer // the SVF stream enc's payloads are appended to
 	buf    *container.Buffer // non-nil when no external sink was given
-	events chan Event
+	events chan Event        // where emit publishes: the owner's stream, or the session's own
+	ship   *telemetry.Scope  // the site-wide span scope emit hands the owner's hook
 
 	// Counters are registry instruments (the owning hub's or cluster's
 	// registry, or a private one for a standalone session), updated
@@ -301,7 +313,7 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 		return nil, errors.New("sieve: nil frame source")
 	}
 	info := src.Info()
-	cfg := sessionConfig{eventBuf: 64}
+	var cfg sessionConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
@@ -319,7 +331,10 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 		return nil, fmt.Errorf("sieve: session %s: params %dx%d do not match source %dx%d",
 			cfg.name, params.Width, params.Height, info.Width, info.Height)
 	}
-	s := &Session{src: src, cfg: cfg, events: make(chan Event, cfg.eventBuf)}
+	s := &Session{src: src, cfg: cfg, events: cfg.own.events}
+	if s.events == nil {
+		s.events = make(chan Event, 64) // a few frames' events while the consumer catches up
+	}
 	if s.cfg.own.reg == nil {
 		s.cfg.own.reg = telemetry.NewRegistry()
 	}
@@ -332,6 +347,7 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 	s.detections = reg.Counter("sieve_detections_total", labels...)
 	s.frameBytes = reg.Histogram("sieve_frame_bytes", frameBytesBounds, labels...)
 	s.trace = cfg.own.tracer.Scope(cfg.own.site, cfg.name)
+	s.ship = cfg.own.tracer.Scope(cfg.own.site, "")
 	sink := cfg.sink
 	if sink == nil {
 		s.buf = &container.Buffer{}
@@ -369,8 +385,16 @@ func NewSession(src FrameSource, opts ...SessionOption) (*Session, error) {
 // Name returns the session's feed name.
 func (s *Session) Name() string { return s.cfg.name }
 
-// Events returns the session's event stream. It is closed when Run returns.
-func (s *Session) Events() <-chan Event { return s.events }
+// Events returns the session's event stream, closed when Run returns. A
+// feed of a Hub or a Cluster has no stream of its own: it publishes onto
+// its owner's (Hub.Events, Cluster.Events), and its Events returns a
+// closed channel, so no reader hangs on it.
+func (s *Session) Events() <-chan Event {
+	if s.cfg.own.events != nil {
+		return noEvents
+	}
+	return s.events
+}
 
 // Stats returns a counters snapshot; safe to call concurrently with Run.
 // SessionStats is a view over the session's registry instruments: each
@@ -422,7 +446,7 @@ func (s *Session) Stream() (*container.Reader, error) {
 
 // Run pulls frames from the source until io.EOF, encoding each and emitting
 // events, then finalises the stream index and emits a final EventStats. It
-// closes Events on return. Run may be called once.
+// closes the session's own Events on return. Run may be called once.
 func (s *Session) Run(ctx context.Context) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -437,7 +461,9 @@ func (s *Session) Run(ctx context.Context) (err error) {
 	if s.cfg.onDone != nil {
 		defer func() { s.cfg.onDone(err) }()
 	}
-	defer close(s.events)
+	if s.cfg.own.events == nil { // an owner's stream is the owner's to close
+		defer close(s.events)
+	}
 	defer func() {
 		s.mu.Lock()
 		s.err = err
@@ -504,6 +530,7 @@ func (s *Session) Run(ctx context.Context) (err error) {
 			}
 			filterSp.End()
 			if inferC != nil {
+				runtime.Gosched() // see the yield at the end of the loop
 				inferSp := s.trace.Start(telemetry.StageInfer, s.cfg.frameBase+ef.Number)
 				// The detector reads the encoder's reconstruction of the
 				// frame, the pixels any decoder of the payload produces, in
@@ -522,13 +549,12 @@ func (s *Session) Run(ctx context.Context) (err error) {
 		}
 		// Hand the frame's events off before pulling the next frame. Each
 		// emit is a buffered send that puts the goroutine it wakes (the
-		// hub's forwarder) in this P's runnext slot, and a goroutine that
+		// stream's consumer) in this P's runnext slot, and a goroutine that
 		// never blocks leaves it there until an idle P steals it or sysmon
 		// preempts this one after 10 ms: on a busy box that wait, not the
-		// encode, would be the frame's latency. One yield per frame lets the
-		// forwarder, the cluster pump and the consumer run now, for one
-		// scheduler round trip per frame. See "Frame-boundary hand-off" in
-		// DESIGN.md.
+		// encode, would be the frame's latency, and on a stream other feeds
+		// share, theirs too. So the loop yields here, and before an I-frame's
+		// forward pass. See "Frame-boundary hand-off" in DESIGN.md.
 		runtime.Gosched()
 	}
 	if err := s.w.Close(); err != nil {
@@ -544,10 +570,12 @@ func (s *Session) Run(ctx context.Context) (err error) {
 	return nil
 }
 
-// emit sends one event, honouring cancellation so a stalled consumer cannot
-// wedge the session past its context.
+// emit runs the event tap and the owner's hook on one event, then
+// publishes it, honouring cancellation so a stalled consumer cannot wedge
+// the session. Once ctx is done (a hook that crashed the site cancels it)
+// it publishes nothing, so the session stops before its next frame.
 func (s *Session) emit(ctx context.Context, ev Event) bool {
-	ev.Feed = s.cfg.name
+	ev.Site, ev.Feed = s.cfg.own.site, s.cfg.name
 	ev.Time = s.cfg.clock.Now()
 	s.mu.Lock()
 	ev.Seq = s.seq
@@ -555,6 +583,12 @@ func (s *Session) emit(ctx context.Context, ev Event) bool {
 	s.mu.Unlock()
 	if s.cfg.tap != nil {
 		s.cfg.tap(ev)
+	}
+	if s.cfg.own.hook != nil {
+		s.cfg.own.hook(ctx, ev, s.ship)
+	}
+	if ctx.Err() != nil {
+		return false
 	}
 	select {
 	case s.events <- ev:
@@ -587,12 +621,11 @@ func (s *Session) salvage() bool {
 	return true
 }
 
-// abort closes the event stream of a session that will never run (a Hub
-// feed skipped by cancellation, or whose Run failed before it started) and
-// reports cause, which must not be nil, to the completion callback as its
-// outcome. The callback runs on its own goroutine: it may be telling a
-// remote client, who must not hold up the run that abandons the session.
-// No-op if Run already started.
+// abort finishes a hub feed that will never run (skipped by cancellation,
+// or whose Run failed before it started) by reporting cause, which must
+// not be nil, to the completion callback as its outcome. The callback runs
+// on its own goroutine: it may be telling a remote client, who must not
+// hold up the run that abandons the session. No-op if Run already started.
 func (s *Session) abort(cause error) {
 	s.mu.Lock()
 	if s.ran {
@@ -601,7 +634,6 @@ func (s *Session) abort(cause error) {
 	}
 	s.ran = true
 	s.err = cause
-	close(s.events)
 	s.mu.Unlock()
 	if s.cfg.onDone != nil {
 		go s.cfg.onDone(cause)

@@ -16,10 +16,8 @@ import (
 // clears the marker. A flush counts as a delta sync when it shipped a
 // delta or exhausted its attempts; one that makes no attempt (ctx already
 // done) counts nothing and leaves the markers alone, and so does one whose
-// try finds the replica already caught up by another flusher. Concurrent
-// flushes for one site (its own pump plus a migration pump) are safe:
-// deltas always start at the replica's cursor and overlapping
-// retransmissions apply idempotently.
+// try finds the replica already caught up. The caller holds s.mu, which
+// orders a site's flushes with its shard records (see siteHook).
 func (c *Cluster) flushDeltas(ctx context.Context, s *clusterSite) {
 	if c.coord.SyncCursor(s.name) == s.shard.Version() {
 		return
@@ -53,8 +51,8 @@ func (c *Cluster) flushDeltas(ctx context.Context, s *clusterSite) {
 }
 
 // shipDelta is one delta-sync try: everything past the replica's cursor.
-// It reports whether a delta crossed the uplink: none does when another
-// flusher already caught the replica up.
+// It reports whether a delta crossed the uplink: none does when the
+// replica has already caught up.
 func (c *Cluster) shipDelta(s *clusterSite) (shipped bool, err error) {
 	d, err := s.shard.DeltaSince(c.coord.SyncCursor(s.name))
 	if err != nil || d.From == d.To {
@@ -65,12 +63,13 @@ func (c *Cluster) shipDelta(s *clusterSite) (shipped bool, err error) {
 }
 
 // reconcile is the pre-merge sweep over every live site: one more delta
-// flush for a site whose replica is behind its shard (a migration pumped
-// into it after its manifest, or its last flush hit a partition), and one
-// more submit for a site with no manifest, so a site whose uplink healed
-// after its goroutine finished (linkup or recovery late in the script)
-// still reaches the merged view complete instead of stale. Sites still
-// partitioned fail here too and keep their degraded markers.
+// flush for a site whose replica is behind its shard (a migrated feed
+// recorded into it after its manifest, or its last flush hit a
+// partition), and one more submit for a site with no manifest, so a site
+// whose uplink healed after its goroutine finished (linkup or recovery
+// late in the script) still reaches the merged view complete instead of
+// stale. Sites still partitioned fail here too and keep their degraded
+// markers.
 func (c *Cluster) reconcile(ctx context.Context) {
 	for _, s := range c.sites {
 		c.mu.Lock()
@@ -82,7 +81,9 @@ func (c *Cluster) reconcile(ctx context.Context) {
 			continue
 		}
 		if c.coord.Submitted(s.name) {
+			s.mu.Lock()
 			c.flushDeltas(ctx, s)
+			s.mu.Unlock()
 			continue
 		}
 		// A failed retry is not a run error: the site stays marked
@@ -96,6 +97,8 @@ func (c *Cluster) reconcile(ctx context.Context) {
 // cursor. A delivered manifest clears the site's degraded marker: its
 // slice of the merged view is no longer stale.
 func (c *Cluster) submit(ctx context.Context, s *clusterSite) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	c.flushDeltas(ctx, s)
 	if err := c.coord.Submit(cluster.Report{Site: s.name, Shard: s.shard}); err != nil {
 		return err
